@@ -62,13 +62,6 @@ let no_cache_arg =
            ~doc:"Disable the content-addressed prepared-artifact cache (every preparation \
                  recompiles from source).  Results are bit-identical either way.")
 
-let no_decode_arg =
-  Arg.(value & flag
-       & info [ "no-decode" ]
-           ~doc:"Force the legacy per-opcode interpreter instead of the pre-decoded \
-                 threaded-dispatch engine (DESIGN.md §19).  Results are bit-identical either \
-                 way; only simulation throughput differs.")
-
 let no_detach_arg =
   Arg.(value & flag
        & info [ "no-detach" ]
@@ -94,13 +87,12 @@ let run_cmd =
     Arg.(value & flag
          & info [ "trace" ] ~doc:"Keep a ring buffer of executed instructions and print it on exit.")
   in
-  let action src opt passes verify_each trace no_decode =
+  let action src opt passes verify_each trace =
     let m = Refine_minic.Frontend.compile (read_source src) in
     let out = Pl.run ~verify_each (Pl.ensure_layout (spec_of opt passes)) m in
     let image = Option.get out.Pl.image in
     let eng = Refine_machine.Exec.create image in
-    if not no_decode then
-      Refine_machine.Exec.install_decoded eng (Some (Refine_machine.Exec.decode image));
+    Refine_machine.Exec.install_decoded eng (Some (Refine_machine.Exec.decode image));
     let tracer =
       if trace then begin
         let t = Refine_machine.Trace.create ~capacity:24 () in
@@ -126,8 +118,7 @@ let run_cmd =
       exit 124
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile a MinC program and execute it on the SX64 simulator.")
-    Term.(const action $ src_arg $ opt_arg $ passes_arg $ verify_each_arg $ trace_flag
-          $ no_decode_arg)
+    Term.(const action $ src_arg $ opt_arg $ passes_arg $ verify_each_arg $ trace_flag)
 
 (* ---- emit ---- *)
 
@@ -188,9 +179,8 @@ let fi_cmd =
                    $(b,burst:K) (K adjacent register bits).")
   in
   let action src tool funcs instrs samples seed fault_model opt passes verify_each no_cache
-      no_decode no_detach =
+      no_detach =
     if no_cache then Refine_passes.Artifact_cache.enabled := false;
-    if no_decode then Refine_core.Tool.use_decode := false;
     if no_detach then Refine_core.Tool.use_detach := false;
     let model =
       try Refine_core.Fault.model_of_string fault_model
@@ -256,8 +246,7 @@ let fi_cmd =
     (Cmd.info "fi"
        ~doc:"Run a fault-injection campaign cell (profiling + N classified injections).")
     Term.(const action $ src_arg $ tool $ funcs $ instrs $ samples $ seed $ fault_model
-          $ opt_arg $ passes_arg $ verify_each_arg $ no_cache_arg $ no_decode_arg
-          $ no_detach_arg)
+          $ opt_arg $ passes_arg $ verify_each_arg $ no_cache_arg $ no_detach_arg)
 
 (* ---- passes ---- *)
 
@@ -422,11 +411,10 @@ let campaign_cmd =
   in
   let action programs samples seed fault_models csv journal resume retries sample_timeout
       domains workers metrics_out trace_out status_port output_quota wall_clock livelock
-      no_verify_mir opt passes verify_each no_cache no_decode no_detach =
+      no_verify_mir opt passes verify_each no_cache no_detach =
     if metrics_out <> None || trace_out <> None || status_port <> None then
       Refine_obs.Control.enable ();
     if no_cache then Refine_passes.Artifact_cache.enabled := false;
-    if no_decode then Refine_core.Tool.use_decode := false;
     if no_detach then Refine_core.Tool.use_detach := false;
     let models =
       String.split_on_char ',' fault_models |> List.map String.trim
@@ -596,7 +584,7 @@ let campaign_cmd =
     Term.(const action $ programs $ samples $ seed $ fault_models $ csv $ journal $ resume
           $ retries $ sample_timeout $ domains $ workers $ metrics_out $ trace_out
           $ status_port $ output_quota $ wall_clock $ livelock $ no_verify_mir $ opt_arg
-          $ passes_arg $ verify_each_arg $ no_cache_arg $ no_decode_arg $ no_detach_arg)
+          $ passes_arg $ verify_each_arg $ no_cache_arg $ no_detach_arg)
 
 (* hidden internal entry point: serve shard frames on stdin/stdout.  The
    coordinator normally reaches the worker loop via the REFINE_SHARD_WORKER

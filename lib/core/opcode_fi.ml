@@ -10,8 +10,10 @@
    the same operand shape* — modelling a corrupted code byte that persists
    for the rest of the run (code memory is not rewritten).
 
-   The mutation happens on a private copy of the code image, so prepared
-   binaries stay shareable across experiments. *)
+   The mutation is the engine-local Instr_image overlay
+   ([Exec.set_overlay]), which persists until reset and never writes the
+   shared code image, so prepared binaries stay shareable across
+   experiments. *)
 
 module M = Refine_mir.Minstr
 module E = Refine_machine.Exec
@@ -36,9 +38,8 @@ type ctrl = {
 
 let create mode = { count = 0; mode; fired = false; corrupted_pc = None }
 
-(* a fresh engine over a private copy of the code, with the corruption hook *)
+(* a fresh engine with the corruption hook *)
 let attach (ctrl : ctrl) (image : L.image) : E.t =
-  let image = { image with L.code = Array.copy image.L.code } in
   let eng = E.create image in
   let hook (eng : E.t) (pc : int) (i : M.t) =
     if is_target i then begin
@@ -50,7 +51,7 @@ let attach (ctrl : ctrl) (image : L.image) : E.t =
           ctrl.fired <- true;
           let alts = alternatives i in
           let replacement = List.nth alts (P.int rng (List.length alts)) in
-          eng.E.image.L.code.(pc) <- replacement;
+          E.set_overlay eng ~pc (Some replacement);
           ctrl.corrupted_pc <- Some pc;
           eng.E.post_hook <- None;
           eng.E.hook_cost <- 0

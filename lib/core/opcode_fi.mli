@@ -5,7 +5,9 @@
     At a uniformly chosen dynamic instance, the static instruction is
     replaced by a different valid opcode of the same operand shape,
     modelling a corrupted code byte that persists for the rest of the run.
-    Each experiment runs on a private copy of the code image. *)
+    The replacement is the engine's Instr_image overlay
+    ({!Refine_machine.Exec.set_overlay}); the shared code image is never
+    written. *)
 
 val alternatives : Refine_mir.Minstr.t -> Refine_mir.Minstr.t list
 (** Valid same-shape replacements (ALU opcode swaps, condition-code swaps,
@@ -24,8 +26,7 @@ type ctrl = {
 val create : Runtime.mode -> ctrl
 
 val attach : ctrl -> Refine_backend.Layout.image -> Refine_machine.Exec.t
-(** Fresh engine over a private code copy with the corruption hook
-    installed. *)
+(** Fresh engine with the corruption hook installed. *)
 
 val profile : Refine_backend.Layout.image -> Fault.profile
 (** Fault-free counting run (the corruption population differs from the

@@ -20,13 +20,9 @@ type ctrl = {
   mutable fired : bool;
   mutable record : Fault.record option;
   sel : Selection.t;
-  flips : int; (* bits flipped per fault: 1 = the paper's model; 2 = the
-                  double-bit variants of Adamu-Fika & Jhumka [3] *)
 }
 
-let create ?(sel = Selection.default) ?(flips = 1) mode =
-  if flips < 1 || flips > 64 then invalid_arg "Pinfi.create: flips out of [1,64]";
-  { count = 0; mode; fired = false; record = None; sel; flips }
+let create ?(sel = Selection.default) mode = { count = 0; mode; fired = false; record = None; sel }
 
 let attach (ctrl : ctrl) (eng : E.t) =
   let all_funcs = List.mem "*" ctrl.sel.Selection.funcs in
@@ -54,15 +50,14 @@ let attach (ctrl : ctrl) (eng : E.t) =
             let op = P.int rng (List.length outs) in
             let reg = List.nth outs op in
             let width = R.width_bits reg in
-            (* bit positions: the model's k/burst, or the legacy [flips]
-               count for Reg_bit (one uniform draw when flips = 1 — the
-               same sequence as the pre-model hook) *)
-            let chosen =
+            (* bit positions: one uniform draw for Reg_bit (the paper's
+               model), the model's k/burst for Multi_bit *)
+            let bits, burst =
               match model with
-              | Fault.Multi_bit { bits; burst } ->
-                Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits ~burst
-              | _ -> Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits:ctrl.flips ~burst:false
+              | Fault.Multi_bit { bits; burst } -> (bits, burst)
+              | _ -> (1, false)
             in
+            let chosen = Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits ~burst in
             eng.E.regs.(reg) <-
               Int64.logxor eng.E.regs.(reg) (Refine_support.Bitops.mask_of_bits chosen);
             ctrl.record <-

@@ -12,12 +12,11 @@ type ctrl = {
   mutable fired : bool;
   mutable record : Fault.record option;
   sel : Selection.t;
-  flips : int;  (** bits flipped per fault (1 = single-bit model) *)
 }
 
-val create : ?sel:Selection.t -> ?flips:int -> Runtime.mode -> ctrl
-(** [flips] extends the single-bit model to the multi-bit variants the
-    paper cites (double bit flips, Adamu-Fika & Jhumka); default 1. *)
+val create : ?sel:Selection.t -> Runtime.mode -> ctrl
+(** The multi-bit variants the paper cites (double bit flips, Adamu-Fika
+    & Jhumka) are the [Fault.Multi_bit] model of [Runtime.Inject]. *)
 
 val attach : ctrl -> Refine_machine.Exec.t -> unit
 (** Installs the counting/injection hook and the attached-DBI per-

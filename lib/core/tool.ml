@@ -149,43 +149,39 @@ let note_quota_trip (r : E.result) =
     | E.Trapped E.Livelock -> Obs.Metrics.inc m_quota_trips.(3)
     | _ -> ()
 
-(* ---- engine fast path (DESIGN.md §14) ---------------------------------
+(* ---- engine cells (DESIGN.md §14, §19) --------------------------------
 
    The initialized memory image (globals + sentinel stack) is computed once
    per prepared binary and every simulator run acquires a snapshot-backed
-   engine from a per-domain cache: one [Bytes.blit] reset per sample
-   instead of a [Mem.mem_size] allocation.  The cache is keyed by a unique
-   per-prepared id, so a domain that moves to another cell (or a fresh
-   supervisor worker domain) transparently clones a new arena.  Settable
-   off to run the legacy allocate-per-sample path; results are
-   bit-identical either way (asserted by the fast-path test suite). *)
+   engine from a per-domain cell: one [Bytes.blit] reset per sample
+   instead of a [Mem.mem_size] allocation.  A cell is keyed by a unique
+   per-snapshot id, so a domain that moves to another cell (or a fresh
+   supervisor worker domain) transparently clones a new arena.
 
-let use_fast_path = ref true
+   Every engine runs its image's pre-decoded program — per-pc dispatch
+   closures plus fused superinstructions — decoded once per snapshot and
+   stored in a content-addressed artifact tier keyed by the snapshot id.
+   A cached engine keeps its decoded program across [reset] (the decode is
+   a property of the image, not of a sample); a fresh engine installs the
+   per-snapshot decode from the tier. *)
 
 let next_snap_id = Atomic.make 0
 
 let engine_cache : (int * E.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* ---- pre-decoded engine (DESIGN.md §19) -------------------------------
-
-   Each snapshot's image is decoded once — per-pc dispatch closures plus
-   fused superinstructions — and stored in a content-addressed artifact
-   tier keyed by the snapshot id, so engines handed out by [acquire] never
-   re-decode: a cached engine keeps its decoded program across [reset]
-   (the decode is a property of the image, not of a sample), and a fresh
-   engine installs the per-snapshot decode from the cache.  Settable off
-   ([--no-decode]) to force the legacy interpreter; outcome tables are
-   bit-identical either way (asserted by the differential decode suite). *)
-
-let use_decode = ref true
-
-let m_decode_hits =
-  Obs.Metrics.counter ~help:"decoded-program cache hits" "refine_decode_cache_hits_total"
-
-let m_decode_misses =
-  Obs.Metrics.counter ~help:"decoded-program cache misses (images decoded)"
-    "refine_decode_cache_misses_total"
+(* A reset engine for [snap] from the domain's [cell], or a fresh clone of
+   the snapshot (which then owns the cell) on an id mismatch. *)
+let engine_from cell ?(ext_extra = []) snap snap_id =
+  let c = Domain.DLS.get cell in
+  match !c with
+  | Some (id, eng) when id = snap_id ->
+    E.reset ~ext_extra eng;
+    eng
+  | _ ->
+    let eng = E.create_from_snapshot ~ext_extra snap in
+    c := Some (snap_id, eng);
+    eng
 
 let m_superinstr =
   Array.map
@@ -204,25 +200,18 @@ let decoded_cache : E.dprogram Artifact_cache.t =
     ()
 
 let decoded_for ~snap_id ~image =
-  if not !Artifact_cache.enabled then begin
-    if Obs.Control.enabled () then Obs.Metrics.inc m_decode_misses;
-    E.decode image
-  end
+  if not !Artifact_cache.enabled then E.decode image
   else begin
     let key = Artifact_cache.key [ "decoded"; string_of_int snap_id ] in
     match Artifact_cache.find decoded_cache key with
-    | Some dp when E.decoded_image dp == image ->
-      if Obs.Control.enabled () then Obs.Metrics.inc m_decode_hits;
-      dp
+    | Some dp when E.decoded_image dp == image -> dp
     | _ ->
       let dp = E.decode image in
       Artifact_cache.add decoded_cache key dp;
-      if Obs.Control.enabled () then begin
-        Obs.Metrics.inc m_decode_misses;
+      if Obs.Control.enabled () then
         Array.iteri
           (fun i n -> if n > 0 then Obs.Metrics.add64 m_superinstr.(i) (Int64.of_int n))
-          (E.superinstr_counts dp)
-      end;
+          (E.superinstr_counts dp);
       dp
   end
 
@@ -230,8 +219,8 @@ let decoded_for ~snap_id ~image =
 
    REFINE and LLFI keep paying their compiled-in per-instruction FI tax
    after the single injection has retired, while PINFI detaches — the
-   structural reason BENCH_obs.json showed REFINE at ~4.4x PINFI against
-   the paper's ~1.2x claim.  The fix mirrors PINFI's detach at the
+   structural reason REFINE once measured ~4.4x PINFI against the paper's
+   ~1.2x claim.  The fix mirrors PINFI's detach at the
    campaign layer: [prepare] builds a *detach target* next to each
    REFINE/LLFI binary — an uninstrumented (or branch-patched) twin decoded
    with attached-equivalent cost weights — and [run_injection] arms
@@ -302,27 +291,11 @@ let note_detach_result kind ~armed ~mode ~fired (r : E.result) =
     else if fired then note_detach_declined kind
   end
 
-let acquire ?(ext_extra = []) ~image ~snap ~snap_id () =
-  let eng =
-    if not !use_fast_path then E.create ~ext_extra image
-    else begin
-      let cell = Domain.DLS.get engine_cache in
-      match !cell with
-      | Some (id, eng) when id = snap_id ->
-        E.reset ~ext_extra eng;
-        eng
-      | _ ->
-        let eng = E.create_from_snapshot ~ext_extra snap in
-        cell := Some (snap_id, eng);
-        eng
-    end
-  in
-  (* a cached engine keeps its dprog across reset, so the cache lookup
-     only runs for fresh engines (or after a kill-switch flip) *)
-  if !use_decode then begin
-    if not (E.decoded eng) then E.install_decoded eng (Some (decoded_for ~snap_id ~image))
-  end
-  else if E.decoded eng then E.install_decoded eng None;
+let acquire ?ext_extra ~image ~snap ~snap_id () =
+  let eng = engine_from engine_cache ?ext_extra snap snap_id in
+  (* a cached engine keeps its dprog across reset, so the tier lookup only
+     runs for fresh engines *)
+  if not (E.decoded eng) then E.install_decoded eng (Some (decoded_for ~snap_id ~image));
   eng
 
 (* Detach targets get their own per-domain engine cell so arming a plan
@@ -334,20 +307,7 @@ let detach_engine_cache : (int * E.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let acquire_detach (dt : detach_target) =
-  let eng =
-    if not !use_fast_path then E.create dt.dt_image
-    else begin
-      let cell = Domain.DLS.get detach_engine_cache in
-      match !cell with
-      | Some (id, eng) when id = dt.dt_snap_id ->
-        E.reset eng;
-        eng
-      | _ ->
-        let eng = E.create_from_snapshot dt.dt_snap in
-        cell := Some (dt.dt_snap_id, eng);
-        eng
-    end
-  in
+  let eng = engine_from detach_engine_cache dt.dt_snap dt.dt_snap_id in
   (match eng.E.dprog with
   | Some dp when dp == dt.dt_dprog -> ()
   | _ -> E.install_decoded eng (Some dt.dt_dprog));
@@ -585,7 +545,7 @@ let build_detach ~full ~ctx ~cache ?phases ?ir (kind : kind) image src : detach_
    mismatch, budget edge); everything here is knowable before the run. *)
 let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
     E.detach_plan option =
-  if not (!use_detach && !use_decode) then None
+  if not !use_detach then None
   else
     match p.detach with
     | None -> None

@@ -40,23 +40,6 @@ val derived_output_quota : Fault.profile -> int
 (** [max 4096 (16 * length golden_output)] — the cap [derive_output]
     computes for a prepared program. *)
 
-val use_fast_path : bool ref
-(** When [true] (the default), every simulator run acquires a
-    snapshot-backed engine from a per-domain cache and {!reset}s it
-    (DESIGN.md §14) instead of allocating fresh machine state per sample.
-    Set to [false] to force the legacy allocate-per-sample path; campaign
-    results are bit-identical either way (asserted by the fast-path test
-    suite). *)
-
-val use_decode : bool ref
-(** When [true] (the default), engines handed out for simulator runs carry
-    the pre-decoded program for their snapshot (DESIGN.md §19): per-pc
-    dispatch closures with fused superinstructions, decoded once per
-    snapshot and served from a content-addressed cache tier.  Set to
-    [false] ([refinec --no-decode]) to force the legacy per-opcode match
-    interpreter; outcome tables are bit-identical either way (asserted by
-    the differential decode suite). *)
-
 (** {1 Post-injection detach (DESIGN.md §20)} *)
 
 val use_detach : bool ref
@@ -115,7 +98,7 @@ type prepared = {
 val detach_plan_for :
   quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
 (** Per-sample eligibility (the decline matrix of DESIGN.md §20): [None]
-    when detach or decode is switched off, the tool has no target, the
+    when detach is switched off, the tool has no target, the
     model strikes state the target cannot carry (REFINE + Instr_image),
     or the livelock detector is armed for a tool whose target is not
     step-exact (REFINE).  The returned plan can still decline at run time

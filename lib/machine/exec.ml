@@ -108,7 +108,7 @@ type t = {
          encoding no longer decodes (executing it traps [Illegal_instr]) *)
   mutable dprog : dprogram option;
       (* pre-decoded program installed on this engine (DESIGN.md §19);
-         None = the legacy match-per-opcode interpreter *)
+         None = [run] drives the [step] loop *)
   mutable d_active : (t -> unit) array;
       (* the dispatch table the decoded loop reads: [dprog.d_fused]
          normally, [dprog.d_single] while an Instr_image overlay is armed
@@ -126,6 +126,10 @@ type t = {
       (* set by the FI control library when the single injection has
          retired; [run] hands off to the detach plan's golden engine at
          the next poll slot (DESIGN.md §20) *)
+  mutable sp_struck : bool;
+      (* an FI flip ([Mxorbit]) struck rsp or rbp: the run may go on to
+         pop stack slots outside the live frames a map-mode handoff
+         validates, so such a handoff declines *)
   mutable handler_cost : int array;
       (* declared modeled cost per extern slot, parallel to [handlers]
          (rebuilt together) — lets the fi-splice fast path charge a
@@ -351,8 +355,9 @@ let bind_handlers t =
       | None -> (
         match t.builtins.(k) with Some h -> h | None -> unknown_extern name))
 
-(* Slow path for code arrays mutated after layout (ext_slot_of_pc = -1,
-   e.g. Opcode_fi's corrupted copies): the pre-fast-path by-name lookup. *)
+(* Slow path for an [Mcallext] at a pc layout did not resolve
+   (ext_slot_of_pc = -1, e.g. a code array mutated after layout): the
+   by-name lookup. *)
 let do_callext (t : t) name =
   match Hashtbl.find_opt t.ext_extra name with
   | Some (cost, fn) ->
@@ -439,6 +444,7 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem 
       d_max_steps = max_int;
       d_max_cost = max_int;
       detach_req = false;
+      sp_struck = false;
       handler_cost = [||];
       fi_sel_skip = 0;
       fi_sel_pending = 0;
@@ -498,6 +504,7 @@ let reset ?(ext_extra = []) (t : t) : unit =
   t.d_max_steps <- max_int;
   t.d_max_cost <- max_int;
   t.detach_req <- false;
+  t.sp_struck <- false;
   t.fi_sel_skip <- 0;
   t.fi_sel_pending <- 0;
   t.cs_len <- 0;
@@ -609,6 +616,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
            else t.pc <- target
          end
        | M.Mxorbit (d, s) ->
+         if d = R.rsp || d = R.rbp then t.sp_struck <- true;
          (* a pending multi-bit mask overrides the single-bit flip: the
             splice stays one instruction, the fault gets k bits (§18) *)
          if t.fi_mask <> 0L then begin
@@ -1176,9 +1184,11 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       end;
       rc t
   | M.Mxorbit (d, s) when okr d && okr s ->
+    let sp = d = R.rsp || d = R.rbp in
     fun t ->
       account t k cw;
       t.pc <- pc1;
+      if sp then t.sp_struck <- true;
       (if t.fi_mask <> 0L then begin
          Array.unsafe_set t.regs d (Int64.logxor (Array.unsafe_get t.regs d) t.fi_mask);
          t.fi_mask <- 0L
@@ -1748,92 +1758,78 @@ let install_decoded (t : t) = function
 
 let decoded t = match t.dprog with Some _ -> true | None -> false
 
-(* --- engine interface (DESIGN.md §19) ----------------------------------
+(* --- run loops (DESIGN.md §19) -------------------------------------------
 
-   Every execution substrate drives the same machine state [t] through
-   [run]'s budget/quota envelope: the loop executes instructions while the
-   status is Running and the step/cost budgets hold, calling [check] at
-   every 1024-step poll slot.  [run] selects the engine per call from
-   [t.dprog], so the legacy interpreter stays alive for differential
-   testing and as the substrate for hooked (PINFI/trace) execution. *)
+   Both loops drive the same machine state [t] through [run]'s budget/quota
+   envelope: execute instructions while the status is Running and the
+   step/cost budgets hold, calling [check] at every 1024-step poll slot.
+   [run] picks the decoded dispatch loop whenever a decoded program is
+   installed (every engine the campaign layer hands out); the [step] loop
+   runs engines without one and is the reference semantics the
+   differential tests compare against. *)
 
-module type ENGINE = sig
-  val name : string
-  val loop : t -> max_steps:int -> max_cost:int -> check:(unit -> unit) -> unit
-end
+let step_loop (t : t) ~max_steps ~max_cost ~check =
+  while
+    (match t.status with Running -> true | _ -> false)
+    && t.steps < max_steps && t.cost < max_cost
+  do
+    step t;
+    (* poll-slot cadence: plain int mask, no boxed arithmetic per step *)
+    if t.steps land 1023 = 0 then check ()
+  done
 
-module Legacy_engine : ENGINE = struct
-  let name = "legacy"
-
-  let loop (t : t) ~max_steps ~max_cost ~check =
-    while
-      (match t.status with Running -> true | _ -> false)
-      && t.steps < max_steps && t.cost < max_cost
-    do
-      step t;
-      (* poll-slot cadence: plain int mask, no boxed arithmetic per step *)
-      if t.steps land 1023 = 0 then check ()
-    done
-end
-
-module Decoded_engine : ENGINE = struct
-  let name = "decoded"
-
-  (* Threaded dispatch over the decoded closure table.  Per iteration: one
-     bounds check, one overlay compare, one hook check, one indirect call.
-     [d_active] is re-read every iteration because [set_overlay] can
-     switch the engine to the single-instruction table mid-run (the FI
-     control library installs Instr_image overlays at the trigger).  One
-     try frame wraps the whole loop instead of one per instruction; the
-     handler replicates the legacy post-trap poll-slot check (which can
-     overwrite a trap with [Output_quota] at a boundary). *)
-  let loop (t : t) ~max_steps ~max_cost ~check =
-    t.d_max_steps <- max_steps;
-    t.d_max_cost <- max_cost;
-    t.d_check <- check;
-    let len = Array.length t.image.L.code in
-    (try
-       while
-         (match t.status with Running -> true | _ -> false)
-         && t.steps < max_steps && t.cost < max_cost
-       do
-         let pc = t.pc in
-         if pc < 0 || pc >= len then begin
-           t.status <- Trapped (Bad_pc pc);
+(* Threaded dispatch over the decoded closure table.  Per iteration: one
+   bounds check, one overlay compare, one hook check, one indirect call.
+   [d_active] is re-read every iteration because [set_overlay] can switch
+   the engine to the single-instruction table mid-run (the FI control
+   library installs Instr_image overlays at the trigger).  One try frame
+   wraps the whole loop instead of one per instruction; the handler
+   replicates [step_loop]'s post-trap poll-slot check (which can overwrite
+   a trap with [Output_quota] at a boundary). *)
+let decoded_loop (t : t) ~max_steps ~max_cost ~check =
+  t.d_max_steps <- max_steps;
+  t.d_max_cost <- max_cost;
+  t.d_check <- check;
+  let len = Array.length t.image.L.code in
+  (try
+     while
+       (match t.status with Running -> true | _ -> false)
+       && t.steps < max_steps && t.cost < max_cost
+     do
+       let pc = t.pc in
+       if pc < 0 || pc >= len then begin
+         t.status <- Trapped (Bad_pc pc);
+         if t.steps land 1023 = 0 then check ()
+       end
+       else if pc = t.overlay_pc then begin
+         match (t.overlay_instr, t.d_overlay, t.post_hook) with
+         | Some _, Some f, None -> f t (* decoded overlay self-checks *)
+         | ov, _, _ ->
+           (match ov with
+           | Some i -> exec_instr t pc i
+           | None ->
+             (* the corrupted slot no longer decodes: the fetch traps *)
+             t.steps <- t.steps + 1;
+             t.cost <- t.cost + 1;
+             t.status <- Trapped (Illegal_instr pc));
            if t.steps land 1023 = 0 then check ()
-         end
-         else if pc = t.overlay_pc then begin
-           match (t.overlay_instr, t.d_overlay, t.post_hook) with
-           | Some _, Some f, None -> f t (* decoded overlay self-checks *)
-           | ov, _, _ ->
-             (match ov with
-             | Some i -> exec_instr t pc i
-             | None ->
-               (* the corrupted slot no longer decodes: the fetch traps *)
-               t.steps <- t.steps + 1;
-               t.cost <- t.cost + 1;
-               t.status <- Trapped (Illegal_instr pc));
-             if t.steps land 1023 = 0 then check ()
-         end
-         else begin
-           match t.post_hook with
-           | None -> (Array.unsafe_get t.d_active pc) t
-           | Some _ ->
-             (* per-instruction DBI semantics: route through the legacy
-                step while a hook is attached *)
-             step t;
-             if t.steps land 1023 = 0 then check ()
-         end
-       done
-     with Halt_trap tr ->
-       t.status <- Trapped tr;
-       if t.steps land 1023 = 0 then check ());
-    t.d_check <- no_check;
-    t.d_max_steps <- max_int;
-    t.d_max_cost <- max_int
-end
-
-let engine_name t = if decoded t then Decoded_engine.name else Legacy_engine.name
+       end
+       else begin
+         match t.post_hook with
+         | None -> (Array.unsafe_get t.d_active pc) t
+         | Some _ ->
+           (* per-instruction DBI semantics: route through [step] while a
+              hook is attached *)
+           step t;
+           if t.steps land 1023 = 0 then check ()
+       end
+     done
+   with Halt_trap tr ->
+     t.status <- Trapped tr;
+     if t.steps land 1023 = 0 then check ());
+  t.d_check <- no_check;
+  t.d_max_steps <- max_int;
+  t.d_max_cost <- max_int
 
 (* Byte-granular memory fault (Mem_cell model): XOR one bit of one data
    byte.  Out-of-range addresses are a harness defect (callers draw the
@@ -1939,7 +1935,7 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
    accumulated output and step/cost counters) transfers onto a fresh
    engine built from the uninstrumented snapshot, and the same absolute
    budgets keep driving it.  With a correspondence map the source first
-   drains on the legacy stepper to the next original-instruction boundary
+   drains with [step] to the next original-instruction boundary
    and live [Mcalli] return addresses are validated against the shadow
    call stack and rewritten into golden coordinates; without a map
    (overlay-fallback targets) the coordinates are shared and the handoff
@@ -2001,7 +1997,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     (match p.plan_map with
     | None -> ()
     | Some m ->
-      (* drain on the legacy stepper to the next original-instruction
+      (* drain with [step] to the next original-instruction
          boundary (the splice the injection fired in has no golden
          coordinates); the cap bounds a parse-defeating image, and budget
          or quota edges during the drain decline the handoff *)
@@ -2020,6 +2016,9 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
       done;
       if src.status <> Running || src.pc < 0 || src.pc >= n || m.h_rank.(src.pc) < 0 then
         ok := false;
+      (* checked after the drain, which retires the rest of the splice and
+         with it the flip itself *)
+      if src.sp_struck then ok := false;
       (* validate the live shadow call stack: each live frame's stack slot
          must still hold the recorded return address (a fault that smashed
          a return address makes the translation meaningless), and every
@@ -2092,8 +2091,8 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     let t = !cur in
     match
       match t.dprog with
-      | Some _ -> Decoded_engine.loop t ~max_steps ~max_cost ~check:check_quotas
-      | None -> Legacy_engine.loop t ~max_steps ~max_cost ~check:check_quotas
+      | Some _ -> decoded_loop t ~max_steps ~max_cost ~check:check_quotas
+      | None -> step_loop t ~max_steps ~max_cost ~check:check_quotas
     with
     | () -> ()
     | exception Detach_signal ->

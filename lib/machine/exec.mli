@@ -62,8 +62,8 @@ type dprogram
     shared read-only by every engine and domain executing that image.
     Superinstructions retire their constituents' step/cost/profile counts
     individually and re-test the run loop's budget condition between
-    constituents, so decoded execution is bit-identical to the legacy
-    interpreter — the invariant the differential qcheck suite asserts. *)
+    constituents, so decoded execution is bit-identical to the {!step}
+    loop — the invariant the differential qcheck suite asserts. *)
 
 type t = {
   image : Refine_backend.Layout.image;
@@ -105,7 +105,7 @@ type t = {
           encoding no longer decodes, so fetching it traps
           [Illegal_instr]. *)
   mutable dprog : dprogram option;
-      (** installed decoded program; [None] = legacy dispatch.  Set via
+      (** installed decoded program; [None] = the {!step} loop.  Set via
           {!install_decoded}; survives {!reset} (the decode is a property
           of the image, not of a sample). *)
   mutable d_active : (t -> unit) array;
@@ -126,6 +126,11 @@ type t = {
       (** raised by the FI control library once the single injection has
           retired; {!run} hands off to the detach plan's golden engine at
           the next poll slot (DESIGN.md §20).  Cleared by {!reset}. *)
+  mutable sp_struck : bool;
+      (** an FI flip ([Mxorbit]) struck rsp or rbp: the rest of the run may
+          pop stack slots outside the live frames the shadow call stack
+          validates, so a map-mode handoff declines.  Cleared by {!reset}.
+          Internal. *)
   mutable handler_cost : int array;
       (** declared modeled cost per extern slot, parallel to [handlers]
           and rebuilt with them — the fi-splice fast path charges a
@@ -264,14 +269,14 @@ val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must
     have been built from the engine's own image ([Invalid_argument]
     otherwise — decoded closures bake that image's class and extern-slot
-    tables).  With a program installed, {!run} dispatches through
-    {!Decoded_engine}; detaching falls back to the legacy interpreter. *)
+    tables).  With a program installed, {!run} uses threaded dispatch
+    over the decoded closure table (falling back to {!step} per
+    instruction while a [post_hook] is attached, and routing the
+    Instr_image overlay pc through the overlay decode); without one,
+    {!run} drives {!step} in a loop — the reference semantics. *)
 
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)
-
-val engine_name : t -> string
-(** ["decoded"] or ["legacy"] — the engine {!run} would select now. *)
 
 val idioms : string array
 (** Superinstruction idiom names, in {!superinstr_counts} index order:
@@ -288,24 +293,6 @@ val superinstr_counts : dprogram -> int array
 val decoded_image : dprogram -> Refine_backend.Layout.image
 (** The image this program was decoded from (physical identity is the
     {!install_decoded} compatibility check). *)
-
-(** An execution substrate: drives the machine until the status leaves
-    [Running] or a budget trips, calling [check] at every 1024-step poll
-    slot.  {!run} selects the engine per call from [t.dprog]; the legacy
-    interpreter stays alive behind this interface for differential
-    testing and for hooked (PINFI/trace) execution. *)
-module type ENGINE = sig
-  val name : string
-  val loop : t -> max_steps:int -> max_cost:int -> check:(unit -> unit) -> unit
-end
-
-module Legacy_engine : ENGINE
-(** The per-opcode match interpreter ({!step} in a while loop). *)
-
-module Decoded_engine : ENGINE
-(** Threaded dispatch over the decoded closure table; falls back to
-    {!step} per instruction while a [post_hook] is attached and routes the
-    Instr_image overlay pc through the overlay decode. *)
 
 val run :
   ?max_steps:int64 ->

@@ -4,9 +4,11 @@
    superinstructions with batched retirement, per-snapshot decode caching
    — must be invisible in results: every observable (outcome, steps,
    cost, output, final architectural state) is byte-identical to the
-   legacy per-opcode interpreter over random programs, engine-level
-   faults, truncated budgets with mid-sequence resets, Instr_image
-   overlays, and fixed-seed campaigns under all five fault models. *)
+   [step] loop over random programs, engine-level faults, truncated
+   budgets with mid-sequence resets and Instr_image overlays.  The named
+   oracle closes the loop end to end: every production sample (snapshot
+   reset, decode, detach) equals the same sample re-run on a fresh
+   step-loop engine, for all three tools and all five fault models. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -15,7 +17,8 @@ module L = Refine_backend.Layout
 module P = Refine_support.Prng
 module F = Refine_core.Fault
 module T = Refine_core.Tool
-module Ex = Refine_campaign.Experiment
+module Rt = Refine_core.Runtime
+module Pinfi = Refine_core.Pinfi
 
 let compile_image seed =
   let m = Refine_minic.Frontend.compile (Test_semantics.gen_program seed) in
@@ -128,12 +131,12 @@ let test_install_detach () =
   let image = compile_image 42 in
   let snap = X.snapshot image in
   let eng = X.create_from_snapshot snap in
-  Alcotest.(check string) "legacy by default" "legacy" (X.engine_name eng);
+  Alcotest.(check bool) "no decode by default" false (X.decoded eng);
   X.install_decoded eng (Some (X.decode image));
-  Alcotest.(check string) "decoded when installed" "decoded" (X.engine_name eng);
+  Alcotest.(check bool) "decoded when installed" true (X.decoded eng);
   let r1 = X.run eng in
   X.install_decoded eng None;
-  Alcotest.(check string) "legacy after detach" "legacy" (X.engine_name eng);
+  Alcotest.(check bool) "step loop after detach" false (X.decoded eng);
   X.reset eng;
   let r2 = X.run eng in
   Alcotest.check Test_fastpath.result_t "detached run identical" r1 r2;
@@ -187,7 +190,7 @@ let test_superinstr_counts () =
   Alcotest.check Test_fastpath.result_t "fused idioms identical"
     (X.run leg) (X.run dec)
 
-(* --- fixed-seed campaign equality, decoded on/off, all five models ------ *)
+(* --- the named oracle: production sample = step-loop reference ---------- *)
 
 let all_models =
   [
@@ -198,26 +201,61 @@ let all_models =
     F.Multi_bit { bits = 4; burst = true };
   ]
 
-let test_campaign_equality_all_models () =
-  let programs = [ ("ints", Test_fastpath.src_int); ("floats", Test_fastpath.src_float) ] in
-  let tools = [ T.Refine; T.Llfi ] in
-  Fun.protect
-    ~finally:(fun () -> T.use_decode := true)
-    (fun () ->
-      List.iter
-        (fun model ->
-          let run_matrix () =
-            T.reset_artifact_caches ();
-            Test_fastpath.matrix_summary
-              (Ex.run_matrix ~model ~domains:2 ~samples:20 ~seed:11 programs tools)
-          in
-          T.use_decode := false;
-          let legacy = run_matrix () in
-          T.use_decode := true;
-          let decoded = run_matrix () in
-          Alcotest.(check string)
-            (F.string_of_model model ^ ": outcome table decoded = legacy") legacy decoded)
-        all_models)
+(* One sample the way [Tool.run_injection] defines it — same target draw,
+   same control library, same 10x cost timeout — but on a fresh
+   [Exec.create] engine with no decode and no detach plan, so [run] drives
+   the [step] loop from start to finish. *)
+let reference_injection ~model (p : T.prepared) rng : F.experiment =
+  if p.T.profile.F.dyn_count = 0L then { F.outcome = F.Benign; run_cost = 0L; fault = None }
+  else begin
+    let target = Int64.to_int (Int64.add 1L (P.int64 rng p.T.profile.F.dyn_count)) in
+    let max_cost = Int64.mul Refine_core.Fi_cost.timeout_factor p.T.profile.F.profile_cost in
+    let mode = Rt.Inject { target; rng; model } in
+    let r, record =
+      match p.T.kind with
+      | T.Refine | T.Llfi ->
+        let ctrl = Rt.create mode in
+        let handlers =
+          if p.T.kind = T.Refine then Rt.refine_handlers ctrl else Rt.llfi_handlers ctrl
+        in
+        let r = X.run ~max_cost (X.create ~ext_extra:handlers p.T.image) in
+        (r, ctrl.Rt.record)
+      | T.Pinfi ->
+        let ctrl = Pinfi.create ~sel:p.T.sel mode in
+        let eng = X.create p.T.image in
+        Pinfi.attach ctrl eng;
+        let r = X.run ~max_cost eng in
+        (r, ctrl.Pinfi.record)
+    in
+    { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = record }
+  end
+
+let prop_production_matches_reference =
+  QCheck.Test.make
+    ~name:"production sample = step-loop reference: outcome, cost, fault (3 tools x 5 models)"
+    ~count:6
+    QCheck.(int_range 1 5000)
+    (fun seed ->
+      let src = Test_semantics.gen_program seed in
+      List.for_all
+        (fun kind ->
+          let p = T.prepare kind src in
+          List.for_all
+            (fun model ->
+              List.for_all
+                (fun i ->
+                  let s = (seed * 131) + i in
+                  let prod = T.run_injection ~model p (P.create s) in
+                  let refr = reference_injection ~model p (P.create s) in
+                  if prod <> refr then
+                    QCheck.Test.fail_reportf
+                      "production/reference divergence (seed %d, %s, %s, sample %d): cost %Ld vs %Ld"
+                      seed (T.kind_name kind) (F.string_of_model model) i prod.F.run_cost
+                      refr.F.run_cost;
+                  true)
+                [ 0; 1; 2 ])
+            all_models)
+        [ T.Refine; T.Llfi; T.Pinfi ])
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -229,6 +267,5 @@ let tests =
       test_decoded_illegal_overlay;
     Alcotest.test_case "install/detach/foreign-image checks" `Quick test_install_detach;
     Alcotest.test_case "all four idioms fuse and run identically" `Quick test_superinstr_counts;
-    Alcotest.test_case "fixed-seed campaigns: decoded = legacy for all 5 models" `Slow
-      test_campaign_equality_all_models;
+    qcheck prop_production_matches_reference;
   ]

@@ -6,10 +6,10 @@
    — and simulates the rest at golden speed.  The refactor must be
    invisible in results: fixed-seed outcome tables (counts AND summed
    modeled cost) are bit-identical with detach on or off, across all five
-   fault models, both engines, forced-fallback mode, and parallel
-   domains.  Every handoff decline must leave the run attached with
-   identical semantics, and a mutated detach image must never be served
-   from the artifact cache. *)
+   fault models, forced-fallback mode, and parallel domains.  Every
+   handoff decline must leave the run attached with identical semantics,
+   and a mutated detach image must never be served from the artifact
+   cache. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -36,7 +36,6 @@ let protected f =
   Fun.protect
     ~finally:(fun () ->
       T.use_detach := true;
-      T.use_decode := true;
       T.force_detach_fallback := false)
     f
 
@@ -190,10 +189,7 @@ let test_plan_matrix () =
       Alcotest.(check bool) "livelock declines REFINE" false (armed pr F.Reg_bit live);
       Alcotest.(check bool) "livelock keeps step-exact LLFI" true (armed pl F.Reg_bit live);
       T.use_detach := false;
-      Alcotest.(check bool) "kill switch declines" false (armed pr F.Reg_bit q);
-      T.use_detach := true;
-      T.use_decode := false;
-      Alcotest.(check bool) "targets need the decoded engine" false (armed pr F.Reg_bit q))
+      Alcotest.(check bool) "kill switch declines" false (armed pr F.Reg_bit q))
 
 (* --- mutated detach images must never be served from the cache ---------- *)
 

@@ -2,9 +2,9 @@
 
    The executor fast path — snapshot-reset engine reuse, unboxed int
    counters, pre-resolved extern dispatch — must be invisible in results:
-   a reset engine is bit-identical to a fresh one, a fixed-seed campaign
-   produces the same outcome table with the fast path on or off, and the
-   per-instruction execute path allocates nothing when profiling is off. *)
+   a reset engine is bit-identical to a fresh one, and both the [step]
+   loop and the decoded dispatch loop allocate nothing per instruction
+   when profiling is off. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -156,7 +156,7 @@ let test_reset_rebinds_handlers () =
     (Int64.of_int (4 + E.ext_call_cost))
     r2.E.cost
 
-(* --- fixed-seed campaign equality: fast path vs legacy path ------------ *)
+(* --- shared fixtures for the campaign-level suites ----------------------- *)
 
 let src_int =
   "int main() { int i; int s = 0; for (i = 0; i < 40; i = i + 1) { s = s + i * 3; } \
@@ -175,24 +175,12 @@ let matrix_summary cells =
            c.Ex.counts.Ex.tool_error c.Ex.injection_cost)
        cells)
 
-let test_campaign_equality () =
-  let programs = [ ("ints", src_int); ("floats", src_float) ] in
-  let tools = [ T.Refine; T.Pinfi ] in
-  let run_matrix () =
-    matrix_summary (Ex.run_matrix ~domains:2 ~samples:30 ~seed:7 programs tools)
-  in
-  Fun.protect
-    ~finally:(fun () -> T.use_fast_path := true)
-    (fun () ->
-      T.use_fast_path := false;
-      let legacy = run_matrix () in
-      T.use_fast_path := true;
-      let fast = run_matrix () in
-      Alcotest.(check string) "outcome table bit-identical" legacy fast)
-
 (* --- per-instruction path is allocation-free with profiling off --------- *)
 
 let test_zero_alloc_hot_path () =
+  (* no self-latch (the back edge jumps over four instructions), so every
+     decoded iteration goes through fused-pair and single-closure dispatch
+     rather than the O(1) bulk-burn shortcut *)
   let image =
     image_of
       [
@@ -207,20 +195,34 @@ let test_zero_alloc_hot_path () =
         M.Mhalt;
       ]
   in
-  let eng = E.create image in
-  let steps n = for _ = 1 to n do E.step eng done in
-  steps 10_000 (* warm-up *);
-  let measure n =
-    let w0 = Gc.minor_words () in
-    steps n;
-    Gc.minor_words () -. w0
-  in
   (* any per-instruction allocation makes the delta scale with the step
      count; per-call constants (the measurement itself) cancel *)
-  let d_small = measure 50_000 in
-  let d_large = measure 200_000 in
-  Alcotest.(check (float 0.0)) "minor words do not scale with steps" d_small d_large;
-  Alcotest.(check bool) "still running" true (eng.E.status = E.Running)
+  let scales what run =
+    let measure n =
+      let w0 = Gc.minor_words () in
+      run n;
+      Gc.minor_words () -. w0
+    in
+    run 10_000 (* warm-up *);
+    let d_small = measure 50_000 in
+    let d_large = measure 200_000 in
+    Alcotest.(check (float 0.0)) (what ^ ": minor words do not scale with steps") d_small d_large
+  in
+  let eng = E.create image in
+  scales "step" (fun n -> for _ = 1 to n do E.step eng done);
+  Alcotest.(check bool) "still running" true (eng.E.status = E.Running);
+  (* the production loop: [run] over an installed decode, each call from a
+     reset engine so the budget alone ends it *)
+  let dec = E.create_from_snapshot (E.snapshot image) in
+  E.install_decoded dec (Some (E.decode image));
+  let run_decoded n =
+    E.reset dec;
+    E.run ~max_steps:(Int64.of_int n) dec
+  in
+  scales "decoded run" (fun n -> ignore (run_decoded n));
+  let r = run_decoded 1000 in
+  Alcotest.(check bool) "decoded run ends on its step budget" true
+    (r.E.status = E.Timed_out && r.E.steps = 1000L)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -232,8 +234,6 @@ let tests =
     Alcotest.test_case "unknown extern traps at call, not resolution" `Quick
       test_unknown_extern_dead_path;
     Alcotest.test_case "reset rebinds extern handlers" `Quick test_reset_rebinds_handlers;
-    Alcotest.test_case "fixed-seed campaign: fast path = legacy path" `Slow
-      test_campaign_equality;
     Alcotest.test_case "hot path allocation-free with profiling off" `Quick
       test_zero_alloc_hot_path;
   ]
