@@ -151,38 +151,34 @@ let note_quota_trip (r : E.result) =
 
 (* ---- engine cells (DESIGN.md §14, §19) --------------------------------
 
-   The initialized memory image (globals + sentinel stack) and the
-   pre-decoded program (per-pc dispatch closures plus fused
-   superinstructions) are computed once per prepared binary and stored on
-   its record.  Every simulator run acquires a snapshot-backed engine from
-   a per-domain cell: one [Bytes.blit] reset per sample instead of a
-   [Mem.mem_size] allocation.  A cell is keyed by a unique per-snapshot
-   id, so a domain that moves to another binary (or a fresh supervisor
-   worker domain) transparently clones a new arena.  A cached engine keeps
-   its decoded program across [reset] (the decode is a property of the
-   image, not of a sample). *)
+   The initialized globals region and the pre-decoded program (per-pc
+   dispatch closures plus fused superinstructions) are computed once per
+   prepared binary and stored on its record.  Every simulator run acquires
+   its engine from a per-domain cell that holds one engine, and so one
+   [Mem.mem_size] arena, for the domain's lifetime: [Exec.reset] zeroes
+   only the pages the last run touched and loads the requested snapshot,
+   moving the engine onto another binary when the domain switches cells.
+   The engine keeps its decoded program across resets on the same image
+   and gets the new image's decode installed after a switch. *)
 
-let next_snap_id = Atomic.make 0
-
-let engine_cell : (int * E.t) option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let engine_cell : E.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 (* Detach targets get their own per-domain cell so arming a plan never
-   evicts the instrumented engine the sample is about to run on. *)
-let detach_cell : (int * E.t) option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+   resets the instrumented engine the sample is running on. *)
+let detach_cell : E.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-(* A reset engine for [snap] from the domain's [cell] (or a fresh clone of
-   the snapshot, which then owns the cell, on an id mismatch), running
-   [dprog]. *)
-let acquire cell ?(ext_extra = []) snap snap_id dprog =
+(* The domain's [cell] engine, reset onto [snap] (created on first use),
+   running [dprog]. *)
+let acquire cell ?(ext_extra = []) snap dprog =
   let c = Domain.DLS.get cell in
   let eng =
     match !c with
-    | Some (id, eng) when id = snap_id ->
-      E.reset ~ext_extra eng;
+    | Some eng ->
+      E.reset ~ext_extra ~snapshot:snap eng;
       eng
-    | _ ->
+    | None ->
       let eng = E.create_from_snapshot ~ext_extra snap in
-      c := Some (snap_id, eng);
+      c := Some eng;
       eng
   in
   (match eng.E.dprog with
@@ -228,7 +224,7 @@ let decode image =
      translates pc and live return addresses.
    - REFINE patch mode (fallback, or [force_detach_fallback]): the
      instrumented image with every splice head branch-patched to fall
-     through — shared coordinates, plain state blit.
+     through — shared coordinates, plain state copy.
    - LLFI patch mode: the instrumented image with each [llfi_inject_*]
      call replaced by the move its post-injection semantics reduce to —
      step- and state-exact at every instant, so it stays eligible even
@@ -247,7 +243,6 @@ let force_detach_fallback = ref false
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
   dt_snap : E.snapshot;
-  dt_snap_id : int;
   dt_dprog : E.dprogram; (* decoded with attached-equivalent cost weights *)
   dt_map : E.handoff_map option; (* Some = golden coordinates; None = shared *)
 }
@@ -286,8 +281,7 @@ type prepared = {
   kind : kind;
   sel : Selection.t;
   image : Refine_backend.Layout.image;
-  snap : E.snapshot; (* initialized memory, computed once per binary *)
-  snap_id : int; (* unique id keying the per-domain engine cell *)
+  snap : E.snapshot; (* initialized globals, computed once per binary *)
   dprog : E.dprogram; (* decoded once per binary *)
   profile : Fault.profile;
   static_instrumented : int; (* instrumented sites (REFINE/LLFI); 0 for PINFI *)
@@ -407,11 +401,7 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
    covers the emitted code array, so a mutated golden image invalidates
    instead of serving a map whose coordinates no longer mean anything. *)
 
-type detach_golden = {
-  g_image : Refine_backend.Layout.image;
-  g_snap : E.snapshot;
-  g_snap_id : int; (* stable id: keys the per-domain detach engine cell *)
-}
+type detach_golden = { g_image : Refine_backend.Layout.image; g_snap : E.snapshot }
 
 let detach_cache : detach_golden Artifact_cache.t =
   Artifact_cache.create ~name:"detach-golden"
@@ -441,8 +431,7 @@ let golden_for ~full ~ctx ~cache ?phases ?ir src : detach_golden =
     in
     let out = Pl.run ~ctx ?phases { gspec with Pl.ir = [] } gm in
     match out.Pl.image with
-    | Some image ->
-      { g_image = image; g_snap = E.snapshot image; g_snap_id = Atomic.fetch_and_add next_snap_id 1 }
+    | Some image -> { g_image = image; g_snap = E.snapshot image }
     | None -> raise (Prepare_error "golden (FI-free) pipeline did not produce an image")
   in
   if cache then Artifact_cache.memo detach_cache [ src; Pl.print gspec ] build else build ()
@@ -463,7 +452,6 @@ let target_of_image ?map image cost_w =
   {
     dt_image = image;
     dt_snap = E.snapshot image;
-    dt_snap_id = Atomic.fetch_and_add next_snap_id 1;
     dt_dprog = E.decode ~cost_of:cost_w image;
     dt_map = map;
   }
@@ -498,7 +486,6 @@ let build_detach ~full ~ctx ~cache ?phases ?ir (kind : kind) image src : detach_
           {
             dt_image = golden.g_image;
             dt_snap = golden.g_snap;
-            dt_snap_id = golden.g_snap_id;
             dt_dprog = E.decode ~cost_of:m.Fimap.cost_w golden.g_image;
             dt_map = Some { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank };
           }
@@ -535,7 +522,7 @@ let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
       if model_ok && livelock_ok then
         Some
           {
-            E.plan_target = (fun () -> acquire detach_cell dt.dt_snap dt.dt_snap_id dt.dt_dprog);
+            E.plan_target = (fun () -> acquire detach_cell dt.dt_snap dt.dt_dprog);
             plan_map = dt.dt_map;
           }
       else None
@@ -554,7 +541,7 @@ let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
 let drive ?phases ?plan (p : prepared) mode
     (run : ?detach:E.detach_plan -> E.t -> E.result) =
   let time name f = match phases with None -> f () | Some ph -> Obs.Phase.time ph name f in
-  let acquire ?ext_extra () = acquire engine_cell ?ext_extra p.snap p.snap_id p.dprog in
+  let acquire ?ext_extra () = acquire engine_cell ?ext_extra p.snap p.dprog in
   let eng, collect =
     match p.kind with
     | Refine | Llfi ->
@@ -654,7 +641,7 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
   in
   (* read before the detach build so the MIR output is garbage by then *)
   let static_instrumented = out.Pl.fi_sites in
-  let snap = E.snapshot image and snap_id = Atomic.fetch_and_add next_snap_id 1 in
+  let snap = E.snapshot image in
   (* chaos builds mutate instrumented code: their images must never seed a
      detach target (nor touch the shared detach-golden tier) *)
   let detach =
@@ -666,7 +653,6 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
       sel;
       image;
       snap;
-      snap_id;
       dprog = decode image;
       static_instrumented;
       detach;

@@ -65,12 +65,11 @@ type detach_target = {
       (** the golden twin (map mode) or the branch-patched instrumented
           image (patch mode) *)
   dt_snap : Refine_machine.Exec.snapshot;
-  dt_snap_id : int;  (** keys the per-domain detach engine cell *)
   dt_dprog : Refine_machine.Exec.dprogram;
       (** decoded with the attached-equivalent per-pc cost weights *)
   dt_map : Refine_machine.Exec.handoff_map option;
       (** [Some] = golden coordinates (drain + translate); [None] =
-          shared coordinates (plain state blit) *)
+          shared coordinates (plain state copy) *)
 }
 (** A prepared handoff target.  REFINE map mode shares the golden image
     through the "detach-golden" artifact tier (one build per (source,
@@ -81,8 +80,7 @@ type prepared = {
   sel : Selection.t;
   image : Refine_backend.Layout.image;  (** the (instrumented) binary *)
   snap : Refine_machine.Exec.snapshot;
-      (** initialized memory image, computed once per prepared binary *)
-  snap_id : int;  (** unique id keying the per-domain engine cell *)
+      (** initialized globals region, computed once per prepared binary *)
   dprog : Refine_machine.Exec.dprogram;
       (** the pre-decoded program (DESIGN.md §19), decoded once per
           prepared binary and installed on every engine that runs it *)

@@ -22,10 +22,14 @@
    codes are evaluated with int bit tests, and extern calls dispatch
    through a per-engine handler array resolved once from the image's
    [ext_slot_of_pc] table instead of hashing the extern name per call.
-   Engines can be created from a memory [snapshot] and [reset] between
-   runs with a single [Bytes.blit], so a fault-injection campaign reuses
-   one arena per worker domain instead of allocating [Mem.mem_size] per
-   sample. *)
+
+   Touched-page memory (DESIGN.md §14): a [snapshot] holds only the
+   initialized globals region; every engine owns one [Mem.mem_size] arena
+   plus a private map with one flag per 4 KiB page, set by every write to
+   the arena.  [reset] zeroes the flagged pages and reloads the snapshot,
+   optionally a different one, so a fault-injection campaign reuses one
+   arena per worker domain across samples and cells, and the detach
+   handoff copies only flagged pages. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -74,10 +78,24 @@ type profile = {
   mutable ext_cost : int;
 }
 
+(* The initialized globals region [globals_base, heap_base) of one image;
+   the rest of a pristine arena is zero apart from the stack-top
+   sentinel, which [load] writes itself. *)
+type snapshot = { s_image : L.image; s_globals : Bytes.t }
+
+(* Engine-private memory bookkeeping, opaque outside this module. *)
+type priv = {
+  dirty : Bytes.t;
+      (* one flag per page of [mem]: a clear flag means the page is all
+         zero.  Set by every write to [mem]; cleared by [reset], which
+         zeroes exactly the flagged pages. *)
+  mutable snap : snapshot option; (* what [reset] restores; None for [create] *)
+}
+
 type t = {
-  image : L.image;
+  mutable image : L.image; (* rebound when [reset] moves to another snapshot *)
   regs : int64 array; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
-  mem : Bytes.t;
+  mem : Bytes.t; (* the arena; only this module writes it, flagging each touched page *)
   mutable pc : int;
   mutable steps : int; (* unboxed hot counters: int, not int64 (§14) *)
   mutable cost : int;
@@ -151,7 +169,7 @@ type t = {
          holds the pushed return address... *)
   mutable cs_vals : int64 array; (* ...and the value pushed into it *)
   mutable cs_len : int;
-  snap : Bytes.t option; (* pristine memory to blit on [reset] *)
+  priv : priv;
 }
 
 (* A decoded program: per-pc closure tables plus static decode facts.
@@ -241,13 +259,25 @@ let eval_cc t (cc : M.cc) =
 let check_addr addr =
   if addr < Mem.null_guard || addr > Mem.mem_size - 8 then raise (Halt_trap (Mem_fault addr))
 
+(* 4 KiB pages: the granularity of the touched-page map *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let num_pages = Mem.mem_size / page_size
+
+(* flag the page(s) an 8-byte write at [addr] lands on; two unconditional
+   byte stores are cheaper than testing whether the write straddles *)
+let[@inline always] touch8 (t : t) addr =
+  Bytes.unsafe_set t.priv.dirty (addr lsr page_bits) '\001';
+  Bytes.unsafe_set t.priv.dirty ((addr + 7) lsr page_bits) '\001'
+
 let load64 t addr =
   check_addr addr;
   Bytes.get_int64_le t.mem addr
 
 let store64 t addr v =
   check_addr addr;
-  Bytes.set_int64_le t.mem addr v
+  Bytes.set_int64_le t.mem addr v;
+  touch8 t addr
 
 let push t v =
   let sp = Int64.to_int t.regs.(R.rsp) - 8 in
@@ -371,26 +401,43 @@ let do_callext (t : t) name =
 
 (* --- engine construction ------------------------------------------------ *)
 
-(* Initialized memory image: globals blitted at their layout addresses and
-   the sentinel return address at the top of the stack, as if the loader
-   had called main. *)
-let init_mem (image : L.image) : Bytes.t =
-  let mem = Bytes.make Mem.mem_size '\000' in
+(* The initialized globals region of [image], [globals_base, heap_base):
+   each global's initializer at its layout address, zeros elsewhere. *)
+let snapshot (image : L.image) : snapshot =
+  let g = Bytes.make (image.L.heap_base - Mem.globals_base) '\000' in
   List.iter
-    (fun (g : Refine_ir.Ir.global) ->
-      match g.gbytes with
-      | Some s -> Bytes.blit_string s 0 mem (image.L.global_addr g.gname) (String.length s)
+    (fun (gl : Refine_ir.Ir.global) ->
+      match gl.gbytes with
+      | Some s ->
+        Bytes.blit_string s 0 g (image.L.global_addr gl.gname - Mem.globals_base) (String.length s)
       | None -> ())
     image.L.globals;
-  Bytes.set_int64_le mem (Mem.mem_size - 8) sentinel;
-  mem
+  { s_image = image; s_globals = g }
 
-type snapshot = { s_image : L.image; s_mem : Bytes.t }
+(* Bring the arena to [s]'s post-loader image: zero every flagged page,
+   then write the globals and the sentinel return address at the top of
+   the stack, as if the loader had called main.  Pages the previous
+   sample (or the previous snapshot's globals) touched are exactly the
+   flagged ones, so nothing else can differ from zero. *)
+let load (t : t) (s : snapshot) =
+  let d = t.priv.dirty in
+  for p = 0 to num_pages - 1 do
+    if Bytes.unsafe_get d p <> '\000' then begin
+      Bytes.unsafe_fill t.mem (p lsl page_bits) page_size '\000';
+      Bytes.unsafe_set d p '\000'
+    end
+  done;
+  let n = Bytes.length s.s_globals in
+  Bytes.blit s.s_globals 0 t.mem Mem.globals_base n;
+  for p = Mem.globals_base lsr page_bits to (Mem.globals_base + n - 1) lsr page_bits do
+    Bytes.unsafe_set d p '\001'
+  done;
+  store64 t (Mem.mem_size - 8) sentinel
 
-let snapshot (image : L.image) : snapshot = { s_image = image; s_mem = init_mem image }
-
-let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem snap : t =
+let make ~(ext_extra : (string * int * (t -> unit)) list) (s : snapshot) ~resettable : t =
+  let image = s.s_image in
   let self = ref None in
+  let mem = Bytes.make Mem.mem_size '\000' in
   let env =
     {
       Refine_ir.Externs.out = Buffer.create 1024;
@@ -451,34 +498,44 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem 
       cs_slots = Array.make 64 0;
       cs_vals = Array.make 64 0L;
       cs_len = 0;
-      snap;
+      priv = { dirty = Bytes.make num_pages '\000'; snap = (if resettable then Some s else None) };
     }
   in
   self := Some t;
+  load t s;
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
   t.builtins <- Array.map builtin_handler image.L.ext_names;
   t.handlers <- bind_handlers t;
   t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
   t
 
-let create ?(ext_extra = []) (image : L.image) : t = make ~ext_extra image (init_mem image) None
+let create ?(ext_extra = []) (image : L.image) : t =
+  make ~ext_extra (snapshot image) ~resettable:false
 
-let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
-  make ~ext_extra s.s_image (Bytes.copy s.s_mem) (Some s.s_mem)
+let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t = make ~ext_extra s ~resettable:true
 
-(* Restore the pristine post-loader state with one [Bytes.blit] — the
-   whole point of the snapshot API: a campaign worker reuses one arena per
-   cell instead of allocating (and GC-ing) [Mem.mem_size] per sample.
-   Every mutable piece of the machine is re-initialized, so a reset engine
-   is bit-identical to a fresh [create_from_snapshot] (the differential
-   property tests assert exactly this). *)
-let reset ?(ext_extra = []) (t : t) : unit =
-  let snap =
-    match t.snap with
-    | Some s -> s
-    | None -> invalid_arg "Exec.reset: engine was not created from a snapshot"
+(* Restore the pristine post-loader state: zero the touched pages and
+   reload the snapshot — the bound one, or [snapshot], which moves the
+   engine onto another binary so a campaign worker keeps one arena for
+   its lifetime instead of one per cell.  Every mutable piece of the
+   machine is re-initialized, so a reset engine is bit-identical to a
+   fresh [create_from_snapshot] (the differential property tests assert
+   exactly this). *)
+let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
+  let s =
+    match (snapshot, t.priv.snap) with
+    | Some s, _ | None, Some s -> s
+    | None, None -> invalid_arg "Exec.reset: engine was not created from a snapshot"
   in
-  Bytes.blit snap 0 t.mem 0 (Bytes.length snap);
+  if s.s_image != t.image then begin
+    (* a property of the image, not of a sample: rebind the memoized
+       builtins and drop a decode built for the old image *)
+    t.image <- s.s_image;
+    t.builtins <- Array.map builtin_handler s.s_image.L.ext_names;
+    t.dprog <- None
+  end;
+  t.priv.snap <- Some s;
+  load t s;
   Array.fill t.regs 0 (Array.length t.regs) 0L;
   t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
   t.pc <- t.image.L.entry;
@@ -705,7 +762,8 @@ let[@inline always] dload64 t addr =
 
 let[@inline always] dstore64 t addr v =
   check_addr addr;
-  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v)
+  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v);
+  touch8 t addr
 
 (* retire-check: the legacy run loop's poll-slot test, executed after
    every retired constituent *)
@@ -1841,7 +1899,21 @@ let flip_mem_bit (t : t) ~addr ~bit =
   if bit < 0 || bit > 7 then
     invalid_arg (Printf.sprintf "Exec.flip_mem_bit: bit %d out of [0,7]" bit);
   let b = Char.code (Bytes.get t.mem addr) in
-  Bytes.set t.mem addr (Char.chr (b lxor (1 lsl bit)))
+  Bytes.set t.mem addr (Char.chr (b lxor (1 lsl bit)));
+  Bytes.unsafe_set t.priv.dirty (addr lsr page_bits) '\001'
+
+(* The detach handoff's memory transfer: make [g]'s arena equal [src]'s.
+   A page neither engine flagged is zero in both, so only pages flagged
+   in either are copied, and each copy carries the source's flag. *)
+let copy_touched ~(src : t) (g : t) =
+  let sd = src.priv.dirty and gd = g.priv.dirty in
+  for p = 0 to num_pages - 1 do
+    let f = Bytes.unsafe_get sd p in
+    if f <> '\000' || Bytes.unsafe_get gd p <> '\000' then begin
+      Bytes.blit src.mem (p lsl page_bits) g.mem (p lsl page_bits) page_size;
+      Bytes.unsafe_set gd p f
+    end
+  done
 
 (* Install the Instr_image corruption overlay: the engine-local view of one
    mutated code slot ([None] = the mutated encoding is illegal).  The
@@ -1931,15 +2003,16 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
    [detach] (DESIGN.md §20): a post-injection handoff plan.  When the FI
    control library raises [t.detach_req] (the single injection has
    retired), the next poll slot hands execution off to the plan's golden
-   engine: the architectural state (registers, memory image, heap cursor,
-   accumulated output and step/cost counters) transfers onto a fresh
-   engine built from the uninstrumented snapshot, and the same absolute
-   budgets keep driving it.  With a correspondence map the source first
+   engine: the architectural state (registers, the memory pages either
+   engine touched, heap cursor, accumulated output and step/cost
+   counters) transfers onto the reset engine the plan acquires on the
+   uninstrumented snapshot, and the same absolute budgets keep driving
+   it.  With a correspondence map the source first
    drains with [step] to the next original-instruction boundary
    and live [Mcalli] return addresses are validated against the shadow
    call stack and rewritten into golden coordinates; without a map
    (overlay-fallback targets) the coordinates are shared and the handoff
-   is a plain state blit.  Any validation failure declines the handoff
+   is a plain state copy.  Any validation failure declines the handoff
    and the run simply continues attached — detach is an optimization,
    never a semantics change. *)
 let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota
@@ -2046,13 +2119,9 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
       end);
     if !ok then begin
       let g = p.plan_target () in
-      if
-        g.status <> Running
-        || Bytes.length g.mem <> Bytes.length src.mem
-        || Array.length g.regs <> Array.length src.regs
-      then () (* unusable target: stay attached *)
+      if g == src || g.status <> Running then () (* unusable target: stay attached *)
       else begin
-        Bytes.blit src.mem 0 g.mem 0 (Bytes.length src.mem);
+        copy_touched ~src g;
         Array.blit src.regs 0 g.regs 0 (Array.length src.regs);
         g.heap <- src.heap;
         g.steps <- src.steps;
@@ -2074,8 +2143,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
           for j = 0 to src.cs_len - 1 do
             let slot = src.cs_slots.(j) in
             if slot >= rsp then
-              Bytes.set_int64_le g.mem slot
-                (Int64.of_int m.h_next.(Int64.to_int src.cs_vals.(j)))
+              store64 g slot (Int64.of_int m.h_next.(Int64.to_int src.cs_vals.(j)))
           done
         | None ->
           (* shared coordinates: pc carries over; a live Instr_image

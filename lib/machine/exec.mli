@@ -12,11 +12,18 @@
     is attached.
 
     Fast path (DESIGN.md §14): step/cost counters are plain unboxed [int]
-    fields, FLAGS writes index a preallocated table, extern calls dispatch
-    through a per-engine handler array resolved once from the image's
-    [ext_slot_of_pc] table, and engines created from a {!snapshot} are
-    {!reset} between samples with a single [Bytes.blit].  The
-    per-instruction execute path allocates nothing when profiling is off. *)
+    fields, FLAGS writes index a preallocated table, and extern calls
+    dispatch through a per-engine handler array resolved once from the
+    image's [ext_slot_of_pc] table.  The per-instruction execute path
+    allocates nothing when profiling is off.
+
+    Touched-page memory (DESIGN.md §14): a {!snapshot} holds only an
+    image's initialized globals region.  Each engine owns one
+    [Memlayout.mem_size] arena and a private map with one flag per 4 KiB
+    page, set by every write the machine makes.  {!reset} zeroes the
+    flagged pages and reloads a snapshot (the engine's own, or another
+    binary's), so one arena serves a worker domain's every sample and
+    cell; the detach handoff copies only flagged pages. *)
 
 val ext_call_cost : int
 (** Default modeled cost of a libc/libm extern call (25 units). *)
@@ -65,10 +72,20 @@ type dprogram
     constituents, so decoded execution is bit-identical to the {!step}
     loop — the invariant the differential qcheck suite asserts. *)
 
+type priv
+(** Engine-private state: the touched-page map and the snapshot {!reset}
+    restores.  Opaque outside this module. *)
+
 type t = {
-  image : Refine_backend.Layout.image;
+  mutable image : Refine_backend.Layout.image;
+      (** the binary being executed; rebound only by {!reset} onto another
+          binary's snapshot *)
   regs : int64 array;  (** [Reg.num_regs] raw images: GPRs, FPRs, FLAGS *)
   mem : Bytes.t;
+      (** the [Memlayout.mem_size] arena.  Read-only outside this module:
+          {!reset} restores only pages the machine itself flagged, so a
+          write that bypasses {!store64} / {!flip_mem_bit} would survive
+          into the next sample. *)
   mutable pc : int;
   mutable steps : int;  (** unboxed; 63 bits is ample for any modeled budget *)
   mutable cost : int;
@@ -154,9 +171,7 @@ type t = {
           translation data.  Internal. *)
   mutable cs_vals : int64 array;  (** the value pushed into each slot.  Internal. *)
   mutable cs_len : int;  (** live shadow-stack depth.  Internal. *)
-  snap : Bytes.t option;
-      (** pristine memory blitted back by {!reset}; [None] for engines made
-          with {!create} *)
+  priv : priv;
 }
 
 type result = {
@@ -194,7 +209,7 @@ type detach_plan = {
   plan_map : handoff_map option;
       (** [Some] = golden-snapshot coordinates (drain + translate);
           [None] = overlay-fallback target sharing the instrumented
-          image's coordinates (plain state blit) *)
+          image's coordinates (plain state copy) *)
 }
 (** Post-injection handoff plan, built per sample by the campaign layer
     when the tool and fault model are eligible (DESIGN.md §20). *)
@@ -205,35 +220,57 @@ exception Detach_signal
 
 val create : ?ext_extra:(string * int * (t -> unit)) list -> Refine_backend.Layout.image -> t
 (** Fresh machine state: globals initialized, stack holding the sentinel
-    return address, pc at the image entry. *)
+    return address, pc at the image entry.  Not bound to a snapshot: a
+    plain {!reset} raises, a {!reset} with [~snapshot] binds one. *)
 
 type snapshot
-(** Initialized memory image (globals + sentinel stack) computed once per
-    prepared program, shared read-only by every engine cloned from it. *)
+(** An image's initialized globals region, [[globals_base, heap_base)]
+    (104 bytes for EP, 25 KB for DC), computed once per prepared program
+    and shared read-only by every engine loaded from it.  The rest of a
+    pristine arena is zero apart from the stack-top sentinel return
+    address. *)
 
 val snapshot : Refine_backend.Layout.image -> snapshot
-(** Compute the initialized memory image once; the [Bytes.make] +
-    global-blit cost is paid here instead of per sample. *)
+(** Compute the initialized globals region once, instead of per sample. *)
 
 val create_from_snapshot :
   ?ext_extra:(string * int * (t -> unit)) list -> snapshot -> t
-(** Like {!create}, but clones the snapshot's pristine memory and keeps a
-    reference to it so the engine supports {!reset}. *)
+(** Like {!create}, but bound to the snapshot, so the engine supports
+    {!reset}.  Allocates the engine's zeroed arena and loads the
+    snapshot's globals and the sentinel into it. *)
 
-val reset : ?ext_extra:(string * int * (t -> unit)) list -> t -> unit
-(** Restore a snapshot-backed engine to the pristine post-loader state with
-    a single [Bytes.blit]: registers zeroed, sp/pc/heap re-seated, output
-    buffer cleared, hooks/profiling/quotas dropped, and extern handlers
-    rebound against [ext_extra].  A reset engine is bit-identical to a
-    fresh {!create_from_snapshot} (asserted by the differential property
-    tests).  Raises [Invalid_argument] on engines made with {!create}. *)
+val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -> t -> unit
+(** Restore the pristine post-loader state: zero the pages the machine
+    flagged since the last reset, write the snapshot's globals and the
+    sentinel back, zero the registers, re-seat sp/pc/heap, clear the
+    output buffer, drop hooks/profiling/quotas/overlay, and rebind the
+    extern handlers against [ext_extra].
+
+    [snapshot] (default: the engine's own) moves the engine onto another
+    snapshot, which it stays bound to.  When that snapshot's image differs
+    from the engine's, the image and the memoized builtins are rebound and
+    the installed decode is dropped ({!install_decoded} the new image's).
+
+    A reset engine is bit-identical to a fresh {!create_from_snapshot} of
+    the same snapshot (asserted by the differential property tests).
+    Raises [Invalid_argument] on a {!create} engine when [snapshot] is
+    omitted. *)
+
+val store64 : t -> int -> int64 -> unit
+(** [store64 t addr v]: the machine's checked 64-bit little-endian store,
+    for FI runtime handlers that write simulated memory (nothing outside
+    this module may write {!field:mem} directly).  Flags the touched pages.
+    An address outside [[Memlayout.null_guard, Memlayout.mem_size - 8]]
+    ends the running {!run} [Trapped (Mem_fault addr)]; call it only from
+    an extern handler during a run. *)
 
 val step : t -> unit
 (** Execute one instruction (or set a trap status). *)
 
 val flip_mem_bit : t -> addr:int -> bit:int -> unit
 (** XOR one bit of one data-memory byte — the Mem_cell fault model's
-    mutation.  [Invalid_argument] if [addr] is outside
+    mutation (the touched page is flagged like any other write).
+    [Invalid_argument] if [addr] is outside
     [[Memlayout.null_guard, Memlayout.mem_size)] or [bit] outside [0, 7]:
     callers draw the cell from the initialized image, so an out-of-range
     address is a harness defect, not a machine trap. *)
@@ -330,7 +367,8 @@ val run :
     execution off to [plan_target]'s golden engine — with a map the run
     first drains to an original-instruction boundary and validates /
     rewrites live return addresses through the shadow call stack; without
-    one the coordinates are shared and the handoff is a state blit.  Any
+    one the coordinates are shared and the handoff is a state copy.  Memory
+    moves page by page: only the pages either engine flagged are copied.  Any
     validation failure declines the handoff and the run continues
     attached; the handoff is attempted at most once per call.  [detached]
     and [drain_steps] in the result report what happened. *)

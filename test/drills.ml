@@ -12,7 +12,9 @@
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
    fault     every fault model: sequential = 4 domains, CSV round-trip
-   detach    detach off / on / forced fallback: identical outcome tables *)
+   detach    detach off / on / forced fallback: identical outcome tables
+   mem       all 14 programs x 3 tools prepared in one process stay under
+             400 MB peak RSS *)
 
 module C = Refine_campaign.Coordinator
 module E = Refine_campaign.Experiment
@@ -632,6 +634,34 @@ let detach () =
        ]);
   say "PASS: detach invisible in results, visible in metrics"
 
+(* ---- mem: prepared cells hold no whole-memory images ------------------- *)
+
+(* VmHWM, the process's peak resident set, in MB *)
+let peak_rss_mb () =
+  let ic =
+    try open_in "/proc/self/status"
+    with Sys_error e -> fail "cannot read the peak resident set: %s" e
+  in
+  let rec find () =
+    match input_line ic with
+    | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
+      Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d kB" (fun kb -> kb / 1024)
+    | _ -> find ()
+    | exception End_of_file -> fail "/proc/self/status has no VmHWM line"
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+let mem () =
+  let limit_mb = 400 and samples = 2 in
+  let cells = E.run_matrix ~domains:1 ~samples ~seed:20170712 (sources Reg.names) Rep.tools in
+  check "every cell prepared and sampled"
+    (fully_resolved samples cells
+    && List.for_all (fun (c : E.cell) -> c.E.quarantined = None) cells);
+  let mb = peak_rss_mb () in
+  say "%d cells x %d samples: peak RSS %d MB (limit %d MB)" (List.length cells) samples mb limit_mb;
+  if mb > limit_mb then fail "peak RSS %d MB exceeds %d MB" mb limit_mb;
+  say "PASS: %d prepared cells in %d MB" (List.length cells) mb
+
 let drills =
   [
     ("campaign", campaign);
@@ -642,6 +672,7 @@ let drills =
     ("live", live);
     ("fault", fault);
     ("detach", detach);
+    ("mem", mem);
   ]
 
 let () =

@@ -138,7 +138,7 @@ let test_smashed_return_address_declines () =
     ( "smash",
       1,
       fun (t : X.t) ->
-        Bytes.set_int64_le t.X.mem (Int64.to_int t.X.regs.(R.rsp)) 0x7afe7afeL;
+        X.store64 t (Int64.to_int t.X.regs.(R.rsp)) 0x7afe7afeL;
         t.X.detach_req <- true )
   in
   let code =
@@ -169,6 +169,92 @@ let test_smashed_return_address_declines () =
   let r = X.run ~detach:plan eng in
   Alcotest.(check bool) "smashed RA declines handoff" false r.X.detached;
   Alcotest.(check string) "attached-identical after decline" (sig_of r0) (sig_of r)
+
+(* A target arena reused from an earlier sample on another binary: after
+   the handoff its memory must equal the source's everywhere except the
+   live return-address slot, which now holds the translated golden pc.
+   The golden twin is the source shifted by one leading instruction, so
+   every golden pc is the instrumented pc + 1, and it carries an extra
+   initialized global the source lacks: pages only the target flagged
+   must be copied too (as the source's zeros). *)
+let test_handoff_reused_target_memory () =
+  let module Mem = Refine_ir.Memlayout in
+  let global name size c = { Ir.gname = name; gsize = size; gbytes = Some (String.make size c) } in
+  let body shift =
+    [
+      M.Mcalli (2 + shift);
+      M.Mhalt;
+      M.Mmov (R.gpr 1, M.Imm 0L);
+      M.Mmov (R.gpr 3, M.Imm (Int64.of_int (40 * 4096)));
+      M.Mbin (Ir.Add, R.gpr 1, R.gpr 1, M.Imm 1L);
+      M.Mstore (R.gpr 1, R.gpr 3, 0);
+      M.Mcallext "fire";
+      M.Mcmp (R.gpr 1, M.Imm 3000L);
+      M.Mjcc (M.CNe, 4 + shift);
+      M.Mret;
+    ]
+  in
+  let src_image = Test_fastpath.image_of ~globals:[ global "a" 24 's' ] (body 0) in
+  let golden =
+    Test_fastpath.image_of
+      ~globals:[ global "a" 24 's'; global "b" (3 * 4096) 'g' ]
+      (M.Mmov (R.gpr 5, M.Reg (R.gpr 5)) :: body 1)
+  in
+  let n = Array.length src_image.L.code in
+  let shifted =
+    {
+      X.h_rank = Array.init n succ;
+      h_next = Array.init (n + 1) (fun i -> if i < n then i + 1 else -1);
+    }
+  in
+  (* the target's previous sample: another binary with larger globals, a
+     store straddling two pages the source never touches, and a store
+     beside the source's own store slot *)
+  let prev =
+    Test_fastpath.image_of ~globals:[ global "p" (5 * 4096) 'p' ]
+      [
+        M.Mmov (R.gpr 1, M.Imm (-1L));
+        M.Mmov (R.gpr 3, M.Imm (Int64.of_int ((51 * 4096) - 4)));
+        M.Mstore (R.gpr 1, R.gpr 3, 0);
+        M.Mmov (R.gpr 3, M.Imm (Int64.of_int ((40 * 4096) + 8)));
+        M.Mstore (R.gpr 1, R.gpr 3, 0);
+        M.Mmov (R.ret_gpr, M.Imm 0L);
+        M.Mhalt;
+      ]
+  in
+  let g = X.create_from_snapshot (X.snapshot prev) in
+  ignore (X.run g);
+  let golden_snap = X.snapshot golden and golden_dp = X.decode golden in
+  let plan =
+    {
+      X.plan_target =
+        (fun () ->
+          X.reset ~ext_extra:[ fire_noop ] ~snapshot:golden_snap g;
+          X.install_decoded g (Some golden_dp);
+          g);
+      plan_map = Some shifted;
+    }
+  in
+  let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] (X.snapshot src_image) in
+  X.install_decoded eng (Some (X.decode src_image));
+  (* fire retires at step 3001; the handoff happens at the 3072 poll slot,
+     where the step budget also ends, so the target executes nothing *)
+  let r = X.run ~max_steps:3072L ~detach:plan eng in
+  Alcotest.(check bool) "handed off" true r.X.detached;
+  Alcotest.(check int64) "stopped at the handoff" 3072L r.X.steps;
+  Alcotest.(check int) "pc translated" (eng.X.pc + 1) g.X.pc;
+  Alcotest.(check (array int64)) "registers carried" eng.X.regs g.X.regs;
+  let ra = Mem.mem_size - 16 in
+  Alcotest.(check int64) "source return address" 1L (Bytes.get_int64_le eng.X.mem ra);
+  Alcotest.(check int64) "translated return address" 2L (Bytes.get_int64_le g.X.mem ra);
+  let expect = Bytes.copy eng.X.mem in
+  Bytes.set_int64_le expect ra 2L;
+  Alcotest.(check bool) "memory = source's but the return-address slot" true
+    (Bytes.equal expect g.X.mem);
+  (* the copied pages are flagged on the target: its next reset is clean *)
+  X.reset g;
+  Alcotest.(check bool) "target resets clean" true
+    (Bytes.equal g.X.mem (X.create_from_snapshot golden_snap).X.mem)
 
 (* --- the per-sample eligibility matrix --------------------------------- *)
 
@@ -304,6 +390,8 @@ let tests =
       test_drain_exhaustion_declines;
     Alcotest.test_case "smashed return address declines the handoff" `Quick
       test_smashed_return_address_declines;
+    Alcotest.test_case "reused target arena: memory = source's after handoff" `Quick
+      test_handoff_reused_target_memory;
     Alcotest.test_case "per-sample eligibility matrix" `Quick test_plan_matrix;
     Alcotest.test_case "mutated detach image is never served" `Quick
       test_mutated_detach_never_served;

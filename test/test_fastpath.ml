@@ -1,14 +1,16 @@
 (* Fast-path equivalence tests (DESIGN.md §14).
 
-   The executor fast path — snapshot-reset engine reuse, unboxed int
-   counters, pre-resolved extern dispatch — must be invisible in results:
-   a reset engine is bit-identical to a fresh one, and both the [step]
-   loop and the decoded dispatch loop allocate nothing per instruction
-   when profiling is off. *)
+   The executor fast path — touched-page snapshot/reset engine reuse,
+   unboxed int counters, pre-resolved extern dispatch — must be invisible
+   in results: a reset engine is bit-identical to a fresh one, also after
+   moving between binaries, and both the [step] loop and the decoded
+   dispatch loop allocate nothing per instruction when profiling is
+   off. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
 module MF = Refine_mir.Mfunc
+module Mem = Refine_ir.Memlayout
 module E = Refine_machine.Exec
 module L = Refine_backend.Layout
 module P = Refine_support.Prng
@@ -62,10 +64,34 @@ let run_one ?fault eng =
   (match fault with Some (target, reg, bit) -> arm_fault eng ~target ~reg ~bit | None -> ());
   E.run ~max_cost:20_000_000L eng
 
+(* Run with a single-bit memory fault at a dynamic instruction instance:
+   one bit of one byte anywhere in data memory, usually on a page no
+   store of the program touches. *)
+let run_mem_fault ~target ~addr ~bit eng =
+  let count = ref 0 in
+  eng.E.post_hook <-
+    Some
+      (fun (e : E.t) _ _ ->
+        incr count;
+        if !count = target then begin
+          E.flip_mem_bit e ~addr ~bit;
+          e.E.post_hook <- None
+        end);
+  E.run ~max_cost:20_000_000L eng
+
+(* the architectural state a reset must restore, byte for byte *)
+let check_state what (a : E.t) (b : E.t) =
+  Alcotest.(check bool) (what ^ ": mem") true (Bytes.equal a.E.mem b.E.mem);
+  Alcotest.(check (array int64)) (what ^ ": regs") a.E.regs b.E.regs;
+  Alcotest.(check int) (what ^ ": pc") a.E.pc b.E.pc;
+  Alcotest.(check int) (what ^ ": heap") a.E.heap b.E.heap;
+  Alcotest.(check string) (what ^ ": output") (Buffer.contents a.E.env.out)
+    (Buffer.contents b.E.env.out)
+
 let prop_snapshot_reset_identical =
   QCheck.Test.make ~name:"snapshot/reset engines bit-identical to fresh create" ~count:12
-    QCheck.(int_range 1 5000)
-    (fun seed ->
+    QCheck.(pair (int_range 1 5000) (int_range 1 5000))
+    (fun (seed, seed_b) ->
       let image = compile_image seed in
       let rng = P.create (seed * 7 + 1) in
       let fault = (1 + P.int rng 4000, R.gpr (P.int rng 6), P.int rng 64) in
@@ -84,7 +110,81 @@ let prop_snapshot_reset_identical =
       (* a second faulted pass over the same reused engine: reset must also
          erase the fault's damage, not just clean-run state *)
       check ~fault "faulted again";
+      (* the same engine moved between two binaries, A -> B -> A, with a
+         memory fault in every run: each reset (which rebinds the image
+         and drops the decode when the binary changes) must equal a fresh
+         engine on that snapshot, and so must the faulted run after it *)
+      let image_b = compile_image seed_b in
+      let a = (snap, image, E.decode image)
+      and b = (E.snapshot image_b, image_b, E.decode image_b) in
+      List.iteri
+        (fun k (s, img, dp) ->
+          let what = Printf.sprintf "move %d" k in
+          E.reset ~snapshot:s reused;
+          let fresh = E.create_from_snapshot s in
+          check_state (what ^ ": reset = fresh") reused fresh;
+          Alcotest.(check bool) (what ^ ": image rebound") true (reused.E.image == img);
+          Alcotest.(check bool) (what ^ ": no decode carried over") false
+            (k > 0 && E.decoded reused);
+          E.install_decoded reused (Some dp);
+          E.install_decoded fresh (Some dp);
+          let target = 1 + P.int rng 4000
+          and addr = Mem.null_guard + P.int rng (Mem.mem_size - Mem.null_guard)
+          and bit = P.int rng 8 in
+          let r_reset = run_mem_fault ~target ~addr ~bit reused in
+          let r_fresh = run_mem_fault ~target ~addr ~bit fresh in
+          Alcotest.check result_t (what ^ ": faulted run") r_fresh r_reset;
+          check_state (what ^ ": after the faulted run") reused fresh)
+        [ a; b; a ];
       true)
+
+(* --- touched-page edges ------------------------------------------------ *)
+
+(* Run [image] once on a snapshot engine (stepped, then decoded), then
+   reset it: the reset engine must equal a fresh one byte for byte. *)
+let reset_after what image =
+  let snap = E.snapshot image in
+  let dp = E.decode image in
+  List.iter
+    (fun decoded ->
+      let what = what ^ if decoded then " (decoded)" else " (step)" in
+      let eng = E.create_from_snapshot snap in
+      if decoded then E.install_decoded eng (Some dp);
+      ignore (E.run eng);
+      Alcotest.(check bool) (what ^ ": the run wrote memory") false
+        (Bytes.equal eng.E.mem (E.create_from_snapshot snap).E.mem);
+      E.reset eng;
+      check_state (what ^ ": reset = fresh") eng (E.create_from_snapshot snap))
+    [ false; true ]
+
+let store_at addr =
+  image_of
+    [
+      M.Mmov (R.gpr 1, M.Imm 0x0123456789abcdefL);
+      M.Mmov (R.gpr 3, M.Imm (Int64.of_int addr));
+      M.Mstore (R.gpr 1, R.gpr 3, 0);
+      M.Mmov (R.ret_gpr, M.Imm 0L);
+      M.Mhalt;
+    ]
+
+let test_reset_straddling_store () =
+  (* bytes land on both sides of a 4 KiB boundary, far from the stack *)
+  reset_after "straddling store" (store_at ((64 * 4096) - 3))
+
+let test_reset_top_store () =
+  (* the last 8 bytes of memory: the sentinel's own slot *)
+  reset_after "store at mem_size - 8" (store_at (Mem.mem_size - 8))
+
+let test_reset_untouched_flip () =
+  let image = image_of [ M.Mmov (R.ret_gpr, M.Imm 0L); M.Mhalt ] in
+  let snap = E.snapshot image in
+  let eng = E.create_from_snapshot snap in
+  let addr = (1000 * 4096) + 17 in
+  E.flip_mem_bit eng ~addr ~bit:5;
+  Alcotest.(check char) "bit flipped" '\032' (Bytes.get eng.E.mem addr);
+  ignore (E.run eng);
+  E.reset eng;
+  check_state "flip on an untouched page" eng (E.create_from_snapshot snap)
 
 (* --- snapshot restores globals, heap, output --------------------------- *)
 
@@ -229,6 +329,11 @@ let qcheck = QCheck_alcotest.to_alcotest
 let tests =
   [
     qcheck prop_snapshot_reset_identical;
+    Alcotest.test_case "reset after a store straddling a page boundary" `Quick
+      test_reset_straddling_store;
+    Alcotest.test_case "reset after a store at mem_size - 8" `Quick test_reset_top_store;
+    Alcotest.test_case "reset after a flip on an untouched page" `Quick
+      test_reset_untouched_flip;
     Alcotest.test_case "reset restores globals/heap/output" `Quick test_reset_restores_state;
     Alcotest.test_case "reset requires a snapshot engine" `Quick test_reset_requires_snapshot;
     Alcotest.test_case "unknown extern traps at call, not resolution" `Quick
