@@ -1,27 +1,30 @@
-(* Correspondence map between a REFINE-instrumented image and its golden
-   (uninstrumented) twin — the metadata that lets the executor detach a
-   sample to the golden snapshot once the single injection has retired
-   (DESIGN.md §20).
+(* The golden twin of a REFINE-instrumented image, read off the image
+   itself — the target and correspondence map that let the executor detach
+   a sample once the single injection has retired (DESIGN.md §20).
 
    The REFINE pass (paper §4.2) splices a fixed control-flow pattern after
    every candidate instruction and touches nothing else, so the original
-   instruction stream is recoverable from the instrumented image alone:
-   every splice is anchored by its [Mcallext "fi_sel_instr"] — a name the
-   application can never call (layout resolves application calls to
-   [Mcalli], and MinC sources cannot name the FI runtime library) — and
-   the PreFI/PostFI shape around the anchor is rigid.  [build] parses the
-   splices, derives the instrumented-pc -> golden-pc rank map, and then
-   cross-validates the extraction instruction-by-instruction against the
-   actual golden image (branch targets translated through the map), so a
-   wrong parse can never produce a map: it produces [None] and the caller
-   falls back to branch-patching.
+   instruction stream is recoverable from the instrumented image alone
+   (§4.2.2): every splice is anchored by its [Mcallext "fi_sel_instr"] — a
+   name the application can never call (layout resolves application calls
+   to [Mcalli], and MinC sources cannot name the FI runtime library) — and
+   the PreFI/PostFI shape around the anchor is rigid.  [extract] parses the
+   splices, drops them, translates branch targets through the
+   instrumented-pc -> golden-pc rank map and re-indexes the per-pc tables.
 
-   The [cost_w] table carries the attached cost model onto the golden
-   image: each candidate's golden pc is weighted with the full modeled
-   cost of its non-firing splice (interior instructions plus the
-   [fi_sel_instr] library call), so a detached run charges bit-identical
-   modeled cost at every original-instruction boundary — the invariant
-   that keeps fixed-seed outcome tables identical with detach on or off. *)
+   The [cost_w] table carries the attached cost model onto the twin: each
+   candidate's golden pc is weighted with the full modeled cost of its
+   non-firing splice (interior instructions plus the [fi_sel_instr]
+   library call).  A call-site candidate is the exception — attached, its
+   splice runs when the callee RETURNS — so its splice collapses into one
+   [Mjmp] at the splice start (the call's return address) carrying that
+   cost, paid on the return edge exactly where the attached run pays it: a
+   run that ends inside the callee never pays it.  The jump is a slot of
+   its own rather than extra weight on the next instruction, because a
+   weighted slot that traps charges only 1.  Either way a detached run
+   charges bit-identical modeled cost at every original-instruction
+   boundary — the invariant that keeps fixed-seed outcome tables identical
+   with detach on or off. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -41,8 +44,8 @@ type t = {
 }
 
 (* Parse every splice of [code], anchored at [Mcallext "fi_sel_instr"].
-   Raises [Not_found] on any shape violation — the caller turns that into
-   the overlay fallback. *)
+   Raises [Not_found] on any shape violation — the image then runs
+   attached. *)
 let parse_splices ~lib_call_cost (code : M.t array) : splice list =
   let n = Array.length code in
   let r0 = R.gpr 0 in
@@ -96,8 +99,8 @@ let parse_splices ~lib_call_cost (code : M.t array) : splice list =
 (* Translate one instrumented-image instruction into golden coordinates:
    branch/call targets go through [rank]; everything else is unchanged.
    A target inside a splice has no golden rank — impossible for genuine
-   original code (splice labels are fresh and only intra-splice), so it
-   fails the validation. *)
+   original code (splice labels are fresh and only intra-splice), so the
+   extraction fails. *)
 let translate (rank : int array) (i : M.t) : M.t option =
   let tr l = if l >= 0 && l < Array.length rank && rank.(l) >= 0 then Some rank.(l) else None in
   match i with
@@ -106,112 +109,81 @@ let translate (rank : int array) (i : M.t) : M.t option =
   | M.Mcalli l -> ( match tr l with Some l' -> Some (M.Mcalli l') | None -> None)
   | i -> Some i
 
-(* A call-site candidate poisons map mode: attached, the splice after an
-   [Mcalli] executes when the callee RETURNS, so its cost lands on the
-   return edge — but the golden image can only carry the weight on the
-   call instruction itself, which would charge it at call time.  Any run
-   ending (trap, timeout, [exit] from a callee) while such a frame is
-   open, and any frame already open at handoff, would then diverge in
-   modeled cost.  The branch-patched fallback keeps the splice head at its
-   original pc, so the returned-to [Mjmp] pays the cost exactly where the
-   attached run pays it — [map_eligible] steers those images there. *)
-let cand_is_call (code : M.t array) (s : splice) =
-  match code.(s.sp_cand) with M.Mcalli _ | M.Mcall _ -> true | _ -> false
+let is_call = function M.Mcalli _ | M.Mcall _ -> true | _ -> false
 
-let map_eligible (instr : Layout.image) : bool =
-  let code = instr.Layout.code in
-  match parse_splices ~lib_call_cost:0 code with
-  | exception Not_found -> false
-  | spl -> not (List.exists (cand_is_call code) spl)
-
-let build ~lib_call_cost (instr : Layout.image) (golden : Layout.image) : t option =
-  let icode = instr.Layout.code and gcode = golden.Layout.code in
-  let n = Array.length icode and gn = Array.length gcode in
-  match parse_splices ~lib_call_cost icode with
-  | exception Not_found -> None
-  | spl when List.exists (cand_is_call icode) spl -> None
-  | spl ->
-    let in_splice = Array.make n false in
-    List.iter
-      (fun s ->
-        for pc = s.sp_start to s.sp_end do
-          in_splice.(pc) <- true
-        done)
-      spl;
-    let rank_of_pc = Array.make n (-1) in
-    let g = ref 0 in
-    for pc = 0 to n - 1 do
-      if not in_splice.(pc) then begin
-        rank_of_pc.(pc) <- !g;
-        incr g
-      end
-    done;
-    if !g <> gn then None
-    else if
-      (* memory layout must be shared for the state blit to be sound *)
-      instr.Layout.heap_base <> golden.Layout.heap_base
-      || rank_of_pc.(instr.Layout.entry) <> golden.Layout.entry
-    then None
-    else begin
-      (* golden validation: the extracted original stream, with branch
-         targets translated, must equal the golden image exactly *)
-      let ok = ref true in
-      for pc = 0 to n - 1 do
-        if !ok && rank_of_pc.(pc) >= 0 then
-          match translate rank_of_pc icode.(pc) with
-          | Some i' -> if i' <> gcode.(rank_of_pc.(pc)) then ok := false
-          | None -> ok := false
-      done;
-      if not !ok then None
-      else begin
-        let next_rank = Array.make (n + 1) (-1) in
-        for pc = n - 1 downto 0 do
-          next_rank.(pc) <- (if rank_of_pc.(pc) >= 0 then rank_of_pc.(pc) else next_rank.(pc + 1))
-        done;
-        let cost_w = Array.make gn 1 in
-        List.iter (fun s -> cost_w.(rank_of_pc.(s.sp_cand)) <- 1 + s.sp_cost) spl;
-        Some { rank_of_pc; next_rank; cost_w; splices = spl }
-      end
-    end
-
-(* Overlay fallback: a copy of the instrumented image whose splice heads
-   are branch-patched to fall through ([Mjmp] over the splice), with the
-   skipped splice's modeled cost carried as the jump's weight.  Same code
-   coordinates as the instrumented image, so a handoff needs no pc or
-   return-address translation and is safe even from inside a splice (the
-   interior instructions are kept at their original pcs with weight 1). *)
-let patch_refine ~lib_call_cost (instr : Layout.image) : (Layout.image * t) option =
+let extract ~lib_call_cost (instr : Layout.image) : (Layout.image * t) option =
   let icode = instr.Layout.code in
   let n = Array.length icode in
   match parse_splices ~lib_call_cost icode with
   | exception Not_found -> None
   | spl ->
-    let code = Array.copy icode in
-    let cost_w = Array.make n 1 in
-    (* shared coordinates: every pc outside a splice carries over as
-       itself.  A pc *inside* a splice (the handoff poll can fire while a
-       partially-executed splice's saves are still on the stack) has no
-       safe counterpart on the patched copy — the head branch would skip
-       the unexecuted remainder — so its rank is [-1] and the handoff
-       drains attached to the next boundary, exactly like map mode. *)
-    let rank_of_pc = Array.init n (fun i -> i) in
-    let next_rank = Array.init (n + 1) (fun i -> if i < n then i else -1) in
+    (* golden slots: every original pc, plus the splice start of each
+       call-site candidate (its collapsed jump); -1 for the rest *)
+    let rank_of_pc = Array.make n 0 in
     List.iter
       (fun s ->
-        code.(s.sp_start) <- M.Mjmp (s.sp_end + 1);
-        (* the candidate still retires separately at weight 1, so the jump
-           carries exactly the skipped splice's cost — not 1 + sp_cost *)
-        cost_w.(s.sp_start) <- s.sp_cost;
-        for pc = s.sp_start + 1 to s.sp_end do
-          rank_of_pc.(pc) <- -1
-        done)
+        Array.fill rank_of_pc s.sp_start (s.sp_end - s.sp_start + 1) (-1);
+        if is_call icode.(s.sp_cand) then rank_of_pc.(s.sp_start) <- 0)
       spl;
-    Some ({ instr with Layout.code }, { rank_of_pc; next_rank; cost_w; splices = spl })
+    let g = ref 0 in
+    Array.iteri
+      (fun pc r ->
+        if r >= 0 then begin
+          rank_of_pc.(pc) <- !g;
+          incr g
+        end)
+      rank_of_pc;
+    let pcs = Array.make !g 0 in
+    Array.iteri (fun pc r -> if r >= 0 then pcs.(r) <- pc) rank_of_pc;
+    let original = Array.map (fun pc -> icode.(pc)) pcs in
+    let cost_w = Array.make !g 1 in
+    List.iter
+      (fun s ->
+        match rank_of_pc.(s.sp_start) with
+        | -1 -> cost_w.(rank_of_pc.(s.sp_cand)) <- 1 + s.sp_cost
+        | j ->
+          (* the candidate retires separately at weight 1, so the jump
+             carries exactly the skipped splice's cost *)
+          original.(j) <- M.Mjmp (s.sp_end + 1);
+          cost_w.(j) <- s.sp_cost)
+      spl;
+    let translated = Array.map (translate rank_of_pc) original in
+    if Array.exists Option.is_none translated || rank_of_pc.(instr.Layout.entry) < 0 then None
+    else
+      let code = Array.map Option.get translated in
+      let next_rank = Array.make (n + 1) (-1) in
+      for pc = n - 1 downto 0 do
+        next_rank.(pc) <- (if rank_of_pc.(pc) >= 0 then rank_of_pc.(pc) else next_rank.(pc + 1))
+      done;
+      let twin =
+        {
+          instr with
+          Layout.code;
+          entry = rank_of_pc.(instr.Layout.entry);
+          func_of_pc = Array.map (fun pc -> instr.Layout.func_of_pc.(pc)) pcs;
+          func_starts = List.map (fun (f, pc) -> (f, rank_of_pc.(pc))) instr.Layout.func_starts;
+          ext_slot_of_pc = Array.map (fun pc -> instr.Layout.ext_slot_of_pc.(pc)) pcs;
+          class_of_pc = Array.map (fun i -> M.iclass_index (M.classify i)) code;
+        }
+      in
+      Some (twin, { rank_of_pc; next_rank; cost_w; splices = spl })
 
-(* LLFI variant of the fallback: replace each instrumented call by a
-   substitute instruction (the post-injection no-op semantics of the
-   library call), weighted with the call's modeled cost.  [table] maps the
-   extern name to (replacement, extra modeled cost). *)
+let map_eligible (instr : Layout.image) : bool =
+  Option.is_some (extract ~lib_call_cost:0 instr)
+
+let build ~lib_call_cost (instr : Layout.image) (golden : Layout.image) : t option =
+  match extract ~lib_call_cost instr with
+  | Some (twin, m)
+    when twin.Layout.code = golden.Layout.code
+         && twin.Layout.entry = golden.Layout.entry
+         && twin.Layout.heap_base = golden.Layout.heap_base ->
+    Some m
+  | _ -> None
+
+(* LLFI's detach target: replace each instrumented call by a substitute
+   instruction (the post-injection no-op semantics of the library call),
+   weighted with the call's modeled cost.  [table] maps the extern name to
+   (replacement, extra modeled cost). *)
 let patch_calls ~(table : (string * M.t * int) list) (instr : Layout.image) :
     Layout.image * int array =
   let icode = instr.Layout.code in

@@ -1,12 +1,16 @@
-(** Correspondence map between a REFINE-instrumented image and its golden
-    (uninstrumented) twin, plus the branch-patched fallback images — the
-    backend metadata behind post-injection detach (DESIGN.md §20).
+(** The golden twin of a REFINE-instrumented image, read off the image
+    itself, and its correspondence map — the backend metadata behind
+    post-injection detach (DESIGN.md §20) — plus LLFI's call-patched
+    detach target.
 
-    [build] parses the FI splices out of the instrumented image (each is
+    The REFINE pass only inserts splices after candidate instructions, so
+    the application's instruction stream is exactly the stream of the
+    clean binary (paper §4.2.2).  [extract] parses the splices (each is
     anchored by its [Mcallext "fi_sel_instr"], a name application code can
-    never call) and cross-validates the extracted original stream against
-    the actual golden image with branch targets translated, so a wrong
-    parse yields [None] — never a wrong map. *)
+    never call), drops them and translates branch targets into the twin's
+    coordinates; an image whose splices do not parse yields [None], never
+    a wrong map.  [build] is the test oracle of that claim: the extraction
+    must equal a separately compiled FI-free image. *)
 
 type splice = {
   sp_cand : int;  (** pc of the candidate (original) instruction *)
@@ -17,48 +21,44 @@ type splice = {
 
 type t = {
   rank_of_pc : int array;
-      (** instrumented pc -> golden pc; [-1] for spliced (inserted) pcs *)
+      (** instrumented pc -> twin pc; [-1] for spliced (inserted) pcs,
+          except the start of a call-site candidate's splice, which maps
+          to its collapsed [Mjmp] *)
   next_rank : int array;
-      (** length [n+1]: golden pc of the first original instruction at or
+      (** length [n+1]: twin pc of the first mapped instruction at or
           after each instrumented pc ([-1] past the end) — return-address
-          translation for frames whose call site was a candidate *)
+          translation for live frames *)
   cost_w : int array;
-      (** per golden pc: attached-equivalent modeled cost weight (1 for
-          plain instructions; 1 + the non-firing splice cost at candidate
-          pcs), fed to [Exec.decode]'s [cost_of] *)
+      (** per twin pc: attached-equivalent modeled cost weight, fed to
+          [Exec.decode]'s [cost_of] — 1 for plain instructions, 1 + the
+          non-firing splice cost at candidate pcs, and the splice cost on
+          a call-site candidate's collapsed [Mjmp], so the return edge
+          pays it where the attached run does *)
   splices : splice list;
 }
 
+val extract : lib_call_cost:int -> Layout.image -> (Layout.image * t) option
+(** [extract ~lib_call_cost instrumented] is the golden twin — every
+    splice dropped, except that a call-site candidate's splice collapses
+    into one [Mjmp] at the splice start; branch targets and the per-pc
+    tables re-indexed — with its correspondence map.  [lib_call_cost] is
+    the modeled cost of one [fi_sel_instr] call (the caller passes
+    [Fi_cost.refine_lib_call]).  [None] when the splices do not parse. *)
+
 val map_eligible : Layout.image -> bool
-(** Cheap pre-check (no golden build needed): the splices parse and no
-    candidate is a call instruction.  A call-site candidate's splice is
-    paid on the return edge attached, which the golden image cannot
-    model exactly — such images must use {!patch_refine} instead. *)
+(** The splices parse: {!extract} yields a twin. *)
 
 val build : lib_call_cost:int -> Layout.image -> Layout.image -> t option
-(** [build ~lib_call_cost instrumented golden] parses and validates the
-    correspondence.  [lib_call_cost] is the modeled cost of one
-    [fi_sel_instr] call (the caller passes [Fi_cost.refine_lib_call]).
-    [None] when the splice shape does not parse, any candidate is a call
-    instruction (see {!map_eligible}) or the extracted stream does not
-    match [golden] — callers fall back to {!patch_refine}. *)
-
-val patch_refine : lib_call_cost:int -> Layout.image -> (Layout.image * t) option
-(** Overlay fallback: a copy of the instrumented image with every splice
-    head branch-patched to fall through, plus the correspondence metadata
-    that keeps the handoff attached-identical.  Same code coordinates as
-    the instrumented image, so [rank_of_pc] and [next_rank] are the
-    identity — except *inside* a splice, where the rank is [-1]: a poll
-    can fire mid-splice, and carrying such a pc onto the patched copy
-    would skip the splice's unexecuted remainder, so the handoff drains
-    attached to the next boundary first.  [cost_w] weights each patched
-    splice-head branch with the skipped splice's modeled cost.  [None]
-    when the splices do not parse. *)
+(** [build ~lib_call_cost instrumented golden]: the map of {!extract} when
+    the extracted twin equals [golden] (code, entry and heap base) — the
+    §4.2.2 check against an FI-free compile of the same source.  [None]
+    otherwise, including for images with call-site candidates, whose
+    twin holds one extra [Mjmp] per such splice. *)
 
 val patch_calls :
   table:(string * Refine_mir.Minstr.t * int) list ->
   Layout.image ->
   Layout.image * int array
-(** LLFI variant: replace each [Mcallext name] whose [name] appears in
-    [table] by its replacement instruction, carrying the call's modeled
-    extra cost as the slot's weight. *)
+(** LLFI's detach target: replace each [Mcallext name] whose [name]
+    appears in [table] by its replacement instruction, carrying the call's
+    modeled extra cost as the slot's weight. *)

@@ -129,40 +129,6 @@ let m_frames name =
     ~labels:[ ("type", name) ]
     "refine_shard_frames_total"
 
-(* the campaign-level metrics mirror Experiment's exactly (same names,
-   same help), so a sharded campaign feeds the same dashboards — the
-   registry is idempotent per (name, labels) *)
-let m_samples outcome =
-  Obs.Metrics.counter ~help:"resolved campaign samples by outcome"
-    ~labels:[ ("outcome", outcome) ]
-    "refine_campaign_samples_total"
-
-let m_crash = m_samples "crash"
-let m_soc = m_samples "SOC"
-let m_benign = m_samples "benign"
-let m_tool_error = m_samples "tool-error"
-
-let m_outcome = function
-  | F.Crash -> m_crash
-  | F.Soc -> m_soc
-  | F.Benign -> m_benign
-  | F.Tool_error -> m_tool_error
-
-let m_cells =
-  Obs.Metrics.counter ~help:"completed (program, tool) campaign cells" "refine_campaign_cells_total"
-
-let m_resumed =
-  Obs.Metrics.counter ~help:"samples loaded from a resume journal instead of re-run"
-    "refine_campaign_resumed_samples_total"
-
-let m_quarantined reason =
-  Obs.Metrics.counter ~help:"campaign cells quarantined instead of sampled"
-    ~labels:[ ("reason", reason) ]
-    "refine_quarantined_cells_total"
-
-let quarantine_category reason =
-  match String.index_opt reason ':' with Some i -> String.sub reason 0 i | None -> reason
-
 (* ---- per-cell aggregation state --------------------------------------- *)
 
 type cell_state = {
@@ -334,12 +300,12 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
               match J.quarantine_reason j ~program ~tool:tool_name with
               | Some reason ->
                 quarantined := Some reason;
-                Obs.Metrics.inc (m_quarantined (quarantine_category reason))
+                E.note_quarantined reason
               | None ->
                 Hashtbl.iter
                   (fun i e ->
                     if i >= 0 && i < samples then begin
-                      Obs.Metrics.inc m_resumed;
+                      E.note_resumed ();
                       Hashtbl.replace resolved i e
                     end)
                   (J.completed ~model:model_name j ~program ~tool:tool_name)));
@@ -550,7 +516,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
           in
           Hashtbl.replace cell.resolved entry.J.sample entry;
           incr unique;
-          Obs.Metrics.inc (m_outcome entry.J.outcome);
+          E.note_sample entry.J.outcome;
           (match journal with Some j -> J.record j entry | None -> ());
           check_chaos ()
         end)
@@ -560,7 +526,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       | Some cell ->
         if cell.quarantined = None then begin
           cell.quarantined <- Some reason;
-          Obs.Metrics.inc (m_quarantined (quarantine_category reason));
+          E.note_quarantined reason;
           match journal with
           | Some j -> J.record_quarantine j ~program ~tool ~reason
           | None -> ()
@@ -749,33 +715,10 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
     (fun c ->
       match (c.quarantined, c.degraded) with
       | Some reason, _ ->
-        {
-          E.program = c.program;
-          tool = c.tool;
-          model;
-          samples = c.samples;
-          counts = E.zero;
-          injection_cost = 0L;
-          profile = { F.golden_output = ""; golden_exit = 0; dyn_count = 0L; profile_cost = 0L };
-          static_instrumented = 0;
-          failures = [];
-          timing = E.zero_timing;
-          quarantined = Some reason;
-        }
+        E.quarantined_cell ~program:c.program ~tool:c.tool ~model ~samples:c.samples reason
       | None, Some message ->
-        {
-          E.program = c.program;
-          tool = c.tool;
-          model;
-          samples = c.samples;
-          counts = { E.zero with E.tool_error = c.samples };
-          injection_cost = 0L;
-          profile = { F.golden_output = ""; golden_exit = 0; dyn_count = 0L; profile_cost = 0L };
-          static_instrumented = 0;
-          failures = [ { Sup.index = -1; attempts = 1; exn = Failure message; backtrace = "" } ];
-          timing = E.zero_timing;
-          quarantined = None;
-        }
+        E.degraded_cell ~model ~program:c.program ~tool:c.tool ~samples:c.samples
+          (Failure message)
       | None, None ->
         let counts, injection_cost =
           Hashtbl.fold
@@ -796,7 +739,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
             }
           | None -> { F.golden_output = ""; golden_exit = 0; dyn_count = 0L; profile_cost = 0L }
         in
-        Obs.Metrics.inc m_cells;
+        E.note_cell ();
         {
           E.program = c.program;
           tool = c.tool;

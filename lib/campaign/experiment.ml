@@ -46,6 +46,11 @@ type timing = {
 
 let zero_timing = { instrument_s = 0.0; compile_s = 0.0; execute_s = 0.0; harness_s = 0.0 }
 
+(* ---- campaign counters ------------------------------------------------
+
+   One set for both runners: the sharded coordinator counts the same
+   series from its outcome stream through these helpers. *)
+
 let m_samples outcome =
   Obs.Metrics.counter ~help:"resolved campaign samples by outcome"
     ~labels:[ ("outcome", outcome) ]
@@ -83,6 +88,15 @@ let m_quarantine_reason = function
   | "nondeterministic-golden" -> m_quarantined_golden
   | "ir-verifier" -> m_quarantined_ir_verifier
   | _ -> m_quarantined_verifier
+
+(* a quarantine reason reads "category: detail" *)
+let quarantine_category reason =
+  match String.index_opt reason ':' with Some i -> String.sub reason 0 i | None -> reason
+
+let note_sample outcome = Obs.Metrics.inc (m_outcome outcome)
+let note_resumed () = Obs.Metrics.inc m_resumed
+let note_cell () = Obs.Metrics.inc m_cells
+let note_quarantined reason = Obs.Metrics.inc (m_quarantine_reason (quarantine_category reason))
 
 type cell = {
   program : string;
@@ -166,11 +180,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   in
   let tool_name = T.kind_name tool in
   let quarantine reason =
-    Obs.Metrics.inc
-      (m_quarantine_reason
-         (match String.index_opt reason ':' with
-         | Some i -> String.sub reason 0 i
-         | None -> reason));
+    note_quarantined reason;
     (match sink with
     | Some s -> s.Journal.push_quarantine ~program ~tool:tool_name ~reason
     | None -> ());
@@ -181,11 +191,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   with
   | Some reason ->
     (* journaled quarantine: deterministic, so don't re-prepare on resume *)
-    Obs.Metrics.inc
-      (m_quarantine_reason
-         (match String.index_opt reason ':' with
-         | Some i -> String.sub reason 0 i
-         | None -> reason));
+    note_quarantined reason;
     quarantined_cell ~program ~tool ~model ~samples reason
   | None -> (
   let span_attrs = [ ("program", program); ("tool", tool_name) ] in
@@ -206,7 +212,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
     Hashtbl.iter
       (fun i (e : Journal.entry) ->
         if i >= 0 && i < samples then begin
-          Obs.Metrics.inc m_resumed;
+          note_resumed ();
           results.(i) <-
             Some { F.outcome = e.Journal.outcome; run_cost = e.Journal.cost; fault = None }
         end)
@@ -255,7 +261,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   in
   let failures = ref [] in
   let checkpoint i (e : F.experiment) attempts =
-    Obs.Metrics.inc (m_outcome e.F.outcome);
+    note_sample e.F.outcome;
     results.(i) <- Some e;
     match sink with
     | Some s ->
@@ -304,7 +310,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
       harness_s = Float.max 0.0 (wall -. instrument_s -. compile_s -. execute_s);
     }
   in
-  Obs.Metrics.inc m_cells;
+  note_cell ();
   {
     program;
     tool;

@@ -71,6 +71,44 @@ val cell_seed :
     campaign seeds are unchanged; distinct models draw from disjoint
     deterministic streams. *)
 
+val quarantined_cell :
+  program:string ->
+  tool:Refine_core.Tool.kind ->
+  model:Refine_core.Fault.model ->
+  samples:int ->
+  string ->
+  cell
+(** A cell quarantined with the given ["category: detail"] reason: zero
+    samples ran, excluded from the contingency rows. *)
+
+val degraded_cell :
+  ?model:Refine_core.Fault.model ->
+  program:string ->
+  tool:Refine_core.Tool.kind ->
+  samples:int ->
+  exn ->
+  cell
+(** A cell whose preparation failed with the exception: every sample is a
+    [tool_error] (failure index -1). *)
+
+(** {1 Campaign counters}
+
+    The [refine_campaign_*] and [refine_quarantined_cells_total] series,
+    shared by {!run_cell} and the sharded {!Coordinator}. *)
+
+val note_sample : Refine_core.Fault.outcome -> unit
+(** One resolved sample, by outcome. *)
+
+val note_resumed : unit -> unit
+(** One sample loaded from a resume journal instead of run. *)
+
+val note_cell : unit -> unit
+(** One completed cell. *)
+
+val note_quarantined : string -> unit
+(** One quarantined cell, labeled with the category of its ["category:
+    detail"] reason (unknown categories count as ["mir-verifier"]). *)
+
 val run_cell :
   ?domains:int ->
   ?sel:Refine_core.Tool.Selection.t ->

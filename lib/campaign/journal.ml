@@ -273,11 +273,3 @@ let sink t =
     push_quarantine = (fun ~program ~tool ~reason -> record_quarantine t ~program ~tool ~reason);
     find_quarantine = (fun ~program ~tool -> quarantine_reason t ~program ~tool);
   }
-
-let null_sink =
-  {
-    resolved = (fun ~program:_ ~tool:_ ~model:_ -> Hashtbl.create 1);
-    push = ignore;
-    push_quarantine = (fun ~program:_ ~tool:_ ~reason:_ -> ());
-    find_quarantine = (fun ~program:_ ~tool:_ -> None);
-  }

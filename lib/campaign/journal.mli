@@ -84,6 +84,3 @@ type sink = {
 val sink : t -> sink
 (** The file-backed sink over [t] — {!completed} / {!record} /
     {!record_quarantine} / {!quarantine_reason}. *)
-
-val null_sink : sink
-(** Discards everything and resolves nothing (no checkpointing). *)

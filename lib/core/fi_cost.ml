@@ -20,8 +20,8 @@
 
    Since DESIGN.md §20 the *wall-clock* model matches this modeled
    structure: a REFINE or LLFI sample runs attached only until its single
-   injection retires, then hands off to the golden snapshot (or a
-   branch-patched twin) and simulates the rest at golden speed, with
+   injection retires, then hands off to its golden twin (REFINE) or
+   call-patched image (LLFI) and simulates the rest at golden speed, with
    [refine_lib_call] / [llfi_lib_call] charged as per-slot cost weights so
    the modeled trajectory stays bit-identical to the attached run at every
    original-instruction boundary.  PINFI's detach was always modeled here

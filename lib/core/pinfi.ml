@@ -49,21 +49,10 @@ let attach (ctrl : ctrl) (eng : E.t) =
             let outs = M.outputs i in
             let op = P.int rng (List.length outs) in
             let reg = List.nth outs op in
-            let width = R.width_bits reg in
-            (* bit positions: one uniform draw for Reg_bit (the paper's
-               model), the model's k/burst for Multi_bit *)
-            let bits, burst =
-              match model with
-              | Fault.Multi_bit { bits; burst } -> (bits, burst)
-              | _ -> (1, false)
-            in
-            let chosen = Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits ~burst in
-            eng.E.regs.(reg) <-
-              Int64.logxor eng.E.regs.(reg) (Refine_support.Bitops.mask_of_bits chosen);
+            let bit, mask = Corrupt.draw_mask rng ~width:(R.width_bits reg) model in
+            eng.E.regs.(reg) <- Int64.logxor eng.E.regs.(reg) mask;
             ctrl.record <-
-              Some
-                { Fault.dyn_index; op_index = op; reg_name = R.name reg;
-                  bit = List.hd chosen });
+              Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
           (* detach: drop the hook and the DBI per-instruction tax *)
           eng.E.post_hook <- None;
           eng.E.hook_cost <- 0

@@ -209,22 +209,19 @@ let decode image =
    structural reason REFINE once measured ~4.4x PINFI against the paper's
    ~1.2x claim.  The fix mirrors PINFI's detach at the
    campaign layer: [prepare] builds a *detach target* next to each
-   REFINE/LLFI binary — an uninstrumented (or branch-patched) twin decoded
-   with attached-equivalent cost weights — and [run_injection] arms
-   [Exec.run] with a handoff plan, so once the injection fires the sample
-   transfers onto the target and the rest of the run retires at decoded
-   golden speed with bit-identical modeled cost at every original-
-   instruction boundary.
+   REFINE/LLFI binary — a twin without the FI tax, decoded with
+   attached-equivalent cost weights — and [run_injection] arms [Exec.run]
+   with a handoff plan, so once the injection fires the sample transfers
+   onto the target and the rest of the run retires at decoded golden
+   speed with bit-identical modeled cost at every original-instruction
+   boundary.
 
    Target flavors:
-   - REFINE map mode: the golden image from the FI-free pipeline (built
-     once per (program, pipeline) in the "detach-golden" artifact tier,
-     shared across selections and cells) plus the [Fimap] correspondence
+   - REFINE map mode: the golden twin [Fimap.extract] reads off the
+     instrumented image (every splice dropped, a call-site candidate's
+     splice collapsed into one weighted jump) plus its correspondence
      map; the handoff drains to an original-instruction boundary and
      translates pc and live return addresses.
-   - REFINE patch mode (fallback, or [force_detach_fallback]): the
-     instrumented image with every splice head branch-patched to fall
-     through — shared coordinates, plain state copy.
    - LLFI patch mode: the instrumented image with each [llfi_inject_*]
      call replaced by the move its post-injection semantics reduce to —
      step- and state-exact at every instant, so it stays eligible even
@@ -235,10 +232,6 @@ let decode image =
    optimization, never a semantics change. *)
 
 let use_detach = ref true
-
-(* test hook: skip the correspondence map and use the branch-patched
-   fallback target even when the map parses *)
-let force_detach_fallback = ref false
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
@@ -314,7 +307,7 @@ let no_chaos = { break_mir = false; flaky_golden = false }
    (paper Figure 1): REFINE as the last MIR pass before layout, LLFI as
    the last IR pass before isel, PINFI nowhere (it attaches at run time).
 
-   Three content-addressed cache tiers sit on top, all through
+   Two content-addressed cache tiers sit on top, both through
    [Artifact_cache.memo]:
 
    - the IR tier keys on (source, IR-prefix pipeline) and stores the
@@ -323,9 +316,8 @@ let no_chaos = { break_mir = false; flaky_golden = false }
      REFINE / LLFI / PINFI cells of the same program;
    - the prepared tier keys on (source, full pipeline string, tool
      configuration) and shares whole [prepared] values — image, snapshot,
-     decode and golden profile — across repeated cells of one
-     configuration;
-   - the detach-golden tier (below) shares REFINE's FI-free twin.
+     decode, detach target and golden profile — across repeated cells of
+     one configuration.
 
    Prepared entries carry a fingerprint of the image's code array,
    re-checked on every serve, so post-layout code mutation (chaos hooks,
@@ -392,50 +384,6 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
     | None -> time "compile" (fun () -> (Marshal.from_string bytes 0 : Refine_ir.Ir.modul))
   end
 
-(* ---- detach targets (DESIGN.md §20) -----------------------------------
-
-   The golden twin for REFINE's map-mode detach: the same source pushed
-   through the same pipeline with every FI pass filtered out.  Built once
-   per (source, FI-free pipeline) in its own content-addressed tier and
-   shared across tools, selections and repeated cells; the fingerprint
-   covers the emitted code array, so a mutated golden image invalidates
-   instead of serving a map whose coordinates no longer mean anything. *)
-
-type detach_golden = { g_image : Refine_backend.Layout.image; g_snap : E.snapshot }
-
-let detach_cache : detach_golden Artifact_cache.t =
-  Artifact_cache.create ~name:"detach-golden"
-    ~fingerprint:(fun g ->
-      Digest.string (Marshal.to_string g.g_image.Refine_backend.Layout.code []))
-    ()
-
-let strip_fi_passes (spec : Pl.spec) =
-  {
-    spec with
-    Pl.ir = List.filter (fun n -> not (is_fi_pass n)) spec.Pl.ir;
-    Pl.mir = List.filter (fun n -> not (is_fi_pass n)) spec.Pl.mir;
-  }
-
-(* [ir]: the caller's already-optimized IR module.  When stripping the FI
-   passes leaves the IR stage unchanged (REFINE instruments at the MIR
-   level), that module IS the golden IR — reusing it skips a redundant
-   compile invocation, and the golden build reduces to isel + FI-free MIR
-   passes + layout. *)
-let golden_for ~full ~ctx ~cache ?phases ?ir src : detach_golden =
-  let gspec = strip_fi_passes full in
-  let build () =
-    let gm =
-      match ir with
-      | Some m when gspec.Pl.ir = full.Pl.ir -> m
-      | _ -> build_ir ~pipeline:gspec ~cache ?phases src
-    in
-    let out = Pl.run ~ctx ?phases { gspec with Pl.ir = [] } gm in
-    match out.Pl.image with
-    | Some image -> { g_image = image; g_snap = E.snapshot image }
-    | None -> raise (Prepare_error "golden (FI-free) pipeline did not produce an image")
-  in
-  if cache then Artifact_cache.memo detach_cache [ src; Pl.print gspec ] build else build ()
-
 (* the post-injection semantics of each LLFI runtime call: identity on the
    instrumented value (r2 -> r0 for i64/i1, f1 -> f0 for f64), carrying
    the call's modeled cost so the detached cost trajectory stays
@@ -456,41 +404,18 @@ let target_of_image ?map image cost_w =
     dt_map = map;
   }
 
-let refine_fallback_target image =
-  match Fimap.patch_refine ~lib_call_cost:Fi_cost.refine_lib_call image with
-  | None -> None (* splices do not parse: run attached forever *)
-  | Some (patched, m) ->
-    (* the masked identity map routes the handoff through the map-mode
-       drain: a poll that fires mid-splice steps attached to the next
-       boundary instead of carrying a partially-executed splice onto the
-       patched copy (where the head branch would skip its remainder) *)
-    let map = { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank } in
-    Some (target_of_image ~map patched m.Fimap.cost_w)
-
-let build_detach ~full ~ctx ~cache ?phases ?ir (kind : kind) image src : detach_target option =
+let build_detach (kind : kind) image : detach_target option =
   match kind with
   | Pinfi -> None (* PINFI's cost model already detaches (Fi_cost) *)
   | Llfi ->
     let patched, cost_w = Fimap.patch_calls ~table:llfi_patch_table image in
     Some (target_of_image patched cost_w)
-  | Refine ->
-    if !force_detach_fallback || not (Fimap.map_eligible image) then
-      (* call-site candidates (or an unparseable image) cannot use map
-         mode — go straight to the fallback without building a golden *)
-      refine_fallback_target image
-    else begin
-      let golden = golden_for ~full ~ctx ~cache ?phases ?ir src in
-      match Fimap.build ~lib_call_cost:Fi_cost.refine_lib_call image golden.g_image with
-      | Some m ->
-        Some
-          {
-            dt_image = golden.g_image;
-            dt_snap = golden.g_snap;
-            dt_dprog = E.decode ~cost_of:m.Fimap.cost_w golden.g_image;
-            dt_map = Some { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank };
-          }
-      | None -> refine_fallback_target image
-    end
+  | Refine -> (
+    match Fimap.extract ~lib_call_cost:Fi_cost.refine_lib_call image with
+    | None -> None (* splices do not parse: run attached *)
+    | Some (twin, m) ->
+      let map = { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank } in
+      Some (target_of_image ~map twin m.Fimap.cost_w))
 
 (* Per-sample eligibility (the decline matrix of DESIGN.md §20).  The
    handoff itself can still decline at run time (drain cap, shadow-stack
@@ -505,8 +430,7 @@ let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
       let model_ok =
         match (p.kind, model) with
         (* a REFINE Instr_image overlay lands in instrumented coordinates
-           (possibly on a spliced pc): meaningless on the golden image and
-           able to re-enter a splice on the patched one *)
+           (possibly on a spliced pc): meaningless on the golden twin *)
         | Refine, Fault.Instr_image -> false
         | _ -> true
       in
@@ -643,10 +567,8 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
   let static_instrumented = out.Pl.fi_sites in
   let snap = E.snapshot image in
   (* chaos builds mutate instrumented code: their images must never seed a
-     detach target (nor touch the shared detach-golden tier) *)
-  let detach =
-    if chaos = no_chaos then build_detach ~full ~ctx ~cache ?phases ~ir:m kind image src else None
-  in
+     detach target *)
+  let detach = if chaos = no_chaos then build_detach kind image else None in
   let unprofiled =
     {
       kind;
@@ -705,7 +627,6 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
         Selection.to_string sel;
         string_of_bool verify_mir;
         Int64.to_string max_steps;
-        string_of_bool !force_detach_fallback;
       ]
       build
   else build ()

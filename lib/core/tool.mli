@@ -45,35 +45,27 @@ val derived_output_quota : Fault.profile -> int
 val use_detach : bool ref
 (** When [true] (the default), REFINE and LLFI samples hand off to their
     prepared detach target once the single injection has retired: the
-    architectural state transfers onto an engine built from the
-    uninstrumented (or branch-patched) twin, decoded with
-    attached-equivalent cost weights, and the rest of the run retires at
-    golden speed with zero per-instruction FI tax — the same detach the
-    paper's PINFI performs (§5.2).  Test hook: set to [false] to run every
-    sample attached to completion, the reference the differential detach
-    suite compares against; fixed-seed outcome tables are bit-identical
-    either way. *)
-
-val force_detach_fallback : bool ref
-(** Test hook: build the branch-patched fallback target (shared
-    coordinates, no correspondence map) even when the map parses —
-    exercises the overlay-fallback handoff path.  Part of the prepared
-    tier's key, so toggling it never serves the other mode's target. *)
+    architectural state transfers onto an engine running the tool's
+    binary without its FI tax, decoded with attached-equivalent cost
+    weights, and the rest of the run retires at golden speed — the same
+    detach the paper's PINFI performs (§5.2).  Test hook: set to [false]
+    to run every sample attached to completion, the reference the
+    differential detach suite compares against; fixed-seed outcome tables
+    are bit-identical either way. *)
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
-      (** the golden twin (map mode) or the branch-patched instrumented
-          image (patch mode) *)
+      (** REFINE: the golden twin {!Refine_backend.Fimap.extract} reads off
+          the instrumented image; LLFI: the instrumented image with its
+          runtime calls patched out *)
   dt_snap : Refine_machine.Exec.snapshot;
   dt_dprog : Refine_machine.Exec.dprogram;
       (** decoded with the attached-equivalent per-pc cost weights *)
   dt_map : Refine_machine.Exec.handoff_map option;
-      (** [Some] = golden coordinates (drain + translate); [None] =
-          shared coordinates (plain state copy) *)
+      (** [Some] = twin coordinates (REFINE: drain + translate); [None] =
+          shared coordinates (LLFI: plain state copy) *)
 }
-(** A prepared handoff target.  REFINE map mode shares the golden image
-    through the "detach-golden" artifact tier (one build per (source,
-    FI-free pipeline), shared across tools, selections and cells). *)
+(** A prepared handoff target, built from the instrumented binary alone. *)
 
 type prepared = {
   kind : kind;
@@ -155,11 +147,9 @@ val compile_invocations : unit -> int
 (** Front-end + IR-stage compile executions so far (i.e. IR-cache misses). *)
 
 val reset_artifact_caches : unit -> unit
-(** Drop every artifact tier — ["ir"], ["prepared"] and ["detach-golden"]
-    (DESIGN.md §20: one golden image + snapshot per (source, FI-free
-    pipeline)), whose counters {!Refine_passes.Artifact_cache.stats}
-    reads by name — and zero {!compile_invocations} (test/bench
-    isolation). *)
+(** Drop every artifact tier — ["ir"] and ["prepared"], whose counters
+    {!Refine_passes.Artifact_cache.stats} reads by name — and zero
+    {!compile_invocations} (test/bench isolation). *)
 
 val prepare :
   ?phases:Refine_obs.Phase.t ->
@@ -186,13 +176,13 @@ val prepare :
     histogram sample plus a span.
 
     Caching (DESIGN.md §15): unless [cache:false] (or chaos is active)
-    the whole [prepared] value is served from the content-addressed
-    prepared tier keyed on (source, pipeline string, tool configuration,
-    {!force_detach_fallback}); the underlying IR-stage compile is shared
-    across tools through the IR tier.  [cache:false] bypasses every tier,
-    the IR and detach-golden tiers included.  Entries carry a
-    fingerprint of the emitted code, re-checked on every serve, so a
-    binary mutated after caching is invalidated, never served.
+    the whole [prepared] value, detach target included, is served from
+    the content-addressed prepared tier keyed on (source, pipeline
+    string, tool configuration); the underlying IR-stage compile is
+    shared across tools through the IR tier.  [cache:false] bypasses both
+    tiers.  Entries carry a fingerprint of the emitted code and of the
+    detach target's code, re-checked on every serve, so a binary mutated
+    after caching is invalidated, never served.
 
     Hardening (DESIGN.md §13): profiling executes TWICE with independent
     machine and control-library state and raises {!Quarantine} if the runs

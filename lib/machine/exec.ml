@@ -197,7 +197,7 @@ type result = {
 (* --- post-injection detach (DESIGN.md §20) ----------------------------- *)
 
 type handoff_map = {
-  h_rank : int array; (* instrumented pc -> golden pc; -1 inside splices *)
+  h_rank : int array; (* instrumented pc -> golden pc; -1 without a counterpart *)
   h_next : int array;
       (* instrumented pc -> first golden rank at-or-after (return-address
          translation); length n+1, -1 past the last original instruction *)
@@ -205,11 +205,12 @@ type handoff_map = {
 
 type detach_plan = {
   plan_target : unit -> t;
-      (* acquire the golden/patched engine (reset, decode installed);
+      (* acquire the target engine (reset, decode installed);
          called at most once, only if the handoff goes ahead *)
   plan_map : handoff_map option;
       (* [Some] = golden-map mode (state transfer + pc/return-address
-         translation); [None] = same-coordinates branch-patched fallback *)
+         translation); [None] = a call-patched target in the source's
+         coordinates *)
 }
 
 exception Detach_signal
@@ -1796,8 +1797,6 @@ let decode ?cost_of (image : L.image) : dprogram =
   done;
   { d_image = image; d_fused = fused; d_single = single; d_super = super }
 
-let decoded_image dp = dp.d_image
-
 let superinstr_counts dp = Array.copy dp.d_super
 
 (* Install (or uninstall, with [None]) a decoded program on an engine.
@@ -2011,8 +2010,8 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
    drains with [step] to the next original-instruction boundary
    and live [Mcalli] return addresses are validated against the shadow
    call stack and rewritten into golden coordinates; without a map
-   (overlay-fallback targets) the coordinates are shared and the handoff
-   is a plain state copy.  Any validation failure declines the handoff
+   (call-patched targets) the coordinates are shared and the handoff is
+   a plain state copy.  Any validation failure declines the handoff
    and the run simply continues attached — detach is an optimization,
    never a semantics change. *)
 let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota

@@ -193,10 +193,11 @@ type result = {
 
 type handoff_map = {
   h_rank : int array;
-      (** instrumented pc -> golden pc; [-1] for spliced (inserted) pcs *)
+      (** instrumented pc -> golden pc; [-1] for pcs without a golden
+          counterpart (inside splices) *)
   h_next : int array;
-      (** length [n+1]: golden pc of the first original instruction at or
-          after each instrumented pc — return-address translation *)
+      (** length [n+1]: the first golden pc at or after each
+          instrumented pc — return-address translation *)
 }
 (** Correspondence between an instrumented image and its golden twin, in
     the executor's terms (built by [Fimap] in the backend). *)
@@ -208,7 +209,7 @@ type detach_plan = {
           application externs bound *)
   plan_map : handoff_map option;
       (** [Some] = golden-snapshot coordinates (drain + translate);
-          [None] = overlay-fallback target sharing the instrumented
+          [None] = a call-patched target sharing the instrumented
           image's coordinates (plain state copy) *)
 }
 (** Post-injection handoff plan, built per sample by the campaign layer
@@ -326,10 +327,6 @@ val idioms : string array
 val superinstr_counts : dprogram -> int array
 (** Static fusion sites per idiom (indexed like {!idioms}) — the feed for
     the [refine_decoded_superinstr_total] metric. *)
-
-val decoded_image : dprogram -> Refine_backend.Layout.image
-(** The image this program was decoded from (physical identity is the
-    {!install_decoded} compatibility check). *)
 
 val run :
   ?max_steps:int64 ->

@@ -12,7 +12,7 @@
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
    fault     every fault model: sequential = 4 domains, CSV round-trip
-   detach    detach off / on / forced fallback: identical outcome tables
+   detach    detach off / on: identical outcome tables, handoffs by mode
    mem       all 14 programs x 3 tools prepared in one process stay under
              400 MB peak RSS *)
 
@@ -599,7 +599,8 @@ let fault () =
 (* ---- detach: invisible in results, visible in metrics ------------------- *)
 
 let detach () =
-  let srcs = sources [ "DC"; "EP" ] and tools = [ T.Refine; T.Llfi ] in
+  (* CoMD has call-site candidates: its REFINE twin holds collapsed jumps *)
+  let srcs = sources [ "DC"; "EP"; "CoMD" ] and tools = [ T.Refine; T.Llfi ] in
   let campaign () =
     T.reset_artifact_caches ();
     summary (E.run_matrix ~samples:12 ~seed:5 srcs tools)
@@ -609,20 +610,23 @@ let detach () =
   let attached = campaign () in
   T.use_detach := true;
   let detached = campaign () in
-  T.force_detach_fallback := true;
-  let fallback = campaign () in
-  T.force_detach_fallback := false;
   if detached <> attached then
     fail "detach changed the outcome table\n  off: %s\n  on:  %s" attached detached;
-  if fallback <> attached then
-    fail "forced fallback changed the outcome table\n  off:      %s\n  fallback: %s" attached
-      fallback;
-  say "outcome tables bit-identical: off = on = forced-fallback";
+  say "outcome tables bit-identical: off = on";
   say "%s" attached;
-  (* the equality above must not be vacuous: handoffs really happened *)
-  let fired = counter_total "refine_detach_total" in
-  check "some sample handed off" (fired > 0L);
-  say "refine_detach_total = %Ld (declined = %Ld)" fired
+  (* the equality above must not be vacuous: handoffs really happened, each
+     tool's under its own target's mode *)
+  let handoffs tool mode =
+    match M.find "refine_detach_total" [ ("tool", tool); ("mode", mode) ] with
+    | Some (M.Counter n) -> n
+    | _ -> 0L
+  in
+  check "REFINE handed off in map mode" (handoffs "REFINE" "map" > 0L);
+  check "LLFI handed off in patch mode" (handoffs "LLFI" "patch" > 0L);
+  check "REFINE handoffs only in map mode, LLFI's only in patch mode"
+    (handoffs "REFINE" "patch" = 0L && handoffs "LLFI" "map" = 0L);
+  say "refine_detach_total: REFINE map = %Ld, LLFI patch = %Ld (declined = %Ld)"
+    (handoffs "REFINE" "map") (handoffs "LLFI" "patch")
     (counter_total "refine_detach_declined_total");
   ignore
     (prom_dump_and_lint

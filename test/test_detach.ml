@@ -1,15 +1,15 @@
 (* Differential tests for post-injection detach (DESIGN.md §20).
 
    Once a REFINE or LLFI sample's single injection has retired, the run
-   hands off to a prepared detach target — the golden twin via the
-   correspondence map, or a branch-patched copy of the instrumented image
-   — and simulates the rest at golden speed.  The refactor must be
-   invisible in results: fixed-seed outcome tables (counts AND summed
-   modeled cost) are bit-identical with detach on or off, across all five
-   fault models, forced-fallback mode, and parallel domains.  Every
-   handoff decline must leave the run attached with identical semantics,
-   and a mutated detach image must never be served from the artifact
-   cache. *)
+   hands off to a prepared detach target — REFINE's golden twin, read off
+   the instrumented image through the correspondence map, or LLFI's
+   call-patched copy of its image — and simulates the rest at golden
+   speed.  The handoff must be invisible in results: fixed-seed outcome
+   tables (counts AND summed modeled cost) are bit-identical with detach
+   on or off, across all five fault models, call-site candidates and
+   parallel domains.  Every handoff decline must leave the run attached
+   with identical semantics, and a mutated detach image must never be
+   served from the artifact cache. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -21,6 +21,8 @@ module F = Refine_core.Fault
 module T = Refine_core.Tool
 module Fm = Refine_backend.Fimap
 module Ex = Refine_campaign.Experiment
+module Reg = Refine_bench_progs.Registry
+module Mx = Refine_obs.Metrics
 
 let all_models =
   [
@@ -31,13 +33,8 @@ let all_models =
     F.Multi_bit { bits = 4; burst = true };
   ]
 
-(* restore every test hook this suite toggles *)
-let protected f =
-  Fun.protect
-    ~finally:(fun () ->
-      T.use_detach := true;
-      T.force_detach_fallback := false)
-    f
+(* restore the test hook this suite toggles *)
+let protected f = Fun.protect ~finally:(fun () -> T.use_detach := true) f
 
 (* the observable slice of a result that must not depend on detach (the
    engine-level targets below retire 1:1 with the source, so steps are
@@ -286,33 +283,117 @@ let test_mutated_detach_never_served () =
       let dt1 = Option.get p1.T.detach in
       let pristine = dt1.T.dt_image.L.code.(0) in
       Alcotest.(check bool) "map mode" true (dt1.T.dt_map <> None);
-      (* corrupt the cached golden twin in place: both the prepared tier
-         (whose fingerprint covers the detach code) and the detach-golden
-         tier (whose fingerprint is the golden code digest) must notice
-         and rebuild instead of serving the mutation *)
+      (* corrupt the cached golden twin in place: the prepared tier,
+         whose fingerprint covers the detach code, must notice and
+         rebuild instead of serving the mutation *)
       dt1.T.dt_image.L.code.(0) <- M.Mhalt;
       let p2 = T.prepare T.Refine Test_fastpath.src_int in
       let dt2 = Option.get p2.T.detach in
       Alcotest.(check bool) "rebuilt, not served mutated" true
         (dt2.T.dt_image.L.code.(0) = pristine && not (dt2.T.dt_image == dt1.T.dt_image)))
 
-(* the fallback hook is part of the prepared tier's key: toggling it
-   without a cache reset must never serve the other mode's target *)
-let test_fallback_toggle_rekeys_prepared () =
+(* --- §4.2.2: the extracted twin is the FI-free binary ------------------- *)
+
+let lib_call_cost = Refine_core.Fi_cost.refine_lib_call
+
+(* the registry programs whose REFINE image has call-site candidates *)
+let call_site_programs = [ "CoMD"; "FT"; "SP" ]
+
+(* twin pcs of the collapsed jumps: one per splice whose candidate is a call *)
+let call_site_jumps (image : L.image) (m : Fm.t) =
+  List.filter_map
+    (fun (s : Fm.splice) ->
+      match image.L.code.(s.Fm.sp_cand) with
+      | M.Mcalli _ -> Some m.Fm.rank_of_pc.(s.Fm.sp_start)
+      | _ -> None)
+    m.Fm.splices
+
+(* [code] without the slots in [jumps], branch targets shifted to match
+   (nothing branches to a collapsed jump: it is only ever returned to) *)
+let drop_slots (code : M.t array) jumps =
+  let n = Array.length code in
+  let shift = Array.make (n + 1) 0 in
+  for pc = 0 to n - 1 do
+    shift.(pc + 1) <- (shift.(pc) + if List.mem pc jumps then 0 else 1)
+  done;
+  let tr = function
+    | M.Mjmp l -> M.Mjmp shift.(l)
+    | M.Mjcc (cc, l) -> M.Mjcc (cc, shift.(l))
+    | M.Mcalli l -> M.Mcalli shift.(l)
+    | i -> i
+  in
+  Array.of_list
+    (List.filteri (fun pc _ -> not (List.mem pc jumps)) (Array.to_list (Array.map tr code)))
+
+let test_twin_is_fi_free_binary () =
+  List.iter
+    (fun name ->
+      let src = (Reg.find name).Reg.source in
+      let refine = (T.prepare T.Refine src).T.image and pinfi = (T.prepare T.Pinfi src).T.image in
+      match Fm.extract ~lib_call_cost refine with
+      | None -> Alcotest.failf "%s: the REFINE splices do not parse" name
+      | Some (twin, m) ->
+        let jumps = call_site_jumps refine m in
+        Alcotest.(check bool)
+          (name ^ ": has call-site candidates")
+          (List.mem name call_site_programs) (jumps <> []);
+        if jumps = [] then
+          Alcotest.(check bool) (name ^ ": twin = PINFI image") true
+            (Fm.build ~lib_call_cost refine pinfi <> None)
+        else begin
+          Alcotest.(check int)
+            (name ^ ": twin = PINFI + one jump per call-site splice")
+            (Array.length pinfi.L.code + List.length jumps)
+            (Array.length twin.L.code);
+          Alcotest.(check bool)
+            (name ^ ": twin without its call-site jumps = PINFI image")
+            true
+            (drop_slots twin.L.code jumps = pinfi.L.code)
+        end)
+    Reg.names
+
+(* --- call-site candidates: handoffs on the programs that have them ------ *)
+
+let detach_total mode =
+  match Mx.find "refine_detach_total" [ ("tool", "REFINE"); ("mode", mode) ] with
+  | Some (Mx.Counter n) -> n
+  | _ -> 0L
+
+(* A call-site candidate's splice runs on the return edge; the twin pays
+   it at the collapsed jump.  Samples that end inside a callee, or hand
+   off while such a frame is open, must still match the attached run. *)
+let test_call_site_detach_invisible () =
   protected (fun () ->
-      T.reset_artifact_caches ();
-      (* the golden twin is shorter than the instrumented image; the
-         branch-patched fallback is a same-length copy of it *)
-      let golden_target () =
-        let p = T.prepare T.Refine Test_fastpath.src_int in
-        let dt = Option.get p.T.detach in
-        Array.length dt.T.dt_image.L.code < Array.length p.T.image.L.code
-      in
-      Alcotest.(check bool) "map mode" true (golden_target ());
-      T.force_detach_fallback := true;
-      Alcotest.(check bool) "fallback set: patched target" false (golden_target ());
-      T.force_detach_fallback := false;
-      Alcotest.(check bool) "fallback cleared: golden target" true (golden_target ()))
+      Refine_obs.Control.enable ();
+      Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
+          let map0 = detach_total "map" and patch0 = detach_total "patch" in
+          List.iter
+            (fun name ->
+              let p = T.prepare T.Refine (Reg.find name).Reg.source in
+              List.iter
+                (fun model ->
+                  let run () =
+                    List.init 6 (fun i ->
+                        let e = T.run_injection ~model p (P.create (9100 + (31 * i))) in
+                        (e.F.outcome, e.F.run_cost, e.F.fault))
+                  in
+                  T.use_detach := false;
+                  let off = run () in
+                  T.use_detach := true;
+                  let on = run () in
+                  if off <> on then
+                    Alcotest.failf "%s, %s: detach changed a sample" name
+                      (F.string_of_model model))
+                [
+                  F.Reg_bit;
+                  F.Mem_cell;
+                  F.Multi_bit { bits = 3; burst = false };
+                  F.Multi_bit { bits = 4; burst = true };
+                ])
+            call_site_programs;
+          Alcotest.(check bool) "REFINE handed off in map mode" true
+            (Int64.compare (detach_total "map") map0 > 0);
+          Alcotest.(check int64) "and never in patch mode" patch0 (detach_total "patch")))
 
 (* --- per-sample differential: detach on/off, random programs ------------ *)
 
@@ -350,7 +431,7 @@ let prop_detach_invisible =
                 [ T.default_quotas; live ])
             [ T.Refine; T.Llfi ]))
 
-(* --- fixed-seed campaign equality: all five models, both targets -------- *)
+(* --- fixed-seed campaign equality: all five models ----------------------- *)
 
 let campaign_summary model =
   T.reset_artifact_caches ();
@@ -368,14 +449,7 @@ let test_campaign_equality_all_models () =
           T.use_detach := true;
           let detached = campaign_summary model in
           Alcotest.(check string)
-            (F.string_of_model model ^ ": outcome table detach = no-detach") attached detached;
-          (* the overlay fallback (branch-patched target, shared
-             coordinates) must be equally invisible *)
-          T.force_detach_fallback := true;
-          let fallback = campaign_summary model in
-          T.force_detach_fallback := false;
-          Alcotest.(check string)
-            (F.string_of_model model ^ ": outcome table fallback = no-detach") attached fallback)
+            (F.string_of_model model ^ ": outcome table detach = no-detach") attached detached)
         all_models)
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -395,8 +469,10 @@ let tests =
     Alcotest.test_case "per-sample eligibility matrix" `Quick test_plan_matrix;
     Alcotest.test_case "mutated detach image is never served" `Quick
       test_mutated_detach_never_served;
-    Alcotest.test_case "fallback hook re-keys the prepared tier" `Quick
-      test_fallback_toggle_rekeys_prepared;
+    Alcotest.test_case "extracted twin = FI-free binary (+ call-site jumps)" `Quick
+      test_twin_is_fi_free_binary;
+    Alcotest.test_case "call-site candidates: detach on/off identical" `Quick
+      test_call_site_detach_invisible;
     qcheck prop_detach_invisible;
     Alcotest.test_case "fixed-seed campaigns: detach = no-detach for all 5 models" `Slow
       test_campaign_equality_all_models;
