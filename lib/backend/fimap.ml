@@ -23,8 +23,8 @@
    its own rather than extra weight on the next instruction, because a
    weighted slot that traps charges only 1.  Either way a detached run
    charges bit-identical modeled cost at every original-instruction
-   boundary — the invariant that keeps fixed-seed outcome tables identical
-   with detach on or off. *)
+   boundary — the invariant that keeps every detached sample identical to
+   its attached run. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg

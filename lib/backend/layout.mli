@@ -14,9 +14,8 @@ type image = {
   ext_slot_of_pc : int array;
       (** per pc: index into [ext_names] when the instruction is [Mcallext],
           else -1.  The simulator uses this to resolve extern dispatch once
-          per engine instead of hashing the name on every call; -1 (e.g.
-          for code arrays mutated after layout) falls back to the by-name
-          path. *)
+          per engine instead of hashing the name on every call, and rejects
+          an [Mcallext] without a slot with [Invalid_argument]. *)
   class_of_pc : int array;
       (** per pc: the instruction's [Minstr.iclass_index], precomputed for
           the executor's profiling branch.  Exact even under opcode

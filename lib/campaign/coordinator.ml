@@ -265,9 +265,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       S.seed;
       retries;
       cost_cap;
-      output_quota = quotas.T.output_bytes;
-      wall_clock = quotas.T.wall_clock_s;
-      livelock = quotas.T.livelock_window;
+      quotas;
       verify_mir;
       verify_each;
       cache;

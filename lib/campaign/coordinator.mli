@@ -83,9 +83,8 @@ val run_matrix :
     per-model campaigns shard exactly like register-bit ones.  Differences: cells carry an empty [golden_output]
     (like CSV-loaded cells, only its length crosses the wire) and
     [timing] sums per-chunk attributions, so repeated chunk preparations
-    legitimately inflate it relative to a single-process run.  Only the
-    [output_bytes] / [wall_clock_s] / [livelock_window] quota fields
-    travel to workers (the CLI surface); the rest stay at defaults.
+    legitimately inflate it relative to a single-process run.  The whole
+    [quotas] record travels to workers in the [Init] frame.
 
     Observability plane (DESIGN.md §17): when {!Refine_obs.Control} is
     enabled, workers forward cumulative registry snapshots that are

@@ -25,8 +25,11 @@ module Sp = Refine_obs.Span
    carries the trace context, and workers stream Metrics_delta /
    Trace_batch frames (DESIGN.md §17).
    v3: fault models — Assign carries the cell's fault model and Outcome
-   entries echo it back (DESIGN.md §18). *)
-let version = 3
+   entries echo it back (DESIGN.md §18).
+   v4: Init carries the whole Tool.quotas record, so a sharded campaign
+   runs under exactly the in-process sandbox (heap quota and the derived
+   output cap included). *)
+let version = 4
 
 exception Protocol_mismatch of { expected_version : int; tag : int }
 (* An unknown frame tag is a version skew, not a torn frame: a v2 peer
@@ -38,9 +41,7 @@ type config = {
   seed : int;
   retries : int;
   cost_cap : int64 option;
-  output_quota : int option;
-  wall_clock : float option;
-  livelock : int option;
+  quotas : T.quotas;
   verify_mir : bool;
   verify_each : bool;
   cache : bool;
@@ -55,9 +56,7 @@ let default_config =
     seed = 1;
     retries = 0;
     cost_cap = None;
-    output_quota = None;
-    wall_clock = None;
-    livelock = None;
+    quotas = T.default_quotas;
     verify_mir = true;
     verify_each = false;
     cache = true;
@@ -228,9 +227,11 @@ let encode f =
     W.put_int b c.seed;
     W.put_int b c.retries;
     W.put_option b W.put_i64 c.cost_cap;
-    W.put_option b W.put_int c.output_quota;
-    W.put_option b W.put_f64 c.wall_clock;
-    W.put_option b W.put_int c.livelock;
+    W.put_option b W.put_int c.quotas.T.output_bytes;
+    W.put_option b W.put_int c.quotas.T.heap_bytes;
+    W.put_option b W.put_f64 c.quotas.T.wall_clock_s;
+    W.put_option b W.put_int c.quotas.T.livelock_window;
+    W.put_bool b c.quotas.T.derive_output;
     W.put_bool b c.verify_mir;
     W.put_bool b c.verify_each;
     W.put_bool b c.cache;
@@ -308,9 +309,11 @@ let decode payload =
       let seed = W.get_int c in
       let retries = W.get_int c in
       let cost_cap = W.get_option c W.get_i64 in
-      let output_quota = W.get_option c W.get_int in
-      let wall_clock = W.get_option c W.get_f64 in
-      let livelock = W.get_option c W.get_int in
+      let output_bytes = W.get_option c W.get_int in
+      let heap_bytes = W.get_option c W.get_int in
+      let wall_clock_s = W.get_option c W.get_f64 in
+      let livelock_window = W.get_option c W.get_int in
+      let derive_output = W.get_bool c in
       let verify_mir = W.get_bool c in
       let verify_each = W.get_bool c in
       let cache = W.get_bool c in
@@ -323,9 +326,7 @@ let decode payload =
           seed;
           retries;
           cost_cap;
-          output_quota;
-          wall_clock;
-          livelock;
+          quotas = { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output };
           verify_mir;
           verify_each;
           cache;

@@ -14,7 +14,8 @@ val version : int
     carries the trace context, workers stream [Metrics_delta] /
     [Trace_batch] frames (DESIGN.md §17).
     v3: fault models — [Assign] carries the cell's fault model and
-    [Outcome] entries echo it back (DESIGN.md §18). *)
+    [Outcome] entries echo it back (DESIGN.md §18).
+    v4: [Init] carries the whole {!Refine_core.Tool.quotas} record. *)
 
 exception Protocol_mismatch of { expected_version : int; tag : int }
 (** {!decode} met a frame tag this protocol version does not know — a
@@ -25,9 +26,7 @@ type config = {
   seed : int;
   retries : int;
   cost_cap : int64 option;
-  output_quota : int option;
-  wall_clock : float option;
-  livelock : int option;
+  quotas : Refine_core.Tool.quotas;  (** the sandbox envelope, forwarded whole *)
   verify_mir : bool;
   verify_each : bool;
   cache : bool;

@@ -45,14 +45,6 @@ let fds_var = "REFINE_SHARD_FDS"
 let fd_of_int : int -> Unix.file_descr = Obj.magic
 let int_of_fd : Unix.file_descr -> int = Obj.magic
 
-let quotas_of_config (c : S.config) =
-  {
-    T.default_quotas with
-    T.output_bytes = c.S.output_quota;
-    wall_clock_s = c.S.wall_clock;
-    livelock_window = c.S.livelock;
-  }
-
 (* placeholder for samples outside this chunk: run_cell treats them as
    resolved (skipping execution) but the worker discards its own counts —
    the coordinator aggregates from Outcome frames, so the values here are
@@ -135,7 +127,7 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
   let pipeline = Option.map Refine_passes.Pipeline.parse config.S.pipeline in
   match
     E.run_cell ~domains:1 ~sink ~heartbeat ~retries:config.S.retries
-      ?cost_cap:config.S.cost_cap ~quotas:(quotas_of_config config) ~model:fault_model
+      ?cost_cap:config.S.cost_cap ~quotas:config.S.quotas ~model:fault_model
       ?pipeline ~verify_mir:config.S.verify_mir ~verify_each:config.S.verify_each
       ~cache:config.S.cache ~samples ~seed:config.S.seed tool_kind ~program ~source ()
   with

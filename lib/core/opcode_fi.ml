@@ -29,30 +29,29 @@ let alternatives = Corrupt.alternatives
 
 let is_target i = alternatives i <> []
 
-type ctrl = {
-  mutable count : int;
-  mode : Runtime.mode;
-  mutable fired : bool;
-  mutable corrupted_pc : int option;
-}
-
-let create mode = { count = 0; mode; fired = false; corrupted_pc = None }
-
-(* a fresh engine with the corruption hook *)
-let attach (ctrl : ctrl) (image : L.image) : E.t =
+(* a fresh engine with the corruption hook; the fault record names the
+   corrupted pc *)
+let attach (ctrl : Runtime.ctrl) (image : L.image) : E.t =
   let eng = E.create image in
   let hook (eng : E.t) (pc : int) (i : M.t) =
     if is_target i then begin
-      ctrl.count <- ctrl.count + 1;
-      match ctrl.mode with
+      ctrl.Runtime.count <- ctrl.Runtime.count + 1;
+      match ctrl.Runtime.mode with
       | Runtime.Profile -> ()
       | Runtime.Inject { target; rng; model = _ } ->
-        if (not ctrl.fired) && ctrl.count = target then begin
-          ctrl.fired <- true;
+        if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
+          ctrl.Runtime.fired <- true;
           let alts = alternatives i in
           let replacement = List.nth alts (P.int rng (List.length alts)) in
           E.set_overlay eng ~pc (Some replacement);
-          ctrl.corrupted_pc <- Some pc;
+          ctrl.Runtime.record <-
+            Some
+              {
+                Fault.dyn_index = Int64.of_int ctrl.Runtime.count;
+                op_index = 0;
+                reg_name = Printf.sprintf "pc=%d" pc;
+                bit = -1;
+              };
           eng.E.post_hook <- None;
           eng.E.hook_cost <- 0
         end
@@ -64,7 +63,7 @@ let attach (ctrl : ctrl) (image : L.image) : E.t =
 
 (* profiling + one experiment, mirroring Tool.run_injection *)
 let profile (image : L.image) : Fault.profile =
-  let ctrl = create Runtime.Profile in
+  let ctrl = Runtime.create Runtime.Profile in
   let eng = attach ctrl image in
   let r = E.run ~max_steps:2_000_000_000L eng in
   (match r.E.status with
@@ -73,7 +72,7 @@ let profile (image : L.image) : Fault.profile =
   {
     Fault.golden_output = r.E.output;
     golden_exit = 0;
-    dyn_count = Int64.of_int ctrl.count;
+    dyn_count = Int64.of_int ctrl.Runtime.count;
     profile_cost = r.E.cost;
   }
 
@@ -81,15 +80,9 @@ let run_injection (image : L.image) (p : Fault.profile) (rng : P.t) : Fault.expe
   if p.Fault.dyn_count = 0L then { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
   else begin
     let target = Int64.to_int (Int64.add 1L (P.int64 rng p.Fault.dyn_count)) in
-    let ctrl = create (Runtime.Inject { target; rng; model = Fault.Reg_bit }) in
+    let ctrl = Runtime.create (Runtime.Inject { target; rng; model = Fault.Reg_bit }) in
     let eng = attach ctrl image in
     let max_cost = Int64.mul Fi_cost.timeout_factor p.Fault.profile_cost in
     let r = E.run ~max_cost eng in
-    let fault =
-      match ctrl.corrupted_pc with
-      | Some pc ->
-        Some { Fault.dyn_index = Int64.of_int ctrl.count; op_index = 0; reg_name = Printf.sprintf "pc=%d" pc; bit = -1 }
-      | None -> None
-    in
-    { Fault.outcome = Fault.classify p r; run_cost = r.E.cost; fault }
+    { Fault.outcome = Fault.classify p r; run_cost = r.E.cost; fault = ctrl.Runtime.record }
   end

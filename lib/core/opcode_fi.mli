@@ -16,17 +16,11 @@ val alternatives : Refine_mir.Minstr.t -> Refine_mir.Minstr.t list
 
 val is_target : Refine_mir.Minstr.t -> bool
 
-type ctrl = {
-  mutable count : int;
-  mode : Runtime.mode;
-  mutable fired : bool;
-  mutable corrupted_pc : int option;
-}
-
-val create : Runtime.mode -> ctrl
-
-val attach : ctrl -> Refine_backend.Layout.image -> Refine_machine.Exec.t
-(** Fresh engine with the corruption hook installed. *)
+val attach : Runtime.ctrl -> Refine_backend.Layout.image -> Refine_machine.Exec.t
+(** Fresh engine with the corruption hook installed: it counts target
+    instructions in [ctrl.count] and, in [Runtime.Inject] mode, corrupts
+    the target instance's opcode and records the corrupted pc in
+    [ctrl.record]. *)
 
 val profile : Refine_backend.Layout.image -> Fault.profile
 (** Fault-free counting run (the corruption population differs from the

@@ -14,44 +14,33 @@ module R = Refine_mir.Reg
 module P = Refine_support.Prng
 module Selection = Refine_passes.Selection
 
-type ctrl = {
-  mutable count : int; (* native int: incremented once per hooked instruction *)
-  mode : Runtime.mode;
-  mutable fired : bool;
-  mutable record : Fault.record option;
-  sel : Selection.t;
-}
-
-let create ?(sel = Selection.default) mode = { count = 0; mode; fired = false; record = None; sel }
-
-let attach (ctrl : ctrl) (eng : E.t) =
-  let all_funcs = List.mem "*" ctrl.sel.Selection.funcs in
+let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
+  let all_funcs = List.mem "*" sel.Selection.funcs in
   let hook (eng : E.t) (pc : int) (i : M.t) =
     if
-      Selection.minstr_selected ctrl.sel i
-      && (all_funcs
-         || Selection.func_selected ctrl.sel eng.E.image.Refine_backend.Layout.func_of_pc.(pc))
+      Selection.minstr_selected sel i
+      && (all_funcs || Selection.func_selected sel eng.E.image.Refine_backend.Layout.func_of_pc.(pc))
     then begin
-      ctrl.count <- ctrl.count + 1;
-      match ctrl.mode with
+      ctrl.Runtime.count <- ctrl.Runtime.count + 1;
+      match ctrl.Runtime.mode with
       | Runtime.Profile -> ()
       | Runtime.Inject { target; rng; model } ->
-        if (not ctrl.fired) && ctrl.count = target then begin
-          ctrl.fired <- true;
-          let dyn_index = Int64.of_int ctrl.count in
+        if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
+          ctrl.Runtime.fired <- true;
+          let dyn_index = Int64.of_int ctrl.Runtime.count in
           (match model with
           | Fault.Mem_cell ->
-            ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index)
+            ctrl.Runtime.record <- Some (Corrupt.mem_fault rng eng ~dyn_index)
           | Fault.Instr_image ->
             (* the DBI hook knows the exact pc it observed — no walk-back *)
-            ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index)
+            ctrl.Runtime.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index)
           | Fault.Reg_bit | Fault.Multi_bit _ ->
             let outs = M.outputs i in
             let op = P.int rng (List.length outs) in
             let reg = List.nth outs op in
             let bit, mask = Corrupt.draw_mask rng ~width:(R.width_bits reg) model in
             eng.E.regs.(reg) <- Int64.logxor eng.E.regs.(reg) mask;
-            ctrl.record <-
+            ctrl.Runtime.record <-
               Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
           (* detach: drop the hook and the DBI per-instruction tax *)
           eng.E.post_hook <- None;

@@ -18,11 +18,16 @@ type mode =
           {!Corrupt} with the hook as the trigger clock. *)
 
 type ctrl = {
-  mutable count : int;  (** dynamic instrumented-instruction counter *)
+  mutable count : int;
+      (** dynamic target counter: instrumented instructions (REFINE, LLFI),
+          selected hooked instructions ({!Pinfi}) or opcode-corruption
+          targets ({!Opcode_fi}) *)
   mode : mode;
   mutable fired : bool;
   mutable record : Fault.record option;
 }
+(** The one FI control record: every injector counts its dynamic targets
+    and fires its single fault through it. *)
 
 val create : mode -> ctrl
 

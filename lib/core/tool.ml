@@ -181,9 +181,7 @@ let acquire cell ?(ext_extra = []) snap dprog =
       c := Some eng;
       eng
   in
-  (match eng.E.dprog with
-  | Some dp when dp == dprog -> ()
-  | _ -> E.install_decoded eng (Some dprog));
+  E.install_decoded eng (Some dprog);
   eng
 
 let m_superinstr =
@@ -230,8 +228,6 @@ let decode image =
    Eligibility is decided per sample by [detach_plan_for]; every
    ineligible or declined case simply runs attached — detach is an
    optimization, never a semantics change. *)
-
-let use_detach = ref true
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
@@ -321,8 +317,8 @@ let no_chaos = { break_mir = false; flaky_golden = false }
 
    Prepared entries carry a fingerprint of the image's code array,
    re-checked on every serve, so post-layout code mutation (chaos hooks,
-   the extern slot -1 fallback path of DESIGN.md §14) invalidates instead
-   of serving a corrupted binary.  Chaos runs bypass every tier. *)
+   a test writing into a cached image) invalidates instead of serving a
+   corrupted binary.  Chaos runs bypass every tier. *)
 
 let default_pipeline = Pl.of_level Pl.O2
 
@@ -422,34 +418,32 @@ let build_detach (kind : kind) image : detach_target option =
    mismatch, budget edge); everything here is knowable before the run. *)
 let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
     E.detach_plan option =
-  if not !use_detach then None
-  else
-    match p.detach with
-    | None -> None
-    | Some dt ->
-      let model_ok =
-        match (p.kind, model) with
-        (* a REFINE Instr_image overlay lands in instrumented coordinates
-           (possibly on a spliced pc): meaningless on the golden twin *)
-        | Refine, Fault.Instr_image -> false
-        | _ -> true
-      in
-      let livelock_ok =
-        match quotas.livelock_window with
-        (* LLFI patch targets retire 1:1 steps with identical register
-           state, so fingerprint instants and verdicts are unchanged;
-           REFINE targets retire fewer steps post-handoff and would shift
-           the fingerprint cadence *)
-        | Some _ -> p.kind = Llfi
-        | None -> true
-      in
-      if model_ok && livelock_ok then
-        Some
-          {
-            E.plan_target = (fun () -> acquire detach_cell dt.dt_snap dt.dt_dprog);
-            plan_map = dt.dt_map;
-          }
-      else None
+  match p.detach with
+  | None -> None
+  | Some dt ->
+    let model_ok =
+      match (p.kind, model) with
+      (* a REFINE Instr_image overlay lands in instrumented coordinates
+         (possibly on a spliced pc): meaningless on the golden twin *)
+      | Refine, Fault.Instr_image -> false
+      | _ -> true
+    in
+    let livelock_ok =
+      match quotas.livelock_window with
+      (* LLFI patch targets retire 1:1 steps with identical register
+         state, so fingerprint instants and verdicts are unchanged;
+         REFINE targets retire fewer steps post-handoff and would shift
+         the fingerprint cadence *)
+      | Some _ -> p.kind = Llfi
+      | None -> true
+    in
+    if model_ok && livelock_ok then
+      Some
+        {
+          E.plan_target = (fun () -> acquire detach_cell dt.dt_snap dt.dt_dprog);
+          plan_map = dt.dt_map;
+        }
+    else None
 
 (* ---- the run driver ----------------------------------------------------
 
@@ -457,38 +451,33 @@ let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
    paper's Figure 3, profiling and injection run the same binary and only
    the control library's [mode] differs: REFINE and LLFI bind the runtime
    library's extern handlers, PINFI attaches its DBI hook (its tiny
-   instrumentation phase).  [run] executes the acquired engine, forwarding
-   the detach [plan]; afterwards the fast-path selector calls are folded
+   instrumentation phase); all three count and fire through one
+   [Runtime.ctrl].  [run] executes the acquired engine, forwarding the
+   detach [plan]; afterwards the fast-path selector calls are folded
    back, the run is flushed into the metrics registry and an armed plan's
-   handoff is accounted.  Returns (result, dynamic site count, fired,
-   fault record). *)
+   handoff is accounted.  Returns the result and the control record. *)
 let drive ?phases ?plan (p : prepared) mode
     (run : ?detach:E.detach_plan -> E.t -> E.result) =
   let time name f = match phases with None -> f () | Some ph -> Obs.Phase.time ph name f in
+  let ctrl = Runtime.create mode in
   let acquire ?ext_extra () = acquire engine_cell ?ext_extra p.snap p.dprog in
-  let eng, collect =
+  let eng =
     match p.kind with
-    | Refine | Llfi ->
-      let ctrl = Runtime.create mode in
-      let handlers = if p.kind = Refine then Runtime.refine_handlers else Runtime.llfi_handlers in
-      let eng = acquire ~ext_extra:(handlers ctrl) () in
-      ( eng,
-        fun () ->
-          Runtime.absorb ctrl eng;
-          (ctrl.Runtime.count, ctrl.Runtime.fired, ctrl.Runtime.record) )
+    | Refine -> acquire ~ext_extra:(Runtime.refine_handlers ctrl) ()
+    | Llfi -> acquire ~ext_extra:(Runtime.llfi_handlers ctrl) ()
     | Pinfi ->
-      let ctrl = Pinfi.create ~sel:p.sel mode in
       let eng = acquire () in
-      time "instrument" (fun () -> Pinfi.attach ctrl eng);
-      (eng, fun () -> (ctrl.Pinfi.count, ctrl.Pinfi.fired, ctrl.Pinfi.record))
+      time "instrument" (fun () -> Pinfi.attach ~sel:p.sel ctrl eng);
+      eng
   in
   maybe_profile eng;
   let r = run ?detach:plan eng in
-  let count, fired, record = collect () in
-  flush_obs p.kind eng ~fi_hits:count ~run_cost:r.E.cost;
+  Runtime.absorb ctrl eng;
+  flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
   let detach_mode = match p.detach with Some { dt_map = Some _; _ } -> "map" | _ -> "patch" in
-  note_detach_result p.kind ~armed:(Option.is_some plan) ~mode:detach_mode ~fired r;
-  (r, count, fired, record)
+  note_detach_result p.kind ~armed:(Option.is_some plan) ~mode:detach_mode
+    ~fired:ctrl.Runtime.fired r;
+  (r, ctrl)
 
 (* ---- prepare ----------------------------------------------------------- *)
 
@@ -582,11 +571,11 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
     }
   in
   let profile_once () =
-    let r, count, _, _ =
+    let r, ctrl =
       drive ?phases unprofiled Runtime.Profile (fun ?detach eng ->
           time "execute" (fun () -> E.run ~max_steps ?detach eng))
     in
-    (count, r)
+    (ctrl.Runtime.count, r)
   in
   (* first run becomes the golden profile; the second must agree with it *)
   let count1, r1 = profile_once () in
@@ -663,7 +652,7 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     note_injection p.kind model;
     (* post-injection handoff plan (DESIGN.md §20), when tool/model/quota
        eligibility allows; [None] simply runs attached *)
-    let r, _, _, record =
+    let r, ctrl =
       drive ?plan:(detach_plan_for ~quotas p model) p (Runtime.Inject { target; rng; model })
         (fun ?detach eng ->
           E.run ~max_cost
@@ -673,5 +662,5 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     in
     note_quota_trip r;
     if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);
-    { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = record }
+    { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = ctrl.Runtime.record }
   end

@@ -40,18 +40,15 @@ val derived_output_quota : Fault.profile -> int
 (** [max 4096 (16 * length golden_output)] — the cap [derive_output]
     computes for a prepared program. *)
 
-(** {1 Post-injection detach (DESIGN.md §20)} *)
+(** {1 Post-injection detach (DESIGN.md §20)}
 
-val use_detach : bool ref
-(** When [true] (the default), REFINE and LLFI samples hand off to their
-    prepared detach target once the single injection has retired: the
-    architectural state transfers onto an engine running the tool's
-    binary without its FI tax, decoded with attached-equivalent cost
-    weights, and the rest of the run retires at golden speed — the same
-    detach the paper's PINFI performs (§5.2).  Test hook: set to [false]
-    to run every sample attached to completion, the reference the
-    differential detach suite compares against; fixed-seed outcome tables
-    are bit-identical either way. *)
+    REFINE and LLFI samples hand off to their prepared detach target once
+    the single injection has retired: the architectural state transfers
+    onto an engine running the tool's binary without its FI tax, decoded
+    with attached-equivalent cost weights, and the rest of the run retires
+    at golden speed — the same detach the paper's PINFI performs (§5.2).
+    The test suite checks every such sample against a step-loop run of
+    the instrumented binary with no detach. *)
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
@@ -88,7 +85,7 @@ type prepared = {
 val detach_plan_for :
   quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
 (** Per-sample eligibility (the decline matrix of DESIGN.md §20): [None]
-    when detach is switched off, the tool has no target, the
+    when the tool has no target, the
     model strikes state the target cannot carry (REFINE + Instr_image),
     or the livelock detector is armed for a tool whose target is not
     step-exact (REFINE).  The returned plan can still decline at run time

@@ -89,7 +89,7 @@ type priv = {
       (* one flag per page of [mem]: a clear flag means the page is all
          zero.  Set by every write to [mem]; cleared by [reset], which
          zeroes exactly the flagged pages. *)
-  mutable snap : snapshot option; (* what [reset] restores; None for [create] *)
+  mutable snap : snapshot; (* what a plain [reset] restores *)
 }
 
 type t = {
@@ -129,11 +129,10 @@ type t = {
          None = [run] drives the [step] loop *)
   mutable d_active : (t -> unit) array;
       (* the dispatch table the decoded loop reads: [dprog.d_fused]
-         normally, [dprog.d_single] while an Instr_image overlay is armed
-         (a superinstruction head must never replay a stale slot) *)
-  mutable d_overlay : (t -> unit) option;
-      (* decoded form of [overlay_instr], rebuilt by [set_overlay] and
-         cleared by [reset] in the same pass as [overlay_pc]/[fi_mask] *)
+         normally; while an Instr_image overlay is armed, an engine-private
+         copy of [dprog.d_single] whose overlaid slot runs the mutated
+         instruction (a superinstruction head must never replay a stale
+         slot) *)
   mutable d_check : unit -> unit;
       (* the current run's 1024-step poll-slot check, called by decoded
          closures after every retired constituent *)
@@ -386,19 +385,13 @@ let bind_handlers t =
       | None -> (
         match t.builtins.(k) with Some h -> h | None -> unknown_extern name))
 
-(* Slow path for an [Mcallext] at a pc layout did not resolve
-   (ext_slot_of_pc = -1, e.g. a code array mutated after layout): the
-   by-name lookup. *)
-let do_callext (t : t) name =
-  match Hashtbl.find_opt t.ext_extra name with
-  | Some (cost, fn) ->
-    t.cost <- t.cost + cost;
-    count_ext t cost;
-    fn t
-  | None -> (
-    match builtin_handler name with
-    | Some h -> h t
-    | None -> unknown_extern name t)
+(* The extern slot of the [Mcallext] at [pc].  [Layout.build] and
+   [Fimap] give every [Mcallext] one and no fault model creates an
+   [Mcallext], so a missing slot is a harness defect. *)
+let ext_slot (image : L.image) pc =
+  let slot = image.L.ext_slot_of_pc.(pc) in
+  if slot < 0 then invalid_arg (Printf.sprintf "Exec: Mcallext at pc %d has no extern slot" pc);
+  slot
 
 (* --- engine construction ------------------------------------------------ *)
 
@@ -435,7 +428,7 @@ let load (t : t) (s : snapshot) =
   done;
   store64 t (Mem.mem_size - 8) sentinel
 
-let make ~(ext_extra : (string * int * (t -> unit)) list) (s : snapshot) ~resettable : t =
+let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   let image = s.s_image in
   let self = ref None in
   let mem = Bytes.make Mem.mem_size '\000' in
@@ -487,7 +480,6 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (s : snapshot) ~resett
       overlay_instr = None;
       dprog = None;
       d_active = [||];
-      d_overlay = None;
       d_check = no_check;
       d_max_steps = max_int;
       d_max_cost = max_int;
@@ -499,7 +491,7 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (s : snapshot) ~resett
       cs_slots = Array.make 64 0;
       cs_vals = Array.make 64 0L;
       cs_len = 0;
-      priv = { dirty = Bytes.make num_pages '\000'; snap = (if resettable then Some s else None) };
+      priv = { dirty = Bytes.make num_pages '\000'; snap = s };
     }
   in
   self := Some t;
@@ -510,10 +502,7 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (s : snapshot) ~resett
   t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
   t
 
-let create ?(ext_extra = []) (image : L.image) : t =
-  make ~ext_extra (snapshot image) ~resettable:false
-
-let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t = make ~ext_extra s ~resettable:true
+let create ?ext_extra (image : L.image) : t = create_from_snapshot ?ext_extra (snapshot image)
 
 (* Restore the pristine post-loader state: zero the touched pages and
    reload the snapshot — the bound one, or [snapshot], which moves the
@@ -523,11 +512,7 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t = make ~ext_extra 
    fresh [create_from_snapshot] (the differential property tests assert
    exactly this). *)
 let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
-  let s =
-    match (snapshot, t.priv.snap) with
-    | Some s, _ | None, Some s -> s
-    | None, None -> invalid_arg "Exec.reset: engine was not created from a snapshot"
-  in
+  let s = match snapshot with Some s -> s | None -> t.priv.snap in
   if s.s_image != t.image then begin
     (* a property of the image, not of a sample: rebind the memoized
        builtins and drop a decode built for the old image *)
@@ -535,7 +520,7 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
     t.builtins <- Array.map builtin_handler s.s_image.L.ext_names;
     t.dprog <- None
   end;
-  t.priv.snap <- Some s;
+  t.priv.snap <- s;
   load t s;
   Array.fill t.regs 0 (Array.length t.regs) 0L;
   t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
@@ -553,10 +538,8 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   t.fi_mask <- 0L;
   t.overlay_pc <- -1;
   t.overlay_instr <- None;
-  (* decoded-overlay state is cleared in the same pass as the overlay and
-     FI mask: a reused engine must never dispatch a stale corrupted decode
-     or keep running on the overlay-degraded single-instruction table *)
-  t.d_overlay <- None;
+  (* the overlay table goes with the overlay: a reused engine must never
+     dispatch a stale corrupted decode or keep running fusion-free *)
   (match t.dprog with Some dp -> t.d_active <- dp.d_fused | None -> t.d_active <- [||]);
   t.d_check <- no_check;
   t.d_max_steps <- max_int;
@@ -660,10 +643,9 @@ let exec_instr (t : t) pc0 (i : M.t) =
          cs_push t (Int64.to_int t.regs.(R.rsp)) ra;
          t.pc <- target
        | M.Mcall name -> raise (Halt_trap (Extern_fault ("unresolved call " ^ name)))
-       | M.Mcallext name ->
+       | M.Mcallext _ ->
          (* pre-resolved dispatch: no string hashing on the hot path *)
-         let slot = t.image.L.ext_slot_of_pc.(pc0) in
-         if slot >= 0 then t.handlers.(slot) t else do_callext t name
+         t.handlers.(ext_slot t.image pc0) t
        | M.Mret ->
          let ra = pop t in
          cs_pop t;
@@ -739,11 +721,16 @@ let step (t : t) =
      pc, so budget exhaustion, traps and taken branches leave the machine
      in the state the legacy interpreter would;
    - fused idioms contain no extern calls, so nothing a constituent
-     executes can install an overlay or a DBI hook mid-fusion;
+     executes can install an overlay or a DBI hook mid-fusion (the
+     fi-splice's selector call is the one extern, and the splice returns
+     to the loop if the call armed an overlay);
+   - a superinstruction whose guard declines runs its constituents'
+     single decodes, so there is one exact path per instruction;
    - the dispatch loop falls back to the legacy [step] while a [post_hook]
      is attached (PINFI / tracing observe per-instruction semantics, and
-     decoded dispatch resumes the moment the hook detaches itself) and
-     routes the overlaid pc through the overlay decode.
+     decoded dispatch resumes the moment the hook detaches itself);
+   - an Instr_image overlay switches the engine to a private fusion-free
+     table whose overlaid slot runs the mutated instruction's decode.
 
    Decoded closures capture no engine: a [dprogram] is immutable and
    shared read-only across engines and domains. *)
@@ -771,14 +758,11 @@ let[@inline always] dstore64 t addr v =
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
 (* per-constituent accounting, identical to [exec_instr]'s prologue with
-   the opcode class [k] and the slot's cost weight [cw] baked in at decode
-   time.  [cw] is 1 for plain code; detach-target images carry the
-   attached-equivalent modeled cost of skipped instrumentation on the
-   surviving slots (DESIGN.md §20), so a detached run's cost trajectory
-   matches the attached run's at every original-instruction boundary. *)
-let[@inline always] account (t : t) k cw =
+   the opcode class [k] baked in at decode time.  Only weight-1 slots
+   account here: a weighted slot (DESIGN.md §20) decodes to [via_legacy]. *)
+let[@inline always] account (t : t) k =
   t.steps <- t.steps + 1;
-  t.cost <- t.cost + cw + t.hook_cost;
+  t.cost <- t.cost + 1 + t.hook_cost;
   match t.prof with
   | None -> ()
   | Some p -> p.class_steps.(k) <- p.class_steps.(k) + 1
@@ -850,41 +834,40 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
        match t.status with Running -> t.cost <- t.cost + (cw - 1) | _ -> ());
     rc t
   in
-  (* weighted slots always take the legacy route: the fast-path closures
-     charge [cw] before executing, which would over-charge a slot that
-     traps mid-instruction.  Weighted slots are rare (one per candidate
-     on a detach target, none on plain images), so this costs nothing on
-     the hot path. *)
+  (* weighted slots always take the legacy route, which tops the weight up
+     only once the instruction retired: the fast-path closures account
+     before executing.  Plain images have no weighted slot; a detach
+     target has one per candidate. *)
   if cw > 1 then via_legacy
   else
   match i with
   | M.Mmov (d, M.Reg s) when okr d && okr s ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Array.unsafe_get t.regs s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (dload64 t (Int64.to_int (Array.unsafe_get t.regs b) + off));
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       dstore64 t (Int64.to_int (Array.unsafe_get t.regs b) + off) (Array.unsafe_get t.regs s);
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (dload64 t
@@ -894,7 +877,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       dstore64 t
         (Int64.to_int (Array.unsafe_get t.regs b)
@@ -905,7 +888,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (Int64.add
@@ -915,7 +898,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, None, off) when okr d && okr b ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Int64.add (Array.unsafe_get t.regs b) offl);
       rc t
@@ -930,55 +913,55 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.add (Array.unsafe_get t.regs a) vb)
       | Sub ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.sub (Array.unsafe_get t.regs a) vb)
       | Mul ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.mul (Array.unsafe_get t.regs a) vb)
       | And ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logand (Array.unsafe_get t.regs a) vb)
       | Or ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logor (Array.unsafe_get t.regs a) vb)
       | Xor ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logxor (Array.unsafe_get t.regs a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_left (Array.unsafe_get t.regs a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_right_logical (Array.unsafe_get t.regs a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_right (Array.unsafe_get t.regs a) sh)
       | Div ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -986,7 +969,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
           else fin t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -996,58 +979,58 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Sub ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Mul ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | And ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Or ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Xor ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Shl ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_left (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Lshr ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_right_logical (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Ashr ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_right (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Div ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -1055,7 +1038,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
           else fin t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -1069,73 +1052,73 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (match (op : Refine_ir.Ir.fbinop) with
     | Fadd ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) +. f64 (Array.unsafe_get t.regs b))
     | Fsub ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) -. f64 (Array.unsafe_get t.regs b))
     | Fmul ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) *. f64 (Array.unsafe_get t.regs b))
     | Fdiv ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) /. f64 (Array.unsafe_get t.regs b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (-.f64 (Array.unsafe_get t.regs a)));
         rc t
     | Fsqrt ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (sqrt (f64 (Array.unsafe_get t.regs a))));
         rc t
     | Fabs ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (Float.abs (f64 (Array.unsafe_get t.regs a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (b64 (Int64.to_float (Array.unsafe_get t.regs a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (Array.unsafe_get t.regs a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let fl = flags_of (Array.unsafe_get t.regs a) vb in
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let fl = flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb) in
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let va = f64 (Array.unsafe_get t.regs a) and vb = f64 (Array.unsafe_get t.regs b) in
       let fl =
@@ -1147,7 +1130,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then 1L else 0L);
@@ -1156,7 +1139,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     match int_cc cc with
     | Some (mask, want) ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         let fl = Int64.to_int (Array.unsafe_get t.regs R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
@@ -1164,36 +1147,36 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     | None ->
       let test = cc_fn cc in
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- target;
       rc t
   | M.Mpush r when okr r ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t (Array.unsafe_get t.regs r);
       rc t
   | M.Mpop r when okr r ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs r (pop t);
       rc t
   | M.Mpushf ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t t.regs.(R.flags);
       rc t
   | M.Mpopf ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       t.regs.(R.flags) <- pop t;
       rc t
@@ -1201,7 +1184,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (* the return address is a decode-time constant: no box per call *)
     let ra = Int64.of_int pc1 in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t ra;
       cs_push t (Int64.to_int (Array.unsafe_get t.regs R.rsp)) ra;
@@ -1210,28 +1193,21 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mcall name ->
     let tr = Halt_trap (Extern_fault ("unresolved call " ^ name)) in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       raise tr
-  | M.Mcallext name ->
+  | M.Mcallext _ ->
     (* extern slot resolved at decode time (the §14 fast path, one step
-       earlier); slot -1 = post-layout mutated code, by-name fallback *)
-    let slot = image.L.ext_slot_of_pc.(pc0) in
-    if slot >= 0 then
-      fun t ->
-        account t k cw;
-        t.pc <- pc1;
-        t.handlers.(slot) t;
-        rc t
-    else
-      fun t ->
-        account t k cw;
-        t.pc <- pc1;
-        do_callext t name;
-        rc t
+       earlier) *)
+    let slot = ext_slot image pc0 in
+    fun t ->
+      account t k;
+      t.pc <- pc1;
+      t.handlers.(slot) t;
+      rc t
   | M.Mret ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let ra = pop t in
       cs_pop t;
@@ -1245,7 +1221,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mxorbit (d, s) when okr d && okr s ->
     let sp = d = R.rsp || d = R.rbp in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       if sp then t.sp_struck <- true;
       (if t.fi_mask <> 0L then begin
@@ -1260,7 +1236,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let addr = Int64.to_int (Array.unsafe_get t.regs b) + off in
       let v = dload64 t addr in
@@ -1276,7 +1252,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mhalt ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr));
       rc t
@@ -1304,16 +1280,17 @@ let compose2 next1 (f1 : dop) (f2 : dop) : dop =
    counter writes collapse into one batched update and the intermediate
    FLAGS/pc writes into their final values — bit-identical by construction,
    since no observation point was skipped.  The guard declining (boundary
-   or budget edge inside the group) falls back to the constituent-exact
-   slow path, which retires one at a time with the legacy poll-slot test
-   after each. *)
+   or budget edge inside the group) runs the constituents' own single
+   decodes, composed with [compose2]. *)
 
 (* Hand-fused integer compare-branch: one closure, flags kept in a local,
-   the cc as a decode-time FLAGS bit test. *)
-let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt :
-    dop =
+   the cc as a decode-time FLAGS bit test.  [cw0]/[cw1] are the slots'
+   cost weights (1 on plain images). *)
+let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask ~want
+    ~tgt : dop =
   let k0 = image.L.class_of_pc.(pc0) and k1 = image.L.class_of_pc.(pc0 + 1) in
-  let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
+  let pc2 = pc0 + 2 in
+  let exact = compose2 (pc0 + 1) single.(pc0) single.(pc0 + 1) in
   let finish (t : t) fl =
     let s = t.steps in
     let c2 = cw0 + cw1 + (2 * t.hook_cost) in
@@ -1329,19 +1306,7 @@ let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask 
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       t.pc <- (if (fl land mask <> 0) = want then tgt else pc2)
     end
-    else begin
-      (* constituent-exact slow path across the boundary/edge *)
-      account t k0 cw0;
-      t.pc <- pc1;
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
-      rc t;
-      if d_live t then begin
-        account t k1 cw1;
-        t.pc <- pc2;
-        if (fl land mask <> 0) = want then t.pc <- tgt;
-        rc t
-      end
-    end
+    else exact t
   in
   match b with
   | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
@@ -1359,12 +1324,13 @@ let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask 
    boundary iteration goes through the constituent-exact path, firing the
    poll check at exactly the legacy step count with exactly the legacy
    architectural state. *)
-let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask
+let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask
     ~want ~tgt ~jt ~spin : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
+  let exact = compose2 pc1 single.(pc0) (compose2 pc2 single.(pc1) single.(pc2)) in
   let finish (t : t) fl =
     let s = t.steps in
     let hc = t.hook_cost in
@@ -1415,29 +1381,7 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
         end
       end
     end
-    else begin
-      (* constituent-exact slow path across the boundary/edge *)
-      account t k0 cw0;
-      t.pc <- pc1;
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
-      rc t;
-      if d_live t then begin
-        account t k1 cw1;
-        t.pc <- pc2;
-        if (fl land mask <> 0) = want then begin
-          t.pc <- tgt;
-          rc t
-        end
-        else begin
-          rc t;
-          if d_live t then begin
-            account t k2 cw2;
-            t.pc <- jt;
-            rc t
-          end
-        end
-      end
-    end
+    else exact t
   in
   match b with
   | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
@@ -1459,15 +1403,15 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
    before the exit value, the next poll slot, or a budget edge — with the
    latch register and FLAGS materialized to their exact architectural
    values at the stopping point. *)
-let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
+let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
     (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt ~burn : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc3 = pc0 + 3 in
-  let s0 = decode_one ?cost_of image pc0 image.L.code.(pc0)
-  and s1 = decode_one ?cost_of image (pc0 + 1) image.L.code.(pc0 + 1)
-  and s2 = decode_one ?cost_of image (pc0 + 2) image.L.code.(pc0 + 2) in
+  let exact =
+    compose2 (pc0 + 1) single.(pc0) (compose2 (pc0 + 2) single.(pc0 + 1) single.(pc0 + 2))
+  in
   fun t ->
     let s = t.steps in
     let c3 = cw0 + cw1 + cw2 + (3 * t.hook_cost) in
@@ -1538,14 +1482,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
       end
       else t.pc <- pc3
     end
-    else begin
-      (* constituent-exact slow path across the boundary/edge *)
-      s0 t;
-      if t.pc = pc0 + 1 && d_live t then begin
-        s1 t;
-        if t.pc = pc0 + 2 && d_live t then s2 t
-      end
-    end
+    else exact t
 
 (* Hand-fused REFINE FI splice (DESIGN.md §20): the instrumentation the
    pass wraps around every candidate —
@@ -1567,7 +1504,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
    exact — the fire path's cmp/jcc at [a+1] is the ordinary fused
    compare-branch.  Guard failure runs the head's single decode; the
    interior pcs keep their single decodes, so nothing is lost. *)
-let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
+let fuse_splice (image : L.image) (single : dop array) pc0 ~pf ~r0 ~post : dop =
   let a = pc0 + if pf then 2 else 1 in
   let slot = image.L.ext_slot_of_pc.(a) in
   let npush = if pf then 2 else 1 in
@@ -1581,7 +1518,7 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
   and k_jcc = cls.(a + 2)
   and k_popf = cls.(post)
   and k_pop = cls.(sp_end) in
-  let s_head = decode_one image pc0 image.L.code.(pc0) in
+  let s_head = single.(pc0) in
   let floor = Mem.mem_size - Mem.stack_limit in
   let ret_clobbered = r0 <> R.ret_gpr in
   fun t ->
@@ -1651,7 +1588,7 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
         p.class_steps.(k_push) <- p.class_steps.(k_push) + 1;
         if pf then p.class_steps.(k_pushf) <- p.class_steps.(k_pushf) + 1);
       (* the selector call, constituent-exact *)
-      account t k_call 1;
+      account t k_call;
       t.pc <- a + 1;
       t.handlers.(slot) t;
       if
@@ -1724,7 +1661,7 @@ let decode ?cost_of (image : L.image) : dprogram =
                &&
                if pf then code.(post) = M.Mpopf && code.(post + 1) = M.Mpop r0
                else code.(post) = M.Mpop r0 ->
-          fused.(pc) <- fuse_splice image pc ~pf ~r0 ~post;
+          fused.(pc) <- fuse_splice image single pc ~pf ~r0 ~post;
           super.(3) <- super.(3) + 1;
           true
         | _ -> false)
@@ -1744,8 +1681,8 @@ let decode ?cost_of (image : L.image) : dprogram =
             && match b with M.Reg rb -> rb <> R.flags | M.Imm _ -> true
           in
           fused.(pc) <-
-            fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image pc a b ~mask
-              ~want ~tgt ~jt ~spin;
+            fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc a b
+              ~mask ~want ~tgt ~jt ~spin;
           super.(2) <- super.(2) + 1;
           true
         | None -> false)
@@ -1774,8 +1711,8 @@ let decode ?cost_of (image : L.image) : dprogram =
             else None
           in
           fused.(pc) <-
-            fuse_latch3 ?cost_of ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image pc op
-              d a b a2 b2 ~mask ~want ~tgt ~burn;
+            fuse_latch3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc op d
+              a b a2 b2 ~mask ~want ~tgt ~burn;
           (* a backward target is a loop latch; forward is a fused
              compare-branch with a leading op *)
           (if tgt <= pc + 2 then super.(2) <- super.(2) + 1
@@ -1788,7 +1725,8 @@ let decode ?cost_of (image : L.image) : dprogram =
       match (code.(pc), code.(pc + 1)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt) when okr a && oko b && int_cc cc <> None ->
         let mask, want = match int_cc cc with Some mw -> mw | None -> assert false in
-        fused.(pc) <- fuse_pair2 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) image pc a b ~mask ~want ~tgt;
+        fused.(pc) <-
+          fuse_pair2 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) image single pc a b ~mask ~want ~tgt;
         super.(0) <- super.(0) + 1
       | (M.Mcmp _ | M.Mfcmp _), M.Mjcc _ ->
         fused.(pc) <- compose2 (pc + 1) single.(pc) single.(pc + 1);
@@ -1799,19 +1737,41 @@ let decode ?cost_of (image : L.image) : dprogram =
 
 let superinstr_counts dp = Array.copy dp.d_super
 
+(* The dispatch table while an Instr_image overlay is armed: an
+   engine-private copy of the fusion-free table (a superinstruction
+   spanning the overlaid pc would execute the pristine encoding) whose
+   overlaid slot holds the mutated instruction's decode, or — when the
+   mutated encoding no longer decodes — a closure that traps
+   [Illegal_instr] exactly as [step] does. *)
+let overlay_table (t : t) (dp : dprogram) =
+  let table = Array.copy dp.d_single in
+  let pc = t.overlay_pc in
+  table.(pc) <-
+    (match t.overlay_instr with
+    | Some i -> decode_one t.image pc i
+    | None ->
+      fun t ->
+        t.steps <- t.steps + 1;
+        t.cost <- t.cost + 1;
+        t.status <- Trapped (Illegal_instr pc);
+        rc t);
+  table
+
 (* Install (or uninstall, with [None]) a decoded program on an engine.
    The dprogram must have been built from the engine's own image — decoded
-   closures bake that image's class/extern tables and code bounds. *)
+   closures bake that image's class/extern tables and code bounds.
+   Installing the program already installed is a no-op. *)
 let install_decoded (t : t) = function
   | Some dp ->
     if dp.d_image != t.image then
       invalid_arg "Exec.install_decoded: decoded program was built from a different image";
-    t.dprog <- Some dp;
-    t.d_active <- (if t.overlay_pc >= 0 then dp.d_single else dp.d_fused)
+    if not (match t.dprog with Some cur -> cur == dp | None -> false) then begin
+      t.dprog <- Some dp;
+      t.d_active <- (if t.overlay_pc >= 0 then overlay_table t dp else dp.d_fused)
+    end
   | None ->
     t.dprog <- None;
-    t.d_active <- [||];
-    t.d_overlay <- None
+    t.d_active <- [||]
 
 let decoded t = match t.dprog with Some _ -> true | None -> false
 
@@ -1836,10 +1796,10 @@ let step_loop (t : t) ~max_steps ~max_cost ~check =
   done
 
 (* Threaded dispatch over the decoded closure table.  Per iteration: one
-   bounds check, one overlay compare, one hook check, one indirect call.
-   [d_active] is re-read every iteration because [set_overlay] can switch
-   the engine to the single-instruction table mid-run (the FI control
-   library installs Instr_image overlays at the trigger).  One try frame
+   bounds check, one hook check, one indirect call.  [d_active] is re-read
+   every iteration because [set_overlay] can switch the engine to its
+   overlay table mid-run (the FI control library installs Instr_image
+   overlays at the trigger).  One try frame
    wraps the whole loop instead of one per instruction; the handler
    replicates [step_loop]'s post-trap poll-slot check (which can overwrite
    a trap with [Output_quota] at a boundary). *)
@@ -1857,19 +1817,6 @@ let decoded_loop (t : t) ~max_steps ~max_cost ~check =
        if pc < 0 || pc >= len then begin
          t.status <- Trapped (Bad_pc pc);
          if t.steps land 1023 = 0 then check ()
-       end
-       else if pc = t.overlay_pc then begin
-         match (t.overlay_instr, t.d_overlay, t.post_hook) with
-         | Some _, Some f, None -> f t (* decoded overlay self-checks *)
-         | ov, _, _ ->
-           (match ov with
-           | Some i -> exec_instr t pc i
-           | None ->
-             (* the corrupted slot no longer decodes: the fetch traps *)
-             t.steps <- t.steps + 1;
-             t.cost <- t.cost + 1;
-             t.status <- Trapped (Illegal_instr pc));
-           if t.steps land 1023 = 0 then check ()
        end
        else begin
          match t.post_hook with
@@ -1922,14 +1869,7 @@ let set_overlay (t : t) ~pc instr =
     invalid_arg (Printf.sprintf "Exec.set_overlay: pc %d outside the code image" pc);
   t.overlay_pc <- pc;
   t.overlay_instr <- instr;
-  (* decoded-cache bypass for the overlaid pc: drop to the fusion-free
-     table (a superinstruction spanning [pc] would execute the pristine
-     encoding) and pre-decode the corrupted slot itself *)
-  match t.dprog with
-  | None -> ()
-  | Some dp ->
-    t.d_active <- dp.d_single;
-    t.d_overlay <- (match instr with Some i -> Some (decode_one t.image pc i) | None -> None)
+  match t.dprog with None -> () | Some dp -> t.d_active <- overlay_table t dp
 
 let enable_profiling t =
   match t.prof with
@@ -2186,8 +2126,8 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
   (* A timed-out run stops with a cost overshooting the budget by at most
      the last slot's weight — per instruction attached, per modeled
      instrumentation bundle on a detach target.  Reporting the burned
-     budget itself erases that granularity difference, keeping fixed-seed
-     campaign cost sums bit-identical with detach on or off. *)
+     budget itself erases that granularity difference, keeping a detached
+     sample's cost bit-identical to the attached run's. *)
   let cost = if status = Timed_out && t.cost > max_cost then max_cost else t.cost in
   {
     status;

@@ -67,10 +67,11 @@ type dprogram
     superinstructions.  Immutable and engine-free: one [dprogram] is
     decoded per snapshot (content-addressed by the campaign layer) and
     shared read-only by every engine and domain executing that image.
-    Superinstructions retire their constituents' step/cost/profile counts
-    individually and re-test the run loop's budget condition between
-    constituents, so decoded execution is bit-identical to the {!step}
-    loop — the invariant the differential qcheck suite asserts. *)
+    A superinstruction retires its constituents in one batch only when no
+    poll slot or budget edge falls inside it, and otherwise runs the
+    constituents' single decodes, so decoded execution is bit-identical to
+    the {!step} loop — the invariant the differential qcheck suite
+    asserts. *)
 
 type priv
 (** Engine-private state: the touched-page map and the snapshot {!reset}
@@ -126,13 +127,11 @@ type t = {
           {!install_decoded}; survives {!reset} (the decode is a property
           of the image, not of a sample). *)
   mutable d_active : (t -> unit) array;
-      (** live dispatch table: the fused table normally, the fusion-free
-          single-instruction table while an Instr_image overlay is armed
-          (a superinstruction spanning the overlaid pc would execute the
-          pristine encoding).  Internal. *)
-  mutable d_overlay : (t -> unit) option;
-      (** decoded form of the overlay instruction at [overlay_pc], built
-          by {!set_overlay} and cleared by {!reset}.  Internal. *)
+      (** live dispatch table: the fused table normally; while an
+          Instr_image overlay is armed, an engine-private copy of the
+          fusion-free table whose overlaid slot runs the mutated
+          instruction (a superinstruction spanning the overlaid pc would
+          execute the pristine encoding).  Internal. *)
   mutable d_check : unit -> unit;
       (** the active run's poll-slot check, installed for the duration of
           a decoded {!run} so superinstruction constituents can self-check
@@ -220,9 +219,9 @@ exception Detach_signal
     [detach_req] is up and a plan is armed.  Never escapes {!run}. *)
 
 val create : ?ext_extra:(string * int * (t -> unit)) list -> Refine_backend.Layout.image -> t
-(** Fresh machine state: globals initialized, stack holding the sentinel
-    return address, pc at the image entry.  Not bound to a snapshot: a
-    plain {!reset} raises, a {!reset} with [~snapshot] binds one. *)
+(** [create_from_snapshot (snapshot image)]: fresh machine state, globals
+    initialized, stack holding the sentinel return address, pc at the
+    image entry. *)
 
 type snapshot
 (** An image's initialized globals region, [[globals_base, heap_base)]
@@ -236,9 +235,9 @@ val snapshot : Refine_backend.Layout.image -> snapshot
 
 val create_from_snapshot :
   ?ext_extra:(string * int * (t -> unit)) list -> snapshot -> t
-(** Like {!create}, but bound to the snapshot, so the engine supports
-    {!reset}.  Allocates the engine's zeroed arena and loads the
-    snapshot's globals and the sentinel into it. *)
+(** An engine bound to the snapshot, which a plain {!reset} restores.
+    Allocates the engine's zeroed arena and loads the snapshot's globals
+    and the sentinel into it. *)
 
 val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -> t -> unit
 (** Restore the pristine post-loader state: zero the pages the machine
@@ -253,9 +252,7 @@ val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -
     the installed decode is dropped ({!install_decoded} the new image's).
 
     A reset engine is bit-identical to a fresh {!create_from_snapshot} of
-    the same snapshot (asserted by the differential property tests).
-    Raises [Invalid_argument] on a {!create} engine when [snapshot] is
-    omitted. *)
+    the same snapshot (asserted by the differential property tests). *)
 
 val store64 : t -> int -> int64 -> unit
 (** [store64 t addr v]: the machine's checked 64-bit little-endian store,
@@ -279,9 +276,10 @@ val flip_mem_bit : t -> addr:int -> bit:int -> unit
 val set_overlay : t -> pc:int -> Refine_mir.Minstr.t option -> unit
 (** Install the Instr_image corruption overlay at [pc] ([None] = the
     mutated encoding is illegal; executing that slot traps
-    [Illegal_instr]).  The shared image code is never written; {!reset}
-    clears the overlay.  [Invalid_argument] if [pc] is outside the code
-    image. *)
+    [Illegal_instr]).  The shared image code is never written: a decoded
+    engine switches to a private copy of its fusion-free table whose slot
+    [pc] runs the mutated instruction.  {!reset} clears the overlay.
+    [Invalid_argument] if [pc] is outside the code image. *)
 
 val enable_profiling : t -> profile
 (** Attach (or return the already-attached) executor profile.  The record
@@ -307,11 +305,11 @@ val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must
     have been built from the engine's own image ([Invalid_argument]
     otherwise — decoded closures bake that image's class and extern-slot
-    tables).  With a program installed, {!run} uses threaded dispatch
-    over the decoded closure table (falling back to {!step} per
-    instruction while a [post_hook] is attached, and routing the
-    Instr_image overlay pc through the overlay decode); without one,
-    {!run} drives {!step} in a loop — the reference semantics. *)
+    tables).  Installing the program already installed is a no-op.  With
+    a program installed, {!run} uses threaded dispatch over the decoded
+    closure table (falling back to {!step} per instruction while a
+    [post_hook] is attached); without one, {!run} drives {!step} in a
+    loop — the reference semantics. *)
 
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)

@@ -12,7 +12,8 @@
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
    fault     every fault model: sequential = 4 domains, CSV round-trip
-   detach    detach off / on: identical outcome tables, handoffs by mode
+   detach    detach armed: outcome tables = the step-loop oracle's,
+             handoffs by mode
    mem       all 14 programs x 3 tools prepared in one process stay under
              400 MB peak RSS *)
 
@@ -601,19 +602,32 @@ let fault () =
 let detach () =
   (* CoMD has call-site candidates: its REFINE twin holds collapsed jumps *)
   let srcs = sources [ "DC"; "EP"; "CoMD" ] and tools = [ T.Refine; T.Llfi ] in
-  let campaign () =
-    T.reset_artifact_caches ();
-    summary (E.run_matrix ~samples:12 ~seed:5 srcs tools)
-  in
+  let samples = 12 and seed = 5 in
   Obs.Control.enable ();
-  T.use_detach := false;
-  let attached = campaign () in
-  T.use_detach := true;
-  let detached = campaign () in
-  if detached <> attached then
-    fail "detach changed the outcome table\n  off: %s\n  on:  %s" attached detached;
-  say "outcome tables bit-identical: off = on";
-  say "%s" attached;
+  let cells = E.run_matrix ~samples ~seed srcs tools in
+  (* the named oracle's table: every sample re-run on a fresh step-loop
+     engine with no detach, drawn from the campaign's own per-sample
+     generators and under its default quotas *)
+  let oracle_cell (c : E.cell) =
+    let p = T.prepare c.E.tool (List.assoc c.E.program srcs) in
+    let master = Refine_support.Prng.create (E.cell_seed ~seed ~program:c.E.program c.E.tool) in
+    let counts = ref E.zero and cost = ref 0L in
+    for _ = 1 to samples do
+      let e =
+        Oracle.injection ~quotas:T.default_quotas ~model:F.Reg_bit p
+          (Refine_support.Prng.split master)
+      in
+      counts := E.add_outcome !counts e.F.outcome;
+      cost := Int64.add !cost e.F.run_cost
+    done;
+    { c with E.counts = !counts; injection_cost = !cost }
+  in
+  let production = summary cells and oracle = summary (List.map oracle_cell cells) in
+  if production <> oracle then
+    fail "a detached campaign differs from the oracle\n  production: %s\n  oracle:     %s"
+      production oracle;
+  say "outcome tables bit-identical: production (detach armed) = oracle";
+  say "%s" production;
   (* the equality above must not be vacuous: handoffs really happened, each
      tool's under its own target's mode *)
   let handoffs tool mode =

@@ -1,0 +1,42 @@
+(* The named oracle: one fault-injection sample exactly as
+   [Tool.run_injection] defines it — the same target draw, control
+   library, 10x cost timeout and sandbox quotas — but on a fresh engine
+   with no decode and no detach plan, so [Exec.run] drives the
+   [Exec.step] loop from the image entry to the end.  Every production
+   path (engine reuse across resets, decoded dispatch, superinstructions,
+   the detach handoff) must reproduce its outcome, modeled cost and fault
+   record bit for bit. *)
+
+module X = Refine_machine.Exec
+module P = Refine_support.Prng
+module F = Refine_core.Fault
+module T = Refine_core.Tool
+module Rt = Refine_core.Runtime
+
+let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment =
+  if p.T.profile.F.dyn_count = 0L then { F.outcome = F.Benign; run_cost = 0L; fault = None }
+  else begin
+    let target = Int64.to_int (Int64.add 1L (P.int64 rng p.T.profile.F.dyn_count)) in
+    let max_cost = Int64.mul Refine_core.Fi_cost.timeout_factor p.T.profile.F.profile_cost in
+    let ctrl = Rt.create (Rt.Inject { target; rng; model }) in
+    let eng =
+      match p.T.kind with
+      | T.Refine -> X.create ~ext_extra:(Rt.refine_handlers ctrl) p.T.image
+      | T.Llfi -> X.create ~ext_extra:(Rt.llfi_handlers ctrl) p.T.image
+      | T.Pinfi ->
+        let eng = X.create p.T.image in
+        Refine_core.Pinfi.attach ~sel:p.T.sel ctrl eng;
+        eng
+    in
+    let output_quota =
+      match quotas.T.output_bytes with
+      | Some _ as q -> q
+      | None -> if quotas.T.derive_output then Some (T.derived_output_quota p.T.profile) else None
+    in
+    let r =
+      X.run ~max_cost ?output_quota ?heap_quota:quotas.T.heap_bytes
+        ?wall_clock:quotas.T.wall_clock_s ~clock:Refine_obs.Control.now
+        ?livelock:quotas.T.livelock_window eng
+    in
+    { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = ctrl.Rt.record }
+  end

@@ -5,10 +5,11 @@
    — must be invisible in results: every observable (outcome, steps,
    cost, output, final architectural state) is byte-identical to the
    [step] loop over random programs, engine-level faults, truncated
-   budgets with mid-sequence resets and Instr_image overlays.  The named
-   oracle closes the loop end to end: every production sample (snapshot
-   reset, decode, detach) equals the same sample re-run on a fresh
-   step-loop engine, for all three tools and all five fault models. *)
+   budgets with mid-sequence resets and Instr_image overlays (also inside
+   fused groups and on fi-splice heads).  The named oracle ([Oracle])
+   closes the loop end to end: every production sample (snapshot reset,
+   decode, detach) equals the same sample re-run on a fresh step-loop
+   engine, for all three tools and all five fault models. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -18,7 +19,6 @@ module P = Refine_support.Prng
 module F = Refine_core.Fault
 module T = Refine_core.Tool
 module Rt = Refine_core.Runtime
-module Pinfi = Refine_core.Pinfi
 
 let compile_image seed =
   let m = Refine_minic.Frontend.compile (Test_semantics.gen_program seed) in
@@ -95,25 +95,26 @@ let prop_decoded_reset_pristine =
     QCheck.(pair (int_range 0 100_000) bool)
     (fun (off, legal) ->
       let p = Lazy.force prepared_tiny in
-      let eng = X.create_from_snapshot p.T.snap in
-      X.install_decoded eng (Some (X.decode p.T.image));
+      let fresh () =
+        let e = X.create_from_snapshot p.T.snap in
+        X.install_decoded e (Some p.T.dprog);
+        e
+      in
+      let eng = fresh () in
       let pristine = eng.X.d_active in
       let pc = p.T.image.L.entry + (off mod 8) in
       X.set_overlay eng ~pc (if legal then Some p.T.image.L.code.(p.T.image.L.entry) else None);
       eng.X.fi_mask <- 0xF0L;
-      (* arming the overlay must swap dispatch to the fusion-free table (a
-         superinstruction spanning the overlaid pc would execute the
-         pristine encoding) and, for a decodable mutation, build the
-         overlay closure *)
+      (* arming the overlay swaps dispatch to the engine's overlay table *)
       assert (not (eng.X.d_active == pristine));
-      assert ((eng.X.d_overlay <> None) = legal);
+      ignore (X.run ~max_steps:100_000L eng);
       X.reset eng;
-      X.decoded eng
-      && eng.X.d_overlay = None
-      && eng.X.d_active == pristine
-      && eng.X.overlay_pc = -1
-      && eng.X.overlay_instr = None
-      && eng.X.fi_mask = 0L)
+      (* the reset engine is back on the fused table and runs exactly like
+         a fresh decoded engine *)
+      let reused = X.run eng and fp_reused = fingerprint eng in
+      let e = fresh () in
+      let clean = X.run e in
+      eng.X.d_active == pristine && reused = clean && fp_reused = fingerprint e)
 
 let test_decoded_illegal_overlay () =
   let p = Lazy.force prepared_tiny in
@@ -124,6 +125,79 @@ let test_decoded_illegal_overlay () =
   match r.X.status with
   | X.Trapped (X.Illegal_instr _) -> ()
   | _ -> Alcotest.failf "expected Illegal_instr, got %a" Test_fastpath.pp_result r
+
+(* --- overlays inside fused groups and on fi-splice heads ----------------- *)
+
+(* An overlay on a superinstruction's interior pc or on a REFINE splice
+   head must run exactly as in the step loop: the decoded engine leaves
+   the fused table for its private overlay table.  The image fuses one
+   site of each idiom, all live: a counted self-latch, then a loop of
+   load-op-store, an FI splice in the backend pass's exact shape and a
+   compare-branch back edge.  REFINE's profiling library answers every
+   selector call with 0, so the splice fast path is live too.  An illegal
+   overlay must trap at its own pc, which proves the slot is reached. *)
+let test_overlay_in_fused_groups () =
+  let image =
+    Test_fastpath.image_of
+      [
+        M.Mmov (R.gpr 1, M.Imm 100L);
+        M.Mbin (Refine_ir.Ir.Sub, R.gpr 1, R.gpr 1, M.Imm 1L) (* pc 1: latch head *);
+        M.Mcmp (R.gpr 1, M.Imm 0L);
+        M.Mjcc (M.CNe, 1);
+        M.Mload (R.gpr 2, R.rsp, -64) (* pc 4: load-op-store, loop head *);
+        M.Mbin (Refine_ir.Ir.Add, R.gpr 2, R.gpr 2, M.Imm 1L);
+        M.Mstore (R.gpr 2, R.rsp, -64);
+        M.Mpush (R.gpr 0) (* pc 7: splice head *);
+        M.Mpushf;
+        M.Mcallext "fi_sel_instr";
+        M.Mcmp (R.ret_gpr, M.Imm 0L);
+        M.Mjcc (M.CEq, 14);
+        M.Mjmp 13;
+        M.Mhalt (* setup block stand-in *);
+        M.Mpopf (* pc 14: post *);
+        M.Mpop (R.gpr 0);
+        M.Mcmp (R.gpr 2, M.Imm 50L) (* pc 16: compare-branch back edge *);
+        M.Mjcc (M.CLt, 4);
+        M.Mmov (R.ret_gpr, M.Imm 0L);
+        M.Mhalt;
+      ]
+  in
+  let dp = X.decode image in
+  Array.iteri
+    (fun i idiom ->
+      Alcotest.(check bool) (idiom ^ " fused") true ((X.superinstr_counts dp).(i) >= 1))
+    X.idioms;
+  let run ~decoded overlay =
+    let ctrl = Rt.create Rt.Profile in
+    let e = X.create ~ext_extra:(Rt.refine_handlers ctrl) image in
+    if decoded then X.install_decoded e (Some dp);
+    Option.iter (fun (pc, instr) -> X.set_overlay e ~pc instr) overlay;
+    let r = X.run ~max_cost:1_000_000L e in
+    Rt.absorb ctrl e;
+    (r, fingerprint e, ctrl.Rt.count)
+  in
+  let ((clean, _, _) as step) = run ~decoded:false None in
+  Alcotest.(check bool) "pristine run exits" true (clean.X.status = X.Exited 0);
+  Alcotest.(check bool) "pristine decoded = step" true (run ~decoded:true None = step);
+  List.iter
+    (fun (what, pc, instr) ->
+      let ((r, _, _) as step) = run ~decoded:false (Some (pc, instr)) in
+      if instr = None && r.X.status <> X.Trapped (X.Illegal_instr pc) then
+        Alcotest.failf "%s: the overlaid pc %d was never reached" what pc;
+      if run ~decoded:true (Some (pc, instr)) <> step then
+        Alcotest.failf "%s: decoded overlay run diverges from step" what)
+    [
+      ("latch compare", 2, Some (M.Mcmp (R.gpr 1, M.Imm 7L)));
+      ("latch compare, illegal", 2, None);
+      ("latch branch", 3, Some (M.Mjcc (M.CGt, 1)));
+      ("load-op-store op", 5, Some (M.Mbin (Refine_ir.Ir.Add, R.gpr 2, R.gpr 2, M.Imm 2L)));
+      ("load-op-store store, illegal", 6, None);
+      ("fi-splice head", 7, Some (M.Mpush (R.gpr 1)));
+      ("fi-splice head, illegal", 7, None);
+      ("fi-splice selector call, illegal", 9, None);
+      ("compare-branch branch", 17, Some (M.Mjcc (M.CLe, 4)));
+      ("compare-branch compare, illegal", 16, None);
+    ]
 
 (* --- engine interface: install / detach / compatibility ----------------- *)
 
@@ -201,42 +275,23 @@ let all_models =
     F.Multi_bit { bits = 4; burst = true };
   ]
 
-(* One sample the way [Tool.run_injection] defines it — same target draw,
-   same control library, same 10x cost timeout — but on a fresh
-   [Exec.create] engine with no decode and no detach plan, so [run] drives
-   the [step] loop from start to finish. *)
-let reference_injection ~model (p : T.prepared) rng : F.experiment =
-  if p.T.profile.F.dyn_count = 0L then { F.outcome = F.Benign; run_cost = 0L; fault = None }
-  else begin
-    let target = Int64.to_int (Int64.add 1L (P.int64 rng p.T.profile.F.dyn_count)) in
-    let max_cost = Int64.mul Refine_core.Fi_cost.timeout_factor p.T.profile.F.profile_cost in
-    let mode = Rt.Inject { target; rng; model } in
-    let r, record =
-      match p.T.kind with
-      | T.Refine | T.Llfi ->
-        let ctrl = Rt.create mode in
-        let handlers =
-          if p.T.kind = T.Refine then Rt.refine_handlers ctrl else Rt.llfi_handlers ctrl
-        in
-        let r = X.run ~max_cost (X.create ~ext_extra:handlers p.T.image) in
-        (r, ctrl.Rt.record)
-      | T.Pinfi ->
-        let ctrl = Pinfi.create ~sel:p.T.sel mode in
-        let eng = X.create p.T.image in
-        Pinfi.attach ctrl eng;
-        let r = X.run ~max_cost eng in
-        (r, ctrl.Pinfi.record)
-    in
-    { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = record }
-  end
+(* The fixed sources of the campaign-level suites run first, then
+   generated programs. *)
+let arb_source =
+  let fixed = [ ("src_int", Test_fastpath.src_int); ("src_float", Test_fastpath.src_float) ] in
+  QCheck.make ~print:fst
+    (QCheck.Gen.graft_corners
+       (QCheck.Gen.map
+          (fun seed -> (Printf.sprintf "seed %d" seed, Test_semantics.gen_program seed))
+          (QCheck.Gen.int_range 1 5000))
+       fixed ())
 
 let prop_production_matches_reference =
   QCheck.Test.make
     ~name:"production sample = step-loop reference: outcome, cost, fault (3 tools x 5 models)"
-    ~count:6
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let src = Test_semantics.gen_program seed in
+    ~count:8 arb_source
+    (fun (label, src) ->
+      let seed = Hashtbl.hash label in
       List.for_all
         (fun kind ->
           let p = T.prepare kind src in
@@ -246,11 +301,11 @@ let prop_production_matches_reference =
                 (fun i ->
                   let s = (seed * 131) + i in
                   let prod = T.run_injection ~model p (P.create s) in
-                  let refr = reference_injection ~model p (P.create s) in
+                  let refr = Oracle.injection ~model p (P.create s) in
                   if prod <> refr then
                     QCheck.Test.fail_reportf
-                      "production/reference divergence (seed %d, %s, %s, sample %d): cost %Ld vs %Ld"
-                      seed (T.kind_name kind) (F.string_of_model model) i prod.F.run_cost
+                      "production/reference divergence (%s, %s, %s, sample %d): cost %Ld vs %Ld"
+                      label (T.kind_name kind) (F.string_of_model model) i prod.F.run_cost
                       refr.F.run_cost;
                   true)
                 [ 0; 1; 2 ])
@@ -265,6 +320,8 @@ let tests =
     qcheck prop_decoded_reset_pristine;
     Alcotest.test_case "illegal overlay traps under decoded dispatch" `Quick
       test_decoded_illegal_overlay;
+    Alcotest.test_case "overlay inside fused groups and on fi-splice heads" `Quick
+      test_overlay_in_fused_groups;
     Alcotest.test_case "install/detach/foreign-image checks" `Quick test_install_detach;
     Alcotest.test_case "all four idioms fuse and run identically" `Quick test_superinstr_counts;
     qcheck prop_production_matches_reference;

@@ -4,12 +4,12 @@
    hands off to a prepared detach target — REFINE's golden twin, read off
    the instrumented image through the correspondence map, or LLFI's
    call-patched copy of its image — and simulates the rest at golden
-   speed.  The handoff must be invisible in results: fixed-seed outcome
-   tables (counts AND summed modeled cost) are bit-identical with detach
-   on or off, across all five fault models, call-site candidates and
-   parallel domains.  Every handoff decline must leave the run attached
-   with identical semantics, and a mutated detach image must never be
-   served from the artifact cache. *)
+   speed.  The handoff must be invisible in results: every production
+   sample, detach armed, equals the named oracle's step-loop run of the
+   instrumented binary (outcome, modeled cost and fault record) across
+   fault models, sandbox quotas and call-site candidates.  Every handoff
+   decline must leave the run attached with identical semantics, and a
+   mutated detach image must never be served from the artifact cache. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -20,7 +20,6 @@ module P = Refine_support.Prng
 module F = Refine_core.Fault
 module T = Refine_core.Tool
 module Fm = Refine_backend.Fimap
-module Ex = Refine_campaign.Experiment
 module Reg = Refine_bench_progs.Registry
 module Mx = Refine_obs.Metrics
 
@@ -32,9 +31,6 @@ let all_models =
     F.Multi_bit { bits = 3; burst = false };
     F.Multi_bit { bits = 4; burst = true };
   ]
-
-(* restore the test hook this suite toggles *)
-let protected f = Fun.protect ~finally:(fun () -> T.use_detach := true) f
 
 (* the observable slice of a result that must not depend on detach (the
    engine-level targets below retire 1:1 with the source, so steps are
@@ -256,41 +252,38 @@ let test_handoff_reused_target_memory () =
 (* --- the per-sample eligibility matrix --------------------------------- *)
 
 let test_plan_matrix () =
-  protected (fun () ->
-      let q = T.default_quotas in
-      let pr = T.prepare T.Refine Test_fastpath.src_int in
-      let pl = T.prepare T.Llfi Test_fastpath.src_int in
-      let pp = T.prepare T.Pinfi Test_fastpath.src_int in
-      let armed p model quotas = Option.is_some (T.detach_plan_for ~quotas p model) in
-      Alcotest.(check bool) "REFINE call-free program maps" true
-        (match pr.T.detach with Some dt -> dt.T.dt_map <> None | None -> false);
-      Alcotest.(check bool) "PINFI never has a target" true (pp.T.detach = None);
-      Alcotest.(check bool) "REFINE + Reg_bit armed" true (armed pr F.Reg_bit q);
-      Alcotest.(check bool) "LLFI + Instr_image armed" true (armed pl F.Instr_image q);
-      Alcotest.(check bool) "REFINE + Instr_image declined" false (armed pr F.Instr_image q);
-      let live = { q with T.livelock_window = Some 4096 } in
-      Alcotest.(check bool) "livelock declines REFINE" false (armed pr F.Reg_bit live);
-      Alcotest.(check bool) "livelock keeps step-exact LLFI" true (armed pl F.Reg_bit live);
-      T.use_detach := false;
-      Alcotest.(check bool) "kill switch declines" false (armed pr F.Reg_bit q))
+  let q = T.default_quotas in
+  let pr = T.prepare T.Refine Test_fastpath.src_int in
+  let pl = T.prepare T.Llfi Test_fastpath.src_int in
+  let pp = T.prepare T.Pinfi Test_fastpath.src_int in
+  let armed p model quotas = Option.is_some (T.detach_plan_for ~quotas p model) in
+  Alcotest.(check bool) "REFINE call-free program maps" true
+    (match pr.T.detach with Some dt -> dt.T.dt_map <> None | None -> false);
+  Alcotest.(check bool) "PINFI never has a target" true (pp.T.detach = None);
+  Alcotest.(check bool) "PINFI never armed" false (armed pp F.Reg_bit q);
+  Alcotest.(check bool) "REFINE + Reg_bit armed" true (armed pr F.Reg_bit q);
+  Alcotest.(check bool) "LLFI + Instr_image armed" true (armed pl F.Instr_image q);
+  Alcotest.(check bool) "REFINE + Instr_image declined" false (armed pr F.Instr_image q);
+  let live = { q with T.livelock_window = Some 4096 } in
+  Alcotest.(check bool) "livelock declines REFINE" false (armed pr F.Reg_bit live);
+  Alcotest.(check bool) "livelock keeps step-exact LLFI" true (armed pl F.Reg_bit live)
 
 (* --- mutated detach images must never be served from the cache ---------- *)
 
 let test_mutated_detach_never_served () =
-  protected (fun () ->
-      T.reset_artifact_caches ();
-      let p1 = T.prepare T.Refine Test_fastpath.src_int in
-      let dt1 = Option.get p1.T.detach in
-      let pristine = dt1.T.dt_image.L.code.(0) in
-      Alcotest.(check bool) "map mode" true (dt1.T.dt_map <> None);
-      (* corrupt the cached golden twin in place: the prepared tier,
-         whose fingerprint covers the detach code, must notice and
-         rebuild instead of serving the mutation *)
-      dt1.T.dt_image.L.code.(0) <- M.Mhalt;
-      let p2 = T.prepare T.Refine Test_fastpath.src_int in
-      let dt2 = Option.get p2.T.detach in
-      Alcotest.(check bool) "rebuilt, not served mutated" true
-        (dt2.T.dt_image.L.code.(0) = pristine && not (dt2.T.dt_image == dt1.T.dt_image)))
+  T.reset_artifact_caches ();
+  let p1 = T.prepare T.Refine Test_fastpath.src_int in
+  let dt1 = Option.get p1.T.detach in
+  let pristine = dt1.T.dt_image.L.code.(0) in
+  Alcotest.(check bool) "map mode" true (dt1.T.dt_map <> None);
+  (* corrupt the cached golden twin in place: the prepared tier, whose
+     fingerprint covers the detach code, must notice and rebuild instead
+     of serving the mutation *)
+  dt1.T.dt_image.L.code.(0) <- M.Mhalt;
+  let p2 = T.prepare T.Refine Test_fastpath.src_int in
+  let dt2 = Option.get p2.T.detach in
+  Alcotest.(check bool) "rebuilt, not served mutated" true
+    (dt2.T.dt_image.L.code.(0) = pristine && not (dt2.T.dt_image == dt1.T.dt_image))
 
 (* --- §4.2.2: the extracted twin is the FI-free binary ------------------- *)
 
@@ -359,98 +352,71 @@ let detach_total mode =
   | Some (Mx.Counter n) -> n
   | _ -> 0L
 
+(* One production sample (detach armed) against the named oracle: the
+   same generator drives both, and outcome, modeled cost and fault record
+   must agree. *)
+let matches_oracle ?quotas ~model p seed =
+  let prod = T.run_injection ?quotas ~model p (P.create seed) in
+  prod = Oracle.injection ?quotas ~model p (P.create seed)
+
 (* A call-site candidate's splice runs on the return edge; the twin pays
    it at the collapsed jump.  Samples that end inside a callee, or hand
-   off while such a frame is open, must still match the attached run. *)
+   off while such a frame is open, must still match the attached
+   step-loop run. *)
 let test_call_site_detach_invisible () =
-  protected (fun () ->
-      Refine_obs.Control.enable ();
-      Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
-          let map0 = detach_total "map" and patch0 = detach_total "patch" in
+  Refine_obs.Control.enable ();
+  Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
+      let map0 = detach_total "map" and patch0 = detach_total "patch" in
+      List.iter
+        (fun name ->
+          let p = T.prepare T.Refine (Reg.find name).Reg.source in
           List.iter
-            (fun name ->
-              let p = T.prepare T.Refine (Reg.find name).Reg.source in
+            (fun model ->
               List.iter
-                (fun model ->
-                  let run () =
-                    List.init 6 (fun i ->
-                        let e = T.run_injection ~model p (P.create (9100 + (31 * i))) in
-                        (e.F.outcome, e.F.run_cost, e.F.fault))
-                  in
-                  T.use_detach := false;
-                  let off = run () in
-                  T.use_detach := true;
-                  let on = run () in
-                  if off <> on then
-                    Alcotest.failf "%s, %s: detach changed a sample" name
-                      (F.string_of_model model))
-                [
-                  F.Reg_bit;
-                  F.Mem_cell;
-                  F.Multi_bit { bits = 3; burst = false };
-                  F.Multi_bit { bits = 4; burst = true };
-                ])
-            call_site_programs;
-          Alcotest.(check bool) "REFINE handed off in map mode" true
-            (Int64.compare (detach_total "map") map0 > 0);
-          Alcotest.(check int64) "and never in patch mode" patch0 (detach_total "patch")))
+                (fun i ->
+                  if not (matches_oracle ~model p (9100 + (31 * i))) then
+                    Alcotest.failf "%s, %s, sample %d: detached sample differs from the oracle"
+                      name (F.string_of_model model) i)
+                [ 0; 1; 2; 3; 4; 5 ])
+            [
+              F.Reg_bit;
+              F.Mem_cell;
+              F.Multi_bit { bits = 3; burst = false };
+              F.Multi_bit { bits = 4; burst = true };
+            ])
+        call_site_programs;
+      Alcotest.(check bool) "REFINE handed off in map mode" true
+        (Int64.compare (detach_total "map") map0 > 0);
+      Alcotest.(check int64) "and never in patch mode" patch0 (detach_total "patch"))
 
-(* --- per-sample differential: detach on/off, random programs ------------ *)
+(* --- per-sample differential against the oracle, random programs ------- *)
 
 (* Fixed-PRNG injection batches over a generated program; the model
    rotates with the seed.  One leg runs under the paper-default sandbox,
    one with the livelock detector armed (declining REFINE's plan), so
-   both the handoff and the decline paths must be invisible. *)
-let samples_sig p ~model ~quotas n =
-  List.init n (fun i ->
-      let e = T.run_injection ~quotas ~model p (P.create (4000 + (7 * i))) in
-      (e.F.outcome, e.F.run_cost, e.F.fault <> None))
-
+   both the handoff and the decline paths must match the oracle. *)
 let prop_detach_invisible =
-  QCheck.Test.make ~name:"detach on/off: per-sample outcomes identical (random programs)"
+  QCheck.Test.make ~name:"detach armed = step-loop oracle under sandbox quotas (random programs)"
     ~count:5
     QCheck.(int_range 1 5000)
     (fun seed ->
-      protected (fun () ->
-          let src = Test_semantics.gen_program seed in
-          let model = List.nth all_models (seed mod List.length all_models) in
-          let live = { T.default_quotas with T.livelock_window = Some 8192 } in
+      let src = Test_semantics.gen_program seed in
+      let model = List.nth all_models (seed mod List.length all_models) in
+      let live = { T.default_quotas with T.livelock_window = Some 8192 } in
+      List.for_all
+        (fun kind ->
+          let p = T.prepare kind src in
           List.for_all
-            (fun kind ->
-              let p = T.prepare kind src in
-              List.for_all
-                (fun quotas ->
-                  T.use_detach := false;
-                  let off = samples_sig p ~model ~quotas 6 in
-                  T.use_detach := true;
-                  let on = samples_sig p ~model ~quotas 6 in
-                  if off <> on then
-                    QCheck.Test.fail_reportf "detach divergence (seed %d, %s, %s)" seed
-                      (T.kind_name kind) (F.string_of_model model);
-                  true)
-                [ T.default_quotas; live ])
-            [ T.Refine; T.Llfi ]))
-
-(* --- fixed-seed campaign equality: all five models ----------------------- *)
-
-let campaign_summary model =
-  T.reset_artifact_caches ();
-  Test_fastpath.matrix_summary
-    (Ex.run_matrix ~model ~domains:2 ~samples:20 ~seed:13
-       [ ("ints", Test_fastpath.src_int); ("floats", Test_fastpath.src_float) ]
-       [ T.Refine; T.Llfi ])
-
-let test_campaign_equality_all_models () =
-  protected (fun () ->
-      List.iter
-        (fun model ->
-          T.use_detach := false;
-          let attached = campaign_summary model in
-          T.use_detach := true;
-          let detached = campaign_summary model in
-          Alcotest.(check string)
-            (F.string_of_model model ^ ": outcome table detach = no-detach") attached detached)
-        all_models)
+            (fun quotas ->
+              List.iter
+                (fun i ->
+                  if not (matches_oracle ~quotas ~model p (4000 + (7 * i))) then
+                    QCheck.Test.fail_reportf "oracle divergence (seed %d, %s, %s, sample %d)" seed
+                      (T.kind_name kind) (F.string_of_model model) i)
+                [ 0; 1; 2; 3; 4; 5 ];
+              true)
+            [ T.default_quotas; live ])
+        [ T.Refine; T.Llfi ])
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -471,9 +437,7 @@ let tests =
       test_mutated_detach_never_served;
     Alcotest.test_case "extracted twin = FI-free binary (+ call-site jumps)" `Quick
       test_twin_is_fi_free_binary;
-    Alcotest.test_case "call-site candidates: detach on/off identical" `Quick
+    Alcotest.test_case "call-site candidates: detached samples = oracle" `Quick
       test_call_site_detach_invisible;
     qcheck prop_detach_invisible;
-    Alcotest.test_case "fixed-seed campaigns: detach = no-detach for all 5 models" `Slow
-      test_campaign_equality_all_models;
   ]

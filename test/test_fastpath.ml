@@ -203,12 +203,6 @@ let test_reset_restores_state () =
   Alcotest.(check string) "first run" "42\n" r1.E.output;
   Alcotest.check result_t "global mutation erased by reset" r1 r2
 
-let test_reset_requires_snapshot () =
-  let eng = E.create (image_of [ M.Mhalt ]) in
-  Alcotest.check_raises "reset on create-engine"
-    (Invalid_argument "Exec.reset: engine was not created from a snapshot") (fun () ->
-      E.reset eng)
-
 (* --- pre-resolved extern dispatch -------------------------------------- *)
 
 let test_unknown_extern_dead_path () =
@@ -335,7 +329,6 @@ let tests =
     Alcotest.test_case "reset after a flip on an untouched page" `Quick
       test_reset_untouched_flip;
     Alcotest.test_case "reset restores globals/heap/output" `Quick test_reset_restores_state;
-    Alcotest.test_case "reset requires a snapshot engine" `Quick test_reset_requires_snapshot;
     Alcotest.test_case "unknown extern traps at call, not resolution" `Quick
       test_unknown_extern_dead_path;
     Alcotest.test_case "reset rebinds extern handlers" `Quick test_reset_rebinds_handlers;

@@ -35,19 +35,24 @@ let gen_entry =
         { J.program; tool; model; sample; outcome; cost; attempts })
       (pair (tup6 gen_str gen_str small_nat gen_outcome gen_i64 small_nat) gen_model_str))
 
+let gen_quotas =
+  QCheck.Gen.(
+    map
+      (fun (output_bytes, heap_bytes, wall_clock_s, livelock_window, derive_output) ->
+        { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output })
+      (tup5 (opt small_nat) (opt small_nat) (opt gen_f) (opt small_nat) bool))
+
 let gen_config =
   QCheck.Gen.(
     map
-      (fun ((seed, retries, cost_cap, output_quota, wall_clock, livelock),
+      (fun ((seed, retries, cost_cap, quotas),
             (verify_mir, verify_each, cache, pipeline, heartbeat_s),
             (obs, trace)) ->
         {
           S.seed;
           retries;
           cost_cap;
-          output_quota;
-          wall_clock;
-          livelock;
+          quotas;
           verify_mir;
           verify_each;
           cache;
@@ -57,7 +62,7 @@ let gen_config =
           trace;
         })
       (tup3
-         (tup6 int small_nat (opt gen_i64) (opt small_nat) (opt gen_f) (opt small_nat))
+         (tup4 int small_nat (opt gen_i64) gen_quotas)
          (tup5 bool bool bool (opt gen_str) gen_f)
          (pair bool bool)))
 
@@ -247,6 +252,31 @@ let test_workers_match_domains () =
   let t5 cells = Rep.table5 (Rep.chi2_rows cells [ "tiny" ]) in
   Alcotest.(check string) "table5 identical" (t5 sequential) (t5 sharded)
 
+(* The whole sandbox envelope crosses the process boundary: the 128-byte
+   allocation trips a 64-byte heap quota in every sample that reaches it,
+   in-process and in the workers alike, and the derived output cap
+   travels too. *)
+let alloc_src =
+  {|
+int main() {
+  int i; int s = 0;
+  int[] a = alloc_int(16);
+  for (i = 0; i < 16; i = i + 1) { a[i] = i * i; s = s + a[i]; }
+  print_int(s);
+  return 0;
+}
+|}
+
+let test_workers_carry_quotas () =
+  let samples = 6 and seed = 19 in
+  let programs = [ ("alloc", alloc_src) ] in
+  let quotas = { T.default_quotas with T.heap_bytes = Some 64 } in
+  let in_process = E.run_matrix ~domains:2 ~quotas ~samples ~seed programs Rep.tools in
+  let options = { C.default_options with C.workers = 2 } in
+  let sharded = C.run_matrix ~options ~quotas ~samples ~seed programs Rep.tools in
+  Alcotest.(check bool) "workers = in-process under a heap quota" true
+    (List.map key sharded = List.map key in_process)
+
 (* The fault-model plane (DESIGN.md §18): the sharded-equals-in-process
    guarantee must hold for every fault model, not just the paper's
    register-bit default — the Assign frame carries the model, the workers
@@ -333,6 +363,8 @@ let tests =
     Alcotest.test_case "tool name mapping" `Quick test_tool_names;
     Alcotest.test_case "unknown tag rejected" `Quick test_unknown_tag;
     Alcotest.test_case "workers = domains = sequential" `Quick test_workers_match_domains;
+    Alcotest.test_case "workers run under the whole quota record" `Quick
+      test_workers_carry_quotas;
     Alcotest.test_case "per-model workers = domains = sequential (with kill)" `Quick
       test_models_match_domains;
     Alcotest.test_case "fleet counters = domains counters" `Quick test_fleet_counters_match_domains;
