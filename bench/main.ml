@@ -227,18 +227,15 @@ let extensions_section () =
   section "Extensions - opcode corruption (paper par. 4.5), double-bit faults, PreFI ablation";
   let src = (Reg.find "EP").Reg.source in
   let n = min samples 200 in
-  (* opcode corruption *)
-  let m = Refine_minic.Frontend.compile src in
-  Refine_passes.Pipeline.optimize Refine_passes.Pipeline.O2 m;
-  let image = Refine_passes.Pipeline.compile m in
-  let p = Refine_core.Opcode_fi.profile image in
+  (* opcode corruption, on PINFI's (uninstrumented) binary *)
+  let pinfi = T.prepare T.Pinfi src in
+  let p = Refine_core.Opcode_fi.profile pinfi in
   let rng = Prng.create seed in
-  let op = tally n (fun () -> Refine_core.Opcode_fi.run_injection image p (Prng.split rng)) in
+  let op = tally n (fun () -> Refine_core.Opcode_fi.run_injection pinfi p (Prng.split rng)) in
   Printf.printf
     "opcode corruption on EP (%Ld corruptible dynamic instrs, n=%d):\n  crash %d  SOC %d  benign %d\n"
     p.F.dyn_count n op.(0) op.(1) op.(2);
   (* double-bit vs single-bit PINFI *)
-  let pinfi = T.prepare T.Pinfi src in
   let run_bits bits =
     let model = if bits = 1 then F.Reg_bit else F.Multi_bit { bits; burst = false } in
     let rng = Prng.create (seed + bits) in

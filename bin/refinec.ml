@@ -176,16 +176,18 @@ let fi_cmd =
       with Invalid_argument msg -> Printf.eprintf "bad --fault-model: %s\n" msg; exit 2
     in
     if String.lowercase_ascii tool = "opcode" then begin
-      (* the §4.5 extension: persistent valid-opcode corruption *)
-      let m = Refine_minic.Frontend.compile (read_source src) in
-      let out = Pl.run ~verify_each (Pl.ensure_layout (spec_of opt passes)) m in
-      let image = Option.get out.Pl.image in
-      let p = Refine_core.Opcode_fi.profile image in
+      (* the §4.5 extension: persistent valid-opcode corruption of PINFI's
+         (uninstrumented) binary *)
+      let pinfi =
+        Refine_core.Tool.prepare ~pipeline:(spec_of opt passes) ~verify_each
+          ~cache:(not no_cache) Refine_core.Tool.Pinfi (read_source src)
+      in
+      let p = Refine_core.Opcode_fi.profile pinfi in
       let rng = Refine_support.Prng.create seed in
       let c = ref 0 and so = ref 0 and b = ref 0 in
       for _ = 1 to samples do
         match
-          (Refine_core.Opcode_fi.run_injection image p (Refine_support.Prng.split rng))
+          (Refine_core.Opcode_fi.run_injection pinfi p (Refine_support.Prng.split rng))
             .Refine_core.Fault.outcome
         with
         | Refine_core.Fault.Crash -> incr c

@@ -13,11 +13,11 @@
    The mutation is the engine-local Instr_image overlay
    ([Exec.set_overlay]), which persists until reset and never writes the
    shared code image, so prepared binaries stay shareable across
-   experiments. *)
+   experiments.  Runs execute PINFI's prepared binary on the domain's one
+   engine ([Tool.engine]). *)
 
 module M = Refine_mir.Minstr
 module E = Refine_machine.Exec
-module L = Refine_backend.Layout
 module P = Refine_support.Prng
 
 (* Valid same-shape opcode replacements — shared with the Instr_image
@@ -29,10 +29,9 @@ let alternatives = Corrupt.alternatives
 
 let is_target i = alternatives i <> []
 
-(* a fresh engine with the corruption hook; the fault record names the
-   corrupted pc *)
-let attach (ctrl : Runtime.ctrl) (image : L.image) : E.t =
-  let eng = E.create image in
+(* install the corruption hook on [eng], as [Pinfi.attach] does; the
+   fault record names the corrupted pc *)
+let attach (ctrl : Runtime.ctrl) (eng : E.t) =
   let hook (eng : E.t) (pc : int) (i : M.t) =
     if is_target i then begin
       ctrl.Runtime.count <- ctrl.Runtime.count + 1;
@@ -58,13 +57,13 @@ let attach (ctrl : Runtime.ctrl) (image : L.image) : E.t =
     end
   in
   eng.E.post_hook <- Some hook;
-  eng.E.hook_cost <- Fi_cost.pin_attach_per_instr;
-  eng
+  eng.E.hook_cost <- Fi_cost.pin_attach_per_instr
 
 (* profiling + one experiment, mirroring Tool.run_injection *)
-let profile (image : L.image) : Fault.profile =
+let profile (p : Tool.prepared) : Fault.profile =
   let ctrl = Runtime.create Runtime.Profile in
-  let eng = attach ctrl image in
+  let eng = Tool.engine p in
+  attach ctrl eng;
   let r = E.run ~max_steps:2_000_000_000L eng in
   (match r.E.status with
   | E.Exited 0 -> ()
@@ -76,13 +75,14 @@ let profile (image : L.image) : Fault.profile =
     profile_cost = r.E.cost;
   }
 
-let run_injection (image : L.image) (p : Fault.profile) (rng : P.t) : Fault.experiment =
-  if p.Fault.dyn_count = 0L then { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
+let run_injection (p : Tool.prepared) (prof : Fault.profile) (rng : P.t) : Fault.experiment =
+  if prof.Fault.dyn_count = 0L then { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
   else begin
-    let target = Int64.to_int (Int64.add 1L (P.int64 rng p.Fault.dyn_count)) in
+    let target = Int64.to_int (Int64.add 1L (P.int64 rng prof.Fault.dyn_count)) in
     let ctrl = Runtime.create (Runtime.Inject { target; rng; model = Fault.Reg_bit }) in
-    let eng = attach ctrl image in
-    let max_cost = Int64.mul Fi_cost.timeout_factor p.Fault.profile_cost in
+    let eng = Tool.engine p in
+    attach ctrl eng;
+    let max_cost = Int64.mul Fi_cost.timeout_factor prof.Fault.profile_cost in
     let r = E.run ~max_cost eng in
-    { Fault.outcome = Fault.classify p r; run_cost = r.E.cost; fault = ctrl.Runtime.record }
+    { Fault.outcome = Fault.classify prof r; run_cost = r.E.cost; fault = ctrl.Runtime.record }
   end

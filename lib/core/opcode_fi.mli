@@ -7,7 +7,8 @@
     modelling a corrupted code byte that persists for the rest of the run.
     The replacement is the engine's Instr_image overlay
     ({!Refine_machine.Exec.set_overlay}); the shared code image is never
-    written. *)
+    written.  Experiments run PINFI's prepared (uninstrumented) binary on
+    the calling domain's one engine ({!Tool.engine}). *)
 
 val alternatives : Refine_mir.Minstr.t -> Refine_mir.Minstr.t list
 (** Valid same-shape replacements (ALU opcode swaps, condition-code swaps,
@@ -16,15 +17,17 @@ val alternatives : Refine_mir.Minstr.t -> Refine_mir.Minstr.t list
 
 val is_target : Refine_mir.Minstr.t -> bool
 
-val attach : Runtime.ctrl -> Refine_backend.Layout.image -> Refine_machine.Exec.t
-(** Fresh engine with the corruption hook installed: it counts target
-    instructions in [ctrl.count] and, in [Runtime.Inject] mode, corrupts
-    the target instance's opcode and records the corrupted pc in
-    [ctrl.record]. *)
+val attach : Runtime.ctrl -> Refine_machine.Exec.t -> unit
+(** Installs the corruption hook on an engine, as {!Pinfi.attach} does: it
+    counts target instructions in [ctrl.count] and, in [Runtime.Inject]
+    mode, corrupts the target instance's opcode, records the corrupted pc
+    in [ctrl.record] and detaches. *)
 
-val profile : Refine_backend.Layout.image -> Fault.profile
-(** Fault-free counting run (the corruption population differs from the
-    bit-flip population: only instructions with valid alternatives). *)
+val profile : Tool.prepared -> Fault.profile
+(** Fault-free counting run of PINFI's prepared binary (the corruption
+    population differs from the bit-flip population: only instructions
+    with valid alternatives). *)
 
-val run_injection :
-  Refine_backend.Layout.image -> Fault.profile -> Refine_support.Prng.t -> Fault.experiment
+val run_injection : Tool.prepared -> Fault.profile -> Refine_support.Prng.t -> Fault.experiment
+(** One experiment on PINFI's prepared binary, classified against its
+    {!profile}. *)

@@ -159,18 +159,15 @@ let note_quota_trip (r : E.result) =
    only the pages the last run touched and loads the requested snapshot,
    moving the engine onto another binary when the domain switches cells.
    The engine keeps its decoded program across resets on the same image
-   and gets the new image's decode installed after a switch. *)
+   and gets the new image's decode installed after a switch; a detach
+   handoff (§20) switches this same engine onto its target's code. *)
 
 let engine_cell : E.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-(* Detach targets get their own per-domain cell so arming a plan never
-   resets the instrumented engine the sample is running on. *)
-let detach_cell : E.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-(* The domain's [cell] engine, reset onto [snap] (created on first use),
+(* The domain's engine, reset onto [snap] (created on first use),
    running [dprog]. *)
-let acquire cell ?(ext_extra = []) snap dprog =
-  let c = Domain.DLS.get cell in
+let acquire ?(ext_extra = []) snap dprog =
+  let c = Domain.DLS.get engine_cell in
   let eng =
     match !c with
     | Some eng ->
@@ -209,10 +206,10 @@ let decode image =
    campaign layer: [prepare] builds a *detach target* next to each
    REFINE/LLFI binary — a twin without the FI tax, decoded with
    attached-equivalent cost weights — and [run_injection] arms [Exec.run]
-   with a handoff plan, so once the injection fires the sample transfers
-   onto the target and the rest of the run retires at decoded golden
-   speed with bit-identical modeled cost at every original-instruction
-   boundary.
+   with a handoff plan, so once the injection fires the running engine
+   switches onto the target's code in place and the rest of the run
+   retires at decoded golden speed with bit-identical modeled cost at
+   every original-instruction boundary.
 
    Target flavors:
    - REFINE map mode: the golden twin [Fimap.extract] reads off the
@@ -231,7 +228,6 @@ let decode image =
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
-  dt_snap : E.snapshot;
   dt_dprog : E.dprogram; (* decoded with attached-equivalent cost weights *)
   dt_map : E.handoff_map option; (* Some = golden coordinates; None = shared *)
 }
@@ -278,6 +274,9 @@ type prepared = {
       (* post-injection handoff target (DESIGN.md §20); None for PINFI
          (it detaches natively) and for chaos builds *)
 }
+
+(* the domain's engine on [p]'s binary, no runtime library bound *)
+let engine (p : prepared) = acquire p.snap p.dprog
 
 exception Prepare_error of string
 
@@ -393,12 +392,7 @@ let llfi_patch_table =
   ]
 
 let target_of_image ?map image cost_w =
-  {
-    dt_image = image;
-    dt_snap = E.snapshot image;
-    dt_dprog = E.decode ~cost_of:cost_w image;
-    dt_map = map;
-  }
+  { dt_image = image; dt_dprog = E.decode ~cost_of:cost_w image; dt_map = map }
 
 let build_detach (kind : kind) image : detach_target option =
   match kind with
@@ -437,12 +431,7 @@ let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
       | Some _ -> p.kind = Llfi
       | None -> true
     in
-    if model_ok && livelock_ok then
-      Some
-        {
-          E.plan_target = (fun () -> acquire detach_cell dt.dt_snap dt.dt_dprog);
-          plan_map = dt.dt_map;
-        }
+    if model_ok && livelock_ok then Some { E.plan_prog = dt.dt_dprog; plan_map = dt.dt_map }
     else None
 
 (* ---- the run driver ----------------------------------------------------
@@ -460,7 +449,7 @@ let drive ?phases ?plan (p : prepared) mode
     (run : ?detach:E.detach_plan -> E.t -> E.result) =
   let time name f = match phases with None -> f () | Some ph -> Obs.Phase.time ph name f in
   let ctrl = Runtime.create mode in
-  let acquire ?ext_extra () = acquire engine_cell ?ext_extra p.snap p.dprog in
+  let acquire ?ext_extra () = acquire ?ext_extra p.snap p.dprog in
   let eng =
     match p.kind with
     | Refine -> acquire ~ext_extra:(Runtime.refine_handlers ctrl) ()

@@ -43,26 +43,26 @@ val derived_output_quota : Fault.profile -> int
 (** {1 Post-injection detach (DESIGN.md §20)}
 
     REFINE and LLFI samples hand off to their prepared detach target once
-    the single injection has retired: the architectural state transfers
-    onto an engine running the tool's binary without its FI tax, decoded
-    with attached-equivalent cost weights, and the rest of the run retires
-    at golden speed — the same detach the paper's PINFI performs (§5.2).
-    The test suite checks every such sample against a step-loop run of
-    the instrumented binary with no detach. *)
+    the single injection has retired: the running engine switches in
+    place onto the tool's binary without its FI tax, decoded with
+    attached-equivalent cost weights, and the rest of the run retires at
+    golden speed — the same in-place detach the paper's PINFI performs
+    (§5.2).  The test suite checks every such sample against a step-loop
+    run of the instrumented binary with no detach. *)
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
       (** REFINE: the golden twin {!Refine_backend.Fimap.extract} reads off
           the instrumented image; LLFI: the instrumented image with its
           runtime calls patched out *)
-  dt_snap : Refine_machine.Exec.snapshot;
   dt_dprog : Refine_machine.Exec.dprogram;
       (** decoded with the attached-equivalent per-pc cost weights *)
   dt_map : Refine_machine.Exec.handoff_map option;
       (** [Some] = twin coordinates (REFINE: drain + translate); [None] =
-          shared coordinates (LLFI: plain state copy) *)
+          shared coordinates (LLFI: only the code changes) *)
 }
-(** A prepared handoff target, built from the instrumented binary alone. *)
+(** A prepared handoff target, built from the instrumented binary alone
+    and sharing its extern table and heap base. *)
 
 type prepared = {
   kind : kind;
@@ -81,6 +81,12 @@ type prepared = {
 }
 (** A tool's binary after compilation and one profiling run.  The same
     binary serves profiling and injection, as in the paper. *)
+
+val engine : prepared -> Refine_machine.Exec.t
+(** The calling domain's one engine, which every run in the domain reuses,
+    reset onto the prepared binary with its decode installed and no
+    runtime library bound — for callers that attach their own hook, such
+    as {!Opcode_fi}. *)
 
 val detach_plan_for :
   quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option

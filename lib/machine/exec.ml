@@ -28,8 +28,8 @@
    plus a private map with one flag per 4 KiB page, set by every write to
    the arena.  [reset] zeroes the flagged pages and reloads the snapshot,
    optionally a different one, so a fault-injection campaign reuses one
-   arena per worker domain across samples and cells, and the detach
-   handoff copies only flagged pages. *)
+   arena per worker domain across samples and cells; the detach handoff
+   switches the running engine's code in place and moves no memory. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -93,7 +93,7 @@ type priv = {
 }
 
 type t = {
-  mutable image : L.image; (* rebound when [reset] moves to another snapshot *)
+  mutable image : L.image; (* rebound by [reset] and by the detach handoff *)
   regs : int64 array; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
   mem : Bytes.t; (* the arena; only this module writes it, flagging each touched page *)
   mutable pc : int;
@@ -141,7 +141,7 @@ type t = {
                                 while-condition *)
   mutable detach_req : bool;
       (* set by the FI control library when the single injection has
-         retired; [run] hands off to the detach plan's golden engine at
+         retired; [run] switches onto the detach plan's target at
          the next poll slot (DESIGN.md §20) *)
   mutable sp_struck : bool;
       (* an FI flip ([Mxorbit]) struck rsp or rbp: the run may go on to
@@ -189,7 +189,7 @@ type result = {
   steps : int64;
   cost : int64;
   truncated : bool; (* output was cut at the quota; never a golden match *)
-  detached : bool; (* the run handed off to its detach plan's golden engine *)
+  detached : bool; (* the run switched onto its detach plan's target *)
   drain_steps : int; (* attached steps executed to reach a mapped handoff pc *)
 }
 
@@ -203,19 +203,18 @@ type handoff_map = {
 }
 
 type detach_plan = {
-  plan_target : unit -> t;
-      (* acquire the target engine (reset, decode installed);
-         called at most once, only if the handoff goes ahead *)
+  plan_prog : dprogram;
+      (* the target's weighted decode; its image shares the engine's
+         extern table and heap base, so the handoff installs it in place *)
   plan_map : handoff_map option;
-      (* [Some] = golden-map mode (state transfer + pc/return-address
-         translation); [None] = a call-patched target in the source's
-         coordinates *)
+      (* [Some] = golden-map mode (pc/return-address translation);
+         [None] = a call-patched target in the source's coordinates *)
 }
 
 exception Detach_signal
 (* raised by the poll-slot check when [detach_req] is set and a plan is
-   armed; [run] catches it, attempts the handoff, and continues on the
-   winning engine *)
+   armed; [run] catches it, attempts the handoff, and continues on
+   whichever code the attempt leaves installed *)
 
 (* sentinel return address that terminates the program when popped *)
 let sentinel = -1L
@@ -514,10 +513,11 @@ let create ?ext_extra (image : L.image) : t = create_from_snapshot ?ext_extra (s
 let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   let s = match snapshot with Some s -> s | None -> t.priv.snap in
   if s.s_image != t.image then begin
-    (* a property of the image, not of a sample: rebind the memoized
-       builtins and drop a decode built for the old image *)
+    (* a property of the image, not of a sample: drop the old image's
+       decode; rebind the memoized builtins only for another extern table *)
+    if s.s_image.L.ext_names <> t.image.L.ext_names then
+      t.builtins <- Array.map builtin_handler s.s_image.L.ext_names;
     t.image <- s.s_image;
-    t.builtins <- Array.map builtin_handler s.s_image.L.ext_names;
     t.dprog <- None
   end;
   t.priv.snap <- s;
@@ -560,7 +560,7 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
    detach target validates every live entry against memory and rewrites
    the slot to the translated golden pc; a mismatch (a fault struck a
    stored return address or rsp) declines the handoff instead of
-   transferring a wrong frame.  Two int-array writes per call on the hot
+   translating a wrong frame.  Two int-array writes per call on the hot
    path; the arrays only grow (by doubling) past 64 live frames. *)
 let[@inline] cs_push (t : t) slot v =
   let n = t.cs_len in
@@ -1848,19 +1848,6 @@ let flip_mem_bit (t : t) ~addr ~bit =
   Bytes.set t.mem addr (Char.chr (b lxor (1 lsl bit)));
   Bytes.unsafe_set t.priv.dirty (addr lsr page_bits) '\001'
 
-(* The detach handoff's memory transfer: make [g]'s arena equal [src]'s.
-   A page neither engine flagged is zero in both, so only pages flagged
-   in either are copied, and each copy carries the source's flag. *)
-let copy_touched ~(src : t) (g : t) =
-  let sd = src.priv.dirty and gd = g.priv.dirty in
-  for p = 0 to num_pages - 1 do
-    let f = Bytes.unsafe_get sd p in
-    if f <> '\000' || Bytes.unsafe_get gd p <> '\000' then begin
-      Bytes.blit src.mem (p lsl page_bits) g.mem (p lsl page_bits) page_size;
-      Bytes.unsafe_set gd p f
-    end
-  done
-
 (* Install the Instr_image corruption overlay: the engine-local view of one
    mutated code slot ([None] = the mutated encoding is illegal).  The
    shared [image.code] is never written; [reset] clears the overlay. *)
@@ -1941,21 +1928,24 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
 
    [detach] (DESIGN.md §20): a post-injection handoff plan.  When the FI
    control library raises [t.detach_req] (the single injection has
-   retired), the next poll slot hands execution off to the plan's golden
-   engine: the architectural state (registers, the memory pages either
-   engine touched, heap cursor, accumulated output and step/cost
-   counters) transfers onto the reset engine the plan acquires on the
-   uninstrumented snapshot, and the same absolute budgets keep driving
-   it.  With a correspondence map the source first
-   drains with [step] to the next original-instruction boundary
-   and live [Mcalli] return addresses are validated against the shadow
-   call stack and rewritten into golden coordinates; without a map
-   (call-patched targets) the coordinates are shared and the handoff is
-   a plain state copy.  Any validation failure declines the handoff
+   retired), the next poll slot switches the engine onto the plan's
+   decode in place; everything but the code stays where it is, so the
+   target must share the engine's extern table and heap base.  With a
+   correspondence map the engine first drains with [step] to the next
+   original-instruction boundary, and live [Mcalli] return addresses are
+   validated against the shadow call stack and rewritten, with the pc,
+   into golden coordinates; without a map (call-patched targets) the
+   coordinates are shared.  Any validation failure declines the handoff
    and the run simply continues attached — detach is an optimization,
    never a semantics change. *)
 let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota
     ?wall_clock ?(clock = Sys.time) ?livelock ?poll ?detach (t : t) : result =
+  (match detach with
+  | Some p ->
+    let g = p.plan_prog.d_image in
+    if g.L.heap_base <> t.image.L.heap_base || g.L.ext_names <> t.image.L.ext_names then
+      invalid_arg "Exec.run: detach target must share the engine's extern table and heap base"
+  | None -> ());
   (match heap_quota with Some q -> t.heap_quota <- q | None -> ());
   let max_steps = int_budget max_steps and max_cost = int_budget max_cost in
   let oq = match output_quota with Some q -> max 0 q | None -> max_int in
@@ -1968,14 +1958,10 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
   (* the 256-slot fingerprint ring exists only while the livelock detector
      is armed — a plain sample must not pay for it *)
   let ll_state = if ll_window > 0 then Some (Array.make fp_ring_size None, ref 0) else None in
-  (* [cur] is the engine the run is currently driving: [t] until a
-     successful handoff, the plan's golden engine after *)
-  let cur = ref t in
   let plan = ref detach in
   let detached = ref false in
   let drained = ref 0 in
   let check_quotas () =
-    let t = !cur in
     (match poll with Some p -> p () | None -> ());
     if oq <> max_int && Buffer.length t.env.out > oq then t.status <- Trapped (Output_quota oq);
     if deadline < infinity && t.status = Running && clock () > deadline then
@@ -1994,108 +1980,78 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     | Some _ when t.detach_req && t.status = Running -> raise Detach_signal
     | _ -> ()
   in
-  (* One-shot handoff attempt.  Every failure path leaves [cur] on the
-     source engine with [plan] already cleared, so the run continues
+  (* One-shot handoff attempt.  Every failure path leaves the engine on
+     its own code with [plan] already cleared, so the run continues
      attached with identical semantics. *)
   let attempt_handoff (p : detach_plan) =
-    let src = !cur in
     (* the decoded loop's budget/check installs are not unwound when the
        signal propagates out of it — restore them here *)
-    src.d_check <- no_check;
-    src.d_max_steps <- max_int;
-    src.d_max_cost <- max_int;
-    src.detach_req <- false;
-    let ok = ref true in
-    (match p.plan_map with
-    | None -> ()
-    | Some m ->
-      (* drain with [step] to the next original-instruction
-         boundary (the splice the injection fired in has no golden
-         coordinates); the cap bounds a parse-defeating image, and budget
-         or quota edges during the drain decline the handoff *)
-      let n = Array.length m.h_rank in
-      let cap = ref 4096 in
-      while
-        !ok && src.status = Running && src.pc >= 0 && src.pc < n && m.h_rank.(src.pc) < 0
-      do
-        if !cap <= 0 || src.steps >= max_steps || src.cost >= max_cost then ok := false
-        else begin
-          step src;
-          incr drained;
-          decr cap;
-          if src.steps land 1023 = 0 then check_quotas ()
-        end
-      done;
-      if src.status <> Running || src.pc < 0 || src.pc >= n || m.h_rank.(src.pc) < 0 then
-        ok := false;
-      (* checked after the drain, which retires the rest of the splice and
-         with it the flip itself *)
-      if src.sp_struck then ok := false;
-      (* validate the live shadow call stack: each live frame's stack slot
-         must still hold the recorded return address (a fault that smashed
-         a return address makes the translation meaningless), and every
-         return address must translate into golden coordinates *)
-      if !ok then begin
-        let rsp = Int64.to_int src.regs.(R.rsp) in
-        if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false
-        else
-          for j = 0 to src.cs_len - 1 do
-            if !ok then begin
-              let slot = src.cs_slots.(j) in
-              if slot >= rsp then begin
-                if slot > Mem.mem_size - 8 then ok := false
-                else begin
-                  let v = src.cs_vals.(j) in
-                  if Bytes.get_int64_le src.mem slot <> v then ok := false
-                  else
-                    let vi = Int64.to_int v in
-                    if vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0 then
-                      ok := false
-                end
-              end
-            end
-          done
-      end);
-    if !ok then begin
-      let g = p.plan_target () in
-      if g == src || g.status <> Running then () (* unusable target: stay attached *)
-      else begin
-        copy_touched ~src g;
-        Array.blit src.regs 0 g.regs 0 (Array.length src.regs);
-        g.heap <- src.heap;
-        g.steps <- src.steps;
-        g.cost <- src.cost;
-        g.heap_quota <- src.heap_quota;
-        g.fi_mask <- src.fi_mask;
-        g.env.exited <- src.env.exited;
-        Buffer.clear g.env.out;
-        Buffer.add_buffer g.env.out src.env.out;
-        (* shared profile record: the owner keeps flushing the counters it
-           already holds, and post-handoff retirement lands in the same
-           cells *)
-        g.prof <- src.prof;
-        (match p.plan_map with
-        | Some m ->
-          g.pc <- m.h_rank.(src.pc);
-          (* rewrite live return addresses into golden coordinates *)
-          let rsp = Int64.to_int src.regs.(R.rsp) in
-          for j = 0 to src.cs_len - 1 do
-            let slot = src.cs_slots.(j) in
+    t.d_check <- no_check;
+    t.d_max_steps <- max_int;
+    t.d_max_cost <- max_int;
+    t.detach_req <- false;
+    let ok =
+      match p.plan_map with
+      | None -> true
+      | Some m ->
+        (* drain with [step] to the next original-instruction boundary
+           (the splice the injection fired in has no golden coordinates);
+           the cap bounds a parse-defeating image, and budget or quota
+           edges during the drain decline the handoff *)
+        let ok = ref true in
+        let n = Array.length m.h_rank in
+        let cap = ref 4096 in
+        while !ok && t.status = Running && t.pc >= 0 && t.pc < n && m.h_rank.(t.pc) < 0 do
+          if !cap <= 0 || t.steps >= max_steps || t.cost >= max_cost then ok := false
+          else begin
+            step t;
+            incr drained;
+            decr cap;
+            if t.steps land 1023 = 0 then check_quotas ()
+          end
+        done;
+        if t.status <> Running || t.pc < 0 || t.pc >= n || m.h_rank.(t.pc) < 0 then ok := false;
+        (* checked after the drain, which retires the rest of the splice
+           and with it the flip itself; an Instr_image overlay sits at an
+           instrumented pc, meaningless in golden coordinates *)
+        if t.sp_struck || t.overlay_pc >= 0 then ok := false;
+        (* validate the live shadow call stack: each live frame's stack
+           slot must still hold the recorded return address (a fault that
+           smashed one makes the translation meaningless), and every
+           return address must translate into golden coordinates *)
+        let rsp = Int64.to_int t.regs.(R.rsp) in
+        if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false;
+        for j = 0 to t.cs_len - 1 do
+          let slot = t.cs_slots.(j) in
+          if !ok && slot >= rsp then begin
+            let vi = Int64.to_int t.cs_vals.(j) in
+            if
+              slot > Mem.mem_size - 8
+              || Bytes.get_int64_le t.mem slot <> t.cs_vals.(j)
+              || vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0
+            then ok := false
+          end
+        done;
+        if !ok then begin
+          (* rewrite live return addresses, then the pc, into golden
+             coordinates *)
+          for j = 0 to t.cs_len - 1 do
+            let slot = t.cs_slots.(j) in
             if slot >= rsp then
-              store64 g slot (Int64.of_int m.h_next.(Int64.to_int src.cs_vals.(j)))
-          done
-        | None ->
-          (* shared coordinates: pc carries over; a live Instr_image
-             overlay moves with it *)
-          g.pc <- src.pc;
-          if src.overlay_pc >= 0 then set_overlay g ~pc:src.overlay_pc src.overlay_instr);
-        cur := g;
-        detached := true
-      end
+              store64 t slot (Int64.of_int m.h_next.(Int64.to_int t.cs_vals.(j)))
+          done;
+          t.pc <- m.h_rank.(t.pc)
+        end;
+        !ok
+    in
+    (* shared coordinates keep the pc and any armed overlay *)
+    if ok then begin
+      t.image <- p.plan_prog.d_image;
+      install_decoded t (Some p.plan_prog);
+      detached := true
     end
   in
   let rec drive () =
-    let t = !cur in
     match
       match t.dprog with
       | Some _ -> decoded_loop t ~max_steps ~max_cost ~check:check_quotas
@@ -2111,7 +2067,6 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
       drive ()
   in
   drive ();
-  let t = !cur in
   let status = if t.status = Running then Timed_out else t.status in
   let output = Buffer.contents t.env.out in
   let truncated = String.length output > oq in

@@ -23,7 +23,8 @@
     page, set by every write the machine makes.  {!reset} zeroes the
     flagged pages and reloads a snapshot (the engine's own, or another
     binary's), so one arena serves a worker domain's every sample and
-    cell; the detach handoff copies only flagged pages. *)
+    cell.  The detach handoff moves no memory: it switches the running
+    engine onto its target's code in place (DESIGN.md §20). *)
 
 val ext_call_cost : int
 (** Default modeled cost of a libc/libm extern call (25 units). *)
@@ -79,8 +80,9 @@ type priv
 
 type t = {
   mutable image : Refine_backend.Layout.image;
-      (** the binary being executed; rebound only by {!reset} onto another
-          binary's snapshot *)
+      (** the binary being executed; rebound by {!reset} onto another
+          binary's snapshot, and by {!run}'s detach handoff onto its
+          target's image *)
   regs : int64 array;  (** [Reg.num_regs] raw images: GPRs, FPRs, FLAGS *)
   mem : Bytes.t;
       (** the [Memlayout.mem_size] arena.  Read-only outside this module:
@@ -140,7 +142,7 @@ type t = {
   mutable d_max_cost : int;  (** active decoded-run cost budget.  Internal. *)
   mutable detach_req : bool;
       (** raised by the FI control library once the single injection has
-          retired; {!run} hands off to the detach plan's golden engine at
+          retired; {!run} switches onto the detach plan's target at
           the next poll slot (DESIGN.md §20).  Cleared by {!reset}. *)
   mutable sp_struck : bool;
       (** an FI flip ([Mxorbit]) struck rsp or rbp: the rest of the run may
@@ -182,7 +184,7 @@ type result = {
       (** the output was cut at the output quota — classification must
           never report it as a golden match *)
   detached : bool;
-      (** the run handed off to its detach plan's golden engine after the
+      (** the run switched onto its detach plan's target after the
           injection retired (DESIGN.md §20) *)
   drain_steps : int;
       (** instructions single-stepped to reach an original-instruction
@@ -202,17 +204,17 @@ type handoff_map = {
     the executor's terms (built by [Fimap] in the backend). *)
 
 type detach_plan = {
-  plan_target : unit -> t;
-      (** builds (or fetches from a cache) the golden engine to continue
-          on: reset, decoded with the attached-equivalent cost weights,
-          application externs bound *)
+  plan_prog : dprogram;
+      (** the target's decode, built with the attached-equivalent cost
+          weights from an image that shares the engine's extern table and
+          heap base ({!run} checks both) *)
   plan_map : handoff_map option;
-      (** [Some] = golden-snapshot coordinates (drain + translate);
+      (** [Some] = golden-twin coordinates (drain + translate);
           [None] = a call-patched target sharing the instrumented
-          image's coordinates (plain state copy) *)
+          image's coordinates (only the code changes) *)
 }
-(** Post-injection handoff plan, built per sample by the campaign layer
-    when the tool and fault model are eligible (DESIGN.md §20). *)
+(** Post-injection handoff plan (plain data), armed per sample by the
+    campaign layer when the tool and fault model are eligible (DESIGN.md §20). *)
 
 exception Detach_signal
 (** Internal: raised by the poll-slot check to unwind the engine loop when
@@ -248,8 +250,10 @@ val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -
 
     [snapshot] (default: the engine's own) moves the engine onto another
     snapshot, which it stays bound to.  When that snapshot's image differs
-    from the engine's, the image and the memoized builtins are rebound and
-    the installed decode is dropped ({!install_decoded} the new image's).
+    from the engine's (also after a detach handoff), the image is rebound
+    and the installed decode is dropped ({!install_decoded} the new
+    image's); the memoized builtins are rebuilt only for another extern
+    table.
 
     A reset engine is bit-identical to a fresh {!create_from_snapshot} of
     the same snapshot (asserted by the differential property tests). *)
@@ -358,12 +362,14 @@ val run :
     detector is armed.
 
     [detach] (DESIGN.md §20): when the FI control library raises
-    [detach_req] (the injection has retired), the next poll slot hands
-    execution off to [plan_target]'s golden engine — with a map the run
-    first drains to an original-instruction boundary and validates /
-    rewrites live return addresses through the shadow call stack; without
-    one the coordinates are shared and the handoff is a state copy.  Memory
-    moves page by page: only the pages either engine flagged are copied.  Any
-    validation failure declines the handoff and the run continues
-    attached; the handoff is attempted at most once per call.  [detached]
-    and [drain_steps] in the result report what happened. *)
+    [detach_req] (the injection has retired), the next poll slot switches
+    the engine onto [plan_prog] in place; registers, memory, counters,
+    output, profile and any armed overlay stay.  With a map the run first
+    drains to an original-instruction boundary, then validates and
+    rewrites the pc and live return addresses (shadow call stack) into
+    twin coordinates, declining if the fault struck rsp or rbp or an
+    overlay is armed.  Any validation failure declines the handoff and
+    the run continues attached; the handoff is attempted at most once per
+    call.  [detached] and [drain_steps] in the result report what
+    happened.  [Invalid_argument] if [plan_prog]'s image does not share
+    the engine's extern table and heap base. *)

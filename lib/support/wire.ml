@@ -85,7 +85,12 @@ let get_i64 c =
   c.pos <- c.pos + 8;
   !v
 
-let get_int c = Int64.to_int (get_i64 c)
+(* [put_int] never writes an i64 outside the 63-bit range: wrapping one
+   would decode a corrupted frame to a different int *)
+let get_int c =
+  let v = get_i64 c in
+  if Int64.of_int (Int64.to_int v) <> v then invalid_arg "Wire.get_int: outside the int range";
+  Int64.to_int v
 
 let get_bool c =
   match get_u8 c with
@@ -102,7 +107,8 @@ let get_string c =
   c.pos <- c.pos + n;
   s
 
-let get_option c get = match get_u8 c with 0 -> None | _ -> Some (get c)
+let get_option c get =
+  match get_u8 c with 0 -> None | 1 -> Some (get c) | _ -> invalid_arg "Wire.get_option: tag"
 
 let get_list c get =
   let n = get_u32 c in

@@ -4,8 +4,12 @@
     lists over a [Buffer] encoder and a string cursor decoder.  Strict:
     reading past the end raises {!Truncated}, so no prefix of a valid
     encoding decodes to a valid value (pinned by the test suite's
-    truncated-buffer property), and {!expect_end} rejects trailing bytes.
-    Floats are encoded as IEEE-754 bit patterns and round-trip exactly. *)
+    truncated-buffer property), {!expect_end} rejects trailing bytes, and
+    bytes no encoder writes (a bool or option tag other than 0 or 1, an
+    i64 outside the int range) raise [Invalid_argument], so a decoded
+    value re-encodes to exactly its bytes (pinned by the byte-corruption
+    property).  Floats are encoded as IEEE-754 bit patterns and round-trip
+    exactly. *)
 
 exception Truncated
 (** The buffer ends before the value being decoded does. *)

@@ -68,7 +68,6 @@ let loop_image n_iter =
     ]
 
 let fire_at k = ("fire", 2, fun (t : X.t) -> if t.X.regs.(R.gpr 1) = Int64.of_int k then t.X.detach_req <- true)
-let fire_noop = ("fire", 2, fun (_ : X.t) -> ())
 
 let baseline image exts = X.run (X.create_from_snapshot ~ext_extra:exts (X.snapshot image))
 
@@ -78,10 +77,7 @@ let test_handoff_map_identity () =
   let r0 = baseline image [ fire_at 600 ] in
   let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] snap in
   let plan =
-    {
-      X.plan_target = (fun () -> X.create_from_snapshot ~ext_extra:[ fire_noop ] snap);
-      plan_map = Some (identity_map (Array.length image.L.code));
-    }
+    { X.plan_prog = X.decode image; plan_map = Some (identity_map (Array.length image.L.code)) }
   in
   let r = X.run ~detach:plan eng in
   Alcotest.(check bool) "handoff happened" true r.X.detached;
@@ -93,13 +89,7 @@ let test_handoff_patch_shared_coords () =
   let snap = X.snapshot image in
   let r0 = baseline image [ fire_at 600 ] in
   let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] snap in
-  let plan =
-    {
-      X.plan_target = (fun () -> X.create_from_snapshot ~ext_extra:[ fire_noop ] snap);
-      plan_map = None;
-    }
-  in
-  let r = X.run ~detach:plan eng in
+  let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = None } eng in
   Alcotest.(check bool) "patch-mode handoff happened" true r.X.detached;
   Alcotest.(check string) "patch-mode run invisible" (sig_of r0) (sig_of r)
 
@@ -112,13 +102,7 @@ let test_drain_exhaustion_declines () =
   (* no pc ever has a golden rank: the drain must hit its cap (or the
      program's end) and decline, leaving the run attached *)
   let no_rank = { X.h_rank = Array.make n (-1); h_next = Array.make (n + 1) (-1) } in
-  let plan =
-    {
-      X.plan_target = (fun () -> X.create_from_snapshot ~ext_extra:[ fire_noop ] snap);
-      plan_map = Some no_rank;
-    }
-  in
-  let r = X.run ~detach:plan eng in
+  let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = Some no_rank } eng in
   Alcotest.(check bool) "declined" false r.X.detached;
   Alcotest.(check string) "declined run attached-identical" (sig_of r0) (sig_of r)
 
@@ -154,24 +138,16 @@ let test_smashed_return_address_declines () =
   | _ -> Alcotest.failf "baseline should trap on the smashed RA, got %a" Test_fastpath.pp_result r0);
   let eng = X.create_from_snapshot ~ext_extra:[ smash ] snap in
   let plan =
-    {
-      X.plan_target = (fun () -> X.create_from_snapshot ~ext_extra:[ smash ] snap);
-      plan_map = Some (identity_map (Array.length image.L.code));
-    }
+    { X.plan_prog = X.decode image; plan_map = Some (identity_map (Array.length image.L.code)) }
   in
   let r = X.run ~detach:plan eng in
   Alcotest.(check bool) "smashed RA declines handoff" false r.X.detached;
   Alcotest.(check string) "attached-identical after decline" (sig_of r0) (sig_of r)
 
-(* A target arena reused from an earlier sample on another binary: after
-   the handoff its memory must equal the source's everywhere except the
-   live return-address slot, which now holds the translated golden pc.
-   The golden twin is the source shifted by one leading instruction, so
-   every golden pc is the instrumented pc + 1, and it carries an extra
-   initialized global the source lacks: pages only the target flagged
-   must be copied too (as the source's zeros). *)
-let test_handoff_reused_target_memory () =
-  let module Mem = Refine_ir.Memlayout in
+(* A source image and its golden twin: the source shifted by one leading
+   instruction, so every golden pc is the instrumented pc + 1, with
+   [globals_of_twin] added to the twin's globals. *)
+let shifted_images globals_of_twin =
   let global name size c = { Ir.gname = name; gsize = size; gbytes = Some (String.make size c) } in
   let body shift =
     [
@@ -187,10 +163,10 @@ let test_handoff_reused_target_memory () =
       M.Mret;
     ]
   in
-  let src_image = Test_fastpath.image_of ~globals:[ global "a" 24 's' ] (body 0) in
+  let a = global "a" 24 's' in
+  let src_image = Test_fastpath.image_of ~globals:[ a ] (body 0) in
   let golden =
-    Test_fastpath.image_of
-      ~globals:[ global "a" 24 's'; global "b" (3 * 4096) 'g' ]
+    Test_fastpath.image_of ~globals:(a :: globals_of_twin)
       (M.Mmov (R.gpr 5, M.Reg (R.gpr 5)) :: body 1)
   in
   let n = Array.length src_image.L.code in
@@ -200,54 +176,87 @@ let test_handoff_reused_target_memory () =
       h_next = Array.init (n + 1) (fun i -> if i < n then i + 1 else -1);
     }
   in
-  (* the target's previous sample: another binary with larger globals, a
-     store straddling two pages the source never touches, and a store
-     beside the source's own store slot *)
-  let prev =
-    Test_fastpath.image_of ~globals:[ global "p" (5 * 4096) 'p' ]
-      [
-        M.Mmov (R.gpr 1, M.Imm (-1L));
-        M.Mmov (R.gpr 3, M.Imm (Int64.of_int ((51 * 4096) - 4)));
-        M.Mstore (R.gpr 1, R.gpr 3, 0);
-        M.Mmov (R.gpr 3, M.Imm (Int64.of_int ((40 * 4096) + 8)));
-        M.Mstore (R.gpr 1, R.gpr 3, 0);
-        M.Mmov (R.ret_gpr, M.Imm 0L);
-        M.Mhalt;
-      ]
-  in
-  let g = X.create_from_snapshot (X.snapshot prev) in
-  ignore (X.run g);
-  let golden_snap = X.snapshot golden and golden_dp = X.decode golden in
-  let plan =
-    {
-      X.plan_target =
-        (fun () ->
-          X.reset ~ext_extra:[ fire_noop ] ~snapshot:golden_snap g;
-          X.install_decoded g (Some golden_dp);
-          g);
-      plan_map = Some shifted;
-    }
-  in
-  let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] (X.snapshot src_image) in
-  X.install_decoded eng (Some (X.decode src_image));
+  (src_image, golden, { X.plan_prog = X.decode golden; plan_map = Some shifted })
+
+(* The handoff switches the running engine in place.  After it, the
+   engine's registers and memory must equal an attached run's at the same
+   step, except the live return-address slot, which now holds the
+   translated golden pc; a plain reset must bring back the instrumented
+   image and a pristine arena. *)
+let test_handoff_in_place () =
+  let module Mem = Refine_ir.Memlayout in
+  let src_image, golden, plan = shifted_images [] in
+  let src_snap = X.snapshot src_image in
   (* fire retires at step 3001; the handoff happens at the 3072 poll slot,
-     where the step budget also ends, so the target executes nothing *)
+     where the step budget also ends, so the twin executes nothing *)
+  let attached = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] src_snap in
+  let r0 = X.run ~max_steps:3072L attached in
+  let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] src_snap in
+  X.install_decoded eng (Some (X.decode src_image));
   let r = X.run ~max_steps:3072L ~detach:plan eng in
   Alcotest.(check bool) "handed off" true r.X.detached;
-  Alcotest.(check int64) "stopped at the handoff" 3072L r.X.steps;
-  Alcotest.(check int) "pc translated" (eng.X.pc + 1) g.X.pc;
-  Alcotest.(check (array int64)) "registers carried" eng.X.regs g.X.regs;
+  Alcotest.(check string) "result = attached run's" (sig_of r0) (sig_of r);
+  Alcotest.(check bool) "running the twin's image" true (eng.X.image == golden);
+  Alcotest.(check int) "pc translated" (attached.X.pc + 1) eng.X.pc;
+  Alcotest.(check (array int64)) "registers = attached run's" attached.X.regs eng.X.regs;
   let ra = Mem.mem_size - 16 in
-  Alcotest.(check int64) "source return address" 1L (Bytes.get_int64_le eng.X.mem ra);
-  Alcotest.(check int64) "translated return address" 2L (Bytes.get_int64_le g.X.mem ra);
-  let expect = Bytes.copy eng.X.mem in
+  Alcotest.(check int64) "attached return address" 1L (Bytes.get_int64_le attached.X.mem ra);
+  Alcotest.(check int64) "translated return address" 2L (Bytes.get_int64_le eng.X.mem ra);
+  let expect = Bytes.copy attached.X.mem in
   Bytes.set_int64_le expect ra 2L;
-  Alcotest.(check bool) "memory = source's but the return-address slot" true
-    (Bytes.equal expect g.X.mem);
-  (* the copied pages are flagged on the target: its next reset is clean *)
-  X.reset g;
-  Alcotest.(check bool) "target resets clean" true
-    (Bytes.equal g.X.mem (X.create_from_snapshot golden_snap).X.mem)
+  Alcotest.(check bool) "memory = attached run's but the return-address slot" true
+    (Bytes.equal expect eng.X.mem);
+  X.reset eng;
+  Alcotest.(check bool) "reset: back on the instrumented image" true (eng.X.image == src_image);
+  Alcotest.(check int) "reset: pc at the entry" src_image.L.entry eng.X.pc;
+  Alcotest.(check bool) "reset: pristine arena" true
+    (Bytes.equal eng.X.mem (X.create_from_snapshot src_snap).X.mem)
+
+(* A plan whose image does not share the engine's extern table or heap
+   base cannot continue on the engine's handlers and memory layout: the
+   run refuses it up front, whether or not a handoff would happen. *)
+let test_foreign_target_rejected () =
+  let refused name plan image =
+    let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] (X.snapshot image) in
+    match X.run ~detach:plan eng with
+    | _ -> Alcotest.failf "%s: plan accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let src_image, _, plan = shifted_images [ { Ir.gname = "b"; gsize = 4096; gbytes = None } ] in
+  refused "different heap base" plan src_image;
+  let image = loop_image 2000 in
+  let other =
+    Test_fastpath.image_of
+      (List.map
+         (function M.Mcallext _ -> M.Mcallext "other" | i -> i)
+         (Array.to_list image.L.code))
+  in
+  refused "different extern table" { X.plan_prog = X.decode other; plan_map = None } image
+
+(* An armed Instr_image overlay shortens the loop (it now exits at 1000
+   instead of 2000).  Its pc is an instrumented one, meaningless in twin
+   coordinates, so a map-mode handoff declines and the run stays
+   attached; in shared coordinates the overlay stays armed on the
+   target's code. *)
+let test_overlay_handoff () =
+  let image = loop_image 2000 in
+  let short = Some (M.Mcmp (R.gpr 1, M.Imm 1000L)) in
+  let run ?detach () =
+    let eng = X.create_from_snapshot ~ext_extra:[ fire_at 100 ] (X.snapshot image) in
+    X.install_decoded eng (Some (X.decode image));
+    X.set_overlay eng ~pc:3 short;
+    X.run ?detach eng
+  in
+  let r0 = run () in
+  Alcotest.(check bool) "the overlay shortens the loop" true
+    (r0.X.steps < (baseline image [ fire_at 100 ]).X.steps);
+  let n = Array.length image.L.code in
+  let r = run ~detach:{ X.plan_prog = X.decode image; plan_map = Some (identity_map n) } () in
+  Alcotest.(check bool) "map mode declines" false r.X.detached;
+  Alcotest.(check string) "declined run = attached run" (sig_of r0) (sig_of r);
+  let r = run ~detach:{ X.plan_prog = X.decode image; plan_map = None } () in
+  Alcotest.(check bool) "patch mode hands off" true r.X.detached;
+  Alcotest.(check string) "patch-mode run keeps the overlay" (sig_of r0) (sig_of r)
 
 (* --- the per-sample eligibility matrix --------------------------------- *)
 
@@ -430,8 +439,12 @@ let tests =
       test_drain_exhaustion_declines;
     Alcotest.test_case "smashed return address declines the handoff" `Quick
       test_smashed_return_address_declines;
-    Alcotest.test_case "reused target arena: memory = source's after handoff" `Quick
-      test_handoff_reused_target_memory;
+    Alcotest.test_case "in-place handoff: state = attached run's, reset restores" `Quick
+      test_handoff_in_place;
+    Alcotest.test_case "foreign extern table or heap base rejected" `Quick
+      test_foreign_target_rejected;
+    Alcotest.test_case "armed overlay: map handoff declines, patch keeps it" `Quick
+      test_overlay_handoff;
     Alcotest.test_case "per-sample eligibility matrix" `Quick test_plan_matrix;
     Alcotest.test_case "mutated detach image is never served" `Quick
       test_mutated_detach_never_served;

@@ -112,18 +112,17 @@ let prepare_image src =
   Refine_passes.Pipeline.compile m
 
 let test_opcode_profile_transparent () =
-  let image = prepare_image opcode_src in
-  let p = Op.profile image in
+  let p = Op.profile (T.prepare T.Pinfi opcode_src) in
   Alcotest.(check string) "golden output" "3675\n" p.F.golden_output;
   Alcotest.(check bool) "targets exist" true (Int64.compare p.F.dyn_count 0L > 0)
 
 let test_opcode_injection () =
-  let image = prepare_image opcode_src in
-  let p = Op.profile image in
+  let pinfi = T.prepare T.Pinfi opcode_src in
+  let p = Op.profile pinfi in
   let non_benign = ref 0 in
   let fired = ref 0 in
   for seed = 1 to 30 do
-    let e = Op.run_injection image p (P.create seed) in
+    let e = Op.run_injection pinfi p (P.create seed) in
     if e.F.fault <> None then incr fired;
     if e.F.outcome <> F.Benign then incr non_benign
   done;
@@ -132,14 +131,16 @@ let test_opcode_injection () =
   Alcotest.(check bool) "opcode corruption usually visible" true (!non_benign > 20)
 
 let test_opcode_image_not_shared () =
-  (* corruption must not leak into later experiments on the same image *)
-  let image = prepare_image opcode_src in
-  let p = Op.profile image in
-  ignore (Op.run_injection image p (P.create 1));
-  let eng = Refine_machine.Exec.create image in
+  (* corruption must not leak into the shared image, nor into the next run
+     on the domain's engine *)
+  let pinfi = T.prepare T.Pinfi opcode_src in
+  let p = Op.profile pinfi in
+  ignore (Op.run_injection pinfi p (P.create 1));
+  let eng = Refine_machine.Exec.create pinfi.T.image in
   let r = Refine_machine.Exec.run eng in
   Alcotest.(check string) "image intact after corruption run" p.F.golden_output
-    r.Refine_machine.Exec.output
+    r.Refine_machine.Exec.output;
+  Alcotest.(check bool) "next run on the domain's engine is clean" true (Op.profile pinfi = p)
 
 (* ---- multi-bit faults ---- *)
 

@@ -178,6 +178,23 @@ let prop_no_prefix_decodes =
       | _ -> false
       | exception (W.Truncated | Invalid_argument _) -> true)
 
+(* One corrupted payload byte: the decoder must reject the frame with one
+   of its three errors, or return a frame that re-encodes to exactly the
+   corrupted bytes — a decoder that wraps an out-of-range int or reads any
+   nonzero tag as [Some] would return a frame the bytes never encoded *)
+let prop_corrupt_byte_canonical =
+  QCheck.Test.make ~name:"a corrupted payload byte is rejected or decodes canonically"
+    ~count:2000
+    QCheck.(triple arb_frame (int_bound 1_000_000) (int_range 1 255))
+    (fun (f, pos, mask) ->
+      let b = Bytes.of_string (S.encode f) in
+      let pos = pos mod Bytes.length b in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+      let corrupted = Bytes.to_string b in
+      match S.decode corrupted with
+      | g -> S.encode g = corrupted
+      | exception (W.Truncated | Invalid_argument _ | S.Protocol_mismatch _) -> true)
+
 let prop_stream_reassembles =
   QCheck.Test.make ~name:"deframer reassembles frames across arbitrary chunking" ~count:100
     QCheck.(pair (small_list arb_frame) small_nat)
@@ -358,6 +375,7 @@ let tests =
   [
     qcheck prop_roundtrip;
     qcheck prop_no_prefix_decodes;
+    qcheck prop_corrupt_byte_canonical;
     qcheck prop_stream_reassembles;
     qcheck prop_torn_tail_is_residue;
     Alcotest.test_case "tool name mapping" `Quick test_tool_names;
