@@ -8,7 +8,8 @@
      REFINE_SAMPLES   experiments per (program, tool) cell
                       (default 1068, the paper's Leveugle sizing for 3%
                       error at 95% confidence; set e.g. 200 for a quick
-                      pass — the full default run takes ~20 minutes)
+                      pass — the full default run, 44,856 experiments,
+                      took about 6 minutes on a 2-core VM)
      REFINE_SEED      master PRNG seed (default 20170712)
      REFINE_PROGRAMS  comma-separated program filter (default: all 14)
      REFINE_JOURNAL   checkpoint/resume journal path: every resolved sample

@@ -33,7 +33,7 @@ type splice = {
   sp_cand : int;  (* pc of the candidate instruction (original) *)
   sp_start : int;  (* first spliced pc: the PreFI [Mpush r0] *)
   sp_end : int;  (* last spliced pc: the PostFI [Mpop r0] *)
-  sp_cost : int;  (* modeled cost of the non-firing path through the splice *)
+  sp_flags : bool;  (* the splice saves FLAGS: [Mpushf] / [Mpopf] around the call *)
 }
 
 type t = {
@@ -46,7 +46,7 @@ type t = {
 (* Parse every splice of [code], anchored at [Mcallext "fi_sel_instr"].
    Raises [Not_found] on any shape violation — the image then runs
    attached. *)
-let parse_splices ~lib_call_cost (code : M.t array) : splice list =
+let parse_splices (code : M.t array) : splice list =
   let n = Array.length code in
   let r0 = R.gpr 0 in
   let out = ref [] in
@@ -85,16 +85,14 @@ let parse_splices ~lib_call_cost (code : M.t array) : splice list =
          (a candidate is never a terminator, so at least the block's own
          terminator comes after the PostFI restores) *)
       if sp_end + 1 >= n then raise Not_found;
-      (* non-firing path: push r0 [, pushf], callext, cmp, jcc, popf?, pop
-         r0 — 7 (or 5) interior instructions plus the library call *)
-      let interior = if save_flags then 7 else 5 in
-      out :=
-        { sp_cand = sp_start - 1; sp_start; sp_end; sp_cost = interior + lib_call_cost }
-        :: !out;
+      out := { sp_cand = sp_start - 1; sp_start; sp_end; sp_flags = save_flags } :: !out;
       last_end := sp_end
     | _ -> ()
   done;
   List.rev !out
+
+let splices (image : Layout.image) : splice list option =
+  match parse_splices image.Layout.code with exception Not_found -> None | l -> Some l
 
 (* Translate one instrumented-image instruction into golden coordinates:
    branch/call targets go through [rank]; everything else is unchanged.
@@ -114,9 +112,9 @@ let is_call = function M.Mcalli _ | M.Mcall _ -> true | _ -> false
 let extract ~lib_call_cost (instr : Layout.image) : (Layout.image * t) option =
   let icode = instr.Layout.code in
   let n = Array.length icode in
-  match parse_splices ~lib_call_cost icode with
-  | exception Not_found -> None
-  | spl ->
+  match splices instr with
+  | None -> None
+  | Some spl ->
     (* golden slots: every original pc, plus the splice start of each
        call-site candidate (its collapsed jump); -1 for the rest *)
     let rank_of_pc = Array.make n 0 in
@@ -139,13 +137,16 @@ let extract ~lib_call_cost (instr : Layout.image) : (Layout.image * t) option =
     let cost_w = Array.make !g 1 in
     List.iter
       (fun s ->
+        (* non-firing path: push r0 [, pushf], callext, cmp, jcc, [popf,]
+           pop r0 — 7 (or 5) interior instructions plus the library call *)
+        let cost = (if s.sp_flags then 7 else 5) + lib_call_cost in
         match rank_of_pc.(s.sp_start) with
-        | -1 -> cost_w.(rank_of_pc.(s.sp_cand)) <- 1 + s.sp_cost
+        | -1 -> cost_w.(rank_of_pc.(s.sp_cand)) <- 1 + cost
         | j ->
           (* the candidate retires separately at weight 1, so the jump
              carries exactly the skipped splice's cost *)
           original.(j) <- M.Mjmp (s.sp_end + 1);
-          cost_w.(j) <- s.sp_cost)
+          cost_w.(j) <- cost)
       spl;
     let translated = Array.map (translate rank_of_pc) original in
     if Array.exists Option.is_none translated || rank_of_pc.(instr.Layout.entry) < 0 then None

@@ -16,8 +16,16 @@ type splice = {
   sp_cand : int;  (** pc of the candidate (original) instruction *)
   sp_start : int;  (** first spliced pc: the PreFI [Mpush r0] *)
   sp_end : int;  (** last spliced pc: the PostFI [Mpop r0] *)
-  sp_cost : int;  (** modeled cost of the non-firing path through the splice *)
+  sp_flags : bool;
+      (** the splice saves FLAGS: [Mpushf] after the PreFI push, [Mpopf]
+          before the PostFI pop *)
 }
+
+val splices : Layout.image -> splice list option
+(** Every REFINE splice of the image, in pc order (none for an image
+    without [fi_sel_instr] calls); [None] when any of them does not parse.
+    The one splice parser: {!extract} drops these splices, and
+    [Exec.decode] fuses each into one superinstruction (DESIGN.md §19). *)
 
 type t = {
   rank_of_pc : int array;

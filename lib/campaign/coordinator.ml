@@ -55,19 +55,20 @@ type chaos = {
 
 let no_chaos = { kill_worker = None; stop_worker = None; abort_after = None }
 
+(* worker supervision; Supervisor.backoff spaces the restarts *)
+let max_restarts = 3 (* respawns per worker slot before it stays dead *)
+let max_chunk_reassigns = 4 (* reassignments per chunk before its samples are dropped *)
+let heartbeat_s = 0.02 (* min seconds between worker heartbeats *)
+let backoff_base = 0.02
+let backoff_cap = 0.5
+
 type options = {
   workers : int;
   chunk_samples : int option; (* samples per chunk; None = pending/(workers*2) *)
-  max_restarts : int; (* respawns per worker slot before it stays dead *)
-  max_chunk_reassigns : int; (* reassignments per chunk before its samples are dropped *)
-  heartbeat_s : float; (* min seconds between worker heartbeats *)
   deadline_s : float;
       (* silence threshold before a busy worker is SIGKILLed; must exceed
          the worst-case prepare (compile + profile) time, which emits no
          heartbeats *)
-  backoff_base : float;
-  backoff_cap : float;
-  exe : string option; (* worker executable; None = Sys.executable_name *)
   chaos : chaos;
   status : Obs.Serve.t option;
       (* live status endpoint, polled from the select loop; the
@@ -79,13 +80,7 @@ let default_options =
   {
     workers = 2;
     chunk_samples = None;
-    max_restarts = 3;
-    max_chunk_reassigns = 4;
-    heartbeat_s = 0.02;
     deadline_s = 30.0;
-    backoff_base = 0.02;
-    backoff_cap = 0.5;
-    exe = None;
     chaos = no_chaos;
     status = None;
   }
@@ -222,12 +217,13 @@ let worker_env ~in_fd ~out_fd =
    library that prints at init (test runners love to) cannot corrupt the
    protocol.  Parent ends are close-on-exec so one worker never holds
    another worker's pipe open. *)
-let spawn ~exe ~config w =
+let spawn ~config w =
   let c2w_r, c2w_w = Unix.pipe () in
   let w2c_r, w2c_w = Unix.pipe () in
   Unix.set_close_on_exec c2w_w;
   Unix.set_close_on_exec w2c_r;
   let env = worker_env ~in_fd:c2w_r ~out_fd:w2c_w in
+  let exe = Sys.executable_name in
   let pid = Unix.create_process_env exe [| exe |] env Unix.stdin Unix.stdout Unix.stderr in
   Unix.close c2w_r;
   Unix.close w2c_w;
@@ -259,7 +255,6 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
   let model_name = F.string_of_model model in
   (* a worker dying mid-assign must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let exe = match options.exe with Some e -> e | None -> Sys.executable_name in
   let config =
     {
       S.seed;
@@ -270,7 +265,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       verify_each;
       cache;
       pipeline = Option.map Refine_passes.Pipeline.print pipeline;
-      heartbeat_s = options.heartbeat_s;
+      heartbeat_s;
       obs = Obs.Control.enabled ();
       trace = Obs.Span.sink_active ();
     }
@@ -415,7 +410,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
   let requeue ch =
     if chunk_live ch then begin
       ch.reassigns <- ch.reassigns + 1;
-      if ch.reassigns > options.max_chunk_reassigns then begin
+      if ch.reassigns > max_chunk_reassigns then begin
         Obs.Metrics.add m_lost (List.length ch.todo);
         Printf.eprintf "[shard] chunk %d abandoned after %d reassignments (%d samples lost)\n%!"
           ch.id ch.reassigns (List.length ch.todo)
@@ -435,11 +430,11 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
         emit_chunk_span ~now:(Unix.gettimeofday ()) ~ok:false ~slot:w.slot ch;
         requeue ch
       | _ -> ());
-      if w.restarts < options.max_restarts then begin
+      if w.restarts < max_restarts then begin
         w.restarts <- w.restarts + 1;
         Obs.Metrics.inc m_restarts;
         let delay =
-          Sup.backoff ~base:options.backoff_base ~cap:options.backoff_cap
+          Sup.backoff ~base:backoff_base ~cap:backoff_cap
             ~seed:(seed lxor w.slot) w.restarts
         in
         w.state <- Waiting (Unix.gettimeofday () +. delay)
@@ -636,7 +631,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
   let poll_status () = Option.iter Obs.Serve.poll options.status in
   (* launch *)
   Array.iter
-    (fun w -> try spawn ~exe ~config w with Unix.Unix_error _ -> w.state <- Dead)
+    (fun w -> try spawn ~config w with Unix.Unix_error _ -> w.state <- Dead)
     workers;
   Obs.Metrics.set m_workers (float_of_int (alive_count ()));
   let work_left () =
@@ -652,7 +647,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       (fun w ->
         match w.state with
         | Waiting t when now >= t -> (
-          try spawn ~exe ~config w with Unix.Unix_error _ -> w.state <- Dead)
+          try spawn ~config w with Unix.Unix_error _ -> w.state <- Dead)
         | _ -> ())
       workers;
     Obs.Metrics.set m_workers (float_of_int (alive_count ()));

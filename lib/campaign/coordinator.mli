@@ -7,7 +7,11 @@
     pipe EOF; the dead worker's in-flight chunk is requeued with its todo
     list minus the acknowledged samples, and the slot is respawned after a
     deterministic seeded backoff ({!Refine_support.Supervisor.backoff}),
-    at most [max_restarts] times.  Because every sample owns a
+    at most 3 times per worker slot.  Workers are this executable
+    re-exec'd ([Sys.executable_name]: the embedding binary must call
+    {!Worker.maybe_exec} first), heartbeating at most every 20 ms; a
+    chunk reassigned more than 4 times is dropped (its samples counted in
+    [refine_shard_lost_samples_total]).  Because every sample owns a
     deterministic PRNG split, the merged results are bit-identical to an
     uninterrupted single-process run with the same seed — the property the
     shard smoke tests pin by SIGKILLing a worker mid-campaign. *)
@@ -29,19 +33,9 @@ type options = {
   workers : int;
   chunk_samples : int option;
       (** samples per dispatched chunk; [None] = pending / (workers * 2) *)
-  max_restarts : int;  (** respawns per worker slot before it stays dead *)
-  max_chunk_reassigns : int;
-      (** reassignments per chunk before its samples are dropped (counted
-          in [refine_shard_lost_samples_total]) *)
-  heartbeat_s : float;  (** min seconds between worker heartbeats *)
   deadline_s : float;
       (** silence threshold before a busy worker is SIGKILLed; must exceed
           the worst-case prepare time, which emits no heartbeats *)
-  backoff_base : float;
-  backoff_cap : float;
-  exe : string option;
-      (** worker executable; [None] = [Sys.executable_name] (the
-          embedding binary must call {!Worker.maybe_exec} first) *)
   chaos : chaos;
   status : Refine_obs.Serve.t option;
       (** live status endpoint: the coordinator installs its [/status]
@@ -52,7 +46,8 @@ type options = {
 }
 
 val default_options : options
-(** 2 workers, 3 restarts, 20ms heartbeats, 30s deadline, no chaos. *)
+(** 2 workers, automatic chunking, 30s deadline, no chaos, no status
+    endpoint. *)
 
 exception Aborted of int
 (** Raised by the [abort_after] chaos hook with the number of samples

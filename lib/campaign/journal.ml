@@ -44,8 +44,8 @@ type t = {
 
 (* v2 appends the fault-model field (DESIGN.md §18).  The version tag is a
    comment line, so a v1 loader's tolerant parse ignores it; this loader
-   accepts both the v1 shape (6 fields, implicitly the paper's "reg"
-   model) and the v2 shape (7 fields). *)
+   accepts the v1 shape (6 fields, implicitly the paper's "reg" model)
+   only in a journal without the v2 tag, and the v2 shape (7 fields). *)
 let magic = "# refine-journal v2"
 
 (* reasons travel on one journal/CSV line; field and line separators are
@@ -53,10 +53,13 @@ let magic = "# refine-journal v2"
 let sanitize s =
   String.map (function '\t' | '\n' | '\r' | ',' -> ' ' | c -> c) s
 
-let render e =
-  Printf.sprintf "%s\t%s\t%d\t%s\t%Ld\t%d\t%s" e.program e.tool e.sample
+(* the v1 line: every field but the model *)
+let render_v1 e =
+  Printf.sprintf "%s\t%s\t%d\t%s\t%Ld\t%d" e.program e.tool e.sample
     (F.string_of_outcome e.outcome)
-    e.cost e.attempts e.model
+    e.cost e.attempts
+
+let render e = render_v1 e ^ "\t" ^ e.model
 
 let render_quarantine (program, tool, reason) =
   Printf.sprintf "Q\t%s\t%s\t%s" program tool (sanitize reason)
@@ -66,32 +69,42 @@ let render_quarantine (program, tool, reason) =
    aborting the resume — losing one checkpoint costs one re-run, losing
    the journal costs the campaign.  [Fault.outcome_of_string] raises on
    unknown names; the try-with turns that into a skip, and the caller
-   counts skips so the degradation report can surface them. *)
-let parse line =
+   counts skips so the degradation report can surface them.
+
+   A line is accepted only if its entry renders back to exactly that line
+   (its v1 form for a v1 line).  [int_of_string] and [Int64.of_string]
+   also read [1_], [0x5], [+7], [0b11] and [01]; a corrupted byte can
+   produce any of those, and a lenient read would load the wrong sample
+   or cost, which [create]'s canonical rewrite then makes permanent.  [v1]
+   is false in a v2 journal, whose writer never emits the 6-field shape:
+   there a 6-field line is a 7-field line cut short (a model separator
+   corrupted into a newline), and reading it as "reg" would mis-decode a
+   sample of another model. *)
+let parse ~v1 line =
   let decode program tool sample outcome cost attempts model =
-    try
-      (* validate the model name so a corrupt trailing field skips the
-         line instead of resurfacing later as a loader error *)
-      ignore (F.model_of_string model);
-      Some
-        {
-          program;
-          tool;
-          model;
-          sample = int_of_string sample;
-          outcome = F.outcome_of_string outcome;
-          cost = Int64.of_string cost;
-          attempts = int_of_string attempts;
-        }
-    with _ -> None
+    {
+      program;
+      tool;
+      (* canonical model name: a corrupt trailing field skips the line
+         instead of resurfacing later as a loader error *)
+      model = F.string_of_model (F.model_of_string model);
+      sample = int_of_string sample;
+      outcome = F.outcome_of_string outcome;
+      cost = Int64.of_string cost;
+      attempts = int_of_string attempts;
+    }
   in
-  match String.split_on_char '\t' line with
-  (* v1 shape: no model field — the paper's single-bit register model *)
-  | [ program; tool; sample; outcome; cost; attempts ] ->
-    decode program tool sample outcome cost attempts "reg"
-  | [ program; tool; sample; outcome; cost; attempts; model ] ->
-    decode program tool sample outcome cost attempts model
-  | _ -> None
+  try
+    match String.split_on_char '\t' line with
+    (* v1 shape: no model field — the paper's single-bit register model *)
+    | [ program; tool; sample; outcome; cost; attempts ] when v1 ->
+      let e = decode program tool sample outcome cost attempts "reg" in
+      if render_v1 e = line then Some e else None
+    | [ program; tool; sample; outcome; cost; attempts; model ] ->
+      let e = decode program tool sample outcome cost attempts model in
+      if render e = line then Some e else None
+    | _ -> None
+  with _ -> None
 
 let parse_quarantine line =
   match String.split_on_char '\t' line with
@@ -145,9 +158,10 @@ let load_entries path =
         Printf.eprintf "journal %s: dropping torn final line (killed mid-append)\n%!" path;
         ("", 1)
   in
+  let lines = String.split_on_char '\n' s in
+  let v1 = not (List.mem magic lines) in
   let lines =
-    String.split_on_char '\n' s
-    |> List.filter (fun l -> String.trim l <> "" && not (String.length l > 0 && l.[0] = '#'))
+    List.filter (fun l -> String.trim l <> "" && not (String.length l > 0 && l.[0] = '#')) lines
   in
   let entries = ref [] and quarantines = ref [] and skipped = ref torn in
   List.iter
@@ -155,7 +169,7 @@ let load_entries path =
       match parse_quarantine l with
       | Some q -> quarantines := q :: !quarantines
       | None -> (
-        match parse l with
+        match parse ~v1 l with
         | Some e -> entries := e :: !entries
         | None ->
           incr skipped;

@@ -32,7 +32,7 @@ let is_target i = alternatives i <> []
 (* install the corruption hook on [eng], as [Pinfi.attach] does; the
    fault record names the corrupted pc *)
 let attach (ctrl : Runtime.ctrl) (eng : E.t) =
-  let hook (eng : E.t) (pc : int) (i : M.t) =
+  let on_instr (eng : E.t) (pc : int) (i : M.t) =
     if is_target i then begin
       ctrl.Runtime.count <- ctrl.Runtime.count + 1;
       match ctrl.Runtime.mode with
@@ -51,13 +51,11 @@ let attach (ctrl : Runtime.ctrl) (eng : E.t) =
                 reg_name = Printf.sprintf "pc=%d" pc;
                 bit = -1;
               };
-          eng.E.post_hook <- None;
-          eng.E.hook_cost <- 0
+          eng.E.post_hook <- None
         end
     end
   in
-  eng.E.post_hook <- Some hook;
-  eng.E.hook_cost <- Fi_cost.pin_attach_per_instr
+  eng.E.post_hook <- Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr }
 
 (* profiling + one experiment, mirroring Tool.run_injection *)
 let profile (p : Tool.prepared) : Fault.profile =

@@ -16,7 +16,7 @@ module Selection = Refine_passes.Selection
 
 let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
   let all_funcs = List.mem "*" sel.Selection.funcs in
-  let hook (eng : E.t) (pc : int) (i : M.t) =
+  let on_instr (eng : E.t) (pc : int) (i : M.t) =
     if
       Selection.minstr_selected sel i
       && (all_funcs || Selection.func_selected sel eng.E.image.Refine_backend.Layout.func_of_pc.(pc))
@@ -42,11 +42,9 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
             eng.E.regs.(reg) <- Int64.logxor eng.E.regs.(reg) mask;
             ctrl.Runtime.record <-
               Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
-          (* detach: drop the hook and the DBI per-instruction tax *)
-          eng.E.post_hook <- None;
-          eng.E.hook_cost <- 0
+          (* detach: drop the hook and with it the DBI per-instruction tax *)
+          eng.E.post_hook <- None
         end
     end
   in
-  eng.E.post_hook <- Some hook;
-  eng.E.hook_cost <- Fi_cost.pin_attach_per_instr
+  eng.E.post_hook <- Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr }

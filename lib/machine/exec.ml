@@ -12,16 +12,19 @@
    property tests compare them on random programs.
 
    Cost model (DESIGN.md §6): 1 unit per instruction, [ext_call_cost] units
-   per runtime-library call, plus [hook_cost] per instruction while a
-   dynamic-instrumentation hook (PINFI) is attached.
+   per runtime-library call, plus the attached dynamic-instrumentation
+   hook's (PINFI's) [hook_cost] per instruction — charged by [step] alone,
+   since decoded dispatch never runs while a hook is attached.
 
-   Fast path (DESIGN.md §14): the per-instruction execute path is
-   allocation-free when profiling is off — step/cost counters are plain
-   [int] fields (63 bits is ample for any modeled budget), FLAGS writes
-   index a preallocated table of the 8 possible flag words, condition
-   codes are evaluated with int bit tests, and extern calls dispatch
-   through a per-engine handler array resolved once from the image's
+   Fast path (DESIGN.md §14): the per-instruction accounting allocates
+   nothing when profiling is off — step/cost counters are plain [int]
+   fields (63 bits is ample for any modeled budget), FLAGS writes index a
+   preallocated table of the 8 possible flag words, condition codes are
+   evaluated with int bit tests, and extern calls dispatch through a
+   per-engine handler array resolved once from the image's
    [ext_slot_of_pc] table instead of hashing the extern name per call.
+   Register values are not unboxed: [regs] is an [int64 array], so an
+   instruction that computes a new value boxes it.
 
    Touched-page memory (DESIGN.md §14): a [snapshot] holds only the
    initialized globals region; every engine owns one [Mem.mem_size] arena
@@ -104,8 +107,7 @@ type t = {
   env : Refine_ir.Externs.env;
   ext_extra : (string, int * (t -> unit)) Hashtbl.t;
       (* FI runtime library: name -> (modeled cost, handler) *)
-  mutable post_hook : (t -> int -> M.t -> unit) option; (* PINFI-style DBI *)
-  mutable hook_cost : int;
+  mutable post_hook : hook option; (* PINFI-style DBI; [step] alone runs it *)
   mutable prof : profile option; (* executor profiling; None = zero-cost path *)
   mutable heap_quota : int; (* max heap bytes above heap_base; max_int = off *)
   mutable handlers : (t -> unit) array;
@@ -169,6 +171,13 @@ type t = {
   mutable cs_vals : int64 array; (* ...and the value pushed into it *)
   mutable cs_len : int;
   priv : priv;
+}
+
+(* A DBI hook and the modeled cost it adds to every instruction while
+   attached: one value, so attaching or detaching either moves both. *)
+and hook = {
+  on_instr : t -> int -> M.t -> unit; (* after each step: pre-execution pc, instruction *)
+  hook_cost : int;
 }
 
 (* A decoded program: per-pc closure tables plus static decode facts.
@@ -469,7 +478,6 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
       env;
       ext_extra = Hashtbl.create 8;
       post_hook = None;
-      hook_cost = 0;
       prof = None;
       heap_quota = max_int;
       handlers = [||];
@@ -532,7 +540,6 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   Buffer.clear t.env.out;
   t.env.exited <- None;
   t.post_hook <- None;
-  t.hook_cost <- 0;
   t.prof <- None;
   t.heap_quota <- max_int;
   t.fi_mask <- 0L;
@@ -588,7 +595,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
   let code = t.image.L.code in
   begin
     t.steps <- t.steps + 1;
-    t.cost <- t.cost + 1 + t.hook_cost;
+    t.cost <- t.cost + 1 + (match t.post_hook with Some h -> h.hook_cost | None -> 0);
     (match t.prof with
     | None -> ()
     | Some p ->
@@ -680,7 +687,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
          in
          store64 t addr (Int64.logxor v mask)
        | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr)));
-       match t.post_hook with Some h -> h t pc0 i | None -> ()
+       match t.post_hook with Some h -> h.on_instr t pc0 i | None -> ()
      with Halt_trap tr -> t.status <- Trapped tr)
   end
 
@@ -721,14 +728,14 @@ let step (t : t) =
      pc, so budget exhaustion, traps and taken branches leave the machine
      in the state the legacy interpreter would;
    - fused idioms contain no extern calls, so nothing a constituent
-     executes can install an overlay or a DBI hook mid-fusion (the
-     fi-splice's selector call is the one extern, and the splice returns
-     to the loop if the call armed an overlay);
+     executes can install an overlay or a DBI hook mid-fusion (the fused
+     fi-splice retires its selector call without entering the library);
    - a superinstruction whose guard declines runs its constituents'
      single decodes, so there is one exact path per instruction;
    - the dispatch loop falls back to the legacy [step] while a [post_hook]
      is attached (PINFI / tracing observe per-instruction semantics, and
-     decoded dispatch resumes the moment the hook detaches itself);
+     decoded dispatch resumes the moment the hook detaches itself), so a
+     decoded closure never charges hook cost;
    - an Instr_image overlay switches the engine to a private fusion-free
      table whose overlaid slot runs the mutated instruction's decode.
 
@@ -758,11 +765,12 @@ let[@inline always] dstore64 t addr v =
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
 (* per-constituent accounting, identical to [exec_instr]'s prologue with
-   the opcode class [k] baked in at decode time.  Only weight-1 slots
-   account here: a weighted slot (DESIGN.md §20) decodes to [via_legacy]. *)
+   no hook attached and the opcode class [k] baked in at decode time.
+   Only weight-1 slots account here: a weighted slot (DESIGN.md §20)
+   decodes to [via_legacy]. *)
 let[@inline always] account (t : t) k =
   t.steps <- t.steps + 1;
-  t.cost <- t.cost + 1 + t.hook_cost;
+  t.cost <- t.cost + 1;
   match t.prof with
   | None -> ()
   | Some p -> p.class_steps.(k) <- p.class_steps.(k) + 1
@@ -1290,10 +1298,10 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
     ~tgt : dop =
   let k0 = image.L.class_of_pc.(pc0) and k1 = image.L.class_of_pc.(pc0 + 1) in
   let pc2 = pc0 + 2 in
+  let c2 = cw0 + cw1 in
   let exact = compose2 (pc0 + 1) single.(pc0) single.(pc0 + 1) in
   let finish (t : t) fl =
     let s = t.steps in
-    let c2 = cw0 + cw1 + (2 * t.hook_cost) in
     if s land 1023 <= 1021 && t.d_max_steps - s >= 2 && t.d_max_cost - t.cost >= c2 then begin
       (* batched: no poll slot or budget edge inside the pair *)
       t.steps <- s + 2;
@@ -1315,70 +1323,39 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
 (* Hand-fused loop back edge: compare + conditional exit + backward jump,
    the bottom-of-loop shape of every counted MinC loop.  The jump
    constituent retires only on the fall-through path, exactly as the
-   legacy interpreter would reach it.
-
-   [spin] marks a tight self-loop ([jt = pc0] and the compared registers
-   not FLAGS): the triple writes nothing but FLAGS and pc, so once the
-   branch falls through every further iteration is identical until the
-   next poll slot or budget edge — those iterations retire in bulk and the
-   boundary iteration goes through the constituent-exact path, firing the
-   poll check at exactly the legacy step count with exactly the legacy
-   architectural state. *)
+   legacy interpreter would reach it. *)
 let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask
-    ~want ~tgt ~jt ~spin : dop =
+    ~want ~tgt ~jt : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
+  let c2 = cw0 + cw1 in
+  let c3 = c2 + cw2 in
   let exact = compose2 pc1 single.(pc0) (compose2 pc2 single.(pc1) single.(pc2)) in
   let finish (t : t) fl =
     let s = t.steps in
-    let hc = t.hook_cost in
-    let c3 = cw0 + cw1 + cw2 + (3 * hc) in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
       (* batched: no poll slot or budget edge inside the triple *)
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
-      let prof2 () =
-        match t.prof with
-        | None -> ()
-        | Some p ->
-          p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-          p.class_steps.(k1) <- p.class_steps.(k1) + 1
-      in
+      (match t.prof with
+      | None -> ()
+      | Some p ->
+        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
+        p.class_steps.(k1) <- p.class_steps.(k1) + 1);
       if (fl land mask <> 0) = want then begin
         (* exit taken: only cmp+jcc retire *)
         t.steps <- s + 2;
-        t.cost <- t.cost + cw0 + cw1 + (2 * hc);
-        prof2 ();
+        t.cost <- t.cost + c2;
         t.pc <- tgt
       end
       else begin
         t.steps <- s + 3;
         t.cost <- t.cost + c3;
-        prof2 ();
         (match t.prof with
         | None -> ()
         | Some p -> p.class_steps.(k2) <- p.class_steps.(k2) + 1);
-        t.pc <- jt;
-        if spin then begin
-          (* idempotent spin: retire whole further iterations in bulk up
-             to the next poll slot / budget edge *)
-          let n =
-            min
-              ((1023 - (t.steps land 1023)) / 3)
-              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / c3))
-          in
-          if n > 0 then begin
-            t.steps <- t.steps + (3 * n);
-            t.cost <- t.cost + (n * c3);
-            match t.prof with
-            | None -> ()
-            | Some p ->
-              p.class_steps.(k0) <- p.class_steps.(k0) + n;
-              p.class_steps.(k1) <- p.class_steps.(k1) + n;
-              p.class_steps.(k2) <- p.class_steps.(k2) + n
-          end
-        end
+        t.pc <- jt
       end
     end
     else exact t
@@ -1393,28 +1370,19 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
    retire together and the batched path needs only the boundary/budget
    guard; the op's intermediate FLAGS write is unobservable inside the
    batch (the compare overwrites it), so only the compare's flags are
-   stored.  Decode guarantees none of the operands is FLAGS itself.
-
-   [burn = Some (delta, m)] marks the canonical counted self-latch:
-   [tgt = pc0], the op steps the latch register by [delta] (+-1), and the
-   compare is [latch <> m] (CNe).  Every further iteration then has the
-   closed form latch_j = latch + j*delta with the branch taken while
-   latch_j <> m, so whole iterations retire in bulk up to the iteration
-   before the exit value, the next poll slot, or a budget edge — with the
-   latch register and FLAGS materialized to their exact architectural
-   values at the stopping point. *)
+   stored.  Decode guarantees none of the operands is FLAGS itself. *)
 let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
-    (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt ~burn : dop =
+    (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc3 = pc0 + 3 in
+  let c3 = cw0 + cw1 + cw2 in
   let exact =
     compose2 (pc0 + 1) single.(pc0) (compose2 (pc0 + 2) single.(pc0 + 1) single.(pc0 + 2))
   in
   fun t ->
     let s = t.steps in
-    let c3 = cw0 + cw1 + cw2 + (3 * t.hook_cost) in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
       let va = Array.unsafe_get t.regs a in
       let vb = match b with M.Imm v -> v | M.Reg r -> Array.unsafe_get t.regs r in
@@ -1444,114 +1412,63 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
         p.class_steps.(k0) <- p.class_steps.(k0) + 1;
         p.class_steps.(k1) <- p.class_steps.(k1) + 1;
         p.class_steps.(k2) <- p.class_steps.(k2) + 1);
-      if (fl land mask <> 0) = want then begin
-        t.pc <- tgt;
-        match burn with
-        | None -> ()
-        | Some (delta, m) ->
-          (* counted self-latch: bulk-retire up to the iteration before
-             the exit value / next poll slot / budget edge *)
-          let cap =
-            min
-              ((1023 - (t.steps land 1023)) / 3)
-              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / c3))
-          in
-          if cap > 0 then begin
-            (* the branch was taken, so r <> m and the (wrapping) exit
-               distance is >= 1 *)
-            let j_exit = if delta < 0L then Int64.sub r m else Int64.sub m r in
-            let k64 = Int64.sub j_exit 1L in
-            let k =
-              if Int64.unsigned_compare k64 (Int64.of_int cap) >= 0 then cap
-              else Int64.to_int k64
-            in
-            if k > 0 then begin
-              let r' = Int64.add r (Int64.mul delta (Int64.of_int k)) in
-              Array.unsafe_set t.regs d r';
-              Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words (flags_of r' m));
-              t.steps <- t.steps + (3 * k);
-              t.cost <- t.cost + (k * c3);
-              match t.prof with
-              | None -> ()
-              | Some p ->
-                p.class_steps.(k0) <- p.class_steps.(k0) + k;
-                p.class_steps.(k1) <- p.class_steps.(k1) + k;
-                p.class_steps.(k2) <- p.class_steps.(k2) + k
-            end
-          end
-      end
-      else t.pc <- pc3
+      t.pc <- (if (fl land mask <> 0) = want then tgt else pc3)
     end
     else exact t
 
 (* Hand-fused REFINE FI splice (DESIGN.md §20): the instrumentation the
-   pass wraps around every candidate —
+   pass wraps around every candidate, as [Fimap.splices] parses it —
 
      Mpush r0; [Mpushf]; Mcallext "fi_sel_instr";
-     Mcmp (ret_gpr, 0); Mjcc (CEq, post); ...; post: [Mpopf]; Mpop r0
+     Mcmp (r0, 0); Mjcc (CEq, post); ...; post: [Mpopf]; Mpop r0
 
-   — dispatched as one closure.  The overwhelmingly common non-firing
-   path (the selector returns 0) batches the whole splice: the saves
-   cannot trap (stack headroom is part of the guard), the selector call
-   itself retires constituent-exact so the FI control library observes
-   the precise attached machine state, and the restore loads the saved
-   words back from memory — not from remembered values, because a firing
-   Mem_cell fault inside the selector may strike the saved bytes and the
-   legacy pops would read the flipped value.  Any other outcome (selector
-   returns nonzero, an Instr_image overlay was installed, a budget edge,
-   a status change) leaves the machine at the exact post-call boundary
-   [a+1] and returns to the dispatch loop, which continues constituent-
-   exact — the fire path's cmp/jcc at [a+1] is the ordinary fused
-   compare-branch.  Guard failure runs the head's single decode; the
-   interior pcs keep their single decodes, so nothing is lost. *)
-let fuse_splice (image : L.image) (single : dop array) pc0 ~pf ~r0 ~post : dop =
+   where r0 is [ret_gpr] — dispatched as one closure with one batched
+   path: inside the selector's skip window ([fi_sel_skip > 0], published
+   by the FI control library: the call provably cannot fire) the whole
+   non-firing splice retires without entering the library, provided no
+   poll slot, budget edge or stack trap falls inside it.  Its observable
+   effects are the PreFI stack stores, FLAGS = cmp 0,0 for the flag-less
+   variant (the pf variant restores the saved FLAGS: net unchanged), the
+   retired step/cost/profile counters, and the skipped call banked in
+   [fi_sel_pending] (folded back by [Runtime.absorb] or the next real
+   selector call); rsp and r0 end where they started.  Anywhere else the
+   head's single decode runs and the splice goes on constituent-exact
+   through the dispatch loop — the selector call is its pc's own decode,
+   and the fire path's cmp/jcc is the ordinary fused compare-branch. *)
+let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fimap.splice) : dop =
+  let pc0 = spl.Refine_backend.Fimap.sp_start and pf = spl.sp_flags and sp_end = spl.sp_end in
   let a = pc0 + if pf then 2 else 1 in
-  let slot = image.L.ext_slot_of_pc.(a) in
+  let slot = ext_slot image a in
   let npush = if pf then 2 else 1 in
   let len = npush + 3 + npush in
-  let sp_end = post + npush - 1 in
   let cls = image.L.class_of_pc in
   let k_push = cls.(pc0)
-  and k_pushf = cls.(pc0 + 1) (* = k_push's neighbour; read only when pf *)
+  and k_pushf = cls.(pc0 + 1) (* read only when pf, like k_popf *)
   and k_call = cls.(a)
   and k_cmp = cls.(a + 1)
   and k_jcc = cls.(a + 2)
-  and k_popf = cls.(post)
+  and k_popf = cls.(sp_end - 1)
   and k_pop = cls.(sp_end) in
   let s_head = single.(pc0) in
   let floor = Mem.mem_size - Mem.stack_limit in
-  let ret_clobbered = r0 <> R.ret_gpr in
   fun t ->
     let s = t.steps in
-    let hc = t.hook_cost in
     let sp = Int64.to_int (Array.unsafe_get t.regs R.rsp) in
+    let hcost = Array.unsafe_get t.handler_cost slot in
     if
       t.fi_sel_skip > 0
       && s land 1023 <= 1023 - len
       && t.d_max_steps - s >= len
-      && t.d_max_cost - t.cost >= (len * (1 + hc)) + Array.unsafe_get t.handler_cost slot
+      && t.d_max_cost - t.cost >= len + hcost
       && sp - (8 * npush) >= floor
       && sp - (8 * npush) >= Mem.null_guard
       && sp <= Mem.mem_size
     then begin
-      (* fast path: the runtime has proven this selector call cannot fire
-         (fi_sel_skip > 0), so the whole splice retires in-engine with no
-         handler invocation.  Architecturally observable effects of the
-         skipped sequence: the two PreFI stack stores, ret_gpr <- 0 (when
-         the saved register is not ret_gpr itself — otherwise the pop
-         restores it and the net effect is nil), flags = cmp 0,0 for the
-         flag-less variant (the pf variant restores the saved FLAGS, net
-         unchanged), rsp net unchanged, and the retired step/cost/profile
-         counters.  The deferred dynamic count is banked in
-         fi_sel_pending and folded back by the runtime (Runtime.absorb or
-         the next real selector call). *)
-      let hcost = Array.unsafe_get t.handler_cost slot in
-      dstore64 t (sp - 8) (Array.unsafe_get t.regs r0);
-      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags);
-      if ret_clobbered then Array.unsafe_set t.regs R.ret_gpr 0L;
-      if not pf then Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1);
+      dstore64 t (sp - 8) (Array.unsafe_get t.regs R.ret_gpr);
+      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags)
+      else Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1);
       t.steps <- s + len;
-      t.cost <- t.cost + (len * (1 + hc)) + hcost;
+      t.cost <- t.cost + len + hcost;
       (match t.prof with
       | None -> ()
       | Some p ->
@@ -1567,52 +1484,6 @@ let fuse_splice (image : L.image) (single : dop array) pc0 ~pf ~r0 ~post : dop =
       t.fi_sel_skip <- t.fi_sel_skip - 1;
       t.fi_sel_pending <- t.fi_sel_pending + 1;
       t.pc <- sp_end + 1
-    end
-    else if
-      s land 1023 <= 1023 - len
-      && t.d_max_steps - s >= len
-      && t.d_max_cost - t.cost >= (len * (1 + hc)) + 64
-      && sp - (8 * npush) >= floor
-      && sp - (8 * npush) >= Mem.null_guard
-      && sp <= Mem.mem_size
-    then begin
-      (* batched PreFI saves: no trap, poll slot or budget edge inside *)
-      dstore64 t (sp - 8) (Array.unsafe_get t.regs r0);
-      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags);
-      Array.unsafe_set t.regs R.rsp (Int64.of_int (sp - (8 * npush)));
-      t.steps <- s + npush;
-      t.cost <- t.cost + (npush * (1 + hc));
-      (match t.prof with
-      | None -> ()
-      | Some p ->
-        p.class_steps.(k_push) <- p.class_steps.(k_push) + 1;
-        if pf then p.class_steps.(k_pushf) <- p.class_steps.(k_pushf) + 1);
-      (* the selector call, constituent-exact *)
-      account t k_call;
-      t.pc <- a + 1;
-      t.handlers.(slot) t;
-      if
-        d_live t && t.pc = a + 1 && t.overlay_pc < 0
-        && Array.unsafe_get t.regs R.ret_gpr = 0L
-        && t.d_max_cost - t.cost >= (npush + 2) * (1 + hc)
-      then begin
-        (* batched non-firing tail: cmp 0,0 (equal); jcc taken; restores *)
-        (if pf then Array.unsafe_set t.regs R.flags (dload64 t (sp - 16))
-         else Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1));
-        Array.unsafe_set t.regs r0 (dload64 t (sp - 8));
-        Array.unsafe_set t.regs R.rsp (Int64.of_int sp);
-        t.steps <- t.steps + npush + 2;
-        t.cost <- t.cost + ((npush + 2) * (1 + hc));
-        (match t.prof with
-        | None -> ()
-        | Some p ->
-          p.class_steps.(k_cmp) <- p.class_steps.(k_cmp) + 1;
-          p.class_steps.(k_jcc) <- p.class_steps.(k_jcc) + 1;
-          if pf then p.class_steps.(k_popf) <- p.class_steps.(k_popf) + 1;
-          p.class_steps.(k_pop) <- p.class_steps.(k_pop) + 1);
-        t.pc <- sp_end + 1
-      end
-      (* else: exact state at the post-call boundary; the loop takes over *)
     end
     else s_head t
 
@@ -1635,54 +1506,17 @@ let decode ?cost_of (image : L.image) : dprogram =
   let super = Array.make (Array.length idioms) 0 in
   let okr r = r >= 0 && r < R.num_regs in
   let oko = function M.Reg r -> okr r | M.Imm _ -> true in
-  let plain = match cost_of with None -> true | Some _ -> false in
   for pc = 0 to n - 1 do
-    (* REFINE FI splice head: the exact shape Fimap.parse_splices accepts
-       (the [Mjmp (a+4)] discriminates it from user code, which can never
-       call "fi_sel_instr" anyway).  Only on plain (unweighted) images:
-       detach targets carry the splice cost as slot weights instead. *)
-    let splice =
-      plain
-      &&
-      match code.(pc) with
-      | M.Mpush r0 when okr r0 -> (
-        let pf = pc + 1 < n && code.(pc + 1) = M.Mpushf in
-        let a = pc + if pf then 2 else 1 in
-        a + 3 < n
-        && code.(a) = M.Mcallext "fi_sel_instr"
-        && image.L.ext_slot_of_pc.(a) >= 0
-        && code.(a + 1) = M.Mcmp (R.ret_gpr, M.Imm 0L)
-        && (match code.(a + 3) with M.Mjmp s -> s = a + 4 | _ -> false)
-        &&
-        match code.(a + 2) with
-        | M.Mjcc (M.CEq, post)
-          when post > a + 3
-               && post + (if pf then 2 else 1) < n
-               &&
-               if pf then code.(post) = M.Mpopf && code.(post + 1) = M.Mpop r0
-               else code.(post) = M.Mpop r0 ->
-          fused.(pc) <- fuse_splice image single pc ~pf ~r0 ~post;
-          super.(3) <- super.(3) + 1;
-          true
-        | _ -> false)
-      | _ -> false
-    in
     let fused3 =
-      (not splice) && pc + 2 < n
+      pc + 2 < n
       &&
       match (code.(pc), code.(pc + 1), code.(pc + 2)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt), M.Mjmp jt when jt <= pc + 2 && okr a && oko b -> (
         match int_cc cc with
         | Some (mask, want) ->
-          (* [spin]: self-loop whose compare doesn't read FLAGS, so the
-             burned iterations are provably identical *)
-          let spin =
-            jt = pc && a <> R.flags
-            && match b with M.Reg rb -> rb <> R.flags | M.Imm _ -> true
-          in
           fused.(pc) <-
             fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc a b
-              ~mask ~want ~tgt ~jt ~spin;
+              ~mask ~want ~tgt ~jt;
           super.(2) <- super.(2) + 1;
           true
         | None -> false)
@@ -1699,20 +1533,9 @@ let decode ?cost_of (image : L.image) : dprogram =
              && (match b2 with M.Reg r -> r <> R.flags | M.Imm _ -> true) -> (
         match int_cc cc with
         | Some (mask, want) ->
-          (* closed-form bulk retirement for the canonical counted
-             self-latch: step the latch by +-1, compare it to a constant,
-             loop while not equal *)
-          let burn =
-            if tgt = pc && a = d && a2 = d && (match cc with M.CNe -> true | _ -> false) then
-              match (op, b, b2) with
-              | Sub, M.Imm st, M.Imm m when st = 1L || st = -1L -> Some (Int64.neg st, m)
-              | Add, M.Imm st, M.Imm m when st = 1L || st = -1L -> Some (st, m)
-              | _ -> None
-            else None
-          in
           fused.(pc) <-
             fuse_latch3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc op d
-              a b a2 b2 ~mask ~want ~tgt ~burn;
+              a b a2 b2 ~mask ~want ~tgt;
           (* a backward target is a loop latch; forward is a fused
              compare-branch with a leading op *)
           (if tgt <= pc + 2 then super.(2) <- super.(2) + 1
@@ -1733,6 +1556,17 @@ let decode ?cost_of (image : L.image) : dprogram =
         super.(0) <- super.(0) + 1
       | _ -> ()
   done;
+  (* REFINE FI splices, as the detach map reads them (a splice head is an
+     [Mpush], which heads no other idiom).  Only on plain (unweighted)
+     images: detach targets carry the splice cost as slot weights. *)
+  (match cost_of with
+  | Some _ -> ()
+  | None ->
+    List.iter
+      (fun (spl : Refine_backend.Fimap.splice) ->
+        fused.(spl.sp_start) <- fuse_splice image single spl;
+        super.(3) <- super.(3) + 1)
+      (Option.value ~default:[] (Refine_backend.Fimap.splices image)));
   { d_image = image; d_fused = fused; d_single = single; d_super = super }
 
 let superinstr_counts dp = Array.copy dp.d_super

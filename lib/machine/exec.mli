@@ -8,14 +8,17 @@
     fault model intends.
 
     Cost model (DESIGN.md §6): 1 unit per instruction, per-extern call
-    costs, plus {!field:hook_cost} per instruction while a DBI-style hook
-    is attached.
+    costs, plus the attached {!hook}'s [hook_cost] per instruction while a
+    DBI-style hook is attached.  Only {!step} charges hook cost: decoded
+    dispatch runs only while no hook is attached.
 
     Fast path (DESIGN.md §14): step/cost counters are plain unboxed [int]
     fields, FLAGS writes index a preallocated table, and extern calls
     dispatch through a per-engine handler array resolved once from the
-    image's [ext_slot_of_pc] table.  The per-instruction execute path
-    allocates nothing when profiling is off.
+    image's [ext_slot_of_pc] table, so the per-instruction accounting
+    allocates nothing when profiling is off.  Register values are boxed:
+    {!field:regs} is an [int64 array], so every instruction that computes
+    a new register value allocates it.
 
     Touched-page memory (DESIGN.md §14): a {!snapshot} holds only an
     image's initialized globals region.  Each engine owns one
@@ -97,10 +100,10 @@ type t = {
   env : Refine_ir.Externs.env;
   ext_extra : (string, int * (t -> unit)) Hashtbl.t;
       (** FI runtime library: name -> (modeled cost, handler) *)
-  mutable post_hook : (t -> int -> Refine_mir.Minstr.t -> unit) option;
-      (** PINFI-style DBI: called after every executed instruction with the
-          pre-execution pc and the instruction *)
-  mutable hook_cost : int;  (** extra cost per instruction while attached *)
+  mutable post_hook : hook option;
+      (** PINFI-style DBI.  While [Some], {!run} executes every
+          instruction through {!step}, which charges the hook's cost and
+          then calls it; setting [None] detaches hook and cost together. *)
   mutable prof : profile option;  (** executor profiling; [None] = zero-cost path *)
   mutable heap_quota : int;
       (** sandbox heap quota in bytes above the image's heap base;
@@ -173,6 +176,13 @@ type t = {
   mutable cs_vals : int64 array;  (** the value pushed into each slot.  Internal. *)
   mutable cs_len : int;  (** live shadow-stack depth.  Internal. *)
   priv : priv;
+}
+
+and hook = {
+  on_instr : t -> int -> Refine_mir.Minstr.t -> unit;
+      (** called after every executed instruction with the pre-execution
+          pc and the instruction *)
+  hook_cost : int;  (** extra modeled cost per instruction while attached *)
 }
 
 type result = {
@@ -301,9 +311,13 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
     code slot ([Invalid_argument] on a length mismatch; default weight 1
     everywhere).  Detach targets are decoded with the correspondence map's
     weights so a detached run charges the same modeled cost the attached
-    run would have — batched superinstruction retirement and closed-form
-    loop burn scale their budget-edge math by the constituent weights and
-    stay constituent-exact. *)
+    run would have — batched superinstruction retirement scales its
+    budget-edge math by the constituent weights and stays
+    constituent-exact.
+
+    On a plain image (no [cost_of]) every splice of
+    [Refine_backend.Fimap.splices] is fused into one ["fi-splice"]
+    superinstruction. *)
 
 val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must
@@ -321,10 +335,11 @@ val decoded : t -> bool
 val idioms : string array
 (** Superinstruction idiom names, in {!superinstr_counts} index order:
     [[|"cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"|]].
-    ["fi-splice"] is the REFINE instrumentation splice fused into one
-    closure on plain (unweighted) images, so an attached instrumented run
-    pays roughly one dispatch per candidate instead of seven
-    (DESIGN.md §20). *)
+    ["fi-splice"] is a REFINE instrumentation splice, as
+    [Refine_backend.Fimap.splices] parses it, fused into one closure on
+    plain (unweighted) images: inside the FI selector's skip window an
+    attached instrumented run pays one dispatch per candidate instead of
+    seven (DESIGN.md §20). *)
 
 val superinstr_counts : dprogram -> int array
 (** Static fusion sites per idiom (indexed like {!idioms}) — the feed for

@@ -18,17 +18,18 @@ let create ?(capacity = 32) () =
   { ring = Array.make capacity None; next = 0; total = 0L }
 
 (* Installs the tracer; composes with an existing hook (e.g. PINFI) by
-   chaining to it. *)
+   chaining to it and keeping its modeled cost — tracing adds none. *)
 let attach (t : t) (eng : Exec.t) =
   let prev = eng.Exec.post_hook in
-  let hook (eng : Exec.t) pc instr =
+  let on_instr (eng : Exec.t) pc instr =
     t.ring.(t.next) <-
       Some { pc; instr; func = eng.Exec.image.Refine_backend.Layout.func_of_pc.(pc) };
     t.next <- (t.next + 1) mod Array.length t.ring;
     t.total <- Int64.add t.total 1L;
-    match prev with Some h -> h eng pc instr | None -> ()
+    match prev with Some h -> h.Exec.on_instr eng pc instr | None -> ()
   in
-  eng.Exec.post_hook <- Some hook
+  let hook_cost = match prev with Some h -> h.Exec.hook_cost | None -> 0 in
+  eng.Exec.post_hook <- Some { Exec.on_instr; hook_cost }
 
 (* Most recent entries, oldest first. *)
 let entries (t : t) : entry list =

@@ -19,6 +19,8 @@ module P = Refine_support.Prng
 module F = Refine_core.Fault
 module T = Refine_core.Tool
 module Rt = Refine_core.Runtime
+module Fm = Refine_backend.Fimap
+module Reg = Refine_bench_progs.Registry
 
 let compile_image seed =
   let m = Refine_minic.Frontend.compile (Test_semantics.gen_program seed) in
@@ -38,7 +40,7 @@ let fingerprint (e : X.t) =
 
 (* One observation protocol applied to a legacy and a decoded engine of
    the same snapshot: a truncated run at a random step budget (stresses
-   the batched-retirement budget guards and bulk-burn clamps), a reset, a
+   the batched-retirement budget guards), a reset, a
    memory-cell fault + full run, another reset, then an Instr_image
    overlay run (stresses the fusion-free dispatch table + overlay
    decode).  Every leg must agree byte-for-byte including the state
@@ -264,6 +266,82 @@ let test_superinstr_counts () =
   Alcotest.check Test_fastpath.result_t "fused idioms identical"
     (X.run leg) (X.run dec)
 
+(* --- fi-splice fusion reads the detach map's splice parser -------------- *)
+
+(* [decode] fuses exactly the splices [Fimap.splices] returns: on every
+   registry program's REFINE image the splices parse and the fi-splice
+   count is their number. *)
+let test_every_splice_fuses () =
+  List.iter
+    (fun (b : Reg.bench) ->
+      let p = T.prepare T.Refine b.Reg.source in
+      match Fm.splices p.T.image with
+      | None -> Alcotest.failf "%s: the REFINE splices do not parse" b.Reg.name
+      | Some l ->
+        Alcotest.(check bool) (b.Reg.name ^ ": has splices") true (l <> []);
+        Alcotest.(check int)
+          (b.Reg.name ^ ": one fi-splice per splice")
+          (List.length l)
+          (X.superinstr_counts p.T.dprog).(3))
+    Reg.all
+
+(* --- loop shapes that retire one batched iteration at a time ----------- *)
+
+(* A counted self-latch and a FLAGS-invariant spin.  Each iteration
+   retires through its fused latch or loop-back superinstruction; cost
+   budgets that end on, just before or just after a poll slot (step
+   1024k) or mid-loop must stop the decoded and the step run in the same
+   state.  The poll records the machine at every poll slot, so the slots
+   must fire at the same states too. *)
+let loop_shapes =
+  [
+    ( "counted self-latch",
+      [
+        M.Mmov (R.gpr 1, M.Imm 100_000L);
+        M.Mbin (Refine_ir.Ir.Sub, R.gpr 1, R.gpr 1, M.Imm 1L) (* pc 1: latch head *);
+        M.Mcmp (R.gpr 1, M.Imm 0L);
+        M.Mjcc (M.CNe, 1);
+        M.Mmov (R.ret_gpr, M.Imm 0L);
+        M.Mhalt;
+      ] );
+    ( "FLAGS-invariant spin",
+      [
+        M.Mmov (R.gpr 2, M.Imm 0L);
+        M.Mcmp (R.gpr 2, M.Imm 1L) (* pc 1: spin head, never exits *);
+        M.Mjcc (M.CEq, 4);
+        M.Mjmp 1;
+        M.Mmov (R.ret_gpr, M.Imm 0L);
+        M.Mhalt;
+      ] );
+  ]
+
+let test_loop_shapes_decoded_equal_step () =
+  let budgets =
+    List.init 12 (fun i -> 1019 + i)
+    @ List.init 9 (fun i -> 3068 + i)
+    @ [ 1; 2; 3; 4; 5_000; 5_001; 5_002; 77_777; 300_002; 300_003; 300_004; 1_000_000 ]
+  in
+  List.iter
+    (fun (what, code) ->
+      let image = Test_fastpath.image_of code in
+      let dp = X.decode image in
+      Alcotest.(check int) (what ^ ": fused as a loop back edge") 1 (X.superinstr_counts dp).(2);
+      let leg = X.create image and dec = X.create image in
+      X.install_decoded dec (Some dp);
+      let run (e : X.t) max_cost =
+        X.reset e;
+        let polls = ref [] in
+        let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Array.copy e.X.regs) :: !polls in
+        let r = X.run ~max_cost:(Int64.of_int max_cost) ~poll e in
+        (r.X.status, r.X.steps, r.X.cost, fingerprint e, !polls)
+      in
+      List.iter
+        (fun b ->
+          if run dec b <> run leg b then
+            Alcotest.failf "%s, max_cost %d: decoded run diverges from step" what b)
+        budgets)
+    loop_shapes
+
 (* --- the named oracle: production sample = step-loop reference ---------- *)
 
 let all_models =
@@ -324,5 +402,9 @@ let tests =
       test_overlay_in_fused_groups;
     Alcotest.test_case "install/detach/foreign-image checks" `Quick test_install_detach;
     Alcotest.test_case "all four idioms fuse and run identically" `Quick test_superinstr_counts;
+    Alcotest.test_case "every Fimap splice of the 14 REFINE images fuses" `Quick
+      test_every_splice_fuses;
+    Alcotest.test_case "self-latch and spin: decoded = step at poll-slot budgets" `Quick
+      test_loop_shapes_decoded_equal_step;
     qcheck prop_production_matches_reference;
   ]

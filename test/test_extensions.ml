@@ -183,7 +183,8 @@ let test_trace_composes_with_hook () =
   let image = prepare_image opcode_src in
   let eng = Refine_machine.Exec.create image in
   let count = ref 0 in
-  eng.Refine_machine.Exec.post_hook <- Some (fun _ _ _ -> incr count);
+  eng.Refine_machine.Exec.post_hook <-
+    Some { Refine_machine.Exec.on_instr = (fun _ _ _ -> incr count); hook_cost = 0 };
   let t = Refine_machine.Trace.create () in
   Refine_machine.Trace.attach t eng;
   let r = Refine_machine.Exec.run eng in

@@ -51,14 +51,16 @@ let arm_fault eng ~target ~reg ~bit =
   let count = ref 0 in
   eng.E.post_hook <-
     Some
-      (fun (e : E.t) _ _ ->
-        incr count;
-        if !count = target then begin
-          e.E.regs.(reg) <- Refine_support.Bitops.flip_bit e.E.regs.(reg) bit;
-          e.E.post_hook <- None;
-          e.E.hook_cost <- 0
-        end);
-  eng.E.hook_cost <- 3
+      {
+        E.on_instr =
+          (fun (e : E.t) _ _ ->
+            incr count;
+            if !count = target then begin
+              e.E.regs.(reg) <- Refine_support.Bitops.flip_bit e.E.regs.(reg) bit;
+              e.E.post_hook <- None
+            end);
+        hook_cost = 3;
+      }
 
 let run_one ?fault eng =
   (match fault with Some (target, reg, bit) -> arm_fault eng ~target ~reg ~bit | None -> ());
@@ -71,12 +73,16 @@ let run_mem_fault ~target ~addr ~bit eng =
   let count = ref 0 in
   eng.E.post_hook <-
     Some
-      (fun (e : E.t) _ _ ->
-        incr count;
-        if !count = target then begin
-          E.flip_mem_bit e ~addr ~bit;
-          e.E.post_hook <- None
-        end);
+      {
+        E.on_instr =
+          (fun (e : E.t) _ _ ->
+            incr count;
+            if !count = target then begin
+              E.flip_mem_bit e ~addr ~bit;
+              e.E.post_hook <- None
+            end);
+        hook_cost = 0;
+      };
   E.run ~max_cost:20_000_000L eng
 
 (* the architectural state a reset must restore, byte for byte *)
@@ -269,12 +275,14 @@ let matrix_summary cells =
            c.Ex.counts.Ex.tool_error c.Ex.injection_cost)
        cells)
 
-(* --- per-instruction path is allocation-free with profiling off --------- *)
+(* --- per-instruction accounting is allocation-free with profiling off --- *)
 
 let test_zero_alloc_hot_path () =
-  (* no self-latch (the back edge jumps over four instructions), so every
-     decoded iteration goes through fused-pair and single-closure dispatch
-     rather than the O(1) bulk-burn shortcut *)
+  (* the back edge jumps over four instructions, so every decoded
+     iteration goes through fused-pair and single-closure dispatch.  No
+     instruction computes a new register value: [regs] is an [int64
+     array], so an ALU result is boxed, and this loop isolates the
+     accounting and dispatch, which must not allocate *)
   let image =
     image_of
       [

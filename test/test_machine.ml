@@ -233,13 +233,13 @@ let test_post_hook_and_detach () =
   let eng = E.create image in
   eng.E.post_hook <-
     Some
-      (fun e _ _ ->
-        incr seen;
-        if !seen = 1 then begin
-          e.E.post_hook <- None;
-          e.E.hook_cost <- 0
-        end);
-  eng.E.hook_cost <- 4;
+      {
+        E.on_instr =
+          (fun e _ _ ->
+            incr seen;
+            if !seen = 1 then e.E.post_hook <- None);
+        hook_cost = 4;
+      };
   let r = E.run eng in
   Alcotest.(check int) "hook detached after first instr" 1 !seen;
   (* first instruction costs 1+4, second costs 1 *)

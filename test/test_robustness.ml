@@ -252,7 +252,68 @@ let test_journal_skips_garbage () =
   close_out oc;
   let j = J.create ~resume:true path in
   Alcotest.(check int) "good line kept, torn line dropped" 1 (J.length j);
+  (* a v2 writer never emits the 6-field v1 shape: under the v2 tag it is
+     a 7-field line whose model separator became a newline *)
+  let oc = open_out path in
+  output_string oc "# refine-journal v2\np\tREFINE\t0\tcrash\t42\t1\nmem\n";
+  close_out oc;
+  let j = J.create ~resume:true path in
+  Alcotest.(check int) "v1 shape under the v2 tag skipped" 0 (J.length j);
   Sys.remove path
+
+(* One rendered entry line with one byte XORed by a nonzero mask, written
+   under the v2 magic and resumed: loading must not raise, and every line
+   the rewritten journal holds after its magic must occur verbatim in the
+   corrupted input — a corrupted line is kept as written or skipped, never
+   read as another entry.  Sample and cost have several digits, and half
+   the masks turn the byte into a character the numeric readers or the
+   line splitter treat specially, so the dangerous corruptions (a digit
+   turned into 0, _ or +, a separator into a newline) are frequent. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let prop_journal_byte_corruption =
+  let specials = [ '0'; '_'; '+'; '-'; 'x'; 'b'; 'o'; 'L'; '\t'; '\n'; '\r'; ' '; '#' ] in
+  let gen =
+    QCheck.Gen.(
+      let* sample = int_range 10 99_999 in
+      let* cost = map Int64.of_int (int_range 100 999_999_999) in
+      let* attempts = int_range 1 3 in
+      let* model = oneofl [ "reg"; "mem"; "instr"; "multi:13"; "burst:2" ] in
+      let* outcome = oneofl [ F.Crash; F.Soc; F.Benign; F.Tool_error ] in
+      let* pos = int_bound 1023 in
+      let* mask =
+        oneof [ map (fun m -> `Mask m) (int_range 1 255); map (fun c -> `Into c) (oneofl specials) ]
+      in
+      return ({ J.program = "CG"; tool = "REFINE"; model; sample; outcome; cost; attempts }, pos, mask))
+  in
+  let print (e, pos, mask) =
+    Printf.sprintf "sample %d, cost %Ld, model %s, byte %d %s" e.J.sample e.J.cost e.J.model pos
+      (match mask with `Mask m -> Printf.sprintf "xor 0x%02x" m | `Into c -> Printf.sprintf "into %C" c)
+  in
+  QCheck.Test.make ~name:"journal: a corrupted byte never decodes as another entry" ~count:300
+    (QCheck.make ~print gen)
+    (fun (e, pos, mask) ->
+      let path = tmpfile () in
+      let j = J.create path in
+      J.record j e;
+      J.close j;
+      let line = List.nth (String.split_on_char '\n' (read_file path)) 1 in
+      let pos = pos mod String.length line in
+      let orig = Char.code line.[pos] in
+      let mask =
+        match mask with
+        | `Mask m -> m
+        | `Into c -> if Char.code c = orig then 0xff else Char.code c lxor orig
+      in
+      let corrupted = Bytes.of_string line in
+      Bytes.set corrupted pos (Char.chr (orig lxor mask));
+      let input = "# refine-journal v2\n" ^ Bytes.to_string corrupted ^ "\n" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      ignore (J.create ~resume:true path);
+      let kept = List.tl (String.split_on_char '\n' (read_file path)) in
+      Sys.remove path;
+      let input_lines = String.split_on_char '\n' input in
+      List.for_all (fun l -> l = "" || List.mem l input_lines) kept)
 
 (* ---- kill / resume determinism ----------------------------------------- *)
 
@@ -318,6 +379,7 @@ let tests =
       test_reports_survive_degraded_matrix;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal skips garbage" `Quick test_journal_skips_garbage;
+    QCheck_alcotest.to_alcotest prop_journal_byte_corruption;
     Alcotest.test_case "kill + resume determinism" `Quick test_watchdog_kill_then_resume;
     QCheck_alcotest.to_alcotest prop_resume_deterministic;
   ]
