@@ -32,8 +32,10 @@ let is_target i = alternatives i <> []
 (* install the corruption hook on [eng], as [Pinfi.attach] does; the
    fault record names the corrupted pc *)
 let attach (ctrl : Runtime.ctrl) (eng : E.t) =
+  (* targets decided once per pc, as in [Pinfi.attach] *)
+  let target = Array.map is_target eng.E.image.Refine_backend.Layout.code in
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
-    if is_target i then begin
+    if target.(pc) then begin
       ctrl.Runtime.count <- ctrl.Runtime.count + 1;
       match ctrl.Runtime.mode with
       | Runtime.Profile -> ()

@@ -15,12 +15,19 @@ module P = Refine_support.Prng
 module Selection = Refine_passes.Selection
 
 let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
-  let all_funcs = List.mem "*" sel.Selection.funcs in
+  (* the site decision, made once per pc at attach as Pin makes it at
+     instrumentation time: until the hook fires it sees [code.(pc)] at
+     every pc, and the firing call detaches it *)
+  let image = eng.E.image in
+  let selected =
+    Array.mapi
+      (fun pc i ->
+        Selection.minstr_selected sel i
+        && Selection.func_selected sel image.Refine_backend.Layout.func_of_pc.(pc))
+      image.Refine_backend.Layout.code
+  in
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
-    if
-      Selection.minstr_selected sel i
-      && (all_funcs || Selection.func_selected sel eng.E.image.Refine_backend.Layout.func_of_pc.(pc))
-    then begin
+    if selected.(pc) then begin
       ctrl.Runtime.count <- ctrl.Runtime.count + 1;
       match ctrl.Runtime.mode with
       | Runtime.Profile -> ()
@@ -39,7 +46,7 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
             let op = P.int rng (List.length outs) in
             let reg = List.nth outs op in
             let bit, mask = Corrupt.draw_mask rng ~width:(R.width_bits reg) model in
-            eng.E.regs.(reg) <- Int64.logxor eng.E.regs.(reg) mask;
+            eng.E.regs.{reg} <- Int64.logxor eng.E.regs.{reg} mask;
             ctrl.Runtime.record <-
               Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
           (* detach: drop the hook and with it the DBI per-instruction tax *)

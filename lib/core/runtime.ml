@@ -82,36 +82,36 @@ let refine_sel_instr ctrl (eng : E.t) =
   publish_skip ctrl eng;
   if should_fire ctrl then begin
     match ctrl.mode with
-    | Profile -> eng.E.regs.(R.ret_gpr) <- 0L
+    | Profile -> eng.E.regs.{R.ret_gpr} <- 0L
     | Inject { rng; model; _ } -> (
       match model with
-      | Fault.Reg_bit | Fault.Multi_bit _ -> eng.E.regs.(R.ret_gpr) <- 1L
+      | Fault.Reg_bit | Fault.Multi_bit _ -> eng.E.regs.{R.ret_gpr} <- 1L
       | Fault.Mem_cell ->
         ctrl.fired <- true;
         eng.E.detach_req <- true;
         ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index:(Int64.of_int ctrl.count));
-        eng.E.regs.(R.ret_gpr) <- 0L
+        eng.E.regs.{R.ret_gpr} <- 0L
       | Fault.Instr_image ->
         ctrl.fired <- true;
         eng.E.detach_req <- true;
         let pc = Corrupt.instrumented_pc eng in
         ctrl.record <-
           Some (Corrupt.image_fault rng eng ~pc ~dyn_index:(Int64.of_int ctrl.count));
-        eng.E.regs.(R.ret_gpr) <- 0L)
+        eng.E.regs.{R.ret_gpr} <- 0L)
   end
-  else eng.E.regs.(R.ret_gpr) <- 0L
+  else eng.E.regs.{R.ret_gpr} <- 0L
 
 (* setupFI(nOps in r1, sizes packed per byte in r2): choose the operand and
    bit uniformly; result (op << 6) | bit in r0. *)
 let refine_setup_fi ctrl (eng : E.t) =
   fold_pending ctrl eng;
   (match ctrl.mode with
-  | Profile -> eng.E.regs.(R.ret_gpr) <- 0L
+  | Profile -> eng.E.regs.{R.ret_gpr} <- 0L
   | Inject { rng; model; _ } ->
     ctrl.fired <- true;
     eng.E.detach_req <- true;
-    let nops = Int64.to_int eng.E.regs.(R.gpr 1) in
-    let sizes = eng.E.regs.(R.gpr 2) in
+    let nops = Int64.to_int eng.E.regs.{R.gpr 1} in
+    let sizes = eng.E.regs.{R.gpr 2} in
     let op = P.int rng (max 1 nops) in
     let size =
       Int64.to_int (Int64.logand (Int64.shift_right_logical sizes (8 * op)) 0xFFL)
@@ -123,7 +123,7 @@ let refine_setup_fi ctrl (eng : E.t) =
     (match model with Fault.Multi_bit _ -> eng.E.fi_mask <- mask | _ -> ());
     ctrl.record <-
       Some { Fault.dyn_index = Int64.of_int ctrl.count; op_index = op; reg_name = "<refine>"; bit };
-    eng.E.regs.(R.ret_gpr) <- Int64.of_int ((op lsl 6) lor bit));
+    eng.E.regs.{R.ret_gpr} <- Int64.of_int ((op lsl 6) lor bit));
   (* fired (or Profile): every later selector call is non-firing *)
   publish_skip ctrl eng
 
@@ -160,7 +160,7 @@ let llfi_fire ctrl rng model (eng : E.t) (v : int64) : int64 =
    instance, return the (possibly flipped) value in r0/f0. *)
 let llfi_inject_int ctrl (eng : E.t) =
   ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.gpr 2) in
+  let v = eng.E.regs.{R.gpr 2} in
   let v' =
     if should_fire ctrl then begin
       match ctrl.mode with
@@ -169,11 +169,11 @@ let llfi_inject_int ctrl (eng : E.t) =
     end
     else v
   in
-  eng.E.regs.(R.ret_gpr) <- v'
+  eng.E.regs.{R.ret_gpr} <- v'
 
 let llfi_inject_float ctrl (eng : E.t) =
   ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.fpr 1) in
+  let v = eng.E.regs.{R.fpr 1} in
   let v' =
     if should_fire ctrl then begin
       match ctrl.mode with
@@ -182,13 +182,13 @@ let llfi_inject_float ctrl (eng : E.t) =
     end
     else v
   in
-  eng.E.regs.(R.ret_fpr) <- v'
+  eng.E.regs.{R.ret_fpr} <- v'
 
 (* i1 values (comparison results) have a single architecturally meaningful
    bit: any fault in them inverts the decision *)
 let llfi_inject_bool ctrl (eng : E.t) =
   ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.gpr 2) in
+  let v = eng.E.regs.{R.gpr 2} in
   let v' =
     if should_fire ctrl then begin
       match ctrl.mode with
@@ -213,7 +213,7 @@ let llfi_inject_bool ctrl (eng : E.t) =
     end
     else v
   in
-  eng.E.regs.(R.ret_gpr) <- v'
+  eng.E.regs.{R.ret_gpr} <- v'
 
 let llfi_handlers ctrl : (string * int * (E.t -> unit)) list =
   [

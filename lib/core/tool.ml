@@ -305,14 +305,15 @@ let no_chaos = { break_mir = false; flaky_golden = false }
    Two content-addressed cache tiers sit on top, both through
    [Artifact_cache.memo]:
 
-   - the IR tier keys on (source, IR-prefix pipeline) and stores the
-     optimized module *marshaled*, so every hit deserializes a fresh
-     copy — the tool-independent part of the compile is shared across
-     REFINE / LLFI / PINFI cells of the same program;
+   - the IR tier keys on (source, IR-prefix pipeline, per-pass
+     verification) and stores the optimized module *marshaled*, so every
+     hit deserializes a fresh copy — the tool-independent part of the
+     compile is shared across REFINE / LLFI / PINFI cells of the same
+     program;
    - the prepared tier keys on (source, full pipeline string, tool
-     configuration) and shares whole [prepared] values — image, snapshot,
-     decode, detach target and golden profile — across repeated cells of
-     one configuration.
+     configuration, both verification switches) and shares whole
+     [prepared] values — image, snapshot, decode, detach target and
+     golden profile — across repeated cells of one configuration.
 
    Prepared entries carry a fingerprint of the image's code array,
    re-checked on every serve, so post-layout code mutation (chaos hooks,
@@ -369,7 +370,7 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
        copy — either way callers may mutate freely *)
     let built = ref None in
     let bytes =
-      Artifact_cache.memo ir_cache [ src; Pl.print spec ] (fun () ->
+      Artifact_cache.memo ir_cache [ src; Pl.print spec; string_of_bool verify_each ] (fun () ->
           let m = rebuild () in
           built := Some m;
           Marshal.to_string m [])
@@ -604,6 +605,7 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
         kind_name kind;
         Selection.to_string sel;
         string_of_bool verify_mir;
+        string_of_bool verify_each;
         Int64.to_string max_steps;
       ]
       build

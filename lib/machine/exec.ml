@@ -18,13 +18,18 @@
 
    Fast path (DESIGN.md §14): the per-instruction accounting allocates
    nothing when profiling is off — step/cost counters are plain [int]
-   fields (63 bits is ample for any modeled budget), FLAGS writes index a
-   preallocated table of the 8 possible flag words, condition codes are
+   fields (63 bits is ample for any modeled budget), condition codes are
    evaluated with int bit tests, and extern calls dispatch through a
    per-engine handler array resolved once from the image's
    [ext_slot_of_pc] table instead of hashing the extern name per call.
-   Register values are not unboxed: [regs] is an [int64 array], so an
-   instruction that computes a new value boxes it.
+
+   Off-heap machine state (DESIGN.md §14): the register file is an int64
+   Bigarray, so a computed register value is stored raw instead of boxed,
+   and the helpers a value passes through ([opd], [load64], [store64],
+   [push], [pop] and the decoded result writers) are inlined so nothing
+   boxes it on the way.  The arena is a private mapping of /dev/zero: zero
+   by construction, committed by the kernel page by page as the machine
+   writes, and unmapped when its engine is collected.
 
    Touched-page memory (DESIGN.md §14): a [snapshot] holds only the
    initialized globals region; every engine owns one [Mem.mem_size] arena
@@ -38,6 +43,10 @@ module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
 module L = Refine_backend.Layout
 module Mem = Refine_ir.Memlayout
+module A1 = Bigarray.Array1
+
+type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
+type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
 
 let ext_call_cost = 25
 
@@ -84,7 +93,7 @@ type profile = {
 (* The initialized globals region [globals_base, heap_base) of one image;
    the rest of a pristine arena is zero apart from the stack-top
    sentinel, which [load] writes itself. *)
-type snapshot = { s_image : L.image; s_globals : Bytes.t }
+type snapshot = { s_image : L.image; s_globals : arena }
 
 (* Engine-private memory bookkeeping, opaque outside this module. *)
 type priv = {
@@ -97,8 +106,8 @@ type priv = {
 
 type t = {
   mutable image : L.image; (* rebound by [reset] and by the detach handoff *)
-  regs : int64 array; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
-  mem : Bytes.t; (* the arena; only this module writes it, flagging each touched page *)
+  regs : regfile; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
+  mem : arena; (* the arena; only this module writes it, flagging each touched page *)
   mutable pc : int;
   mutable steps : int; (* unboxed hot counters: int, not int64 (§14) *)
   mutable cost : int;
@@ -230,18 +239,16 @@ let sentinel = -1L
 
 (* --- flags ----------------------------------------------------------- *)
 
-(* The 8 possible FLAGS words (ZF|LT|UNORD), preallocated so a flag write
-   is an array index instead of a chain of boxed Int64 ops. *)
-let flag_words = Array.init 8 Int64.of_int
-
+(* FLAGS is the word ZF|LT|UNORD (bits 0, 1, 2), written raw into the
+   unboxed register file *)
 let set_flags t ~zf ~lt ~unord =
   let i =
     (if zf then 1 else 0) lor (if lt then 2 else 0) lor if unord then 4 else 0
   in
-  t.regs.(R.flags) <- flag_words.(i)
+  t.regs.{R.flags} <- Int64.of_int i
 
 let eval_cc t (cc : M.cc) =
-  let fl = Int64.to_int t.regs.(R.flags) in
+  let fl = Int64.to_int t.regs.{R.flags} in
   let zf = fl land 1 <> 0 and lt = fl land 2 <> 0 and unord = fl land 4 <> 0 in
   match cc with
   | M.CEq -> zf
@@ -261,10 +268,9 @@ let eval_cc t (cc : M.cc) =
 
 (* [addr > mem_size - 8] rather than [addr + 8 > mem_size]: the latter
    wraps for addresses within 8 of max_int (reachable when a fault writes
-   a huge value into a base register) and would let the access through to
-   the Bytes bounds check, surfacing as a harness exception instead of the
-   machine trap it models. *)
-let check_addr addr =
+   a huge value into a base register) and would let the access outside
+   the arena, which the unchecked accessors below never bounds-check. *)
+let[@inline always] check_addr addr =
   if addr < Mem.null_guard || addr > Mem.mem_size - 8 then raise (Halt_trap (Mem_fault addr))
 
 (* 4 KiB pages: the granularity of the touched-page map *)
@@ -278,25 +284,39 @@ let[@inline always] touch8 (t : t) addr =
   Bytes.unsafe_set t.priv.dirty (addr lsr page_bits) '\001';
   Bytes.unsafe_set t.priv.dirty ((addr + 7) lsr page_bits) '\001'
 
-let load64 t addr =
-  check_addr addr;
-  Bytes.get_int64_le t.mem addr
+(* unaligned 64-bit native-endian access without a bounds check; every
+   caller has validated the range first *)
+external unsafe_get64 : arena -> int -> int64 = "%caml_bigstring_get64u"
+external unsafe_set64 : arena -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let store64 t addr v =
+(* the arena's little-endian 8-byte cell at [addr], range already checked *)
+let[@inline always] get_le (m : arena) addr =
+  let v = unsafe_get64 m addr in
+  if Sys.big_endian then bswap64 v else v
+
+(* The machine's checked 64-bit accesses.  Inlined, like every helper an
+   int64 passes through, so a value travels between the register file and
+   the arena unboxed. *)
+let[@inline always] load64 (t : t) addr =
   check_addr addr;
-  Bytes.set_int64_le t.mem addr v;
+  get_le t.mem addr
+
+let[@inline always] store64 (t : t) addr v =
+  check_addr addr;
+  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v);
   touch8 t addr
 
-let push t v =
-  let sp = Int64.to_int t.regs.(R.rsp) - 8 in
+let[@inline always] push (t : t) v =
+  let sp = Int64.to_int (A1.unsafe_get t.regs R.rsp) - 8 in
   if sp < Mem.mem_size - Mem.stack_limit then raise (Halt_trap Stack_overflow);
-  t.regs.(R.rsp) <- Int64.of_int sp;
+  A1.unsafe_set t.regs R.rsp (Int64.of_int sp);
   store64 t sp v
 
-let pop t =
-  let sp = Int64.to_int t.regs.(R.rsp) in
+let[@inline always] pop (t : t) =
+  let sp = Int64.to_int (A1.unsafe_get t.regs R.rsp) in
   let v = load64 t sp in
-  t.regs.(R.rsp) <- Int64.of_int (sp + 8);
+  A1.unsafe_set t.regs R.rsp (Int64.of_int (sp + 8));
   v
 
 (* --- extern calls ------------------------------------------------------ *)
@@ -341,7 +361,7 @@ let builtin_handler name : (t -> unit) option =
            t.cost <- t.cost + ext_call_cost;
            count_ext t ext_call_cost;
            for i = 0 to Array.length arg_regs - 1 do
-             args.(i) <- t.regs.(arg_regs.(i))
+             args.(i) <- t.regs.{arg_regs.(i)}
            done;
            let r =
              try Refine_ir.Externs.call t.env name args
@@ -351,8 +371,8 @@ let builtin_handler name : (t -> unit) option =
            | Some code -> t.status <- Exited code
            | None -> (
              match ret with
-             | Some Refine_ir.Ir.I64 -> t.regs.(R.ret_gpr) <- r
-             | Some Refine_ir.Ir.F64 -> t.regs.(R.ret_fpr) <- r
+             | Some Refine_ir.Ir.I64 -> t.regs.{R.ret_gpr} <- r
+             | Some Refine_ir.Ir.F64 -> t.regs.{R.ret_fpr} <- r
              | None -> ()))
      with Exhausted ->
        Some
@@ -406,15 +426,28 @@ let ext_slot (image : L.image) pc =
 (* The initialized globals region of [image], [globals_base, heap_base):
    each global's initializer at its layout address, zeros elsewhere. *)
 let snapshot (image : L.image) : snapshot =
-  let g = Bytes.make (image.L.heap_base - Mem.globals_base) '\000' in
+  let g = A1.create Bigarray.char Bigarray.c_layout (image.L.heap_base - Mem.globals_base) in
+  A1.fill g '\000';
   List.iter
     (fun (gl : Refine_ir.Ir.global) ->
       match gl.gbytes with
       | Some s ->
-        Bytes.blit_string s 0 g (image.L.global_addr gl.gname - Mem.globals_base) (String.length s)
+        let base = image.L.global_addr gl.gname - Mem.globals_base in
+        String.iteri (fun k c -> A1.set g (base + k) c) s
       | None -> ())
     image.L.globals;
   { s_image = image; s_globals = g }
+
+(* A fresh arena: a private mapping of /dev/zero, so every page reads zero
+   and the kernel commits a page only when the machine first writes it.
+   The mapping is released when the arena is collected. *)
+let new_arena () : arena =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| Mem.mem_size |]))
 
 (* Bring the arena to [s]'s post-loader image: zero every flagged page,
    then write the globals and the sentinel return address at the top of
@@ -425,12 +458,12 @@ let load (t : t) (s : snapshot) =
   let d = t.priv.dirty in
   for p = 0 to num_pages - 1 do
     if Bytes.unsafe_get d p <> '\000' then begin
-      Bytes.unsafe_fill t.mem (p lsl page_bits) page_size '\000';
+      A1.fill (A1.sub t.mem (p lsl page_bits) page_size) '\000';
       Bytes.unsafe_set d p '\000'
     end
   done;
-  let n = Bytes.length s.s_globals in
-  Bytes.blit s.s_globals 0 t.mem Mem.globals_base n;
+  let n = A1.dim s.s_globals in
+  A1.blit s.s_globals (A1.sub t.mem Mem.globals_base n);
   for p = Mem.globals_base lsr page_bits to (Mem.globals_base + n - 1) lsr page_bits do
     Bytes.unsafe_set d p '\001'
   done;
@@ -439,7 +472,7 @@ let load (t : t) (s : snapshot) =
 let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   let image = s.s_image in
   let self = ref None in
-  let mem = Bytes.make Mem.mem_size '\000' in
+  let mem = new_arena () in
   let env =
     {
       Refine_ir.Externs.out = Buffer.create 1024;
@@ -447,7 +480,7 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
         (fun a ->
           if a < Mem.null_guard || a >= Mem.mem_size then
             raise (Refine_ir.Externs.Extern_trap (Printf.sprintf "print_str read at 0x%x" a))
-          else Bytes.get mem a);
+          else A1.get mem a);
       alloc =
         (fun n ->
           match !self with
@@ -468,7 +501,7 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   let t =
     {
       image;
-      regs = Array.make R.num_regs 0L;
+      regs = A1.init Bigarray.int64 Bigarray.c_layout R.num_regs (fun _ -> 0L);
       mem;
       pc = image.L.entry;
       steps = 0;
@@ -506,7 +539,7 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
   t.builtins <- Array.map builtin_handler image.L.ext_names;
   t.handlers <- bind_handlers t;
-  t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
+  t.regs.{R.rsp} <- Int64.of_int (Mem.mem_size - 8);
   t
 
 let create ?ext_extra (image : L.image) : t = create_from_snapshot ?ext_extra (snapshot image)
@@ -530,8 +563,8 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   end;
   t.priv.snap <- s;
   load t s;
-  Array.fill t.regs 0 (Array.length t.regs) 0L;
-  t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
+  A1.fill t.regs 0L;
+  t.regs.{R.rsp} <- Int64.of_int (Mem.mem_size - 8);
   t.pc <- t.image.L.entry;
   t.steps <- 0;
   t.cost <- 0;
@@ -585,7 +618,7 @@ let[@inline] cs_push (t : t) slot v =
 
 let[@inline] cs_pop (t : t) = if t.cs_len > 0 then t.cs_len <- t.cs_len - 1
 
-let opd (t : t) = function M.Reg r -> t.regs.(r) | M.Imm v -> v
+let[@inline always] opd (t : t) = function M.Reg r -> t.regs.{r} | M.Imm v -> v
 
 (* Execute [i] as the instruction at [pc0] (bounds already established by
    [step]'s guard).  Factored out of [step] so the Instr_image overlay can
@@ -604,50 +637,50 @@ let exec_instr (t : t) pc0 (i : M.t) =
     t.pc <- pc0 + 1;
     (try
        (match i with
-       | M.Mmov (d, s) -> t.regs.(d) <- opd t s
-       | M.Mload (d, b, off) -> t.regs.(d) <- load64 t (Int64.to_int t.regs.(b) + off)
-       | M.Mstore (s, b, off) -> store64 t (Int64.to_int t.regs.(b) + off) t.regs.(s)
+       | M.Mmov (d, s) -> t.regs.{d} <- opd t s
+       | M.Mload (d, b, off) -> t.regs.{d} <- load64 t (Int64.to_int t.regs.{b} + off)
+       | M.Mstore (s, b, off) -> store64 t (Int64.to_int t.regs.{b} + off) t.regs.{s}
        | M.Mloadidx (d, b, ix, off) ->
-         t.regs.(d) <-
-           load64 t (Int64.to_int t.regs.(b) + (8 * Int64.to_int t.regs.(ix)) + off)
+         t.regs.{d} <-
+           load64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off)
        | M.Mstoreidx (s, b, ix, off) ->
-         store64 t (Int64.to_int t.regs.(b) + (8 * Int64.to_int t.regs.(ix)) + off) t.regs.(s)
+         store64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off) t.regs.{s}
        | M.Mlea (d, b, ix, off) ->
-         let base = t.regs.(b) in
-         let idx = match ix with Some r -> Int64.mul 8L t.regs.(r) | None -> 0L in
-         t.regs.(d) <- Int64.add (Int64.add base idx) (Int64.of_int off)
+         let base = t.regs.{b} in
+         let idx = match ix with Some r -> Int64.mul 8L t.regs.{r} | None -> 0L in
+         t.regs.{d} <- Int64.add (Int64.add base idx) (Int64.of_int off)
        | M.Mbin (op, d, a, b) ->
-         let va = t.regs.(a) and vb = opd t b in
+         let va = t.regs.{a} and vb = opd t b in
          let r =
            try Refine_ir.Interp.eval_ibinop op va vb
            with Refine_ir.Interp.Trap _ -> raise (Halt_trap Div_by_zero)
          in
-         t.regs.(d) <- r;
+         t.regs.{d} <- r;
          set_flags t ~zf:(r = 0L) ~lt:(Int64.compare r 0L < 0) ~unord:false
        | M.Mfbin (op, d, a, b) ->
-         t.regs.(d) <- b64 (Refine_ir.Interp.eval_fbinop op (f64 t.regs.(a)) (f64 t.regs.(b)))
-       | M.Mfun (op, d, a) -> t.regs.(d) <- b64 (Refine_ir.Interp.eval_funop op (f64 t.regs.(a)))
-       | M.Mcvt (Sitofp, d, a) -> t.regs.(d) <- b64 (Int64.to_float t.regs.(a))
-       | M.Mcvt (Fptosi, d, a) -> t.regs.(d) <- Refine_ir.Interp.fptosi (f64 t.regs.(a))
+         t.regs.{d} <- b64 (Refine_ir.Interp.eval_fbinop op (f64 t.regs.{a}) (f64 t.regs.{b}))
+       | M.Mfun (op, d, a) -> t.regs.{d} <- b64 (Refine_ir.Interp.eval_funop op (f64 t.regs.{a}))
+       | M.Mcvt (Sitofp, d, a) -> t.regs.{d} <- b64 (Int64.to_float t.regs.{a})
+       | M.Mcvt (Fptosi, d, a) -> t.regs.{d} <- Refine_ir.Interp.fptosi (f64 t.regs.{a})
        | M.Mcmp (a, b) ->
-         let va = t.regs.(a) and vb = opd t b in
+         let va = t.regs.{a} and vb = opd t b in
          let c = Int64.compare va vb in
          set_flags t ~zf:(c = 0) ~lt:(c < 0) ~unord:false
        | M.Mfcmp (a, b) ->
-         let va = f64 t.regs.(a) and vb = f64 t.regs.(b) in
+         let va = f64 t.regs.{a} and vb = f64 t.regs.{b} in
          if Float.is_nan va || Float.is_nan vb then set_flags t ~zf:false ~lt:false ~unord:true
          else set_flags t ~zf:(va = vb) ~lt:(va < vb) ~unord:false
-       | M.Msetcc (cc, d) -> t.regs.(d) <- (if eval_cc t cc then 1L else 0L)
+       | M.Msetcc (cc, d) -> t.regs.{d} <- (if eval_cc t cc then 1L else 0L)
        | M.Mjcc (cc, target) -> if eval_cc t cc then t.pc <- target
        | M.Mjmp target -> t.pc <- target
-       | M.Mpush r -> push t t.regs.(r)
-       | M.Mpop r -> t.regs.(r) <- pop t
-       | M.Mpushf -> push t t.regs.(R.flags)
-       | M.Mpopf -> t.regs.(R.flags) <- pop t
+       | M.Mpush r -> push t t.regs.{r}
+       | M.Mpop r -> t.regs.{r} <- pop t
+       | M.Mpushf -> push t t.regs.{R.flags}
+       | M.Mpopf -> t.regs.{R.flags} <- pop t
        | M.Mcalli target ->
          let ra = Int64.of_int t.pc in
          push t ra;
-         cs_push t (Int64.to_int t.regs.(R.rsp)) ra;
+         cs_push t (Int64.to_int t.regs.{R.rsp}) ra;
          t.pc <- target
        | M.Mcall name -> raise (Halt_trap (Extern_fault ("unresolved call " ^ name)))
        | M.Mcallext _ ->
@@ -656,7 +689,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
        | M.Mret ->
          let ra = pop t in
          cs_pop t;
-         if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
+         if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
          else begin
            let target = Int64.to_int ra in
            if target < 0 || target >= Array.length code then raise (Halt_trap (Bad_pc target))
@@ -667,15 +700,15 @@ let exec_instr (t : t) pc0 (i : M.t) =
          (* a pending multi-bit mask overrides the single-bit flip: the
             splice stays one instruction, the fault gets k bits (§18) *)
          if t.fi_mask <> 0L then begin
-           t.regs.(d) <- Int64.logxor t.regs.(d) t.fi_mask;
+           t.regs.{d} <- Int64.logxor t.regs.{d} t.fi_mask;
            t.fi_mask <- 0L
          end
          else
-           t.regs.(d) <-
-             Int64.logxor t.regs.(d)
-               (Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.(s) 63L)))
+           t.regs.{d} <-
+             Int64.logxor t.regs.{d}
+               (Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L)))
        | M.Mxorbitmem (b, off, s) ->
-         let addr = Int64.to_int t.regs.(b) + off in
+         let addr = Int64.to_int t.regs.{b} + off in
          let v = load64 t addr in
          let mask =
            if t.fi_mask <> 0L then begin
@@ -683,10 +716,10 @@ let exec_instr (t : t) pc0 (i : M.t) =
              t.fi_mask <- 0L;
              m
            end
-           else Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.(s) 63L))
+           else Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L))
          in
          store64 t addr (Int64.logxor v mask)
-       | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr)));
+       | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr}));
        match t.post_hook with Some h -> h.on_instr t pc0 i | None -> ()
      with Halt_trap tr -> t.status <- Trapped tr)
   end
@@ -744,22 +777,6 @@ let step (t : t) =
 
 type dop = t -> unit
 
-(* unaligned 64-bit little-endian access without the per-access Bytes
-   bounds check — [check_addr] has already validated the range *)
-external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline always] dload64 t addr =
-  check_addr addr;
-  let v = unsafe_get64 t.mem addr in
-  if Sys.big_endian then bswap64 v else v
-
-let[@inline always] dstore64 t addr v =
-  check_addr addr;
-  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v);
-  touch8 t addr
-
 (* retire-check: the legacy run loop's poll-slot test, executed after
    every retired constituent *)
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
@@ -784,7 +801,7 @@ let[@inline always] d_live (t : t) =
    compiles them to unboxed native compares instead of C calls *)
 let[@inline always] set_flags_r (t : t) (r : int64) =
   let i = (if r = 0L then 1 else 0) lor if r < 0L then 2 else 0 in
-  Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words i)
+  A1.unsafe_set t.regs R.flags (Int64.of_int i)
 
 let[@inline always] flags_of (va : int64) (vb : int64) =
   (if va = vb then 1 else 0) lor if va < vb then 2 else 0
@@ -853,54 +870,54 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Array.unsafe_get t.regs s);
+      A1.unsafe_set t.regs d (A1.unsafe_get t.regs s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d v;
+      A1.unsafe_set t.regs d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (dload64 t (Int64.to_int (Array.unsafe_get t.regs b) + off));
+      A1.unsafe_set t.regs d (load64 t (Int64.to_int (A1.unsafe_get t.regs b) + off));
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      dstore64 t (Int64.to_int (Array.unsafe_get t.regs b) + off) (Array.unsafe_get t.regs s);
+      store64 t (Int64.to_int (A1.unsafe_get t.regs b) + off) (A1.unsafe_get t.regs s);
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
-        (dload64 t
-           (Int64.to_int (Array.unsafe_get t.regs b)
-           + (8 * Int64.to_int (Array.unsafe_get t.regs ix))
+      A1.unsafe_set t.regs d
+        (load64 t
+           (Int64.to_int (A1.unsafe_get t.regs b)
+           + (8 * Int64.to_int (A1.unsafe_get t.regs ix))
            + off));
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      dstore64 t
-        (Int64.to_int (Array.unsafe_get t.regs b)
-        + (8 * Int64.to_int (Array.unsafe_get t.regs ix))
+      store64 t
+        (Int64.to_int (A1.unsafe_get t.regs b)
+        + (8 * Int64.to_int (A1.unsafe_get t.regs ix))
         + off)
-        (Array.unsafe_get t.regs s);
+        (A1.unsafe_get t.regs s);
       rc t
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
+      A1.unsafe_set t.regs d
         (Int64.add
-           (Int64.add (Array.unsafe_get t.regs b) (Int64.mul 8L (Array.unsafe_get t.regs ix)))
+           (Int64.add (A1.unsafe_get t.regs b) (Int64.mul 8L (A1.unsafe_get t.regs ix)))
            offl);
       rc t
   | M.Mlea (d, b, None, off) when okr d && okr b ->
@@ -908,11 +925,12 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Int64.add (Array.unsafe_get t.regs b) offl);
+      A1.unsafe_set t.regs d (Int64.add (A1.unsafe_get t.regs b) offl);
       rc t
   | M.Mbin (op, d, a, b) when okr d && okr a && oko b ->
-    let fin (t : t) (r : int64) =
-      Array.unsafe_set t.regs d r;
+    (* inlined into every closure below, so the result is never boxed *)
+    let[@inline always] fin (t : t) (r : int64) =
+      A1.unsafe_set t.regs d r;
       set_flags_r t r;
       rc t
     in
@@ -923,55 +941,55 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.add (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.add (A1.unsafe_get t.regs a) vb)
       | Sub ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.sub (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.sub (A1.unsafe_get t.regs a) vb)
       | Mul ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.mul (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.mul (A1.unsafe_get t.regs a) vb)
       | And ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logand (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.logand (A1.unsafe_get t.regs a) vb)
       | Or ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logor (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.logor (A1.unsafe_get t.regs a) vb)
       | Xor ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logxor (Array.unsafe_get t.regs a) vb)
+          fin t (Int64.logxor (A1.unsafe_get t.regs a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_left (Array.unsafe_get t.regs a) sh)
+          fin t (Int64.shift_left (A1.unsafe_get t.regs a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_right_logical (Array.unsafe_get t.regs a) sh)
+          fin t (Int64.shift_right_logical (A1.unsafe_get t.regs a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_right (Array.unsafe_get t.regs a) sh)
+          fin t (Int64.shift_right (A1.unsafe_get t.regs a) sh)
       | Div ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a in
+          let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
           else fin t (Int64.div va vb)
@@ -979,7 +997,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a in
+          let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin t 0L
           else fin t (Int64.rem va vb))
@@ -989,58 +1007,58 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.add (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Sub ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.sub (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Mul ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.mul (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | And ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.logand (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Or ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.logor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Xor ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t (Int64.logxor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Shl ->
         fun t ->
           account t k;
           t.pc <- pc1;
           fin t
-            (Int64.shift_left (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+            (Int64.shift_left (A1.unsafe_get t.regs a)
+               (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Lshr ->
         fun t ->
           account t k;
           t.pc <- pc1;
           fin t
-            (Int64.shift_right_logical (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+            (Int64.shift_right_logical (A1.unsafe_get t.regs a)
+               (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Ashr ->
         fun t ->
           account t k;
           t.pc <- pc1;
           fin t
-            (Int64.shift_right (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+            (Int64.shift_right (A1.unsafe_get t.regs a)
+               (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Div ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
+          let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
           else fin t (Int64.div va vb)
@@ -1048,13 +1066,13 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
+          let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin t 0L
           else fin t (Int64.rem va vb)))
   | M.Mfbin (op, d, a, b) when okr d && okr a && okr b ->
-    let fin (t : t) r =
-      Array.unsafe_set t.regs d (b64 r);
+    let[@inline always] fin (t : t) r =
+      A1.unsafe_set t.regs d (b64 r);
       rc t
     in
     (match (op : Refine_ir.Ir.fbinop) with
@@ -1062,86 +1080,86 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) +. f64 (Array.unsafe_get t.regs b))
+        fin t (f64 (A1.unsafe_get t.regs a) +. f64 (A1.unsafe_get t.regs b))
     | Fsub ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) -. f64 (Array.unsafe_get t.regs b))
+        fin t (f64 (A1.unsafe_get t.regs a) -. f64 (A1.unsafe_get t.regs b))
     | Fmul ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) *. f64 (Array.unsafe_get t.regs b))
+        fin t (f64 (A1.unsafe_get t.regs a) *. f64 (A1.unsafe_get t.regs b))
     | Fdiv ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) /. f64 (Array.unsafe_get t.regs b)))
+        fin t (f64 (A1.unsafe_get t.regs a) /. f64 (A1.unsafe_get t.regs b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (-.f64 (Array.unsafe_get t.regs a)));
+        A1.unsafe_set t.regs d (b64 (-.f64 (A1.unsafe_get t.regs a)));
         rc t
     | Fsqrt ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (sqrt (f64 (Array.unsafe_get t.regs a))));
+        A1.unsafe_set t.regs d (b64 (sqrt (f64 (A1.unsafe_get t.regs a))));
         rc t
     | Fabs ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (Float.abs (f64 (Array.unsafe_get t.regs a))));
+        A1.unsafe_set t.regs d (b64 (Float.abs (f64 (A1.unsafe_get t.regs a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (b64 (Int64.to_float (Array.unsafe_get t.regs a)));
+      A1.unsafe_set t.regs d (b64 (Int64.to_float (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (Array.unsafe_get t.regs a)));
+      A1.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let fl = flags_of (Array.unsafe_get t.regs a) vb in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      let fl = flags_of (A1.unsafe_get t.regs a) vb in
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let fl = flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb) in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      let fl = flags_of (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb) in
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let va = f64 (Array.unsafe_get t.regs a) and vb = f64 (Array.unsafe_get t.regs b) in
+      let va = f64 (A1.unsafe_get t.regs a) and vb = f64 (A1.unsafe_get t.regs b) in
       let fl =
         if Float.is_nan va || Float.is_nan vb then 4
         else (if va = vb then 1 else 0) lor if va < vb then 2 else 0
       in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
-        (if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then 1L else 0L);
+      A1.unsafe_set t.regs d
+        (if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then 1L else 0L);
       rc t
   | M.Mjcc (cc, target) -> (
     match int_cc cc with
@@ -1149,7 +1167,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       fun t ->
         account t k;
         t.pc <- pc1;
-        let fl = Int64.to_int (Array.unsafe_get t.regs R.flags) in
+        let fl = Int64.to_int (A1.unsafe_get t.regs R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
         rc t
     | None ->
@@ -1157,7 +1175,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       fun t ->
         account t k;
         t.pc <- pc1;
-        if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then t.pc <- target;
+        if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
@@ -1168,25 +1186,25 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     fun t ->
       account t k;
       t.pc <- pc1;
-      push t (Array.unsafe_get t.regs r);
+      push t (A1.unsafe_get t.regs r);
       rc t
   | M.Mpop r when okr r ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs r (pop t);
+      A1.unsafe_set t.regs r (pop t);
       rc t
   | M.Mpushf ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      push t t.regs.(R.flags);
+      push t t.regs.{R.flags};
       rc t
   | M.Mpopf ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      t.regs.(R.flags) <- pop t;
+      t.regs.{R.flags} <- pop t;
       rc t
   | M.Mcalli target ->
     (* the return address is a decode-time constant: no box per call *)
@@ -1195,7 +1213,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       account t k;
       t.pc <- pc1;
       push t ra;
-      cs_push t (Int64.to_int (Array.unsafe_get t.regs R.rsp)) ra;
+      cs_push t (Int64.to_int (A1.unsafe_get t.regs R.rsp)) ra;
       t.pc <- target;
       rc t
   | M.Mcall name ->
@@ -1219,7 +1237,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       t.pc <- pc1;
       let ra = pop t in
       cs_pop t;
-      if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
+      if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
       else begin
         let target = Int64.to_int ra in
         if target < 0 || target >= code_len then raise (Halt_trap (Bad_pc target))
@@ -1233,36 +1251,36 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       t.pc <- pc1;
       if sp then t.sp_struck <- true;
       (if t.fi_mask <> 0L then begin
-         Array.unsafe_set t.regs d (Int64.logxor (Array.unsafe_get t.regs d) t.fi_mask);
+         A1.unsafe_set t.regs d (Int64.logxor (A1.unsafe_get t.regs d) t.fi_mask);
          t.fi_mask <- 0L
        end
        else
-         Array.unsafe_set t.regs d
-           (Int64.logxor (Array.unsafe_get t.regs d)
+         A1.unsafe_set t.regs d
+           (Int64.logxor (A1.unsafe_get t.regs d)
               (Int64.shift_left 1L
-                 (Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 63L)))));
+                 (Int64.to_int (Int64.logand (A1.unsafe_get t.regs s) 63L)))));
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let addr = Int64.to_int (Array.unsafe_get t.regs b) + off in
-      let v = dload64 t addr in
+      let addr = Int64.to_int (A1.unsafe_get t.regs b) + off in
+      let v = load64 t addr in
       let mask =
         if t.fi_mask <> 0L then begin
           let m = t.fi_mask in
           t.fi_mask <- 0L;
           m
         end
-        else Int64.shift_left 1L (Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 63L))
+        else Int64.shift_left 1L (Int64.to_int (Int64.logand (A1.unsafe_get t.regs s) 63L))
       in
-      dstore64 t addr (Int64.logxor v mask);
+      store64 t addr (Int64.logxor v mask);
       rc t
   | M.Mhalt ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr));
+      t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr});
       rc t
   | _ -> via_legacy
 
@@ -1311,14 +1329,14 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
       | Some p ->
         p.class_steps.(k0) <- p.class_steps.(k0) + 1;
         p.class_steps.(k1) <- p.class_steps.(k1) + 1);
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       t.pc <- (if (fl land mask <> 0) = want then tgt else pc2)
     end
     else exact t
   in
   match b with
-  | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
-  | M.Reg rb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+  | M.Imm vb -> fun t -> finish t (flags_of (A1.unsafe_get t.regs a) vb)
+  | M.Reg rb -> fun t -> finish t (flags_of (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
 
 (* Hand-fused loop back edge: compare + conditional exit + backward jump,
    the bottom-of-loop shape of every counted MinC loop.  The jump
@@ -1337,7 +1355,7 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
     let s = t.steps in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
       (* batched: no poll slot or budget edge inside the triple *)
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       (match t.prof with
       | None -> ()
       | Some p ->
@@ -1361,8 +1379,8 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
     else exact t
   in
   match b with
-  | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
-  | M.Reg rb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+  | M.Imm vb -> fun t -> finish t (flags_of (A1.unsafe_get t.regs a) vb)
+  | M.Reg rb -> fun t -> finish t (flags_of (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
 
 (* Hand-fused counted-loop latch: a non-trapping integer op updating the
    latch register, the compare on it, and the conditional back edge, in
@@ -1384,8 +1402,8 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
   fun t ->
     let s = t.steps in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
-      let va = Array.unsafe_get t.regs a in
-      let vb = match b with M.Imm v -> v | M.Reg r -> Array.unsafe_get t.regs r in
+      let va = A1.unsafe_get t.regs a in
+      let vb = match b with M.Imm v -> v | M.Reg r -> A1.unsafe_get t.regs r in
       let r =
         match op with
         | Add -> Int64.add va vb
@@ -1399,11 +1417,11 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
         | Ashr -> Int64.shift_right va (Int64.to_int (Int64.logand vb 63L))
         | Div | Rem -> assert false (* excluded at decode: they can trap *)
       in
-      Array.unsafe_set t.regs d r;
-      let va2 = Array.unsafe_get t.regs a2 in
-      let vb2 = match b2 with M.Imm v -> v | M.Reg rr -> Array.unsafe_get t.regs rr in
+      A1.unsafe_set t.regs d r;
+      let va2 = A1.unsafe_get t.regs a2 in
+      let vb2 = match b2 with M.Imm v -> v | M.Reg rr -> A1.unsafe_get t.regs rr in
       let fl = flags_of va2 vb2 in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       t.steps <- s + 3;
       t.cost <- t.cost + c3;
       (match t.prof with
@@ -1453,7 +1471,7 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
   let floor = Mem.mem_size - Mem.stack_limit in
   fun t ->
     let s = t.steps in
-    let sp = Int64.to_int (Array.unsafe_get t.regs R.rsp) in
+    let sp = Int64.to_int (A1.unsafe_get t.regs R.rsp) in
     let hcost = Array.unsafe_get t.handler_cost slot in
     if
       t.fi_sel_skip > 0
@@ -1464,9 +1482,9 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
       && sp - (8 * npush) >= Mem.null_guard
       && sp <= Mem.mem_size
     then begin
-      dstore64 t (sp - 8) (Array.unsafe_get t.regs R.ret_gpr);
-      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags)
-      else Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1);
+      store64 t (sp - 8) (A1.unsafe_get t.regs R.ret_gpr);
+      if pf then store64 t (sp - 16) (A1.unsafe_get t.regs R.flags)
+      else A1.unsafe_set t.regs R.flags 1L;
       t.steps <- s + len;
       t.cost <- t.cost + len + hcost;
       (match t.prof with
@@ -1678,8 +1696,8 @@ let flip_mem_bit (t : t) ~addr ~bit =
     invalid_arg (Printf.sprintf "Exec.flip_mem_bit: address 0x%x outside data memory" addr);
   if bit < 0 || bit > 7 then
     invalid_arg (Printf.sprintf "Exec.flip_mem_bit: bit %d out of [0,7]" bit);
-  let b = Char.code (Bytes.get t.mem addr) in
-  Bytes.set t.mem addr (Char.chr (b lxor (1 lsl bit)));
+  let b = Char.code (A1.get t.mem addr) in
+  A1.set t.mem addr (Char.chr (b lxor (1 lsl bit)));
   Bytes.unsafe_set t.priv.dirty (addr lsr page_bits) '\001'
 
 (* Install the Instr_image corruption overlay: the engine-local view of one
@@ -1724,13 +1742,15 @@ let fingerprint (t : t) =
   in
   mix t.pc;
   mix t.heap;
-  Array.iter (fun r -> mix (Int64.to_int r land max_int)) t.regs;
+  for r = 0 to R.num_regs - 1 do
+    mix (Int64.to_int (A1.unsafe_get t.regs r) land max_int)
+  done;
   {
     fp_hash = !h;
     fp_pc = t.pc;
     fp_heap = t.heap;
     fp_out = Buffer.length t.env.out;
-    fp_regs = Array.copy t.regs;
+    fp_regs = Array.init R.num_regs (fun r -> A1.unsafe_get t.regs r);
   }
 
 let fp_equal a b =
@@ -1853,7 +1873,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
            slot must still hold the recorded return address (a fault that
            smashed one makes the translation meaningless), and every
            return address must translate into golden coordinates *)
-        let rsp = Int64.to_int t.regs.(R.rsp) in
+        let rsp = Int64.to_int t.regs.{R.rsp} in
         if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false;
         for j = 0 to t.cs_len - 1 do
           let slot = t.cs_slots.(j) in
@@ -1861,7 +1881,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
             let vi = Int64.to_int t.cs_vals.(j) in
             if
               slot > Mem.mem_size - 8
-              || Bytes.get_int64_le t.mem slot <> t.cs_vals.(j)
+              || get_le t.mem slot <> t.cs_vals.(j)
               || vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0
             then ok := false
           end

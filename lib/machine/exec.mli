@@ -13,12 +13,17 @@
     dispatch runs only while no hook is attached.
 
     Fast path (DESIGN.md §14): step/cost counters are plain unboxed [int]
-    fields, FLAGS writes index a preallocated table, and extern calls
-    dispatch through a per-engine handler array resolved once from the
-    image's [ext_slot_of_pc] table, so the per-instruction accounting
-    allocates nothing when profiling is off.  Register values are boxed:
-    {!field:regs} is an [int64 array], so every instruction that computes
-    a new register value allocates it.
+    fields and extern calls dispatch through a per-engine handler array
+    resolved once from the image's [ext_slot_of_pc] table, so the
+    per-instruction accounting allocates nothing when profiling is off.
+
+    Off-heap machine state (DESIGN.md §14): both the register file and
+    the memory arena live outside the OCaml heap.  {!field:regs} is an
+    int64 Bigarray, so the decoded engine stores a computed register
+    value raw and allocates nothing per instruction.  {!field:mem} is a
+    private mapping of [/dev/zero], so a fresh engine costs no resident
+    memory until the machine writes a page, and its mapping is released
+    when the engine is collected.
 
     Touched-page memory (DESIGN.md §14): a {!snapshot} holds only an
     image's initialized globals region.  Each engine owns one
@@ -81,14 +86,21 @@ type priv
 (** Engine-private state: the touched-page map and the snapshot {!reset}
     restores.  Opaque outside this module. *)
 
+type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   mutable image : Refine_backend.Layout.image;
       (** the binary being executed; rebound by {!reset} onto another
           binary's snapshot, and by {!run}'s detach handoff onto its
           target's image *)
-  regs : int64 array;  (** [Reg.num_regs] raw images: GPRs, FPRs, FLAGS *)
-  mem : Bytes.t;
-      (** the [Memlayout.mem_size] arena.  Read-only outside this module:
+  regs : regfile;
+      (** [Reg.num_regs] raw 64-bit images, unboxed: GPRs, FPRs (IEEE
+          bits), FLAGS *)
+  mem : arena;
+      (** the [Memlayout.mem_size] arena, a private [/dev/zero] mapping
+          whose pages are committed as the machine first writes them;
+          8-byte cells are little-endian.  Read-only outside this module:
           {!reset} restores only pages the machine itself flagged, so a
           write that bypasses {!store64} / {!flip_mem_bit} would survive
           into the next sample. *)
@@ -248,8 +260,9 @@ val snapshot : Refine_backend.Layout.image -> snapshot
 val create_from_snapshot :
   ?ext_extra:(string * int * (t -> unit)) list -> snapshot -> t
 (** An engine bound to the snapshot, which a plain {!reset} restores.
-    Allocates the engine's zeroed arena and loads the snapshot's globals
-    and the sentinel into it. *)
+    Maps the engine's arena and loads the snapshot's globals and the
+    sentinel into it: only those pages become resident, not the whole
+    [Memlayout.mem_size]. *)
 
 val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -> t -> unit
 (** Restore the pristine post-loader state: zero the pages the machine

@@ -18,30 +18,30 @@ let check_func ?(allow_virtual = false) (mf : Mfunc.t) =
         fail "%s: duplicate machine label L%d" mf.Mfunc.mname b.Mfunc.mlbl;
       Hashtbl.add labels b.Mfunc.mlbl ())
     mf.Mfunc.blocks;
-  let check_reg what r =
+  (* [i] is rendered only for the message of a check that fails *)
+  let check_reg i r =
     if Reg.is_physical r then ()
     else if Reg.is_virtual r then begin
       if not allow_virtual then fail "%s: virtual register %s survived allocation in %s"
-          mf.Mfunc.mname (Reg.name r) what;
+          mf.Mfunc.mname (Reg.name r) (Mprinter.to_string i);
       match Hashtbl.find_opt mf.Mfunc.vreg_class r with
       | Some _ -> ()
       | None -> fail "%s: vreg %s has no class" mf.Mfunc.mname (Reg.name r)
     end
-    else fail "%s: invalid register id %d in %s" mf.Mfunc.mname r what
+    else fail "%s: invalid register id %d in %s" mf.Mfunc.mname r (Mprinter.to_string i)
   in
-  let check_label what l =
+  let check_label i l =
     if not (Hashtbl.mem labels l) then
-      fail "%s: %s targets missing label L%d" mf.Mfunc.mname what l
+      fail "%s: %s targets missing label L%d" mf.Mfunc.mname (Mprinter.to_string i) l
   in
   List.iter
     (fun (b : Mfunc.mblock) ->
       List.iter
         (fun i ->
-          let what = Mprinter.to_string i in
-          List.iter (check_reg what) (inputs i);
-          List.iter (check_reg what) (outputs i);
+          List.iter (check_reg i) (inputs i);
+          List.iter (check_reg i) (outputs i);
           match i with
-          | Mjmp l | Mjcc (_, l) -> check_label what l
+          | Mjmp l | Mjcc (_, l) -> check_label i l
           | Mcalli _ -> fail "%s: resolved call before layout" mf.Mfunc.mname
           | _ -> ())
         b.Mfunc.code)
@@ -102,8 +102,12 @@ let check_instrumented ?expect_frame_bytes (mf : Mfunc.t) =
       fail "%s: instrumentation changed the frame size (%d -> %d bytes)" mf.Mfunc.mname n
         mf.Mfunc.frame_bytes
   | None -> ());
+  (* labels are unique ([check_func] above), so one table serves every
+     splice lookup *)
+  let blocks = Hashtbl.create 64 in
+  List.iter (fun (b : Mfunc.mblock) -> Hashtbl.replace blocks b.Mfunc.mlbl b) mf.Mfunc.blocks;
   let block lbl =
-    match List.find_opt (fun b -> b.Mfunc.mlbl = lbl) mf.Mfunc.blocks with
+    match Hashtbl.find_opt blocks lbl with
     | Some b -> b
     | None -> fail "%s: FI splice targets missing block L%d" mf.Mfunc.mname lbl
   in

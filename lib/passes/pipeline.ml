@@ -14,7 +14,8 @@
    verifier after every IR pass, the MIR verifier after every MIR pass,
    [Mverify.check_instrumented] once a REFINE splice is in place), always
    re-checks instrumented code at the end of the MIR stage under
-   [verify_fi], and records per-pass wall time and run counts through the
+   [verify_fi] (timed like a pass, as the step "verify-fi" in the compile
+   bucket), and records per-pass wall time and run counts through the
    observability layer ([refine_pass_seconds{pass,layer}] histograms plus
    a span per pass, nested under whatever campaign span is open). *)
 
@@ -233,7 +234,8 @@ let run ?(ctx = Pass.default_ctx) ?(verify_each = false) ?(verify_fi = false) ?p
        always re-run at the end of the MIR stage when an FI pass ran, even
        without [verify_each] (chaos between the FI pass and here must not
        escape into an emitted image) *)
-    if verify_fi && !fi_ran then verify_now ();
+    if verify_fi && !fi_ran then
+      timed ?phases ~name:"verify-fi" ~layer:Pass.MIR ~fi:false verify_now;
     let image =
       if spec.layout then
         Some

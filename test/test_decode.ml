@@ -34,7 +34,7 @@ let compile_image seed =
 let fingerprint (e : X.t) =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (e.X.regs, Digest.bytes e.X.mem, e.X.pc, e.X.steps, e.X.cost, e.X.heap) []))
+       (Marshal.to_string (e.X.regs, e.X.mem, e.X.pc, e.X.steps, e.X.cost, e.X.heap) []))
 
 (* --- engine-level differential over random programs -------------------- *)
 
@@ -331,7 +331,9 @@ let test_loop_shapes_decoded_equal_step () =
       let run (e : X.t) max_cost =
         X.reset e;
         let polls = ref [] in
-        let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Array.copy e.X.regs) :: !polls in
+        let poll () =
+          polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls
+        in
         let r = X.run ~max_cost:(Int64.of_int max_cost) ~poll e in
         (r.X.status, r.X.steps, r.X.cost, fingerprint e, !polls)
       in

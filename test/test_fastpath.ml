@@ -1,11 +1,13 @@
 (* Fast-path equivalence tests (DESIGN.md §14).
 
    The executor fast path — touched-page snapshot/reset engine reuse,
-   unboxed int counters, pre-resolved extern dispatch — must be invisible
-   in results: a reset engine is bit-identical to a fresh one, also after
-   moving between binaries, and both the [step] loop and the decoded
-   dispatch loop allocate nothing per instruction when profiling is
-   off. *)
+   unboxed int counters and register file, a lazily committed arena,
+   pre-resolved extern dispatch — must be invisible in results: a reset
+   engine is bit-identical to a fresh one, also after moving between
+   binaries; both the [step] loop and the decoded dispatch loop allocate
+   nothing per instruction when profiling is off, and the decoded loop
+   nothing either when it computes values; a new engine makes only the
+   pages it loads resident. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -56,7 +58,7 @@ let arm_fault eng ~target ~reg ~bit =
           (fun (e : E.t) _ _ ->
             incr count;
             if !count = target then begin
-              e.E.regs.(reg) <- Refine_support.Bitops.flip_bit e.E.regs.(reg) bit;
+              e.E.regs.{reg} <- Refine_support.Bitops.flip_bit e.E.regs.{reg} bit;
               e.E.post_hook <- None
             end);
         hook_cost = 3;
@@ -85,10 +87,31 @@ let run_mem_fault ~target ~addr ~bit eng =
       };
   E.run ~max_cost:20_000_000L eng
 
+(* the register file and the arena, read through plain accessors *)
+let regs_of (e : E.t) = Array.init R.num_regs (fun r -> e.E.regs.{r})
+
+let get64 (m : E.arena) addr =
+  let v = ref 0L in
+  for k = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code m.{addr + k}))
+  done;
+  !v
+
+let set64 (m : E.arena) addr v =
+  for k = 0 to 7 do
+    m.{addr + k} <- Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xFFL))
+  done
+
+(* a heap copy of the engine's whole arena *)
+let mem_copy (e : E.t) : E.arena =
+  let m = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (Bigarray.Array1.dim e.E.mem) in
+  Bigarray.Array1.blit e.E.mem m;
+  m
+
 (* the architectural state a reset must restore, byte for byte *)
 let check_state what (a : E.t) (b : E.t) =
-  Alcotest.(check bool) (what ^ ": mem") true (Bytes.equal a.E.mem b.E.mem);
-  Alcotest.(check (array int64)) (what ^ ": regs") a.E.regs b.E.regs;
+  Alcotest.(check bool) (what ^ ": mem") true (a.E.mem = b.E.mem);
+  Alcotest.(check (array int64)) (what ^ ": regs") (regs_of a) (regs_of b);
   Alcotest.(check int) (what ^ ": pc") a.E.pc b.E.pc;
   Alcotest.(check int) (what ^ ": heap") a.E.heap b.E.heap;
   Alcotest.(check string) (what ^ ": output") (Buffer.contents a.E.env.out)
@@ -158,7 +181,7 @@ let reset_after what image =
       if decoded then E.install_decoded eng (Some dp);
       ignore (E.run eng);
       Alcotest.(check bool) (what ^ ": the run wrote memory") false
-        (Bytes.equal eng.E.mem (E.create_from_snapshot snap).E.mem);
+        (eng.E.mem = (E.create_from_snapshot snap).E.mem);
       E.reset eng;
       check_state (what ^ ": reset = fresh") eng (E.create_from_snapshot snap))
     [ false; true ]
@@ -181,13 +204,49 @@ let test_reset_top_store () =
   (* the last 8 bytes of memory: the sentinel's own slot *)
   reset_after "store at mem_size - 8" (store_at (Mem.mem_size - 8))
 
+(* VmRSS, the process's current resident set, in KiB *)
+let vm_rss_kb () =
+  let ic = open_in "/proc/self/status" in
+  let rec find () =
+    match input_line ic with
+    | line when String.length line > 6 && String.sub line 0 6 = "VmRSS:" ->
+      Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d kB" Fun.id
+    | _ -> find ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+(* whether the kernel backs every touched 2 MiB region of an anonymous
+   mapping with a huge page ("always"; the default policy is "madvise") *)
+let thp_always () =
+  match open_in "/sys/kernel/mm/transparent_hugepage/enabled" with
+  | ic ->
+    let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+    String.length line >= 8 && String.sub line 0 8 = "[always]"
+  | exception Sys_error _ -> false
+
+let test_create_commits_touched_pages () =
+  (* a whole-arena allocation would make all of [mem_size] resident per
+     engine; several engines, all kept live, so memory the allocator
+     recycles from engines collected earlier cannot hide it.  Loading
+     this snapshot writes one page (the sentinel's), which is one 2 MiB
+     huge page when the kernel's THP policy is "always" *)
+  let snap = E.snapshot (store_at (64 * 4096)) in
+  let n = 16 in
+  let limit_kb = if thp_always () then (n * 2048) + 1024 else 1024 in
+  let before = vm_rss_kb () in
+  let engines = List.init n (fun _ -> E.create_from_snapshot snap) in
+  let grown = vm_rss_kb () - before in
+  ignore (Sys.opaque_identity engines);
+  if grown >= limit_kb then
+    Alcotest.failf "creating %d engines raised VmRSS by %d KiB (limit %d KiB)" n grown limit_kb
+
 let test_reset_untouched_flip () =
   let image = image_of [ M.Mmov (R.ret_gpr, M.Imm 0L); M.Mhalt ] in
   let snap = E.snapshot image in
   let eng = E.create_from_snapshot snap in
   let addr = (1000 * 4096) + 17 in
   E.flip_mem_bit eng ~addr ~bit:5;
-  Alcotest.(check char) "bit flipped" '\032' (Bytes.get eng.E.mem addr);
+  Alcotest.(check char) "bit flipped" '\032' eng.E.mem.{addr};
   ignore (E.run eng);
   E.reset eng;
   check_state "flip on an untouched page" eng (E.create_from_snapshot snap)
@@ -277,12 +336,34 @@ let matrix_summary cells =
 
 (* --- per-instruction accounting is allocation-free with profiling off --- *)
 
+(* any per-instruction allocation makes the delta scale with the step
+   count; per-call constants (the measurement itself) cancel *)
+let scales what run =
+  let measure n =
+    let w0 = Gc.minor_words () in
+    run n;
+    Gc.minor_words () -. w0
+  in
+  run 10_000 (* warm-up *);
+  let d_small = measure 50_000 in
+  let d_large = measure 200_000 in
+  Alcotest.(check (float 0.0)) (what ^ ": minor words do not scale with steps") d_small d_large
+
+(* [run] over an installed decode of [image], each call from a reset
+   engine so the step budget alone ends it *)
+let decoded_runner image =
+  let dec = E.create_from_snapshot (E.snapshot image) in
+  E.install_decoded dec (Some (E.decode image));
+  fun n ->
+    E.reset dec;
+    E.run ~max_steps:(Int64.of_int n) dec
+
 let test_zero_alloc_hot_path () =
   (* the back edge jumps over four instructions, so every decoded
      iteration goes through fused-pair and single-closure dispatch.  No
-     instruction computes a new register value: [regs] is an [int64
-     array], so an ALU result is boxed, and this loop isolates the
-     accounting and dispatch, which must not allocate *)
+     instruction computes a new register value, so [step], whose ALU ops
+     go through the shared [Interp] evaluators, is checked too: the
+     accounting and dispatch must not allocate *)
   let image =
     image_of
       [
@@ -297,34 +378,49 @@ let test_zero_alloc_hot_path () =
         M.Mhalt;
       ]
   in
-  (* any per-instruction allocation makes the delta scale with the step
-     count; per-call constants (the measurement itself) cancel *)
-  let scales what run =
-    let measure n =
-      let w0 = Gc.minor_words () in
-      run n;
-      Gc.minor_words () -. w0
-    in
-    run 10_000 (* warm-up *);
-    let d_small = measure 50_000 in
-    let d_large = measure 200_000 in
-    Alcotest.(check (float 0.0)) (what ^ ": minor words do not scale with steps") d_small d_large
-  in
   let eng = E.create image in
   scales "step" (fun n -> for _ = 1 to n do E.step eng done);
   Alcotest.(check bool) "still running" true (eng.E.status = E.Running);
-  (* the production loop: [run] over an installed decode, each call from a
-     reset engine so the budget alone ends it *)
-  let dec = E.create_from_snapshot (E.snapshot image) in
-  E.install_decoded dec (Some (E.decode image));
-  let run_decoded n =
-    E.reset dec;
-    E.run ~max_steps:(Int64.of_int n) dec
-  in
+  (* the production loop *)
+  let run_decoded = decoded_runner image in
   scales "decoded run" (fun n -> ignore (run_decoded n));
   let r = run_decoded 1000 in
   Alcotest.(check bool) "decoded run ends on its step budget" true
     (r.E.status = E.Timed_out && r.E.steps = 1000L)
+
+let test_zero_alloc_computing () =
+  (* every instruction of the loop body writes a freshly computed value
+     (integer add and xor, a load, both address forms, a float add, a
+     stack round trip): the unboxed register file and the inlined result
+     writers keep the decoded loop allocation-free all the same *)
+  let f1 = R.fpr 1 and f2 = R.fpr 2 in
+  let image =
+    image_of
+      [
+        M.Mmov (R.gpr 1, M.Imm 7L);
+        M.Mmov (R.gpr 2, M.Imm 1L);
+        M.Mmov (R.gpr 3, M.Imm 8192L);
+        M.Mmov (f2, M.Imm (Int64.bits_of_float 0.5));
+        M.Mcmp (R.gpr 1, M.Imm 0L) (* pc 4: loop head *);
+        M.Mjcc (M.CEq, 16) (* never taken *);
+        M.Mbin (Refine_ir.Ir.Add, R.gpr 1, R.gpr 1, M.Imm 1L);
+        M.Mstore (R.gpr 1, R.gpr 3, 0);
+        M.Mload (R.gpr 4, R.gpr 3, 0);
+        M.Mlea (R.gpr 5, R.gpr 3, Some (R.gpr 2), 8);
+        M.Mlea (R.gpr 6, R.gpr 5, None, 16);
+        M.Mbin (Refine_ir.Ir.Xor, R.gpr 6, R.gpr 6, M.Reg (R.gpr 4));
+        M.Mfbin (Refine_ir.Ir.Fadd, f1, f1, f2);
+        M.Mpush (R.gpr 6);
+        M.Mpop (R.gpr 7);
+        M.Mjmp 4;
+        M.Mhalt;
+      ]
+  in
+  let run_decoded = decoded_runner image in
+  scales "decoded run" (fun n -> ignore (run_decoded n));
+  let r = run_decoded 1100 in
+  Alcotest.(check bool) "decoded run ends on its step budget" true
+    (r.E.status = E.Timed_out && r.E.steps = 1100L)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -336,10 +432,14 @@ let tests =
     Alcotest.test_case "reset after a store at mem_size - 8" `Quick test_reset_top_store;
     Alcotest.test_case "reset after a flip on an untouched page" `Quick
       test_reset_untouched_flip;
+    Alcotest.test_case "a new engine makes only its loaded pages resident" `Quick
+      test_create_commits_touched_pages;
     Alcotest.test_case "reset restores globals/heap/output" `Quick test_reset_restores_state;
     Alcotest.test_case "unknown extern traps at call, not resolution" `Quick
       test_unknown_extern_dead_path;
     Alcotest.test_case "reset rebinds extern handlers" `Quick test_reset_rebinds_handlers;
     Alcotest.test_case "hot path allocation-free with profiling off" `Quick
       test_zero_alloc_hot_path;
+    Alcotest.test_case "decoded value-computing loop allocation-free" `Quick
+      test_zero_alloc_computing;
   ]

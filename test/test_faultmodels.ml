@@ -107,10 +107,10 @@ let prop_mutate_then_reset_pristine =
       (* the mutation is engine-local: the shared code image is untouched
          and the sibling engine's memory is unaffected *)
       Array.iteri (fun i instr -> assert (p.T.image.L.code.(i) == instr)) code_before;
-      assert (not (Bytes.equal eng.X.mem fresh.X.mem));
-      assert (Bytes.equal fresh.X.mem (X.create_from_snapshot p.T.snap).X.mem);
+      assert (eng.X.mem <> fresh.X.mem);
+      assert (fresh.X.mem = (X.create_from_snapshot p.T.snap).X.mem);
       X.reset eng;
-      Bytes.equal eng.X.mem fresh.X.mem
+      eng.X.mem = fresh.X.mem
       && eng.X.regs = fresh.X.regs
       && eng.X.pc = fresh.X.pc
       && eng.X.fi_mask = 0L

@@ -162,6 +162,16 @@ let test_prepared_tier_hit () =
   Alcotest.(check bool) "second prepare served from cache" true (p1 == p2);
   Alcotest.(check bool) "hit counted" true ((AC.stats "prepared").AC.hits >= 1)
 
+(* [verify_each] keys both tiers: a verified prepare after a default one
+   of the same source must compile again, or the per-pass verifiers would
+   never run on it *)
+let test_verify_each_keys_cache () =
+  T.reset_artifact_caches ();
+  let p1 = T.prepare T.Refine prog_a in
+  let p2 = T.prepare ~verify_each:true T.Refine prog_a in
+  Alcotest.(check int) "the verified prepare recompiles" 2 (T.compile_invocations ());
+  Alcotest.(check bool) "not the unverified artifact" true (p1 != p2)
+
 let test_chaos_bypasses_cache () =
   T.reset_artifact_caches ();
   ignore (T.prepare T.Refine prog_a);
@@ -220,6 +230,7 @@ let tests =
     Alcotest.test_case "campaign equality: cache/verify modes" `Slow test_campaign_equality;
     Alcotest.test_case "IR tier shared across tools" `Quick test_ir_tier_shared_across_tools;
     Alcotest.test_case "prepared tier hit" `Quick test_prepared_tier_hit;
+    Alcotest.test_case "verify-each keys both tiers" `Quick test_verify_each_keys_cache;
     Alcotest.test_case "chaos bypasses cache" `Quick test_chaos_bypasses_cache;
     Alcotest.test_case "mutated image never served" `Quick test_mutated_image_never_served;
     Alcotest.test_case "cache off bypasses every tier" `Quick test_uncached_bypasses_every_tier;
