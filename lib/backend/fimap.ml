@@ -181,6 +181,18 @@ let build ~lib_call_cost (instr : Layout.image) (golden : Layout.image) : t opti
     Some m
   | _ -> None
 
+(* LLFI's injectFault callbacks: the register carrying the instrumented
+   value in and the register it comes back in.  A call that does not fire
+   is the identity [ret <- arg] — what the detach target patches each call
+   into and what the decoded engine's llfi-call superinstruction retires
+   inside the skip window. *)
+let llfi_calls =
+  [
+    ("llfi_inject_i64", R.gpr 2, R.ret_gpr);
+    ("llfi_inject_f64", R.fpr 1, R.ret_fpr);
+    ("llfi_inject_i1", R.gpr 2, R.ret_gpr);
+  ]
+
 (* LLFI's detach target: replace each instrumented call by a substitute
    instruction (the post-injection no-op semantics of the library call),
    weighted with the call's modeled cost.  [table] maps the extern name to

@@ -63,6 +63,13 @@ val build : lib_call_cost:int -> Layout.image -> Layout.image -> t option
     otherwise, including for images with call-site candidates, whose
     twin holds one extra [Mjmp] per such splice. *)
 
+val llfi_calls : (string * Refine_mir.Reg.t * Refine_mir.Reg.t) list
+(** LLFI's injectFault callbacks as [(name, arg, ret)]: the instrumented
+    value arrives in register [arg] and returns in [ret], so a call that
+    does not fire is the identity [ret <- arg].  [Exec.decode] fuses each
+    call group of these callees (the ["llfi-call"] idiom), and LLFI's
+    detach target patches each call into that move. *)
+
 val patch_calls :
   table:(string * Refine_mir.Minstr.t * int) list ->
   Layout.image ->

@@ -42,7 +42,9 @@ let vreg_of env v =
     Hashtbl.add env.vregs v r;
     r
 
-let emit env i = env.cur.code <- env.cur.code @ [ i ]
+(* blocks accumulate in reverse while selecting (prepending keeps a long
+   block linear); [select_func] reverses each one once at the end *)
+let emit env i = env.cur.code <- i :: env.cur.code
 
 (* Force an IR operand into a register. *)
 let reg_of env (o : I.operand) : R.t =
@@ -415,4 +417,5 @@ let select_func ~global_addr (modul : I.modul) (fn : I.func) : F.t =
       List.iter (lower_instr env modul) b.body;
       lower_term env fn b)
     fn.blocks;
+  List.iter (fun (mb : F.mblock) -> mb.code <- List.rev mb.code) mf.F.blocks;
   mf

@@ -5,7 +5,13 @@
    The current schema appends the fault-model columns ([fault_model],
    [bits], DESIGN.md §18); [of_string] also accepts the pre-model 17-column
    header, loading such rows as Reg_bit cells, so archived campaigns stay
-   readable forever. *)
+   readable forever.
+
+   A row loads only if it renders back to exactly itself.  OCaml's number
+   readers accept more than this writer emits ([1_], [+7], [0x5], [01],
+   [0x1p3], ...), so one corrupted byte could otherwise load as another
+   count; requiring the render makes every loaded cell the one that wrote
+   its line, and anything else a [Parse_error]. *)
 
 module E = Experiment
 module T = Refine_core.Tool
@@ -23,17 +29,33 @@ let legacy_header =
 let sanitize_reason s =
   String.map (function ',' | '\n' | '\r' | '\t' -> ' ' | c -> c) s
 
-let row_of_cell (c : E.cell) =
-  Printf.sprintf "%s,%s,%s,%d,%d,%d,%d,%d,%d,%Ld,%Ld,%Ld,%d,%.6f,%.6f,%.6f,%.6f,%d,%s"
-    c.E.program (T.kind_name c.E.tool)
-    (F.string_of_model c.E.model)
-    (F.model_bits c.E.model) c.E.samples c.E.counts.E.crash c.E.counts.E.soc
-    c.E.counts.E.benign c.E.counts.E.tool_error c.E.profile.Refine_core.Fault.dyn_count
-    c.E.profile.Refine_core.Fault.profile_cost c.E.injection_cost c.E.static_instrumented
-    c.E.timing.E.instrument_s c.E.timing.E.compile_s c.E.timing.E.execute_s
-    c.E.timing.E.harness_s
-    (match c.E.quarantined with Some _ -> 1 | None -> 0)
-    (match c.E.quarantined with Some r -> sanitize_reason r | None -> "")
+(* one row, in the current schema or (without the model columns) the
+   legacy one *)
+let render ~legacy (c : E.cell) =
+  let secs = Printf.sprintf "%.6f" in
+  String.concat ","
+    ([ c.E.program; T.kind_name c.E.tool ]
+    @ (if legacy then []
+       else [ F.string_of_model c.E.model; string_of_int (F.model_bits c.E.model) ])
+    @ [
+        string_of_int c.E.samples;
+        string_of_int c.E.counts.E.crash;
+        string_of_int c.E.counts.E.soc;
+        string_of_int c.E.counts.E.benign;
+        string_of_int c.E.counts.E.tool_error;
+        Int64.to_string c.E.profile.Refine_core.Fault.dyn_count;
+        Int64.to_string c.E.profile.Refine_core.Fault.profile_cost;
+        Int64.to_string c.E.injection_cost;
+        string_of_int c.E.static_instrumented;
+        secs c.E.timing.E.instrument_s;
+        secs c.E.timing.E.compile_s;
+        secs c.E.timing.E.execute_s;
+        secs c.E.timing.E.harness_s;
+        (match c.E.quarantined with Some _ -> "1" | None -> "0");
+        (match c.E.quarantined with Some r -> sanitize_reason r | None -> "");
+      ])
+
+let row_of_cell = render ~legacy:false
 
 let to_string (cells : E.cell list) =
   String.concat "\n" (header :: List.map row_of_cell cells) ^ "\n"
@@ -59,13 +81,13 @@ let model_of_name s =
    be arbitrarily large); reloaded profiles carry an empty golden output and
    are suitable for statistics, not for re-running injections. *)
 let of_string (s : string) : E.cell list =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "") in
+  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   match lines with
   | [] -> []
   | hdr :: rows ->
     let legacy =
-      if String.trim hdr = header then false
-      else if String.trim hdr = legacy_header then true
+      if hdr = header then false
+      else if hdr = legacy_header then true
       else raise (Parse_error "unexpected CSV header")
     in
     let cell ~program ~tool ~model ~samples ~crash ~soc ~benign ~tool_error ~dyn ~pcost
@@ -102,27 +124,33 @@ let of_string (s : string) : E.cell list =
         quarantined = (if int_of_string quarantined <> 0 then Some reason else None);
       }
     in
+    let parse line =
+      match (legacy, String.split_on_char ',' line) with
+      | ( false,
+          [
+            program; tool; model; _bits; samples; crash; soc; benign; tool_error; dyn; pcost;
+            icost; sites; instr_s; comp_s; exec_s; harn_s; quarantined; reason;
+          ] ) ->
+        (* [bits] is derivable from the model string; the render check
+           below validates it *)
+        cell ~program ~tool ~model:(model_of_name model) ~samples ~crash ~soc ~benign
+          ~tool_error ~dyn ~pcost ~icost ~sites ~instr_s ~comp_s ~exec_s ~harn_s ~quarantined
+          ~reason
+      | ( true,
+          [
+            program; tool; samples; crash; soc; benign; tool_error; dyn; pcost; icost; sites;
+            instr_s; comp_s; exec_s; harn_s; quarantined; reason;
+          ] ) ->
+        cell ~program ~tool ~model:F.Reg_bit ~samples ~crash ~soc ~benign ~tool_error ~dyn
+          ~pcost ~icost ~sites ~instr_s ~comp_s ~exec_s ~harn_s ~quarantined ~reason
+      | _ -> raise (Parse_error ("bad CSV row: " ^ line))
+    in
     List.map
       (fun line ->
-        match (legacy, String.split_on_char ',' line) with
-        | ( false,
-            [
-              program; tool; model; _bits; samples; crash; soc; benign; tool_error; dyn; pcost;
-              icost; sites; instr_s; comp_s; exec_s; harn_s; quarantined; reason;
-            ] ) ->
-          (* [bits] is derivable from the model string; it exists for
-             spreadsheet convenience and is not re-validated here *)
-          cell ~program ~tool ~model:(model_of_name model) ~samples ~crash ~soc ~benign
-            ~tool_error ~dyn ~pcost ~icost ~sites ~instr_s ~comp_s ~exec_s ~harn_s ~quarantined
-            ~reason
-        | ( true,
-            [
-              program; tool; samples; crash; soc; benign; tool_error; dyn; pcost; icost; sites;
-              instr_s; comp_s; exec_s; harn_s; quarantined; reason;
-            ] ) ->
-          cell ~program ~tool ~model:F.Reg_bit ~samples ~crash ~soc ~benign ~tool_error ~dyn
-            ~pcost ~icost ~sites ~instr_s ~comp_s ~exec_s ~harn_s ~quarantined ~reason
-        | _ -> raise (Parse_error ("bad CSV row: " ^ line)))
+        match parse line with
+        | exception Failure _ -> raise (Parse_error ("bad CSV field: " ^ line))
+        | c when render ~legacy c = line -> c
+        | _ -> raise (Parse_error ("CSV row does not render back to itself: " ^ line)))
       rows
 
 let load path =

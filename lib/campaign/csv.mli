@@ -17,6 +17,9 @@ val of_string : string -> Experiment.cell list
 (** Inverse of {!to_string}.  Golden outputs are not persisted: reloaded
     cells are suitable for statistics and reporting, not for re-running
     injections.  Files written before the fault-model columns existed
-    ({!legacy_header}) load with [model = Reg_bit]. *)
+    ({!legacy_header}) load with [model = Reg_bit].  A row loads only if
+    the cell it parses to renders back to exactly that row (in the
+    header's schema); an unknown header, a malformed row or a row that
+    does not render back to itself raises {!Parse_error}. *)
 
 val load : string -> Experiment.cell list

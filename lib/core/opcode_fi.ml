@@ -32,32 +32,32 @@ let is_target i = alternatives i <> []
 (* install the corruption hook on [eng], as [Pinfi.attach] does; the
    fault record names the corrupted pc *)
 let attach (ctrl : Runtime.ctrl) (eng : E.t) =
-  (* targets decided once per pc, as in [Pinfi.attach] *)
-  let target = Array.map is_target eng.E.image.Refine_backend.Layout.code in
+  (* targets decided once per pc and declared, as in [Pinfi.attach] *)
+  let targets = Array.map is_target eng.E.image.Refine_backend.Layout.code in
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
-    if target.(pc) then begin
-      ctrl.Runtime.count <- ctrl.Runtime.count + 1;
-      match ctrl.Runtime.mode with
-      | Runtime.Profile -> ()
-      | Runtime.Inject { target; rng; model = _ } ->
-        if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
-          ctrl.Runtime.fired <- true;
-          let alts = alternatives i in
-          let replacement = List.nth alts (P.int rng (List.length alts)) in
-          E.set_overlay eng ~pc (Some replacement);
-          ctrl.Runtime.record <-
-            Some
-              {
-                Fault.dyn_index = Int64.of_int ctrl.Runtime.count;
-                op_index = 0;
-                reg_name = Printf.sprintf "pc=%d" pc;
-                bit = -1;
-              };
-          eng.E.post_hook <- None
-        end
-    end
+    Runtime.tick ctrl eng;
+    match ctrl.Runtime.mode with
+    | Runtime.Profile -> ()
+    | Runtime.Inject { target; rng; model = _ } ->
+      if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
+        ctrl.Runtime.fired <- true;
+        let alts = alternatives i in
+        let replacement = List.nth alts (P.int rng (List.length alts)) in
+        E.set_overlay eng ~pc (Some replacement);
+        ctrl.Runtime.record <-
+          Some
+            {
+              Fault.dyn_index = Int64.of_int ctrl.Runtime.count;
+              op_index = 0;
+              reg_name = Printf.sprintf "pc=%d" pc;
+              bit = -1;
+            };
+        eng.E.post_hook <- None
+      end
   in
-  eng.E.post_hook <- Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr }
+  eng.E.post_hook <-
+    Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr; hook_pcs = targets };
+  Runtime.publish_window ctrl eng
 
 (* profiling + one experiment, mirroring Tool.run_injection *)
 let profile (p : Tool.prepared) : Fault.profile =
@@ -65,6 +65,7 @@ let profile (p : Tool.prepared) : Fault.profile =
   let eng = Tool.engine p in
   attach ctrl eng;
   let r = E.run ~max_steps:2_000_000_000L eng in
+  Runtime.absorb ctrl eng;
   (match r.E.status with
   | E.Exited 0 -> ()
   | _ -> failwith "Opcode_fi.profile: fault-free run failed");

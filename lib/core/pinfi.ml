@@ -16,8 +16,9 @@ module Selection = Refine_passes.Selection
 
 let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
   (* the site decision, made once per pc at attach as Pin makes it at
-     instrumentation time: until the hook fires it sees [code.(pc)] at
-     every pc, and the firing call detaches it *)
+     instrumentation time and declared to the engine, which calls the hook
+     at those pcs only: until the hook fires it sees [code.(pc)] at every
+     pc, and the firing call detaches it *)
   let image = eng.E.image in
   let selected =
     Array.mapi
@@ -27,31 +28,32 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
       image.Refine_backend.Layout.code
   in
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
-    if selected.(pc) then begin
-      ctrl.Runtime.count <- ctrl.Runtime.count + 1;
-      match ctrl.Runtime.mode with
-      | Runtime.Profile -> ()
-      | Runtime.Inject { target; rng; model } ->
-        if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
-          ctrl.Runtime.fired <- true;
-          let dyn_index = Int64.of_int ctrl.Runtime.count in
-          (match model with
-          | Fault.Mem_cell ->
-            ctrl.Runtime.record <- Some (Corrupt.mem_fault rng eng ~dyn_index)
-          | Fault.Instr_image ->
-            (* the DBI hook knows the exact pc it observed — no walk-back *)
-            ctrl.Runtime.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index)
-          | Fault.Reg_bit | Fault.Multi_bit _ ->
-            let outs = M.outputs i in
-            let op = P.int rng (List.length outs) in
-            let reg = List.nth outs op in
-            let bit, mask = Corrupt.draw_mask rng ~width:(R.width_bits reg) model in
-            eng.E.regs.{reg} <- Int64.logxor eng.E.regs.{reg} mask;
-            ctrl.Runtime.record <-
-              Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
-          (* detach: drop the hook and with it the DBI per-instruction tax *)
-          eng.E.post_hook <- None
-        end
-    end
+    Runtime.tick ctrl eng;
+    match ctrl.Runtime.mode with
+    | Runtime.Profile -> ()
+    | Runtime.Inject { target; rng; model } ->
+      if (not ctrl.Runtime.fired) && ctrl.Runtime.count = target then begin
+        ctrl.Runtime.fired <- true;
+        let dyn_index = Int64.of_int ctrl.Runtime.count in
+        (match model with
+        | Fault.Mem_cell -> ctrl.Runtime.record <- Some (Corrupt.mem_fault rng eng ~dyn_index)
+        | Fault.Instr_image ->
+          (* the DBI hook knows the exact pc it observed — no walk-back *)
+          ctrl.Runtime.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index)
+        | Fault.Reg_bit | Fault.Multi_bit _ ->
+          let outs = M.outputs i in
+          let op = P.int rng (List.length outs) in
+          let reg = List.nth outs op in
+          let bit, mask = Corrupt.draw_mask rng ~width:(R.width_bits reg) model in
+          eng.E.regs.{reg} <- Int64.logxor eng.E.regs.{reg} mask;
+          ctrl.Runtime.record <-
+            Some { Fault.dyn_index; op_index = op; reg_name = R.name reg; bit });
+        (* detach: drop the hook and with it the DBI per-instruction tax *)
+        eng.E.post_hook <- None
+      end
   in
-  eng.E.post_hook <- Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr }
+  eng.E.post_hook <-
+    Some { E.on_instr; hook_cost = Fi_cost.pin_attach_per_instr; hook_pcs = selected };
+  (* the decoded engine retires the visits before the target (all of them
+     when profiling) without calling the hook *)
+  Runtime.publish_window ctrl eng

@@ -48,38 +48,43 @@ let should_fire ctrl =
    mutation right here at the trigger instance and answers 0, so the
    splice's register path stays cold — the trigger timing is identical,
    only the struck state differs (DESIGN.md §18). *)
-(* Fast-path bookkeeping (DESIGN.md §20): the decoded engine's fi-splice
-   superinstruction may retire provably non-firing selector calls without
-   entering this library, banking their dynamic counts in
-   [eng.fi_sel_pending].  Fold those back before using [ctrl.count]. *)
+(* The skip window (DESIGN.md §20), shared by all three tools: the
+   decoded engine may retire provably non-firing visits — REFINE selector
+   calls, LLFI injectFault calls, PINFI / opcode-corruption hook calls —
+   without entering this library, banking their dynamic counts in
+   [eng.fi_pending].  Fold those back before using [ctrl.count]. *)
 let[@inline] fold_pending ctrl (eng : E.t) =
-  if eng.E.fi_sel_pending <> 0 then begin
-    ctrl.count <- ctrl.count + eng.E.fi_sel_pending;
-    eng.E.fi_sel_pending <- 0
+  if eng.E.fi_pending <> 0 then begin
+    ctrl.count <- ctrl.count + eng.E.fi_pending;
+    eng.E.fi_pending <- 0
   end
 
 (* Called by Tool after a run completes, before it reads [ctrl.count]:
-   selector calls retired in-engine after the last real library call are
-   still pending and must count toward the dynamic-instruction total. *)
+   visits retired in-engine after the last real library call are still
+   pending and must count toward the dynamic-instruction total. *)
 let absorb ctrl (eng : E.t) = fold_pending ctrl eng
 
-(* After a real selector call, publish how many upcoming calls are
-   provably non-firing so the engine may retire them without us.  Profile
-   mode never fires; Inject can skip exactly up to (but not including)
-   the target instance — and once fired or past the target, never again
-   (count is monotonic). *)
-let[@inline] publish_skip ctrl (eng : E.t) =
-  eng.E.fi_sel_skip <-
+(* Publish how many upcoming visits are provably non-firing so the engine
+   may retire them without us.  Profile mode never fires; Inject can skip
+   exactly up to (but not including) the target instance — and once fired
+   or past the target, never again (count is monotonic). *)
+let[@inline] publish_window ctrl (eng : E.t) =
+  eng.E.fi_skip <-
     (match ctrl.mode with
     | Profile -> max_int
     | Inject { target; _ } ->
       let d = target - ctrl.count - 1 in
       if d >= 0 && not ctrl.fired then d else max_int)
 
-let refine_sel_instr ctrl (eng : E.t) =
+(* One real visit: fold the visits the engine retired, count this one and
+   publish the next window. *)
+let[@inline] tick ctrl (eng : E.t) =
   fold_pending ctrl eng;
   ctrl.count <- ctrl.count + 1;
-  publish_skip ctrl eng;
+  publish_window ctrl eng
+
+let refine_sel_instr ctrl (eng : E.t) =
+  tick ctrl eng;
   if should_fire ctrl then begin
     match ctrl.mode with
     | Profile -> eng.E.regs.{R.ret_gpr} <- 0L
@@ -125,7 +130,7 @@ let refine_setup_fi ctrl (eng : E.t) =
       Some { Fault.dyn_index = Int64.of_int ctrl.count; op_index = op; reg_name = "<refine>"; bit };
     eng.E.regs.{R.ret_gpr} <- Int64.of_int ((op lsl 6) lor bit));
   (* fired (or Profile): every later selector call is non-firing *)
-  publish_skip ctrl eng
+  publish_window ctrl eng
 
 let refine_handlers ctrl : (string * int * (E.t -> unit)) list =
   [
@@ -157,9 +162,11 @@ let llfi_fire ctrl rng model (eng : E.t) (v : int64) : int64 =
     v
 
 (* injectFault(id in r1, value in r2/f1): count, fault at the target
-   instance, return the (possibly flipped) value in r0/f0. *)
+   instance, return the (possibly flipped) value in r0/f0.  A call that
+   does not fire is the identity of [Fimap.llfi_calls], which the decoded
+   engine's llfi-call superinstruction retires inside the window. *)
 let llfi_inject_int ctrl (eng : E.t) =
-  ctrl.count <- ctrl.count + 1;
+  tick ctrl eng;
   let v = eng.E.regs.{R.gpr 2} in
   let v' =
     if should_fire ctrl then begin
@@ -172,7 +179,7 @@ let llfi_inject_int ctrl (eng : E.t) =
   eng.E.regs.{R.ret_gpr} <- v'
 
 let llfi_inject_float ctrl (eng : E.t) =
-  ctrl.count <- ctrl.count + 1;
+  tick ctrl eng;
   let v = eng.E.regs.{R.fpr 1} in
   let v' =
     if should_fire ctrl then begin
@@ -187,7 +194,7 @@ let llfi_inject_float ctrl (eng : E.t) =
 (* i1 values (comparison results) have a single architecturally meaningful
    bit: any fault in them inverts the decision *)
 let llfi_inject_bool ctrl (eng : E.t) =
-  ctrl.count <- ctrl.count + 1;
+  tick ctrl eng;
   let v = eng.E.regs.{R.gpr 2} in
   let v' =
     if should_fire ctrl then begin

@@ -32,11 +32,22 @@ type ctrl = {
 val create : mode -> ctrl
 
 val absorb : ctrl -> Refine_machine.Exec.t -> unit
-(** Fold selector calls the decoded engine's fi-splice fast path retired
-    without entering the library ([Exec.fi_sel_pending]) back into
+(** Fold the visits the decoded engine retired inside the skip window
+    without entering the library ([Exec.fi_pending]) back into
     [ctrl.count].  Must run after the engine run completes and before
     [ctrl.count] is read (DESIGN.md §20); a no-op for engines that never
-    took the fast path. *)
+    opened the window. *)
+
+val publish_window : ctrl -> Refine_machine.Exec.t -> unit
+(** Set the engine's skip window ([Exec.fi_skip]) to the number of
+    upcoming visits that provably cannot fire: [max_int] in [Profile] mode
+    and once fired, else the visits left before the target.  A hook
+    publishes it at attach; {!tick} after every real visit. *)
+
+val tick : ctrl -> Refine_machine.Exec.t -> unit
+(** Count one real visit of a dynamic target: fold the pending visits,
+    add this one to [ctrl.count] and {!publish_window}.  Every library
+    entry point and hook calls it before deciding whether to fire. *)
 
 val refine_handlers : ctrl -> (string * int * (Refine_machine.Exec.t -> unit)) list
 (** The REFINE control library: [fi_sel_instr] (the paper's selInstr) and

@@ -381,16 +381,12 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
   end
 
 (* the post-injection semantics of each LLFI runtime call: identity on the
-   instrumented value (r2 -> r0 for i64/i1, f1 -> f0 for f64), carrying
-   the call's modeled cost so the detached cost trajectory stays
-   attached-identical *)
+   instrumented value, carrying the call's modeled cost so the detached
+   cost trajectory stays attached-identical *)
 let llfi_patch_table =
-  let module R = Refine_mir.Reg in
-  [
-    ("llfi_inject_i64", M.Mmov (R.ret_gpr, M.Reg (R.gpr 2)), Fi_cost.llfi_lib_call);
-    ("llfi_inject_f64", M.Mmov (R.ret_fpr, M.Reg (R.fpr 1)), Fi_cost.llfi_lib_call);
-    ("llfi_inject_i1", M.Mmov (R.ret_gpr, M.Reg (R.gpr 2)), Fi_cost.llfi_lib_call);
-  ]
+  List.map
+    (fun (name, arg, ret) -> (name, M.Mmov (ret, M.Reg arg), Fi_cost.llfi_lib_call))
+    Fimap.llfi_calls
 
 let target_of_image ?map image cost_w =
   { dt_image = image; dt_dprog = E.decode ~cost_of:cost_w image; dt_map = map }

@@ -79,7 +79,7 @@ let fptosi f =
 
 type state = {
   m : modul;
-  mem : Bytes.t;
+  mem : Memlayout.arena; (* committed page by page as the program writes *)
   global_addr : string -> int;
   mutable heap : int;
   mutable sp : int; (* stack pointer for allocas *)
@@ -92,13 +92,19 @@ let check_addr _st addr =
   if addr < Memlayout.null_guard || addr + 8 > Memlayout.mem_size then
     raise (Trap (Printf.sprintf "memory access out of bounds: 0x%x" addr))
 
+(* bounds-checked native-endian 64-bit accesses; cells are little-endian *)
+external get64 : Memlayout.arena -> int -> int64 = "%caml_bigstring_get64"
+external set64 : Memlayout.arena -> int -> int64 -> unit = "%caml_bigstring_set64"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let load64 st addr =
   check_addr st addr;
-  Bytes.get_int64_le st.mem addr
+  let v = get64 st.mem addr in
+  if Sys.big_endian then bswap64 v else v
 
 let store64 st addr v =
   check_addr st addr;
-  Bytes.set_int64_le st.mem addr v
+  set64 st.mem addr (if Sys.big_endian then bswap64 v else v)
 
 let tick st =
   st.steps <- st.steps + 1;
@@ -176,12 +182,14 @@ let rec call_function st (fn : func) (args : int64 array) : int64 =
   result
 
 let run ?(fuel = default_fuel) (m : modul) : outcome =
-  let mem = Bytes.make Memlayout.mem_size '\000' in
+  let mem = Memlayout.new_arena () in
   let global_addr, heap_base = Memlayout.place_globals m.globals in
   List.iter
     (fun g ->
       match g.gbytes with
-      | Some s -> Bytes.blit_string s 0 mem (global_addr g.gname) (String.length s)
+      | Some s ->
+        let base = global_addr g.gname in
+        String.iteri (fun k c -> Bigarray.Array1.set mem (base + k) c) s
       | None -> ())
     m.globals;
   let heap = ref heap_base in
@@ -192,7 +200,7 @@ let run ?(fuel = default_fuel) (m : modul) : outcome =
         (fun a ->
           if a < Memlayout.null_guard || a >= Memlayout.mem_size then
             raise (Trap (Printf.sprintf "read_byte out of bounds: 0x%x" a))
-          else Bytes.get mem a);
+          else Bigarray.Array1.get mem a);
       alloc =
         (fun n ->
           let addr = !heap in

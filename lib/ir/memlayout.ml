@@ -15,6 +15,20 @@ let stack_limit = 1024 * 1024 (* maximum stack depth before overflow trap *)
 
 let align8 n = (n + 7) land lnot 7
 
+(* The [mem_size] arena of either execution: a private mapping of
+   /dev/zero, so every page reads zero and the kernel commits a page only
+   when it is first written.  The mapping is released when the arena is
+   collected. *)
+type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let new_arena () : arena =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| mem_size |]))
+
 (* Assign addresses to globals in declaration order.  Returns the lookup
    function and the first free (heap base) address. *)
 let place_globals globals =

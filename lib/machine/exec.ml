@@ -13,8 +13,9 @@
 
    Cost model (DESIGN.md §6): 1 unit per instruction, [ext_call_cost] units
    per runtime-library call, plus the attached dynamic-instrumentation
-   hook's (PINFI's) [hook_cost] per instruction — charged by [step] alone,
-   since decoded dispatch never runs while a hook is attached.
+   hook's (PINFI's) [hook_cost] per instruction — charged, before the
+   instruction runs, by [step] and by the decoded loop's hooked path, never
+   by [exec_instr] or a decoded closure.
 
    Fast path (DESIGN.md §14): the per-instruction accounting allocates
    nothing when profiling is off — step/cost counters are plain [int]
@@ -46,7 +47,7 @@ module Mem = Refine_ir.Memlayout
 module A1 = Bigarray.Array1
 
 type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
-type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
+type arena = Mem.arena
 
 let ext_call_cost = 25
 
@@ -116,7 +117,9 @@ type t = {
   env : Refine_ir.Externs.env;
   ext_extra : (string, int * (t -> unit)) Hashtbl.t;
       (* FI runtime library: name -> (modeled cost, handler) *)
-  mutable post_hook : hook option; (* PINFI-style DBI; [step] alone runs it *)
+  mutable post_hook : hook option;
+      (* PINFI-style DBI; charged and called by [step] and the decoded
+         loop's hooked path only *)
   mutable prof : profile option; (* executor profiling; None = zero-cost path *)
   mutable heap_quota : int; (* max heap bytes above heap_base; max_int = off *)
   mutable handlers : (t -> unit) array;
@@ -162,18 +165,20 @@ type t = {
       (* declared modeled cost per extern slot, parallel to [handlers]
          (rebuilt together) — lets the fi-splice fast path charge a
          skipped selector call exactly *)
-  mutable fi_sel_skip : int;
-      (* FI-selector fast-path window (DESIGN.md §20): how many upcoming
-         [fi_sel_instr] calls are provably non-firing.  Published by the
-         REFINE control library after every real selector call; consumed
-         one per splice by the fused fi-splice closure, which then
-         retires the whole splice without entering the library.  0 (the
-         default) = every call goes to the handler. *)
-  mutable fi_sel_pending : int;
-      (* selector calls the fast path retired since the library last
-         ran; the library folds them into its own dynamic counter on the
-         next real call, and [Runtime.absorb] folds the remainder after
-         the run — so counts and fault records never see a stale total *)
+  mutable fi_skip : int;
+      (* the FI skip window (DESIGN.md §20): how many upcoming FI library
+         visits are provably non-firing — REFINE selector calls, LLFI
+         injectFault calls, or hook calls at a declared pc.  Published by
+         the control library after every real visit (and by a hook at
+         attach); consumed one per visit by the fused fi-splice and
+         llfi-call closures and by the hooked loop, which retire the visit
+         without entering the library.  0 (the default) = every visit
+         goes to the library. *)
+  mutable fi_pending : int;
+      (* visits retired inside the window since the library last ran;
+         the library folds them into its own dynamic counter on the next
+         real visit, and [Runtime.absorb] folds the remainder after the
+         run — so counts and fault records never see a stale total *)
   mutable cs_slots : int array;
       (* shadow call stack: per live [Mcalli] frame, the stack slot that
          holds the pushed return address... *)
@@ -182,11 +187,15 @@ type t = {
   priv : priv;
 }
 
-(* A DBI hook and the modeled cost it adds to every instruction while
-   attached: one value, so attaching or detaching either moves both. *)
+(* A DBI hook, the modeled cost it adds to every instruction while
+   attached and the pcs it observes: one value, so attaching or detaching
+   moves all three. *)
 and hook = {
-  on_instr : t -> int -> M.t -> unit; (* after each step: pre-execution pc, instruction *)
+  on_instr : t -> int -> M.t -> unit;
+      (* after each retired instruction at a declared pc: pre-execution pc,
+         instruction *)
   hook_cost : int;
+  hook_pcs : bool array; (* one flag per code slot: [on_instr] runs where it is set *)
 }
 
 (* A decoded program: per-pc closure tables plus static decode facts.
@@ -438,17 +447,6 @@ let snapshot (image : L.image) : snapshot =
     image.L.globals;
   { s_image = image; s_globals = g }
 
-(* A fresh arena: a private mapping of /dev/zero, so every page reads zero
-   and the kernel commits a page only when the machine first writes it.
-   The mapping is released when the arena is collected. *)
-let new_arena () : arena =
-  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| Mem.mem_size |]))
-
 (* Bring the arena to [s]'s post-loader image: zero every flagged page,
    then write the globals and the sentinel return address at the top of
    the stack, as if the loader had called main.  Pages the previous
@@ -472,7 +470,7 @@ let load (t : t) (s : snapshot) =
 let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   let image = s.s_image in
   let self = ref None in
-  let mem = new_arena () in
+  let mem = Mem.new_arena () in
   let env =
     {
       Refine_ir.Externs.out = Buffer.create 1024;
@@ -526,8 +524,8 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
       detach_req = false;
       sp_struck = false;
       handler_cost = [||];
-      fi_sel_skip = 0;
-      fi_sel_pending = 0;
+      fi_skip = 0;
+      fi_pending = 0;
       cs_slots = Array.make 64 0;
       cs_vals = Array.make 64 0L;
       cs_len = 0;
@@ -586,8 +584,8 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   t.d_max_cost <- max_int;
   t.detach_req <- false;
   t.sp_struck <- false;
-  t.fi_sel_skip <- 0;
-  t.fi_sel_pending <- 0;
+  t.fi_skip <- 0;
+  t.fi_pending <- 0;
   t.cs_len <- 0;
   Hashtbl.reset t.ext_extra;
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
@@ -621,125 +619,135 @@ let[@inline] cs_pop (t : t) = if t.cs_len > 0 then t.cs_len <- t.cs_len - 1
 let[@inline always] opd (t : t) = function M.Reg r -> t.regs.{r} | M.Imm v -> v
 
 (* Execute [i] as the instruction at [pc0] (bounds already established by
-   [step]'s guard).  Factored out of [step] so the Instr_image overlay can
+   the caller).  Factored out of [step] so the Instr_image overlay can
    substitute a mutated instruction for the fetched one without an
-   allocation on the hot path. *)
+   allocation on the hot path, and so a decoded slot without a fast
+   closure can run it.  A trap raises [Halt_trap]; the hook is not this
+   function's business (its callers charge and call it). *)
 let exec_instr (t : t) pc0 (i : M.t) =
   let code = t.image.L.code in
-  begin
-    t.steps <- t.steps + 1;
-    t.cost <- t.cost + 1 + (match t.post_hook with Some h -> h.hook_cost | None -> 0);
-    (match t.prof with
-    | None -> ()
-    | Some p ->
-      let k = Array.unsafe_get t.image.L.class_of_pc pc0 in
-      p.class_steps.(k) <- p.class_steps.(k) + 1);
-    t.pc <- pc0 + 1;
-    (try
-       (match i with
-       | M.Mmov (d, s) -> t.regs.{d} <- opd t s
-       | M.Mload (d, b, off) -> t.regs.{d} <- load64 t (Int64.to_int t.regs.{b} + off)
-       | M.Mstore (s, b, off) -> store64 t (Int64.to_int t.regs.{b} + off) t.regs.{s}
-       | M.Mloadidx (d, b, ix, off) ->
-         t.regs.{d} <-
-           load64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off)
-       | M.Mstoreidx (s, b, ix, off) ->
-         store64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off) t.regs.{s}
-       | M.Mlea (d, b, ix, off) ->
-         let base = t.regs.{b} in
-         let idx = match ix with Some r -> Int64.mul 8L t.regs.{r} | None -> 0L in
-         t.regs.{d} <- Int64.add (Int64.add base idx) (Int64.of_int off)
-       | M.Mbin (op, d, a, b) ->
-         let va = t.regs.{a} and vb = opd t b in
-         let r =
-           try Refine_ir.Interp.eval_ibinop op va vb
-           with Refine_ir.Interp.Trap _ -> raise (Halt_trap Div_by_zero)
-         in
-         t.regs.{d} <- r;
-         set_flags t ~zf:(r = 0L) ~lt:(Int64.compare r 0L < 0) ~unord:false
-       | M.Mfbin (op, d, a, b) ->
-         t.regs.{d} <- b64 (Refine_ir.Interp.eval_fbinop op (f64 t.regs.{a}) (f64 t.regs.{b}))
-       | M.Mfun (op, d, a) -> t.regs.{d} <- b64 (Refine_ir.Interp.eval_funop op (f64 t.regs.{a}))
-       | M.Mcvt (Sitofp, d, a) -> t.regs.{d} <- b64 (Int64.to_float t.regs.{a})
-       | M.Mcvt (Fptosi, d, a) -> t.regs.{d} <- Refine_ir.Interp.fptosi (f64 t.regs.{a})
-       | M.Mcmp (a, b) ->
-         let va = t.regs.{a} and vb = opd t b in
-         let c = Int64.compare va vb in
-         set_flags t ~zf:(c = 0) ~lt:(c < 0) ~unord:false
-       | M.Mfcmp (a, b) ->
-         let va = f64 t.regs.{a} and vb = f64 t.regs.{b} in
-         if Float.is_nan va || Float.is_nan vb then set_flags t ~zf:false ~lt:false ~unord:true
-         else set_flags t ~zf:(va = vb) ~lt:(va < vb) ~unord:false
-       | M.Msetcc (cc, d) -> t.regs.{d} <- (if eval_cc t cc then 1L else 0L)
-       | M.Mjcc (cc, target) -> if eval_cc t cc then t.pc <- target
-       | M.Mjmp target -> t.pc <- target
-       | M.Mpush r -> push t t.regs.{r}
-       | M.Mpop r -> t.regs.{r} <- pop t
-       | M.Mpushf -> push t t.regs.{R.flags}
-       | M.Mpopf -> t.regs.{R.flags} <- pop t
-       | M.Mcalli target ->
-         let ra = Int64.of_int t.pc in
-         push t ra;
-         cs_push t (Int64.to_int t.regs.{R.rsp}) ra;
-         t.pc <- target
-       | M.Mcall name -> raise (Halt_trap (Extern_fault ("unresolved call " ^ name)))
-       | M.Mcallext _ ->
-         (* pre-resolved dispatch: no string hashing on the hot path *)
-         t.handlers.(ext_slot t.image pc0) t
-       | M.Mret ->
-         let ra = pop t in
-         cs_pop t;
-         if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
-         else begin
-           let target = Int64.to_int ra in
-           if target < 0 || target >= Array.length code then raise (Halt_trap (Bad_pc target))
-           else t.pc <- target
-         end
-       | M.Mxorbit (d, s) ->
-         if d = R.rsp || d = R.rbp then t.sp_struck <- true;
-         (* a pending multi-bit mask overrides the single-bit flip: the
-            splice stays one instruction, the fault gets k bits (§18) *)
-         if t.fi_mask <> 0L then begin
-           t.regs.{d} <- Int64.logxor t.regs.{d} t.fi_mask;
-           t.fi_mask <- 0L
-         end
-         else
-           t.regs.{d} <-
-             Int64.logxor t.regs.{d}
-               (Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L)))
-       | M.Mxorbitmem (b, off, s) ->
-         let addr = Int64.to_int t.regs.{b} + off in
-         let v = load64 t addr in
-         let mask =
-           if t.fi_mask <> 0L then begin
-             let m = t.fi_mask in
-             t.fi_mask <- 0L;
-             m
-           end
-           else Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L))
-         in
-         store64 t addr (Int64.logxor v mask)
-       | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr}));
-       match t.post_hook with Some h -> h.on_instr t pc0 i | None -> ()
-     with Halt_trap tr -> t.status <- Trapped tr)
-  end
+  t.steps <- t.steps + 1;
+  t.cost <- t.cost + 1;
+  (match t.prof with
+  | None -> ()
+  | Some p ->
+    let k = Array.unsafe_get t.image.L.class_of_pc pc0 in
+    p.class_steps.(k) <- p.class_steps.(k) + 1);
+  t.pc <- pc0 + 1;
+  match i with
+  | M.Mmov (d, s) -> t.regs.{d} <- opd t s
+  | M.Mload (d, b, off) -> t.regs.{d} <- load64 t (Int64.to_int t.regs.{b} + off)
+  | M.Mstore (s, b, off) -> store64 t (Int64.to_int t.regs.{b} + off) t.regs.{s}
+  | M.Mloadidx (d, b, ix, off) ->
+    t.regs.{d} <-
+      load64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off)
+  | M.Mstoreidx (s, b, ix, off) ->
+    store64 t (Int64.to_int t.regs.{b} + (8 * Int64.to_int t.regs.{ix}) + off) t.regs.{s}
+  | M.Mlea (d, b, ix, off) ->
+    let base = t.regs.{b} in
+    let idx = match ix with Some r -> Int64.mul 8L t.regs.{r} | None -> 0L in
+    t.regs.{d} <- Int64.add (Int64.add base idx) (Int64.of_int off)
+  | M.Mbin (op, d, a, b) ->
+    let va = t.regs.{a} and vb = opd t b in
+    let r =
+      try Refine_ir.Interp.eval_ibinop op va vb
+      with Refine_ir.Interp.Trap _ -> raise (Halt_trap Div_by_zero)
+    in
+    t.regs.{d} <- r;
+    set_flags t ~zf:(r = 0L) ~lt:(Int64.compare r 0L < 0) ~unord:false
+  | M.Mfbin (op, d, a, b) ->
+    t.regs.{d} <- b64 (Refine_ir.Interp.eval_fbinop op (f64 t.regs.{a}) (f64 t.regs.{b}))
+  | M.Mfun (op, d, a) -> t.regs.{d} <- b64 (Refine_ir.Interp.eval_funop op (f64 t.regs.{a}))
+  | M.Mcvt (Sitofp, d, a) -> t.regs.{d} <- b64 (Int64.to_float t.regs.{a})
+  | M.Mcvt (Fptosi, d, a) -> t.regs.{d} <- Refine_ir.Interp.fptosi (f64 t.regs.{a})
+  | M.Mcmp (a, b) ->
+    let va = t.regs.{a} and vb = opd t b in
+    let c = Int64.compare va vb in
+    set_flags t ~zf:(c = 0) ~lt:(c < 0) ~unord:false
+  | M.Mfcmp (a, b) ->
+    let va = f64 t.regs.{a} and vb = f64 t.regs.{b} in
+    if Float.is_nan va || Float.is_nan vb then set_flags t ~zf:false ~lt:false ~unord:true
+    else set_flags t ~zf:(va = vb) ~lt:(va < vb) ~unord:false
+  | M.Msetcc (cc, d) -> t.regs.{d} <- (if eval_cc t cc then 1L else 0L)
+  | M.Mjcc (cc, target) -> if eval_cc t cc then t.pc <- target
+  | M.Mjmp target -> t.pc <- target
+  | M.Mpush r -> push t t.regs.{r}
+  | M.Mpop r -> t.regs.{r} <- pop t
+  | M.Mpushf -> push t t.regs.{R.flags}
+  | M.Mpopf -> t.regs.{R.flags} <- pop t
+  | M.Mcalli target ->
+    let ra = Int64.of_int t.pc in
+    push t ra;
+    cs_push t (Int64.to_int t.regs.{R.rsp}) ra;
+    t.pc <- target
+  | M.Mcall name -> raise (Halt_trap (Extern_fault ("unresolved call " ^ name)))
+  | M.Mcallext _ ->
+    (* pre-resolved dispatch: no string hashing on the hot path *)
+    t.handlers.(ext_slot t.image pc0) t
+  | M.Mret ->
+    let ra = pop t in
+    cs_pop t;
+    if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
+    else begin
+      let target = Int64.to_int ra in
+      if target < 0 || target >= Array.length code then raise (Halt_trap (Bad_pc target))
+      else t.pc <- target
+    end
+  | M.Mxorbit (d, s) ->
+    if d = R.rsp || d = R.rbp then t.sp_struck <- true;
+    (* a pending multi-bit mask overrides the single-bit flip: the
+       splice stays one instruction, the fault gets k bits (§18) *)
+    if t.fi_mask <> 0L then begin
+      t.regs.{d} <- Int64.logxor t.regs.{d} t.fi_mask;
+      t.fi_mask <- 0L
+    end
+    else
+      t.regs.{d} <-
+        Int64.logxor t.regs.{d}
+          (Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L)))
+  | M.Mxorbitmem (b, off, s) ->
+    let addr = Int64.to_int t.regs.{b} + off in
+    let v = load64 t addr in
+    let mask =
+      if t.fi_mask <> 0L then begin
+        let m = t.fi_mask in
+        t.fi_mask <- 0L;
+        m
+      end
+      else Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.{s} 63L))
+    in
+    store64 t addr (Int64.logxor v mask)
+  | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
 
+(* The fetch of an Instr_image slot whose corrupted encoding no longer
+   decodes: it retires as a step, then traps. *)
+let illegal_fetch (t : t) pc =
+  t.steps <- t.steps + 1;
+  t.cost <- t.cost + 1;
+  raise (Halt_trap (Illegal_instr pc))
+
+(* One instruction of the reference semantics.  An attached hook's cost is
+   charged before the instruction runs, so a trapping instruction pays it;
+   the hook attached when the instruction started runs after it, at a pc
+   it declares, unless the instruction trapped.  The skip window is never
+   read here: every declared visit calls the hook. *)
 let step (t : t) =
   let code = t.image.L.code in
-  if t.pc < 0 || t.pc >= Array.length code then t.status <- Trapped (Bad_pc t.pc)
+  let pc0 = t.pc in
+  if pc0 < 0 || pc0 >= Array.length code then t.status <- Trapped (Bad_pc pc0)
   else begin
-    let pc0 = t.pc in
-    (* overlay check is one int compare on the hot path; only a hit pays
-       for the option match *)
-    if pc0 = t.overlay_pc then (
-      match t.overlay_instr with
-      | Some i -> exec_instr t pc0 i
-      | None ->
-        (* the corrupted slot no longer decodes: the fetch itself traps *)
-        t.steps <- t.steps + 1;
-        t.cost <- t.cost + 1;
-        t.status <- Trapped (Illegal_instr pc0))
-    else exec_instr t pc0 (Array.unsafe_get code pc0)
+    let hook = t.post_hook in
+    (match hook with Some h -> t.cost <- t.cost + h.hook_cost | None -> ());
+    try
+      (* overlay check is one int compare on the hot path; only a hit pays
+         for the option match *)
+      let i =
+        if pc0 <> t.overlay_pc then Array.unsafe_get code pc0
+        else match t.overlay_instr with Some i -> i | None -> illegal_fetch t pc0
+      in
+      exec_instr t pc0 i;
+      match hook with Some h when h.hook_pcs.(pc0) -> h.on_instr t pc0 i | _ -> ()
+    with Halt_trap tr -> t.status <- Trapped tr
   end
 
 (* --- pre-decoded engine (DESIGN.md §19) ---------------------------------
@@ -762,13 +770,16 @@ let step (t : t) =
      in the state the legacy interpreter would;
    - fused idioms contain no extern calls, so nothing a constituent
      executes can install an overlay or a DBI hook mid-fusion (the fused
-     fi-splice retires its selector call without entering the library);
+     fi-splice and llfi-call retire their library call without entering
+     the library);
    - a superinstruction whose guard declines runs its constituents'
      single decodes, so there is one exact path per instruction;
-   - the dispatch loop falls back to the legacy [step] while a [post_hook]
-     is attached (PINFI / tracing observe per-instruction semantics, and
-     decoded dispatch resumes the moment the hook detaches itself), so a
-     decoded closure never charges hook cost;
+   - while a [post_hook] is attached the loop dispatches the fusion-free
+     table itself: it charges the hook's cost before each instruction,
+     calls the hook after it at the pcs the hook declares (or retires the
+     visit inside the skip window) and runs the poll-slot check after the
+     hook, exactly where [step_loop] does; a decoded closure never
+     charges hook cost;
    - an Instr_image overlay switches the engine to a private fusion-free
      table whose overlaid slot runs the mutated instruction's decode.
 
@@ -782,7 +793,7 @@ type dop = t -> unit
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
 (* per-constituent accounting, identical to [exec_instr]'s prologue with
-   no hook attached and the opcode class [k] baked in at decode time.
+   the opcode class [k] baked in at decode time.
    Only weight-1 slots account here: a weighted slot (DESIGN.md §20)
    decodes to [via_legacy]. *)
 let[@inline always] account (t : t) k =
@@ -854,7 +865,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (* [exec_instr] charged weight 1; top up to the slot's weight — but
        only when the instruction retired: attached, a trapping candidate
        never reaches the instrumentation modeled by the extra weight, so
-       a trap must not pay for it either *)
+       a trap (which raises out of [exec_instr]) or a status change must
+       not pay for it either *)
     (if cw > 1 then
        match t.status with Running -> t.cost <- t.cost + (cw - 1) | _ -> ());
     rc t
@@ -1441,14 +1453,14 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
      Mcmp (r0, 0); Mjcc (CEq, post); ...; post: [Mpopf]; Mpop r0
 
    where r0 is [ret_gpr] — dispatched as one closure with one batched
-   path: inside the selector's skip window ([fi_sel_skip > 0], published
+   path: inside the selector's skip window ([fi_skip > 0], published
    by the FI control library: the call provably cannot fire) the whole
    non-firing splice retires without entering the library, provided no
    poll slot, budget edge or stack trap falls inside it.  Its observable
    effects are the PreFI stack stores, FLAGS = cmp 0,0 for the flag-less
    variant (the pf variant restores the saved FLAGS: net unchanged), the
    retired step/cost/profile counters, and the skipped call banked in
-   [fi_sel_pending] (folded back by [Runtime.absorb] or the next real
+   [fi_pending] (folded back by [Runtime.absorb] or the next real
    selector call); rsp and r0 end where they started.  Anywhere else the
    head's single decode runs and the splice goes on constituent-exact
    through the dispatch loop — the selector call is its pc's own decode,
@@ -1474,7 +1486,7 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
     let sp = Int64.to_int (A1.unsafe_get t.regs R.rsp) in
     let hcost = Array.unsafe_get t.handler_cost slot in
     if
-      t.fi_sel_skip > 0
+      t.fi_skip > 0
       && s land 1023 <= 1023 - len
       && t.d_max_steps - s >= len
       && t.d_max_cost - t.cost >= len + hcost
@@ -1499,13 +1511,64 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
         p.class_steps.(k_pop) <- p.class_steps.(k_pop) + 1;
         p.ext_calls <- p.ext_calls + 1;
         p.ext_cost <- p.ext_cost + hcost);
-      t.fi_sel_skip <- t.fi_sel_skip - 1;
-      t.fi_sel_pending <- t.fi_sel_pending + 1;
+      t.fi_skip <- t.fi_skip - 1;
+      t.fi_pending <- t.fi_pending + 1;
       t.pc <- sp_end + 1
     end
     else s_head t
 
-let idioms = [| "cmp-branch"; "load-op-store"; "loop-back"; "fi-splice" |]
+(* Hand-fused LLFI call group (DESIGN.md §20): the marshaling and result
+   move isel emits around every [llfi_inject_*] call the LLFI pass inserts
+   (a callee of [Fimap.llfi_calls]) —
+
+     Mmov (r1, #id); Mmov (arg, x); Mcallext name; Mmov (d, ret)
+
+   where [arg]/[ret] are the callee's value argument and result registers.
+   Inside the skip window (published by the LLFI control library: the call
+   provably does not fire, so it is the identity [ret <- arg]) the group
+   retires in one batch without entering the library, provided no poll
+   slot or budget edge falls inside it: r1, [arg], [ret] and [d] are
+   written in program order, the step/cost/profile counters retire four
+   instructions plus the declared library-call cost, and the skipped call
+   is banked in [fi_pending].  Anywhere else the head's single decode runs
+   and the group goes on constituent-exact through the dispatch loop. *)
+let fuse_llfi (image : L.image) (single : dop array) pc0 ~id ~arg (x : M.mopd) ~ret ~d : dop =
+  let slot = ext_slot image (pc0 + 2) in
+  let cls = image.L.class_of_pc in
+  let k0 = cls.(pc0) and k1 = cls.(pc0 + 1) and k2 = cls.(pc0 + 2) and k3 = cls.(pc0 + 3) in
+  let r1 = R.gpr 1 and pc4 = pc0 + 4 in
+  let s_head = single.(pc0) in
+  fun t ->
+    let s = t.steps in
+    let hcost = Array.unsafe_get t.handler_cost slot in
+    if
+      t.fi_skip > 0
+      && s land 1023 <= 1019
+      && t.d_max_steps - s >= 4
+      && t.d_max_cost - t.cost >= 4 + hcost
+    then begin
+      A1.unsafe_set t.regs r1 id;
+      A1.unsafe_set t.regs arg (match x with M.Imm v -> v | M.Reg r -> A1.unsafe_get t.regs r);
+      A1.unsafe_set t.regs ret (A1.unsafe_get t.regs arg);
+      A1.unsafe_set t.regs d (A1.unsafe_get t.regs ret);
+      t.steps <- s + 4;
+      t.cost <- t.cost + 4 + hcost;
+      (match t.prof with
+      | None -> ()
+      | Some p ->
+        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
+        p.class_steps.(k1) <- p.class_steps.(k1) + 1;
+        p.class_steps.(k2) <- p.class_steps.(k2) + 1;
+        p.class_steps.(k3) <- p.class_steps.(k3) + 1;
+        p.ext_calls <- p.ext_calls + 1;
+        p.ext_cost <- p.ext_cost + hcost);
+      t.fi_skip <- t.fi_skip - 1;
+      t.fi_pending <- t.fi_pending + 1;
+      t.pc <- pc4
+    end
+    else s_head t
+
+let idioms = [| "cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"; "llfi-call" |]
 
 (* Decode a whole image: per-pc single decodes, then a fused table where
    idiom heads are replaced by superinstructions.  Interior pcs of a fused
@@ -1575,8 +1638,9 @@ let decode ?cost_of (image : L.image) : dprogram =
       | _ -> ()
   done;
   (* REFINE FI splices, as the detach map reads them (a splice head is an
-     [Mpush], which heads no other idiom).  Only on plain (unweighted)
-     images: detach targets carry the splice cost as slot weights. *)
+     [Mpush]), and LLFI call groups (headed by [Mmov (r1, #id)]); neither
+     head starts another idiom.  Only on plain (unweighted) images: detach
+     targets carry the instrumentation cost as slot weights. *)
   (match cost_of with
   | Some _ -> ()
   | None ->
@@ -1584,7 +1648,16 @@ let decode ?cost_of (image : L.image) : dprogram =
       (fun (spl : Refine_backend.Fimap.splice) ->
         fused.(spl.sp_start) <- fuse_splice image single spl;
         super.(3) <- super.(3) + 1)
-      (Option.value ~default:[] (Refine_backend.Fimap.splices image)));
+      (Option.value ~default:[] (Refine_backend.Fimap.splices image));
+    for pc = 0 to n - 4 do
+      match (code.(pc), code.(pc + 1), code.(pc + 2), code.(pc + 3)) with
+      | M.Mmov (r1, M.Imm id), M.Mmov (arg, x), M.Mcallext name, M.Mmov (d, M.Reg ret)
+        when r1 = R.gpr 1 && okr d && oko x
+             && List.mem (name, arg, ret) Refine_backend.Fimap.llfi_calls ->
+        fused.(pc) <- fuse_llfi image single pc ~id ~arg x ~ret ~d;
+        super.(4) <- super.(4) + 1
+      | _ -> ()
+    done);
   { d_image = image; d_fused = fused; d_single = single; d_super = super }
 
 let superinstr_counts dp = Array.copy dp.d_super
@@ -1594,19 +1667,15 @@ let superinstr_counts dp = Array.copy dp.d_super
    spanning the overlaid pc would execute the pristine encoding) whose
    overlaid slot holds the mutated instruction's decode, or — when the
    mutated encoding no longer decodes — a closure that traps
-   [Illegal_instr] exactly as [step] does. *)
+   [Illegal_instr] exactly as [step] does (it raises, so a hooked loop
+   does not call the hook after it). *)
 let overlay_table (t : t) (dp : dprogram) =
   let table = Array.copy dp.d_single in
   let pc = t.overlay_pc in
   table.(pc) <-
     (match t.overlay_instr with
     | Some i -> decode_one t.image pc i
-    | None ->
-      fun t ->
-        t.steps <- t.steps + 1;
-        t.cost <- t.cost + 1;
-        t.status <- Trapped (Illegal_instr pc);
-        rc t);
+    | None -> fun t -> illegal_fetch t pc);
   table
 
 (* Install (or uninstall, with [None]) a decoded program on an engine.
@@ -1637,48 +1706,89 @@ let decoded t = match t.dprog with Some _ -> true | None -> false
    runs engines without one and is the reference semantics the
    differential tests compare against. *)
 
+(* the loops' while-condition *)
+let[@inline always] live (t : t) ~max_steps ~max_cost =
+  (match t.status with Running -> true | _ -> false) && t.steps < max_steps && t.cost < max_cost
+
 let step_loop (t : t) ~max_steps ~max_cost ~check =
-  while
-    (match t.status with Running -> true | _ -> false)
-    && t.steps < max_steps && t.cost < max_cost
-  do
+  while live t ~max_steps ~max_cost do
     step t;
     (* poll-slot cadence: plain int mask, no boxed arithmetic per step *)
     if t.steps land 1023 = 0 then check ()
   done
 
-(* Threaded dispatch over the decoded closure table.  Per iteration: one
-   bounds check, one hook check, one indirect call.  [d_active] is re-read
-   every iteration because [set_overlay] can switch the engine to its
-   overlay table mid-run (the FI control library installs Instr_image
-   overlays at the trigger).  One try frame
-   wraps the whole loop instead of one per instruction; the handler
-   replicates [step_loop]'s post-trap poll-slot check (which can overwrite
-   a trap with [Output_quota] at a boundary). *)
+(* Threaded dispatch over the decoded closure table.  Per unhooked
+   iteration: one bounds check, one hook check, one indirect call.
+   [d_active] is re-read every iteration because [set_overlay] can switch
+   the engine to its overlay table mid-run (the FI control library
+   installs Instr_image overlays at the trigger).
+
+   While a hook is attached the loop dispatches the fusion-free table (or
+   the overlay table) and does what [step] does around it: charge the
+   hook's cost first, then call the hook after the instruction at a pc the
+   hook declares, unless the instruction trapped.  A declared visit that
+   finds the skip window open (decided before the instruction runs, so an
+   instruction that publishes a window cannot skip its own visit) retires
+   without the call and is banked in [fi_pending].  The closures' own
+   poll-slot checks are disarmed meanwhile ([d_check] = [no_check]), and
+   the loop runs the check after the hook, as [step_loop] does, so a hook
+   that changes state at a poll slot is seen by that slot.
+
+   One try frame wraps the whole loop instead of one per instruction; the
+   handler replicates [step_loop]'s post-trap poll-slot check (which can
+   overwrite a trap with [Output_quota] at a boundary). *)
 let decoded_loop (t : t) ~max_steps ~max_cost ~check =
   t.d_max_steps <- max_steps;
   t.d_max_cost <- max_cost;
-  t.d_check <- check;
   let len = Array.length t.image.L.code in
+  let single = match t.dprog with Some dp -> dp.d_single | None -> [||] in
+  let bad_pc pc =
+    t.status <- Trapped (Bad_pc pc);
+    if t.steps land 1023 = 0 then check ()
+  in
   (try
-     while
-       (match t.status with Running -> true | _ -> false)
-       && t.steps < max_steps && t.cost < max_cost
-     do
-       let pc = t.pc in
-       if pc < 0 || pc >= len then begin
-         t.status <- Trapped (Bad_pc pc);
-         if t.steps land 1023 = 0 then check ()
-       end
-       else begin
-         match t.post_hook with
-         | None -> (Array.unsafe_get t.d_active pc) t
-         | Some _ ->
-           (* per-instruction DBI semantics: route through [step] while a
-              hook is attached *)
-           step t;
-           if t.steps land 1023 = 0 then check ()
-       end
+     while live t ~max_steps ~max_cost do
+       match t.post_hook with
+       | None ->
+         t.d_check <- check;
+         while
+           live t ~max_steps ~max_cost && match t.post_hook with None -> true | Some _ -> false
+         do
+           let pc = t.pc in
+           if pc < 0 || pc >= len then bad_pc pc else (Array.unsafe_get t.d_active pc) t
+         done
+       | Some _ ->
+         t.d_check <- no_check;
+         while
+           live t ~max_steps ~max_cost && match t.post_hook with Some _ -> true | None -> false
+         do
+           let pc = t.pc in
+           if pc < 0 || pc >= len then bad_pc pc
+           else begin
+             (match t.post_hook with
+             | None -> ()
+             | Some h ->
+               t.cost <- t.cost + h.hook_cost;
+               let table = if t.overlay_pc < 0 then single else t.d_active in
+               if not h.hook_pcs.(pc) then (Array.unsafe_get table pc) t
+               else if t.fi_skip > 0 then begin
+                 (Array.unsafe_get table pc) t;
+                 t.fi_skip <- t.fi_skip - 1;
+                 t.fi_pending <- t.fi_pending + 1
+               end
+               else begin
+                 (* the instruction as fetched, as [step] hands it over; an
+                    undecodable overlay slot traps before its hook runs *)
+                 let i =
+                   if pc <> t.overlay_pc then Array.unsafe_get t.image.L.code pc
+                   else match t.overlay_instr with Some i -> i | None -> M.Mhalt
+                 in
+                 (Array.unsafe_get table pc) t;
+                 h.on_instr t pc i
+               end);
+             if t.steps land 1023 = 0 then check ()
+           end
+         done
      done
    with Halt_trap tr ->
      t.status <- Trapped tr;

@@ -9,8 +9,9 @@
 
     Cost model (DESIGN.md §6): 1 unit per instruction, per-extern call
     costs, plus the attached {!hook}'s [hook_cost] per instruction while a
-    DBI-style hook is attached.  Only {!step} charges hook cost: decoded
-    dispatch runs only while no hook is attached.
+    DBI-style hook is attached.  Hook cost is charged before the
+    instruction runs, by {!step} and by the decoded loop's hooked path
+    alike, so a trapping instruction pays it.
 
     Fast path (DESIGN.md §14): step/cost counters are plain unboxed [int]
     fields and extern calls dispatch through a per-engine handler array
@@ -113,9 +114,12 @@ type t = {
   ext_extra : (string, int * (t -> unit)) Hashtbl.t;
       (** FI runtime library: name -> (modeled cost, handler) *)
   mutable post_hook : hook option;
-      (** PINFI-style DBI.  While [Some], {!run} executes every
-          instruction through {!step}, which charges the hook's cost and
-          then calls it; setting [None] detaches hook and cost together. *)
+      (** PINFI-style DBI.  While [Some], every instruction is charged the
+          hook's cost before it runs, and the hook is called after each
+          instruction that did not trap at a pc it declares — by {!step}
+          always, and by the decoded loop unless the skip window
+          ({!field:fi_skip}) retires the visit.  Setting [None] detaches
+          hook, cost and declaration together. *)
   mutable prof : profile option;  (** executor profiling; [None] = zero-cost path *)
   mutable heap_quota : int;
       (** sandbox heap quota in bytes above the image's heap base;
@@ -168,19 +172,22 @@ type t = {
       (** declared modeled cost per extern slot, parallel to [handlers]
           and rebuilt with them — the fi-splice fast path charges a
           skipped selector call exactly.  Internal. *)
-  mutable fi_sel_skip : int;
-      (** FI-selector fast-path window (DESIGN.md §20): number of
-          upcoming [fi_sel_instr] calls that are provably non-firing.
-          Published by the REFINE control library after each real
-          selector call; consumed one per splice by the fused fi-splice
-          superinstruction, which retires the whole splice without
-          entering the library.  [0] (default) = every call dispatches
-          to the handler.  Cleared by {!reset}. *)
-  mutable fi_sel_pending : int;
-      (** selector calls the fast path retired since the library last
-          ran; folded back into the control counter on the next real
-          call or by [Runtime.absorb] after the run.  Cleared by
-          {!reset}. *)
+  mutable fi_skip : int;
+      (** The FI skip window (DESIGN.md §20): number of upcoming FI
+          library visits that are provably non-firing — REFINE
+          [fi_sel_instr] calls, LLFI [llfi_inject_*] calls, or calls of
+          the attached hook at a pc it declares.  Published by the FI
+          control library after each real visit (and by PINFI's and
+          opcode corruption's hooks at attach); consumed one per visit by
+          the decoded engine — the fused fi-splice and llfi-call
+          superinstructions and the hooked dispatch loop — which retires
+          the visit without entering the library.  {!step} never reads
+          it.  [0] (default) = every visit enters the library.  Cleared
+          by {!reset}. *)
+  mutable fi_pending : int;
+      (** visits the window retired since the library last ran; folded
+          back into the control counter on the next real visit or by
+          [Runtime.absorb] after the run.  Cleared by {!reset}. *)
   mutable cs_slots : int array;
       (** shadow call stack: per live [Mcalli] frame, the stack slot
           holding the pushed return address — handoff-time validation and
@@ -192,9 +199,14 @@ type t = {
 
 and hook = {
   on_instr : t -> int -> Refine_mir.Minstr.t -> unit;
-      (** called after every executed instruction with the pre-execution
-          pc and the instruction *)
+      (** called after each executed instruction that did not trap, at a
+          pc [hook_pcs] declares, with the pre-execution pc and the
+          instruction *)
   hook_cost : int;  (** extra modeled cost per instruction while attached *)
+  hook_pcs : bool array;
+      (** one flag per code slot of the engine's image: the pcs the hook
+          observes.  The decoded loop calls [on_instr] nowhere else, so
+          undeclared pcs run at decoded speed (paying only [hook_cost]). *)
 }
 
 type result = {
@@ -290,7 +302,10 @@ val store64 : t -> int -> int64 -> unit
     an extern handler during a run. *)
 
 val step : t -> unit
-(** Execute one instruction (or set a trap status). *)
+(** Execute one instruction (or set a trap status): the reference
+    semantics.  Charges an attached hook's cost first and calls the hook
+    after the instruction at a pc it declares unless the instruction
+    trapped; it never reads the skip window. *)
 
 val flip_mem_bit : t -> addr:int -> bit:int -> unit
 (** XOR one bit of one data-memory byte — the Mem_cell fault model's
@@ -338,21 +353,24 @@ val install_decoded : t -> dprogram option -> unit
     otherwise — decoded closures bake that image's class and extern-slot
     tables).  Installing the program already installed is a no-op.  With
     a program installed, {!run} uses threaded dispatch over the decoded
-    closure table (falling back to {!step} per instruction while a
-    [post_hook] is attached); without one, {!run} drives {!step} in a
-    loop — the reference semantics. *)
+    closure table (the fusion-free table, with the hook charged and called
+    around it, while a [post_hook] is attached); without one, {!run}
+    drives {!step} in a loop — the reference semantics. *)
 
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)
 
 val idioms : string array
 (** Superinstruction idiom names, in {!superinstr_counts} index order:
-    [[|"cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"|]].
-    ["fi-splice"] is a REFINE instrumentation splice, as
-    [Refine_backend.Fimap.splices] parses it, fused into one closure on
-    plain (unweighted) images: inside the FI selector's skip window an
-    attached instrumented run pays one dispatch per candidate instead of
-    seven (DESIGN.md §20). *)
+    [[|"cmp-branch"; "load-op-store"; "loop-back"; "fi-splice";
+    "llfi-call"|]].  ["fi-splice"] is a REFINE instrumentation splice, as
+    [Refine_backend.Fimap.splices] parses it, and ["llfi-call"] an LLFI
+    call group ([Mmov (r1, #id); Mmov (arg, x); Mcallext name; Mmov (d,
+    ret)] for a callee of [Refine_backend.Fimap.llfi_calls]); both are
+    fused into one closure on plain (unweighted) images only, so inside
+    the FI library's skip window an attached instrumented run pays one
+    dispatch per instrumented site instead of four to seven (DESIGN.md
+    §20). *)
 
 val superinstr_counts : dprogram -> int array
 (** Static fusion sites per idiom (indexed like {!idioms}) — the feed for

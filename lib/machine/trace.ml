@@ -18,7 +18,11 @@ let create ?(capacity = 32) () =
   { ring = Array.make capacity None; next = 0; total = 0L }
 
 (* Installs the tracer; composes with an existing hook (e.g. PINFI) by
-   chaining to it and keeping its modeled cost — tracing adds none. *)
+   chaining to it at the pcs it declares and keeping its modeled cost —
+   tracing adds none.  The tracer declares every pc and must see every
+   one, so it keeps the engine's skip window shut: it clears the window at
+   attach and after every visit, including one a chained hook or an FI
+   library call just opened. *)
 let attach (t : t) (eng : Exec.t) =
   let prev = eng.Exec.post_hook in
   let on_instr (eng : Exec.t) pc instr =
@@ -26,10 +30,15 @@ let attach (t : t) (eng : Exec.t) =
       Some { pc; instr; func = eng.Exec.image.Refine_backend.Layout.func_of_pc.(pc) };
     t.next <- (t.next + 1) mod Array.length t.ring;
     t.total <- Int64.add t.total 1L;
-    match prev with Some h -> h.Exec.on_instr eng pc instr | None -> ()
+    (match prev with
+    | Some h when h.Exec.hook_pcs.(pc) -> h.Exec.on_instr eng pc instr
+    | _ -> ());
+    eng.Exec.fi_skip <- 0
   in
   let hook_cost = match prev with Some h -> h.Exec.hook_cost | None -> 0 in
-  eng.Exec.post_hook <- Some { Exec.on_instr; hook_cost }
+  let hook_pcs = Array.make (Array.length eng.Exec.image.Refine_backend.Layout.code) true in
+  eng.Exec.post_hook <- Some { Exec.on_instr; hook_cost; hook_pcs };
+  eng.Exec.fi_skip <- 0
 
 (* Most recent entries, oldest first. *)
 let entries (t : t) : entry list =

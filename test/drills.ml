@@ -600,8 +600,11 @@ let fault () =
 (* ---- detach: invisible in results, visible in metrics ------------------- *)
 
 let detach () =
-  (* CoMD has call-site candidates: its REFINE twin holds collapsed jumps *)
-  let srcs = sources [ "DC"; "EP"; "CoMD" ] and tools = [ T.Refine; T.Llfi ] in
+  (* CoMD has call-site candidates: its REFINE twin holds collapsed jumps.
+     PINFI has no detach target, but its attached prefix runs decoded
+     under its hook's skip window, so its table is held to the oracle
+     too *)
+  let srcs = sources [ "DC"; "EP"; "CoMD" ] and tools = [ T.Refine; T.Llfi; T.Pinfi ] in
   let samples = 12 and seed = 5 in
   Obs.Control.enable ();
   let cells = E.run_matrix ~samples ~seed srcs tools in

@@ -1,4 +1,4 @@
-(** The named oracle for fault-injection samples. *)
+(** The named oracle for fault-injection samples and profiling runs. *)
 
 val injection :
   ?quotas:Refine_core.Tool.quotas ->
@@ -13,3 +13,12 @@ val injection :
     {!Refine_machine.Exec.step} loop executes it from the entry to the
     end.  A production sample drawn from an equal generator must return
     the same experiment. *)
+
+val profile : ?opcode:bool -> Refine_core.Tool.prepared -> Refine_core.Fault.profile
+(** The profiling run {!Refine_core.Tool.prepare} makes — the tool's
+    control library (PINFI's hook) in [Profile] mode over the whole
+    fault-free run — on a fresh step-loop engine, where every dynamic
+    target enters the library.  With [opcode] (PINFI binaries only), the
+    opcode-corruption hook's run ({!Refine_core.Opcode_fi.profile}).
+    [golden_exit] is the exit code the run ended with ([min_int] if it
+    did not exit).  A production profile must equal it. *)

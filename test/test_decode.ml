@@ -6,10 +6,12 @@
    cost, output, final architectural state) is byte-identical to the
    [step] loop over random programs, engine-level faults, truncated
    budgets with mid-sequence resets and Instr_image overlays (also inside
-   fused groups and on fi-splice heads).  The named oracle ([Oracle])
-   closes the loop end to end: every production sample (snapshot reset,
-   decode, detach) equals the same sample re-run on a fresh step-loop
-   engine, for all three tools and all five fault models. *)
+   fused groups and on fi-splice heads), hooked runs and poll slots or
+   budget edges inside fused groups.  The named oracle ([Oracle]) closes
+   the loop end to end: every production sample (snapshot reset, decode,
+   skip window, detach) equals the same sample re-run on a fresh
+   step-loop engine, for all three tools and all five fault models, and
+   every production profile equals a step-loop profiling run. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -134,9 +136,11 @@ let test_decoded_illegal_overlay () =
    head must run exactly as in the step loop: the decoded engine leaves
    the fused table for its private overlay table.  The image fuses one
    site of each idiom, all live: a counted self-latch, then a loop of
-   load-op-store, an FI splice in the backend pass's exact shape and a
-   compare-branch back edge.  REFINE's profiling library answers every
-   selector call with 0, so the splice fast path is live too.  An illegal
+   load-op-store, an FI splice in the backend pass's exact shape, an LLFI
+   call group in isel's exact shape and a compare-branch back edge.
+   REFINE's profiling library answers every selector call with 0 and
+   LLFI's returns every value unchanged, both with their skip window open,
+   so the splice and call-group fast paths are live too.  An illegal
    overlay must trap at its own pc, which proves the slot is reached. *)
 let test_overlay_in_fused_groups () =
   let image =
@@ -158,7 +162,11 @@ let test_overlay_in_fused_groups () =
         M.Mhalt (* setup block stand-in *);
         M.Mpopf (* pc 14: post *);
         M.Mpop (R.gpr 0);
-        M.Mcmp (R.gpr 2, M.Imm 50L) (* pc 16: compare-branch back edge *);
+        M.Mmov (R.gpr 1, M.Imm 3L) (* pc 16: LLFI call group head *);
+        M.Mmov (R.gpr 2, M.Reg (R.gpr 2));
+        M.Mcallext "llfi_inject_i64";
+        M.Mmov (R.gpr 4, M.Reg R.ret_gpr);
+        M.Mcmp (R.gpr 4, M.Imm 50L) (* pc 20: compare-branch back edge *);
         M.Mjcc (M.CLt, 4);
         M.Mmov (R.ret_gpr, M.Imm 0L);
         M.Mhalt;
@@ -171,7 +179,7 @@ let test_overlay_in_fused_groups () =
     X.idioms;
   let run ~decoded overlay =
     let ctrl = Rt.create Rt.Profile in
-    let e = X.create ~ext_extra:(Rt.refine_handlers ctrl) image in
+    let e = X.create ~ext_extra:(Rt.refine_handlers ctrl @ Rt.llfi_handlers ctrl) image in
     if decoded then X.install_decoded e (Some dp);
     Option.iter (fun (pc, instr) -> X.set_overlay e ~pc instr) overlay;
     let r = X.run ~max_cost:1_000_000L e in
@@ -197,8 +205,11 @@ let test_overlay_in_fused_groups () =
       ("fi-splice head", 7, Some (M.Mpush (R.gpr 1)));
       ("fi-splice head, illegal", 7, None);
       ("fi-splice selector call, illegal", 9, None);
-      ("compare-branch branch", 17, Some (M.Mjcc (M.CLe, 4)));
-      ("compare-branch compare, illegal", 16, None);
+      ("llfi-call head", 16, Some (M.Mmov (R.gpr 1, M.Imm 9L)));
+      ("llfi-call call, illegal", 18, None);
+      ("llfi-call result move", 19, Some (M.Mmov (R.gpr 4, M.Reg (R.gpr 2))));
+      ("compare-branch branch", 21, Some (M.Mjcc (M.CLe, 4)));
+      ("compare-branch compare, illegal", 20, None);
     ]
 
 (* --- engine interface: install / detach / compatibility ----------------- *)
@@ -225,7 +236,8 @@ let test_superinstr_counts () =
   (* one site of each idiom: a counted self-latch (loop-back), a
      load-op-store, a forward compare-branch, and — as dead code behind
      the halt — a REFINE FI splice in the exact shape the backend pass
-     emits (fi-splice) *)
+     emits (fi-splice) and an LLFI call group in the shape isel emits
+     around an inserted injectFault call (llfi-call) *)
   let image =
     Test_fastpath.image_of
       [
@@ -249,6 +261,11 @@ let test_superinstr_counts () =
         M.Mhalt (* setup block stand-in *);
         M.Mpopf (* pc 18: post *);
         M.Mpop (R.gpr 0);
+        M.Mhalt;
+        M.Mmov (R.gpr 1, M.Imm 0L) (* pc 21: LLFI call group (dead code) *);
+        M.Mmov (R.fpr 1, M.Imm 0L);
+        M.Mcallext "llfi_inject_f64";
+        M.Mmov (R.fpr 3, M.Reg R.ret_fpr);
         M.Mhalt;
       ]
   in
@@ -285,14 +302,36 @@ let test_every_splice_fuses () =
           (X.superinstr_counts p.T.dprog).(3))
     Reg.all
 
-(* --- loop shapes that retire one batched iteration at a time ----------- *)
+(* --- poll slots and budget edges inside fused groups and hooked runs ------ *)
+
+(* Run one protocol on a step-loop and a decoded engine of [image] under
+   each cost budget: [arm] resets the engine and attaches what the case
+   needs (a control library, a hook), returning a reader of what the FI
+   library observed, read after the run.  The poll records the machine at
+   every poll slot, so the slots must fire at the same states too.  Both
+   engines stay live, so their arenas are compared directly rather than
+   digested. *)
+let decoded_equals_step ~what ?livelock ~budgets image arm =
+  let leg = X.create image and dec = X.create image in
+  X.install_decoded dec (Some (X.decode image));
+  let run (e : X.t) max_cost =
+    let observed = arm e in
+    let polls = ref [] in
+    let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls in
+    let r = X.run ~max_cost:(Int64.of_int max_cost) ?livelock ~poll e in
+    (r, e.X.pc, e.X.heap, Test_fastpath.regs_of e, !polls, observed ())
+  in
+  List.iter
+    (fun b ->
+      if run dec b <> run leg b || dec.X.mem <> leg.X.mem then
+        Alcotest.failf "%s, max_cost %d: decoded run diverges from step" what b)
+    budgets
 
 (* A counted self-latch and a FLAGS-invariant spin.  Each iteration
    retires through its fused latch or loop-back superinstruction; cost
    budgets that end on, just before or just after a poll slot (step
    1024k) or mid-loop must stop the decoded and the step run in the same
-   state.  The poll records the machine at every poll slot, so the slots
-   must fire at the same states too. *)
+   state. *)
 let loop_shapes =
   [
     ( "counted self-latch",
@@ -315,34 +354,139 @@ let loop_shapes =
       ] );
   ]
 
+(* An LLFI call group ahead of a counted latch: 7 steps and 7 + the
+   library-call cost per iteration, so over the run every poll-slot
+   offset falls inside the group, and the budgets below end inside it. *)
+let llfi_loop =
+  [
+    M.Mmov (R.gpr 3, M.Imm 20_000L);
+    M.Mmov (R.gpr 1, M.Imm 7L) (* pc 1: LLFI call group head *);
+    M.Mmov (R.gpr 2, M.Reg (R.gpr 3));
+    M.Mcallext "llfi_inject_i64";
+    M.Mmov (R.gpr 4, M.Reg R.ret_gpr);
+    M.Mbin (Refine_ir.Ir.Sub, R.gpr 3, R.gpr 3, M.Imm 1L) (* pc 5: latch head *);
+    M.Mcmp (R.gpr 3, M.Imm 0L);
+    M.Mjcc (M.CNe, 1);
+    M.Mmov (R.ret_gpr, M.Imm 0L);
+    M.Mhalt;
+  ]
+
+(* Every instruction but the back edge writes a register, so PINFI's hook
+   is declared at two pcs per iteration; FLAGS and registers repeat, so
+   the livelock detector traps once a fingerprint recurs.  The add at step
+   2 + 3k is the (2 + 2k)-th selected visit: target 1366 fires on step
+   2048, a poll slot. *)
+let pinfi_spin =
+  [
+    M.Mmov (R.gpr 1, M.Imm 0L);
+    M.Mbin (Refine_ir.Ir.Add, R.gpr 2, R.gpr 2, M.Imm 0L) (* pc 1: loop head *);
+    M.Mmov (R.gpr 3, M.Reg (R.gpr 2));
+    M.Mjmp 1;
+  ]
+
+(* A counted loop, then a load through a null pointer: the run ends on a
+   hooked, declared instruction that traps. *)
+let trap_after_loop =
+  [
+    M.Mmov (R.gpr 3, M.Imm 50L);
+    M.Mbin (Refine_ir.Ir.Sub, R.gpr 3, R.gpr 3, M.Imm 1L);
+    M.Mcmp (R.gpr 3, M.Imm 0L);
+    M.Mjcc (M.CNe, 1);
+    M.Mmov (R.gpr 5, M.Imm 0L);
+    M.Mload (R.gpr 6, R.gpr 5, 0);
+    M.Mhalt;
+  ]
+
 let test_loop_shapes_decoded_equal_step () =
   let budgets =
     List.init 12 (fun i -> 1019 + i)
     @ List.init 9 (fun i -> 3068 + i)
     @ [ 1; 2; 3; 4; 5_000; 5_001; 5_002; 77_777; 300_002; 300_003; 300_004; 1_000_000 ]
   in
+  let plain e =
+    X.reset e;
+    fun () -> ()
+  in
   List.iter
     (fun (what, code) ->
       let image = Test_fastpath.image_of code in
-      let dp = X.decode image in
-      Alcotest.(check int) (what ^ ": fused as a loop back edge") 1 (X.superinstr_counts dp).(2);
-      let leg = X.create image and dec = X.create image in
-      X.install_decoded dec (Some dp);
-      let run (e : X.t) max_cost =
-        X.reset e;
-        let polls = ref [] in
-        let poll () =
-          polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls
-        in
-        let r = X.run ~max_cost:(Int64.of_int max_cost) ~poll e in
-        (r.X.status, r.X.steps, r.X.cost, fingerprint e, !polls)
-      in
-      List.iter
-        (fun b ->
-          if run dec b <> run leg b then
-            Alcotest.failf "%s, max_cost %d: decoded run diverges from step" what b)
-        budgets)
-    loop_shapes
+      Alcotest.(check int)
+        (what ^ ": fused as a loop back edge")
+        1
+        (X.superinstr_counts (X.decode image)).(2);
+      decoded_equals_step ~what ~budgets image plain)
+    loop_shapes;
+  (* an LLFI group with a poll slot or a budget edge inside it, the
+     library profiling (window always open) and injecting (window closing
+     at the target, which fires mid-run) *)
+  let image = Test_fastpath.image_of llfi_loop in
+  Alcotest.(check int) "LLFI loop: one llfi-call" 1 (X.superinstr_counts (X.decode image)).(4);
+  let llfi mode e =
+    let ctrl = Rt.create mode in
+    X.reset ~ext_extra:(Rt.llfi_handlers ctrl) e;
+    fun () ->
+      Rt.absorb ctrl e;
+      (ctrl.Rt.count, ctrl.Rt.record)
+  in
+  (* one iteration costs 47: consecutive budgets end at every offset *)
+  decoded_equals_step ~what:"LLFI group, profiling"
+    ~budgets:(List.init 48 (fun i -> 2_980 + i) @ [ 1_000_000 ])
+    image (llfi Rt.Profile);
+  decoded_equals_step ~what:"LLFI group, injecting"
+    ~budgets:[ 2_990; 2_991; 2_992; 2_993; 1_000_000 ]
+    image (fun e ->
+      (* a fresh generator per run: the fire consumes it *)
+      llfi (Rt.Inject { target = 3_000; rng = P.create 5; model = F.Reg_bit }) e);
+  (* a PINFI flip on a poll-slot step, livelock detector armed: the slot's
+     fingerprint and poll must see the flipped state *)
+  let image = Test_fastpath.image_of pinfi_spin in
+  List.iter
+    (fun target ->
+      decoded_equals_step
+        ~what:(Printf.sprintf "PINFI flip, target %d" target)
+        ~livelock:1024 ~budgets:[ 26_600; 26_626; 26_627; 1_000_000 ] image (fun e ->
+          X.reset e;
+          let ctrl = Rt.create (Rt.Inject { target; rng = P.create 11; model = F.Reg_bit }) in
+          Refine_core.Pinfi.attach ctrl e;
+          fun () ->
+            Rt.absorb ctrl e;
+            (ctrl.Rt.count, ctrl.Rt.record)))
+    [ 1365; 1366; 1367; 2048 ];
+  (* budgets ending on, just before and just after a hooked instruction
+     that traps: it pays the hook's cost, and neither a counting hook nor
+     PINFI's window sees it *)
+  let image = Test_fastpath.image_of trap_after_loop in
+  let counting e =
+    X.reset e;
+    let n = ref 0 in
+    e.X.post_hook <-
+      Some
+        {
+          X.on_instr = (fun _ _ _ -> incr n);
+          hook_cost = 3;
+          hook_pcs = Test_fastpath.every_pc e;
+        };
+    fun () -> !n
+  in
+  let profiling e =
+    X.reset e;
+    let ctrl = Rt.create Rt.Profile in
+    Refine_core.Pinfi.attach ctrl e;
+    fun () ->
+      Rt.absorb ctrl e;
+      ctrl.Rt.count
+  in
+  List.iter
+    (fun (what, arm, per_instr) ->
+      (* 154 instructions retire before the load, which traps *)
+      let trap_at = 154 * per_instr in
+      decoded_equals_step ~what
+        ~budgets:(List.init 8 (fun i -> trap_at - 3 + i) @ [ 1_000_000 ])
+        image arm)
+    [
+      ("trap under a counting hook", counting, 4);
+      ("trap under PINFI profiling", profiling, 1 + Refine_core.Fi_cost.pin_attach_per_instr);
+    ]
 
 (* --- the named oracle: production sample = step-loop reference ---------- *)
 
@@ -392,6 +536,38 @@ let prop_production_matches_reference =
             all_models)
         [ T.Refine; T.Llfi; T.Pinfi ])
 
+(* --- the named oracle: production profile = step-loop reference --------- *)
+
+let pp_profile fmt (p : F.profile) =
+  Format.fprintf fmt "exit %d, dyn_count %Ld, profile_cost %Ld, output %d bytes (digest %s)"
+    p.F.golden_exit p.F.dyn_count p.F.profile_cost
+    (String.length p.F.golden_output)
+    (Digest.to_hex (Digest.string p.F.golden_output))
+
+let profile_t = Alcotest.testable pp_profile ( = )
+
+(* Every sample's target draw and timeout rest on its cell's profile, and
+   the decoded engine retires most of a profiling run's dynamic targets
+   inside the skip window (selector calls, LLFI calls, PINFI and opcode
+   hook visits).  So each production profile — [Tool.prepare]'s for the
+   three tools on the 14 programs and [Opcode_fi.profile]'s population —
+   must equal the step-loop profiling run, where every target enters the
+   library. *)
+let test_profiles_match_reference () =
+  List.iter
+    (fun (b : Reg.bench) ->
+      List.iter
+        (fun kind ->
+          let p = T.prepare kind b.Reg.source in
+          let what = b.Reg.name ^ "/" ^ T.kind_name kind in
+          Alcotest.check profile_t what (Oracle.profile p) p.T.profile;
+          if kind = T.Pinfi then
+            Alcotest.check profile_t (what ^ " opcode corruption")
+              (Oracle.profile ~opcode:true p)
+              (Refine_core.Opcode_fi.profile p))
+        [ T.Refine; T.Llfi; T.Pinfi ])
+    Reg.all
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -403,10 +579,12 @@ let tests =
     Alcotest.test_case "overlay inside fused groups and on fi-splice heads" `Quick
       test_overlay_in_fused_groups;
     Alcotest.test_case "install/detach/foreign-image checks" `Quick test_install_detach;
-    Alcotest.test_case "all four idioms fuse and run identically" `Quick test_superinstr_counts;
+    Alcotest.test_case "every idiom fuses and runs identically" `Quick test_superinstr_counts;
     Alcotest.test_case "every Fimap splice of the 14 REFINE images fuses" `Quick
       test_every_splice_fuses;
     Alcotest.test_case "self-latch and spin: decoded = step at poll-slot budgets" `Quick
       test_loop_shapes_decoded_equal_step;
     qcheck prop_production_matches_reference;
+    Alcotest.test_case "production profile = step-loop reference (3 tools x 14, opcode)" `Quick
+      test_profiles_match_reference;
   ]

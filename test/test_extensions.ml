@@ -184,7 +184,12 @@ let test_trace_composes_with_hook () =
   let eng = Refine_machine.Exec.create image in
   let count = ref 0 in
   eng.Refine_machine.Exec.post_hook <-
-    Some { Refine_machine.Exec.on_instr = (fun _ _ _ -> incr count); hook_cost = 0 };
+    Some
+      {
+        Refine_machine.Exec.on_instr = (fun _ _ _ -> incr count);
+        hook_cost = 0;
+        hook_pcs = Array.make (Array.length image.Refine_backend.Layout.code) true;
+      };
   let t = Refine_machine.Trace.create () in
   Refine_machine.Trace.attach t eng;
   let r = Refine_machine.Exec.run eng in

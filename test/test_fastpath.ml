@@ -46,6 +46,9 @@ let compile_image seed =
   Refine_passes.Pipeline.optimize Refine_passes.Pipeline.O2 m;
   Refine_passes.Pipeline.compile m
 
+(* a hook declaration covering every code slot of the engine's image *)
+let every_pc (eng : E.t) = Array.make (Array.length eng.E.image.L.code) true
+
 (* Deterministic single-bit register fault at a dynamic instruction
    instance, via the DBI hook — the same fault armed on every engine
    under comparison, so any state leaking through [reset] diverges. *)
@@ -62,6 +65,7 @@ let arm_fault eng ~target ~reg ~bit =
               e.E.post_hook <- None
             end);
         hook_cost = 3;
+        hook_pcs = every_pc eng;
       }
 
 let run_one ?fault eng =
@@ -84,6 +88,7 @@ let run_mem_fault ~target ~addr ~bit eng =
               e.E.post_hook <- None
             end);
         hook_cost = 0;
+        hook_pcs = every_pc eng;
       };
   E.run ~max_cost:20_000_000L eng
 
@@ -420,7 +425,34 @@ let test_zero_alloc_computing () =
   scales "decoded run" (fun n -> ignore (run_decoded n));
   let r = run_decoded 1100 in
   Alcotest.(check bool) "decoded run ends on its step budget" true
-    (r.E.status = E.Timed_out && r.E.steps = 1100L)
+    (r.E.status = E.Timed_out && r.E.steps = 1100L);
+  (* with a hook attached the decoded loop still dispatches the decoded
+     closures, charging the hook's cost around them: PINFI profiling
+     (every declared visit retired inside the skip window) and a hook
+     called at every pc must not allocate per instruction either *)
+  let dec = E.create_from_snapshot (E.snapshot image) in
+  E.install_decoded dec (Some (E.decode image));
+  let hooked attach n =
+    E.reset dec;
+    attach dec;
+    E.run ~max_steps:(Int64.of_int n) dec
+  in
+  let pinfi eng =
+    Refine_core.Pinfi.attach (Refine_core.Runtime.create Refine_core.Runtime.Profile) eng
+  in
+  let calls = ref 0 in
+  let counting eng =
+    eng.E.post_hook <-
+      Some { E.on_instr = (fun _ _ _ -> incr calls); hook_cost = 2; hook_pcs = every_pc eng }
+  in
+  List.iter
+    (fun (what, attach) ->
+      scales what (fun n -> ignore (hooked attach n));
+      let r = hooked attach 1100 in
+      Alcotest.(check bool) (what ^ " ends on its step budget, still hooked") true
+        (r.E.status = E.Timed_out && r.E.steps = 1100L && dec.E.post_hook <> None))
+    [ ("PINFI-hooked decoded run", pinfi); ("decoded run hooked at every pc", counting) ];
+  Alcotest.(check bool) "the every-pc hook was called" true (!calls > 0)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -247,6 +247,28 @@ let test_interp_phi_parallel () =
   (* three loop entries: (1,2) -> (2,1) -> (1,2); exits with a=1, b=2 *)
   Alcotest.(check int) "swap sequence" 12 res.In.exit_code
 
+(* The interpreter's arena is committed page by page: a run of a small
+   program writes its globals, a few stack and heap pages, so it must not
+   make the whole [Memlayout.mem_size] resident.  Where the kernel's THP
+   policy is "always", each of the two touched 2 MiB regions (globals and
+   heap at the bottom, the stack at the top) may be one huge page.  An
+   arena on the OCaml heap can escape the VmRSS bound when the allocator
+   hands it the already-resident pages of an arena an earlier run freed,
+   so the run's major-heap allocation is bounded too. *)
+let test_interp_arena_lazy () =
+  let m = Refine_minic.Frontend.compile Test_fastpath.src_float in
+  let limit_kb = if Test_fastpath.thp_always () then (2 * 2048) + 1024 else 1024 in
+  let before = Test_fastpath.vm_rss_kb () in
+  let major_before = (Gc.quick_stat ()).Gc.major_words in
+  let o = In.run m in
+  let major_kb = ((Gc.quick_stat ()).Gc.major_words -. major_before) *. 8. /. 1024. in
+  let grown = Test_fastpath.vm_rss_kb () - before in
+  Alcotest.(check int) "ran to completion" 0 o.In.exit_code;
+  if grown >= limit_kb then
+    Alcotest.failf "one Interp.run raised VmRSS by %d KiB (limit %d KiB)" grown limit_kb;
+  if major_kb >= 1024. then
+    Alcotest.failf "one Interp.run allocated %.0f KiB on the major heap" major_kb
+
 let tests =
   [
     Alcotest.test_case "builder simple" `Quick test_builder_simple;
@@ -270,4 +292,6 @@ let tests =
     Alcotest.test_case "interp memory trap" `Quick test_interp_memory_trap;
     Alcotest.test_case "interp fuel" `Quick test_interp_fuel;
     Alcotest.test_case "interp parallel phis" `Quick test_interp_phi_parallel;
+    Alcotest.test_case "interp run makes only touched pages resident" `Quick
+      test_interp_arena_lazy;
   ]

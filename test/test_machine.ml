@@ -239,6 +239,7 @@ let test_post_hook_and_detach () =
             incr seen;
             if !seen = 1 then e.E.post_hook <- None);
         hook_cost = 4;
+        hook_pcs = Array.make (Array.length image.L.code) true;
       };
   let r = E.run eng in
   Alcotest.(check int) "hook detached after first instr" 1 !seen;

@@ -315,6 +315,84 @@ let prop_journal_byte_corruption =
       let input_lines = String.split_on_char '\n' input in
       List.for_all (fun l -> l = "" || List.mem l input_lines) kept)
 
+(* The same byte corruption on a rendered CSV file: loading must either
+   raise [Csv.Parse_error] or return cells whose render is the corrupted
+   file line for line — a corrupted row never loads as another cell.
+   Counts, costs and sites have several digits, some cells are
+   quarantined (their reason is free text), and half the masks turn the
+   byte into a character the number readers or the field and line
+   splitters treat specially. *)
+let prop_csv_byte_corruption =
+  let specials = [ '0'; '_'; '+'; '-'; 'x'; 'b'; 'o'; 'e'; '.'; ','; '\t'; '\n'; '\r'; ' ' ] in
+  let cell =
+    QCheck.Gen.(
+      let* program = oneofl [ "CG"; "HPCCG-1.0"; "lulesh" ] in
+      let* tool = oneofl [ T.Refine; T.Llfi; T.Pinfi ] in
+      let* model = oneofl [ "reg"; "mem"; "instr"; "multi:13"; "burst:2" ] in
+      let* crash = int_range 10 999 and* soc = int_range 10 999 and* benign = int_range 10 999 in
+      let* tool_error = int_bound 20 and* sites = int_range 10 99_999 in
+      let* dyn = int_range 100 999_999_999 and* pcost = int_range 100 999_999_999 in
+      let* icost = int_range 100 999_999_999 in
+      let* secs = list_repeat 4 (map (fun k -> float_of_int k /. 1e6) (int_bound 99_999_999)) in
+      let* quarantined = opt (oneofl [ "mir-verifier: bad splice"; "nondeterministic-golden" ]) in
+      let timing =
+        match secs with
+        | [ instrument_s; compile_s; execute_s; harness_s ] ->
+          { E.instrument_s; compile_s; execute_s; harness_s }
+        | _ -> E.zero_timing
+      in
+      return
+        {
+          E.program;
+          tool;
+          model = F.model_of_string model;
+          samples = crash + soc + benign + tool_error;
+          counts = { E.crash; soc; benign; tool_error };
+          injection_cost = Int64.of_int icost;
+          profile =
+            {
+              F.golden_output = "";
+              golden_exit = 0;
+              dyn_count = Int64.of_int dyn;
+              profile_cost = Int64.of_int pcost;
+            };
+          static_instrumented = sites;
+          failures = [];
+          timing;
+          quarantined;
+        })
+  in
+  let gen =
+    QCheck.Gen.(
+      let* cells = list_size (int_range 1 3) cell in
+      let* pos = int_bound 4095 in
+      let* mask =
+        oneof [ map (fun m -> `Mask m) (int_range 1 255); map (fun c -> `Into c) (oneofl specials) ]
+      in
+      return (Refine_campaign.Csv.to_string cells, pos, mask))
+  in
+  let print (csv, pos, mask) =
+    Printf.sprintf "byte %d of %S %s" (pos mod String.length csv) csv
+      (match mask with `Mask m -> Printf.sprintf "xor 0x%02x" m | `Into c -> Printf.sprintf "into %C" c)
+  in
+  let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
+  QCheck.Test.make ~name:"csv: a corrupted byte never loads as another cell" ~count:500
+    (QCheck.make ~print gen)
+    (fun (csv, pos, mask) ->
+      let pos = pos mod String.length csv in
+      let orig = Char.code csv.[pos] in
+      let mask =
+        match mask with
+        | `Mask m -> m
+        | `Into c -> if Char.code c = orig then 0xff else Char.code c lxor orig
+      in
+      let corrupted = Bytes.of_string csv in
+      Bytes.set corrupted pos (Char.chr (orig lxor mask));
+      let corrupted = Bytes.to_string corrupted in
+      match Refine_campaign.Csv.of_string corrupted with
+      | exception Refine_campaign.Csv.Parse_error _ -> true
+      | cells -> lines (Refine_campaign.Csv.to_string cells) = lines corrupted)
+
 (* ---- kill / resume determinism ----------------------------------------- *)
 
 let counts_equal (a : E.cell) (b : E.cell) =
@@ -380,6 +458,7 @@ let tests =
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal skips garbage" `Quick test_journal_skips_garbage;
     QCheck_alcotest.to_alcotest prop_journal_byte_corruption;
+    QCheck_alcotest.to_alcotest prop_csv_byte_corruption;
     Alcotest.test_case "kill + resume determinism" `Quick test_watchdog_kill_then_resume;
     QCheck_alcotest.to_alcotest prop_resume_deterministic;
   ]
