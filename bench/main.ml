@@ -271,9 +271,6 @@ let extensions_section () =
 (* ---- main ---------------------------------------------------------------- *)
 
 let () =
-  (* the simulator allocates small boxed values at a high rate; a larger
-     minor heap keeps the GC out of the hot loop *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   Printf.printf
     "REFINE reproduction - evaluation harness (paper: SC'17, 10.1145/3126908.3126972)\n";
   Printf.printf "programs: %s\n" (String.concat ", " programs);

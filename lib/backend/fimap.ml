@@ -183,8 +183,8 @@ let build ~lib_call_cost (instr : Layout.image) (golden : Layout.image) : t opti
 
 (* LLFI's injectFault callbacks: the register carrying the instrumented
    value in and the register it comes back in.  A call that does not fire
-   is the identity [ret <- arg] — what the detach target patches each call
-   into and what the decoded engine's llfi-call superinstruction retires
+   is the identity [ret <- arg] — what the control library computes for
+   it and what the decoded engine's llfi-call superinstruction retires
    inside the skip window. *)
 let llfi_calls =
   [
@@ -192,25 +192,3 @@ let llfi_calls =
     ("llfi_inject_f64", R.fpr 1, R.ret_fpr);
     ("llfi_inject_i1", R.gpr 2, R.ret_gpr);
   ]
-
-(* LLFI's detach target: replace each instrumented call by a substitute
-   instruction (the post-injection no-op semantics of the library call),
-   weighted with the call's modeled cost.  [table] maps the extern name to
-   (replacement, extra modeled cost). *)
-let patch_calls ~(table : (string * M.t * int) list) (instr : Layout.image) :
-    Layout.image * int array =
-  let icode = instr.Layout.code in
-  let n = Array.length icode in
-  let code = Array.copy icode in
-  let cost_w = Array.make n 1 in
-  for pc = 0 to n - 1 do
-    match icode.(pc) with
-    | M.Mcallext name -> (
-      match List.find_opt (fun (nm, _, _) -> nm = name) table with
-      | Some (_, repl, extra) ->
-        code.(pc) <- repl;
-        cost_w.(pc) <- 1 + extra
-      | None -> ())
-    | _ -> ()
-  done;
-  ({ instr with Layout.code }, cost_w)

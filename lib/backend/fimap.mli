@@ -1,7 +1,7 @@
 (** The golden twin of a REFINE-instrumented image, read off the image
     itself, and its correspondence map — the backend metadata behind
-    post-injection detach (DESIGN.md §20) — plus LLFI's call-patched
-    detach target.
+    post-injection detach (DESIGN.md §20) — plus LLFI's runtime-call
+    convention, which the decoder and the LLFI control library share.
 
     The REFINE pass only inserts splices after candidate instructions, so
     the application's instruction stream is exactly the stream of the
@@ -66,14 +66,7 @@ val build : lib_call_cost:int -> Layout.image -> Layout.image -> t option
 val llfi_calls : (string * Refine_mir.Reg.t * Refine_mir.Reg.t) list
 (** LLFI's injectFault callbacks as [(name, arg, ret)]: the instrumented
     value arrives in register [arg] and returns in [ret], so a call that
-    does not fire is the identity [ret <- arg].  [Exec.decode] fuses each
-    call group of these callees (the ["llfi-call"] idiom), and LLFI's
-    detach target patches each call into that move. *)
-
-val patch_calls :
-  table:(string * Refine_mir.Minstr.t * int) list ->
-  Layout.image ->
-  Layout.image * int array
-(** LLFI's detach target: replace each [Mcallext name] whose [name]
-    appears in [table] by its replacement instruction, carrying the call's
-    modeled extra cost as the slot's weight. *)
+    does not fire is the identity [ret <- arg].  The one definition of the
+    convention: [Runtime.llfi_handlers] builds one handler per entry, and
+    [Exec.decode] fuses each call group of these callees (the
+    ["llfi-call"] idiom). *)

@@ -18,15 +18,16 @@
    the resulting ratios land in the paper's reported range (REFINE ~1.2x
    PINFI, LLFI ~3-9x).
 
-   Since DESIGN.md §20 the *wall-clock* model matches this modeled
-   structure: a REFINE or LLFI sample runs attached only until its single
-   injection retires, then hands off to its golden twin (REFINE) or
-   call-patched image (LLFI) and simulates the rest at golden speed, with
-   [refine_lib_call] / [llfi_lib_call] charged as per-slot cost weights so
-   the modeled trajectory stays bit-identical to the attached run at every
-   original-instruction boundary.  PINFI's detach was always modeled here
-   ([pin_attach_per_instr] stops accruing at the injection); §20 extends
-   the same lifecycle to the compiler-based tools' simulation itself. *)
+   Since DESIGN.md §20 the *wall-clock* model follows this modeled
+   structure: a REFINE sample runs attached only until its single
+   injection retires, then hands off to its golden twin and simulates the
+   rest at golden speed, with [refine_lib_call] charged as per-slot cost
+   weights so the modeled trajectory stays bit-identical to the attached
+   run at every original-instruction boundary.  An LLFI sample stays
+   attached, but the decoded engine retires each non-firing
+   injectFault call group in one dispatch, charging [llfi_lib_call]
+   without entering the library.  PINFI's detach was always modeled here
+   ([pin_attach_per_instr] stops accruing at the injection). *)
 
 (* tiny leaf call of the REFINE control library (selInstr / setupFI) *)
 let refine_lib_call = 6

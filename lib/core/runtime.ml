@@ -5,8 +5,9 @@
             (dynamic counting; returns 1 exactly at the target instance)
             and [fi_setup_fi] on the injection path (receives the operand
             count and their bit widths, returns <operand, bit>).
-   LLFI:    [llfi_inject_i64]/[llfi_inject_f64] after every instrumented IR
-            instruction (value in, possibly-flipped value out).
+   LLFI:    [llfi_inject_i64]/[llfi_inject_f64]/[llfi_inject_i1] after
+            every instrumented IR instruction (value in, possibly-flipped
+            value out).
 
    In [Profile] mode the library only counts and never triggers — the same
    binary serves both phases, as in the paper ("the FI binary produced by
@@ -140,91 +141,45 @@ let refine_handlers ctrl : (string * int * (E.t -> unit)) list =
 
 (* --- LLFI control library ---------------------------------------------- *)
 
-(* One LLFI fault at the trigger instance: register-value faults flip the
-   instrumented IR value (the classic injectFault semantics); Mem_cell and
-   Instr_image faults strike memory/code instead and return the value
-   unchanged — the IR-level hook is only the trigger clock for them. *)
-let llfi_fire ctrl rng model (eng : E.t) (v : int64) : int64 =
-  ctrl.fired <- true;
-  eng.E.detach_req <- true;
-  let dyn_index = Int64.of_int ctrl.count in
-  match model with
-  | Fault.Reg_bit | Fault.Multi_bit _ ->
-    let bit, mask = Corrupt.draw_mask rng ~width:64 model in
-    ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-value>"; bit };
-    Int64.logxor v mask
-  | Fault.Mem_cell ->
-    ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index);
-    v
-  | Fault.Instr_image ->
-    let pc = Corrupt.instrumented_pc eng in
-    ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
-    v
+(* injectFault(id in r1, value in [arg]): count, fault at the target
+   instance, return the (possibly flipped) value in [ret].  A call that
+   does not fire is the identity [ret <- arg] of [Fimap.llfi_calls],
+   which the decoded engine's llfi-call superinstruction retires inside
+   the window; once the fault has fired the window never closes again.
 
-(* injectFault(id in r1, value in r2/f1): count, fault at the target
-   instance, return the (possibly flipped) value in r0/f0.  A call that
-   does not fire is the identity of [Fimap.llfi_calls], which the decoded
-   engine's llfi-call superinstruction retires inside the window. *)
-let llfi_inject_int ctrl (eng : E.t) =
+   Register-value faults flip the instrumented IR value (the classic
+   injectFault semantics); an i1 value (a comparison result) has one
+   meaningful bit, so any register fault — single or multi — inverts it,
+   drawing nothing.  Mem_cell and Instr_image faults strike memory/code
+   instead and return the value unchanged — the IR-level hook is only
+   the trigger clock for them. *)
+let llfi_inject ctrl ~i1 ~arg ~ret (eng : E.t) =
   tick ctrl eng;
-  let v = eng.E.regs.{R.gpr 2} in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> llfi_fire ctrl rng model eng v
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.{R.ret_gpr} <- v'
-
-let llfi_inject_float ctrl (eng : E.t) =
-  tick ctrl eng;
-  let v = eng.E.regs.{R.fpr 1} in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> llfi_fire ctrl rng model eng v
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.{R.ret_fpr} <- v'
-
-(* i1 values (comparison results) have a single architecturally meaningful
-   bit: any fault in them inverts the decision *)
-let llfi_inject_bool ctrl (eng : E.t) =
-  tick ctrl eng;
-  let v = eng.E.regs.{R.gpr 2} in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> (
-        ctrl.fired <- true;
-        eng.E.detach_req <- true;
-        let dyn_index = Int64.of_int ctrl.count in
-        match model with
-        | Fault.Reg_bit | Fault.Multi_bit _ ->
-          (* i1 values have one meaningful bit: any register fault —
-             single or multi — inverts the decision, drawing nothing *)
-          ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-bool>"; bit = 0 };
-          Refine_support.Bitops.flip_bit v 0
-        | Fault.Mem_cell ->
-          ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index);
-          v
-        | Fault.Instr_image ->
-          let pc = Corrupt.instrumented_pc eng in
-          ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
-          v)
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.{R.ret_gpr} <- v'
+  let v = eng.E.regs.{arg} in
+  eng.E.regs.{ret} <-
+    (match ctrl.mode with
+    | Inject { rng; model; _ } when should_fire ctrl -> (
+      ctrl.fired <- true;
+      let dyn_index = Int64.of_int ctrl.count in
+      match model with
+      | (Fault.Reg_bit | Fault.Multi_bit _) when i1 ->
+        ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-bool>"; bit = 0 };
+        Refine_support.Bitops.flip_bit v 0
+      | Fault.Reg_bit | Fault.Multi_bit _ ->
+        let bit, mask = Corrupt.draw_mask rng ~width:64 model in
+        ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-value>"; bit };
+        Int64.logxor v mask
+      | Fault.Mem_cell ->
+        ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index);
+        v
+      | Fault.Instr_image ->
+        let pc = Corrupt.instrumented_pc eng in
+        ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
+        v)
+    | Inject _ | Profile -> v)
 
 let llfi_handlers ctrl : (string * int * (E.t -> unit)) list =
-  [
-    ("llfi_inject_i64", Fi_cost.llfi_lib_call, llfi_inject_int ctrl);
-    ("llfi_inject_f64", Fi_cost.llfi_lib_call, llfi_inject_float ctrl);
-    ("llfi_inject_i1", Fi_cost.llfi_lib_call, llfi_inject_bool ctrl);
-  ]
+  List.map
+    (fun (name, arg, ret) ->
+      (name, Fi_cost.llfi_lib_call, llfi_inject ctrl ~i1:(name = "llfi_inject_i1") ~arg ~ret))
+    Refine_backend.Fimap.llfi_calls

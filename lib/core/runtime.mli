@@ -55,6 +55,9 @@ val refine_handlers : ctrl -> (string * int * (Refine_machine.Exec.t -> unit)) l
     call cost. *)
 
 val llfi_handlers : ctrl -> (string * int * (Refine_machine.Exec.t -> unit)) list
-(** The LLFI-style injectFault callbacks: [llfi_inject_i64],
-    [llfi_inject_f64] and [llfi_inject_i1] (comparison results flip within
-    their 1-bit width, as LLVM i1 values do). *)
+(** The LLFI-style injectFault callbacks, one per callee of
+    {!Refine_backend.Fimap.llfi_calls} ([llfi_inject_i64],
+    [llfi_inject_f64] and [llfi_inject_i1]), each reading the value from
+    the callee's argument register and returning it in its result
+    register.  Comparison results ([llfi_inject_i1]) flip within their
+    1-bit width, as LLVM i1 values do. *)

@@ -199,28 +199,25 @@ let decode image =
 
 (* ---- post-injection detach (DESIGN.md §20) ----------------------------
 
-   REFINE and LLFI keep paying their compiled-in per-instruction FI tax
-   after the single injection has retired, while PINFI detaches — the
+   REFINE keeps paying its compiled-in per-instruction FI tax after the
+   single injection has retired, while PINFI detaches (paper §5.2) — the
    structural reason REFINE once measured ~4.4x PINFI against the paper's
-   ~1.2x claim.  The fix mirrors PINFI's detach at the
-   campaign layer: [prepare] builds a *detach target* next to each
-   REFINE/LLFI binary — a twin without the FI tax, decoded with
-   attached-equivalent cost weights — and [run_injection] arms [Exec.run]
-   with a handoff plan, so once the injection fires the running engine
-   switches onto the target's code in place and the rest of the run
-   retires at decoded golden speed with bit-identical modeled cost at
-   every original-instruction boundary.
+   ~1.2x claim.  The fix mirrors PINFI's detach at the campaign layer:
+   [prepare] builds a *detach target* next to each REFINE binary — the
+   golden twin [Fimap.extract] reads off the instrumented image (every
+   splice dropped, a call-site candidate's splice collapsed into one
+   weighted jump), decoded with attached-equivalent cost weights, plus
+   its correspondence map — and [run_injection] arms [Exec.run] with a
+   handoff plan.  Once the injection fires, the engine drains to an
+   original-instruction boundary, translates pc and live return
+   addresses, and switches onto the twin's code in place; the rest of
+   the run retires at decoded golden speed with bit-identical modeled
+   cost at every original-instruction boundary.
 
-   Target flavors:
-   - REFINE map mode: the golden twin [Fimap.extract] reads off the
-     instrumented image (every splice dropped, a call-site candidate's
-     splice collapsed into one weighted jump) plus its correspondence
-     map; the handoff drains to an original-instruction boundary and
-     translates pc and live return addresses.
-   - LLFI patch mode: the instrumented image with each [llfi_inject_*]
-     call replaced by the move its post-injection semantics reduce to —
-     step- and state-exact at every instant, so it stays eligible even
-     under the livelock detector and Instr_image overlays.
+   LLFI has no target: once its fault fires, the control library opens
+   the skip window for good ([Runtime.publish_window]) and the decoded
+   engine retires every later call group in one fused dispatch without
+   entering the library.
 
    Eligibility is decided per sample by [detach_plan_for]; every
    ineligible or declined case simply runs attached — detach is an
@@ -229,7 +226,7 @@ let decode image =
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
   dt_dprog : E.dprogram; (* decoded with attached-equivalent cost weights *)
-  dt_map : E.handoff_map option; (* Some = golden coordinates; None = shared *)
+  dt_map : E.handoff_map;
 }
 
 let m_detach_drain =
@@ -237,10 +234,10 @@ let m_detach_drain =
     ~buckets:[| 0.; 2.; 4.; 8.; 16.; 32.; 64.; 256.; 1024.; 4096. |]
     "refine_detach_drain_steps"
 
-let note_detach kind ~mode =
+let note_detach kind =
   Obs.Metrics.inc
-    (Obs.Metrics.counter ~help:"post-injection handoffs to the detach target by mode"
-       ~labels:[ ("tool", kind_name kind); ("mode", mode) ]
+    (Obs.Metrics.counter ~help:"post-injection handoffs to the detach target"
+       ~labels:[ ("tool", kind_name kind) ]
        "refine_detach_total")
 
 let note_detach_declined kind =
@@ -250,13 +247,13 @@ let note_detach_declined kind =
        ~labels:[ ("tool", kind_name kind) ]
        "refine_detach_declined_total")
 
-(* flushed per sample after the run: a handoff that happened counts by
-   mode and records its drain latency; an armed plan that fired but never
-   handed off (validation declined it) counts as declined *)
-let note_detach_result kind ~armed ~mode ~fired (r : E.result) =
+(* flushed per sample after the run: a handoff that happened counts and
+   records its drain latency; an armed plan that fired but never handed
+   off (validation declined it) counts as declined *)
+let note_detach_result kind ~armed ~fired (r : E.result) =
   if Obs.Control.enabled () && armed then begin
     if r.E.detached then begin
-      note_detach kind ~mode;
+      note_detach kind;
       Obs.Metrics.observe m_detach_drain (float_of_int r.E.drain_steps)
     end
     else if fired then note_detach_declined kind
@@ -271,8 +268,8 @@ type prepared = {
   profile : Fault.profile;
   static_instrumented : int; (* instrumented sites (REFINE/LLFI); 0 for PINFI *)
   detach : detach_target option;
-      (* post-injection handoff target (DESIGN.md §20); None for PINFI
-         (it detaches natively) and for chaos builds *)
+      (* post-injection handoff target (DESIGN.md §20); REFINE only, and
+         not for chaos builds *)
 }
 
 (* the domain's engine on [p]'s binary, no runtime library bound *)
@@ -380,23 +377,13 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
     | None -> time "compile" (fun () -> (Marshal.from_string bytes 0 : Refine_ir.Ir.modul))
   end
 
-(* the post-injection semantics of each LLFI runtime call: identity on the
-   instrumented value, carrying the call's modeled cost so the detached
-   cost trajectory stays attached-identical *)
-let llfi_patch_table =
-  List.map
-    (fun (name, arg, ret) -> (name, M.Mmov (ret, M.Reg arg), Fi_cost.llfi_lib_call))
-    Fimap.llfi_calls
-
-let target_of_image ?map image cost_w =
+let target_of_image ~map image cost_w =
   { dt_image = image; dt_dprog = E.decode ~cost_of:cost_w image; dt_map = map }
 
 let build_detach (kind : kind) image : detach_target option =
   match kind with
   | Pinfi -> None (* PINFI's cost model already detaches (Fi_cost) *)
-  | Llfi ->
-    let patched, cost_w = Fimap.patch_calls ~table:llfi_patch_table image in
-    Some (target_of_image patched cost_w)
+  | Llfi -> None (* the skip window retires its post-injection calls *)
   | Refine -> (
     match Fimap.extract ~lib_call_cost:Fi_cost.refine_lib_call image with
     | None -> None (* splices do not parse: run attached *)
@@ -406,30 +393,16 @@ let build_detach (kind : kind) image : detach_target option =
 
 (* Per-sample eligibility (the decline matrix of DESIGN.md §20).  The
    handoff itself can still decline at run time (drain cap, shadow-stack
-   mismatch, budget edge); everything here is knowable before the run. *)
+   mismatch, budget edge); everything here is knowable before the run.
+   A REFINE Instr_image overlay lands in instrumented coordinates
+   (possibly on a spliced pc), meaningless on the golden twin; the twin
+   retires fewer steps after the handoff, which would shift an armed
+   livelock detector's fingerprint cadence. *)
 let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
     E.detach_plan option =
-  match p.detach with
-  | None -> None
-  | Some dt ->
-    let model_ok =
-      match (p.kind, model) with
-      (* a REFINE Instr_image overlay lands in instrumented coordinates
-         (possibly on a spliced pc): meaningless on the golden twin *)
-      | Refine, Fault.Instr_image -> false
-      | _ -> true
-    in
-    let livelock_ok =
-      match quotas.livelock_window with
-      (* LLFI patch targets retire 1:1 steps with identical register
-         state, so fingerprint instants and verdicts are unchanged;
-         REFINE targets retire fewer steps post-handoff and would shift
-         the fingerprint cadence *)
-      | Some _ -> p.kind = Llfi
-      | None -> true
-    in
-    if model_ok && livelock_ok then Some { E.plan_prog = dt.dt_dprog; plan_map = dt.dt_map }
-    else None
+  match (p.detach, model, quotas.livelock_window) with
+  | None, _, _ | _, Fault.Instr_image, _ | _, _, Some _ -> None
+  | Some dt, _, None -> Some { E.plan_prog = dt.dt_dprog; plan_map = dt.dt_map }
 
 (* ---- the run driver ----------------------------------------------------
 
@@ -460,9 +433,7 @@ let drive ?phases ?plan (p : prepared) mode
   let r = run ?detach:plan eng in
   Runtime.absorb ctrl eng;
   flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-  let detach_mode = match p.detach with Some { dt_map = Some _; _ } -> "map" | _ -> "patch" in
-  note_detach_result p.kind ~armed:(Option.is_some plan) ~mode:detach_mode
-    ~fired:ctrl.Runtime.fired r;
+  note_detach_result p.kind ~armed:(Option.is_some plan) ~fired:ctrl.Runtime.fired r;
   (r, ctrl)
 
 (* ---- prepare ----------------------------------------------------------- *)

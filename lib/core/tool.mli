@@ -42,24 +42,24 @@ val derived_output_quota : Fault.profile -> int
 
 (** {1 Post-injection detach (DESIGN.md §20)}
 
-    REFINE and LLFI samples hand off to their prepared detach target once
-    the single injection has retired: the running engine switches in
-    place onto the tool's binary without its FI tax, decoded with
+    REFINE samples hand off to their prepared detach target once the
+    single injection has retired: the running engine switches in place
+    onto the golden twin of the tool's binary, decoded with
     attached-equivalent cost weights, and the rest of the run retires at
     golden speed — the same in-place detach the paper's PINFI performs
-    (§5.2).  The test suite checks every such sample against a step-loop
-    run of the instrumented binary with no detach. *)
+    (§5.2).  LLFI samples stay attached to the end: once the fault fires,
+    the decoded engine retires every later runtime call inside the skip
+    window.  The test suite checks every sample against a step-loop run
+    of the instrumented binary with no detach. *)
 
 type detach_target = {
   dt_image : Refine_backend.Layout.image;
-      (** REFINE: the golden twin {!Refine_backend.Fimap.extract} reads off
-          the instrumented image; LLFI: the instrumented image with its
-          runtime calls patched out *)
+      (** the golden twin {!Refine_backend.Fimap.extract} reads off the
+          instrumented image *)
   dt_dprog : Refine_machine.Exec.dprogram;
       (** decoded with the attached-equivalent per-pc cost weights *)
-  dt_map : Refine_machine.Exec.handoff_map option;
-      (** [Some] = twin coordinates (REFINE: drain + translate); [None] =
-          shared coordinates (LLFI: only the code changes) *)
+  dt_map : Refine_machine.Exec.handoff_map;
+      (** instrumented -> twin coordinates (drain + translate) *)
 }
 (** A prepared handoff target, built from the instrumented binary alone
     and sharing its extern table and heap base. *)
@@ -77,7 +77,9 @@ type prepared = {
   static_instrumented : int;  (** instrumentation sites; 0 for PINFI *)
   detach : detach_target option;
       (** post-injection handoff target; [None] for PINFI (its cost model
-          already detaches) and for chaos builds *)
+          already detaches), for LLFI (the skip window retires its
+          post-injection calls), for REFINE images whose splices do not
+          parse and for chaos builds *)
 }
 (** A tool's binary after compilation and one profiling run.  The same
     binary serves profiling and injection, as in the paper. *)
@@ -91,12 +93,12 @@ val engine : prepared -> Refine_machine.Exec.t
 val detach_plan_for :
   quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
 (** Per-sample eligibility (the decline matrix of DESIGN.md §20): [None]
-    when the tool has no target, the
-    model strikes state the target cannot carry (REFINE + Instr_image),
-    or the livelock detector is armed for a tool whose target is not
-    step-exact (REFINE).  The returned plan can still decline at run time
-    (drain cap, shadow-stack mismatch, budget edge) — every declined path
-    runs attached with identical semantics. *)
+    when the binary has no target (every PINFI and LLFI binary), under
+    Instr_image (the overlay lands in instrumented coordinates) or with
+    the livelock detector armed (the twin retires fewer steps, which would
+    shift the fingerprint cadence).  The returned plan can still decline
+    at run time (drain cap, shadow-stack mismatch, budget edge) — every
+    declined path runs attached with identical semantics. *)
 
 exception Prepare_error of string
 (** Raised when the profiling run fails (the program itself is broken). *)

@@ -233,9 +233,7 @@ type detach_plan = {
   plan_prog : dprogram;
       (* the target's weighted decode; its image shares the engine's
          extern table and heap base, so the handoff installs it in place *)
-  plan_map : handoff_map option;
-      (* [Some] = golden-map mode (pc/return-address translation);
-         [None] = a call-patched target in the source's coordinates *)
+  plan_map : handoff_map; (* pc and return-address translation *)
 }
 
 exception Detach_signal
@@ -1894,14 +1892,13 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
    control library raises [t.detach_req] (the single injection has
    retired), the next poll slot switches the engine onto the plan's
    decode in place; everything but the code stays where it is, so the
-   target must share the engine's extern table and heap base.  With a
-   correspondence map the engine first drains with [step] to the next
-   original-instruction boundary, and live [Mcalli] return addresses are
-   validated against the shadow call stack and rewritten, with the pc,
-   into golden coordinates; without a map (call-patched targets) the
-   coordinates are shared.  Any validation failure declines the handoff
-   and the run simply continues attached — detach is an optimization,
-   never a semantics change. *)
+   target must share the engine's extern table and heap base.  The
+   engine first drains with [step] to the next original-instruction
+   boundary, and live [Mcalli] return addresses are validated against the
+   shadow call stack and rewritten, with the pc, into golden coordinates
+   through the plan's correspondence map.  Any validation failure
+   declines the handoff and the run simply continues attached — detach is
+   an optimization, never a semantics change. *)
 let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota
     ?wall_clock ?(clock = Sys.time) ?livelock ?poll ?detach (t : t) : result =
   (match detach with
@@ -1954,62 +1951,53 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     t.d_max_steps <- max_int;
     t.d_max_cost <- max_int;
     t.detach_req <- false;
-    let ok =
-      match p.plan_map with
-      | None -> true
-      | Some m ->
-        (* drain with [step] to the next original-instruction boundary
-           (the splice the injection fired in has no golden coordinates);
-           the cap bounds a parse-defeating image, and budget or quota
-           edges during the drain decline the handoff *)
-        let ok = ref true in
-        let n = Array.length m.h_rank in
-        let cap = ref 4096 in
-        while !ok && t.status = Running && t.pc >= 0 && t.pc < n && m.h_rank.(t.pc) < 0 do
-          if !cap <= 0 || t.steps >= max_steps || t.cost >= max_cost then ok := false
-          else begin
-            step t;
-            incr drained;
-            decr cap;
-            if t.steps land 1023 = 0 then check_quotas ()
-          end
-        done;
-        if t.status <> Running || t.pc < 0 || t.pc >= n || m.h_rank.(t.pc) < 0 then ok := false;
-        (* checked after the drain, which retires the rest of the splice
-           and with it the flip itself; an Instr_image overlay sits at an
-           instrumented pc, meaningless in golden coordinates *)
-        if t.sp_struck || t.overlay_pc >= 0 then ok := false;
-        (* validate the live shadow call stack: each live frame's stack
-           slot must still hold the recorded return address (a fault that
-           smashed one makes the translation meaningless), and every
-           return address must translate into golden coordinates *)
-        let rsp = Int64.to_int t.regs.{R.rsp} in
-        if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false;
-        for j = 0 to t.cs_len - 1 do
-          let slot = t.cs_slots.(j) in
-          if !ok && slot >= rsp then begin
-            let vi = Int64.to_int t.cs_vals.(j) in
-            if
-              slot > Mem.mem_size - 8
-              || get_le t.mem slot <> t.cs_vals.(j)
-              || vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0
-            then ok := false
-          end
-        done;
-        if !ok then begin
-          (* rewrite live return addresses, then the pc, into golden
-             coordinates *)
-          for j = 0 to t.cs_len - 1 do
-            let slot = t.cs_slots.(j) in
-            if slot >= rsp then
-              store64 t slot (Int64.of_int m.h_next.(Int64.to_int t.cs_vals.(j)))
-          done;
-          t.pc <- m.h_rank.(t.pc)
-        end;
-        !ok
-    in
-    (* shared coordinates keep the pc and any armed overlay *)
-    if ok then begin
+    let m = p.plan_map in
+    (* drain with [step] to the next original-instruction boundary (the
+       splice the injection fired in has no golden coordinates); the cap
+       bounds a parse-defeating image, and budget or quota edges during
+       the drain decline the handoff *)
+    let ok = ref true in
+    let n = Array.length m.h_rank in
+    let cap = ref 4096 in
+    while !ok && t.status = Running && t.pc >= 0 && t.pc < n && m.h_rank.(t.pc) < 0 do
+      if !cap <= 0 || t.steps >= max_steps || t.cost >= max_cost then ok := false
+      else begin
+        step t;
+        incr drained;
+        decr cap;
+        if t.steps land 1023 = 0 then check_quotas ()
+      end
+    done;
+    if t.status <> Running || t.pc < 0 || t.pc >= n || m.h_rank.(t.pc) < 0 then ok := false;
+    (* checked after the drain, which retires the rest of the splice and
+       with it the flip itself; an Instr_image overlay sits at an
+       instrumented pc, meaningless in golden coordinates *)
+    if t.sp_struck || t.overlay_pc >= 0 then ok := false;
+    (* validate the live shadow call stack: each live frame's stack slot
+       must still hold the recorded return address (a fault that smashed
+       one makes the translation meaningless), and every return address
+       must translate into golden coordinates *)
+    let rsp = Int64.to_int t.regs.{R.rsp} in
+    if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false;
+    for j = 0 to t.cs_len - 1 do
+      let slot = t.cs_slots.(j) in
+      if !ok && slot >= rsp then begin
+        let vi = Int64.to_int t.cs_vals.(j) in
+        if
+          slot > Mem.mem_size - 8
+          || get_le t.mem slot <> t.cs_vals.(j)
+          || vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0
+        then ok := false
+      end
+    done;
+    if !ok then begin
+      (* rewrite live return addresses, then the pc, into golden
+         coordinates, and switch onto the target's code *)
+      for j = 0 to t.cs_len - 1 do
+        let slot = t.cs_slots.(j) in
+        if slot >= rsp then store64 t slot (Int64.of_int m.h_next.(Int64.to_int t.cs_vals.(j)))
+      done;
+      t.pc <- m.h_rank.(t.pc);
       t.image <- p.plan_prog.d_image;
       install_decoded t (Some p.plan_prog);
       detached := true

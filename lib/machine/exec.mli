@@ -222,8 +222,7 @@ type result = {
           injection retired (DESIGN.md §20) *)
   drain_steps : int;
       (** instructions single-stepped to reach an original-instruction
-          boundary before the handoff (0 unless [detached] with a
-          correspondence map) *)
+          boundary before the handoff *)
 }
 
 type handoff_map = {
@@ -242,13 +241,13 @@ type detach_plan = {
       (** the target's decode, built with the attached-equivalent cost
           weights from an image that shares the engine's extern table and
           heap base ({!run} checks both) *)
-  plan_map : handoff_map option;
-      (** [Some] = golden-twin coordinates (drain + translate);
-          [None] = a call-patched target sharing the instrumented
-          image's coordinates (only the code changes) *)
+  plan_map : handoff_map;
+      (** pc and return-address translation into the target's
+          coordinates (drain, validate, translate) *)
 }
 (** Post-injection handoff plan (plain data), armed per sample by the
-    campaign layer when the tool and fault model are eligible (DESIGN.md §20). *)
+    campaign layer when the tool and fault model are eligible (DESIGN.md
+    §20): REFINE's golden twin and its correspondence map. *)
 
 exception Detach_signal
 (** Internal: raised by the poll-slot check to unwind the engine loop when
@@ -410,10 +409,10 @@ val run :
     [detach] (DESIGN.md §20): when the FI control library raises
     [detach_req] (the injection has retired), the next poll slot switches
     the engine onto [plan_prog] in place; registers, memory, counters,
-    output, profile and any armed overlay stay.  With a map the run first
-    drains to an original-instruction boundary, then validates and
-    rewrites the pc and live return addresses (shadow call stack) into
-    twin coordinates, declining if the fault struck rsp or rbp or an
+    output and profile stay.  The run first drains to an
+    original-instruction boundary, then validates and rewrites the pc and
+    live return addresses (shadow call stack) into twin coordinates
+    through [plan_map], declining if the fault struck rsp or rbp or an
     overlay is armed.  Any validation failure declines the handoff and
     the run continues attached; the handoff is attempted at most once per
     call.  [detached] and [drain_steps] in the result report what

@@ -4,14 +4,20 @@
    mid-append can leave one partial final line, so a file that does not
    end in a newline has its last line dropped without a parse attempt
    (a truncated number could otherwise decode to a *wrong* event), and any
-   other undecodable line is counted in [skipped] rather than failing the
-   load.  The parser below covers exactly the flat JSON that
-   [Span.to_json] emits — it is a loader for our own trace format, not a
-   general JSON library. *)
+   other non-empty line that does not decode is counted in [skipped]
+   rather than failing the load.
+
+   A line decodes only if its event renders back to exactly that line,
+   the rule the journal and CSV loaders follow.  A JSON reader accepts
+   forms [Span.to_json] never writes ("ts":0760745600.123456, a sign or
+   a tab before a number, a number where the decimal point was), so a
+   corrupted byte could otherwise load as a different, well-formed event.
+   The parser below covers the flat JSON that [Span.to_json] emits — it
+   is a loader for our own trace format, not a general JSON library. *)
 
 type result = {
   events : Span.event list; (* file order *)
-  skipped : int; (* undecodable lines dropped *)
+  skipped : int; (* non-empty lines that did not decode *)
   torn : bool; (* a torn final line was dropped *)
 }
 
@@ -30,11 +36,6 @@ let parse_line line =
     incr pos;
     c
   in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      incr pos
-    done
-  in
   let expect c = if next () <> c then raise Bad in
   let parse_string () =
     expect '"';
@@ -46,19 +47,17 @@ let parse_line line =
         (match next () with
         | '"' -> Buffer.add_char buf '"'
         | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
         | 'n' -> Buffer.add_char buf '\n'
         | 't' -> Buffer.add_char buf '\t'
         | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
         | 'u' ->
+          (* [Span.json_escape] writes \u only for control characters *)
           if !pos + 4 > n then raise Bad;
           let hex = String.sub line !pos 4 in
           pos := !pos + 4;
-          let code = try int_of_string ("0x" ^ hex) with _ -> raise Bad in
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some code when code < 0x20 -> Buffer.add_char buf (Char.chr code)
+          | _ -> raise Bad)
         | _ -> raise Bad);
         go ())
       | c -> Buffer.add_char buf c; go ()
@@ -86,7 +85,6 @@ let parse_line line =
     else raise Bad
   in
   let rec parse_value () =
-    skip_ws ();
     match peek () with
     | '"' -> Jstr (parse_string ())
     | '{' -> parse_obj ()
@@ -95,7 +93,6 @@ let parse_line line =
     | _ -> Jnum (parse_number ())
   and parse_obj () =
     expect '{';
-    skip_ws ();
     if peek () = '}' then begin
       incr pos;
       Jobj []
@@ -103,13 +100,10 @@ let parse_line line =
     else begin
       let fields = ref [] in
       let rec go () =
-        skip_ws ();
         let k = parse_string () in
-        skip_ws ();
         expect ':';
         let v = parse_value () in
         fields := (k, v) :: !fields;
-        skip_ws ();
         match next () with '}' -> () | ',' -> go () | _ -> raise Bad
       in
       go ();
@@ -117,7 +111,6 @@ let parse_line line =
     end
   in
   let v = parse_value () in
-  skip_ws ();
   if !pos <> n then raise Bad;
   v
 
@@ -154,7 +147,11 @@ let event_of_json = function
     }
   | _ -> raise Bad
 
-let parse_event line = try Some (event_of_json (parse_line line)) with Bad -> None
+let parse_event line =
+  match event_of_json (parse_line line) with
+  | e when Span.to_json e = line -> Some e
+  | _ -> None
+  | exception Bad -> None
 
 let load path =
   let ic = open_in path in
@@ -169,7 +166,7 @@ let load path =
       | Some i -> (String.sub s 0 (i + 1), true)
       | None -> ("", true)
   in
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "") in
+  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   let events = ref [] and skipped = ref 0 in
   List.iter
     (fun l ->

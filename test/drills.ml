@@ -12,8 +12,8 @@
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
    fault     every fault model: sequential = 4 domains, CSV round-trip
-   detach    detach armed: outcome tables = the step-loop oracle's,
-             handoffs by mode
+   detach    detach armed, reg and mem faults: outcome tables = the
+             step-loop oracle's, REFINE hands off and LLFI never does
    mem       all 14 programs x 3 tools prepared in one process stay under
              80 MB peak RSS *)
 
@@ -601,49 +601,63 @@ let fault () =
 
 let detach () =
   (* CoMD has call-site candidates: its REFINE twin holds collapsed jumps.
-     PINFI has no detach target, but its attached prefix runs decoded
-     under its hook's skip window, so its table is held to the oracle
-     too *)
+     Only REFINE has a detach target; LLFI's and PINFI's runs stay
+     attached, decoded under their libraries' skip windows, so their
+     tables are held to the oracle too *)
   let srcs = sources [ "DC"; "EP"; "CoMD" ] and tools = [ T.Refine; T.Llfi; T.Pinfi ] in
   let samples = 12 and seed = 5 in
   Obs.Control.enable ();
-  let cells = E.run_matrix ~samples ~seed srcs tools in
-  (* the named oracle's table: every sample re-run on a fresh step-loop
-     engine with no detach, drawn from the campaign's own per-sample
-     generators and under its default quotas *)
-  let oracle_cell (c : E.cell) =
-    let p = T.prepare c.E.tool (List.assoc c.E.program srcs) in
-    let master = Refine_support.Prng.create (E.cell_seed ~seed ~program:c.E.program c.E.tool) in
-    let counts = ref E.zero and cost = ref 0L in
-    for _ = 1 to samples do
-      let e =
-        Oracle.injection ~quotas:T.default_quotas ~model:F.Reg_bit p
-          (Refine_support.Prng.split master)
+  (* every refine_detach_total series of [tool], whatever its other labels *)
+  let handoffs tool =
+    List.fold_left
+      (fun acc (n, labels, v) ->
+        match v with
+        | M.Counter c when n = "refine_detach_total" && List.mem ("tool", tool) labels ->
+          Int64.add acc c
+        | _ -> acc)
+      0L (M.snapshot ())
+  in
+  (* one leg per fault model: the campaign's table against the named
+     oracle's, every sample re-run on a fresh step-loop engine with no
+     detach, drawn from the campaign's own per-sample generators and
+     under its default quotas *)
+  let leg model =
+    let cells = E.run_matrix ~model ~samples ~seed srcs tools in
+    let oracle_cell (c : E.cell) =
+      let p = T.prepare c.E.tool (List.assoc c.E.program srcs) in
+      let master =
+        Refine_support.Prng.create (E.cell_seed ~model ~seed ~program:c.E.program c.E.tool)
       in
-      counts := E.add_outcome !counts e.F.outcome;
-      cost := Int64.add !cost e.F.run_cost
-    done;
-    { c with E.counts = !counts; injection_cost = !cost }
+      let counts = ref E.zero and cost = ref 0L in
+      for _ = 1 to samples do
+        let e =
+          Oracle.injection ~quotas:T.default_quotas ~model p (Refine_support.Prng.split master)
+        in
+        counts := E.add_outcome !counts e.F.outcome;
+        cost := Int64.add !cost e.F.run_cost
+      done;
+      { c with E.counts = !counts; injection_cost = !cost }
+    in
+    let name = F.string_of_model model in
+    let production = summary cells and oracle = summary (List.map oracle_cell cells) in
+    if production <> oracle then
+      fail "%s: a detached campaign differs from the oracle\n  production: %s\n  oracle:     %s"
+        name production oracle;
+    say "%s: outcome tables bit-identical: production (detach armed) = oracle" name;
+    say "%s" production
   in
-  let production = summary cells and oracle = summary (List.map oracle_cell cells) in
-  if production <> oracle then
-    fail "a detached campaign differs from the oracle\n  production: %s\n  oracle:     %s"
-      production oracle;
-  say "outcome tables bit-identical: production (detach armed) = oracle";
-  say "%s" production;
-  (* the equality above must not be vacuous: handoffs really happened, each
-     tool's under its own target's mode *)
-  let handoffs tool mode =
-    match M.find "refine_detach_total" [ ("tool", tool); ("mode", mode) ] with
-    | Some (M.Counter n) -> n
-    | _ -> 0L
-  in
-  check "REFINE handed off in map mode" (handoffs "REFINE" "map" > 0L);
-  check "LLFI handed off in patch mode" (handoffs "LLFI" "patch" > 0L);
-  check "REFINE handoffs only in map mode, LLFI's only in patch mode"
-    (handoffs "REFINE" "patch" = 0L && handoffs "LLFI" "map" = 0L);
-  say "refine_detach_total: REFINE map = %Ld, LLFI patch = %Ld (declined = %Ld)"
-    (handoffs "REFINE" "map") (handoffs "LLFI" "patch")
+  leg F.Reg_bit;
+  let after_reg = handoffs "REFINE" in
+  leg F.Mem_cell;
+  (* the equalities above must not be vacuous: REFINE really handed off,
+     in both legs, and LLFI never did *)
+  check "REFINE handed off after register faults" (after_reg > 0L);
+  check "REFINE handed off after memory faults" (handoffs "REFINE" > after_reg);
+  check "LLFI never handed off" (handoffs "LLFI" = 0L);
+  say "refine_detach_total: REFINE = %Ld (reg %Ld, mem %Ld), LLFI = %Ld (declined = %Ld)"
+    (handoffs "REFINE") after_reg
+    (Int64.sub (handoffs "REFINE") after_reg)
+    (handoffs "LLFI")
     (counter_total "refine_detach_declined_total");
   ignore
     (prom_dump_and_lint

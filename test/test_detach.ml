@@ -1,15 +1,16 @@
 (* Differential tests for post-injection detach (DESIGN.md §20).
 
-   Once a REFINE or LLFI sample's single injection has retired, the run
-   hands off to a prepared detach target — REFINE's golden twin, read off
-   the instrumented image through the correspondence map, or LLFI's
-   call-patched copy of its image — and simulates the rest at golden
-   speed.  The handoff must be invisible in results: every production
-   sample, detach armed, equals the named oracle's step-loop run of the
-   instrumented binary (outcome, modeled cost and fault record) across
-   fault models, sandbox quotas and call-site candidates.  Every handoff
-   decline must leave the run attached with identical semantics, and a
-   mutated detach image must never be served from the artifact cache. *)
+   Once a REFINE sample's single injection has retired, the run hands off
+   to its prepared detach target — the golden twin, read off the
+   instrumented image through the correspondence map — and simulates the
+   rest at golden speed; LLFI and PINFI have no target and run attached
+   to the end.  The handoff must be invisible in results: every
+   production sample, detach armed, equals the named oracle's step-loop
+   run of the instrumented binary (outcome, modeled cost and fault
+   record) across fault models, sandbox quotas and call-site candidates.
+   Every handoff decline must leave the run attached with identical
+   semantics, and a mutated detach image must never be served from the
+   artifact cache. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -77,21 +78,12 @@ let test_handoff_map_identity () =
   let r0 = baseline image [ fire_at 600 ] in
   let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] snap in
   let plan =
-    { X.plan_prog = X.decode image; plan_map = Some (identity_map (Array.length image.L.code)) }
+    { X.plan_prog = X.decode image; plan_map = identity_map (Array.length image.L.code) }
   in
   let r = X.run ~detach:plan eng in
   Alcotest.(check bool) "handoff happened" true r.X.detached;
   Alcotest.(check int) "identity map needs no drain" 0 r.X.drain_steps;
   Alcotest.(check string) "detached run invisible" (sig_of r0) (sig_of r)
-
-let test_handoff_patch_shared_coords () =
-  let image = loop_image 2000 in
-  let snap = X.snapshot image in
-  let r0 = baseline image [ fire_at 600 ] in
-  let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] snap in
-  let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = None } eng in
-  Alcotest.(check bool) "patch-mode handoff happened" true r.X.detached;
-  Alcotest.(check string) "patch-mode run invisible" (sig_of r0) (sig_of r)
 
 let test_drain_exhaustion_declines () =
   let image = loop_image 2000 in
@@ -102,7 +94,7 @@ let test_drain_exhaustion_declines () =
   (* no pc ever has a golden rank: the drain must hit its cap (or the
      program's end) and decline, leaving the run attached *)
   let no_rank = { X.h_rank = Array.make n (-1); h_next = Array.make (n + 1) (-1) } in
-  let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = Some no_rank } eng in
+  let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = no_rank } eng in
   Alcotest.(check bool) "declined" false r.X.detached;
   Alcotest.(check string) "declined run attached-identical" (sig_of r0) (sig_of r)
 
@@ -138,7 +130,7 @@ let test_smashed_return_address_declines () =
   | _ -> Alcotest.failf "baseline should trap on the smashed RA, got %a" Test_fastpath.pp_result r0);
   let eng = X.create_from_snapshot ~ext_extra:[ smash ] snap in
   let plan =
-    { X.plan_prog = X.decode image; plan_map = Some (identity_map (Array.length image.L.code)) }
+    { X.plan_prog = X.decode image; plan_map = identity_map (Array.length image.L.code) }
   in
   let r = X.run ~detach:plan eng in
   Alcotest.(check bool) "smashed RA declines handoff" false r.X.detached;
@@ -176,7 +168,7 @@ let shifted_images globals_of_twin =
       h_next = Array.init (n + 1) (fun i -> if i < n then i + 1 else -1);
     }
   in
-  (src_image, golden, { X.plan_prog = X.decode golden; plan_map = Some shifted })
+  (src_image, golden, { X.plan_prog = X.decode golden; plan_map = shifted })
 
 (* The handoff switches the running engine in place.  After it, the
    engine's registers and memory must equal an attached run's at the same
@@ -232,13 +224,13 @@ let test_foreign_target_rejected () =
          (function M.Mcallext _ -> M.Mcallext "other" | i -> i)
          (Array.to_list image.L.code))
   in
-  refused "different extern table" { X.plan_prog = X.decode other; plan_map = None } image
+  refused "different extern table"
+    { X.plan_prog = X.decode other; plan_map = identity_map (Array.length other.L.code) }
+    image
 
 (* An armed Instr_image overlay shortens the loop (it now exits at 1000
    instead of 2000).  Its pc is an instrumented one, meaningless in twin
-   coordinates, so a map-mode handoff declines and the run stays
-   attached; in shared coordinates the overlay stays armed on the
-   target's code. *)
+   coordinates, so the handoff declines and the run stays attached. *)
 let test_overlay_handoff () =
   let image = loop_image 2000 in
   let short = Some (M.Mcmp (R.gpr 1, M.Imm 1000L)) in
@@ -252,31 +244,36 @@ let test_overlay_handoff () =
   Alcotest.(check bool) "the overlay shortens the loop" true
     (r0.X.steps < (baseline image [ fire_at 100 ]).X.steps);
   let n = Array.length image.L.code in
-  let r = run ~detach:{ X.plan_prog = X.decode image; plan_map = Some (identity_map n) } () in
+  let r = run ~detach:{ X.plan_prog = X.decode image; plan_map = identity_map n } () in
   Alcotest.(check bool) "map mode declines" false r.X.detached;
-  Alcotest.(check string) "declined run = attached run" (sig_of r0) (sig_of r);
-  let r = run ~detach:{ X.plan_prog = X.decode image; plan_map = None } () in
-  Alcotest.(check bool) "patch mode hands off" true r.X.detached;
-  Alcotest.(check string) "patch-mode run keeps the overlay" (sig_of r0) (sig_of r)
+  Alcotest.(check string) "declined run = attached run" (sig_of r0) (sig_of r)
 
 (* --- the per-sample eligibility matrix --------------------------------- *)
 
 let test_plan_matrix () =
   let q = T.default_quotas in
+  let live = { q with T.livelock_window = Some 4096 } in
   let pr = T.prepare T.Refine Test_fastpath.src_int in
   let pl = T.prepare T.Llfi Test_fastpath.src_int in
   let pp = T.prepare T.Pinfi Test_fastpath.src_int in
   let armed p model quotas = Option.is_some (T.detach_plan_for ~quotas p model) in
-  Alcotest.(check bool) "REFINE call-free program maps" true
-    (match pr.T.detach with Some dt -> dt.T.dt_map <> None | None -> false);
-  Alcotest.(check bool) "PINFI never has a target" true (pp.T.detach = None);
-  Alcotest.(check bool) "PINFI never armed" false (armed pp F.Reg_bit q);
+  Alcotest.(check bool) "REFINE call-free program has a twin" true (Option.is_some pr.T.detach);
   Alcotest.(check bool) "REFINE + Reg_bit armed" true (armed pr F.Reg_bit q);
-  Alcotest.(check bool) "LLFI + Instr_image armed" true (armed pl F.Instr_image q);
   Alcotest.(check bool) "REFINE + Instr_image declined" false (armed pr F.Instr_image q);
-  let live = { q with T.livelock_window = Some 4096 } in
   Alcotest.(check bool) "livelock declines REFINE" false (armed pr F.Reg_bit live);
-  Alcotest.(check bool) "livelock keeps step-exact LLFI" true (armed pl F.Reg_bit live)
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " never has a target") true (Option.is_none p.T.detach);
+      List.iter
+        (fun model ->
+          List.iter
+            (fun quotas ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s + %s never armed" name (F.string_of_model model))
+                false (armed p model quotas))
+            [ q; live ])
+        all_models)
+    [ ("LLFI", pl); ("PINFI", pp) ]
 
 (* --- mutated detach images must never be served from the cache ---------- *)
 
@@ -285,7 +282,6 @@ let test_mutated_detach_never_served () =
   let p1 = T.prepare T.Refine Test_fastpath.src_int in
   let dt1 = Option.get p1.T.detach in
   let pristine = dt1.T.dt_image.L.code.(0) in
-  Alcotest.(check bool) "map mode" true (dt1.T.dt_map <> None);
   (* corrupt the cached golden twin in place: the prepared tier, whose
      fingerprint covers the detach code, must notice and rebuild instead
      of serving the mutation *)
@@ -357,8 +353,8 @@ let test_twin_is_fi_free_binary () =
 
 (* --- call-site candidates: handoffs on the programs that have them ------ *)
 
-let detach_total mode =
-  match Mx.find "refine_detach_total" [ ("tool", "REFINE"); ("mode", mode) ] with
+let detach_total () =
+  match Mx.find "refine_detach_total" [ ("tool", "REFINE") ] with
   | Some (Mx.Counter n) -> n
   | _ -> 0L
 
@@ -376,7 +372,7 @@ let matches_oracle ?quotas ~model p seed =
 let test_call_site_detach_invisible () =
   Refine_obs.Control.enable ();
   Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
-      let map0 = detach_total "map" and patch0 = detach_total "patch" in
+      let before = detach_total () in
       List.iter
         (fun name ->
           let p = T.prepare T.Refine (Reg.find name).Reg.source in
@@ -395,9 +391,7 @@ let test_call_site_detach_invisible () =
               F.Multi_bit { bits = 4; burst = true };
             ])
         call_site_programs;
-      Alcotest.(check bool) "REFINE handed off in map mode" true
-        (Int64.compare (detach_total "map") map0 > 0);
-      Alcotest.(check int64) "and never in patch mode" patch0 (detach_total "patch"))
+      Alcotest.(check bool) "REFINE handed off" true (Int64.compare (detach_total ()) before > 0))
 
 (* --- per-sample differential against the oracle, random programs ------- *)
 
@@ -434,8 +428,6 @@ let tests =
   [
     Alcotest.test_case "map-mode handoff: identity map, zero drain" `Quick
       test_handoff_map_identity;
-    Alcotest.test_case "patch-mode handoff: shared coordinates" `Quick
-      test_handoff_patch_shared_coords;
     Alcotest.test_case "drain exhaustion declines, run stays attached" `Quick
       test_drain_exhaustion_declines;
     Alcotest.test_case "smashed return address declines the handoff" `Quick
@@ -444,7 +436,7 @@ let tests =
       test_handoff_in_place;
     Alcotest.test_case "foreign extern table or heap base rejected" `Quick
       test_foreign_target_rejected;
-    Alcotest.test_case "armed overlay: map handoff declines, patch keeps it" `Quick
+    Alcotest.test_case "armed overlay: map handoff declines, run stays attached" `Quick
       test_overlay_handoff;
     Alcotest.test_case "per-sample eligibility matrix" `Quick test_plan_matrix;
     Alcotest.test_case "mutated detach image is never served" `Quick

@@ -393,6 +393,96 @@ let prop_csv_byte_corruption =
       | exception Refine_campaign.Csv.Parse_error _ -> true
       | cells -> lines (Refine_campaign.Csv.to_string cells) = lines corrupted)
 
+(* The same byte corruption on a rendered span trace: every event
+   [Tracefile.load] returns must render to one of the corrupted file's
+   lines, in file order, and every other non-empty line must count as
+   skipped or, for a final line without its newline, torn.  Times, costs
+   and span ids have several digits, attribute values carry characters
+   the string reader unescapes, some files hold a whitespace-only line,
+   and half the masks turn the byte into a character the number or
+   string readers or the line splitter treat specially. *)
+let prop_trace_byte_corruption =
+  let module Span = Refine_obs.Span in
+  let specials =
+    [ '0'; '+'; '-'; '.'; 'e'; 'E'; ' '; '\t'; '\n'; '"'; '\\'; ','; ':'; '}'; 'u' ]
+  in
+  let event =
+    QCheck.Gen.(
+      let* name = oneofl [ "sample"; "prepare"; "campaign.cell" ] in
+      let* attrs =
+        oneofl [ []; [ ("program", "CG"); ("tool", "REFINE") ]; [ ("note", "a\"b\\c\td") ] ]
+      in
+      let* secs = int_range 1_000_000_000 1_999_999_999 and* usecs = int_bound 999_999 in
+      let* dur = int_bound 99_999_999 and* depth = int_bound 12 and* domain = int_bound 3 in
+      let* span_id = int_range 1 (1 lsl 40) and* parent = int_bound (1 lsl 40) in
+      let* cost = int_bound 999_999_999 and* ok = bool in
+      let* trace = oneofl [ ""; "t-4242" ] in
+      return
+        {
+          Span.name;
+          attrs;
+          t_start = float_of_int secs +. (float_of_int usecs /. 1e6);
+          dur_s = float_of_int dur /. 1e6;
+          depth;
+          domain;
+          cost = Int64.of_int cost;
+          ok;
+          trace;
+          span_id;
+          parent;
+        })
+  in
+  let gen =
+    QCheck.Gen.(
+      let* events = list_size (int_range 1 3) event in
+      let* blank = opt (oneofl [ " "; "\t"; "  " ]) in
+      let lines = List.map Span.to_json events in
+      let lines = match blank with Some b -> b :: lines | None -> lines in
+      let* pos = int_bound 4095 in
+      let* mask =
+        oneof [ map (fun m -> `Mask m) (int_range 1 255); map (fun c -> `Into c) (oneofl specials) ]
+      in
+      return (String.concat "" (List.map (fun l -> l ^ "\n") lines), pos, mask))
+  in
+  let print (file, pos, mask) =
+    Printf.sprintf "byte %d of %S %s" (pos mod String.length file) file
+      (match mask with `Mask m -> Printf.sprintf "xor 0x%02x" m | `Into c -> Printf.sprintf "into %C" c)
+  in
+  (* [sub] occurs in [l] in order, each element matching a distinct line *)
+  let rec ordered_in sub l =
+    match (sub, l) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: sub', y :: l' -> if x = y then ordered_in sub' l' else ordered_in sub l'
+  in
+  QCheck.Test.make ~name:"trace: a corrupted byte never loads as another event" ~count:500
+    (QCheck.make ~print gen)
+    (fun (file, pos, mask) ->
+      let pos = pos mod String.length file in
+      let orig = Char.code file.[pos] in
+      let mask =
+        match mask with
+        | `Mask m -> m
+        | `Into c -> if Char.code c = orig then 0xff else Char.code c lxor orig
+      in
+      let corrupted = Bytes.of_string file in
+      Bytes.set corrupted pos (Char.chr (orig lxor mask));
+      let corrupted = Bytes.to_string corrupted in
+      let path = Filename.temp_file "refine_trace" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc corrupted);
+      let r = Refine_obs.Tracefile.load path in
+      Sys.remove path;
+      (* the pieces before the last newline are whole lines; the piece
+         after it is empty or the torn tail *)
+      let pieces = String.split_on_char '\n' corrupted in
+      let last = List.length pieces - 1 in
+      let whole = List.filteri (fun i l -> i < last && l <> "") pieces in
+      let torn = corrupted.[String.length corrupted - 1] <> '\n' in
+      let rendered = List.map Span.to_json r.Refine_obs.Tracefile.events in
+      r.Refine_obs.Tracefile.torn = torn
+      && ordered_in rendered whole
+      && List.length rendered + r.Refine_obs.Tracefile.skipped = List.length whole)
+
 (* ---- kill / resume determinism ----------------------------------------- *)
 
 let counts_equal (a : E.cell) (b : E.cell) =
@@ -459,6 +549,7 @@ let tests =
     Alcotest.test_case "journal skips garbage" `Quick test_journal_skips_garbage;
     QCheck_alcotest.to_alcotest prop_journal_byte_corruption;
     QCheck_alcotest.to_alcotest prop_csv_byte_corruption;
+    QCheck_alcotest.to_alcotest prop_trace_byte_corruption;
     Alcotest.test_case "kill + resume determinism" `Quick test_watchdog_kill_then_resume;
     QCheck_alcotest.to_alcotest prop_resume_deterministic;
   ]
