@@ -27,6 +27,12 @@ val splices : Layout.image -> splice list option
     The one splice parser: {!extract} drops these splices, and
     [Exec.decode] fuses each into one superinstruction (DESIGN.md §19). *)
 
+val fire_path : splice -> int * int
+(** [(first, last)]: the pcs of the splice's fire path — the [Mjmp setup]
+    after the selector's compare-branch, then the SetupFI, FI_k and fidone
+    blocks — which run only when the selector fires, so at most once per
+    injection sample.  [Exec.decode] interprets them (DESIGN.md §19). *)
+
 type t = {
   rank_of_pc : int array;
       (** instrumented pc -> twin pc; [-1] for spliced (inserted) pcs,

@@ -96,15 +96,6 @@ type profile = {
    sentinel, which [load] writes itself. *)
 type snapshot = { s_image : L.image; s_globals : arena }
 
-(* Engine-private memory bookkeeping, opaque outside this module. *)
-type priv = {
-  dirty : Bytes.t;
-      (* one flag per page of [mem]: a clear flag means the page is all
-         zero.  Set by every write to [mem]; cleared by [reset], which
-         zeroes exactly the flagged pages. *)
-  mutable snap : snapshot; (* what a plain [reset] restores *)
-}
-
 type t = {
   mutable image : L.image; (* rebound by [reset] and by the detach handoff *)
   regs : regfile; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
@@ -143,10 +134,10 @@ type t = {
          None = [run] drives the [step] loop *)
   mutable d_active : (t -> unit) array;
       (* the dispatch table the decoded loop reads: [dprog.d_fused]
-         normally; while an Instr_image overlay is armed, an engine-private
-         copy of [dprog.d_single] whose overlaid slot runs the mutated
-         instruction (a superinstruction head must never replay a stale
-         slot) *)
+         normally; while an Instr_image overlay is armed, the engine's
+         fusion-free table ([priv.ff_table]) whose overlaid slot runs the
+         mutated instruction (a superinstruction head must never replay a
+         stale slot) *)
   mutable d_check : unit -> unit;
       (* the current run's 1024-step poll-slot check, called by decoded
          closures after every retired constituent *)
@@ -187,6 +178,24 @@ type t = {
   priv : priv;
 }
 
+(* Engine-private bookkeeping, opaque outside this module. *)
+and priv = {
+  dirty : Bytes.t;
+      (* one flag per page of [mem]: a clear flag means the page is all
+         zero.  Set by every write to [mem]; cleared by [reset], which
+         zeroes exactly the flagged pages. *)
+  mutable snap : snapshot; (* what a plain [reset] restores *)
+  mutable ff_table : (t -> unit) array;
+      (* this engine's fusion-free table for the decode whose fused table
+         is [ff_src]: what a hooked run dispatches, and, with an
+         Instr_image overlay's decode in slot [ov_slot], what an overlaid
+         run dispatches.  Built on first use, rebuilt only when the
+         engine's decode changes *)
+  mutable ff_src : (t -> unit) array;
+  mutable ov_slot : int; (* the slot an armed overlay wrote; -1 = none *)
+  mutable ov_saved : t -> unit; (* the fusion-free decode it replaced *)
+}
+
 (* A DBI hook, the modeled cost it adds to every instruction while
    attached and the pcs it observes: one value, so attaching or detaching
    moves all three. *)
@@ -198,13 +207,17 @@ and hook = {
   hook_pcs : bool array; (* one flag per code slot: [on_instr] runs where it is set *)
 }
 
-(* A decoded program: per-pc closure tables plus static decode facts.
+(* A decoded program: the per-pc dispatch table plus static decode facts.
    Closures capture no engine, so one dprogram is shared read-only by
    every engine of the same image, across domains. *)
 and dprogram = {
   d_image : L.image; (* the image this decode was built from *)
   d_fused : (t -> unit) array; (* dispatch table with superinstruction heads *)
-  d_single : (t -> unit) array; (* fusion-free per-pc decodes *)
+  d_heads : int array; (* the superinstruction heads' pcs, ascending... *)
+  d_head_singles : (t -> unit) array;
+      (* ...and their fusion-free decodes: with [d_fused], the fusion-free
+         table, which only hooked and overlaid runs dispatch, so each
+         engine that needs it builds its own ([fusion_free]) *)
   d_super : int array; (* fused sites per idiom, indexed like [idioms] *)
 }
 
@@ -527,7 +540,15 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
       cs_slots = Array.make 64 0;
       cs_vals = Array.make 64 0L;
       cs_len = 0;
-      priv = { dirty = Bytes.make num_pages '\000'; snap = s };
+      priv =
+        {
+          dirty = Bytes.make num_pages '\000';
+          snap = s;
+          ff_table = [||];
+          ff_src = [||];
+          ov_slot = -1;
+          ov_saved = ignore;
+        };
     }
   in
   self := Some t;
@@ -539,6 +560,15 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   t
 
 let create ?ext_extra (image : L.image) : t = create_from_snapshot ?ext_extra (snapshot image)
+
+(* Put back the fusion-free decode an Instr_image overlay replaced in the
+   engine's table, which is then pristine again. *)
+let clear_overlay_slot (t : t) =
+  let p = t.priv in
+  if p.ov_slot >= 0 then begin
+    p.ff_table.(p.ov_slot) <- p.ov_saved;
+    p.ov_slot <- -1
+  end
 
 (* Restore the pristine post-loader state: zero the touched pages and
    reload the snapshot — the bound one, or [snapshot], which moves the
@@ -574,8 +604,9 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   t.fi_mask <- 0L;
   t.overlay_pc <- -1;
   t.overlay_instr <- None;
-  (* the overlay table goes with the overlay: a reused engine must never
+  (* the overlaid slot goes with the overlay: a reused engine must never
      dispatch a stale corrupted decode or keep running fusion-free *)
+  clear_overlay_slot t;
   (match t.dprog with Some dp -> t.d_active <- dp.d_fused | None -> t.d_active <- [||]);
   t.d_check <- no_check;
   t.d_max_steps <- max_int;
@@ -778,8 +809,10 @@ let step (t : t) =
      visit inside the skip window) and runs the poll-slot check after the
      hook, exactly where [step_loop] does; a decoded closure never
      charges hook cost;
-   - an Instr_image overlay switches the engine to a private fusion-free
-     table whose overlaid slot runs the mutated instruction's decode.
+   - an Instr_image overlay switches the engine to its own fusion-free
+     table whose overlaid slot runs the mutated instruction's decode;
+   - a fire-path slot of a REFINE splice runs [exec_instr] itself through
+     the one [interp] closure and heads no superinstruction.
 
    Decoded closures capture no engine: a [dprogram] is immutable and
    shared read-only across engines and domains. *)
@@ -790,16 +823,25 @@ type dop = t -> unit
    every retired constituent *)
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
-(* per-constituent accounting, identical to [exec_instr]'s prologue with
-   the opcode class [k] baked in at decode time.
-   Only weight-1 slots account here: a weighted slot (DESIGN.md §20)
-   decodes to [via_legacy]. *)
-let[@inline always] account (t : t) k =
+(* per-constituent accounting, [exec_instr]'s prologue for the slot
+   before [pc1], charging [c] cost units: 1, or the whole weight of a
+   weighted slot (DESIGN.md §20) whose form can neither trap nor change the
+   run status.  Like [exec_instr], it reads the opcode class off the image
+   only while profiling, so a closure holds the successor pc it needs
+   anyway instead of the class *)
+let[@inline always] account (t : t) pc1 c =
   t.steps <- t.steps + 1;
-  t.cost <- t.cost + 1;
+  t.cost <- t.cost + c;
   match t.prof with
   | None -> ()
-  | Some p -> p.class_steps.(k) <- p.class_steps.(k) + 1
+  | Some p ->
+    let k = Array.unsafe_get t.image.L.class_of_pc (pc1 - 1) in
+    p.class_steps.(k) <- p.class_steps.(k) + 1
+
+(* [exec_instr] and a status-changing form charge a weighted slot 1: add
+   the [rest] of its weight once the slot retired, if the run goes on *)
+let[@inline always] top_up (t : t) rest =
+  match t.status with Running -> t.cost <- t.cost + rest | _ -> ()
 
 (* the legacy while-condition, re-tested between fused constituents *)
 let[@inline always] d_live (t : t) =
@@ -849,10 +891,21 @@ let cc_fn (cc : M.cc) : int -> bool =
    instructions.  Register indices are validated here so the closures use
    unchecked array access; an operand outside the register file
    (impossible for layout output, and [Corrupt.mutate] clamps registers)
-   falls back to the legacy [exec_instr]. *)
+   falls back to the legacy [exec_instr].
+
+   A weighted slot (DESIGN.md §20: a detach target's candidate, whose
+   weight stands for the splice the twin lost) charges its weight only
+   once it retired with the run still going, as the attached run reaches
+   that splice only then.  Each form's fast closure keeps that rule at the
+   least cost: a form that can neither trap nor change the run status
+   charges the whole weight up front; a trap-capable one (load, store,
+   push, pop, divide, [Mcalli], [Mxorbitmem]) charges 1 and adds the
+   [rest] after its access; [Mret] and extern calls, which can also end
+   the run, top up only while it is [Running], as [via_legacy] does; and
+   [Mhalt] and an unresolved [Mcall], which always end it, charge 1. *)
 let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
-  let k = image.L.class_of_pc.(pc0) in
   let cw = match cost_of with None -> 1 | Some c -> c.(pc0) in
+  let rest = cw - 1 in
   let pc1 = pc0 + 1 in
   let code_len = Array.length image.L.code in
   let okr r = r >= 0 && r < R.num_regs in
@@ -860,70 +913,62 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   let via_legacy : dop =
    fun t ->
     exec_instr t pc0 i;
-    (* [exec_instr] charged weight 1; top up to the slot's weight — but
-       only when the instruction retired: attached, a trapping candidate
-       never reaches the instrumentation modeled by the extra weight, so
-       a trap (which raises out of [exec_instr]) or a status change must
-       not pay for it either *)
-    (if cw > 1 then
-       match t.status with Running -> t.cost <- t.cost + (cw - 1) | _ -> ());
+    top_up t rest;
     rc t
   in
-  (* weighted slots always take the legacy route, which tops the weight up
-     only once the instruction retired: the fast-path closures account
-     before executing.  Plain images have no weighted slot; a detach
-     target has one per candidate. *)
-  if cw > 1 then via_legacy
-  else
   match i with
   | M.Mmov (d, M.Reg s) when okr d && okr s ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d (A1.unsafe_get t.regs s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       A1.unsafe_set t.regs d (load64 t (Int64.to_int (A1.unsafe_get t.regs b) + off));
+      t.cost <- t.cost + rest;
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       store64 t (Int64.to_int (A1.unsafe_get t.regs b) + off) (A1.unsafe_get t.regs s);
+      t.cost <- t.cost + rest;
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       A1.unsafe_set t.regs d
         (load64 t
            (Int64.to_int (A1.unsafe_get t.regs b)
            + (8 * Int64.to_int (A1.unsafe_get t.regs ix))
            + off));
+      t.cost <- t.cost + rest;
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       store64 t
         (Int64.to_int (A1.unsafe_get t.regs b)
         + (8 * Int64.to_int (A1.unsafe_get t.regs ix))
         + off)
         (A1.unsafe_get t.regs s);
+      t.cost <- t.cost + rest;
       rc t
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d
         (Int64.add
@@ -933,7 +978,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, None, off) when okr d && okr b ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d (Int64.add (A1.unsafe_get t.regs b) offl);
       rc t
@@ -944,142 +989,148 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       set_flags_r t r;
       rc t
     in
+    (* a divide charges 1 up front and the rest of its weight once it got
+       past its zero check *)
+    let[@inline always] fin_div (t : t) (r : int64) =
+      t.cost <- t.cost + rest;
+      fin t r
+    in
     (match b with
     | M.Imm vb -> (
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.add (A1.unsafe_get t.regs a) vb)
       | Sub ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.sub (A1.unsafe_get t.regs a) vb)
       | Mul ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.mul (A1.unsafe_get t.regs a) vb)
       | And ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logand (A1.unsafe_get t.regs a) vb)
       | Or ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logor (A1.unsafe_get t.regs a) vb)
       | Xor ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logxor (A1.unsafe_get t.regs a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.shift_left (A1.unsafe_get t.regs a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.shift_right_logical (A1.unsafe_get t.regs a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.shift_right (A1.unsafe_get t.regs a) sh)
       | Div ->
         fun t ->
-          account t k;
+          account t pc1 1;
           t.pc <- pc1;
           let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
-          else fin t (Int64.div va vb)
+          else if va = Int64.min_int && vb = -1L then fin_div t Int64.min_int
+          else fin_div t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k;
+          account t pc1 1;
           t.pc <- pc1;
           let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t 0L
-          else fin t (Int64.rem va vb))
+          else if va = Int64.min_int && vb = -1L then fin_div t 0L
+          else fin_div t (Int64.rem va vb))
     | M.Reg rb -> (
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.add (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Sub ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.sub (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Mul ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.mul (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | And ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logand (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Or ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Xor ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t (Int64.logxor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Shl ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t
             (Int64.shift_left (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Lshr ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t
             (Int64.shift_right_logical (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Ashr ->
         fun t ->
-          account t k;
+          account t pc1 cw;
           t.pc <- pc1;
           fin t
             (Int64.shift_right (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Div ->
         fun t ->
-          account t k;
+          account t pc1 1;
           t.pc <- pc1;
           let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
-          else fin t (Int64.div va vb)
+          else if va = Int64.min_int && vb = -1L then fin_div t Int64.min_int
+          else fin_div t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k;
+          account t pc1 1;
           t.pc <- pc1;
           let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t 0L
-          else fin t (Int64.rem va vb)))
+          else if va = Int64.min_int && vb = -1L then fin_div t 0L
+          else fin_div t (Int64.rem va vb)))
   | M.Mfbin (op, d, a, b) when okr d && okr a && okr b ->
     let[@inline always] fin (t : t) r =
       A1.unsafe_set t.regs d (b64 r);
@@ -1088,73 +1139,73 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (match (op : Refine_ir.Ir.fbinop) with
     | Fadd ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         fin t (f64 (A1.unsafe_get t.regs a) +. f64 (A1.unsafe_get t.regs b))
     | Fsub ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         fin t (f64 (A1.unsafe_get t.regs a) -. f64 (A1.unsafe_get t.regs b))
     | Fmul ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         fin t (f64 (A1.unsafe_get t.regs a) *. f64 (A1.unsafe_get t.regs b))
     | Fdiv ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         fin t (f64 (A1.unsafe_get t.regs a) /. f64 (A1.unsafe_get t.regs b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         A1.unsafe_set t.regs d (b64 (-.f64 (A1.unsafe_get t.regs a)));
         rc t
     | Fsqrt ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         A1.unsafe_set t.regs d (b64 (sqrt (f64 (A1.unsafe_get t.regs a))));
         rc t
     | Fabs ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         A1.unsafe_set t.regs d (b64 (Float.abs (f64 (A1.unsafe_get t.regs a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d (b64 (Int64.to_float (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       let fl = flags_of (A1.unsafe_get t.regs a) vb in
       A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       let fl = flags_of (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb) in
       A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       let va = f64 (A1.unsafe_get t.regs a) and vb = f64 (A1.unsafe_get t.regs b) in
       let fl =
@@ -1166,7 +1217,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       A1.unsafe_set t.regs d
         (if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then 1L else 0L);
@@ -1175,7 +1226,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     match int_cc cc with
     | Some (mask, want) ->
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         let fl = Int64.to_int (A1.unsafe_get t.regs R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
@@ -1183,53 +1234,58 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     | None ->
       let test = cc_fn cc in
       fun t ->
-        account t k;
+        account t pc1 cw;
         t.pc <- pc1;
         if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- target;
       rc t
   | M.Mpush r when okr r ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       push t (A1.unsafe_get t.regs r);
+      t.cost <- t.cost + rest;
       rc t
   | M.Mpop r when okr r ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       A1.unsafe_set t.regs r (pop t);
+      t.cost <- t.cost + rest;
       rc t
   | M.Mpushf ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       push t t.regs.{R.flags};
+      t.cost <- t.cost + rest;
       rc t
   | M.Mpopf ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       t.regs.{R.flags} <- pop t;
+      t.cost <- t.cost + rest;
       rc t
   | M.Mcalli target ->
     (* the return address is a decode-time constant: no box per call *)
     let ra = Int64.of_int pc1 in
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       push t ra;
       cs_push t (Int64.to_int (A1.unsafe_get t.regs R.rsp)) ra;
       t.pc <- target;
+      t.cost <- t.cost + rest;
       rc t
   | M.Mcall name ->
     let tr = Halt_trap (Extern_fault ("unresolved call " ^ name)) in
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       raise tr
   | M.Mcallext _ ->
@@ -1237,13 +1293,14 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
        earlier) *)
     let slot = ext_slot image pc0 in
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       t.handlers.(slot) t;
+      top_up t rest;
       rc t
   | M.Mret ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       let ra = pop t in
       cs_pop t;
@@ -1253,11 +1310,12 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         if target < 0 || target >= code_len then raise (Halt_trap (Bad_pc target))
         else t.pc <- target
       end;
+      top_up t rest;
       rc t
   | M.Mxorbit (d, s) when okr d && okr s ->
     let sp = d = R.rsp || d = R.rbp in
     fun t ->
-      account t k;
+      account t pc1 cw;
       t.pc <- pc1;
       if sp then t.sp_struck <- true;
       (if t.fi_mask <> 0L then begin
@@ -1272,7 +1330,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       let addr = Int64.to_int (A1.unsafe_get t.regs b) + off in
       let v = load64 t addr in
@@ -1285,10 +1343,12 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
         else Int64.shift_left 1L (Int64.to_int (Int64.logand (A1.unsafe_get t.regs s) 63L))
       in
       store64 t addr (Int64.logxor v mask);
+      t.cost <- t.cost + rest;
       rc t
   | M.Mhalt ->
+    (* the run ends here, so a weighted halt never pays its weight *)
     fun t ->
-      account t k;
+      account t pc1 1;
       t.pc <- pc1;
       t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr});
       rc t
@@ -1462,7 +1522,8 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
    selector call); rsp and r0 end where they started.  Anywhere else the
    head's single decode runs and the splice goes on constituent-exact
    through the dispatch loop — the selector call is its pc's own decode,
-   and the fire path's cmp/jcc is the ordinary fused compare-branch. *)
+   its cmp/jcc the ordinary fused compare-branch, and the fire path it
+   may enter is interpreted ([interp]). *)
 let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fimap.splice) : dop =
   let pc0 = spl.Refine_backend.Fimap.sp_start and pf = spl.sp_flags and sp_end = spl.sp_end in
   let a = pc0 + if pf then 2 else 1 in
@@ -1568,10 +1629,21 @@ let fuse_llfi (image : L.image) (single : dop array) pc0 ~id ~arg (x : M.mopd) ~
 
 let idioms = [| "cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"; "llfi-call" |]
 
+(* The decode of every fire-path slot (DESIGN.md §19): the reference
+   semantics on the instruction at the pc, then the poll-slot check.  A
+   fire path runs only when REFINE's selector fires, at most once per
+   sample, so all of them share this one closure instead of holding a
+   closure specialized per slot. *)
+let interp : dop =
+ fun t ->
+  let pc = t.pc in
+  exec_instr t pc (Array.unsafe_get t.image.L.code pc);
+  rc t
+
 (* Decode a whole image: per-pc single decodes, then a fused table where
    idiom heads are replaced by superinstructions.  Interior pcs of a fused
    region keep their single decodes, so jumps landing mid-idiom dispatch
-   correctly. *)
+   correctly.  Fire-path slots are interpreted and head no idiom. *)
 let decode ?cost_of (image : L.image) : dprogram =
   let code = image.L.code in
   let n = Array.length code in
@@ -1580,7 +1652,23 @@ let decode ?cost_of (image : L.image) : dprogram =
     invalid_arg "Exec.decode: cost_of length does not match the image"
   | _ -> ());
   let cw pc = match cost_of with None -> 1 | Some c -> c.(pc) in
-  let single = Array.init n (fun pc -> decode_one ?cost_of image pc code.(pc)) in
+  (* REFINE FI splices, as the detach map reads them, on plain images
+     only: a detach target has none and carries their cost as slot
+     weights *)
+  let splices =
+    match cost_of with
+    | Some _ -> []
+    | None -> Option.value ~default:[] (Refine_backend.Fimap.splices image)
+  in
+  let fire = Array.make n false in
+  List.iter
+    (fun spl ->
+      let first, last = Refine_backend.Fimap.fire_path spl in
+      Array.fill fire first (last - first + 1) true)
+    splices;
+  let single =
+    Array.init n (fun pc -> if fire.(pc) then interp else decode_one ?cost_of image pc code.(pc))
+  in
   let fused = Array.copy single in
   let super = Array.make (Array.length idioms) 0 in
   let okr r = r >= 0 && r < R.num_regs in
@@ -1588,6 +1676,7 @@ let decode ?cost_of (image : L.image) : dprogram =
   for pc = 0 to n - 1 do
     let fused3 =
       pc + 2 < n
+      && (not fire.(pc))
       &&
       match (code.(pc), code.(pc + 1), code.(pc + 2)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt), M.Mjmp jt when jt <= pc + 2 && okr a && oko b -> (
@@ -1623,7 +1712,7 @@ let decode ?cost_of (image : L.image) : dprogram =
         | None -> false)
       | _ -> false
     in
-    if (not fused3) && pc + 1 < n then
+    if (not fused3) && pc + 1 < n && not fire.(pc) then
       match (code.(pc), code.(pc + 1)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt) when okr a && oko b && int_cc cc <> None ->
         let mask, want = match int_cc cc with Some mw -> mw | None -> assert false in
@@ -1635,41 +1724,71 @@ let decode ?cost_of (image : L.image) : dprogram =
         super.(0) <- super.(0) + 1
       | _ -> ()
   done;
-  (* REFINE FI splices, as the detach map reads them (a splice head is an
-     [Mpush]), and LLFI call groups (headed by [Mmov (r1, #id)]); neither
-     head starts another idiom.  Only on plain (unweighted) images: detach
-     targets carry the instrumentation cost as slot weights. *)
+  (* REFINE FI splices (a splice head is an [Mpush]) and LLFI call groups
+     (headed by [Mmov (r1, #id)]); neither head starts another idiom.  Only
+     on plain (unweighted) images: detach targets carry the instrumentation
+     cost as slot weights. *)
+  List.iter
+    (fun (spl : Refine_backend.Fimap.splice) ->
+      fused.(spl.sp_start) <- fuse_splice image single spl;
+      super.(3) <- super.(3) + 1)
+    splices;
   (match cost_of with
   | Some _ -> ()
   | None ->
-    List.iter
-      (fun (spl : Refine_backend.Fimap.splice) ->
-        fused.(spl.sp_start) <- fuse_splice image single spl;
-        super.(3) <- super.(3) + 1)
-      (Option.value ~default:[] (Refine_backend.Fimap.splices image));
     for pc = 0 to n - 4 do
       match (code.(pc), code.(pc + 1), code.(pc + 2), code.(pc + 3)) with
       | M.Mmov (r1, M.Imm id), M.Mmov (arg, x), M.Mcallext name, M.Mmov (d, M.Reg ret)
-        when r1 = R.gpr 1 && okr d && oko x
+        when r1 = R.gpr 1 && okr d && oko x && (not fire.(pc))
              && List.mem (name, arg, ret) Refine_backend.Fimap.llfi_calls ->
         fused.(pc) <- fuse_llfi image single pc ~id ~arg x ~ret ~d;
         super.(4) <- super.(4) + 1
       | _ -> ()
     done);
-  { d_image = image; d_fused = fused; d_single = single; d_super = super }
+  let heads = ref [] in
+  for pc = n - 1 downto 0 do
+    if fused.(pc) != single.(pc) then heads := pc :: !heads
+  done;
+  let heads = Array.of_list !heads in
+  {
+    d_image = image;
+    d_fused = fused;
+    d_heads = heads;
+    d_head_singles = Array.map (fun pc -> single.(pc)) heads;
+    d_super = super;
+  }
 
 let superinstr_counts dp = Array.copy dp.d_super
 
-(* The dispatch table while an Instr_image overlay is armed: an
-   engine-private copy of the fusion-free table (a superinstruction
-   spanning the overlaid pc would execute the pristine encoding) whose
-   overlaid slot holds the mutated instruction's decode, or — when the
-   mutated encoding no longer decodes — a closure that traps
-   [Illegal_instr] exactly as [step] does (it raises, so a hooked loop
-   does not call the hook after it). *)
+(* The engine's fusion-free table for [dp]: [dp]'s fused table with every
+   superinstruction head's own decode put back.  Only a hooked run and an
+   Instr_image overlay dispatch it, so the decode keeps just the heads and
+   an engine builds the table on first use; it keeps it until its decode
+   changes, so a sample allocates no table. *)
+let fusion_free (t : t) (dp : dprogram) =
+  let p = t.priv in
+  if p.ff_src != dp.d_fused then begin
+    let table = Array.copy dp.d_fused in
+    Array.iteri (fun j pc -> table.(pc) <- dp.d_head_singles.(j)) dp.d_heads;
+    p.ff_table <- table;
+    p.ff_src <- dp.d_fused;
+    p.ov_slot <- -1
+  end;
+  p.ff_table
+
+(* The dispatch table while an Instr_image overlay is armed: the engine's
+   fusion-free table (a superinstruction spanning the overlaid pc would
+   execute the pristine encoding) whose overlaid slot holds the mutated
+   instruction's decode, or — when the mutated encoding no longer decodes
+   — a closure that traps [Illegal_instr] exactly as [step] does (it
+   raises, so a hooked loop does not call the hook after it).  [reset], or
+   the next overlay, puts the slot's own decode back. *)
 let overlay_table (t : t) (dp : dprogram) =
-  let table = Array.copy dp.d_single in
-  let pc = t.overlay_pc in
+  let table = fusion_free t dp in
+  clear_overlay_slot t;
+  let p = t.priv and pc = t.overlay_pc in
+  p.ov_saved <- table.(pc);
+  p.ov_slot <- pc;
   table.(pc) <-
     (match t.overlay_instr with
     | Some i -> decode_one t.image pc i
@@ -1678,7 +1797,8 @@ let overlay_table (t : t) (dp : dprogram) =
 
 (* Install (or uninstall, with [None]) a decoded program on an engine.
    The dprogram must have been built from the engine's own image — decoded
-   closures bake that image's class/extern tables and code bounds.
+   closures bake that image's extern slots and code bounds and read its
+   class table.
    Installing the program already installed is a no-op. *)
 let install_decoded (t : t) = function
   | Some dp ->
@@ -1721,8 +1841,9 @@ let step_loop (t : t) ~max_steps ~max_cost ~check =
    the engine to its overlay table mid-run (the FI control library
    installs Instr_image overlays at the trigger).
 
-   While a hook is attached the loop dispatches the fusion-free table (or
-   the overlay table) and does what [step] does around it: charge the
+   While a hook is attached the loop dispatches the engine's fusion-free
+   table ([fusion_free], which an armed overlay writes its slot into) and
+   does what [step] does around it: charge the
    hook's cost first, then call the hook after the instruction at a pc the
    hook declares, unless the instruction trapped.  A declared visit that
    finds the skip window open (decided before the instruction runs, so an
@@ -1739,7 +1860,6 @@ let decoded_loop (t : t) ~max_steps ~max_cost ~check =
   t.d_max_steps <- max_steps;
   t.d_max_cost <- max_cost;
   let len = Array.length t.image.L.code in
-  let single = match t.dprog with Some dp -> dp.d_single | None -> [||] in
   let bad_pc pc =
     t.status <- Trapped (Bad_pc pc);
     if t.steps land 1023 = 0 then check ()
@@ -1757,6 +1877,7 @@ let decoded_loop (t : t) ~max_steps ~max_cost ~check =
          done
        | Some _ ->
          t.d_check <- no_check;
+         let table = match t.dprog with Some dp -> fusion_free t dp | None -> [||] in
          while
            live t ~max_steps ~max_cost && match t.post_hook with Some _ -> true | None -> false
          do
@@ -1767,7 +1888,6 @@ let decoded_loop (t : t) ~max_steps ~max_cost ~check =
              | None -> ()
              | Some h ->
                t.cost <- t.cost + h.hook_cost;
-               let table = if t.overlay_pc < 0 then single else t.d_active in
                if not h.hook_pcs.(pc) then (Array.unsafe_get table pc) t
                else if t.fi_skip > 0 then begin
                  (Array.unsafe_get table pc) t;

@@ -70,13 +70,18 @@ type profile = {
     the observability registry after the run (DESIGN.md §12). *)
 
 type dprogram
-(** A pre-decoded program (DESIGN.md §19): one closure per code slot with
+(** A pre-decoded program (DESIGN.md §19): a dispatch table with one entry
+    per code slot — a closure specialized to the slot's instruction, with
     operands, flag-word ops, branch targets and extern slots resolved at
-    decode time, plus a parallel table where the hot MinC idioms
-    (compare-branch, load-op-store, loop-back-edge) are fused into
-    superinstructions.  Immutable and engine-free: one [dprogram] is
-    decoded per snapshot (content-addressed by the campaign layer) and
-    shared read-only by every engine and domain executing that image.
+    decode time, except on the fire paths of REFINE's splices, whose slots
+    all share one closure that interprets the instruction — where the hot
+    MinC idioms (compare-branch, load-op-store, loop-back-edge) head
+    superinstructions, plus each head's own decode, from which an engine
+    that must dispatch fusion-free (a hooked run, an Instr_image overlay)
+    builds its own fusion-free table.  Immutable and engine-free: one
+    [dprogram] is decoded per snapshot (content-addressed by the campaign
+    layer) and shared read-only by every engine and domain executing that
+    image.
     A superinstruction retires its constituents in one batch only when no
     poll slot or budget edge falls inside it, and otherwise runs the
     constituents' single decodes, so decoded execution is bit-identical to
@@ -84,8 +89,9 @@ type dprogram
     asserts. *)
 
 type priv
-(** Engine-private state: the touched-page map and the snapshot {!reset}
-    restores.  Opaque outside this module. *)
+(** Engine-private state: the touched-page map, the snapshot {!reset}
+    restores and the engine's fusion-free dispatch table.  Opaque outside
+    this module. *)
 
 type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -149,10 +155,10 @@ type t = {
           of the image, not of a sample). *)
   mutable d_active : (t -> unit) array;
       (** live dispatch table: the fused table normally; while an
-          Instr_image overlay is armed, an engine-private copy of the
-          fusion-free table whose overlaid slot runs the mutated
-          instruction (a superinstruction spanning the overlaid pc would
-          execute the pristine encoding).  Internal. *)
+          Instr_image overlay is armed, the engine's own fusion-free table
+          whose overlaid slot runs the mutated instruction (a
+          superinstruction spanning the overlaid pc would execute the
+          pristine encoding).  Internal. *)
   mutable d_check : unit -> unit;
       (** the active run's poll-slot check, installed for the duration of
           a decoded {!run} so superinstruction constituents can self-check
@@ -318,9 +324,11 @@ val set_overlay : t -> pc:int -> Refine_mir.Minstr.t option -> unit
 (** Install the Instr_image corruption overlay at [pc] ([None] = the
     mutated encoding is illegal; executing that slot traps
     [Illegal_instr]).  The shared image code is never written: a decoded
-    engine switches to a private copy of its fusion-free table whose slot
-    [pc] runs the mutated instruction.  {!reset} clears the overlay.
-    [Invalid_argument] if [pc] is outside the code image. *)
+    engine switches to its own fusion-free table whose slot [pc] runs the
+    mutated instruction.  The engine keeps that table until its decode
+    changes ({!reset} and a later overlay put the slot's own decode back),
+    so an overlay on a warm engine allocates no table.  {!reset} clears
+    the overlay.  [Invalid_argument] if [pc] is outside the code image. *)
 
 val enable_profiling : t -> profile
 (** Attach (or return the already-attached) executor profile.  The record
@@ -338,23 +346,30 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
     code slot ([Invalid_argument] on a length mismatch; default weight 1
     everywhere).  Detach targets are decoded with the correspondence map's
     weights so a detached run charges the same modeled cost the attached
-    run would have — batched superinstruction retirement scales its
+    run would have.  Each weighted slot gets the fast closure of its
+    form, which charges the weight only if the slot retires with the run
+    still going (a trap or the run's end charges 1), as the {!step}
+    reference does; batched superinstruction retirement scales its
     budget-edge math by the constituent weights and stays
     constituent-exact.
 
     On a plain image (no [cost_of]) every splice of
     [Refine_backend.Fimap.splices] is fused into one ["fi-splice"]
-    superinstruction. *)
+    superinstruction, and every slot of its fire path
+    ([Refine_backend.Fimap.fire_path]), which runs at most once per
+    sample, maps to one interpreter closure that the whole decode shares
+    and heads no superinstruction. *)
 
 val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must
     have been built from the engine's own image ([Invalid_argument]
-    otherwise — decoded closures bake that image's class and extern-slot
-    tables).  Installing the program already installed is a no-op.  With
-    a program installed, {!run} uses threaded dispatch over the decoded
-    closure table (the fusion-free table, with the hook charged and called
-    around it, while a [post_hook] is attached); without one, {!run}
-    drives {!step} in a loop — the reference semantics. *)
+    otherwise — decoded closures bake that image's extern slots and code
+    length, and read its class table).  Installing the program already
+    installed is a no-op.  With a program installed, {!run} uses threaded
+    dispatch over the decoded closure table (the engine's fusion-free
+    table, with the hook charged and called around it, while a
+    [post_hook] is attached); without one, {!run} drives {!step} in a
+    loop — the reference semantics. *)
 
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)

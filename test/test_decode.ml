@@ -15,6 +15,7 @@
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
+module Ir = Refine_ir.Ir
 module X = Refine_machine.Exec
 module L = Refine_backend.Layout
 module P = Refine_support.Prng
@@ -488,6 +489,336 @@ let test_loop_shapes_decoded_equal_step () =
       ("trap under PINFI profiling", profiling, 1 + Refine_core.Fi_cost.pin_attach_per_instr);
     ]
 
+(* --- weighted slots: each form's fast closure = step + top-up ----------- *)
+
+(* The reference semantics of a weighted decode (DESIGN.md §20): [step]
+   the image and, after each retired slot, add the rest of its weight
+   while the run is still [Running]; then the loop's poll-slot check.  A
+   slot that traps or ends the run is charged 1, as the attached run never
+   reaches the splice its weight stands for.  [on_slot] sees each slot's
+   pc, the cost before it and the engine after it. *)
+let weighted_reference ?(on_slot = fun _ _ _ -> ()) ~weights ~max_steps ~max_cost ~poll
+    (e : X.t) =
+  while e.X.status = X.Running && e.X.steps < max_steps && e.X.cost < max_cost do
+    let pc = e.X.pc and c0 = e.X.cost in
+    X.step e;
+    if e.X.status = X.Running then e.X.cost <- e.X.cost + weights.(pc) - 1;
+    on_slot pc c0 e;
+    if e.X.steps land 1023 = 0 then poll ()
+  done;
+  if e.X.status = X.Running then e.X.status <- X.Timed_out
+
+(* A counted loop whose body holds every form a weighted slot can take and
+   retire — integer ALU, move, address, conversion, store, load, divide,
+   push, pop, a call and its return, an extern call, the latch's compare
+   and branch — 17 steps an iteration, so successive poll slots fall on
+   different slots of the body, after [pad] leading moves that shift them
+   further; then the jump to one [ending] *)
+let weighted_program ~pad ~iters ending =
+  let g = R.gpr in
+  let l = pad + 2 in
+  let fn = l + 16 + List.length ending in
+  List.init pad (fun i -> M.Mmov (g 9, M.Imm (Int64.of_int i)))
+  @ [ M.Mmov (g 3, M.Imm (Int64.of_int iters)); M.Mmov (g 4, M.Imm 7L) ]
+  @ [
+      M.Mbin (Ir.Add, g 5, g 5, M.Imm 3L) (* l: loop head *);
+      M.Mmov (g 6, M.Reg (g 5));
+      M.Mlea (g 13, R.rsp, None, -8);
+      M.Mcvt (Ir.Sitofp, R.fpr 2, g 5);
+      M.Mstore (g 5, R.rsp, -16);
+      M.Mload (g 7, R.rsp, -16);
+      M.Mbin (Ir.Div, g 8, g 7, M.Reg (g 4));
+      M.Mpush (g 8);
+      M.Mpop (g 9);
+      M.Mcalli fn;
+      M.Mmov (g 1, M.Reg (g 3));
+      M.Mcallext "print_int";
+      M.Mbin (Ir.Sub, g 3, g 3, M.Imm 1L);
+      M.Mcmp (g 3, M.Imm 0L);
+      M.Mjcc (M.CNe, l);
+      M.Mjmp (l + 16);
+    ]
+  @ ending
+  @ [ M.Mbin (Ir.Xor, g 10, g 10, M.Reg (g 5)) (* fn *); M.Mret ]
+
+(* every way a weighted slot can end the run, and a run that only times
+   out, each with the status it ends in *)
+let weighted_endings =
+  let g = R.gpr in
+  [
+    ( "faulting load",
+      [ M.Mmov (g 11, M.Imm 0L); M.Mload (g 12, g 11, 8) ],
+      X.Trapped (X.Mem_fault 8) );
+    ( "faulting store",
+      [ M.Mmov (g 11, M.Imm (-64L)); M.Mstore (g 5, g 11, 0) ],
+      X.Trapped (X.Mem_fault (-64)) );
+    ( "divide by zero",
+      [ M.Mmov (g 11, M.Imm 0L); M.Mbin (Ir.Div, g 12, g 5, M.Reg (g 11)) ],
+      X.Trapped X.Div_by_zero );
+    ("remainder by zero", [ M.Mbin (Ir.Rem, g 12, g 5, M.Imm 0L) ], X.Trapped X.Div_by_zero);
+    ( "pop past the stack",
+      [ M.Mpop (g 12); M.Mpop (g 12) ],
+      X.Trapped (X.Mem_fault Refine_ir.Memlayout.mem_size) );
+    ("ret to the sentinel", [ M.Mmov (R.ret_gpr, M.Imm 5L); M.Mret ], X.Exited 5);
+    ( "ret to a bad pc",
+      [ M.Mmov (g 11, M.Imm 99_999L); M.Mpush (g 11); M.Mret ],
+      X.Trapped (X.Bad_pc 99_999) );
+    ("halt", [ M.Mmov (R.ret_gpr, M.Imm 6L); M.Mhalt ], X.Exited 6);
+    ("extern exit", [ M.Mmov (g 1, M.Imm 7L); M.Mcallext "exit" ], X.Exited 7);
+    ("spin to the budget", [ M.Mjmp 0 ], X.Timed_out);
+  ]
+
+(* A weighted decode (random weights, a quarter of the slots at 1) must
+   stop every run in the reference's state: status, steps, cost, pc,
+   registers, output, the stack and every poll slot's view.  The runs are
+   cut at every cost and step budget within one unit of each weighted
+   slot's retirement in the first iterations, around each poll slot and at
+   the end, and at every step budget next to a poll slot. *)
+let test_weighted_slots_equal_reference () =
+  let stack (e : X.t) =
+    Bigarray.Array1.sub e.X.mem (Refine_ir.Memlayout.mem_size - 65536) 65536
+  in
+  let observe (e : X.t) polls =
+    ( e.X.status,
+      e.X.steps,
+      e.X.cost,
+      e.X.pc,
+      Test_fastpath.regs_of e,
+      Buffer.contents e.X.env.Refine_ir.Externs.out,
+      stack e,
+      polls )
+  in
+  List.iteri
+    (fun case (what, ending, ends_in) ->
+      List.iter
+        (fun pad ->
+          let image = Test_fastpath.image_of (weighted_program ~pad ~iters:150 ending) in
+          let n = Array.length image.L.code in
+          let rng = P.create ((case * 31) + pad) in
+          let weights = Array.init n (fun _ -> if P.int rng 4 = 0 then 1 else 2 + P.int rng 40) in
+          let leg = X.create image and dec = X.create image in
+          X.install_decoded dec (Some (X.decode ~cost_of:weights image));
+          let run_ref ?on_slot ~max_steps ~max_cost () =
+            X.reset leg;
+            let polls = ref [] in
+            let poll () = polls := (leg.X.steps, leg.X.cost, leg.X.pc) :: !polls in
+            weighted_reference ?on_slot ~weights ~max_steps ~max_cost ~poll leg;
+            observe leg !polls
+          in
+          let run_dec ~max_steps ~max_cost =
+            X.reset dec;
+            let polls = ref [] in
+            let poll () = polls := (dec.X.steps, dec.X.cost, dec.X.pc) :: !polls in
+            ignore
+              (X.run ~max_steps:(Int64.of_int max_steps) ~max_cost:(Int64.of_int max_cost) ~poll dec);
+            observe dec !polls
+          in
+          (* the full run, recording where each weighted slot retires *)
+          let slots = ref [] in
+          (* ends the spin after a few poll slots; every other ending
+             comes first *)
+          let full_cost = 100_000 in
+          let on_slot pc c0 (e : X.t) =
+            if weights.(pc) > 1 then slots := (e.X.steps, c0, e.X.cost) :: !slots
+          in
+          ignore (run_ref ~on_slot ~max_steps:max_int ~max_cost:full_cost ());
+          if leg.X.status <> ends_in then
+            Alcotest.failf "%s, pad %d: the reference run does not reach its ending" what pad;
+          let total = leg.X.steps in
+          let near s = s <= 34 || (s + 17) land 1023 <= 34 || s >= total - 34 in
+          let cost_cuts, step_cuts =
+            List.fold_left
+              (fun (cc, sc) (s, c0, c1) ->
+                if near s then
+                  ( [ c0 - 1; c0; c0 + 1; c1 - 1; c1; c1 + 1 ] @ cc,
+                    [ s - 1; s; s + 1 ] @ sc )
+                else (cc, sc))
+              ([ full_cost ], List.concat (List.init ((total / 1024) + 1) (fun m ->
+                   [ (1024 * m) - 1; 1024 * m; (1024 * m) + 1 ])))
+              !slots
+          in
+          let check label ~max_steps ~max_cost =
+            if run_dec ~max_steps ~max_cost <> run_ref ~max_steps ~max_cost () then
+              Alcotest.failf "%s, pad %d: decoded run diverges from the reference at %s" what pad
+                label
+          in
+          List.iter
+            (fun c ->
+              if c > 0 then check (Printf.sprintf "max_cost %d" c) ~max_steps:max_int ~max_cost:c)
+            (List.sort_uniq compare cost_cuts);
+          List.iter
+            (fun s ->
+              if s > 0 then
+                check (Printf.sprintf "max_steps %d" s) ~max_steps:s ~max_cost:full_cost)
+            (List.sort_uniq compare step_cuts))
+        [ case mod 3; 7 + (case mod 5) ])
+    weighted_endings
+
+(* --- fire paths: interpreted, one closure for the whole decode ----------- *)
+
+(* A fire path runs at most once per sample, so the decode holds no
+   closure of its own for it: over the 14 REFINE images the decode's own
+   words (those its image does not already hold) stay under 8 per code
+   slot.  A specialized closure per fire-path slot costs 12.8–12.9 words
+   per slot on every program. *)
+let test_fire_path_words () =
+  List.iter
+    (fun (b : Reg.bench) ->
+      let p = T.prepare T.Refine b.Reg.source in
+      let n = Array.length p.T.image.L.code in
+      let own =
+        Obj.reachable_words (Obj.repr p.T.dprog) - Obj.reachable_words (Obj.repr p.T.image)
+      in
+      if own > 8 * n then
+        Alcotest.failf "%s: the decode holds %d words for %d code slots (%.1f per slot, limit 8)"
+          b.Reg.name own n
+          (float_of_int own /. float_of_int n))
+    Reg.all
+
+(* A firing Reg_bit sample runs its fire path through the shared
+   interpreter closure.  Cut at every cost budget from just before the
+   fire path to just after it, once for a target whose fire path holds no
+   poll slot and once for one whose fire path retires an instruction on a
+   poll slot, the decoded run must stop in the step loop's state, with
+   the same fault record and selector count. *)
+let test_fire_path_decoded_equal_step () =
+  let p = T.prepare T.Refine (List.find (fun (b : Reg.bench) -> b.Reg.name = "EP") Reg.all).Reg.source in
+  let image = p.T.image in
+  let fire =
+    match Fm.splices image with
+    | Some l -> List.map Fm.fire_path l
+    | None -> Alcotest.fail "EP: the REFINE splices do not parse"
+  in
+  let on_fire pc = List.exists (fun (a, b) -> a <= pc && pc <= b) fire in
+  let inject target e =
+    let ctrl = Rt.create (Rt.Inject { target; rng = P.create target; model = F.Reg_bit }) in
+    X.reset ~ext_extra:(Rt.refine_handlers ctrl) e;
+    fun () ->
+      Rt.absorb ctrl e;
+      (ctrl.Rt.count, ctrl.Rt.record)
+  in
+  (* the steps and costs at which target's fire path starts and ends *)
+  let span target =
+    let e = X.create image in
+    let (_ : unit -> _) = inject target e in
+    let first = ref None and last = ref None and left = ref false in
+    while e.X.status = X.Running && not !left do
+      let pc = e.X.pc and c0 = e.X.cost in
+      X.step e;
+      if on_fire pc then begin
+        if !first = None then first := Some (e.X.steps, c0);
+        last := Some (e.X.steps, e.X.cost)
+      end
+      else if !last <> None then left := true
+    done;
+    match (!first, !last) with
+    | Some (s0, c0), Some (s1, c1) -> (s0, c0, s1, c1)
+    | _ -> Alcotest.failf "EP: target %d never fires" target
+  in
+  let polled target =
+    let s0, _, s1, _ = span target in
+    s1 / 1024 > (s0 - 1) / 1024
+  in
+  let rec find target =
+    if target > 2_000 then Alcotest.fail "EP: no fire path holds a poll slot"
+    else if polled target then target
+    else find (target + 1)
+  in
+  List.iter
+    (fun target ->
+      let _, c0, _, c1 = span target in
+      decoded_equals_step
+        ~what:(Printf.sprintf "EP fire path, target %d" target)
+        ~budgets:(List.init (c1 - c0 + 5) (fun i -> c0 - 2 + i) @ [ 100_000_000 ])
+        image (inject target))
+    [ 3; find 100 ]
+
+(* --- the Instr_image overlay table: one engine-owned copy ---------------- *)
+
+(* Overlays on one engine write into the engine's one fusion-free table,
+   which a reset or the next overlay puts back to pristine.  After an
+   illegal overlay on the program's hottest pc, a hooked run (which
+   dispatches the same table), and an illegal overlay there again
+   replaced by a legal one elsewhere, must each run like the step loop;
+   the first overlay on a decode builds the table, and a later one
+   allocates no table. *)
+let test_overlay_table_reused () =
+  let p = T.prepare T.Refine (List.find (fun (b : Reg.bench) -> b.Reg.name = "EP") Reg.all).Reg.source in
+  let image = p.T.image in
+  let n = Array.length image.L.code in
+  (* REFINE's library in profiling mode: every selector call answers 0 *)
+  let profiling () = Rt.refine_handlers (Rt.create Rt.Profile) in
+  let visits = Array.make n 0 in
+  let e = X.create ~ext_extra:(profiling ()) image in
+  while e.X.status = X.Running && e.X.steps < 200_000 do
+    visits.(e.X.pc) <- visits.(e.X.pc) + 1;
+    X.step e
+  done;
+  (* the two most visited pcs *)
+  let by_visits = List.sort (fun a b -> compare visits.(b) visits.(a)) (List.init n Fun.id) in
+  let hot = List.nth by_visits 0 and other = List.nth by_visits 1 in
+  let eng = X.create_from_snapshot ~ext_extra:(profiling ()) p.T.snap in
+  X.install_decoded eng (Some p.T.dprog);
+  let words f =
+    let words () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let w = words () in
+    f ();
+    int_of_float (words () -. w)
+  in
+  let cold = words (fun () -> X.set_overlay eng ~pc:hot None) in
+  if cold < n then Alcotest.failf "the first overlay allocated %d words, not a %d-slot table" cold n;
+  (match (X.run ~max_steps:200_000L eng).X.status with
+  | X.Trapped (X.Illegal_instr pc) when pc = hot -> ()
+  | _ -> Alcotest.failf "the illegal overlay at pc %d was never reached" hot);
+  (* a hooked run dispatches the same table, pristine again after reset;
+     the hook declares no pc, so REFINE's skip window has no visit of its
+     to retire *)
+  let hook (e : X.t) =
+    e.X.post_hook <-
+      Some { X.on_instr = (fun _ _ _ -> ()); hook_cost = 2; hook_pcs = Array.make n false }
+  in
+  X.reset ~ext_extra:(profiling ()) eng;
+  hook eng;
+  let hooked = X.run ~max_steps:200_000L eng in
+  let reference = X.create ~ext_extra:(profiling ()) image in
+  hook reference;
+  Alcotest.check Test_fastpath.result_t "hooked run after reset runs like the step loop"
+    (X.run ~max_steps:200_000L reference) hooked;
+  X.reset ~ext_extra:(profiling ()) eng;
+  (* a second overlay replaces the first, as in the step loop *)
+  X.set_overlay eng ~pc:hot None;
+  let legal = Some image.L.code.(other) in
+  let warm = words (fun () -> X.set_overlay eng ~pc:other legal) in
+  if warm >= 256 then Alcotest.failf "an overlay on a warm engine allocated %d words" warm;
+  let reference = X.create ~ext_extra:(profiling ()) image in
+  X.set_overlay reference ~pc:other legal;
+  Alcotest.check Test_fastpath.result_t "second overlay runs like the step loop"
+    (X.run ~max_steps:200_000L reference) (X.run ~max_steps:200_000L eng);
+  Alcotest.(check (array int64)) "same registers" (Test_fastpath.regs_of reference)
+    (Test_fastpath.regs_of eng)
+
+(* Production Instr_image samples share the domain's engine: consecutive
+   samples, at two pcs at least, each equal the named oracle. *)
+let test_instr_samples_share_engine () =
+  let p = T.prepare T.Refine Test_fastpath.src_int in
+  let pcs = Hashtbl.create 8 in
+  let rec go s =
+    if s < 16 then begin
+      let prod = T.run_injection ~model:F.Instr_image p (P.create s) in
+      let refr = Oracle.injection ~model:F.Instr_image p (P.create s) in
+      if prod <> refr then Alcotest.failf "Instr_image sample %d diverges from the oracle" s;
+      (match prod.F.fault with
+      | Some r -> Scanf.sscanf r.F.reg_name "code[%d]" (fun pc -> Hashtbl.replace pcs pc ())
+      | None -> ());
+      go (s + 1)
+    end
+  in
+  go 0;
+  Alcotest.(check bool) "samples at two different pcs" true (Hashtbl.length pcs >= 2)
+
 (* --- the named oracle: production sample = step-loop reference ---------- *)
 
 let all_models =
@@ -587,4 +918,14 @@ let tests =
     qcheck prop_production_matches_reference;
     Alcotest.test_case "production profile = step-loop reference (3 tools x 14, opcode)" `Quick
       test_profiles_match_reference;
+    Alcotest.test_case "weighted slots = step reference at every budget edge" `Quick
+      test_weighted_slots_equal_reference;
+    Alcotest.test_case "fire paths hold no closure of their own (14 REFINE images)" `Quick
+      test_fire_path_words;
+    Alcotest.test_case "firing sample = step across a fire path, poll slot inside" `Quick
+      test_fire_path_decoded_equal_step;
+    Alcotest.test_case "overlay table reused: slot restored, no copy when warm" `Quick
+      test_overlay_table_reused;
+    Alcotest.test_case "Instr_image samples at two pcs on one engine = oracle" `Quick
+      test_instr_samples_share_engine;
   ]
