@@ -10,7 +10,10 @@
    to [Mcalli], and MinC sources cannot name the FI runtime library) — and
    the PreFI/PostFI shape around the anchor is rigid.  [extract] parses the
    splices, drops them, translates branch targets through the
-   instrumented-pc -> golden-pc rank map and re-indexes the per-pc tables.
+   instrumented-pc -> golden-pc rank table and re-indexes the per-pc
+   tables.  The dense rank table lives only while [extract] runs: what
+   the map keeps is one piece per run of mapped or dropped pcs
+   ([handoff]), about two per splice.
 
    The [cost_w] table carries the attached cost model onto the twin: each
    candidate's golden pc is weighted with the full modeled cost of its
@@ -36,12 +39,64 @@ type splice = {
   sp_flags : bool;  (* the splice saves FLAGS: [Mpushf] / [Mpopf] around the call *)
 }
 
-type t = {
-  rank_of_pc : int array;
-  next_rank : int array;
-  cost_w : int array;
-  splices : splice list;
-}
+(* The correspondence as pieces: piece k covers the instrumented pcs
+   from [h_pcs.(k)] up to the next piece's start, which map to
+   consecutive twin pcs from [h_ranks.(k)], or have none when it is -1.
+   A REFINE image alternates a mapped run of original code with one
+   splice's dropped pcs, so the pieces number about two per splice
+   rather than one per code slot; the last piece starts at the image
+   length and has no counterpart. *)
+type handoff = { h_pcs : int array; h_ranks : int array }
+
+(* the piece holding [pc] >= 0: the last k with h_pcs.(k) <= pc *)
+let piece h pc =
+  let lo = ref 0 and hi = ref (Array.length h.h_pcs - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if h.h_pcs.(mid) <= pc then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+let rank h pc =
+  if pc < 0 then -1
+  else
+    let k = piece h pc in
+    let r = h.h_ranks.(k) in
+    if r < 0 then -1 else r + (pc - h.h_pcs.(k))
+
+let next h pc =
+  let r = rank h pc in
+  if r >= 0 || pc < 0 then r
+  else
+    (* the first twin pc of a later mapped piece *)
+    let rec first k =
+      if k >= Array.length h.h_ranks then -1
+      else if h.h_ranks.(k) >= 0 then h.h_ranks.(k)
+      else first (k + 1)
+    in
+    first (piece h pc + 1)
+
+(* The pieces of a dense rank table: a new piece wherever a pc's rank
+   does not continue its predecessor's, then the end piece. *)
+let pieces_of (rank_of_pc : int array) =
+  let n = Array.length rank_of_pc in
+  let out = ref [ (n, -1) ] in
+  for pc = n - 1 downto 0 do
+    let r = rank_of_pc.(pc) in
+    let continues =
+      pc > 0
+      &&
+      let p = rank_of_pc.(pc - 1) in
+      if r < 0 then p < 0 else p >= 0 && r = p + 1
+    in
+    if not continues then out := (pc, r) :: !out
+  done;
+  {
+    h_pcs = Array.of_list (List.map fst !out);
+    h_ranks = Array.of_list (List.map snd !out);
+  }
+
+type t = { handoff : handoff; cost_w : int array; splices : splice list }
 
 (* Parse every splice of [code], anchored at [Mcallext "fi_sel_instr"].
    Raises [Not_found] on any shape violation — the image then runs
@@ -159,22 +214,17 @@ let extract ~lib_call_cost (instr : Layout.image) : (Layout.image * t) option =
     if Array.exists Option.is_none translated || rank_of_pc.(instr.Layout.entry) < 0 then None
     else
       let code = Array.map Option.get translated in
-      let next_rank = Array.make (n + 1) (-1) in
-      for pc = n - 1 downto 0 do
-        next_rank.(pc) <- (if rank_of_pc.(pc) >= 0 then rank_of_pc.(pc) else next_rank.(pc + 1))
-      done;
       let twin =
         {
           instr with
           Layout.code;
           entry = rank_of_pc.(instr.Layout.entry);
-          func_of_pc = Array.map (fun pc -> instr.Layout.func_of_pc.(pc)) pcs;
-          func_starts = List.map (fun (f, pc) -> (f, rank_of_pc.(pc))) instr.Layout.func_starts;
-          ext_slot_of_pc = Array.map (fun pc -> instr.Layout.ext_slot_of_pc.(pc)) pcs;
-          class_of_pc = Array.map (fun i -> M.iclass_index (M.classify i)) code;
+          func_starts = Array.map (fun (f, pc) -> (f, rank_of_pc.(pc))) instr.Layout.func_starts;
+          ext_slot_of_pc = String.init !g (fun r -> instr.Layout.ext_slot_of_pc.[pcs.(r)]);
+          class_of_pc = Layout.class_table code;
         }
       in
-      Some (twin, { rank_of_pc; next_rank; cost_w; splices = spl })
+      Some (twin, { handoff = pieces_of rank_of_pc; cost_w; splices = spl })
 
 let map_eligible (instr : Layout.image) : bool =
   Option.is_some (extract ~lib_call_cost:0 instr)

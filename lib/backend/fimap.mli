@@ -33,15 +33,36 @@ val fire_path : splice -> int * int
     blocks — which run only when the selector fires, so at most once per
     injection sample.  [Exec.decode] interprets them (DESIGN.md §19). *)
 
+type handoff = {
+  h_pcs : int array;
+      (** ascending instrumented pcs, the first 0: where each piece of the
+          correspondence starts.  A piece runs up to the next one's start;
+          the last starts at the image length and has no counterpart. *)
+  h_ranks : int array;
+      (** per piece: the twin pc of its first pc, the piece's later pcs
+          mapping to the twin pcs that follow it, or [-1] when the piece
+          has no counterpart (a splice's inserted pcs, except the start of
+          a call-site candidate's splice, which maps to its collapsed
+          [Mjmp]) *)
+}
+(** The instrumented-pc -> twin-pc correspondence, sized by the splices:
+    a REFINE image alternates runs of original code with dropped
+    splices, so it has two pieces per splice (plus the code before the
+    first splice and the end piece) instead of an entry per code slot.  [Exec] uses it, through {!rank} and {!next}, to
+    drain, validate and translate a detach handoff. *)
+
+val rank : handoff -> int -> int
+(** The twin pc of an instrumented pc, or [-1] when it has none
+    (including every pc outside the image).  A binary search over the
+    pieces. *)
+
+val next : handoff -> int -> int
+(** The twin pc of the first mapped instrumented pc at or after [pc]
+    ([-1] when none follows, from the image length on, and for a
+    negative [pc]) — return-address translation for live frames. *)
+
 type t = {
-  rank_of_pc : int array;
-      (** instrumented pc -> twin pc; [-1] for spliced (inserted) pcs,
-          except the start of a call-site candidate's splice, which maps
-          to its collapsed [Mjmp] *)
-  next_rank : int array;
-      (** length [n+1]: twin pc of the first mapped instruction at or
-          after each instrumented pc ([-1] past the end) — return-address
-          translation for live frames *)
+  handoff : handoff;  (** the instrumented -> twin correspondence *)
   cost_w : int array;
       (** per twin pc: attached-equivalent modeled cost weight, fed to
           [Exec.decode]'s [cost_of] — 1 for plain instructions, 1 + the

@@ -1,7 +1,12 @@
 (* Final code emission: concatenates every function's blocks in layout
    order, resolves labels to absolute code indices and produces the
    executable image the machine simulator runs.  The paper's "Assembly /
-   Object Emitter" stage. *)
+   Object Emitter" stage.
+
+   Per-pc metadata is one byte per code slot, and the owning function of
+   a pc is found from the function starts: a REFINE image is about twenty
+   times as long as its golden binary, so a word per slot per table would
+   dominate what a prepared binary keeps. *)
 
 module M = Refine_mir.Minstr
 module F = Refine_mir.Mfunc
@@ -9,18 +14,18 @@ module F = Refine_mir.Mfunc
 type image = {
   code : M.t array;
   entry : int; (* address of main's first instruction *)
-  func_of_pc : string array; (* owning function, per instruction *)
-  func_starts : (string * int) list;
+  func_starts : (string * int) array; (* ascending first pcs, layout order *)
   globals : Refine_ir.Ir.global list;
   global_addr : string -> int;
   heap_base : int;
   ext_names : string array; (* unique extern names called by the image *)
-  ext_slot_of_pc : int array;
-      (* per pc: index into [ext_names] when code.(pc) is Mcallext, else -1
-         — lets the simulator resolve extern dispatch once per engine
-         instead of hashing the name on every call *)
-  class_of_pc : int array;
-      (* per pc: [Minstr.iclass_index (Minstr.classify code.(pc))],
+  ext_slot_of_pc : string;
+      (* one byte per pc: index into [ext_names] when code.(pc) is
+         Mcallext, else '\255' — lets the simulator resolve extern
+         dispatch once per engine instead of hashing the name on every
+         call *)
+  class_of_pc : string;
+      (* one byte per pc: [Minstr.iclass_index (Minstr.classify code.(pc))],
          precomputed so the executor's profiling branch is one table read
          instead of two variant matches per instruction.  Stays exact under
          opcode corruption: [Opcode_fi.alternatives] only substitutes
@@ -28,6 +33,26 @@ type image = {
 }
 
 exception Layout_error of string
+
+let max_ext_slots = 255
+
+let ext_slot image pc =
+  match image.ext_slot_of_pc.[pc] with '\255' -> -1 | c -> Char.code c
+
+let class_table code =
+  String.init (Array.length code) (fun pc -> Char.chr (M.iclass_index (M.classify code.(pc))))
+
+let func_at image pc =
+  if pc < 0 || pc >= Array.length image.code then
+    invalid_arg (Printf.sprintf "Layout.func_at: pc %d outside the code" pc);
+  (* the last function starting at or before [pc] *)
+  let s = image.func_starts in
+  let lo = ref 0 and hi = ref (Array.length s - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if snd s.(mid) <= pc then lo := mid else hi := mid - 1
+  done;
+  fst s.(!lo)
 
 let build ~(globals : Refine_ir.Ir.global list) (funcs : F.t list) : image =
   let global_addr, heap_base = Refine_ir.Memlayout.place_globals globals in
@@ -44,8 +69,7 @@ let build ~(globals : Refine_ir.Ir.global list) (funcs : F.t list) : image =
       funcs
   in
   let code = Array.make (max 1 !total) M.Mhalt in
-  let func_of_pc = Array.make (max 1 !total) "" in
-  let ext_slot_of_pc = Array.make (max 1 !total) (-1) in
+  let ext_slot_of_pc = Bytes.make (max 1 !total) '\255' in
   let ext_slots = Hashtbl.create 8 in
   let ext_names_rev = ref [] in
   let ext_slot name =
@@ -53,6 +77,8 @@ let build ~(globals : Refine_ir.Ir.global list) (funcs : F.t list) : image =
     | Some k -> k
     | None ->
       let k = Hashtbl.length ext_slots in
+      if k >= max_ext_slots then
+        raise (Layout_error (Printf.sprintf "more than %d distinct externs" max_ext_slots));
       Hashtbl.replace ext_slots name k;
       ext_names_rev := name :: !ext_names_rev;
       k
@@ -89,10 +115,9 @@ let build ~(globals : Refine_ir.Ir.global list) (funcs : F.t list) : image =
                 | other -> other
               in
               (match resolved with
-              | M.Mcallext name -> ext_slot_of_pc.(!pos) <- ext_slot name
+              | M.Mcallext name -> Bytes.set ext_slot_of_pc !pos (Char.chr (ext_slot name))
               | _ -> ());
               code.(!pos) <- resolved;
-              func_of_pc.(!pos) <- mf.F.mname;
               incr pos)
             b.code)
         mf.F.blocks)
@@ -105,12 +130,11 @@ let build ~(globals : Refine_ir.Ir.global list) (funcs : F.t list) : image =
   {
     code;
     entry;
-    func_of_pc;
-    func_starts;
+    func_starts = Array.of_list func_starts;
     globals;
     global_addr;
     heap_base;
     ext_names = Array.of_list (List.rev !ext_names_rev);
-    ext_slot_of_pc;
-    class_of_pc = Array.map (fun i -> M.iclass_index (M.classify i)) code;
+    ext_slot_of_pc = Bytes.unsafe_to_string ext_slot_of_pc;
+    class_of_pc = class_table code;
   }

@@ -23,7 +23,8 @@ type t = {
   block_bounds : (M.label * int * int) list; (* label, first pos, one-past-last *)
   positions : M.t array; (* linearized code *)
   (* positions of call instructions, extended over their ABI marshal/result
-     movs: an interval overlapping any of these must survive a call *)
+     movs, ascending: an interval overlapping any of these must survive a
+     call *)
   call_positions : int list;
 }
 

@@ -20,11 +20,19 @@ type assignment = Phys of R.t | Slot of int (* rbp-relative offset *)
 
 type active = { mutable iv : Liveness.interval; mutable reg : R.t }
 
-let overlaps_call call_positions (iv : Liveness.interval) =
-  List.exists (fun p -> p >= iv.start_pos && p <= iv.end_pos) call_positions
+(* [calls] ascending: the first call position at or after the interval's
+   start, found by binary search, lies inside it *)
+let overlaps_call (calls : int array) (iv : Liveness.interval) =
+  let lo = ref 0 and hi = ref (Array.length calls) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if calls.(mid) < iv.start_pos then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length calls && calls.(!lo) <= iv.end_pos
 
 let run (mf : F.t) =
   let live = Liveness.build mf in
+  let calls = Array.of_list live.call_positions (* sorted by [Liveness.build] *) in
   let assignment : (R.t, assignment) Hashtbl.t = Hashtbl.create 64 in
   (* free register pools *)
   let free_caller_gpr = ref R.caller_saved_gprs in
@@ -72,7 +80,7 @@ let run (mf : F.t) =
   List.iter
     (fun (iv : Liveness.interval) ->
       expire iv.start_pos;
-      let needs_callee = overlaps_call live.call_positions iv in
+      let needs_callee = overlaps_call calls iv in
       let reg =
         if needs_callee then take iv.cls true
         else

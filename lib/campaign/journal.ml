@@ -45,8 +45,13 @@ type t = {
 (* v2 appends the fault-model field (DESIGN.md §18).  The version tag is a
    comment line, so a v1 loader's tolerant parse ignores it; this loader
    accepts the v1 shape (6 fields, implicitly the paper's "reg" model)
-   only in a journal without the v2 tag, and the v2 shape (7 fields). *)
-let magic = "# refine-journal v2"
+   only in a journal without the v2 tag, and the v2 shape (7 fields).  A
+   journal tagged with any other version was written by a format this
+   loader does not know: its lines may have the shapes of known records
+   and still mean something else, so it loads none of them. *)
+let tag_prefix = "# refine-journal v"
+let magic = tag_prefix ^ "2"
+let known_tags = [ tag_prefix ^ "1"; magic ]
 
 (* reasons travel on one journal/CSV line; field and line separators are
    squashed to spaces *)
@@ -160,22 +165,35 @@ let load_entries path =
   in
   let lines = String.split_on_char '\n' s in
   let v1 = not (List.mem magic lines) in
+  let foreign =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:tag_prefix l && not (List.mem l known_tags))
+      lines
+  in
   let lines =
     List.filter (fun l -> String.trim l <> "" && not (String.length l > 0 && l.[0] = '#')) lines
   in
-  let entries = ref [] and quarantines = ref [] and skipped = ref torn in
-  List.iter
-    (fun l ->
-      match parse_quarantine l with
-      | Some q -> quarantines := q :: !quarantines
-      | None -> (
-        match parse ~v1 l with
-        | Some e -> entries := e :: !entries
-        | None ->
-          incr skipped;
-          Printf.eprintf "journal %s: skipping undecodable line: %s\n%!" path l))
-    lines;
-  (List.rev !entries, List.rev !quarantines, !skipped)
+  match foreign with
+  | Some tag ->
+    let n = List.length lines in
+    Printf.eprintf
+      "journal %s: skipping all %d record lines: tagged %S, a version this loader does not know\n%!"
+      path n tag;
+    ([], [], torn + n)
+  | None ->
+    let entries = ref [] and quarantines = ref [] and skipped = ref torn in
+    List.iter
+      (fun l ->
+        match parse_quarantine l with
+        | Some q -> quarantines := q :: !quarantines
+        | None -> (
+          match parse ~v1 l with
+          | Some e -> entries := e :: !entries
+          | None ->
+            incr skipped;
+            Printf.eprintf "journal %s: skipping undecodable line: %s\n%!" path l))
+      lines;
+    (List.rev !entries, List.rev !quarantines, !skipped)
 
 let create ?(resume = false) path =
   let entries, quarantines, skipped =

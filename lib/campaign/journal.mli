@@ -30,7 +30,11 @@ val create : ?resume:bool -> string -> t
     entries are loaded (unparseable lines — e.g. an unknown outcome name
     written by a newer version — are skipped with a warning and counted in
     {!skipped}, costing only their re-run); otherwise the journal starts
-    empty.  The file is immediately (re)written in canonical form. *)
+    empty.  A journal whose [# refine-journal vN] tag names a version
+    other than 1 or 2 loads no records at all: every record line is
+    counted in {!skipped}, with a warning naming the tag, since a line of
+    an unknown format can have a known record's shape and mean something
+    else.  The file is immediately (re)written in canonical form. *)
 
 val record : t -> entry -> unit
 (** Append one entry and flush the line.  Safe to call from any domain. *)

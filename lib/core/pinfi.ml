@@ -20,13 +20,18 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
      at those pcs only: until the hook fires it sees [code.(pc)] at every
      pc, and the firing call detaches it *)
   let image = eng.E.image in
-  let selected =
-    Array.mapi
-      (fun pc i ->
-        Selection.minstr_selected sel i
-        && Selection.func_selected sel image.Refine_backend.Layout.func_of_pc.(pc))
-      image.Refine_backend.Layout.code
-  in
+  let code = image.Refine_backend.Layout.code in
+  let selected = Array.make (Array.length code) false in
+  (* one sweep over the functions: each runs up to the next one's start *)
+  let starts = image.Refine_backend.Layout.func_starts in
+  Array.iteri
+    (fun k (name, first) ->
+      let stop = if k + 1 < Array.length starts then snd starts.(k + 1) else Array.length code in
+      if Selection.func_selected sel name then
+        for pc = first to stop - 1 do
+          selected.(pc) <- Selection.minstr_selected sel code.(pc)
+        done)
+    starts;
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
     Runtime.tick ctrl eng;
     match ctrl.Runtime.mode with

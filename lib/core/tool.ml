@@ -387,9 +387,7 @@ let build_detach (kind : kind) image : detach_target option =
   | Refine -> (
     match Fimap.extract ~lib_call_cost:Fi_cost.refine_lib_call image with
     | None -> None (* splices do not parse: run attached *)
-    | Some (twin, m) ->
-      let map = { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank } in
-      Some (target_of_image ~map twin m.Fimap.cost_w))
+    | Some (twin, m) -> Some (target_of_image ~map:m.Fimap.handoff twin m.Fimap.cost_w))
 
 (* Per-sample eligibility (the decline matrix of DESIGN.md §20).  The
    handoff itself can still decline at run time (drain cap, shadow-stack

@@ -235,12 +235,9 @@ type result = {
 
 (* --- post-injection detach (DESIGN.md §20) ----------------------------- *)
 
-type handoff_map = {
-  h_rank : int array; (* instrumented pc -> golden pc; -1 without a counterpart *)
-  h_next : int array;
-      (* instrumented pc -> first golden rank at-or-after (return-address
-         translation); length n+1, -1 past the last original instruction *)
-}
+(* instrumented pc -> golden pc, one piece per run of mapped or dropped
+   pcs, looked up by binary search ([Fimap.rank] / [Fimap.next]) *)
+type handoff_map = Refine_backend.Fimap.handoff = { h_pcs : int array; h_ranks : int array }
 
 type detach_plan = {
   plan_prog : dprogram;
@@ -437,7 +434,7 @@ let bind_handlers t =
    [Fimap] give every [Mcallext] one and no fault model creates an
    [Mcallext], so a missing slot is a harness defect. *)
 let ext_slot (image : L.image) pc =
-  let slot = image.L.ext_slot_of_pc.(pc) in
+  let slot = L.ext_slot image pc in
   if slot < 0 then invalid_arg (Printf.sprintf "Exec: Mcallext at pc %d has no extern slot" pc);
   slot
 
@@ -622,6 +619,11 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
 
 (* --- single step -------------------------------------------------------- *)
 
+(* the opcode class of the slot at [pc] (in range), off the image's
+   one-byte-per-slot table *)
+let[@inline always] class_at (image : L.image) pc =
+  Char.code (String.unsafe_get image.L.class_of_pc pc)
+
 (* Shadow call stack: record, per [Mcalli], the stack slot the return
    address was pushed into and the value pushed.  Handoff to a golden-map
    detach target validates every live entry against memory and rewrites
@@ -660,7 +662,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
   (match t.prof with
   | None -> ()
   | Some p ->
-    let k = Array.unsafe_get t.image.L.class_of_pc pc0 in
+    let k = class_at t.image pc0 in
     p.class_steps.(k) <- p.class_steps.(k) + 1);
   t.pc <- pc0 + 1;
   match i with
@@ -835,7 +837,7 @@ let[@inline always] account (t : t) pc1 c =
   match t.prof with
   | None -> ()
   | Some p ->
-    let k = Array.unsafe_get t.image.L.class_of_pc (pc1 - 1) in
+    let k = class_at t.image (pc1 - 1) in
     p.class_steps.(k) <- p.class_steps.(k) + 1
 
 (* [exec_instr] and a status-changing form charge a weighted slot 1: add
@@ -1384,7 +1386,7 @@ let compose2 next1 (f1 : dop) (f2 : dop) : dop =
    cost weights (1 on plain images). *)
 let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask ~want
     ~tgt : dop =
-  let k0 = image.L.class_of_pc.(pc0) and k1 = image.L.class_of_pc.(pc0 + 1) in
+  let k0 = class_at image pc0 and k1 = class_at image (pc0 + 1) in
   let pc2 = pc0 + 2 in
   let c2 = cw0 + cw1 in
   let exact = compose2 (pc0 + 1) single.(pc0) single.(pc0 + 1) in
@@ -1414,9 +1416,9 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
    legacy interpreter would reach it. *)
 let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask
     ~want ~tgt ~jt : dop =
-  let k0 = image.L.class_of_pc.(pc0)
-  and k1 = image.L.class_of_pc.(pc0 + 1)
-  and k2 = image.L.class_of_pc.(pc0 + 2) in
+  let k0 = class_at image pc0
+  and k1 = class_at image (pc0 + 1)
+  and k2 = class_at image (pc0 + 2) in
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
   let c2 = cw0 + cw1 in
   let c3 = c2 + cw2 in
@@ -1461,9 +1463,9 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
    stored.  Decode guarantees none of the operands is FLAGS itself. *)
 let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
     (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt : dop =
-  let k0 = image.L.class_of_pc.(pc0)
-  and k1 = image.L.class_of_pc.(pc0 + 1)
-  and k2 = image.L.class_of_pc.(pc0 + 2) in
+  let k0 = class_at image pc0
+  and k1 = class_at image (pc0 + 1)
+  and k2 = class_at image (pc0 + 2) in
   let pc3 = pc0 + 3 in
   let c3 = cw0 + cw1 + cw2 in
   let exact =
@@ -1522,7 +1524,7 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
    selector call); rsp and r0 end where they started.  Anywhere else the
    head's single decode runs and the splice goes on constituent-exact
    through the dispatch loop — the selector call is its pc's own decode,
-   its cmp/jcc the ordinary fused compare-branch, and the fire path it
+   its cmp/jcc their own single decodes, and the fire path it
    may enter is interpreted ([interp]). *)
 let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fimap.splice) : dop =
   let pc0 = spl.Refine_backend.Fimap.sp_start and pf = spl.sp_flags and sp_end = spl.sp_end in
@@ -1530,14 +1532,14 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
   let slot = ext_slot image a in
   let npush = if pf then 2 else 1 in
   let len = npush + 3 + npush in
-  let cls = image.L.class_of_pc in
-  let k_push = cls.(pc0)
-  and k_pushf = cls.(pc0 + 1) (* read only when pf, like k_popf *)
-  and k_call = cls.(a)
-  and k_cmp = cls.(a + 1)
-  and k_jcc = cls.(a + 2)
-  and k_popf = cls.(sp_end - 1)
-  and k_pop = cls.(sp_end) in
+  let cls = class_at image in
+  let k_push = cls pc0
+  and k_pushf = cls (pc0 + 1) (* read only when pf, like k_popf *)
+  and k_call = cls a
+  and k_cmp = cls (a + 1)
+  and k_jcc = cls (a + 2)
+  and k_popf = cls (sp_end - 1)
+  and k_pop = cls sp_end in
   let s_head = single.(pc0) in
   let floor = Mem.mem_size - Mem.stack_limit in
   fun t ->
@@ -1593,8 +1595,8 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
    and the group goes on constituent-exact through the dispatch loop. *)
 let fuse_llfi (image : L.image) (single : dop array) pc0 ~id ~arg (x : M.mopd) ~ret ~d : dop =
   let slot = ext_slot image (pc0 + 2) in
-  let cls = image.L.class_of_pc in
-  let k0 = cls.(pc0) and k1 = cls.(pc0 + 1) and k2 = cls.(pc0 + 2) and k3 = cls.(pc0 + 3) in
+  let cls = class_at image in
+  let k0 = cls pc0 and k1 = cls (pc0 + 1) and k2 = cls (pc0 + 2) and k3 = cls (pc0 + 3) in
   let r1 = R.gpr 1 and pc4 = pc0 + 4 in
   let s_head = single.(pc0) in
   fun t ->
@@ -1643,7 +1645,8 @@ let interp : dop =
 (* Decode a whole image: per-pc single decodes, then a fused table where
    idiom heads are replaced by superinstructions.  Interior pcs of a fused
    region keep their single decodes, so jumps landing mid-idiom dispatch
-   correctly.  Fire-path slots are interpreted and head no idiom. *)
+   correctly.  Fire-path slots are interpreted and head no idiom, and
+   neither does a splice's selector compare. *)
 let decode ?cost_of (image : L.image) : dprogram =
   let code = image.L.code in
   let n = Array.length code in
@@ -1661,10 +1664,16 @@ let decode ?cost_of (image : L.image) : dprogram =
     | None -> Option.value ~default:[] (Refine_backend.Fimap.splices image)
   in
   let fire = Array.make n false in
+  (* the selector's [cmp r0, 0; jcc post] heads no superinstruction: inside
+     the skip window the fi-splice retires the whole non-firing splice, so
+     the pair runs only on a sample's first and firing selector visits and
+     where the splice's guard declines *)
+  let selector = Array.make n false in
   List.iter
-    (fun spl ->
+    (fun (spl : Refine_backend.Fimap.splice) ->
       let first, last = Refine_backend.Fimap.fire_path spl in
-      Array.fill fire first (last - first + 1) true)
+      Array.fill fire first (last - first + 1) true;
+      selector.(first - 2) <- true)
     splices;
   let single =
     Array.init n (fun pc -> if fire.(pc) then interp else decode_one ?cost_of image pc code.(pc))
@@ -1712,7 +1721,7 @@ let decode ?cost_of (image : L.image) : dprogram =
         | None -> false)
       | _ -> false
     in
-    if (not fused3) && pc + 1 < n && not fire.(pc) then
+    if (not fused3) && pc + 1 < n && (not fire.(pc)) && not selector.(pc) then
       match (code.(pc), code.(pc + 1)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt) when okr a && oko b && int_cc cc <> None ->
         let mask, want = match int_cc cc with Some mw -> mw | None -> assert false in
@@ -2072,14 +2081,15 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     t.d_max_cost <- max_int;
     t.detach_req <- false;
     let m = p.plan_map in
+    let rank = Refine_backend.Fimap.rank m and next = Refine_backend.Fimap.next m in
     (* drain with [step] to the next original-instruction boundary (the
        splice the injection fired in has no golden coordinates); the cap
        bounds a parse-defeating image, and budget or quota edges during
        the drain decline the handoff *)
     let ok = ref true in
-    let n = Array.length m.h_rank in
+    let n = Array.length t.image.L.code in
     let cap = ref 4096 in
-    while !ok && t.status = Running && t.pc >= 0 && t.pc < n && m.h_rank.(t.pc) < 0 do
+    while !ok && t.status = Running && t.pc >= 0 && t.pc < n && rank t.pc < 0 do
       if !cap <= 0 || t.steps >= max_steps || t.cost >= max_cost then ok := false
       else begin
         step t;
@@ -2088,7 +2098,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
         if t.steps land 1023 = 0 then check_quotas ()
       end
     done;
-    if t.status <> Running || t.pc < 0 || t.pc >= n || m.h_rank.(t.pc) < 0 then ok := false;
+    if t.status <> Running || rank t.pc < 0 then ok := false;
     (* checked after the drain, which retires the rest of the splice and
        with it the flip itself; an Instr_image overlay sits at an
        instrumented pc, meaningless in golden coordinates *)
@@ -2106,7 +2116,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
         if
           slot > Mem.mem_size - 8
           || get_le t.mem slot <> t.cs_vals.(j)
-          || vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0
+          || next vi < 0
         then ok := false
       end
     done;
@@ -2115,9 +2125,9 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
          coordinates, and switch onto the target's code *)
       for j = 0 to t.cs_len - 1 do
         let slot = t.cs_slots.(j) in
-        if slot >= rsp then store64 t slot (Int64.of_int m.h_next.(Int64.to_int t.cs_vals.(j)))
+        if slot >= rsp then store64 t slot (Int64.of_int (next (Int64.to_int t.cs_vals.(j))))
       done;
-      t.pc <- m.h_rank.(t.pc);
+      t.pc <- rank t.pc;
       t.image <- p.plan_prog.d_image;
       install_decoded t (Some p.plan_prog);
       detached := true

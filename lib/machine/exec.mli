@@ -231,16 +231,22 @@ type result = {
           boundary before the handoff *)
 }
 
-type handoff_map = {
-  h_rank : int array;
-      (** instrumented pc -> golden pc; [-1] for pcs without a golden
-          counterpart (inside splices) *)
-  h_next : int array;
-      (** length [n+1]: the first golden pc at or after each
-          instrumented pc — return-address translation *)
+type handoff_map = Refine_backend.Fimap.handoff = {
+  h_pcs : int array;
+      (** ascending instrumented pcs, the first 0: where each piece of the
+          correspondence starts; the last piece starts at the image
+          length *)
+  h_ranks : int array;
+      (** per piece: the golden pc of its first pc, its later pcs mapping
+          to the golden pcs that follow, or [-1] for a piece without a
+          golden counterpart (inside splices) *)
 }
-(** Correspondence between an instrumented image and its golden twin, in
-    the executor's terms (built by [Fimap] in the backend). *)
+(** Correspondence between an instrumented image and its golden twin
+    (built by [Fimap] in the backend), sized by the splices: about two
+    pieces per splice, not an entry per code slot.  The handoff looks up
+    the pc's golden rank ([Refine_backend.Fimap.rank]) and each live
+    return address's first golden pc at or after it
+    ([Refine_backend.Fimap.next]) by binary search. *)
 
 type detach_plan = {
   plan_prog : dprogram;
@@ -358,7 +364,9 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
     superinstruction, and every slot of its fire path
     ([Refine_backend.Fimap.fire_path]), which runs at most once per
     sample, maps to one interpreter closure that the whole decode shares
-    and heads no superinstruction. *)
+    and heads no superinstruction.  The selector's [cmp r0, 0; jcc]
+    ahead of the fire path is not fused either: inside the skip window
+    the fi-splice retires it with the rest of the splice. *)
 
 val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must

@@ -27,7 +27,7 @@ let attach (t : t) (eng : Exec.t) =
   let prev = eng.Exec.post_hook in
   let on_instr (eng : Exec.t) pc instr =
     t.ring.(t.next) <-
-      Some { pc; instr; func = eng.Exec.image.Refine_backend.Layout.func_of_pc.(pc) };
+      Some { pc; instr; func = Refine_backend.Layout.func_at eng.Exec.image pc };
     t.next <- (t.next + 1) mod Array.length t.ring;
     t.total <- Int64.add t.total 1L;
     (match prev with

@@ -28,6 +28,27 @@ module R = Refine_mir.Reg
 module F = Refine_mir.Mfunc
 module I = Refine_ir.Ir
 
+(* The splice's fixed instructions, each one value that every splice of
+   every function shares: an instrumented image has about twenty slots
+   per original instruction, so a block allocated per slot would make
+   the image's instructions outweigh the golden binary's many times
+   over. *)
+let r0 = R.gpr 0
+let r1 = R.gpr 1
+let r2 = R.gpr 2
+let push_r0 = M.Mpush r0
+let sel_call = M.Mcallext "fi_sel_instr"
+let sel_test = M.Mcmp (R.ret_gpr, M.Imm 0L)
+let push_r1 = M.Mpush r1
+let push_r2 = M.Mpush r2
+let setup_call = M.Mcallext "fi_setup_fi"
+let decode_op = M.Mmov (r1, M.Reg R.ret_gpr)
+let decode_shr = M.Mbin (I.Lshr, r1, r1, M.Imm 6L)
+let decode_bit = M.Mbin (I.And, R.ret_gpr, R.ret_gpr, M.Imm 63L)
+let pop_r2 = M.Mpop r2
+let pop_r1 = M.Mpop r1
+let pop_r0 = M.Mpop r0
+
 (* Candidates: selected instructions that write registers; returns have no
    post-instruction insertion point (§4.2.3's block splicing needs one). *)
 let candidate sel (i : M.t) =
@@ -37,10 +58,10 @@ let candidate sel (i : M.t) =
    pushes are r0 [, FLAGS] (PreFI) then r1, r2 (SetupFI) *)
 let saved_slot ~save_flags r =
   let f = if save_flags then 8 else 0 in
-  if r = R.gpr 0 then Some (16 + f)
+  if r = r0 then Some (16 + f)
   else if save_flags && r = R.flags then Some 16
-  else if r = R.gpr 1 then Some 8
-  else if r = R.gpr 2 then Some 0
+  else if r = r1 then Some 8
+  else if r = r2 then Some 0
   else None
 
 let flip_code ~save_flags target =
@@ -83,6 +104,17 @@ let run ?(sel = Selection.default) ?(save_flags = true) (mf : F.t) : int =
       new_blocks := { F.mlbl = !cur_label; code = List.rev !cur_code } :: !new_blocks
     in
     let emit i = cur_code := i :: !cur_code in
+    (* the per-site forms (operand counts, size words, dispatch compares,
+       flips) repeat across a function's splices: emit each once *)
+    let forms = Hashtbl.create 64 in
+    let emit_form i =
+      emit
+        (match Hashtbl.find_opt forms i with
+        | Some shared -> shared
+        | None ->
+          Hashtbl.add forms i i;
+          i)
+    in
     List.iter
       (fun (b : F.mblock) ->
         open_block b.mlbl;
@@ -98,26 +130,26 @@ let run ?(sel = Selection.default) ?(save_flags = true) (mf : F.t) : int =
               let post = F.fresh_label mf in
               let fi_lbls = List.map (fun _ -> F.fresh_label mf) outs in
               (* PreFI *)
-              emit (M.Mpush (R.gpr 0));
+              emit push_r0;
               if save_flags then emit M.Mpushf;
-              emit (M.Mcallext "fi_sel_instr");
-              emit (M.Mcmp (R.ret_gpr, M.Imm 0L));
+              emit sel_call;
+              emit sel_test;
               emit (M.Mjcc (M.CEq, post));
               emit (M.Mjmp setup);
               close_block ();
               (* SetupFI *)
               open_block setup;
-              emit (M.Mpush (R.gpr 1));
-              emit (M.Mpush (R.gpr 2));
-              emit (M.Mmov (R.gpr 1, M.Imm (Int64.of_int nops)));
-              emit (M.Mmov (R.gpr 2, M.Imm (pack_sizes outs)));
-              emit (M.Mcallext "fi_setup_fi");
-              emit (M.Mmov (R.gpr 1, M.Reg (R.ret_gpr)));
-              emit (M.Mbin (I.Lshr, R.gpr 1, R.gpr 1, M.Imm 6L));
-              emit (M.Mbin (I.And, R.ret_gpr, R.ret_gpr, M.Imm 63L));
+              emit push_r1;
+              emit push_r2;
+              emit_form (M.Mmov (r1, M.Imm (Int64.of_int nops)));
+              emit_form (M.Mmov (r2, M.Imm (pack_sizes outs)));
+              emit setup_call;
+              emit decode_op;
+              emit decode_shr;
+              emit decode_bit;
               List.iteri
                 (fun k lbl ->
-                  emit (M.Mcmp (R.gpr 1, M.Imm (Int64.of_int k)));
+                  emit_form (M.Mcmp (r1, M.Imm (Int64.of_int k)));
                   emit (M.Mjcc (M.CEq, lbl)))
                 fi_lbls;
               emit (M.Mjmp fidone);
@@ -126,20 +158,20 @@ let run ?(sel = Selection.default) ?(save_flags = true) (mf : F.t) : int =
               List.iter2
                 (fun target lbl ->
                   open_block lbl;
-                  List.iter emit (flip_code ~save_flags target);
+                  List.iter emit_form (flip_code ~save_flags target);
                   emit (M.Mjmp fidone);
                   close_block ())
                 outs fi_lbls;
               (* common restore of the SetupFI saves *)
               open_block fidone;
-              emit (M.Mpop (R.gpr 2));
-              emit (M.Mpop (R.gpr 1));
+              emit pop_r2;
+              emit pop_r1;
               emit (M.Mjmp post);
               close_block ();
               (* PostFI: restore and continue with the rest of the block *)
               open_block post;
               if save_flags then emit M.Mpopf;
-              emit (M.Mpop (R.gpr 0))
+              emit pop_r0
             end)
           b.code;
         close_block ())

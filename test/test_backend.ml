@@ -189,7 +189,7 @@ let test_layout_resolves () =
       | _ -> ())
     image.L.code;
   Alcotest.(check bool) "entry is main" true
-    (image.L.func_of_pc.(image.L.entry) = "main")
+    (L.func_at image image.L.entry = "main")
 
 let test_layout_missing_main () =
   let m = F.compile "int main() { return 0; }" in

@@ -675,6 +675,24 @@ let test_fire_path_words () =
           (float_of_int own /. float_of_int n))
     Reg.all
 
+(* A prepared REFINE cell keeps what can run, not a copy of every splice:
+   over the 14 programs its image, decode and detach target together
+   hold under 8 words per code slot.  A block per splice instruction, a
+   word per slot for each per-pc table, an image-length handoff map and
+   a fused selector compare-branch per splice cost 14.7–14.8 words per
+   slot on every program. *)
+let test_cell_words () =
+  List.iter
+    (fun (b : Reg.bench) ->
+      let p = T.prepare T.Refine b.Reg.source in
+      let n = Array.length p.T.image.L.code in
+      let words = Obj.reachable_words (Obj.repr (p.T.image, p.T.dprog, p.T.detach)) in
+      if words > 8 * n then
+        Alcotest.failf "%s: the cell keeps %d words for %d code slots (%.1f per slot, limit 8)"
+          b.Reg.name words n
+          (float_of_int words /. float_of_int n))
+    Reg.all
+
 (* A firing Reg_bit sample runs its fire path through the shared
    interpreter closure.  Cut at every cost budget from just before the
    fire path to just after it, once for a target whose fire path holds no
@@ -922,6 +940,8 @@ let tests =
       test_weighted_slots_equal_reference;
     Alcotest.test_case "fire paths hold no closure of their own (14 REFINE images)" `Quick
       test_fire_path_words;
+    Alcotest.test_case "a prepared REFINE cell keeps < 8 words per code slot (14 programs)" `Quick
+      test_cell_words;
     Alcotest.test_case "firing sample = step across a fire path, poll slot inside" `Quick
       test_fire_path_decoded_equal_step;
     Alcotest.test_case "overlay table reused: slot restored, no copy when warm" `Quick

@@ -47,12 +47,9 @@ let sig_of (r : X.result) =
 
 (* --- engine-level handoff mechanics ------------------------------------ *)
 
-(* identity correspondence: every pc is its own golden rank *)
-let identity_map n =
-  {
-    X.h_rank = Array.init n (fun i -> i);
-    h_next = Array.init (n + 1) (fun i -> if i < n then i else -1);
-  }
+(* identity correspondence: every pc is its own golden rank — one mapped
+   piece from 0, then the end piece *)
+let identity_map n = { X.h_pcs = [| 0; n |]; h_ranks = [| 0; -1 |] }
 
 (* A counted loop that asks for detach mid-run through an extern: the
    request is honored at the next 1024-step poll slot, well inside the
@@ -90,10 +87,10 @@ let test_drain_exhaustion_declines () =
   let snap = X.snapshot image in
   let r0 = baseline image [ fire_at 600 ] in
   let eng = X.create_from_snapshot ~ext_extra:[ fire_at 600 ] snap in
-  let n = Array.length image.L.code in
-  (* no pc ever has a golden rank: the drain must hit its cap (or the
-     program's end) and decline, leaving the run attached *)
-  let no_rank = { X.h_rank = Array.make n (-1); h_next = Array.make (n + 1) (-1) } in
+  (* no pc ever has a golden rank (one piece without a counterpart): the
+     drain must hit its cap (or the program's end) and decline, leaving
+     the run attached *)
+  let no_rank = { X.h_pcs = [| 0 |]; h_ranks = [| -1 |] } in
   let r = X.run ~detach:{ X.plan_prog = X.decode image; plan_map = no_rank } eng in
   Alcotest.(check bool) "declined" false r.X.detached;
   Alcotest.(check string) "declined run attached-identical" (sig_of r0) (sig_of r)
@@ -162,12 +159,8 @@ let shifted_images globals_of_twin =
       (M.Mmov (R.gpr 5, M.Reg (R.gpr 5)) :: body 1)
   in
   let n = Array.length src_image.L.code in
-  let shifted =
-    {
-      X.h_rank = Array.init n succ;
-      h_next = Array.init (n + 1) (fun i -> if i < n then i + 1 else -1);
-    }
-  in
+  (* one mapped piece whose first pc maps to golden pc 1 *)
+  let shifted = { X.h_pcs = [| 0; n |]; h_ranks = [| 1; -1 |] } in
   (src_image, golden, { X.plan_prog = X.decode golden; plan_map = shifted })
 
 (* The handoff switches the running engine in place.  After it, the
@@ -303,7 +296,7 @@ let call_site_jumps (image : L.image) (m : Fm.t) =
   List.filter_map
     (fun (s : Fm.splice) ->
       match image.L.code.(s.Fm.sp_cand) with
-      | M.Mcalli _ -> Some m.Fm.rank_of_pc.(s.Fm.sp_start)
+      | M.Mcalli _ -> Some (Fm.rank m.Fm.handoff s.Fm.sp_start)
       | _ -> None)
     m.Fm.splices
 
@@ -350,6 +343,63 @@ let test_twin_is_fi_free_binary () =
             (drop_slots twin.L.code jumps = pinfi.L.code)
         end)
     Reg.names
+
+(* The dense correspondence, from its definition: every splice's pcs
+   dropped but the start of a call-site candidate's splice (its collapsed
+   jump), the rest ranked in order; [next] at each pc is the first rank
+   at or after it, and -1 from the image length on. *)
+let dense_map (image : L.image) (splices : Fm.splice list) =
+  let n = Array.length image.L.code in
+  let kept = Array.make n true in
+  List.iter
+    (fun (s : Fm.splice) ->
+      for pc = s.Fm.sp_start to s.Fm.sp_end do
+        kept.(pc) <- false
+      done;
+      match image.L.code.(s.Fm.sp_cand) with
+      | M.Mcalli _ -> kept.(s.Fm.sp_start) <- true
+      | _ -> ())
+    splices;
+  let rank = Array.make n (-1) and g = ref 0 in
+  Array.iteri
+    (fun pc k ->
+      if k then begin
+        rank.(pc) <- !g;
+        incr g
+      end)
+    kept;
+  let next = Array.make (n + 1) (-1) in
+  for pc = n - 1 downto 0 do
+    next.(pc) <- (if rank.(pc) >= 0 then rank.(pc) else next.(pc + 1))
+  done;
+  (rank, next)
+
+(* The splice-sized map answers exactly what the dense table would, at
+   every pc of the 14 REFINE images and just outside them, with two
+   pieces per splice (its dropped pcs and the original code after them)
+   besides the code before the first splice and the end piece. *)
+let test_map_equals_dense () =
+  List.iter
+    (fun (b : Reg.bench) ->
+      let image = (T.prepare T.Refine b.Reg.source).T.image in
+      match Fm.extract ~lib_call_cost image with
+      | None -> Alcotest.failf "%s: the REFINE splices do not parse" b.Reg.name
+      | Some (_, m) ->
+        let h = m.Fm.handoff in
+        let rank, next = dense_map image m.Fm.splices in
+        let n = Array.length rank in
+        for pc = -2 to n + 2 do
+          let want_rank = if pc >= 0 && pc < n then rank.(pc) else -1 in
+          let want_next = if pc >= 0 && pc <= n then next.(pc) else -1 in
+          if Fm.rank h pc <> want_rank || Fm.next h pc <> want_next then
+            Alcotest.failf "%s, pc %d: rank %d next %d, dense %d %d" b.Reg.name pc (Fm.rank h pc)
+              (Fm.next h pc) want_rank want_next
+        done;
+        let pieces = Array.length h.Fm.h_pcs in
+        if pieces > (2 * List.length m.Fm.splices) + 2 then
+          Alcotest.failf "%s: %d pieces for %d splices" b.Reg.name pieces
+            (List.length m.Fm.splices))
+    Reg.all
 
 (* --- call-site candidates: handoffs on the programs that have them ------ *)
 
@@ -443,6 +493,8 @@ let tests =
       test_mutated_detach_never_served;
     Alcotest.test_case "extracted twin = FI-free binary (+ call-site jumps)" `Quick
       test_twin_is_fi_free_binary;
+    Alcotest.test_case "splice-sized map = dense rank and next at every pc (14 REFINE)" `Quick
+      test_map_equals_dense;
     Alcotest.test_case "call-site candidates: detached samples = oracle" `Quick
       test_call_site_detach_invisible;
     qcheck prop_detach_invisible;

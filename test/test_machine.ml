@@ -258,7 +258,7 @@ let test_call_and_ret () =
   let eng = E.create image in
   let r = E.run eng in
   Alcotest.(check int) "returned value" 9 (exit_code r);
-  Alcotest.(check string) "func_of_pc" "f" image.L.func_of_pc.(2)
+  Alcotest.(check string) "func_at" "f" (L.func_at image 2)
 
 let test_globals_initialized () =
   let g = { Refine_ir.Ir.gname = "g"; gsize = 8; gbytes = Some "\x2a\x00\x00\x00\x00\x00\x00\x00" } in

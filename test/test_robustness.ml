@@ -315,6 +315,31 @@ let prop_journal_byte_corruption =
       let input_lines = String.split_on_char '\n' input in
       List.for_all (fun l -> l = "" || List.mem l input_lines) kept)
 
+(* A journal tagged with a version this loader does not know loads no
+   records, though its lines have the v1 and v2 shapes: each record line
+   (quarantine too) counts as skipped, and the canonical rewrite keeps
+   none of them.  Without the tag the same lines load. *)
+let test_journal_unknown_version () =
+  let records =
+    [ "p\tREFINE\t0\tcrash\t42\t1"; "p\tREFINE\t1\tbenign\t43\t1\tmem"; "Q\tp\tLLFI\tbad splice" ]
+  in
+  let load header =
+    let path = tmpfile () in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.concat "\n" (header @ records) ^ "\n"));
+    let j = J.create ~resume:true path in
+    let kept = List.tl (String.split_on_char '\n' (read_file path)) in
+    Sys.remove path;
+    (J.length j, List.length (J.quarantines j), J.skipped j, kept)
+  in
+  let entries, quarantines, skipped, _ = load [] in
+  Alcotest.(check (list int)) "untagged: both shapes and the quarantine load" [ 2; 1; 0 ]
+    [ entries; quarantines; skipped ];
+  let entries, quarantines, skipped, kept = load [ "# refine-journal v3" ] in
+  Alcotest.(check (list int)) "v3: nothing loads, every record line skipped" [ 0; 0; 3 ]
+    [ entries; quarantines; skipped ];
+  Alcotest.(check (list string)) "v3: the rewrite keeps no record" [ "" ] kept
+
 (* The same byte corruption on a rendered CSV file: loading must either
    raise [Csv.Parse_error] or return cells whose render is the corrupted
    file line for line — a corrupted row never loads as another cell.
@@ -548,6 +573,8 @@ let tests =
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal skips garbage" `Quick test_journal_skips_garbage;
     QCheck_alcotest.to_alcotest prop_journal_byte_corruption;
+    Alcotest.test_case "journal: an unknown version tag loads no records" `Quick
+      test_journal_unknown_version;
     QCheck_alcotest.to_alcotest prop_csv_byte_corruption;
     QCheck_alcotest.to_alcotest prop_trace_byte_corruption;
     Alcotest.test_case "kill + resume determinism" `Quick test_watchdog_kill_then_resume;
