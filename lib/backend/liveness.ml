@@ -34,6 +34,24 @@ let vouts i = List.filter R.is_virtual (M.outputs i)
 let block_succs (b : F.mblock) =
   List.concat_map (fun i -> match i with M.Mjcc (_, l) | M.Mjmp l -> [ l ] | _ -> []) b.code
 
+(* Dense bit sets over the function's virtual registers, one bit per
+   [vreg_base + i], 32 to an int: the dataflow below unions and tests
+   whole words instead of hashing one register at a time. *)
+let bits_per_word = 32
+
+let[@inline] bit_mem (s : int array) i = s.(i lsr 5) land (1 lsl (i land 31)) <> 0
+let[@inline] bit_add (s : int array) i = s.(i lsr 5) <- s.(i lsr 5) lor (1 lsl (i land 31))
+
+(* every member of [s], ascending *)
+let bit_iter f (s : int array) =
+  Array.iteri
+    (fun w word ->
+      if word <> 0 then
+        for b = 0 to bits_per_word - 1 do
+          if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
+        done)
+    s
+
 let build (mf : F.t) : t =
   (* positions *)
   let code = Array.of_list (List.concat_map (fun (b : F.mblock) -> b.code) mf.F.blocks) in
@@ -46,95 +64,87 @@ let build (mf : F.t) : t =
       bounds := (b.mlbl, first, !pos) :: !bounds)
     mf.F.blocks;
   let bounds = List.rev !bounds in
-  (* block-level USE/DEF *)
-  let use_def =
-    List.map
-      (fun (b : F.mblock) ->
-        let use = Hashtbl.create 16 and def = Hashtbl.create 16 in
-        List.iter
-          (fun i ->
-            List.iter (fun r -> if not (Hashtbl.mem def r) then Hashtbl.replace use r ()) (vins i);
-            List.iter (fun r -> Hashtbl.replace def r ()) (vouts i))
-          b.code;
-        (b.mlbl, use, def))
-      mf.F.blocks
+  let blocks = Array.of_list mf.F.blocks in
+  let nb = Array.length blocks in
+  let index = Hashtbl.create nb in
+  Array.iteri (fun k (b : F.mblock) -> Hashtbl.replace index b.mlbl k) blocks;
+  (* successor block indices; a label outside the function is no block *)
+  let succs =
+    Array.map (fun b -> List.filter_map (Hashtbl.find_opt index) (block_succs b)) blocks
   in
-  let live_in : (M.label, (R.t, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_out : (M.label, (R.t, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (b : F.mblock) ->
-      Hashtbl.replace live_in b.mlbl (Hashtbl.create 16);
-      Hashtbl.replace live_out b.mlbl (Hashtbl.create 16))
-    mf.F.blocks;
+  let words = ((mf.F.next_vreg - R.vreg_base) / bits_per_word) + 1 in
+  let fresh () = Array.make words 0 in
+  (* block-level USE (upward-exposed) / DEF *)
+  let use = Array.init nb (fun _ -> fresh ()) and def = Array.init nb (fun _ -> fresh ()) in
+  Array.iteri
+    (fun k (b : F.mblock) ->
+      List.iter
+        (fun i ->
+          List.iter
+            (fun r ->
+              let v = r - R.vreg_base in
+              if not (bit_mem def.(k) v) then bit_add use.(k) v)
+            (vins i);
+          List.iter (fun r -> bit_add def.(k) (r - R.vreg_base)) (vouts i))
+        b.code)
+    blocks;
+  let live_in = Array.init nb (fun _ -> fresh ())
+  and live_out = Array.init nb (fun _ -> fresh ()) in
   let changed = ref true in
   while !changed do
     changed := false;
     (* reverse order accelerates convergence *)
-    List.iter
-      (fun (b : F.mblock) ->
-        let lin = Hashtbl.find live_in b.mlbl in
-        let lout = Hashtbl.find live_out b.mlbl in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt live_in s with
-            | Some sin ->
-              Hashtbl.iter
-                (fun r () ->
-                  if not (Hashtbl.mem lout r) then begin
-                    Hashtbl.replace lout r ();
-                    changed := true
-                  end)
-                sin
-            | None -> ())
-          (block_succs b);
-        let _, use, def = List.find (fun (l, _, _) -> l = b.mlbl) use_def in
-        Hashtbl.iter
-          (fun r () ->
-            if not (Hashtbl.mem lin r) then begin
-              Hashtbl.replace lin r ();
+    for k = nb - 1 downto 0 do
+      let lin = live_in.(k) and lout = live_out.(k) and u = use.(k) and d = def.(k) in
+      List.iter
+        (fun s ->
+          let sin = live_in.(s) in
+          for w = 0 to words - 1 do
+            let o = lout.(w) lor sin.(w) in
+            if o <> lout.(w) then begin
+              lout.(w) <- o;
               changed := true
-            end)
-          use;
-        Hashtbl.iter
-          (fun r () ->
-            if (not (Hashtbl.mem def r)) && not (Hashtbl.mem lin r) then begin
-              Hashtbl.replace lin r ();
-              changed := true
-            end)
-          lout)
-      (List.rev mf.F.blocks)
+            end
+          done)
+        succs.(k);
+      for w = 0 to words - 1 do
+        let i = lin.(w) lor u.(w) lor (lout.(w) land lnot d.(w)) in
+        if i <> lin.(w) then begin
+          lin.(w) <- i;
+          changed := true
+        end
+      done
+    done
   done;
   (* intervals *)
-  let starts : (R.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let ends : (R.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let note r p =
-    (match Hashtbl.find_opt starts r with
-    | Some s -> if p < s then Hashtbl.replace starts r p
-    | None -> Hashtbl.replace starts r p);
-    match Hashtbl.find_opt ends r with
-    | Some e -> if p > e then Hashtbl.replace ends r p
-    | None -> Hashtbl.replace ends r p
+  let nv = words * bits_per_word in
+  let starts = Array.make nv max_int and ends = Array.make nv (-1) in
+  let note v p =
+    if p < starts.(v) then starts.(v) <- p;
+    if p > ends.(v) then ends.(v) <- p
   in
-  List.iter2
-    (fun (b : F.mblock) (lbl, first, last) ->
-      assert (b.mlbl = lbl);
-      Hashtbl.iter (fun r () -> note r first) (Hashtbl.find live_in b.mlbl);
-      Hashtbl.iter (fun r () -> note r (last - 1)) (Hashtbl.find live_out b.mlbl);
+  List.iteri
+    (fun k (_, first, last) ->
+      bit_iter (fun v -> note v first) live_in.(k);
+      bit_iter (fun v -> note v (last - 1)) live_out.(k);
       List.iteri
-        (fun k i ->
-          let p = first + k in
-          List.iter (fun r -> note r p) (vins i);
-          List.iter (fun r -> note r p) (vouts i))
-        b.code)
-    mf.F.blocks bounds;
-  let intervals =
-    Hashtbl.fold
-      (fun r s acc ->
-        let e = Hashtbl.find ends r in
-        { vreg = r; cls = F.reg_class mf r; start_pos = s; end_pos = e } :: acc)
-      starts []
-    |> List.sort (fun a b -> compare (a.start_pos, a.vreg) (b.start_pos, b.vreg))
-  in
+        (fun j i ->
+          let p = first + j in
+          List.iter (fun r -> note (r - R.vreg_base) p) (vins i);
+          List.iter (fun r -> note (r - R.vreg_base) p) (vouts i))
+        blocks.(k).F.code)
+    bounds;
+  (* ascending vreg within each start: the (start, vreg) order *)
+  let intervals = ref [] in
+  for v = nv - 1 downto 0 do
+    if starts.(v) < max_int then begin
+      let r = R.vreg_base + v in
+      intervals :=
+        { vreg = r; cls = F.reg_class mf r; start_pos = starts.(v); end_pos = ends.(v) }
+        :: !intervals
+    end
+  done;
+  let intervals = List.stable_sort (fun a b -> compare a.start_pos b.start_pos) !intervals in
   (* call positions extended over their marshal/result movs *)
   let n = Array.length code in
   let is_marshal_mov i =

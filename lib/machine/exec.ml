@@ -208,8 +208,10 @@ and hook = {
 }
 
 (* A decoded program: the per-pc dispatch table plus static decode facts.
-   Closures capture no engine, so one dprogram is shared read-only by
-   every engine of the same image, across domains. *)
+   Closures capture no engine and run as the slot at the engine's pc, so
+   one closure serves every slot holding its instruction and one
+   dprogram is shared read-only by every engine of the same image, across
+   domains. *)
 and dprogram = {
   d_image : L.image; (* the image this decode was built from *)
   d_fused : (t -> unit) array; (* dispatch table with superinstruction heads *)
@@ -813,11 +815,15 @@ let step (t : t) =
      charges hook cost;
    - an Instr_image overlay switches the engine to its own fusion-free
      table whose overlaid slot runs the mutated instruction's decode;
-   - a fire-path slot of a REFINE splice runs [exec_instr] itself through
-     the one [interp] closure and heads no superinstruction.
+   - every slot of a REFINE splice runs [exec_instr] itself through the
+     one [interp] closure, and only the splice's head heads a
+     superinstruction, the fi-splice.
 
-   Decoded closures capture no engine: a [dprogram] is immutable and
-   shared read-only across engines and domains. *)
+   Decoded closures capture no engine and, [Mcalli]'s return address
+   aside, no pc: they run as the slot at [t.pc], so a decode shares one
+   closure among the slots holding the same instruction and weight, and
+   a [dprogram] is immutable and shared read-only across engines and
+   domains. *)
 
 type dop = t -> unit
 
@@ -825,20 +831,26 @@ type dop = t -> unit
    every retired constituent *)
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
-(* per-constituent accounting, [exec_instr]'s prologue for the slot
-   before [pc1], charging [c] cost units: 1, or the whole weight of a
-   weighted slot (DESIGN.md §20) whose form can neither trap nor change the
-   run status.  Like [exec_instr], it reads the opcode class off the image
-   only while profiling, so a closure holds the successor pc it needs
-   anyway instead of the class *)
-let[@inline always] account (t : t) pc1 c =
+(* per-constituent accounting, [exec_instr]'s prologue for the slot at
+   [t.pc] (called before the closure moves the pc), charging [c] cost
+   units: 1, or the whole weight of a weighted slot (DESIGN.md §20) whose
+   form can neither trap nor change the run status.  Like [exec_instr], it
+   reads the opcode class off the image only while profiling, so a closure
+   holds neither its class nor its pc and serves every slot holding its
+   instruction *)
+let[@inline always] account (t : t) c =
   t.steps <- t.steps + 1;
   t.cost <- t.cost + c;
   match t.prof with
   | None -> ()
   | Some p ->
-    let k = class_at t.image (pc1 - 1) in
+    let k = class_at t.image t.pc in
     p.class_steps.(k) <- p.class_steps.(k) + 1
+
+(* a profiled batch retires one more step of the slot at [pc]'s class *)
+let[@inline always] count_class (p : profile) (image : L.image) pc =
+  let k = class_at image pc in
+  p.class_steps.(k) <- p.class_steps.(k) + 1
 
 (* [exec_instr] and a status-changing form charge a weighted slot 1: add
    the [rest] of its weight once the slot retired, if the run goes on *)
@@ -887,13 +899,18 @@ let cc_fn (cc : M.cc) : int -> bool =
   | M.CFgt -> fun fl -> fl land 3 = 0 && fl land 4 = 0
   | M.CFge -> fun fl -> fl land 2 = 0 && fl land 4 = 0
 
-(* Decode one instruction as the slot at [pc0] into a closure.  [image]
-   supplies the class and extern-slot tables — always those of the
-   original pc, matching [exec_instr], including for Instr_image overlay
-   instructions.  Register indices are validated here so the closures use
-   unchecked array access; an operand outside the register file
-   (impossible for layout output, and [Corrupt.mutate] clamps registers)
-   falls back to the legacy [exec_instr].
+(* Decode one instruction, first met at slot [pc0] with cost weight [cw],
+   into a closure.  The closure takes its pc from the engine ([t.pc] is
+   the slot it runs as), so [decode] shares it across every slot holding
+   the same instruction and weight; only [Mcalli] captures its slot's
+   return address.  The class and extern-slot tables are read off the
+   engine's image at that pc, matching [exec_instr], including for
+   Instr_image overlay instructions; an extern's slot is a function of its
+   callee name ([Layout] gives each distinct extern one), so it is
+   resolved once here from [image].  Register indices are validated here
+   so the closures use unchecked array access; an operand outside the
+   register file (impossible for layout output, and [Corrupt.mutate]
+   clamps registers) falls back to the legacy [exec_instr].
 
    A weighted slot (DESIGN.md §20: a detach target's candidate, whose
    weight stands for the splice the twin lost) charges its weight only
@@ -905,50 +922,48 @@ let cc_fn (cc : M.cc) : int -> bool =
    [rest] after its access; [Mret] and extern calls, which can also end
    the run, top up only while it is [Running], as [via_legacy] does; and
    [Mhalt] and an unresolved [Mcall], which always end it, charge 1. *)
-let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
-  let cw = match cost_of with None -> 1 | Some c -> c.(pc0) in
+let decode_one ?(cw = 1) (image : L.image) (pc0 : int) (i : M.t) : dop =
   let rest = cw - 1 in
-  let pc1 = pc0 + 1 in
   let code_len = Array.length image.L.code in
   let okr r = r >= 0 && r < R.num_regs in
   let oko = function M.Reg r -> okr r | M.Imm _ -> true in
   let via_legacy : dop =
    fun t ->
-    exec_instr t pc0 i;
+    exec_instr t t.pc i;
     top_up t rest;
     rc t
   in
   match i with
   | M.Mmov (d, M.Reg s) when okr d && okr s ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d (A1.unsafe_get t.regs s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d (load64 t (Int64.to_int (A1.unsafe_get t.regs b) + off));
       t.cost <- t.cost + rest;
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       store64 t (Int64.to_int (A1.unsafe_get t.regs b) + off) (A1.unsafe_get t.regs s);
       t.cost <- t.cost + rest;
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d
         (load64 t
            (Int64.to_int (A1.unsafe_get t.regs b)
@@ -958,8 +973,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       store64 t
         (Int64.to_int (A1.unsafe_get t.regs b)
         + (8 * Int64.to_int (A1.unsafe_get t.regs ix))
@@ -970,8 +985,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d
         (Int64.add
            (Int64.add (A1.unsafe_get t.regs b) (Int64.mul 8L (A1.unsafe_get t.regs ix)))
@@ -980,8 +995,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, None, off) when okr d && okr b ->
     let offl = Int64.of_int off in
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d (Int64.add (A1.unsafe_get t.regs b) offl);
       rc t
   | M.Mbin (op, d, a, b) when okr d && okr a && oko b ->
@@ -1002,64 +1017,64 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.add (A1.unsafe_get t.regs a) vb)
       | Sub ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.sub (A1.unsafe_get t.regs a) vb)
       | Mul ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.mul (A1.unsafe_get t.regs a) vb)
       | And ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logand (A1.unsafe_get t.regs a) vb)
       | Or ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logor (A1.unsafe_get t.regs a) vb)
       | Xor ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logxor (A1.unsafe_get t.regs a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.shift_left (A1.unsafe_get t.regs a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.shift_right_logical (A1.unsafe_get t.regs a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.shift_right (A1.unsafe_get t.regs a) sh)
       | Div ->
         fun t ->
-          account t pc1 1;
-          t.pc <- pc1;
+          account t 1;
+          t.pc <- t.pc + 1;
           let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin_div t Int64.min_int
           else fin_div t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t pc1 1;
-          t.pc <- pc1;
+          account t 1;
+          t.pc <- t.pc + 1;
           let va = A1.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin_div t 0L
@@ -1068,67 +1083,67 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.add (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Sub ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.sub (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Mul ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.mul (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | And ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logand (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Or ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Xor ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t (Int64.logxor (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb))
       | Shl ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t
             (Int64.shift_left (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Lshr ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t
             (Int64.shift_right_logical (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Ashr ->
         fun t ->
-          account t pc1 cw;
-          t.pc <- pc1;
+          account t cw;
+          t.pc <- t.pc + 1;
           fin t
             (Int64.shift_right (A1.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (A1.unsafe_get t.regs rb) 63L)))
       | Div ->
         fun t ->
-          account t pc1 1;
-          t.pc <- pc1;
+          account t 1;
+          t.pc <- t.pc + 1;
           let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin_div t Int64.min_int
           else fin_div t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t pc1 1;
-          t.pc <- pc1;
+          account t 1;
+          t.pc <- t.pc + 1;
           let va = A1.unsafe_get t.regs a and vb = A1.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
           else if va = Int64.min_int && vb = -1L then fin_div t 0L
@@ -1141,74 +1156,74 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (match (op : Refine_ir.Ir.fbinop) with
     | Fadd ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         fin t (f64 (A1.unsafe_get t.regs a) +. f64 (A1.unsafe_get t.regs b))
     | Fsub ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         fin t (f64 (A1.unsafe_get t.regs a) -. f64 (A1.unsafe_get t.regs b))
     | Fmul ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         fin t (f64 (A1.unsafe_get t.regs a) *. f64 (A1.unsafe_get t.regs b))
     | Fdiv ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         fin t (f64 (A1.unsafe_get t.regs a) /. f64 (A1.unsafe_get t.regs b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         A1.unsafe_set t.regs d (b64 (-.f64 (A1.unsafe_get t.regs a)));
         rc t
     | Fsqrt ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         A1.unsafe_set t.regs d (b64 (sqrt (f64 (A1.unsafe_get t.regs a))));
         rc t
     | Fabs ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         A1.unsafe_set t.regs d (b64 (Float.abs (f64 (A1.unsafe_get t.regs a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d (b64 (Int64.to_float (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (A1.unsafe_get t.regs a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       let fl = flags_of (A1.unsafe_get t.regs a) vb in
       A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       let fl = flags_of (A1.unsafe_get t.regs a) (A1.unsafe_get t.regs rb) in
       A1.unsafe_set t.regs R.flags (Int64.of_int fl);
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       let va = f64 (A1.unsafe_get t.regs a) and vb = f64 (A1.unsafe_get t.regs b) in
       let fl =
         if Float.is_nan va || Float.is_nan vb then 4
@@ -1219,8 +1234,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs d
         (if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then 1L else 0L);
       rc t
@@ -1228,57 +1243,58 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     match int_cc cc with
     | Some (mask, want) ->
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         let fl = Int64.to_int (A1.unsafe_get t.regs R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
         rc t
     | None ->
       let test = cc_fn cc in
       fun t ->
-        account t pc1 cw;
-        t.pc <- pc1;
+        account t cw;
+        t.pc <- t.pc + 1;
         if test (Int64.to_int (A1.unsafe_get t.regs R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
-      account t pc1 cw;
+      account t cw;
       t.pc <- target;
       rc t
   | M.Mpush r when okr r ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       push t (A1.unsafe_get t.regs r);
       t.cost <- t.cost + rest;
       rc t
   | M.Mpop r when okr r ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       A1.unsafe_set t.regs r (pop t);
       t.cost <- t.cost + rest;
       rc t
   | M.Mpushf ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       push t t.regs.{R.flags};
       t.cost <- t.cost + rest;
       rc t
   | M.Mpopf ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       t.regs.{R.flags} <- pop t;
       t.cost <- t.cost + rest;
       rc t
   | M.Mcalli target ->
-    (* the return address is a decode-time constant: no box per call *)
-    let ra = Int64.of_int pc1 in
+    (* the return address is a decode-time constant: no box per call, and
+       the one closure a decode does not share *)
+    let ra = Int64.of_int (pc0 + 1) in
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       push t ra;
       cs_push t (Int64.to_int (A1.unsafe_get t.regs R.rsp)) ra;
       t.pc <- target;
@@ -1287,23 +1303,23 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mcall name ->
     let tr = Halt_trap (Extern_fault ("unresolved call " ^ name)) in
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       raise tr
   | M.Mcallext _ ->
     (* extern slot resolved at decode time (the §14 fast path, one step
-       earlier) *)
+       earlier); every call of the same callee has this slot *)
     let slot = ext_slot image pc0 in
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       t.handlers.(slot) t;
       top_up t rest;
       rc t
   | M.Mret ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       let ra = pop t in
       cs_pop t;
       if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr})
@@ -1317,8 +1333,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mxorbit (d, s) when okr d && okr s ->
     let sp = d = R.rsp || d = R.rbp in
     fun t ->
-      account t pc1 cw;
-      t.pc <- pc1;
+      account t cw;
+      t.pc <- t.pc + 1;
       if sp then t.sp_struck <- true;
       (if t.fi_mask <> 0L then begin
          A1.unsafe_set t.regs d (Int64.logxor (A1.unsafe_get t.regs d) t.fi_mask);
@@ -1332,8 +1348,8 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       let addr = Int64.to_int (A1.unsafe_get t.regs b) + off in
       let v = load64 t addr in
       let mask =
@@ -1350,11 +1366,25 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mhalt ->
     (* the run ends here, so a weighted halt never pays its weight *)
     fun t ->
-      account t pc1 1;
-      t.pc <- pc1;
+      account t 1;
+      t.pc <- t.pc + 1;
       t.status <- Exited (Int64.to_int t.regs.{R.ret_gpr});
       rc t
   | _ -> via_legacy
+
+(* The decode of every slot of a REFINE splice (DESIGN.md §19): the
+   reference semantics on the instruction at the pc, then the poll-slot
+   check.  Inside the skip window the fi-splice superinstruction retires a
+   whole non-firing splice, so its slots run singly only on a sample's
+   first and firing selector visits, where the splice's guard declines at
+   a poll slot or budget edge, and on the fire path, at most once per
+   sample; all of them share this one closure instead of holding a
+   closure specialized per slot. *)
+let interp : dop =
+ fun t ->
+  let pc = t.pc in
+  exec_instr t pc (Array.unsafe_get t.image.L.code pc);
+  rc t
 
 (* --- superinstruction fusion ------------------------------------------- *)
 
@@ -1383,11 +1413,9 @@ let compose2 next1 (f1 : dop) (f2 : dop) : dop =
 
 (* Hand-fused integer compare-branch: one closure, flags kept in a local,
    the cc as a decode-time FLAGS bit test.  [cw0]/[cw1] are the slots'
-   cost weights (1 on plain images). *)
-let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask ~want
-    ~tgt : dop =
-  let k0 = class_at image pc0 and k1 = class_at image (pc0 + 1) in
-  let pc2 = pc0 + 2 in
+   cost weights (1 on plain images).  Like every superinstruction it
+   reads its constituents' classes off the image only while profiling. *)
+let fuse_pair2 ~cw0 ~cw1 (single : dop array) pc0 a (b : M.mopd) ~mask ~want ~tgt : dop =
   let c2 = cw0 + cw1 in
   let exact = compose2 (pc0 + 1) single.(pc0) single.(pc0 + 1) in
   let finish (t : t) fl =
@@ -1399,10 +1427,10 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
       (match t.prof with
       | None -> ()
       | Some p ->
-        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-        p.class_steps.(k1) <- p.class_steps.(k1) + 1);
+        count_class p t.image pc0;
+        count_class p t.image (pc0 + 1));
       A1.unsafe_set t.regs R.flags (Int64.of_int fl);
-      t.pc <- (if (fl land mask <> 0) = want then tgt else pc2)
+      t.pc <- (if (fl land mask <> 0) = want then tgt else pc0 + 2)
     end
     else exact t
   in
@@ -1414,11 +1442,7 @@ let fuse_pair2 ~cw0 ~cw1 (image : L.image) (single : dop array) pc0 a (b : M.mop
    the bottom-of-loop shape of every counted MinC loop.  The jump
    constituent retires only on the fall-through path, exactly as the
    legacy interpreter would reach it. *)
-let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : M.mopd) ~mask
-    ~want ~tgt ~jt : dop =
-  let k0 = class_at image pc0
-  and k1 = class_at image (pc0 + 1)
-  and k2 = class_at image (pc0 + 2) in
+let fuse_loop3 ~cw0 ~cw1 ~cw2 (single : dop array) pc0 a (b : M.mopd) ~mask ~want ~tgt ~jt : dop =
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
   let c2 = cw0 + cw1 in
   let c3 = c2 + cw2 in
@@ -1431,8 +1455,8 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
       (match t.prof with
       | None -> ()
       | Some p ->
-        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-        p.class_steps.(k1) <- p.class_steps.(k1) + 1);
+        count_class p t.image pc0;
+        count_class p t.image pc1);
       if (fl land mask <> 0) = want then begin
         (* exit taken: only cmp+jcc retire *)
         t.steps <- s + 2;
@@ -1442,9 +1466,7 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
       else begin
         t.steps <- s + 3;
         t.cost <- t.cost + c3;
-        (match t.prof with
-        | None -> ()
-        | Some p -> p.class_steps.(k2) <- p.class_steps.(k2) + 1);
+        (match t.prof with None -> () | Some p -> count_class p t.image pc2);
         t.pc <- jt
       end
     end
@@ -1461,12 +1483,8 @@ let fuse_loop3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0 a (b : 
    guard; the op's intermediate FLAGS write is unobservable inside the
    batch (the compare overwrites it), so only the compare's flags are
    stored.  Decode guarantees none of the operands is FLAGS itself. *)
-let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
-    (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt : dop =
-  let k0 = class_at image pc0
-  and k1 = class_at image (pc0 + 1)
-  and k2 = class_at image (pc0 + 2) in
-  let pc3 = pc0 + 3 in
+let fuse_latch3 ~cw0 ~cw1 ~cw2 (single : dop array) pc0 (op : Refine_ir.Ir.ibinop) d a
+    (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt : dop =
   let c3 = cw0 + cw1 + cw2 in
   let exact =
     compose2 (pc0 + 1) single.(pc0) (compose2 (pc0 + 2) single.(pc0 + 1) single.(pc0 + 2))
@@ -1499,10 +1517,10 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
       (match t.prof with
       | None -> ()
       | Some p ->
-        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-        p.class_steps.(k1) <- p.class_steps.(k1) + 1;
-        p.class_steps.(k2) <- p.class_steps.(k2) + 1);
-      t.pc <- (if (fl land mask <> 0) = want then tgt else pc3)
+        count_class p t.image pc0;
+        count_class p t.image (pc0 + 1);
+        count_class p t.image (pc0 + 2));
+      t.pc <- (if (fl land mask <> 0) = want then tgt else pc0 + 3)
     end
     else exact t
 
@@ -1522,25 +1540,14 @@ let fuse_latch3 ~cw0 ~cw1 ~cw2 (image : L.image) (single : dop array) pc0
    retired step/cost/profile counters, and the skipped call banked in
    [fi_pending] (folded back by [Runtime.absorb] or the next real
    selector call); rsp and r0 end where they started.  Anywhere else the
-   head's single decode runs and the splice goes on constituent-exact
-   through the dispatch loop — the selector call is its pc's own decode,
-   its cmp/jcc their own single decodes, and the fire path it
-   may enter is interpreted ([interp]). *)
-let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fimap.splice) : dop =
+   splice goes on constituent-exact, every one of its slots interpreted
+   ([interp]) through the dispatch loop. *)
+let fuse_splice (image : L.image) (spl : Refine_backend.Fimap.splice) : dop =
   let pc0 = spl.Refine_backend.Fimap.sp_start and pf = spl.sp_flags and sp_end = spl.sp_end in
-  let a = pc0 + if pf then 2 else 1 in
-  let slot = ext_slot image a in
   let npush = if pf then 2 else 1 in
+  let a = pc0 + npush in
+  let slot = ext_slot image a in
   let len = npush + 3 + npush in
-  let cls = class_at image in
-  let k_push = cls pc0
-  and k_pushf = cls (pc0 + 1) (* read only when pf, like k_popf *)
-  and k_call = cls a
-  and k_cmp = cls (a + 1)
-  and k_jcc = cls (a + 2)
-  and k_popf = cls (sp_end - 1)
-  and k_pop = cls sp_end in
-  let s_head = single.(pc0) in
   let floor = Mem.mem_size - Mem.stack_limit in
   fun t ->
     let s = t.steps in
@@ -1563,20 +1570,21 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
       (match t.prof with
       | None -> ()
       | Some p ->
-        p.class_steps.(k_push) <- p.class_steps.(k_push) + 1;
-        if pf then p.class_steps.(k_pushf) <- p.class_steps.(k_pushf) + 1;
-        p.class_steps.(k_call) <- p.class_steps.(k_call) + 1;
-        p.class_steps.(k_cmp) <- p.class_steps.(k_cmp) + 1;
-        p.class_steps.(k_jcc) <- p.class_steps.(k_jcc) + 1;
-        if pf then p.class_steps.(k_popf) <- p.class_steps.(k_popf) + 1;
-        p.class_steps.(k_pop) <- p.class_steps.(k_pop) + 1;
+        let im = t.image in
+        count_class p im pc0;
+        if pf then count_class p im (pc0 + 1);
+        count_class p im a;
+        count_class p im (a + 1);
+        count_class p im (a + 2);
+        if pf then count_class p im (sp_end - 1);
+        count_class p im sp_end;
         p.ext_calls <- p.ext_calls + 1;
         p.ext_cost <- p.ext_cost + hcost);
       t.fi_skip <- t.fi_skip - 1;
       t.fi_pending <- t.fi_pending + 1;
       t.pc <- sp_end + 1
     end
-    else s_head t
+    else interp t
 
 (* Hand-fused LLFI call group (DESIGN.md §20): the marshaling and result
    move isel emits around every [llfi_inject_*] call the LLFI pass inserts
@@ -1595,9 +1603,7 @@ let fuse_splice (image : L.image) (single : dop array) (spl : Refine_backend.Fim
    and the group goes on constituent-exact through the dispatch loop. *)
 let fuse_llfi (image : L.image) (single : dop array) pc0 ~id ~arg (x : M.mopd) ~ret ~d : dop =
   let slot = ext_slot image (pc0 + 2) in
-  let cls = class_at image in
-  let k0 = cls pc0 and k1 = cls (pc0 + 1) and k2 = cls (pc0 + 2) and k3 = cls (pc0 + 3) in
-  let r1 = R.gpr 1 and pc4 = pc0 + 4 in
+  let r1 = R.gpr 1 in
   let s_head = single.(pc0) in
   fun t ->
     let s = t.steps in
@@ -1617,36 +1623,27 @@ let fuse_llfi (image : L.image) (single : dop array) pc0 ~id ~arg (x : M.mopd) ~
       (match t.prof with
       | None -> ()
       | Some p ->
-        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-        p.class_steps.(k1) <- p.class_steps.(k1) + 1;
-        p.class_steps.(k2) <- p.class_steps.(k2) + 1;
-        p.class_steps.(k3) <- p.class_steps.(k3) + 1;
+        let im = t.image in
+        for k = pc0 to pc0 + 3 do
+          count_class p im k
+        done;
         p.ext_calls <- p.ext_calls + 1;
         p.ext_cost <- p.ext_cost + hcost);
       t.fi_skip <- t.fi_skip - 1;
       t.fi_pending <- t.fi_pending + 1;
-      t.pc <- pc4
+      t.pc <- pc0 + 4
     end
     else s_head t
 
 let idioms = [| "cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"; "llfi-call" |]
 
-(* The decode of every fire-path slot (DESIGN.md §19): the reference
-   semantics on the instruction at the pc, then the poll-slot check.  A
-   fire path runs only when REFINE's selector fires, at most once per
-   sample, so all of them share this one closure instead of holding a
-   closure specialized per slot. *)
-let interp : dop =
- fun t ->
-  let pc = t.pc in
-  exec_instr t pc (Array.unsafe_get t.image.L.code pc);
-  rc t
-
 (* Decode a whole image: per-pc single decodes, then a fused table where
    idiom heads are replaced by superinstructions.  Interior pcs of a fused
    region keep their single decodes, so jumps landing mid-idiom dispatch
-   correctly.  Fire-path slots are interpreted and head no idiom, and
-   neither does a splice's selector compare. *)
+   correctly.  A single decode is built once per distinct (instruction,
+   weight) and shared by every slot holding it, except [Mcalli]'s; the
+   slots of a REFINE splice are interpreted, and only its head heads an
+   idiom, the fi-splice. *)
 let decode ?cost_of (image : L.image) : dprogram =
   let code = image.L.code in
   let n = Array.length code in
@@ -1663,44 +1660,60 @@ let decode ?cost_of (image : L.image) : dprogram =
     | Some _ -> []
     | None -> Option.value ~default:[] (Refine_backend.Fimap.splices image)
   in
-  let fire = Array.make n false in
-  (* the selector's [cmp r0, 0; jcc post] heads no superinstruction: inside
-     the skip window the fi-splice retires the whole non-firing splice, so
-     the pair runs only on a sample's first and firing selector visits and
-     where the splice's guard declines *)
-  let selector = Array.make n false in
+  let spliced = Bytes.make n '\000' in
   List.iter
     (fun (spl : Refine_backend.Fimap.splice) ->
-      let first, last = Refine_backend.Fimap.fire_path spl in
-      Array.fill fire first (last - first + 1) true;
-      selector.(first - 2) <- true)
+      Bytes.fill spliced spl.sp_start (spl.sp_end - spl.sp_start + 1) '\001')
     splices;
-  let single =
-    Array.init n (fun pc -> if fire.(pc) then interp else decode_one ?cost_of image pc code.(pc))
+  let in_splice pc = Bytes.get spliced pc <> '\000' in
+  (* a closure takes its pc from the engine, so one per distinct
+     (instruction, weight) serves every slot holding it; [Mcalli] keeps
+     its slot's return address *)
+  let forms = Hashtbl.create 256 in
+  let fused =
+    Array.init n (fun pc ->
+        if in_splice pc then interp
+        else
+          match code.(pc) with
+          | M.Mcalli _ as i -> decode_one ~cw:(cw pc) image pc i
+          | i -> (
+            let key = (i, cw pc) in
+            match Hashtbl.find_opt forms key with
+            | Some f -> f
+            | None ->
+              let f = decode_one ~cw:(cw pc) image pc i in
+              Hashtbl.add forms key f;
+              f))
   in
-  let fused = Array.copy single in
+  (* the table holds single decodes until a superinstruction replaces its
+     head's, which [heads] keeps; the scan below writes only the slot it is
+     at, so the slots from there on still hold the singles a fused group
+     composes *)
+  let heads = ref [] in
   let super = Array.make (Array.length idioms) 0 in
+  let fuse idiom pc f =
+    heads := (pc, fused.(pc)) :: !heads;
+    fused.(pc) <- f;
+    super.(idiom) <- super.(idiom) + 1
+  in
   let okr r = r >= 0 && r < R.num_regs in
   let oko = function M.Reg r -> okr r | M.Imm _ -> true in
   for pc = 0 to n - 1 do
     let fused3 =
       pc + 2 < n
-      && (not fire.(pc))
+      && (not (in_splice pc))
       &&
       match (code.(pc), code.(pc + 1), code.(pc + 2)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt), M.Mjmp jt when jt <= pc + 2 && okr a && oko b -> (
         match int_cc cc with
         | Some (mask, want) ->
-          fused.(pc) <-
-            fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc a b
-              ~mask ~want ~tgt ~jt;
-          super.(2) <- super.(2) + 1;
+          fuse 2 pc
+            (fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) fused pc a b ~mask
+               ~want ~tgt ~jt);
           true
         | None -> false)
       | M.Mload _, M.Mbin _, M.Mstore _ ->
-        fused.(pc) <-
-          compose2 (pc + 1) single.(pc) (compose2 (pc + 2) single.(pc + 1) single.(pc + 2));
-        super.(1) <- super.(1) + 1;
+        fuse 1 pc (compose2 (pc + 1) fused.(pc) (compose2 (pc + 2) fused.(pc + 1) fused.(pc + 2)));
         true
       | M.Mbin (op, d, a, b), M.Mcmp (a2, b2), M.Mjcc (cc, tgt)
         when (match op with Div | Rem -> false | _ -> true)
@@ -1710,37 +1723,32 @@ let decode ?cost_of (image : L.image) : dprogram =
              && (match b2 with M.Reg r -> r <> R.flags | M.Imm _ -> true) -> (
         match int_cc cc with
         | Some (mask, want) ->
-          fused.(pc) <-
-            fuse_latch3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image single pc op d
-              a b a2 b2 ~mask ~want ~tgt;
           (* a backward target is a loop latch; forward is a fused
              compare-branch with a leading op *)
-          (if tgt <= pc + 2 then super.(2) <- super.(2) + 1
-           else super.(0) <- super.(0) + 1);
+          fuse
+            (if tgt <= pc + 2 then 2 else 0)
+            pc
+            (fuse_latch3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) fused pc op d a b a2
+               b2 ~mask ~want ~tgt);
           true
         | None -> false)
       | _ -> false
     in
-    if (not fused3) && pc + 1 < n && (not fire.(pc)) && not selector.(pc) then
+    if (not fused3) && pc + 1 < n && not (in_splice pc) then
       match (code.(pc), code.(pc + 1)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt) when okr a && oko b && int_cc cc <> None ->
         let mask, want = match int_cc cc with Some mw -> mw | None -> assert false in
-        fused.(pc) <-
-          fuse_pair2 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) image single pc a b ~mask ~want ~tgt;
-        super.(0) <- super.(0) + 1
-      | (M.Mcmp _ | M.Mfcmp _), M.Mjcc _ ->
-        fused.(pc) <- compose2 (pc + 1) single.(pc) single.(pc + 1);
-        super.(0) <- super.(0) + 1
+        fuse 0 pc (fuse_pair2 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) fused pc a b ~mask ~want ~tgt)
+      | (M.Mcmp _ | M.Mfcmp _), M.Mjcc _ -> fuse 0 pc (compose2 (pc + 1) fused.(pc) fused.(pc + 1))
       | _ -> ()
   done;
   (* REFINE FI splices (a splice head is an [Mpush]) and LLFI call groups
-     (headed by [Mmov (r1, #id)]); neither head starts another idiom.  Only
-     on plain (unweighted) images: detach targets carry the instrumentation
-     cost as slot weights. *)
+     (headed by [Mmov (r1, #id)]); neither head starts another idiom, so
+     each still holds its single decode.  Only on plain (unweighted)
+     images: detach targets carry the instrumentation cost as slot
+     weights. *)
   List.iter
-    (fun (spl : Refine_backend.Fimap.splice) ->
-      fused.(spl.sp_start) <- fuse_splice image single spl;
-      super.(3) <- super.(3) + 1)
+    (fun (spl : Refine_backend.Fimap.splice) -> fuse 3 spl.sp_start (fuse_splice image spl))
     splices;
   (match cost_of with
   | Some _ -> ()
@@ -1748,22 +1756,17 @@ let decode ?cost_of (image : L.image) : dprogram =
     for pc = 0 to n - 4 do
       match (code.(pc), code.(pc + 1), code.(pc + 2), code.(pc + 3)) with
       | M.Mmov (r1, M.Imm id), M.Mmov (arg, x), M.Mcallext name, M.Mmov (d, M.Reg ret)
-        when r1 = R.gpr 1 && okr d && oko x && (not fire.(pc))
+        when r1 = R.gpr 1 && okr d && oko x && (not (in_splice pc))
              && List.mem (name, arg, ret) Refine_backend.Fimap.llfi_calls ->
-        fused.(pc) <- fuse_llfi image single pc ~id ~arg x ~ret ~d;
-        super.(4) <- super.(4) + 1
+        fuse 4 pc (fuse_llfi image fused pc ~id ~arg x ~ret ~d)
       | _ -> ()
     done);
-  let heads = ref [] in
-  for pc = n - 1 downto 0 do
-    if fused.(pc) != single.(pc) then heads := pc :: !heads
-  done;
-  let heads = Array.of_list !heads in
+  let heads = List.sort (fun (p, _) (q, _) -> compare p q) !heads in
   {
     d_image = image;
     d_fused = fused;
-    d_heads = heads;
-    d_head_singles = Array.map (fun pc -> single.(pc)) heads;
+    d_heads = Array.of_list (List.map fst heads);
+    d_head_singles = Array.of_list (List.map snd heads);
     d_super = super;
   }
 

@@ -73,15 +73,17 @@ type dprogram
 (** A pre-decoded program (DESIGN.md §19): a dispatch table with one entry
     per code slot — a closure specialized to the slot's instruction, with
     operands, flag-word ops, branch targets and extern slots resolved at
-    decode time, except on the fire paths of REFINE's splices, whose slots
-    all share one closure that interprets the instruction — where the hot
-    MinC idioms (compare-branch, load-op-store, loop-back-edge) head
+    decode time, except on REFINE's splices, whose slots all share one
+    closure that interprets the instruction — where the hot MinC idioms
+    (compare-branch, load-op-store, loop-back-edge) head
     superinstructions, plus each head's own decode, from which an engine
     that must dispatch fusion-free (a hooked run, an Instr_image overlay)
-    builds its own fusion-free table.  Immutable and engine-free: one
-    [dprogram] is decoded per snapshot (content-addressed by the campaign
-    layer) and shared read-only by every engine and domain executing that
-    image.
+    builds its own fusion-free table.  A closure takes its pc from the
+    engine, so slots holding the same instruction at the same cost weight
+    share one closure ([Mcalli] aside, which keeps its slot's return
+    address).  Immutable and engine-free: one [dprogram] is decoded per
+    snapshot (content-addressed by the campaign layer) and shared
+    read-only by every engine and domain executing that image.
     A superinstruction retires its constituents in one batch only when no
     poll slot or budget edge falls inside it, and otherwise runs the
     constituents' single decodes, so decoded execution is bit-identical to
@@ -348,6 +350,14 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
     layer decodes each prepared binary once and keeps the result on its
     [Tool.prepared] record, so the engines it hands out never re-decode.
 
+    A decoded closure runs as the slot at the engine's pc: it moves the pc
+    on from there and, only while profiling, reads that slot's opcode
+    class off the image; a superinstruction reads its constituents'
+    classes the same way.  So the decode builds one closure per distinct
+    (instruction, cost weight) and every slot holding it shares it; an
+    [Mcalli] alone keeps a closure of its own, holding its return address
+    as a constant so that a call allocates nothing.
+
     [cost_of] (DESIGN.md §20): per-pc modeled cost weights, one entry per
     code slot ([Invalid_argument] on a length mismatch; default weight 1
     everywhere).  Detach targets are decoded with the correspondence map's
@@ -361,12 +371,14 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
 
     On a plain image (no [cost_of]) every splice of
     [Refine_backend.Fimap.splices] is fused into one ["fi-splice"]
-    superinstruction, and every slot of its fire path
-    ([Refine_backend.Fimap.fire_path]), which runs at most once per
-    sample, maps to one interpreter closure that the whole decode shares
-    and heads no superinstruction.  The selector's [cmp r0, 0; jcc]
-    ahead of the fire path is not fused either: inside the skip window
-    the fi-splice retires it with the rest of the splice. *)
+    superinstruction, and every slot of the splice, from its [Mpush r0] to
+    its [Mpop r0], maps to one interpreter closure that all decodes share
+    and heads no other superinstruction: inside the skip window the
+    fi-splice retires the whole non-firing splice, so its slots run singly
+    only on a sample's first and firing selector visits, where the
+    fi-splice's guard declines (near a poll slot or budget edge, when it
+    runs the interpreter from the head), and on the fire path, at most
+    once per sample. *)
 
 val install_decoded : t -> dprogram option -> unit
 (** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must

@@ -15,7 +15,7 @@
    detach    detach armed, reg and mem faults: outcome tables = the
              step-loop oracle's, REFINE hands off and LLFI never does
    mem       all 14 programs x 3 tools prepared in one process stay under
-             48 MB peak RSS *)
+             40 MB peak RSS *)
 
 module C = Refine_campaign.Coordinator
 module E = Refine_campaign.Experiment
@@ -687,7 +687,7 @@ let peak_rss_mb () =
   Fun.protect ~finally:(fun () -> close_in ic) find
 
 let mem () =
-  let limit_mb = 48 and samples = 2 in
+  let limit_mb = 40 and samples = 2 in
   let cells = E.run_matrix ~domains:1 ~samples ~seed:20170712 (sources Reg.names) Rep.tools in
   check "every cell prepared and sampled"
     (fully_resolved samples cells

@@ -568,13 +568,13 @@ let weighted_endings =
     ("spin to the budget", [ M.Mjmp 0 ], X.Timed_out);
   ]
 
-(* A weighted decode (random weights, a quarter of the slots at 1) must
-   stop every run in the reference's state: status, steps, cost, pc,
-   registers, output, the stack and every poll slot's view.  The runs are
-   cut at every cost and step budget within one unit of each weighted
-   slot's retirement in the first iterations, around each poll slot and at
-   the end, and at every step budget next to a poll slot. *)
-let test_weighted_slots_equal_reference () =
+(* A weighted decode of [image] must stop every run in the reference's
+   state: status, steps, cost, pc, registers, output, the stack and every
+   poll slot's view.  The runs are cut at every cost and step budget
+   within one unit of each weighted slot's retirement at the steps [near]
+   selects (given the full run's step count), and at every step budget
+   next to a poll slot.  The full reference run must end in [ends_in]. *)
+let weighted_equals_reference ~what ~weights ~ends_in ~near image =
   let stack (e : X.t) =
     Bigarray.Array1.sub e.X.mem (Refine_ir.Memlayout.mem_size - 65536) 65536
   in
@@ -588,6 +588,63 @@ let test_weighted_slots_equal_reference () =
       stack e,
       polls )
   in
+  let leg = X.create image and dec = X.create image in
+  X.install_decoded dec (Some (X.decode ~cost_of:weights image));
+  let run_ref ?on_slot ~max_steps ~max_cost () =
+    X.reset leg;
+    let polls = ref [] in
+    let poll () = polls := (leg.X.steps, leg.X.cost, leg.X.pc) :: !polls in
+    weighted_reference ?on_slot ~weights ~max_steps ~max_cost ~poll leg;
+    observe leg !polls
+  in
+  let run_dec ~max_steps ~max_cost =
+    X.reset dec;
+    let polls = ref [] in
+    let poll () = polls := (dec.X.steps, dec.X.cost, dec.X.pc) :: !polls in
+    ignore
+      (X.run ~max_steps:(Int64.of_int max_steps) ~max_cost:(Int64.of_int max_cost) ~poll dec);
+    observe dec !polls
+  in
+  (* the full run, recording where each weighted slot retires *)
+  let slots = ref [] in
+  (* ends a spin after a few poll slots; every other ending comes first *)
+  let full_cost = 100_000 in
+  let on_slot pc c0 (e : X.t) =
+    if weights.(pc) > 1 then slots := (e.X.steps, c0, e.X.cost) :: !slots
+  in
+  ignore (run_ref ~on_slot ~max_steps:max_int ~max_cost:full_cost ());
+  if leg.X.status <> ends_in then
+    Alcotest.failf "%s: the reference run does not reach its ending" what;
+  let total = leg.X.steps in
+  let cost_cuts, step_cuts =
+    List.fold_left
+      (fun (cc, sc) (s, c0, c1) ->
+        if near ~total s then
+          ([ c0 - 1; c0; c0 + 1; c1 - 1; c1; c1 + 1 ] @ cc, [ s - 1; s; s + 1 ] @ sc)
+        else (cc, sc))
+      ( [ full_cost ],
+        List.concat
+          (List.init ((total / 1024) + 1) (fun m -> [ (1024 * m) - 1; 1024 * m; (1024 * m) + 1 ]))
+      )
+      !slots
+  in
+  let check label ~max_steps ~max_cost =
+    if run_dec ~max_steps ~max_cost <> run_ref ~max_steps ~max_cost () then
+      Alcotest.failf "%s: decoded run diverges from the reference at %s" what label
+  in
+  List.iter
+    (fun c -> if c > 0 then check (Printf.sprintf "max_cost %d" c) ~max_steps:max_int ~max_cost:c)
+    (List.sort_uniq compare cost_cuts);
+  List.iter
+    (fun s ->
+      if s > 0 then check (Printf.sprintf "max_steps %d" s) ~max_steps:s ~max_cost:full_cost)
+    (List.sort_uniq compare step_cuts);
+  dec
+
+(* Random weights, a quarter of the slots at 1, on [weighted_program]
+   with every ending, cut in the first iterations, around each poll slot
+   and at the end. *)
+let test_weighted_slots_equal_reference () =
   List.iteri
     (fun case (what, ending, ends_in) ->
       List.iter
@@ -596,71 +653,152 @@ let test_weighted_slots_equal_reference () =
           let n = Array.length image.L.code in
           let rng = P.create ((case * 31) + pad) in
           let weights = Array.init n (fun _ -> if P.int rng 4 = 0 then 1 else 2 + P.int rng 40) in
-          let leg = X.create image and dec = X.create image in
-          X.install_decoded dec (Some (X.decode ~cost_of:weights image));
-          let run_ref ?on_slot ~max_steps ~max_cost () =
-            X.reset leg;
-            let polls = ref [] in
-            let poll () = polls := (leg.X.steps, leg.X.cost, leg.X.pc) :: !polls in
-            weighted_reference ?on_slot ~weights ~max_steps ~max_cost ~poll leg;
-            observe leg !polls
-          in
-          let run_dec ~max_steps ~max_cost =
-            X.reset dec;
-            let polls = ref [] in
-            let poll () = polls := (dec.X.steps, dec.X.cost, dec.X.pc) :: !polls in
-            ignore
-              (X.run ~max_steps:(Int64.of_int max_steps) ~max_cost:(Int64.of_int max_cost) ~poll dec);
-            observe dec !polls
-          in
-          (* the full run, recording where each weighted slot retires *)
-          let slots = ref [] in
-          (* ends the spin after a few poll slots; every other ending
-             comes first *)
-          let full_cost = 100_000 in
-          let on_slot pc c0 (e : X.t) =
-            if weights.(pc) > 1 then slots := (e.X.steps, c0, e.X.cost) :: !slots
-          in
-          ignore (run_ref ~on_slot ~max_steps:max_int ~max_cost:full_cost ());
-          if leg.X.status <> ends_in then
-            Alcotest.failf "%s, pad %d: the reference run does not reach its ending" what pad;
-          let total = leg.X.steps in
-          let near s = s <= 34 || (s + 17) land 1023 <= 34 || s >= total - 34 in
-          let cost_cuts, step_cuts =
-            List.fold_left
-              (fun (cc, sc) (s, c0, c1) ->
-                if near s then
-                  ( [ c0 - 1; c0; c0 + 1; c1 - 1; c1; c1 + 1 ] @ cc,
-                    [ s - 1; s; s + 1 ] @ sc )
-                else (cc, sc))
-              ([ full_cost ], List.concat (List.init ((total / 1024) + 1) (fun m ->
-                   [ (1024 * m) - 1; 1024 * m; (1024 * m) + 1 ])))
-              !slots
-          in
-          let check label ~max_steps ~max_cost =
-            if run_dec ~max_steps ~max_cost <> run_ref ~max_steps ~max_cost () then
-              Alcotest.failf "%s, pad %d: decoded run diverges from the reference at %s" what pad
-                label
-          in
-          List.iter
-            (fun c ->
-              if c > 0 then check (Printf.sprintf "max_cost %d" c) ~max_steps:max_int ~max_cost:c)
-            (List.sort_uniq compare cost_cuts);
-          List.iter
-            (fun s ->
-              if s > 0 then
-                check (Printf.sprintf "max_steps %d" s) ~max_steps:s ~max_cost:full_cost)
-            (List.sort_uniq compare step_cuts))
+          let near ~total s = s <= 34 || (s + 17) land 1023 <= 34 || s >= total - 34 in
+          ignore
+            (weighted_equals_reference
+               ~what:(Printf.sprintf "%s, pad %d" what pad)
+               ~weights ~ends_in ~near image))
         [ case mod 3; 7 + (case mod 5) ])
     weighted_endings
 
+(* --- shared closures: one per (instruction, weight) ------------------------ *)
+
+(* A loop whose body repeats an ALU op, a store, a load and an extern call
+   at several pcs, with two [Mcalli] to [f] and one to [g], each returning
+   through its own [Mret] ([g]'s body repeats the load as well): 21 steps
+   an iteration, so over the run successive poll slots fall on different
+   slots of the body. *)
+let recurring_program ~iters =
+  let g = R.gpr in
+  let alu = M.Mbin (Ir.Add, g 5, g 5, M.Imm 3L)
+  and store = M.Mstore (g 5, R.rsp, -16)
+  and load = M.Mload (g 7, R.rsp, -16)
+  and ext = M.Mcallext "print_int" in
+  [
+    M.Mmov (g 3, M.Imm (Int64.of_int iters));
+    alu (* pc 1: loop head *);
+    store;
+    M.Mcalli 17 (* pc 3: f *);
+    load;
+    alu (* pc 5 *);
+    M.Mmov (g 1, M.Reg (g 5));
+    ext (* pc 7 *);
+    store (* pc 8 *);
+    M.Mcalli 17 (* pc 9: f again *);
+    load (* pc 10 *);
+    ext (* pc 11 *);
+    M.Mcalli 19 (* pc 12: g *);
+    M.Mbin (Ir.Sub, g 3, g 3, M.Imm 1L);
+    M.Mcmp (g 3, M.Imm 0L);
+    M.Mjcc (M.CNe, 1);
+    M.Mhalt;
+    alu (* pc 17: f *);
+    M.Mret;
+    load (* pc 19: g *);
+    M.Mret (* pc 20 *);
+  ]
+
+(* the slots holding each recurring instruction other than a call *)
+let recurring =
+  [
+    ("ALU op", [ 1; 5; 17 ]);
+    ("store", [ 2; 8 ]);
+    ("load", [ 4; 10; 19 ]);
+    ("extern call", [ 7; 11 ]);
+    ("ret", [ 18; 20 ]);
+  ]
+
+(* Slots holding one (instruction, weight) hold one closure, which takes
+   its pc from the engine, so each recurrence must still run as the slot
+   it is: the decoded run equals the step loop at every cost budget
+   around each recurrence of the first iterations and of the iterations
+   around each poll slot, profiling on (the class each slot retires is
+   read at the engine's pc) and off; and a twin-style weighted decode in
+   which the ALU op recurs at two weights shares a closure only between
+   equal weights and equals the weighted reference at every budget edge
+   around each weighted recurrence.  The two calls of [f] keep a closure
+   each: a call's return address is its slot's. *)
+let test_shared_closures_exact () =
+  let image = Test_fastpath.image_of (recurring_program ~iters:200) in
+  let n = Array.length image.L.code in
+  let expect_shared what table pcs =
+    List.iter
+      (fun pc ->
+        if table.(pc) != table.(List.hd pcs) then
+          Alcotest.failf "%s: slot %d does not share slot %d's closure" what pc (List.hd pcs))
+      pcs
+  in
+  let table =
+    let e = X.create image in
+    X.install_decoded e (Some (X.decode image));
+    e.X.d_active
+  in
+  List.iter (fun (what, pcs) -> expect_shared what table pcs) recurring;
+  Alcotest.(check bool) "each call of f keeps its own closure" false (table.(3) == table.(9));
+  (* the costs at which each step of the reference run ends *)
+  let ends =
+    let e = X.create image in
+    let acc = ref [] in
+    while e.X.status = X.Running do
+      X.step e;
+      acc := (e.X.steps, e.X.cost) :: !acc
+    done;
+    !acc
+  in
+  let near s = s <= 60 || s land 1023 <= 40 || s land 1023 >= 1000 in
+  let budgets =
+    List.concat_map (fun (s, c) -> if near s then [ c - 1; c; c + 1 ] else []) ends
+    |> List.filter (fun c -> c > 0)
+    |> List.sort_uniq compare
+  in
+  let arm ~profiling e =
+    X.reset e;
+    let prof = if profiling then Some (X.enable_profiling e) else None in
+    fun () ->
+      Option.map (fun (p : X.profile) -> (Array.copy p.X.class_steps, p.X.ext_calls)) prof
+  in
+  decoded_equals_step ~what:"recurring instructions" ~budgets:(budgets @ [ 1_000_000 ]) image
+    (arm ~profiling:false);
+  decoded_equals_step ~what:"recurring instructions, profiling" ~budgets:(budgets @ [ 1_000_000 ])
+    image (arm ~profiling:true);
+  (* a twin-style weighted decode: the ALU op weighs 7 at pcs 1 and 5 and
+     3 at pc 17; every other recurrence keeps one weight *)
+  let weights =
+    Array.init n (fun pc ->
+        match pc with
+        | 1 | 5 -> 7
+        | 17 -> 3
+        | 2 | 8 -> 2
+        | 4 | 10 | 19 -> 5
+        | 7 | 11 -> 4
+        | 18 | 20 -> 6
+        | 3 | 9 | 12 -> 2
+        | _ -> 1)
+  in
+  let dec =
+    weighted_equals_reference ~what:"recurring weighted instructions" ~weights
+      ~ends_in:(X.Exited 0)
+      ~near:(fun ~total s -> near s || s >= total - 40)
+      image
+  in
+  let table = dec.X.d_active in
+  expect_shared "ALU op at weight 7" table [ 1; 5 ];
+  Alcotest.(check bool)
+    "the ALU op at weight 3 has its own closure" false
+    (table.(1) == table.(17));
+  List.iter
+    (fun (what, pcs) -> if what <> "ALU op" then expect_shared (what ^ ", weighted") table pcs)
+    recurring
+
 (* --- fire paths: interpreted, one closure for the whole decode ----------- *)
 
-(* A fire path runs at most once per sample, so the decode holds no
-   closure of its own for it: over the 14 REFINE images the decode's own
-   words (those its image does not already hold) stay under 8 per code
-   slot.  A specialized closure per fire-path slot costs 12.8–12.9 words
-   per slot on every program. *)
+(* A splice's slots run singly only on a sample's first and firing
+   selector visits and its fire path at most once per sample, so the
+   decode holds no closure of its own for any of them: over the 14 REFINE
+   images the decode's own words (those its image does not already hold)
+   stay under 3 per code slot.  A specialized closure per fire-path slot
+   costs 12.8–12.9 words per slot on every program, and one per other
+   splice slot 3.8. *)
 let test_fire_path_words () =
   List.iter
     (fun (b : Reg.bench) ->
@@ -669,29 +807,38 @@ let test_fire_path_words () =
       let own =
         Obj.reachable_words (Obj.repr p.T.dprog) - Obj.reachable_words (Obj.repr p.T.image)
       in
-      if own > 8 * n then
-        Alcotest.failf "%s: the decode holds %d words for %d code slots (%.1f per slot, limit 8)"
+      if own > 3 * n then
+        Alcotest.failf "%s: the decode holds %d words for %d code slots (%.1f per slot, limit 3)"
           b.Reg.name own n
           (float_of_int own /. float_of_int n))
     Reg.all
 
-(* A prepared REFINE cell keeps what can run, not a copy of every splice:
-   over the 14 programs its image, decode and detach target together
-   hold under 8 words per code slot.  A block per splice instruction, a
-   word per slot for each per-pc table, an image-length handoff map and
-   a fused selector compare-branch per splice cost 14.7–14.8 words per
-   slot on every program. *)
+(* A prepared cell keeps what can run and a closure per distinct
+   instruction, not a copy of every splice or a closure per slot: over the
+   14 programs its image, decode and detach target together hold under 6
+   words per code slot for REFINE, 15 for LLFI and 16 for PINFI.  A
+   specialized closure per splice slot and per recurring instruction, and
+   superinstructions that capture their constituents' classes, cost
+   6.65–6.76, 17.4–18.0 and 16.6–18.4; before that, a block per splice
+   instruction, a word per slot for each per-pc table, an image-length
+   handoff map and a fused selector compare-branch per splice cost REFINE
+   14.7–14.8. *)
 let test_cell_words () =
   List.iter
-    (fun (b : Reg.bench) ->
-      let p = T.prepare T.Refine b.Reg.source in
-      let n = Array.length p.T.image.L.code in
-      let words = Obj.reachable_words (Obj.repr (p.T.image, p.T.dprog, p.T.detach)) in
-      if words > 8 * n then
-        Alcotest.failf "%s: the cell keeps %d words for %d code slots (%.1f per slot, limit 8)"
-          b.Reg.name words n
-          (float_of_int words /. float_of_int n))
-    Reg.all
+    (fun (kind, limit) ->
+      List.iter
+        (fun (b : Reg.bench) ->
+          let p = T.prepare kind b.Reg.source in
+          let n = Array.length p.T.image.L.code in
+          let words = Obj.reachable_words (Obj.repr (p.T.image, p.T.dprog, p.T.detach)) in
+          if words > limit * n then
+            Alcotest.failf
+              "%s/%s: the cell keeps %d words for %d code slots (%.2f per slot, limit %d)"
+              b.Reg.name (T.kind_name kind) words n
+              (float_of_int words /. float_of_int n)
+              limit)
+        Reg.all)
+    [ (T.Refine, 6); (T.Llfi, 15); (T.Pinfi, 16) ]
 
 (* A firing Reg_bit sample runs its fire path through the shared
    interpreter closure.  Cut at every cost budget from just before the
@@ -940,12 +1087,15 @@ let tests =
       test_weighted_slots_equal_reference;
     Alcotest.test_case "fire paths hold no closure of their own (14 REFINE images)" `Quick
       test_fire_path_words;
-    Alcotest.test_case "a prepared REFINE cell keeps < 8 words per code slot (14 programs)" `Quick
-      test_cell_words;
+    Alcotest.test_case
+      "a prepared REFINE cell keeps < 6 words per code slot, LLFI < 15, PINFI < 16 (14 programs)"
+      `Quick test_cell_words;
     Alcotest.test_case "firing sample = step across a fire path, poll slot inside" `Quick
       test_fire_path_decoded_equal_step;
     Alcotest.test_case "overlay table reused: slot restored, no copy when warm" `Quick
       test_overlay_table_reused;
     Alcotest.test_case "Instr_image samples at two pcs on one engine = oracle" `Quick
       test_instr_samples_share_engine;
+    Alcotest.test_case "shared closures = step reference at every recurrence's budget edges" `Quick
+      test_shared_closures_exact;
   ]
