@@ -8,8 +8,8 @@
      REFINE_SAMPLES   experiments per (program, tool) cell
                       (default 1068, the paper's Leveugle sizing for 3%
                       error at 95% confidence; set e.g. 200 for a quick
-                      pass — the full default run, 44,856 experiments,
-                      took about 6 minutes on a 2-core VM)
+                      pass — the full default run, 44,856 experiments
+                      and the extensions, took 2 min 40 s on a 2-core VM)
      REFINE_SEED      master PRNG seed (default 20170712)
      REFINE_PROGRAMS  comma-separated program filter (default: all 14)
      REFINE_JOURNAL   checkpoint/resume journal path: every resolved sample
@@ -212,11 +212,13 @@ let print_overhead cells =
 (* ---- extensions: §4.5 opcode corruption, cited multi-bit variants,
    and the PreFI state-saving ablation ------------------------------------ *)
 
-(* crash / SOC / benign tally of [n] experiments *)
-let tally n experiment =
+(* crash / SOC / benign tally of [n] [model] samples on [cell], each on a
+   split of one generator seeded with [seed] *)
+let tally n cell model seed =
+  let rng = Prng.create seed in
   let t = Array.make 3 0 in
   for _ = 1 to n do
-    match (experiment ()).F.outcome with
+    match (T.run_injection ~model cell (Prng.split rng)).F.outcome with
     | F.Crash -> t.(0) <- t.(0) + 1
     | F.Soc -> t.(1) <- t.(1) + 1
     | F.Benign -> t.(2) <- t.(2) + 1
@@ -229,20 +231,15 @@ let extensions_section () =
   let src = (Reg.find "EP").Reg.source in
   let n = min samples 200 in
   (* opcode corruption, on PINFI's (uninstrumented) binary *)
-  let pinfi = T.prepare T.Pinfi src in
-  let p = Refine_core.Opcode_fi.profile pinfi in
-  let rng = Prng.create seed in
-  let op = tally n (fun () -> Refine_core.Opcode_fi.run_injection pinfi p (Prng.split rng)) in
+  let opcode = T.prepare ~model:F.Opcode T.Pinfi src in
+  let op = tally n opcode F.Opcode seed in
   Printf.printf
     "opcode corruption on EP (%Ld corruptible dynamic instrs, n=%d):\n  crash %d  SOC %d  benign %d\n"
-    p.F.dyn_count n op.(0) op.(1) op.(2);
+    opcode.T.profile.F.dyn_count n op.(0) op.(1) op.(2);
   (* double-bit vs single-bit PINFI *)
-  let run_bits bits =
-    let model = if bits = 1 then F.Reg_bit else F.Multi_bit { bits; burst = false } in
-    let rng = Prng.create (seed + bits) in
-    tally n (fun () -> T.run_injection ~model pinfi (Prng.split rng))
-  in
-  let one = run_bits 1 and two = run_bits 2 in
+  let pinfi = T.prepare T.Pinfi src in
+  let one = tally n pinfi F.Reg_bit (seed + 1) in
+  let two = tally n pinfi (F.Multi_bit { bits = 2; burst = false }) (seed + 2) in
   Printf.printf
     "multi-bit model on EP (n=%d): 1-bit crash/SOC/benign %d/%d/%d ; 2-bit %d/%d/%d\n" n
     one.(0) one.(1) one.(2) two.(0) two.(1) two.(2);

@@ -146,7 +146,7 @@ let fi_cmd =
   let tool =
     Arg.(value & opt string "refine"
          & info [ "fi-tool" ] ~docv:"TOOL"
-             ~doc:"Fault injector: refine, llfi, pinfi, or opcode (valid-opcode corruption, the paper's par. 4.5 extension).")
+             ~doc:"Fault injector: refine, llfi or pinfi.")
   in
   let funcs =
     Arg.(value & opt string "*"
@@ -167,39 +167,15 @@ let fi_cmd =
          & info [ "fault-model" ] ~docv:"MODEL"
              ~doc:"What state each fault strikes: $(b,reg) (single register bit, the paper's \
                    model), $(b,mem) (one bit of a data memory cell), $(b,instr) (the in-flight \
-                   instruction image), $(b,multi:K) (K independent register bits per fault) or \
-                   $(b,burst:K) (K adjacent register bits).")
+                   instruction image), $(b,multi:K) (K independent register bits per fault), \
+                   $(b,burst:K) (K adjacent register bits) or $(b,opcode) (a valid alternative \
+                   opcode for the rest of the run, the paper's par. 4.5 extension; PINFI only).")
   in
   let action src tool funcs instrs samples seed fault_model opt passes verify_each no_cache =
     let model =
       try Refine_core.Fault.model_of_string fault_model
       with Invalid_argument msg -> Printf.eprintf "bad --fault-model: %s\n" msg; exit 2
     in
-    if String.lowercase_ascii tool = "opcode" then begin
-      (* the §4.5 extension: persistent valid-opcode corruption of PINFI's
-         (uninstrumented) binary *)
-      let pinfi =
-        Refine_core.Tool.prepare ~pipeline:(spec_of opt passes) ~verify_each
-          ~cache:(not no_cache) Refine_core.Tool.Pinfi (read_source src)
-      in
-      let p = Refine_core.Opcode_fi.profile pinfi in
-      let rng = Refine_support.Prng.create seed in
-      let c = ref 0 and so = ref 0 and b = ref 0 in
-      for _ = 1 to samples do
-        match
-          (Refine_core.Opcode_fi.run_injection pinfi p (Refine_support.Prng.split rng))
-            .Refine_core.Fault.outcome
-        with
-        | Refine_core.Fault.Crash -> incr c
-        | Refine_core.Fault.Soc -> incr so
-        | Refine_core.Fault.Benign -> incr b
-        | Refine_core.Fault.Tool_error -> ()
-      done;
-      Printf.printf "tool: OPCODE (valid-opcode corruption)   program: %s\n" src;
-      Printf.printf "corruptible dynamic instructions: %Ld\n" p.Refine_core.Fault.dyn_count;
-      Printf.printf "crash: %d   SOC: %d   benign: %d\n" !c !so !b;
-      exit 0
-    end;
     let kind =
       match String.lowercase_ascii tool with
       | "refine" -> Refine_core.Tool.Refine
@@ -207,6 +183,9 @@ let fi_cmd =
       | "pinfi" -> Refine_core.Tool.Pinfi
       | t -> Printf.eprintf "unknown tool %s\n" t; exit 2
     in
+    Option.iter
+      (fun reason -> Printf.eprintf "bad --fault-model: %s\n" reason; exit 2)
+      (Refine_core.Tool.model_unsupported kind model);
     let module Sel = Refine_core.Tool.Selection in
     let sel =
       {
@@ -315,7 +294,8 @@ let campaign_cmd =
                    (instruction-image corruption), $(b,multi:K) and $(b,burst:K) (K-bit \
                    register faults).  Each model runs the full (program, tool) grid; the \
                    report renders one Table 5/6 section per model and the CSV tags every \
-                   row with its model.")
+                   row with its model.  $(b,opcode) runs on PINFI only, so it is rejected \
+                   here; use $(b,refinec fi --fi-tool pinfi --fault-model opcode).")
   in
   let csv =
     Arg.(value & opt (some string) None
@@ -416,6 +396,19 @@ let campaign_cmd =
                exit 2)
     in
     let models = if models = [] then [ Refine_core.Fault.Reg_bit ] else models in
+    (* the grid runs every tool under every model *)
+    List.iter
+      (fun model ->
+        List.iter
+          (fun kind ->
+            Option.iter
+              (fun reason ->
+                Printf.eprintf "bad --fault-model: %s; the campaign grid runs all three tools\n"
+                  reason;
+                exit 2)
+              (Refine_core.Tool.model_unsupported kind model))
+          Refine_campaign.Report.tools)
+      models;
     (match trace_out with
     | Some path -> Refine_obs.Span.set_file_sink path
     | None -> ());

@@ -28,7 +28,7 @@ type image = {
       (* one byte per pc: [Minstr.iclass_index (Minstr.classify code.(pc))],
          precomputed so the executor's profiling branch is one table read
          instead of two variant matches per instruction.  Stays exact under
-         opcode corruption: [Opcode_fi.alternatives] only substitutes
+         opcode corruption: [Corrupt.alternatives] only substitutes
          same-shape opcodes, which never change the instruction class *)
 }
 

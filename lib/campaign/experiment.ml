@@ -199,7 +199,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   let cell_t0 = Obs.Control.now () in
   match
     Obs.Span.with_ ~attrs:span_attrs "prepare" (fun () ->
-        T.prepare ~phases ~sel ?pipeline ?verify_mir ?verify_each ?chaos ?cache tool source)
+        T.prepare ~phases ~sel ?pipeline ?verify_mir ?verify_each ?chaos ?cache ~model tool source)
   with
   | exception T.Quarantine (category, detail) -> quarantine (category ^ ": " ^ detail)
   | prepared ->

@@ -13,11 +13,12 @@
    - [image_fault]: corrupt one code slot via the engine's overlay — a
      different valid instruction, a wild operand encoding, or an illegal
      encoding that traps on fetch (Instr_image);
-   - [alternatives]: the valid same-shape opcode replacements (also the
-     basis of the §4.5 opcode-corruption tool, which re-exports it).
+   - [alternatives] and [opcode_fault]: the valid same-shape opcode
+     replacements, and the overlay of one of them (Opcode, the paper's
+     §4.5 valid-opcode corruption).
 
-   It lives below [Runtime]/[Pinfi]/[Opcode_fi] so all three can call it
-   without dependency cycles. *)
+   It lives below [Runtime]/[Pinfi] so both can call it without
+   dependency cycles. *)
 
 module E = Refine_machine.Exec
 module M = Refine_mir.Minstr
@@ -29,9 +30,8 @@ module B = Refine_support.Bitops
 module I = Refine_ir.Ir
 
 (* --- valid same-shape opcode replacements ------------------------------
-   (moved from Opcode_fi, which re-exports it).  Instructions with no
-   compatible alternative (moves, control transfers, ...) are not
-   valid-opcode corruption targets. *)
+   Instructions with no compatible alternative (moves, control transfers,
+   ...) are not valid-opcode corruption targets. *)
 let alternatives (i : M.t) : M.t list =
   let ibinops = [ I.Add; I.Sub; I.Mul; I.And; I.Or; I.Xor; I.Shl; I.Lshr; I.Ashr ] in
   let fbinops = [ I.Fadd; I.Fsub; I.Fmul; I.Fdiv ] in
@@ -65,15 +65,15 @@ let alternatives (i : M.t) : M.t list =
 (* (lowest flipped bit, XOR mask) of one register-value fault below
    [width].  Reg_bit draws exactly one [P.int rng width] — the same single
    draw the pre-model runtimes made, so fixed-seed reg campaigns stay
-   bit-identical.  Multi_bit draws via [Bitops.draw_bits].  Mem_cell /
-   Instr_image faults never reach here (their mutation is not a register
-   mask). *)
+   bit-identical.  Multi_bit draws via [Bitops.draw_bits].  Mem_cell,
+   Instr_image and Opcode faults never reach here (their mutation is not
+   a register mask). *)
 let draw_mask rng ~width (model : Fault.model) : int * int64 =
   match model with
   | Fault.Multi_bit { bits; burst } ->
     let chosen = B.draw_bits (P.int rng) ~width ~bits ~burst in
     (List.hd chosen, B.mask_of_bits chosen)
-  | Fault.Reg_bit | Fault.Mem_cell | Fault.Instr_image ->
+  | Fault.Reg_bit | Fault.Mem_cell | Fault.Instr_image | Fault.Opcode ->
     let bit = P.int rng width in
     (bit, Int64.shift_left 1L bit)
 
@@ -223,6 +223,15 @@ let image_fault rng (eng : E.t) ~pc ~dyn_index : Fault.record =
     reg_name = Printf.sprintf "code[%d]" pc;
     bit = (match i' with None -> -1 | Some _ -> 0);
   }
+
+(* --- valid-opcode corruption (Opcode) ----------------------------------
+   A corrupted opcode byte that persists for the rest of the run: one
+   uniform draw over the slot's alternatives, installed through the same
+   overlay as Instr_image. *)
+let opcode_fault rng (eng : E.t) ~pc ~dyn_index : Fault.record =
+  let alts = alternatives eng.E.image.L.code.(pc) in
+  E.set_overlay eng ~pc (Some (List.nth alts (P.int rng (List.length alts))));
+  { Fault.dyn_index; op_index = 0; reg_name = Printf.sprintf "pc=%d" pc; bit = -1 }
 
 (* The pc of the application instruction a control-library call was
    instrumented after: the call site is [eng.pc - 1] (the executor already

@@ -1,16 +1,16 @@
 (** Shared fault-mutation primitives for the cross-layer fault models
     (DESIGN.md §18).
 
-    The injector runtimes ({!Runtime}, {!Pinfi}) and the opcode-corruption
-    tool ({!Opcode_fi}) share the {e what} of a fault — which machine state
-    is struck and how — while keeping their own {e when} (trigger
-    mechanism).  This module owns the what, below all three so none of them
-    cycle. *)
+    The injector runtimes ({!Runtime}, {!Pinfi}) share the {e what} of a
+    fault — which machine state is struck and how — while keeping their
+    own {e when} (trigger mechanism).  This module owns the what, below
+    both so neither cycles. *)
 
 val alternatives : Refine_mir.Minstr.t -> Refine_mir.Minstr.t list
 (** Valid same-shape opcode replacements (ALU opcode swaps, condition-code
     swaps, load/lea confusion).  Empty for instructions with no compatible
-    alternative.  Re-exported by {!Opcode_fi.alternatives}. *)
+    alternative; the instructions with one are the {!Fault.Opcode}
+    population. *)
 
 val draw_mask :
   Refine_support.Prng.t -> width:int -> Fault.model -> int * int64
@@ -50,6 +50,17 @@ val image_fault :
     overlay ({!Refine_machine.Exec.set_overlay}); the shared image is
     never written.  [bit] in the returned record is [-1] when the mutated
     encoding is illegal. *)
+
+val opcode_fault :
+  Refine_support.Prng.t ->
+  Refine_machine.Exec.t ->
+  pc:int ->
+  dyn_index:int64 ->
+  Fault.record
+(** The {!Fault.Opcode} mutation: overlay the code slot at [pc] with one
+    uniformly drawn {!alternatives} entry (one [Prng.int] draw) for the
+    rest of the run.  The record names the pc ([reg_name = "pc=<pc>"],
+    [bit = -1]).  [pc] must have an alternative. *)
 
 val instrumented_pc : Refine_machine.Exec.t -> int
 (** The pc of the application instruction a control-library call was

@@ -21,17 +21,20 @@ type record = {
    (one bit of one output operand); the others bring the gpuFI-4/InjectV
    fault-target dimension into the campaign matrix: data-memory cells,
    the loaded code image, and multi-bit register upsets (k independent
-   bits, or a contiguous burst). *)
+   bits, or a contiguous burst).  [Opcode] is the paper's §4.5 valid-opcode
+   corruption; unlike the others it has a population of its own. *)
 type model =
   | Reg_bit
   | Mem_cell
   | Instr_image
   | Multi_bit of { bits : int; burst : bool }
+  | Opcode
 
 let string_of_model = function
   | Reg_bit -> "reg"
   | Mem_cell -> "mem"
   | Instr_image -> "instr"
+  | Opcode -> "opcode"
   | Multi_bit { bits; burst } ->
     Printf.sprintf "%s:%d" (if burst then "burst" else "multi") bits
 
@@ -41,6 +44,7 @@ let model_of_string s =
   | [ "reg" ] -> Reg_bit
   | [ "mem" ] -> Mem_cell
   | [ "instr" ] -> Instr_image
+  | [ "opcode" ] -> Opcode
   | [ ("multi" | "burst") as kind; k ] -> (
     match int_of_string_opt k with
     | Some bits when bits >= 1 && bits <= 64 -> Multi_bit { bits; burst = kind = "burst" }
@@ -48,7 +52,9 @@ let model_of_string s =
   | _ -> bad ()
 
 (* the [bits] column of the campaign CSV: flipped bits per fault *)
-let model_bits = function Multi_bit { bits; _ } -> bits | Reg_bit | Mem_cell | Instr_image -> 1
+let model_bits = function
+  | Multi_bit { bits; _ } -> bits
+  | Reg_bit | Mem_cell | Instr_image | Opcode -> 1
 
 (* Tool_error is not part of the paper's outcome taxonomy: it marks a
    harness-side failure (worker exception, retry exhaustion, watchdog

@@ -29,11 +29,17 @@ type model =
   | Multi_bit of { bits : int; burst : bool }
       (** [bits] distinct uniform bits of the chosen operand, or a
           contiguous burst of [bits] bits at a uniform position *)
+  | Opcode
+      (** the paper's §4.5 extension: the target instruction's opcode is
+          replaced by a uniformly drawn valid same-shape alternative
+          ({!Corrupt.alternatives}) for the rest of the run.  Its
+          population is its own — the instructions with an alternative —
+          so it runs on PINFI's binary only (DESIGN.md §18) *)
 
 val string_of_model : model -> string
 (** Stable short form used by the CLI, CSV, journal, wire protocol and
     metric labels: ["reg"], ["mem"], ["instr"], ["multi:<k>"],
-    ["burst:<k>"]. *)
+    ["burst:<k>"], ["opcode"]. *)
 
 val model_of_string : string -> model
 (** Inverse of {!string_of_model}; [Invalid_argument] on unknown forms or

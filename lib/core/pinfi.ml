@@ -6,7 +6,11 @@
    it fires at the chosen instance, flips a uniformly chosen bit of a
    uniformly chosen output register, and then *detaches* — the hook and the
    DBI per-instruction tax disappear for the rest of the run, which is the
-   performance optimization the paper added to the public PINFI. *)
+   performance optimization the paper added to the public PINFI.
+
+   The same hook runs the paper's §4.5 valid-opcode corruption (the Opcode
+   model) over its own population: the instructions with a valid
+   alternative opcode. *)
 
 module E = Refine_machine.Exec
 module M = Refine_mir.Minstr
@@ -14,7 +18,11 @@ module R = Refine_mir.Reg
 module P = Refine_support.Prng
 module Selection = Refine_passes.Selection
 
-let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
+(* the Opcode population: instructions with a valid alternative opcode,
+   register-writing or not *)
+let opcode_site sel i = Selection.class_selected sel i && Corrupt.alternatives i <> []
+
+let attach ?(sel = Selection.default) ?(opcode = false) (ctrl : Runtime.ctrl) (eng : E.t) =
   (* the site decision, made once per pc at attach as Pin makes it at
      instrumentation time and declared to the engine, which calls the hook
      at those pcs only: until the hook fires it sees [code.(pc)] at every
@@ -29,7 +37,8 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
       let stop = if k + 1 < Array.length starts then snd starts.(k + 1) else Array.length code in
       if Selection.func_selected sel name then
         for pc = first to stop - 1 do
-          selected.(pc) <- Selection.minstr_selected sel code.(pc)
+          selected.(pc) <-
+            (if opcode then opcode_site sel code.(pc) else Selection.minstr_selected sel code.(pc))
         done)
     starts;
   let on_instr (eng : E.t) (pc : int) (i : M.t) =
@@ -45,6 +54,7 @@ let attach ?(sel = Selection.default) (ctrl : Runtime.ctrl) (eng : E.t) =
         | Fault.Instr_image ->
           (* the DBI hook knows the exact pc it observed — no walk-back *)
           ctrl.Runtime.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index)
+        | Fault.Opcode -> ctrl.Runtime.record <- Some (Corrupt.opcode_fault rng eng ~pc ~dyn_index)
         | Fault.Reg_bit | Fault.Multi_bit _ ->
           let outs = M.outputs i in
           let op = P.int rng (List.length outs) in

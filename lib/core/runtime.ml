@@ -51,9 +51,9 @@ let should_fire ctrl =
    only the struck state differs (DESIGN.md §18). *)
 (* The skip window (DESIGN.md §20), shared by all three tools: the
    decoded engine may retire provably non-firing visits — REFINE selector
-   calls, LLFI injectFault calls, PINFI / opcode-corruption hook calls —
-   without entering this library, banking their dynamic counts in
-   [eng.fi_pending].  Fold those back before using [ctrl.count]. *)
+   calls, LLFI injectFault calls, PINFI hook calls — without entering
+   this library, banking their dynamic counts in [eng.fi_pending].  Fold
+   those back before using [ctrl.count]. *)
 let[@inline] fold_pending ctrl (eng : E.t) =
   if eng.E.fi_pending <> 0 then begin
     ctrl.count <- ctrl.count + eng.E.fi_pending;
@@ -84,6 +84,10 @@ let[@inline] tick ctrl (eng : E.t) =
   ctrl.count <- ctrl.count + 1;
   publish_window ctrl eng
 
+(* [Tool.prepare] and [Tool.run_injection] keep Opcode off REFINE and LLFI
+   cells: their compiled-in populations are operand sites *)
+let opcode_on_pinfi_only () = invalid_arg "Runtime: the opcode fault model runs on PINFI only"
+
 let refine_sel_instr ctrl (eng : E.t) =
   tick ctrl eng;
   if should_fire ctrl then begin
@@ -103,7 +107,8 @@ let refine_sel_instr ctrl (eng : E.t) =
         let pc = Corrupt.instrumented_pc eng in
         ctrl.record <-
           Some (Corrupt.image_fault rng eng ~pc ~dyn_index:(Int64.of_int ctrl.count));
-        eng.E.regs.{R.ret_gpr} <- 0L)
+        eng.E.regs.{R.ret_gpr} <- 0L
+      | Fault.Opcode -> opcode_on_pinfi_only ())
   end
   else eng.E.regs.{R.ret_gpr} <- 0L
 
@@ -175,7 +180,8 @@ let llfi_inject ctrl ~i1 ~arg ~ret (eng : E.t) =
       | Fault.Instr_image ->
         let pc = Corrupt.instrumented_pc eng in
         ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
-        v)
+        v
+      | Fault.Opcode -> opcode_on_pinfi_only ())
     | Inject _ | Profile -> v)
 
 let llfi_handlers ctrl : (string * int * (E.t -> unit)) list =

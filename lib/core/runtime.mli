@@ -14,14 +14,16 @@ type mode =
           word compare — dynamic populations are bounded far below 2^62.
           [model] selects what state the fault strikes at that instance
           ({!Fault.model}); register models flip through the tool's own
-          mechanism, Mem_cell/Instr_image mutate memory/code via
-          {!Corrupt} with the hook as the trigger clock. *)
+          mechanism, Mem_cell/Instr_image/Opcode mutate memory/code via
+          {!Corrupt} with the hook as the trigger clock.  REFINE's and
+          LLFI's libraries raise [Invalid_argument] at an Opcode target:
+          that model runs on PINFI's binary only. *)
 
 type ctrl = {
   mutable count : int;
-      (** dynamic target counter: instrumented instructions (REFINE, LLFI),
-          selected hooked instructions ({!Pinfi}) or opcode-corruption
-          targets ({!Opcode_fi}) *)
+      (** dynamic target counter: instrumented instructions (REFINE, LLFI)
+          or selected hooked instructions ({!Pinfi}, whose opcode
+          population counts the instructions with a valid alternative) *)
   mode : mode;
   mutable fired : bool;
   mutable record : Fault.record option;

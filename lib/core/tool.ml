@@ -270,10 +270,23 @@ type prepared = {
   detach : detach_target option;
       (* post-injection handoff target (DESIGN.md §20); REFINE only, and
          not for chaos builds *)
+  opcode : bool; (* profiled over the Opcode population (PINFI only) *)
 }
 
-(* the domain's engine on [p]'s binary, no runtime library bound *)
-let engine (p : prepared) = acquire p.snap p.dprog
+(* Opcode corruption strikes the instructions with a valid alternative
+   opcode, a population PINFI's hook can count on the uninstrumented
+   binary.  REFINE's splices and LLFI's calls are compiled in at operand
+   sites, so neither binary can count it. *)
+let model_unsupported kind (model : Fault.model) =
+  match (kind, model) with
+  | (Refine | Llfi), Fault.Opcode ->
+    Some
+      (Printf.sprintf
+         "%s cannot run the opcode fault model: its compiled-in population is operand sites, \
+          and opcode corruption needs the instructions with a valid alternative opcode (run it \
+          on PINFI)"
+         (kind_name kind))
+  | _ -> None
 
 exception Prepare_error of string
 
@@ -424,7 +437,7 @@ let drive ?phases ?plan (p : prepared) mode
     | Llfi -> acquire ~ext_extra:(Runtime.llfi_handlers ctrl) ()
     | Pinfi ->
       let eng = acquire () in
-      time "instrument" (fun () -> Pinfi.attach ~sel:p.sel ctrl eng);
+      time "instrument" (fun () -> Pinfi.attach ~sel:p.sel ~opcode:p.opcode ctrl eng);
       eng
   in
   maybe_profile eng;
@@ -485,7 +498,7 @@ let reset_artifact_caches () =
    [Mverify.check_funcs] for LLFI's recompiled functions); [verify_each]
    additionally interleaves the IR/MIR verifiers after every single pass.
    Either kind of violation quarantines the cell. *)
-let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cache
+let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_each ~cache
     ~(chaos : chaos) (kind : kind) (src : string) : prepared =
   let time name f = match phases with None -> f () | Some p -> Obs.Phase.time p name f in
   let quarantine_invalid f =
@@ -522,6 +535,7 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
       dprog = decode image;
       static_instrumented;
       detach;
+      opcode;
       profile = { Fault.golden_output = ""; golden_exit = 0; dyn_count = 0L; profile_cost = 0L };
     }
   in
@@ -555,15 +569,19 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
 
 let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
     ?(max_steps = 2_000_000_000L) ?(verify_mir = true) ?(verify_each = false)
-    ?(chaos = no_chaos) ?(cache = true) (kind : kind) (src : string) : prepared =
+    ?(chaos = no_chaos) ?(cache = true) ?(model = Fault.Reg_bit) (kind : kind) (src : string) :
+    prepared =
+  Option.iter invalid_arg (model_unsupported kind model);
+  let opcode = model = Fault.Opcode in
   let full = pipeline_for ~chaos kind pipeline in
   let build () =
-    prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cache ~chaos kind src
+    prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_each ~cache ~chaos
+      kind src
   in
   (* chaos mutates code after instrumentation: those runs must neither be
      served from cache nor poison it *)
   if cache && chaos = no_chaos then
-    Artifact_cache.memo prepared_cache
+    let key =
       [
         src;
         Pl.print full;
@@ -573,7 +591,9 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
         string_of_bool verify_each;
         Int64.to_string max_steps;
       ]
-      build
+    in
+    (* the other models share one trigger population, and one entry *)
+    Artifact_cache.memo prepared_cache (if opcode then key @ [ "population=opcode" ] else key) build
   else build ()
 
 exception Sample_budget_exceeded of int64
@@ -595,6 +615,11 @@ exception Sample_budget_exceeded of int64
    retries on them. *)
 let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     (p : prepared) (rng : P.t) : Fault.experiment =
+  if (model = Fault.Opcode) <> p.opcode then
+    invalid_arg
+      (Printf.sprintf "Tool.run_injection: a %s fault on a cell profiled over %s"
+         (Fault.string_of_model model)
+         (if p.opcode then "the opcode population" else "operand sites"));
   if p.profile.Fault.dyn_count = 0L then
     { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
   else begin

@@ -80,15 +80,19 @@ type prepared = {
           already detaches), for LLFI (the skip window retires its
           post-injection calls), for REFINE images whose splices do not
           parse and for chaos builds *)
+  opcode : bool;
+      (** profiled over the {!Fault.Opcode} population (PINFI's
+          instructions with a valid alternative opcode) instead of the
+          tool's operand sites *)
 }
 (** A tool's binary after compilation and one profiling run.  The same
     binary serves profiling and injection, as in the paper. *)
 
-val engine : prepared -> Refine_machine.Exec.t
-(** The calling domain's one engine, which every run in the domain reuses,
-    reset onto the prepared binary with its decode installed and no
-    runtime library bound — for callers that attach their own hook, such
-    as {!Opcode_fi}. *)
+val model_unsupported : kind -> Fault.model -> string option
+(** Why the tool cannot run the model, if it cannot: REFINE and LLFI
+    reject {!Fault.Opcode}, because their compiled-in populations are
+    operand sites.  {!prepare} raises [Invalid_argument] with this
+    reason. *)
 
 val detach_plan_for :
   quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
@@ -165,15 +169,20 @@ val prepare :
   ?verify_each:bool ->
   ?chaos:chaos ->
   ?cache:bool ->
+  ?model:Fault.model ->
   kind ->
   string ->
   prepared
 (** [prepare kind source] compiles MinC [source] through
     [pipeline_for kind pipeline] (default {!default_pipeline}) and runs
-    the profiling phase.  [phases] buckets the wall-clock time into the
-    overhead-breakdown columns ("compile" / "instrument" / "execute", the
-    profiling runs counting as execute) for {!Refine_campaign.Report}'s
-    Figure 8/9-shape table.  When observability is enabled
+    the profiling phase.  [model] (default {!Fault.Reg_bit}) names the
+    fault model the cell will run: every model profiles the tool's
+    operand sites except {!Fault.Opcode}, which profiles PINFI's
+    instructions with a valid alternative opcode.  [Invalid_argument]
+    when {!model_unsupported} gives a reason.  [phases] buckets the
+    wall-clock time into the overhead-breakdown columns ("compile" /
+    "instrument" / "execute", the profiling runs counting as execute) for
+    {!Refine_campaign.Report}'s Figure 8/9-shape table.  When observability is enabled
     ({!Refine_obs.Control.enable}), every simulator run additionally
     streams executor-profile counters (per-opcode-class steps, extern
     calls, FI-site hits, modeled cost) into the metrics registry, and
@@ -185,9 +194,11 @@ val prepare :
     the content-addressed prepared tier keyed on (source, pipeline
     string, tool configuration); the underlying IR-stage compile is
     shared across tools through the IR tier.  [cache:false] bypasses both
-    tiers.  Entries carry a fingerprint of the emitted code and of the
-    detach target's code, re-checked on every serve, so a binary mutated
-    after caching is invalidated, never served.
+    tiers.  Only an opcode cell adds its population to the key, so the
+    other models share one prepared value.  Entries carry a fingerprint of
+    the emitted code and of the detach target's code, re-checked on every
+    serve, so a binary mutated after caching is invalidated, never
+    served.
 
     Hardening (DESIGN.md §13): profiling executes TWICE with independent
     machine and control-library state and raises {!Quarantine} if the runs
@@ -218,7 +229,11 @@ val run_injection :
     against the golden output.  [model] (default {!Fault.Reg_bit}) selects
     what state the fault strikes at the chosen dynamic instance
     ({!Fault.model}); the trigger draw and timing are model-independent,
-    so one prepared binary serves every model.  [cost_cap] kills the sample with
+    so one prepared binary serves every model but {!Fault.Opcode}, which
+    draws over its own population.  [Invalid_argument] when the model's
+    population is not the one [prepared] was profiled over ([prepare
+    ~model:Opcode] for opcode faults, any other model for the rest).
+    [cost_cap] kills the sample with
     {!Sample_budget_exceeded} if it burns that much modeled cost before the
     paper's own 10x timeout fires (caps at or above the 10x timeout are
     inert: hitting the 10x timeout stays a Crash, the paper's semantics).

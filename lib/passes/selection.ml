@@ -26,16 +26,17 @@ let default = { funcs = [ "*" ]; instrs = All }
 
 let func_selected t name = List.mem "*" t.funcs || List.mem name t.funcs
 
-(* Machine-level candidates (REFINE, PINFI): the instruction must write at
-   least one register; [Stack]/[Arith]/[Mem] restrict by class. *)
-let minstr_selected t (i : M.t) =
-  M.writes_register i
-  &&
+(* [Stack]/[Arith]/[Mem] restrict machine instructions by class *)
+let class_selected t (i : M.t) =
   match t.instrs with
   | All -> true
   | Stack -> M.classify i = M.Cstack
   | Arith -> M.classify i = M.Carith
   | Mem -> M.classify i = M.Cmem
+
+(* Machine-level candidates (REFINE, PINFI): the instruction must write at
+   least one register and pass the class filter. *)
+let minstr_selected t (i : M.t) = M.writes_register i && class_selected t i
 
 (* IR-level candidates (LLFI): value-producing instructions.  Note the
    structural gaps versus the machine level, which are the paper's point:

@@ -23,6 +23,12 @@ val default : t
 
 val func_selected : t -> string -> bool
 
+val class_selected : t -> Refine_mir.Minstr.t -> bool
+(** The [-fi-instrs] class filter alone.  PINFI's opcode-corruption
+    population (the [opcode] fault model) is restricted by it, not by
+    {!minstr_selected}: a conditional branch writes no register but has
+    valid alternative opcodes. *)
+
 val minstr_selected : t -> Refine_mir.Minstr.t -> bool
 (** Machine-level candidate test used by REFINE and PINFI: the instruction
     must write a register and match the class filter. *)

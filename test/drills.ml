@@ -12,6 +12,7 @@
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
    fault     every fault model: sequential = 4 domains, CSV round-trip
+             (opcode corruption on PINFI only)
    detach    detach armed, reg and mem faults: outcome tables = the
              step-loop oracle's, REFINE hands off and LLFI never does
    mem       all 14 programs x 3 tools prepared in one process stay under
@@ -569,32 +570,38 @@ let fault_src =
    print_int(s); print_float(x); return 0; }"
 
 let fault () =
-  let models = [ "reg"; "mem"; "instr"; "multi:3"; "burst:2" ] in
+  (* opcode corruption runs on PINFI alone: REFINE's and LLFI's binaries
+     count operand sites *)
+  let models =
+    List.map (fun name -> (name, Rep.tools)) [ "reg"; "mem"; "instr"; "multi:3"; "burst:2" ]
+    @ [ ("opcode", [ T.Pinfi ]) ]
+  in
   let all =
     List.concat_map
-      (fun name ->
+      (fun (name, tools) ->
         let model = F.model_of_string name in
         let run domains =
-          E.run_matrix ~domains ~model ~samples:12 ~seed:20170712 [ ("tiny", fault_src) ] Rep.tools
+          E.run_matrix ~domains ~model ~samples:12 ~seed:20170712 [ ("tiny", fault_src) ] tools
         in
         let seq = run 1 and par = run 4 in
         if summary seq <> summary par then
           fail "%s sequential <> domains 4\n  seq: %s\n  par: %s" name (summary seq) (summary par);
-        (* a corrupted encoding crashes the simulated program, never the
-           harness *)
-        if model = F.Instr_image then
-          List.iter
-            (fun (c : E.cell) ->
-              if c.E.quarantined = None && c.E.counts.E.tool_error > 0 then
-                fail "instr decode trap surfaced as tool_error (%s)" (cell_summary c))
-            seq;
+        (* every sample resolves: a corrupted encoding crashes the
+           simulated program, never the harness, and an opcode cell is
+           profiled over its own population *)
+        List.iter
+          (fun (c : E.cell) ->
+            if c.E.quarantined = None && c.E.counts.E.tool_error > 0 then
+              fail "%s samples surfaced as tool_error (%s)" name (cell_summary c))
+          seq;
         say "%-8s %s" name (summary seq);
         seq)
       models
   in
   let key (c : E.cell) = (c.E.program, c.E.tool, c.E.model, c.E.counts, c.E.injection_cost) in
-  check "CSV round-trip keeps per-model cells"
-    (List.map key (Csv.of_string (Csv.to_string all)) = List.map key all);
+  let csv = Csv.to_string all in
+  check "CSV round-trip keeps per-model cells" (List.map key (Csv.of_string csv) = List.map key all);
+  check "the opcode row's fault_model column reads opcode" (contains csv "tiny,PINFI,opcode,1,");
   say "PASS: %d models bit-identical across domain counts, CSV round-trip" (List.length models)
 
 (* ---- detach: invisible in results, visible in metrics ------------------- *)

@@ -15,16 +15,14 @@ module T = Refine_core.Tool
 module Rt = Refine_core.Runtime
 
 (* a fresh step-loop engine on [p]'s binary running the tool's control
-   library (or, with [opcode], the opcode-corruption hook on PINFI's
-   binary) in [ctrl]'s mode *)
-let engine ?(opcode = false) (p : T.prepared) ctrl =
+   library (PINFI's hook over the cell's population) in [ctrl]'s mode *)
+let engine (p : T.prepared) ctrl =
   match p.T.kind with
   | T.Refine -> X.create ~ext_extra:(Rt.refine_handlers ctrl) p.T.image
   | T.Llfi -> X.create ~ext_extra:(Rt.llfi_handlers ctrl) p.T.image
   | T.Pinfi ->
     let eng = X.create p.T.image in
-    if opcode then Refine_core.Opcode_fi.attach ctrl eng
-    else Refine_core.Pinfi.attach ~sel:p.T.sel ctrl eng;
+    Refine_core.Pinfi.attach ~sel:p.T.sel ~opcode:p.T.opcode ctrl eng;
     eng
 
 let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment =
@@ -47,12 +45,12 @@ let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment
     { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = ctrl.Rt.record }
   end
 
-(* The profiling run [Tool.prepare] (or, with [opcode], [Opcode_fi.profile])
-   makes: the library in Profile mode over the whole fault-free run, with
-   the exit code as the run ended rather than asserted. *)
-let profile ?opcode (p : T.prepared) : F.profile =
+(* The profiling run [Tool.prepare] makes: the library in Profile mode
+   over the whole fault-free run, with the exit code as the run ended
+   rather than asserted. *)
+let profile (p : T.prepared) : F.profile =
   let ctrl = Rt.create Rt.Profile in
-  let r = X.run ~max_steps:2_000_000_000L (engine ?opcode p ctrl) in
+  let r = X.run ~max_steps:2_000_000_000L (engine p ctrl) in
   {
     F.golden_output = r.X.output;
     golden_exit = (match r.X.status with X.Exited c -> c | _ -> min_int);

@@ -14,11 +14,11 @@ val injection :
     end.  A production sample drawn from an equal generator must return
     the same experiment. *)
 
-val profile : ?opcode:bool -> Refine_core.Tool.prepared -> Refine_core.Fault.profile
+val profile : Refine_core.Tool.prepared -> Refine_core.Fault.profile
 (** The profiling run {!Refine_core.Tool.prepare} makes — the tool's
-    control library (PINFI's hook) in [Profile] mode over the whole
-    fault-free run — on a fresh step-loop engine, where every dynamic
-    target enters the library.  With [opcode] (PINFI binaries only), the
-    opcode-corruption hook's run ({!Refine_core.Opcode_fi.profile}).
-    [golden_exit] is the exit code the run ended with ([min_int] if it
-    did not exit).  A production profile must equal it. *)
+    control library (PINFI's hook, over the cell's operand or opcode
+    population) in [Profile] mode over the whole fault-free run — on a
+    fresh step-loop engine, where every dynamic target enters the
+    library.  [golden_exit] is the exit code the run ended with
+    ([min_int] if it did not exit).  A production profile must equal
+    it. *)

@@ -1006,15 +1006,18 @@ let arb_source =
           (QCheck.Gen.int_range 1 5000))
        fixed ())
 
+(* each tool's cell under the five operand-site models, then PINFI's
+   opcode cell under the model that owns its population *)
 let prop_production_matches_reference =
   QCheck.Test.make
-    ~name:"production sample = step-loop reference: outcome, cost, fault (3 tools x 5 models)"
+    ~name:
+      "production sample = step-loop reference: outcome, cost, fault (3 tools x 5 models, PINFI \
+       opcode)"
     ~count:8 arb_source
     (fun (label, src) ->
       let seed = Hashtbl.hash label in
       List.for_all
-        (fun kind ->
-          let p = T.prepare kind src in
+        (fun (p, models) ->
           List.for_all
             (fun model ->
               List.for_all
@@ -1025,12 +1028,13 @@ let prop_production_matches_reference =
                   if prod <> refr then
                     QCheck.Test.fail_reportf
                       "production/reference divergence (%s, %s, %s, sample %d): cost %Ld vs %Ld"
-                      label (T.kind_name kind) (F.string_of_model model) i prod.F.run_cost
+                      label (T.kind_name p.T.kind) (F.string_of_model model) i prod.F.run_cost
                       refr.F.run_cost;
                   true)
                 [ 0; 1; 2 ])
-            all_models)
-        [ T.Refine; T.Llfi; T.Pinfi ])
+            models)
+        (List.map (fun kind -> (T.prepare kind src, all_models)) [ T.Refine; T.Llfi; T.Pinfi ]
+        @ [ (T.prepare ~model:F.Opcode T.Pinfi src, [ F.Opcode ]) ]))
 
 (* --- the named oracle: production profile = step-loop reference --------- *)
 
@@ -1044,11 +1048,10 @@ let profile_t = Alcotest.testable pp_profile ( = )
 
 (* Every sample's target draw and timeout rest on its cell's profile, and
    the decoded engine retires most of a profiling run's dynamic targets
-   inside the skip window (selector calls, LLFI calls, PINFI and opcode
-   hook visits).  So each production profile — [Tool.prepare]'s for the
-   three tools on the 14 programs and [Opcode_fi.profile]'s population —
-   must equal the step-loop profiling run, where every target enters the
-   library. *)
+   inside the skip window (selector calls, LLFI calls, PINFI hook visits).
+   So each production profile — [Tool.prepare]'s for the three tools on
+   the 14 programs, and for PINFI's opcode population — must equal the
+   step-loop profiling run, where every target enters the library. *)
 let test_profiles_match_reference () =
   List.iter
     (fun (b : Reg.bench) ->
@@ -1057,10 +1060,10 @@ let test_profiles_match_reference () =
           let p = T.prepare kind b.Reg.source in
           let what = b.Reg.name ^ "/" ^ T.kind_name kind in
           Alcotest.check profile_t what (Oracle.profile p) p.T.profile;
-          if kind = T.Pinfi then
-            Alcotest.check profile_t (what ^ " opcode corruption")
-              (Oracle.profile ~opcode:true p)
-              (Refine_core.Opcode_fi.profile p))
+          if kind = T.Pinfi then begin
+            let o = T.prepare ~model:F.Opcode kind b.Reg.source in
+            Alcotest.check profile_t (what ^ " opcode corruption") (Oracle.profile o) o.T.profile
+          end)
         [ T.Refine; T.Llfi; T.Pinfi ])
     Reg.all
 

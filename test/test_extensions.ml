@@ -4,7 +4,8 @@
 module T = Refine_core.Tool
 module F = Refine_core.Fault
 module Prop = Refine_core.Propagation
-module Op = Refine_core.Opcode_fi
+module Corrupt = Refine_core.Corrupt
+module E = Refine_campaign.Experiment
 module I = Refine_ir.Ir
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -81,11 +82,11 @@ let test_propagation_summary () =
   let c, s, b = Prop.summarize main in
   Alcotest.(check bool) "all classes populated" true (c > 0 && s > 0 && b > 0)
 
-(* ---- opcode corruption ---- *)
+(* ---- opcode corruption: the Opcode model on PINFI's binary ---- *)
 
 let test_opcode_alternatives_valid () =
   let add = M.Mbin (I.Add, R.gpr 1, R.gpr 2, M.Imm 3L) in
-  let alts = Op.alternatives add in
+  let alts = Corrupt.alternatives add in
   Alcotest.(check bool) "several alternatives" true (List.length alts >= 5);
   Alcotest.(check bool) "original excluded" true (not (List.mem add alts));
   (* alternatives keep the operand shape: same outputs *)
@@ -93,8 +94,9 @@ let test_opcode_alternatives_valid () =
     (fun a -> Alcotest.(check bool) "same outputs" true (M.outputs a = M.outputs add))
     alts;
   (* a mov has no same-shape alternative: not a target *)
-  Alcotest.(check bool) "mov not a target" false (Op.is_target (M.Mmov (R.gpr 1, M.Imm 0L)));
-  Alcotest.(check bool) "load <-> lea" true (Op.is_target (M.Mload (R.gpr 1, R.gpr 2, 8)))
+  let is_target i = Corrupt.alternatives i <> [] in
+  Alcotest.(check bool) "mov not a target" false (is_target (M.Mmov (R.gpr 1, M.Imm 0L)));
+  Alcotest.(check bool) "load <-> lea" true (is_target (M.Mload (R.gpr 1, R.gpr 2, 8)))
 
 let opcode_src =
   {|
@@ -112,17 +114,16 @@ let prepare_image src =
   Refine_passes.Pipeline.compile m
 
 let test_opcode_profile_transparent () =
-  let p = Op.profile (T.prepare T.Pinfi opcode_src) in
+  let p = (T.prepare ~model:F.Opcode T.Pinfi opcode_src).T.profile in
   Alcotest.(check string) "golden output" "3675\n" p.F.golden_output;
   Alcotest.(check bool) "targets exist" true (Int64.compare p.F.dyn_count 0L > 0)
 
 let test_opcode_injection () =
-  let pinfi = T.prepare T.Pinfi opcode_src in
-  let p = Op.profile pinfi in
+  let cell = T.prepare ~model:F.Opcode T.Pinfi opcode_src in
   let non_benign = ref 0 in
   let fired = ref 0 in
   for seed = 1 to 30 do
-    let e = Op.run_injection pinfi p (P.create seed) in
+    let e = T.run_injection ~model:F.Opcode cell (P.create seed) in
     if e.F.fault <> None then incr fired;
     if e.F.outcome <> F.Benign then incr non_benign
   done;
@@ -132,15 +133,91 @@ let test_opcode_injection () =
 
 let test_opcode_image_not_shared () =
   (* corruption must not leak into the shared image, nor into the next run
-     on the domain's engine *)
-  let pinfi = T.prepare T.Pinfi opcode_src in
-  let p = Op.profile pinfi in
-  ignore (Op.run_injection pinfi p (P.create 1));
-  let eng = Refine_machine.Exec.create pinfi.T.image in
+     on the domain's engine: a fresh prepare profiles on that engine *)
+  let cell = T.prepare ~model:F.Opcode T.Pinfi opcode_src in
+  let p = cell.T.profile in
+  ignore (T.run_injection ~model:F.Opcode cell (P.create 1));
+  let eng = Refine_machine.Exec.create cell.T.image in
   let r = Refine_machine.Exec.run eng in
   Alcotest.(check string) "image intact after corruption run" p.F.golden_output
     r.Refine_machine.Exec.output;
-  Alcotest.(check bool) "next run on the domain's engine is clean" true (Op.profile pinfi = p)
+  Alcotest.(check bool) "next run on the domain's engine is clean" true
+    ((T.prepare ~cache:false ~model:F.Opcode T.Pinfi opcode_src).T.profile = p)
+
+(* EP's opcode cell, 200 samples each on a split of one generator: the
+   counts bench/main.exe's extensions section prints at REFINE_SEED=7 *)
+let test_opcode_ep_pinned () =
+  let cell = T.prepare ~model:F.Opcode T.Pinfi (Refine_bench_progs.Registry.find "EP").source in
+  Alcotest.(check int64) "corruptible dynamic instructions" 69_698L cell.T.profile.F.dyn_count;
+  let rng = P.create 7 in
+  let counts = Array.make 3 0 in
+  for _ = 1 to 200 do
+    let k =
+      match (T.run_injection ~model:F.Opcode cell (P.split rng)).F.outcome with
+      | F.Crash -> 0
+      | F.Soc -> 1
+      | F.Benign | F.Tool_error -> 2
+    in
+    counts.(k) <- counts.(k) + 1
+  done;
+  Alcotest.(check (array int)) "crash / SOC / benign" [| 13; 175; 12 |] counts
+
+let selection_src =
+  {|
+int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 10; i = i + 1) { s = s + i * 3; }
+  print_int(s + fib(12));
+  return 0;
+}
+|}
+
+(* -fi-funcs and -fi-instrs restrict the opcode population as they
+   restrict any PINFI cell's, through the campaign path the CLI takes *)
+let test_opcode_selection () =
+  let dyn sel =
+    let c =
+      E.run_cell ~sel ~model:F.Opcode ~samples:2 ~seed:1 T.Pinfi ~program:"fib"
+        ~source:selection_src ()
+    in
+    Alcotest.(check int) "every sample ran" 2 (E.total c.E.counts);
+    c.E.profile.F.dyn_count
+  in
+  let all = dyn T.Selection.default in
+  Alcotest.(check int64) "the cell profiled the opcode population"
+    (T.prepare ~model:F.Opcode T.Pinfi selection_src).T.profile.F.dyn_count all;
+  let main_only = dyn { T.Selection.default with T.Selection.funcs = [ "main" ] } in
+  let arith = dyn { T.Selection.default with T.Selection.instrs = T.Selection.Arith } in
+  if not (Int64.compare 0L main_only < 0 && Int64.compare main_only all < 0) then
+    Alcotest.failf "excluding fib: %Ld targets, not fewer than %Ld" main_only all;
+  if not (Int64.compare arith all < 0) then
+    Alcotest.failf "arithm only: %Ld targets, not fewer than %Ld" arith all
+
+(* the opcode population is its own prepared cell; every other model
+   shares one, and neither cell runs the other's faults *)
+let test_opcode_guards () =
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s was not rejected" what
+  in
+  List.iter
+    (fun kind ->
+      match T.prepare ~model:F.Opcode kind opcode_src with
+      | exception Invalid_argument reason ->
+        Alcotest.(check bool) (T.kind_name kind ^ " names operand sites") true
+          (Option.get (T.model_unsupported kind F.Opcode) = reason)
+      | _ -> Alcotest.failf "%s prepared an opcode cell" (T.kind_name kind))
+    [ T.Refine; T.Llfi ];
+  Alcotest.(check bool) "PINFI runs it" true (T.model_unsupported T.Pinfi F.Opcode = None);
+  let reg = T.prepare T.Pinfi opcode_src and opcode = T.prepare ~model:F.Opcode T.Pinfi opcode_src in
+  Alcotest.(check bool) "reg and mem share one cell" true
+    (T.prepare ~model:F.Mem_cell T.Pinfi opcode_src == reg);
+  Alcotest.(check bool) "the opcode cell is its own" true (opcode != reg && opcode.T.opcode);
+  rejects "an opcode fault on a reg cell" (fun () ->
+      T.run_injection ~model:F.Opcode reg (P.create 1));
+  rejects "a reg fault on an opcode cell" (fun () -> T.run_injection opcode (P.create 1))
 
 (* ---- multi-bit faults ---- *)
 
@@ -230,4 +307,10 @@ let tests =
     Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
     Alcotest.test_case "trace composes with hooks" `Quick test_trace_composes_with_hook;
     Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
+    Alcotest.test_case "opcode on EP: 69698 targets, 13/175/12 at seed 7" `Quick
+      test_opcode_ep_pinned;
+    Alcotest.test_case "opcode population follows -fi-funcs and -fi-instrs" `Quick
+      test_opcode_selection;
+    Alcotest.test_case "opcode cells: own cache entry, REFINE/LLFI and mixed models rejected"
+      `Quick test_opcode_guards;
   ]

@@ -33,7 +33,11 @@ let all_models =
     F.Instr_image;
     F.Multi_bit { bits = 3; burst = false };
     F.Multi_bit { bits = 4; burst = true };
+    F.Opcode;
   ]
+
+(* the tool a model's cell runs on: opcode corruption is PINFI's *)
+let tool_for model = if model = F.Opcode then T.Pinfi else T.Refine
 
 (* ---- model string forms ---- *)
 
@@ -48,6 +52,7 @@ let test_model_strings () =
     (F.string_of_model (F.Multi_bit { bits = 4; burst = true }));
   Alcotest.(check int) "multi bits" 3 (F.model_bits (F.Multi_bit { bits = 3; burst = false }));
   Alcotest.(check int) "instr bits" 1 (F.model_bits F.Instr_image);
+  Alcotest.(check string) "opcode form" "opcode" (F.string_of_model F.Opcode);
   List.iter
     (fun s ->
       match F.model_of_string s with
@@ -189,7 +194,8 @@ let test_csv_legacy_fixture () =
 let test_csv_model_round_trip () =
   let cells =
     List.map
-      (fun model -> E.run_cell ~model ~samples:6 ~seed:3 T.Refine ~program:"tiny" ~source:src ())
+      (fun model ->
+        E.run_cell ~model ~samples:6 ~seed:3 (tool_for model) ~program:"tiny" ~source:src ())
       all_models
   in
   let back = Csv.of_string (Csv.to_string cells) in
@@ -199,8 +205,8 @@ let test_csv_model_round_trip () =
       Alcotest.(check bool)
         (F.string_of_model a.E.model ^ " round-trips")
         true
-        (a.E.model = b.E.model && a.E.counts = b.E.counts && a.E.samples = b.E.samples
-       && a.E.injection_cost = b.E.injection_cost))
+        (a.E.model = b.E.model && a.E.tool = b.E.tool && a.E.counts = b.E.counts
+       && a.E.samples = b.E.samples && a.E.injection_cost = b.E.injection_cost))
     cells back
 
 (* ---- journal: legacy fixture + v2 round-trip ---- *)

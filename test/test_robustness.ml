@@ -353,7 +353,7 @@ let prop_csv_byte_corruption =
     QCheck.Gen.(
       let* program = oneofl [ "CG"; "HPCCG-1.0"; "lulesh" ] in
       let* tool = oneofl [ T.Refine; T.Llfi; T.Pinfi ] in
-      let* model = oneofl [ "reg"; "mem"; "instr"; "multi:13"; "burst:2" ] in
+      let* model = oneofl [ "reg"; "mem"; "instr"; "multi:13"; "burst:2"; "opcode" ] in
       let* crash = int_range 10 999 and* soc = int_range 10 999 and* benign = int_range 10 999 in
       let* tool_error = int_bound 20 and* sites = int_range 10 99_999 in
       let* dyn = int_range 100 999_999_999 and* pcost = int_range 100 999_999_999 in
