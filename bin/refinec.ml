@@ -177,28 +177,28 @@ let fi_cmd =
       with Invalid_argument msg -> Printf.eprintf "bad --fault-model: %s\n" msg; exit 2
     in
     let kind =
-      match String.lowercase_ascii tool with
-      | "refine" -> Refine_core.Tool.Refine
-      | "llfi" -> Refine_core.Tool.Llfi
-      | "pinfi" -> Refine_core.Tool.Pinfi
-      | t -> Printf.eprintf "unknown tool %s\n" t; exit 2
+      match Refine_core.Tool.kind_of_name tool with
+      | Some kind -> kind
+      | None -> Printf.eprintf "unknown tool %s\n" tool; exit 2
     in
     Option.iter
       (fun reason -> Printf.eprintf "bad --fault-model: %s\n" reason; exit 2)
       (Refine_core.Tool.model_unsupported kind model);
     let module Sel = Refine_core.Tool.Selection in
-    let sel =
-      {
-        Sel.funcs = String.split_on_char ',' funcs |> List.map String.trim;
-        instrs = Sel.instr_class_of_string instrs;
-      }
+    let instrs =
+      try Sel.instr_class_of_string instrs
+      with Invalid_argument msg -> Printf.eprintf "bad --fi-instrs: %s\n" msg; exit 2
     in
+    let sel = { Sel.funcs = String.split_on_char ',' funcs |> List.map String.trim; instrs } in
     let cell =
       Refine_campaign.Experiment.run_cell ~sel ~model ~pipeline:(spec_of opt passes)
         ~verify_each ~cache:(not no_cache) ~samples ~seed kind ~program:src
         ~source:(read_source src) ()
     in
     let module E = Refine_campaign.Experiment in
+    Option.iter
+      (fun reason -> Printf.eprintf "quarantined: %s\n" reason; exit 1)
+      cell.E.quarantined;
     Printf.printf "tool: %s   program: %s   fault model: %s\n"
       (Refine_core.Tool.kind_name kind) src
       (Refine_core.Fault.string_of_model model);
@@ -367,12 +367,6 @@ let campaign_cmd =
              ~doc:"Sandbox: fingerprint the architectural state every STEPS simulated \
                    instructions and classify an exact repeat (a livelock orbit) as a crash.")
   in
-  let no_verify_mir =
-    Arg.(value & flag
-         & info [ "no-verify-mir" ]
-             ~doc:"Skip the post-instrumentation machine-code verifier (cells whose \
-                   instrumented code fails verification are normally quarantined).")
-  in
   let status_port =
     Arg.(value & opt (some int) None
          & info [ "status-port" ] ~docv:"PORT"
@@ -382,8 +376,8 @@ let campaign_cmd =
                    text) and $(b,/healthz).  Implies observability.")
   in
   let action programs samples seed fault_models csv journal resume retries sample_timeout
-      domains workers metrics_out trace_out status_port output_quota wall_clock livelock
-      no_verify_mir opt passes verify_each no_cache =
+      domains workers metrics_out trace_out status_port output_quota wall_clock livelock opt
+      passes verify_each no_cache =
     if metrics_out <> None || trace_out <> None || status_port <> None then
       Refine_obs.Control.enable ();
     let models =
@@ -448,8 +442,8 @@ let campaign_cmd =
           (fun model ->
             Refine_campaign.Coordinator.run_matrix ~options ?journal ~retries
               ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-              ~verify_mir:(not no_verify_mir) ~verify_each ~cache:(not no_cache) ~samples
-              ~seed srcs Refine_campaign.Report.tools)
+              ~verify_each ~cache:(not no_cache) ~samples ~seed srcs
+              Refine_campaign.Report.tools)
           models
       | _ ->
         (* in-process path: a tiny pump domain drives the server, and the
@@ -500,8 +494,8 @@ let campaign_cmd =
               (fun model ->
                 Refine_campaign.Experiment.run_matrix ?domains ?journal ~retries
                   ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-                  ~verify_mir:(not no_verify_mir) ~verify_each ~cache:(not no_cache) ~samples
-                  ~seed srcs Refine_campaign.Report.tools)
+                  ~verify_each ~cache:(not no_cache) ~samples ~seed srcs
+                  Refine_campaign.Report.tools)
               models)
     in
     (* figure 4/5 and the overhead table read the paper's reg-bit shape:
@@ -566,24 +560,12 @@ let campaign_cmd =
              ($(b,--output-quota)/$(b,--wall-clock)/$(b,--livelock)).")
     Term.(const action $ programs $ samples $ seed $ fault_models $ csv $ journal $ resume
           $ retries $ sample_timeout $ domains $ workers $ metrics_out $ trace_out
-          $ status_port $ output_quota $ wall_clock $ livelock $ no_verify_mir $ opt_arg
-          $ passes_arg $ verify_each_arg $ no_cache_arg)
-
-(* hidden internal entry point: serve shard frames on stdin/stdout.  The
-   coordinator normally reaches the worker loop via the REFINE_SHARD_WORKER
-   re-exec (Worker.maybe_exec above); this subcommand exists for manual
-   debugging of the protocol. *)
-let worker_cmd =
-  let action () = Refine_campaign.Worker.main () in
-  Cmd.v
-    (Cmd.info "worker" ~docs:"INTERNAL"
-       ~doc:"Run as a shard campaign worker, speaking length-prefixed frames on stdin/stdout \
-             (internal; spawned by $(b,campaign --workers)).")
-    Term.(const action $ const ())
+          $ status_port $ output_quota $ wall_clock $ livelock $ opt_arg $ passes_arg
+          $ verify_each_arg $ no_cache_arg)
 
 let main =
   let doc = "REFINE: realistic fault injection via compiler-based instrumentation (SC'17 reproduction)" in
   Cmd.group (Cmd.info "refinec" ~version:"1.0.0" ~doc)
-    [ run_cmd; emit_cmd; fi_cmd; passes_cmd; bench_cmd; campaign_cmd; worker_cmd ]
+    [ run_cmd; emit_cmd; fi_cmd; passes_cmd; bench_cmd; campaign_cmd ]
 
 let () = exit (Cmd.eval main)

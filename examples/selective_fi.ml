@@ -45,8 +45,12 @@ int main() {
 }
 |}
 
+(* -O1: the -O2 inliner folds reduce and setup into main, which would
+   leave -fi-funcs=reduce and -fi-funcs=setup with no target to run *)
+let pipeline = Refine_passes.Pipeline.of_level Refine_passes.Pipeline.O1
+
 let run_config name sel =
-  let prepared = T.prepare ~sel T.Refine source in
+  let prepared = T.prepare ~pipeline ~sel T.Refine source in
   let rng = P.create 7 in
   let tally = ref (0, 0, 0) in
   let samples = 120 in
@@ -88,9 +92,11 @@ let () =
   (* the IR-level structural gap *)
   print_newline ();
   let llfi_stack =
-    T.prepare ~sel:Sel.{ funcs = [ "*" ]; instrs = Stack } T.Llfi source
+    match T.prepare ~pipeline ~sel:Sel.{ funcs = [ "*" ]; instrs = Stack } T.Llfi source with
+    | exception T.Quarantine (category, _) -> "quarantined as " ^ category
+    | p -> Printf.sprintf "%Ld dynamic targets" p.T.profile.F.dyn_count
   in
   Printf.printf
-    "LLFI with -fi-instrs=stack: %Ld dynamic targets — the IR has no stack\n\
+    "LLFI with -fi-instrs=stack: %s — the IR has no stack\n\
      management instructions at all (paper §3.3.1 / Table 1).\n"
-    llfi_stack.T.profile.F.dyn_count
+    llfi_stack

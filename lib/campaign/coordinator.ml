@@ -58,7 +58,6 @@ let no_chaos = { kill_worker = None; stop_worker = None; abort_after = None }
 (* worker supervision; Supervisor.backoff spaces the restarts *)
 let max_restarts = 3 (* respawns per worker slot before it stays dead *)
 let max_chunk_reassigns = 4 (* reassignments per chunk before its samples are dropped *)
-let heartbeat_s = 0.02 (* min seconds between worker heartbeats *)
 let backoff_base = 0.02
 let backoff_cap = 0.5
 
@@ -248,8 +247,8 @@ let reap w =
 (* ---- the campaign ----------------------------------------------------- *)
 
 let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_mir = true)
-    ?(verify_each = false) ?(cache = true) ~samples ~seed
+    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_each = false)
+    ?(cache = true) ~samples ~seed
     (programs : (string * string) list) (tools : T.kind list) : E.cell list =
   if options.workers < 1 then invalid_arg "Coordinator.run_matrix: workers < 1";
   let model_name = F.string_of_model model in
@@ -261,11 +260,9 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       retries;
       cost_cap;
       quotas;
-      verify_mir;
       verify_each;
       cache;
       pipeline = Option.map Refine_passes.Pipeline.print pipeline;
-      heartbeat_s;
       obs = Obs.Control.enabled ();
       trace = Obs.Span.sink_active ();
     }

@@ -61,7 +61,6 @@ val run_matrix :
   ?quotas:Refine_core.Tool.quotas ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
-  ?verify_mir:bool ->
   ?verify_each:bool ->
   ?cache:bool ->
   samples:int ->

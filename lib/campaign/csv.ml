@@ -67,11 +67,10 @@ let save path cells =
 
 exception Parse_error of string
 
-let tool_of_name = function
-  | "REFINE" -> T.Refine
-  | "LLFI" -> T.Llfi
-  | "PINFI" -> T.Pinfi
-  | s -> raise (Parse_error ("unknown tool " ^ s))
+(* [kind_of_name] ignores case; the render check in [of_string] still
+   rejects any spelling but [kind_name]'s *)
+let tool_of_name s =
+  match T.kind_of_name s with Some kind -> kind | None -> raise (Parse_error ("unknown tool " ^ s))
 
 let model_of_name s =
   try F.model_of_string s

@@ -83,10 +83,12 @@ let m_quarantined reason =
 let m_quarantined_verifier = m_quarantined "mir-verifier"
 let m_quarantined_ir_verifier = m_quarantined "ir-verifier"
 let m_quarantined_golden = m_quarantined "nondeterministic-golden"
+let m_quarantined_empty = m_quarantined "empty-population"
 
 let m_quarantine_reason = function
   | "nondeterministic-golden" -> m_quarantined_golden
   | "ir-verifier" -> m_quarantined_ir_verifier
+  | "empty-population" -> m_quarantined_empty
   | _ -> m_quarantined_verifier
 
 (* a quarantine reason reads "category: detail" *)
@@ -140,8 +142,9 @@ let rng_for_attempt base a =
   end
 
 (* A quarantined (program, tool) cell: no samples ran and none will — the
-   cell is structurally unfit for injection (failed MIR verification, or a
-   nondeterministic golden run).  Reported, excluded from chi-squared. *)
+   cell is structurally unfit for injection (failed MIR verification, a
+   nondeterministic golden run, or no target to inject into).  Reported,
+   excluded from chi-squared. *)
 let quarantined_cell ~program ~tool ~model ~samples reason =
   {
     program;
@@ -163,12 +166,9 @@ let quarantined_cell ~program ~tool ~model ~samples reason =
    during preparation resolves the whole cell as quarantined — journaled
    so a resume never re-prepares it. *)
 let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?verify_mir ?verify_each
-    ?cache ?chaos ?token ?watchdog ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source
-    () : cell =
-  let domains =
-    match domains with Some d -> d | None -> Refine_support.Parallel.default_domains ()
-  in
+    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?verify_each ?cache ?chaos
+    ?token ?watchdog ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source () : cell =
+  let domains = match domains with Some d -> d | None -> S.default_domains () in
   let model_name = F.string_of_model model in
   (* all checkpoint traffic goes through one sink: a local journal file, a
      shard worker's frame stream, or nothing *)
@@ -199,7 +199,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   let cell_t0 = Obs.Control.now () in
   match
     Obs.Span.with_ ~attrs:span_attrs "prepare" (fun () ->
-        T.prepare ~phases ~sel ?pipeline ?verify_mir ?verify_each ?chaos ?cache ~model tool source)
+        T.prepare ~phases ~sel ?pipeline ?verify_each ?chaos ?cache ~model tool source)
   with
   | exception T.Quarantine (category, detail) -> quarantine (category ^ ": " ^ detail)
   | prepared ->
@@ -347,7 +347,7 @@ let degraded_cell ?(model = F.Reg_bit) ~program ~tool ~samples exn =
    remaining cells (a [Tool.Quarantine] already resolved inside
    [run_cell] as a quarantined cell). *)
 let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
-    ?verify_mir ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed
+    ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed
     (programs : (string * string) list) (tools : T.kind list) : cell list =
   List.concat_map
     (fun (program, source) ->
@@ -355,8 +355,7 @@ let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?p
         (fun tool ->
           try
             run_cell ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
-              ?verify_mir ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed tool
-              ~program ~source ()
+              ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed tool ~program ~source ()
           with e -> degraded_cell ?model ~program ~tool ~samples e)
         tools)
     programs

@@ -54,8 +54,9 @@ type cell = {
   quarantined : string option;
       (** ["category: detail"] when the cell was quarantined (DESIGN.md
           §13): preparation raised {!Refine_core.Tool.Quarantine} (failed
-          MIR verification, or a nondeterministic golden run), zero samples
-          ran, and the cell is excluded from the contingency rows *)
+          verification, a nondeterministic golden run, or an empty fault
+          population), zero samples ran, and the cell is excluded from the
+          contingency rows *)
 }
 
 val cell_seed :
@@ -119,7 +120,6 @@ val run_cell :
   ?quotas:Refine_core.Tool.quotas ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
-  ?verify_mir:bool ->
   ?verify_each:bool ->
   ?cache:bool ->
   ?chaos:Refine_core.Tool.chaos ->
@@ -162,10 +162,11 @@ val run_cell :
     Hardening (DESIGN.md §13): every injection runs inside the [quotas]
     sandbox (default {!Refine_core.Tool.default_quotas}, the golden-derived
     output cap) — tripped quotas classify as Crash.  A
-    {!Refine_core.Tool.Quarantine} during preparation (see [verify_mir] /
-    the double golden run) resolves the whole cell as quarantined: zero
-    samples, [quarantined = Some reason], journaled so a resume
-    short-circuits without re-preparing. *)
+    {!Refine_core.Tool.Quarantine} during preparation (the end-of-MIR
+    verifier, the double golden run, or a profiling run that counts no
+    target, e.g. a [sel] naming no function of the program) resolves the
+    whole cell as quarantined: zero samples, [quarantined = Some reason],
+    journaled so a resume short-circuits without re-preparing. *)
 
 val run_matrix :
   ?domains:int ->
@@ -177,7 +178,6 @@ val run_matrix :
   ?quotas:Refine_core.Tool.quotas ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
-  ?verify_mir:bool ->
   ?verify_each:bool ->
   ?cache:bool ->
   ?chaos:Refine_core.Tool.chaos ->

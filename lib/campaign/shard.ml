@@ -28,8 +28,12 @@ module Sp = Refine_obs.Span
    entries echo it back (DESIGN.md §18).
    v4: Init carries the whole Tool.quotas record, so a sharded campaign
    runs under exactly the in-process sandbox (heap quota and the derived
-   output cap included). *)
-let version = 4
+   output cap included).
+   v5: Init drops the MIR-verifier switch (the end-of-MIR verifier always
+   runs) and the heartbeat interval (the constant [heartbeat_s]). *)
+let version = 5
+
+let heartbeat_s = 0.02 (* min seconds between a busy worker's heartbeat frames *)
 
 exception Protocol_mismatch of { expected_version : int; tag : int }
 (* An unknown frame tag is a version skew, not a torn frame: a v2 peer
@@ -42,11 +46,9 @@ type config = {
   retries : int;
   cost_cap : int64 option;
   quotas : T.quotas;
-  verify_mir : bool;
   verify_each : bool;
   cache : bool;
   pipeline : string option; (* Pipeline.print form; None = tool default *)
-  heartbeat_s : float; (* min seconds between worker heartbeat frames *)
   obs : bool; (* worker enables its metrics registry + delta forwarding *)
   trace : bool; (* worker buffers spans and ships Trace_batch frames *)
 }
@@ -57,11 +59,9 @@ let default_config =
     retries = 0;
     cost_cap = None;
     quotas = T.default_quotas;
-    verify_mir = true;
     verify_each = false;
     cache = true;
     pipeline = None;
-    heartbeat_s = 0.02;
     obs = false;
     trace = false;
   }
@@ -107,11 +107,9 @@ type frame =
   | Trace_batch of Sp.event list (* buffered spans, already re-parented *)
 
 let tool_of_name name =
-  match String.uppercase_ascii name with
-  | "REFINE" -> T.Refine
-  | "LLFI" -> T.Llfi
-  | "PINFI" -> T.Pinfi
-  | s -> invalid_arg ("Shard.tool_of_name: " ^ s)
+  match T.kind_of_name name with
+  | Some kind -> kind
+  | None -> invalid_arg ("Shard.tool_of_name: " ^ String.uppercase_ascii name)
 
 (* ---- encode ----------------------------------------------------------- *)
 
@@ -232,11 +230,9 @@ let encode f =
     W.put_option b W.put_f64 c.quotas.T.wall_clock_s;
     W.put_option b W.put_int c.quotas.T.livelock_window;
     W.put_bool b c.quotas.T.derive_output;
-    W.put_bool b c.verify_mir;
     W.put_bool b c.verify_each;
     W.put_bool b c.cache;
     W.put_option b W.put_string c.pipeline;
-    W.put_f64 b c.heartbeat_s;
     W.put_bool b c.obs;
     W.put_bool b c.trace
   | Assign { chunk; program; source; tool; model; samples; todo; trace; parent_span } ->
@@ -314,11 +310,9 @@ let decode payload =
       let wall_clock_s = W.get_option c W.get_f64 in
       let livelock_window = W.get_option c W.get_int in
       let derive_output = W.get_bool c in
-      let verify_mir = W.get_bool c in
       let verify_each = W.get_bool c in
       let cache = W.get_bool c in
       let pipeline = W.get_option c W.get_string in
-      let heartbeat_s = W.get_f64 c in
       let obs = W.get_bool c in
       let trace = W.get_bool c in
       Init
@@ -327,11 +321,9 @@ let decode payload =
           retries;
           cost_cap;
           quotas = { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output };
-          verify_mir;
           verify_each;
           cache;
           pipeline;
-          heartbeat_s;
           obs;
           trace;
         }

@@ -15,7 +15,13 @@ val version : int
     [Trace_batch] frames (DESIGN.md §17).
     v3: fault models — [Assign] carries the cell's fault model and
     [Outcome] entries echo it back (DESIGN.md §18).
-    v4: [Init] carries the whole {!Refine_core.Tool.quotas} record. *)
+    v4: [Init] carries the whole {!Refine_core.Tool.quotas} record.
+    v5: [Init] drops the MIR-verifier switch (the end-of-MIR verifier
+    always runs) and the heartbeat interval ({!heartbeat_s}); a v4 [Init]
+    payload does not decode. *)
+
+val heartbeat_s : float
+(** Minimum seconds between a busy worker's [Heartbeat] frames (20 ms). *)
 
 exception Protocol_mismatch of { expected_version : int; tag : int }
 (** {!decode} met a frame tag this protocol version does not know — a
@@ -27,11 +33,9 @@ type config = {
   retries : int;
   cost_cap : int64 option;
   quotas : Refine_core.Tool.quotas;  (** the sandbox envelope, forwarded whole *)
-  verify_mir : bool;
   verify_each : bool;
   cache : bool;
   pipeline : string option;  (** [Pipeline.print] form; [None] = tool default *)
-  heartbeat_s : float;  (** min seconds between worker heartbeat frames *)
   obs : bool;  (** worker enables its registry and forwards deltas *)
   trace : bool;  (** worker buffers spans and ships [Trace_batch] frames *)
 }
@@ -92,8 +96,8 @@ type frame =
           the Assign trace context *)
 
 val tool_of_name : string -> Refine_core.Tool.kind
-(** Inverse of {!Refine_core.Tool.kind_name}; [Invalid_argument] on
-    unknown names. *)
+(** {!Refine_core.Tool.kind_of_name}, with [Invalid_argument] on unknown
+    names. *)
 
 val encode : frame -> string
 (** Unframed payload (tag byte + fields). *)

@@ -1,11 +1,12 @@
 (* Shard worker process (DESIGN.md §16).
 
    A worker is the same executable as its coordinator, re-exec'd with
-   [REFINE_SHARD_WORKER=1] in the environment: stdin carries coordinator
-   frames (Init, Assign, Shutdown), stdout carries worker frames (Hello,
-   Outcome, Quarantine, Heartbeat, Chunk_done / Chunk_failed).  Every
-   embedding executable calls {!maybe_exec} before doing anything else, so
-   the coordinator can spawn workers without a dedicated binary.
+   [REFINE_SHARD_WORKER=1] in the environment and its two frame pipes
+   named in [REFINE_SHARD_FDS]: one carries coordinator frames (Init,
+   Assign, Shutdown), the other worker frames (Hello, Outcome, Quarantine,
+   Heartbeat, Chunk_done / Chunk_failed).  Every embedding executable
+   calls {!maybe_exec} before doing anything else, so the coordinator can
+   spawn workers without a dedicated binary.
 
    The worker resolves an assigned chunk with the ordinary
    [Experiment.run_cell], wired up for streaming:
@@ -116,7 +117,7 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
   let last_hb = ref (Unix.gettimeofday ()) in
   let heartbeat () =
     let now = Unix.gettimeofday () in
-    if now -. !last_hb >= config.S.heartbeat_s then begin
+    if now -. !last_hb >= S.heartbeat_s then begin
       last_hb := now;
       send (S.Heartbeat { completed = !completed });
       (* the heartbeat poll slot doubles as the telemetry-forwarding slot:
@@ -128,8 +129,8 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
   match
     E.run_cell ~domains:1 ~sink ~heartbeat ~retries:config.S.retries
       ?cost_cap:config.S.cost_cap ~quotas:config.S.quotas ~model:fault_model
-      ?pipeline ~verify_mir:config.S.verify_mir ~verify_each:config.S.verify_each
-      ~cache:config.S.cache ~samples ~seed:config.S.seed tool_kind ~program ~source ()
+      ?pipeline ~verify_each:config.S.verify_each ~cache:config.S.cache ~samples
+      ~seed:config.S.seed tool_kind ~program ~source ()
   with
   | cell ->
     (* final telemetry for this chunk must precede Chunk_done on the pipe:
@@ -143,7 +144,7 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
     ship ();
     send (S.Chunk_failed { chunk; message = Printexc.to_string e })
 
-let main ?(input = Unix.stdin) ?(output = Unix.stdout) () =
+let main ~input ~output =
   (* the coordinator closing its end must surface as EOF on read, not a
      SIGPIPE death mid-frame *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -204,19 +205,20 @@ let main ?(input = Unix.stdin) ?(output = Unix.stdout) () =
     | `Frames fs -> List.iter (fun f -> if !running then handle f) fs
   done
 
+(* the frame pipes the coordinator passed down *)
+let inherited_fds () =
+  match Option.map (String.split_on_char ',') (Sys.getenv_opt fds_var) with
+  | Some [ r; w ] -> (fd_of_int (int_of_string r), fd_of_int (int_of_string w))
+  | _ -> failwith (fds_var ^ " must name the frame pipes as <read>,<write>")
+
 let maybe_exec () =
   match Sys.getenv_opt env_var with
   | None | Some "" | Some "0" -> ()
-  | Some _ ->
-    let input, output =
-      match Sys.getenv_opt fds_var with
-      | Some s -> (
-        match String.split_on_char ',' s with
-        | [ r; w ] -> (fd_of_int (int_of_string r), fd_of_int (int_of_string w))
-        | _ -> (Unix.stdin, Unix.stdout))
-      | None -> (Unix.stdin, Unix.stdout)
-    in
-    (match main ~input ~output () with
+  | Some _ -> (
+    match
+      let input, output = inherited_fds () in
+      main ~input ~output
+    with
     | () -> exit 0
     | exception Unix.Unix_error (Unix.EPIPE, _, _) -> exit 0
     | exception e ->

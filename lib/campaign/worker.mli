@@ -1,9 +1,10 @@
 (** Shard worker process (DESIGN.md §16): the executable re-exec'd by
     {!Coordinator} with [REFINE_SHARD_WORKER=1], speaking {!Shard} frames
-    over stdin/stdout.  Chunks run through the ordinary
-    {!Experiment.run_cell} with a streaming {!Journal.sink} (each resolved
-    sample becomes an [Outcome] frame) and a time-gated heartbeat invoked
-    from the in-flight poll slot — a hung sample stops heartbeating.
+    over the two pipes named in [REFINE_SHARD_FDS].  Chunks run through the
+    ordinary {!Experiment.run_cell} with a streaming {!Journal.sink} (each
+    resolved sample becomes an [Outcome] frame) and a time-gated heartbeat
+    invoked from the in-flight poll slot — a hung sample stops
+    heartbeating.
 
     When [Init] enables the observability plane (DESIGN.md §17), the
     heartbeat slot also forwards telemetry: cumulative [Metrics_delta]
@@ -23,12 +24,10 @@ val int_of_fd : Unix.file_descr -> int
 (** The raw fd number (Unix only) — how the coordinator renders
     {!fds_var}. *)
 
-val main : ?input:Unix.file_descr -> ?output:Unix.file_descr -> unit -> unit
-(** Run the worker loop: send [Hello], then serve [Init] / [Assign] /
-    [Shutdown] frames from [input] (default stdin), streaming results to
-    [output] (default stdout).  Returns on [Shutdown] or EOF. *)
-
 val maybe_exec : unit -> unit
 (** Call first in every executable that may act as a coordinator: if
-    {!env_var} is set in the environment, runs {!main} on stdin/stdout and
-    exits the process (0 on clean shutdown).  A no-op otherwise. *)
+    {!env_var} is set in the environment, runs the worker loop on the pipes
+    {!fds_var} names — send [Hello], then serve [Init] / [Assign] /
+    [Shutdown] frames until [Shutdown] or EOF — and exits the process (0 on
+    clean shutdown, 1 if {!fds_var} is missing or malformed or the loop
+    fails).  A no-op otherwise. *)

@@ -20,6 +20,13 @@ type kind = Refine | Llfi | Pinfi
 
 let kind_name = function Refine -> "REFINE" | Llfi -> "LLFI" | Pinfi -> "PINFI"
 
+let kind_of_name name =
+  match String.uppercase_ascii name with
+  | "REFINE" -> Some Refine
+  | "LLFI" -> Some Llfi
+  | "PINFI" -> Some Pinfi
+  | _ -> None
+
 (* ---- observability (DESIGN.md §12) ------------------------------------
 
    Executor profiling and FI-site accounting, flushed into the metrics
@@ -268,8 +275,7 @@ type prepared = {
   profile : Fault.profile;
   static_instrumented : int; (* instrumented sites (REFINE/LLFI); 0 for PINFI *)
   detach : detach_target option;
-      (* post-injection handoff target (DESIGN.md §20); REFINE only, and
-         not for chaos builds *)
+      (* post-injection handoff target (DESIGN.md §20); REFINE only *)
   opcode : bool; (* profiled over the Opcode population (PINFI only) *)
 }
 
@@ -293,7 +299,8 @@ exception Prepare_error of string
 exception Quarantine of string * string
 (* (category, detail): the cell must not be sampled — "mir-verifier" when
    the instrumented machine code fails [Mverify.check_instrumented],
-   "nondeterministic-golden" when two independent profiling runs disagree.
+   "nondeterministic-golden" when two independent profiling runs disagree,
+   "empty-population" when the profiling run counts no target.
    Deterministic by construction, hence never retried. *)
 
 (* Test-only failure injection for the hardening paths themselves:
@@ -321,7 +328,7 @@ let no_chaos = { break_mir = false; flaky_golden = false }
      compile is shared across REFINE / LLFI / PINFI cells of the same
      program;
    - the prepared tier keys on (source, full pipeline string, tool
-     configuration, both verification switches) and shares whole
+     configuration, per-pass verification) and shares whole
      [prepared] values — image, snapshot, decode, detach target and
      golden profile — across repeated cells of one configuration.
 
@@ -484,6 +491,10 @@ let reset_artifact_caches () =
   Artifact_cache.reset ();
   Atomic.set compile_invocation_count 0
 
+(* hard safety bound on a profiling run's steps; the 10x cost timeout
+   bounds the injection runs *)
+let profile_max_steps = 2_000_000_000L
+
 (* [phases] buckets wall-clock time into the overhead-breakdown columns
    (instrument / compile / execute); the profiling runs count as execute.
    Omitted (the common library-use case), only the modeled costs remain.
@@ -492,14 +503,15 @@ let reset_artifact_caches () =
    state: a program whose golden output, exit code or dynamic population
    varies between fault-free runs cannot classify faults (every
    comparison against "the" golden run would be noise), so the cell is
-   [Quarantine]d instead of sampled.  [verify_mir] re-checks the
-   instrumented machine code at the end of the MIR stage
+   [Quarantine]d instead of sampled, as is a cell whose first profiling
+   run counts no target: it has nothing to inject into.  The instrumented
+   machine code is always re-checked at the end of the MIR stage
    ([Mverify.check_instrumented] for the REFINE splices,
    [Mverify.check_funcs] for LLFI's recompiled functions); [verify_each]
    additionally interleaves the IR/MIR verifiers after every single pass.
    Either kind of violation quarantines the cell. *)
-let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_each ~cache
-    ~(chaos : chaos) (kind : kind) (src : string) : prepared =
+let prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~(chaos : chaos)
+    (kind : kind) (src : string) : prepared =
   let time name f = match phases with None -> f () | Some p -> Obs.Phase.time p name f in
   let quarantine_invalid f =
     try f () with
@@ -513,7 +525,7 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_e
   let m = build_ir ~pipeline:{ full with Pl.ir = prefix } ~cache ~verify_each ?phases src in
   let out =
     quarantine_invalid (fun () ->
-        Pl.run ~ctx ~verify_each ~verify_fi:verify_mir ?phases { full with Pl.ir = ir_rest } m)
+        Pl.run ~ctx ~verify_each ~verify_fi:true ?phases { full with Pl.ir = ir_rest } m)
   in
   let image =
     match out.Pl.image with
@@ -523,9 +535,7 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_e
   (* read before the detach build so the MIR output is garbage by then *)
   let static_instrumented = out.Pl.fi_sites in
   let snap = E.snapshot image in
-  (* chaos builds mutate instrumented code: their images must never seed a
-     detach target *)
-  let detach = if chaos = no_chaos then build_detach kind image else None in
+  let detach = build_detach kind image in
   let unprofiled =
     {
       kind;
@@ -542,13 +552,20 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_e
   let profile_once () =
     let r, ctrl =
       drive ?phases unprofiled Runtime.Profile (fun ?detach eng ->
-          time "execute" (fun () -> E.run ~max_steps ?detach eng))
+          time "execute" (fun () -> E.run ~max_steps:profile_max_steps ?detach eng))
     in
     (ctrl.Runtime.count, r)
   in
   (* first run becomes the golden profile; the second must agree with it *)
   let count1, r1 = profile_once () in
   let p = finish_profile unprofiled count1 r1 in
+  if count1 = 0 then
+    raise
+      (Quarantine
+         ( "empty-population",
+           Printf.sprintf "the profiling run counted no %s under %s"
+             (if opcode then "instruction with a valid alternative opcode" else "operand site")
+             (Selection.to_string sel) ));
   let count2, r2 = profile_once () in
   let out2 = if chaos.flaky_golden then r2.E.output ^ "#chaos" else r2.E.output in
   let exit2 = match r2.E.status with E.Exited c -> c | _ -> min_int in
@@ -568,15 +585,13 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_e
   p
 
 let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
-    ?(max_steps = 2_000_000_000L) ?(verify_mir = true) ?(verify_each = false)
-    ?(chaos = no_chaos) ?(cache = true) ?(model = Fault.Reg_bit) (kind : kind) (src : string) :
-    prepared =
+    ?(verify_each = false) ?(chaos = no_chaos) ?(cache = true) ?(model = Fault.Reg_bit)
+    (kind : kind) (src : string) : prepared =
   Option.iter invalid_arg (model_unsupported kind model);
   let opcode = model = Fault.Opcode in
   let full = pipeline_for ~chaos kind pipeline in
   let build () =
-    prepare_uncached ?phases ~sel ~opcode ~full ~max_steps ~verify_mir ~verify_each ~cache ~chaos
-      kind src
+    prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~chaos kind src
   in
   (* chaos mutates code after instrumentation: those runs must neither be
      served from cache nor poison it *)
@@ -587,9 +602,7 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
         Pl.print full;
         kind_name kind;
         Selection.to_string sel;
-        string_of_bool verify_mir;
         string_of_bool verify_each;
-        Int64.to_string max_steps;
       ]
     in
     (* the other models share one trigger population, and one entry *)
@@ -620,28 +633,24 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
       (Printf.sprintf "Tool.run_injection: a %s fault on a cell profiled over %s"
          (Fault.string_of_model model)
          (if p.opcode then "the opcode population" else "operand sites"));
-  if p.profile.Fault.dyn_count = 0L then
-    { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
-  else begin
-    let target = Int64.to_int (Int64.add 1L (P.int64 rng p.profile.Fault.dyn_count)) in
-    let timeout = Int64.mul Fi_cost.timeout_factor p.profile.Fault.profile_cost in
-    let max_cost, capped =
-      match cost_cap with
-      | Some c when Int64.compare c timeout < 0 -> (c, true)
-      | _ -> (timeout, false)
-    in
-    note_injection p.kind model;
-    (* post-injection handoff plan (DESIGN.md §20), when tool/model/quota
-       eligibility allows; [None] simply runs attached *)
-    let r, ctrl =
-      drive ?plan:(detach_plan_for ~quotas p model) p (Runtime.Inject { target; rng; model })
-        (fun ?detach eng ->
-          E.run ~max_cost
-            ?output_quota:(effective_output_quota quotas p.profile)
-            ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s ~clock:Obs.Control.now
-            ?livelock:quotas.livelock_window ?poll ?detach eng)
-    in
-    note_quota_trip r;
-    if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);
-    { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = ctrl.Runtime.record }
-  end
+  let target = Int64.to_int (Int64.add 1L (P.int64 rng p.profile.Fault.dyn_count)) in
+  let timeout = Int64.mul Fi_cost.timeout_factor p.profile.Fault.profile_cost in
+  let max_cost, capped =
+    match cost_cap with
+    | Some c when Int64.compare c timeout < 0 -> (c, true)
+    | _ -> (timeout, false)
+  in
+  note_injection p.kind model;
+  (* post-injection handoff plan (DESIGN.md §20), when tool/model/quota
+     eligibility allows; [None] simply runs attached *)
+  let r, ctrl =
+    drive ?plan:(detach_plan_for ~quotas p model) p (Runtime.Inject { target; rng; model })
+      (fun ?detach eng ->
+        E.run ~max_cost
+          ?output_quota:(effective_output_quota quotas p.profile)
+          ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s ~clock:Obs.Control.now
+          ?livelock:quotas.livelock_window ?poll ?detach eng)
+  in
+  note_quota_trip r;
+  if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);
+  { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = ctrl.Runtime.record }

@@ -11,6 +11,9 @@ type kind =
 
 val kind_name : kind -> string
 
+val kind_of_name : string -> kind option
+(** Inverse of {!kind_name}, ignoring case; [None] for any other name. *)
+
 type quotas = {
   output_bytes : int option;
       (** absolute output cap in bytes; overrides [derive_output] *)
@@ -78,8 +81,8 @@ type prepared = {
   detach : detach_target option;
       (** post-injection handoff target; [None] for PINFI (its cost model
           already detaches), for LLFI (the skip window retires its
-          post-injection calls), for REFINE images whose splices do not
-          parse and for chaos builds *)
+          post-injection calls) and for REFINE images whose splices do not
+          parse *)
   opcode : bool;
       (** profiled over the {!Fault.Opcode} population (PINFI's
           instructions with a valid alternative opcode) instead of the
@@ -113,9 +116,12 @@ exception Quarantine of string * string
     {!Refine_mir.Mverify.check_instrumented} (REFINE) or
     {!Refine_mir.Mverify.check_funcs} (LLFI); ["nondeterministic-golden"]
     — two independent profiling runs disagreed on output, exit code or
-    dynamic population, so no golden baseline exists to classify against.
-    Both are deterministic properties of the (program, tool) cell: the
-    campaign records the cell as quarantined instead of retrying. *)
+    dynamic population, so no golden baseline exists to classify against;
+    ["empty-population"] — the profiling run counted no target under the
+    cell's selection (the detail names the population and the selection),
+    so there is nothing to inject into.  All are deterministic properties
+    of the (program, tool) cell: the campaign records the cell as
+    quarantined instead of retrying. *)
 
 type chaos = { break_mir : bool; flaky_golden : bool }
 (** Test-only failure injection for the hardening paths themselves:
@@ -164,8 +170,6 @@ val prepare :
   ?phases:Refine_obs.Phase.t ->
   ?sel:Selection.t ->
   ?pipeline:Refine_passes.Pipeline.spec ->
-  ?max_steps:int64 ->
-  ?verify_mir:bool ->
   ?verify_each:bool ->
   ?chaos:chaos ->
   ?cache:bool ->
@@ -200,13 +204,13 @@ val prepare :
     serve, so a binary mutated after caching is invalidated, never
     served.
 
-    Hardening (DESIGN.md §13): profiling executes TWICE with independent
-    machine and control-library state and raises {!Quarantine} if the runs
-    disagree; [verify_mir] (default [true]) structurally re-verifies the
-    instrumented machine code at the end of the MIR stage and raises
-    {!Quarantine} on any violation; [verify_each] (default [false])
+    Hardening (DESIGN.md §13): the instrumented machine code is always
+    structurally re-verified at the end of the MIR stage, and any
+    violation raises {!Quarantine}; [verify_each] (default [false])
     additionally interleaves the IR/MIR verifiers after every pipeline
-    pass. *)
+    pass.  Profiling executes TWICE with independent machine and
+    control-library state and raises {!Quarantine} if the runs disagree,
+    or if the first counts no target. *)
 
 exception Sample_budget_exceeded of int64
 (** A sample exceeded the harness watchdog's modeled-cost budget (the

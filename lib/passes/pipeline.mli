@@ -82,10 +82,10 @@ val run :
     after each IR pass and the MIR verifier after each MIR pass (switching
     to {!Refine_mir.Mverify.check_instrumented} once a REFINE splice is in
     place, with the pre-splice frame sizes as the expectation).
-    [verify_fi] (the campaign's [verify_mir]) re-checks instrumented code
-    once at the end of the MIR stage even without [verify_each], so
-    nothing that corrupts machine code after the FI pass can escape into
-    an emitted image.  Verifier violations raise
+    [verify_fi] (always on in [Refine_core.Tool.prepare]) re-checks
+    instrumented code once at the end of the MIR stage even without
+    [verify_each], so nothing that corrupts machine code after the FI pass
+    can escape into an emitted image.  Verifier violations raise
     {!Refine_ir.Verify.Invalid} / {!Refine_mir.Mverify.Invalid}. *)
 
 (** {1 Driver shims}

@@ -128,6 +128,8 @@ let backoff ?(base = 0.05) ?(cap = 2.0) ~seed attempt =
   let jitter = float_of_int (h land 0xffff) /. 65536.0 in
   Float.min cap (expo *. (0.5 +. (0.5 *. jitter)))
 
+let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
+
 let run ?token ?(policy = default_policy) ?watchdog ~domains n
     (f : attempt:int -> int -> 'a) : 'a outcome array =
   if n = 0 then [||]

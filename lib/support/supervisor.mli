@@ -1,11 +1,11 @@
 (** Supervised task execution for long-running fault-injection campaigns.
 
-    {!Parallel} is the fail-fast primitive; this module is the resilient
-    campaign runner: each task is isolated so one exception marks that task
-    failed (with captured backtrace) instead of aborting the pool, retryable
-    errors are re-attempted with exponential backoff, and a cooperative
-    cancellation token lets a watchdog or a campaign interrupt stop the
-    pool — including work in flight, for tasks that poll {!check}. *)
+    The campaign's one domain pool: each task is isolated so one exception
+    marks that task failed (with captured backtrace) instead of aborting
+    the pool, retryable errors are re-attempted with exponential backoff,
+    and a cooperative cancellation token lets a watchdog or a campaign
+    interrupt stop the pool — including work in flight, for tasks that
+    poll {!check}. *)
 
 (** Cooperative cancellation token, shared between the pool, its watchdog
     and (optionally) the task bodies themselves. *)
@@ -22,7 +22,7 @@ module Cancel : sig
 end
 
 exception Cancelled of string
-(** Raised by {!check} (and by {!Parallel} runs) when the token fires. *)
+(** Raised by {!check} when the token fires. *)
 
 exception Non_retryable of exn
 (** Wrap a task exception to mark it deterministic: {!default_policy}
@@ -70,6 +70,10 @@ val backoff : ?base:float -> ?cap:float -> seed:int -> int -> float
     [\[base/2 * 2^attempt, cap\]].  [Invalid_argument] if [base <= 0] or
     [cap < base].  Used by the shard coordinator's worker restarts
     (DESIGN.md §16). *)
+
+val default_domains : unit -> int
+(** Worker domains a campaign uses unless told otherwise: the runtime's
+    recommended domain count minus one (the caller's), at least 1. *)
 
 val run :
   ?token:Cancel.t ->

@@ -1,86 +1,14 @@
-(* Tests for the extension features: error-propagation analysis, opcode
-   corruption (paper §4.5 future work), and the multi-bit fault model. *)
+(* Tests for the extension features: opcode corruption (paper §4.5 future
+   work) and the multi-bit fault model. *)
 
 module T = Refine_core.Tool
 module F = Refine_core.Fault
-module Prop = Refine_core.Propagation
 module Corrupt = Refine_core.Corrupt
 module E = Refine_campaign.Experiment
 module I = Refine_ir.Ir
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
 module P = Refine_support.Prng
-
-(* ---- propagation ---- *)
-
-let prop_src =
-  {|
-global float sink[8];
-int main() {
-  int i;
-  float dead = 123.0;         // reaches nothing
-  float live = 1.0;
-  int idx = 0;
-  for (i = 0; i < 8; i = i + 1) {
-    idx = (i * 3) % 8;        // feeds an address
-    live = live + tofloat(i); // feeds output via sink
-    sink[idx] = live;
-  }
-  print_float(sink[5]);
-  dead = dead * 2.0;
-  return 0;
-}
-|}
-
-(* mem2reg only: O1's clean-up would DCE the benign-prone values the test
-   needs to observe *)
-let ssa_module src =
-  let m = Refine_minic.Frontend.compile src in
-  List.iter Refine_ir.Mem2reg.run m.I.funcs;
-  m
-
-let test_propagation_classes () =
-  let m = ssa_module prop_src in
-  let main = I.find_func m "main" in
-  (* find specific defining instructions by shape *)
-  let find p =
-    List.concat_map (fun (b : I.block) -> b.I.body) main.I.blocks
-    |> List.find_map (fun i -> if p i then I.instr_def i else None)
-  in
-  (* the (i*3)%8 remainder feeds the store address *)
-  let idx_def = find (function I.Ibinop (_, I.Rem, _, I.ICst 8L) -> true | _ -> false) in
-  (match idx_def with
-  | Some v ->
-    let inf = Prop.analyze main v in
-    Alcotest.(check bool) "index reaches an address" true inf.Prop.reaches_address;
-    Alcotest.(check bool) "index is crash-prone" true (Prop.predict inf = Prop.Predict_crash)
-  | None -> Alcotest.fail "no index instruction found");
-  (* the dead multiply reaches nothing *)
-  let dead_def = find (function I.Fbinop (_, I.Fmul, _, I.FCst 2.0) -> true | _ -> false) in
-  match dead_def with
-  | Some v ->
-    let inf = Prop.analyze main v in
-    Alcotest.(check bool) "dead value is benign-prone" true
-      (Prop.predict inf = Prop.Predict_benign)
-  | None -> Alcotest.fail "no dead instruction found"
-
-let test_propagation_fanout () =
-  let m = ssa_module prop_src in
-  let main = I.find_func m "main" in
-  (* a loop-carried accumulator has a larger slice than a terminal value *)
-  let sums =
-    List.concat_map (fun (b : I.block) -> b.I.body) main.I.blocks
-    |> List.filter_map (fun i ->
-           match I.instr_def i with Some d -> Some (Prop.analyze main d) | None -> None)
-  in
-  Alcotest.(check bool) "some values have nonzero fanout" true
-    (List.exists (fun inf -> inf.Prop.fanout > 0) sums)
-
-let test_propagation_summary () =
-  let m = ssa_module prop_src in
-  let main = I.find_func m "main" in
-  let c, s, b = Prop.summarize main in
-  Alcotest.(check bool) "all classes populated" true (c > 0 && s > 0 && b > 0)
 
 (* ---- opcode corruption: the Opcode model on PINFI's binary ---- *)
 
@@ -219,6 +147,33 @@ let test_opcode_guards () =
       T.run_injection ~model:F.Opcode reg (P.create 1));
   rejects "a reg fault on an opcode cell" (fun () -> T.run_injection opcode (P.create 1))
 
+(* a selection that leaves no target quarantines the cell at prepare
+   time, and the detail names the population each cell draws from *)
+let test_opcode_empty_population () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let sel = { T.Selection.default with T.Selection.funcs = [ "nosuch" ] } in
+  let detail model =
+    match T.prepare ~sel ~model T.Pinfi selection_src with
+    | exception T.Quarantine ("empty-population", d) -> d
+    | exception T.Quarantine (c, d) -> Alcotest.failf "quarantined as %s: %s" c d
+    | _ -> Alcotest.failf "a %s cell was prepared" (F.string_of_model model)
+  in
+  let opcode = detail F.Opcode and reg = detail F.Reg_bit in
+  List.iter
+    (fun (what, d, needle, expected) ->
+      Alcotest.(check bool) (what ^ ": " ^ d) expected (contains d needle))
+    [
+      ("opcode names its population", opcode, "valid alternative opcode", true);
+      ("opcode names the selection", opcode, "funcs=nosuch", true);
+      ("reg names operand sites", reg, "operand site", true);
+      ("reg is not the opcode population", reg, "opcode", false);
+      ("reg names the selection", reg, "funcs=nosuch", true);
+    ]
+
 (* ---- multi-bit faults ---- *)
 
 let test_multibit_flips () =
@@ -296,9 +251,6 @@ let test_csv_roundtrip () =
 
 let tests =
   [
-    Alcotest.test_case "propagation classes" `Quick test_propagation_classes;
-    Alcotest.test_case "propagation fanout" `Quick test_propagation_fanout;
-    Alcotest.test_case "propagation summary" `Quick test_propagation_summary;
     Alcotest.test_case "opcode alternatives" `Quick test_opcode_alternatives_valid;
     Alcotest.test_case "opcode profiling transparent" `Quick test_opcode_profile_transparent;
     Alcotest.test_case "opcode injection" `Quick test_opcode_injection;
@@ -307,10 +259,12 @@ let tests =
     Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
     Alcotest.test_case "trace composes with hooks" `Quick test_trace_composes_with_hook;
     Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
-    Alcotest.test_case "opcode on EP: 69698 targets, 13/175/12 at seed 7" `Quick
-      test_opcode_ep_pinned;
     Alcotest.test_case "opcode population follows -fi-funcs and -fi-instrs" `Quick
       test_opcode_selection;
     Alcotest.test_case "opcode cells: own cache entry, REFINE/LLFI and mixed models rejected"
       `Quick test_opcode_guards;
+    Alcotest.test_case "empty opcode and operand populations quarantine at prepare" `Quick
+      test_opcode_empty_population;
+    Alcotest.test_case "opcode on EP: 69698 targets, 13/175/12 at seed 7" `Quick
+      test_opcode_ep_pinned;
   ]

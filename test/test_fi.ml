@@ -343,8 +343,16 @@ int main() {
   done;
   Alcotest.(check pass) "no hang" () ()
 
+let test_kind_names () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (T.kind_name k ^ " inverts") true (T.kind_of_name (T.kind_name k) = Some k))
+    [ T.Refine; T.Llfi; T.Pinfi ];
+  Alcotest.(check bool) "unknown name" true (T.kind_of_name "opcode" = None)
+
 let tests =
   [
+    Alcotest.test_case "tool names round-trip" `Quick test_kind_names;
     Alcotest.test_case "selection classes" `Quick test_selection_classes;
     Alcotest.test_case "selection functions" `Quick test_selection_funcs;
     Alcotest.test_case "IR has no stack targets" `Quick test_selection_ir_no_stack;

@@ -280,6 +280,40 @@ let test_run_cell_quarantined () =
   | None -> Alcotest.fail "cell not quarantined");
   Alcotest.(check int) "zero samples ran" 0 (Ex.attempted cell.Ex.counts)
 
+(* a selection that names no function of the program leaves no target:
+   each tool's cell is quarantined under its own metric label, not
+   tallied as benign samples that injected nothing *)
+let test_empty_population_quarantined () =
+  let sel = { Sel.default with Sel.funcs = [ "nosuch" ] } in
+  let label = [ ("reason", "empty-population") ] in
+  let count () =
+    match Refine_obs.Metrics.find "refine_quarantined_cells_total" label with
+    | Some (Refine_obs.Metrics.Counter n) -> n
+    | _ -> 0L
+  in
+  let cells =
+    [ (T.Refine, F.Reg_bit); (T.Llfi, F.Reg_bit); (T.Pinfi, F.Reg_bit); (T.Pinfi, F.Opcode) ]
+  in
+  Refine_obs.Control.enable ();
+  let before = count () in
+  Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
+      List.iter
+        (fun (kind, model) ->
+          let name = T.kind_name kind ^ "/" ^ F.string_of_model model in
+          let cell =
+            Ex.run_cell ~sel ~model ~samples:4 ~seed:7 kind ~program:"adv" ~source:fi_src ()
+          in
+          (match cell.Ex.quarantined with
+          | Some r ->
+            if not (contains r "empty-population: " && contains r "funcs=nosuch") then
+              Alcotest.failf "%s: reason %S" name r
+          | None -> Alcotest.failf "%s: cell not quarantined" name);
+          Alcotest.(check bool) (name ^ ": zero counts") true (cell.Ex.counts = Ex.zero))
+        cells);
+  Alcotest.(check int64) "one labeled quarantine per cell"
+    (Int64.of_int (List.length cells))
+    (Int64.sub (count ()) before)
+
 let test_journal_quarantine_resume () =
   let path = tmpfile () in
   let j = J.create path in
@@ -461,6 +495,8 @@ let tests =
     Alcotest.test_case "tool: clean prepare passes hardening" `Quick test_prepare_clean_under_verifier;
     Alcotest.test_case "tool: derived output quota" `Quick test_derived_output_quota;
     Alcotest.test_case "campaign: quarantined cell runs no samples" `Quick test_run_cell_quarantined;
+    Alcotest.test_case "campaign: empty fault population quarantines" `Quick
+      test_empty_population_quarantined;
     Alcotest.test_case "campaign: journal quarantine short-circuits resume" `Quick test_journal_quarantine_resume;
     Alcotest.test_case "campaign: journal skips undecodable lines" `Quick test_journal_skips_bad_lines;
     Alcotest.test_case "campaign: CSV roundtrips quarantine column" `Quick test_csv_roundtrip_quarantine;

@@ -1,7 +1,7 @@
 (* End-to-end integration scenarios across the whole stack: language
    feature combinations, runtime traps surfacing through compiled code,
-   exit-code classification, inlining of stack-allocating callees, and
-   printing format guarantees. *)
+   exit-code classification, inlining of stack-allocating callees,
+   printing format guarantees, and the exit codes of the refinec CLI. *)
 
 module F = Refine_minic.Frontend
 module E = Refine_machine.Exec
@@ -199,6 +199,34 @@ int main() {
     [ T.Refine; T.Llfi; T.Pinfi ];
   Alcotest.(check pass) "no hangs" () ()
 
+(* refinec's exit codes: 2 for a bad flag value, 1 for a quarantined
+   cell, 124 (cmdliner's usage error) for an unknown option *)
+let test_refinec_exit_codes () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/refinec.exe" in
+  List.iter
+    (fun (args, expected, says) ->
+      let err = Filename.temp_file "refinec" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote refinec) args (Filename.quote err))
+      in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      Alcotest.(check int) args expected code;
+      if not (contains stderr says) then Alcotest.failf "%s: stderr %S" args stderr)
+    [
+      ("fi EP --fi-instrs bogus", 2, "bad --fi-instrs");
+      ("fi EP --fault-model bogus", 2, "bad --fault-model");
+      ("fi EP --fi-tool refine --fault-model opcode", 2, "bad --fault-model");
+      ("fi EP --fi-tool pinfi --fi-funcs nosuch --samples 1", 1, "quarantined: empty-population");
+      ("campaign --programs EP --samples 1 --no-verify-mir", 124, "no-verify-mir");
+    ]
+
 let tests =
   [
     Alcotest.test_case "deep recursion overflows" `Quick test_deep_recursion_overflows;
@@ -211,4 +239,5 @@ let tests =
     Alcotest.test_case "global initializers" `Quick test_global_init_values;
     Alcotest.test_case "quicksort" `Quick test_mixed_recursion_and_arrays;
     Alcotest.test_case "FI on trap-prone program" `Quick test_fi_on_trap_prone_program;
+    Alcotest.test_case "refinec exit codes" `Quick test_refinec_exit_codes;
   ]

@@ -3,7 +3,6 @@
    ToolError graceful degradation. *)
 
 module P = Refine_support.Prng
-module Par = Refine_support.Parallel
 module S = Refine_support.Supervisor
 module E = Refine_campaign.Experiment
 module J = Refine_campaign.Journal
@@ -104,32 +103,6 @@ let test_cancelled_inflight () =
   | S.Done (0, 1), S.Skipped, S.Skipped -> ()
   | _ -> Alcotest.fail "expected Done/Skipped/Skipped");
   Alcotest.(check (option string)) "reason kept" (Some "test kill") (S.Cancel.reason token)
-
-(* ---- parallel: unified error surface, cooperative cancellation --------- *)
-
-let test_init_first_element_supervised () =
-  (* an exception in f 0 used to escape raw (f 0 ran on the caller); it must
-     arrive wrapped like every other index *)
-  Alcotest.(check bool) "f 0 failure wrapped" true
-    (try
-       ignore (Par.init ~domains:2 4 (fun i -> if i = 0 then failwith "boom0" else i));
-       false
-     with Par.Worker_failure (Failure m) -> m = "boom0")
-
-let test_parallel_external_cancel () =
-  let token = S.Cancel.create () in
-  let ran = Atomic.make 0 in
-  Alcotest.(check bool) "external cancel raises Cancelled" true
-    (try
-       ignore
-         (Par.init ~token ~domains:1 100 (fun i ->
-              ignore (Atomic.fetch_and_add ran 1);
-              if i = 4 then S.Cancel.cancel ~reason:"stop" token;
-              i));
-       false
-     with S.Cancelled _ -> true);
-  (* sibling tasks after the cancellation point were never claimed *)
-  Alcotest.(check bool) "stopped early" true (Atomic.get ran < 100)
 
 (* ---- per-sample watchdog (modeled-cost budget) ------------------------- *)
 
@@ -563,8 +536,6 @@ let tests =
     Alcotest.test_case "retry exhaustion" `Quick test_retry_exhaustion;
     Alcotest.test_case "watchdog skips remaining" `Quick test_watchdog_skips_remaining;
     Alcotest.test_case "in-flight cancellation" `Quick test_cancelled_inflight;
-    Alcotest.test_case "init f0 supervised" `Quick test_init_first_element_supervised;
-    Alcotest.test_case "parallel external cancel" `Quick test_parallel_external_cancel;
     Alcotest.test_case "sample budget watchdog" `Quick test_sample_budget_exceeded;
     Alcotest.test_case "watchdog -> ToolError" `Quick test_watchdog_expiry_degrades_to_tool_error;
     Alcotest.test_case "matrix survives broken cell" `Quick test_matrix_survives_broken_cell;

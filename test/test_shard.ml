@@ -45,25 +45,11 @@ let gen_quotas =
 let gen_config =
   QCheck.Gen.(
     map
-      (fun ((seed, retries, cost_cap, quotas),
-            (verify_mir, verify_each, cache, pipeline, heartbeat_s),
-            (obs, trace)) ->
-        {
-          S.seed;
-          retries;
-          cost_cap;
-          quotas;
-          verify_mir;
-          verify_each;
-          cache;
-          pipeline;
-          heartbeat_s;
-          obs;
-          trace;
-        })
+      (fun ((seed, retries, cost_cap, quotas), (verify_each, cache, pipeline), (obs, trace)) ->
+        { S.seed; retries; cost_cap; quotas; verify_each; cache; pipeline; obs; trace })
       (tup3
          (tup4 int small_nat (opt gen_i64) gen_quotas)
-         (tup5 bool bool bool (opt gen_str) gen_f)
+         (tup3 bool bool (opt gen_str))
          (pair bool bool)))
 
 (* ---- observability-plane payloads -------------------------------------- *)
@@ -240,6 +226,43 @@ let test_unknown_tag () =
     Alcotest.(check int) "reports local protocol version" S.version expected_version;
     Alcotest.(check int) "reports offending tag" 254 tag
 
+(* A v4 coordinator's Init (it still carried the MIR-verifier switch and
+   the heartbeat interval) must not decode under v5 as some other config:
+   every combination of its switches and pipeline option is rejected *)
+let test_v4_init_rejected () =
+  let v4_init ~verify ~verify_each ~cache ~pipeline ~obs ~trace =
+    let b = Buffer.create 64 in
+    W.put_u8 b 2;
+    W.put_int b 1 (* seed *);
+    W.put_int b 0 (* retries *);
+    W.put_option b W.put_i64 None (* cost_cap *);
+    W.put_option b W.put_int None (* output_bytes *);
+    W.put_option b W.put_int None (* heap_bytes *);
+    W.put_option b W.put_f64 None (* wall_clock_s *);
+    W.put_option b W.put_int None (* livelock_window *);
+    W.put_bool b true (* derive_output *);
+    W.put_bool b verify;
+    W.put_bool b verify_each;
+    W.put_bool b cache;
+    W.put_option b W.put_string pipeline;
+    W.put_f64 b 0.02 (* heartbeat_s *);
+    W.put_bool b obs;
+    W.put_bool b trace;
+    Buffer.contents b
+  in
+  for bits = 0 to 63 do
+    let bit k = bits land (1 lsl k) <> 0 in
+    let verify_each = bit 1 and cache = bit 2 and obs = bit 3 and trace = bit 4 in
+    let pipeline = if bit 5 then Some "mem2reg,isel,regalloc,frame,layout" else None in
+    let v4 = v4_init ~verify:(bit 0) ~verify_each ~cache ~pipeline ~obs ~trace in
+    let v5 = S.encode (S.Init { S.default_config with S.verify_each; cache; pipeline; obs; trace }) in
+    (* the v4 layout is v5's plus one bool and one float *)
+    Alcotest.(check int) "v4 layout" (String.length v5 + 9) (String.length v4);
+    match S.decode v4 with
+    | _ -> Alcotest.failf "a v4 Init decoded: %S" v4
+    | exception (W.Truncated | Invalid_argument _) -> ()
+  done
+
 (* ---- sharded = domains = sequential ------------------------------------ *)
 
 let src =
@@ -380,6 +403,7 @@ let tests =
     qcheck prop_torn_tail_is_residue;
     Alcotest.test_case "tool name mapping" `Quick test_tool_names;
     Alcotest.test_case "unknown tag rejected" `Quick test_unknown_tag;
+    Alcotest.test_case "a v4 Init frame does not decode" `Quick test_v4_init_rejected;
     Alcotest.test_case "workers = domains = sequential" `Quick test_workers_match_domains;
     Alcotest.test_case "workers run under the whole quota record" `Quick
       test_workers_carry_quotas;

@@ -1,9 +1,8 @@
 (* Unit and property tests for the support library: PRNG, bit operations,
-   parallel map and table rendering. *)
+   restart backoff and table rendering. *)
 
 module P = Refine_support.Prng
 module B = Refine_support.Bitops
-module Par = Refine_support.Parallel
 module Tbl = Refine_support.Table
 
 let test_prng_deterministic () =
@@ -93,26 +92,6 @@ let test_float_bits_roundtrip () =
     (fun f ->
       Alcotest.(check (float 0.0)) "roundtrip" f (B.bits_float (B.float_bits f)))
     [ 0.0; 1.0; -1.5; 3.14159; 1e300; -1e-300 ]
-
-let test_parallel_map () =
-  let arr = Array.init 1000 (fun i -> i) in
-  let out = Par.map_array ~domains:4 (fun x -> x * x) arr in
-  Array.iteri (fun i v -> Alcotest.(check int) "square in order" (i * i) v) out
-
-let test_parallel_empty () =
-  Alcotest.(check int) "empty" 0 (Array.length (Par.map_array (fun x -> x) [||]))
-
-let test_parallel_single_domain () =
-  let out = Par.init ~domains:1 10 (fun i -> i + 1) in
-  Alcotest.(check int) "last" 10 out.(9)
-
-let test_parallel_exception () =
-  Alcotest.(check bool) "worker exception propagates" true
-    (try
-       ignore (Par.map_array ~domains:2 (fun x -> if x = 5 then failwith "boom" else x)
-                 (Array.init 10 (fun i -> i)));
-       false
-     with _ -> true)
 
 let test_table_render () =
   let s =
@@ -211,10 +190,6 @@ let tests =
     Alcotest.test_case "bit ops" `Quick test_bit_ops;
     Alcotest.test_case "bit index checked" `Quick test_bit_index_checked;
     Alcotest.test_case "float bits roundtrip" `Quick test_float_bits_roundtrip;
-    Alcotest.test_case "parallel map order" `Quick test_parallel_map;
-    Alcotest.test_case "parallel empty" `Quick test_parallel_empty;
-    Alcotest.test_case "parallel single domain" `Quick test_parallel_single_domain;
-    Alcotest.test_case "parallel exception" `Quick test_parallel_exception;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick test_table_pads_short_rows;
     QCheck_alcotest.to_alcotest prop_flip_involution;
