@@ -20,17 +20,18 @@ module Pl = Refine_passes.Pipeline
    frames on stdin/stdout and exit before cmdliner ever parses argv *)
 let () = Refine_campaign.Worker.maybe_exec ()
 
+(* a PROG that is neither a benchmark nor a readable file is a usage
+   error *)
 let read_source path =
   match Refine_bench_progs.Registry.all
         |> List.find_opt (fun b -> b.Refine_bench_progs.Registry.name = path)
   with
   | Some b -> b.Refine_bench_progs.Registry.source
-  | None ->
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+  | None -> (
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "cannot read %s\n" msg;
+      exit 2)
 
 (* common args *)
 let src_arg =
@@ -55,12 +56,6 @@ let verify_each_arg =
            ~doc:"Interleave verification after every pipeline pass: the IR verifier after each \
                  IR pass, the MIR verifier after each MIR pass (including the instrumented-code \
                  check once an FI splice is in place).")
-
-let no_cache_arg =
-  Arg.(value & flag
-       & info [ "no-artifact-cache" ]
-           ~doc:"Disable the content-addressed prepared-artifact cache (every preparation \
-                 recompiles from source).  Results are bit-identical either way.")
 
 (* -O alias unless --passes overrides; parse errors are usage errors *)
 let spec_of opt passes =
@@ -171,7 +166,7 @@ let fi_cmd =
                    $(b,burst:K) (K adjacent register bits) or $(b,opcode) (a valid alternative \
                    opcode for the rest of the run, the paper's par. 4.5 extension; PINFI only).")
   in
-  let action src tool funcs instrs samples seed fault_model opt passes verify_each no_cache =
+  let action src tool funcs instrs samples seed fault_model opt passes verify_each =
     let model =
       try Refine_core.Fault.model_of_string fault_model
       with Invalid_argument msg -> Printf.eprintf "bad --fault-model: %s\n" msg; exit 2
@@ -192,8 +187,7 @@ let fi_cmd =
     let sel = { Sel.funcs = String.split_on_char ',' funcs |> List.map String.trim; instrs } in
     let cell =
       Refine_campaign.Experiment.run_cell ~sel ~model ~pipeline:(spec_of opt passes)
-        ~verify_each ~cache:(not no_cache) ~samples ~seed kind ~program:src
-        ~source:(read_source src) ()
+        ~verify_each ~samples ~seed kind ~program:src ~source:(read_source src) ()
     in
     let module E = Refine_campaign.Experiment in
     Option.iter
@@ -217,7 +211,7 @@ let fi_cmd =
     (Cmd.info "fi"
        ~doc:"Run a fault-injection campaign cell (profiling + N classified injections).")
     Term.(const action $ src_arg $ tool $ funcs $ instrs $ samples $ seed $ fault_model
-          $ opt_arg $ passes_arg $ verify_each_arg $ no_cache_arg)
+          $ opt_arg $ passes_arg $ verify_each_arg)
 
 (* ---- passes ---- *)
 
@@ -377,7 +371,7 @@ let campaign_cmd =
   in
   let action programs samples seed fault_models csv journal resume retries sample_timeout
       domains workers metrics_out trace_out status_port output_quota wall_clock livelock opt
-      passes verify_each no_cache =
+      passes verify_each =
     if metrics_out <> None || trace_out <> None || status_port <> None then
       Refine_obs.Control.enable ();
     let models =
@@ -411,7 +405,14 @@ let campaign_cmd =
       else String.split_on_char ',' programs |> List.map String.trim
     in
     let srcs =
-      List.map (fun n -> (n, (Refine_bench_progs.Registry.find n).Refine_bench_progs.Registry.source)) names
+      List.map
+        (fun n ->
+          match Refine_bench_progs.Registry.find n with
+          | b -> (n, b.Refine_bench_progs.Registry.source)
+          | exception Invalid_argument _ ->
+            Printf.eprintf "bad --programs: unknown benchmark %s (see refinec bench)\n" n;
+            exit 2)
+        names
     in
     let journal = Option.map (fun path -> Refine_campaign.Journal.create ~resume path) journal in
     (match journal with Some j -> Refine_campaign.Journal.note_skipped_metric j | None -> ());
@@ -442,14 +443,15 @@ let campaign_cmd =
           (fun model ->
             Refine_campaign.Coordinator.run_matrix ~options ?journal ~retries
               ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-              ~verify_each ~cache:(not no_cache) ~samples ~seed srcs
-              Refine_campaign.Report.tools)
+              ~verify_each ~samples ~seed srcs Refine_campaign.Report.tools)
           models
       | _ ->
-        (* in-process path: a tiny pump domain drives the server, and the
-           /status provider reads the campaign's own progress counters *)
+        (* in-process path: a systhread of this domain serves the
+           endpoint, asleep in select until a request arrives, and the
+           /status provider reads the campaign's own progress counters.
+           A second domain would have to join every minor collection. *)
         let stop = Atomic.make false in
-        let pump =
+        let serving =
           Option.map
             (fun s ->
               let total =
@@ -478,24 +480,26 @@ let campaign_cmd =
                     p_workers = None;
                     p_finished = Atomic.get stop;
                   });
-              Domain.spawn (fun () ->
+              Thread.create
+                (fun () ->
                   while not (Atomic.get stop) do
-                    Refine_obs.Serve.poll s;
-                    Unix.sleepf 0.02
-                  done))
+                    (try ignore (Unix.select (Refine_obs.Serve.fds s) [] [] 0.05)
+                     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+                    Refine_obs.Serve.poll s
+                  done)
+                ())
             server
         in
         Fun.protect
           ~finally:(fun () ->
             Atomic.set stop true;
-            Option.iter Domain.join pump)
+            Option.iter Thread.join serving)
           (fun () ->
             List.concat_map
               (fun model ->
                 Refine_campaign.Experiment.run_matrix ?domains ?journal ~retries
                   ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-                  ~verify_each ~cache:(not no_cache) ~samples ~seed srcs
-                  Refine_campaign.Report.tools)
+                  ~verify_each ~samples ~seed srcs Refine_campaign.Report.tools)
               models)
     in
     (* figure 4/5 and the overhead table read the paper's reg-bit shape:
@@ -561,7 +565,7 @@ let campaign_cmd =
     Term.(const action $ programs $ samples $ seed $ fault_models $ csv $ journal $ resume
           $ retries $ sample_timeout $ domains $ workers $ metrics_out $ trace_out
           $ status_port $ output_quota $ wall_clock $ livelock $ opt_arg $ passes_arg
-          $ verify_each_arg $ no_cache_arg)
+          $ verify_each_arg)
 
 let main =
   let doc = "REFINE: realistic fault injection via compiler-based instrumentation (SC'17 reproduction)" in

@@ -149,13 +149,6 @@ let parse_splices (code : M.t array) : splice list =
 let splices (image : Layout.image) : splice list option =
   match parse_splices image.Layout.code with exception Not_found -> None | l -> Some l
 
-(* between the selector's [Mjcc (CEq, post)] and [post]: the [Mjmp setup]
-   that [parse_splices] checked, then the setup, FI and fidone blocks *)
-let fire_path s =
-  let call = s.sp_start + if s.sp_flags then 2 else 1 in
-  let post = if s.sp_flags then s.sp_end - 1 else s.sp_end in
-  (call + 3, post - 1)
-
 (* Translate one instrumented-image instruction into golden coordinates:
    branch/call targets go through [rank]; everything else is unchanged.
    A target inside a splice has no golden rank — impossible for genuine

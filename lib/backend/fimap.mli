@@ -27,12 +27,6 @@ val splices : Layout.image -> splice list option
     The one splice parser: {!extract} drops these splices, and
     [Exec.decode] fuses each into one superinstruction (DESIGN.md §19). *)
 
-val fire_path : splice -> int * int
-(** [(first, last)]: the pcs of the splice's fire path — the [Mjmp setup]
-    after the selector's compare-branch, then the SetupFI, FI_k and fidone
-    blocks — which run only when the selector fires, so at most once per
-    injection sample.  [Exec.decode] interprets them (DESIGN.md §19). *)
-
 type handoff = {
   h_pcs : int array;
       (** ascending instrumented pcs, the first 0: where each piece of the

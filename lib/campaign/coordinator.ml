@@ -247,10 +247,17 @@ let reap w =
 (* ---- the campaign ----------------------------------------------------- *)
 
 let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_each = false)
-    ?(cache = true) ~samples ~seed
-    (programs : (string * string) list) (tools : T.kind list) : E.cell list =
+    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_each = false) ~samples
+    ~seed (programs : (string * string) list) (tools : T.kind list) : E.cell list =
   if options.workers < 1 then invalid_arg "Coordinator.run_matrix: workers < 1";
+  (* every sample crosses the wire as its journal line *)
+  List.iter
+    (fun (program, _) ->
+      if String.contains program '\t' || String.contains program '\n' then
+        invalid_arg
+          ("Coordinator.run_matrix: a journal line cannot carry the program name "
+          ^ String.escaped program))
+    programs;
   let model_name = F.string_of_model model in
   (* a worker dying mid-assign must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -261,7 +268,6 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       cost_cap;
       quotas;
       verify_each;
-      cache;
       pipeline = Option.map Refine_passes.Pipeline.print pipeline;
       obs = Obs.Control.enabled ();
       trace = Obs.Span.sink_active ();

@@ -62,7 +62,6 @@ val run_matrix :
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
-  ?cache:bool ->
   samples:int ->
   seed:int ->
   (string * string) list ->
@@ -78,7 +77,9 @@ val run_matrix :
     (like CSV-loaded cells, only its length crosses the wire) and
     [timing] sums per-chunk attributions, so repeated chunk preparations
     legitimately inflate it relative to a single-process run.  The whole
-    [quotas] record travels to workers in the [Init] frame.
+    [quotas] record travels to workers in the [Init] frame.  Every sample
+    comes back as its journal line, so a program name holding a TAB or a
+    newline raises [Invalid_argument].
 
     Observability plane (DESIGN.md §17): when {!Refine_obs.Control} is
     enabled, workers forward cumulative registry snapshots that are

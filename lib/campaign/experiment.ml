@@ -166,8 +166,8 @@ let quarantined_cell ~program ~tool ~model ~samples reason =
    during preparation resolves the whole cell as quarantined — journaled
    so a resume never re-prepares it. *)
 let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?verify_each ?cache ?chaos
-    ?token ?watchdog ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source () : cell =
+    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?verify_each ?chaos ?watchdog
+    ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source () : cell =
   let domains = match domains with Some d -> d | None -> S.default_domains () in
   let model_name = F.string_of_model model in
   (* all checkpoint traffic goes through one sink: a local journal file, a
@@ -199,7 +199,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   let cell_t0 = Obs.Control.now () in
   match
     Obs.Span.with_ ~attrs:span_attrs "prepare" (fun () ->
-        T.prepare ~phases ~sel ?pipeline ?verify_each ?chaos ?cache ~model tool source)
+        T.prepare ~phases ~sel ?pipeline ?verify_each ?chaos ~model tool source)
   with
   | exception T.Quarantine (category, detail) -> quarantine (category ^ ": " ^ detail)
   | prepared ->
@@ -223,7 +223,8 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
     if results.(i) = None then todo := i :: !todo
   done;
   let todo = Array.of_list !todo in
-  let token = match token with Some t -> t | None -> S.Cancel.create () in
+  (* cancelled by the watchdog; in-flight samples notice it at their poll *)
+  let token = S.Cancel.create () in
   let poll () =
     (* a shard worker emits liveness heartbeats from the in-flight poll
        slot, so a hung sample goes silent instead of heartbeating *)
@@ -232,7 +233,6 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
   in
   let policy =
     {
-      S.default_policy with
       S.max_retries = retries;
       (* a Quarantine is a deterministic property of the cell; retrying the
          sample would only reproduce it *)
@@ -347,7 +347,7 @@ let degraded_cell ?(model = F.Reg_bit) ~program ~tool ~samples exn =
    remaining cells (a [Tool.Quarantine] already resolved inside
    [run_cell] as a quarantined cell). *)
 let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
-    ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed
+    ?verify_each ?chaos ?watchdog ~samples ~seed
     (programs : (string * string) list) (tools : T.kind list) : cell list =
   List.concat_map
     (fun (program, source) ->
@@ -355,7 +355,7 @@ let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?p
         (fun tool ->
           try
             run_cell ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
-              ?verify_each ?cache ?chaos ?token ?watchdog ~samples ~seed tool ~program ~source ()
+              ?verify_each ?chaos ?watchdog ~samples ~seed tool ~program ~source ()
           with e -> degraded_cell ?model ~program ~tool ~samples e)
         tools)
     programs

@@ -36,9 +36,7 @@ type cell = {
   program : string;
   tool : Refine_core.Tool.kind;
   model : Refine_core.Fault.model;
-      (** what state the faults struck ({!Refine_core.Fault.model});
-          {!Refine_core.Fault.Reg_bit} for pre-model campaigns and loaded
-          legacy CSVs *)
+      (** what state the faults struck ({!Refine_core.Fault.model}) *)
   samples : int;  (** requested sample count *)
   counts : counts;
   injection_cost : int64;  (** summed modeled time of all injection runs —
@@ -121,9 +119,7 @@ val run_cell :
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
-  ?cache:bool ->
   ?chaos:Refine_core.Tool.chaos ->
-  ?token:Refine_support.Supervisor.Cancel.t ->
   ?watchdog:(unit -> bool) ->
   ?heartbeat:(unit -> unit) ->
   samples:int ->
@@ -141,9 +137,9 @@ val run_cell :
     A sample that keeps failing after [retries] extra attempts (each with a
     fresh deterministic split) resolves as {!Refine_core.Fault.Tool_error}.
     [cost_cap] is the per-sample modeled-cost watchdog
-    ({!Refine_core.Tool.run_injection}); [token]/[watchdog] cancel the
-    remaining work cooperatively — cancelled samples stay unresolved so a
-    resume completes them.
+    ({!Refine_core.Tool.run_injection}); [watchdog] cancels the remaining
+    work cooperatively — cancelled samples stay unresolved so a resume
+    completes them.
 
     Sharding (DESIGN.md §16): [sink] overrides [journal] as the checkpoint
     destination — a shard worker streams resolved samples over a pipe
@@ -153,11 +149,11 @@ val run_cell :
     heartbeating through the hang.
 
     Pipelines (DESIGN.md §15): [pipeline] selects the compile pipeline
-    (default {!Refine_core.Tool.default_pipeline}), [verify_each]
-    interleaves the IR/MIR verifiers after every pass, and [cache] (default
-    [true]) serves repeated preparations from the content-addressed
-    artifact cache — campaign results are bit-identical in [seed] whether
-    or not preparation was cached or verified per pass.
+    (default {!Refine_core.Tool.default_pipeline}) and [verify_each]
+    interleaves the IR/MIR verifiers after every pass; repeated
+    preparations are served from the content-addressed artifact cache —
+    campaign results are bit-identical in [seed] whether preparation hit a
+    cold or a warm cache, and whether it was verified per pass.
 
     Hardening (DESIGN.md §13): every injection runs inside the [quotas]
     sandbox (default {!Refine_core.Tool.default_quotas}, the golden-derived
@@ -179,9 +175,7 @@ val run_matrix :
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
-  ?cache:bool ->
   ?chaos:Refine_core.Tool.chaos ->
-  ?token:Refine_support.Supervisor.Cancel.t ->
   ?watchdog:(unit -> bool) ->
   samples:int ->
   seed:int ->

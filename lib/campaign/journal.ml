@@ -9,8 +9,11 @@
    crash/resume interleaving.
 
    Quarantined cells (DESIGN.md §13) are journaled too, as "Q"-tagged
-   lines with a different field count: an older loader's tolerant parse
-   skips them silently, so journals stay forward- and backward-compatible.
+   lines with a different field count.
+
+   The line is the one serialized form of a sample record: a shard worker
+   streams the same line to its coordinator inside an [Outcome] frame
+   (Shard, DESIGN.md §16), decoded by the same [parse].
 
    Durability: [create] writes the full canonical log to [path ^ ".tmp"]
    and renames it over [path] (atomic at the filesystem level), then every
@@ -26,7 +29,7 @@ module F = Refine_core.Fault
 type entry = {
   program : string;
   tool : string; (* Tool.kind_name *)
-  model : string; (* Fault.string_of_model; "reg" for pre-v2 journals *)
+  model : string; (* Fault.string_of_model *)
   sample : int; (* 0-based index within the cell *)
   outcome : F.outcome;
   cost : int64;
@@ -42,29 +45,24 @@ type t = {
   lock : Mutex.t;
 }
 
-(* v2 appends the fault-model field (DESIGN.md §18).  The version tag is a
-   comment line, so a v1 loader's tolerant parse ignores it; this loader
-   accepts the v1 shape (6 fields, implicitly the paper's "reg" model)
-   only in a journal without the v2 tag, and the v2 shape (7 fields).  A
-   journal tagged with any other version was written by a format this
-   loader does not know: its lines may have the shapes of known records
-   and still mean something else, so it loads none of them. *)
+(* The version tag is a comment line naming the record format.  v2
+   appended the fault-model field (DESIGN.md §18); no writer has produced
+   the v1 shape since.  A journal not tagged with exactly this line, once
+   (untagged, v1 or a version this loader does not know), loads no
+   record: its lines may have the shape of a v2 record and still mean
+   something else. *)
 let tag_prefix = "# refine-journal v"
 let magic = tag_prefix ^ "2"
-let known_tags = [ tag_prefix ^ "1"; magic ]
 
 (* reasons travel on one journal/CSV line; field and line separators are
    squashed to spaces *)
 let sanitize s =
   String.map (function '\t' | '\n' | '\r' | ',' -> ' ' | c -> c) s
 
-(* the v1 line: every field but the model *)
-let render_v1 e =
-  Printf.sprintf "%s\t%s\t%d\t%s\t%Ld\t%d" e.program e.tool e.sample
+let render e =
+  Printf.sprintf "%s\t%s\t%d\t%s\t%Ld\t%d\t%s" e.program e.tool e.sample
     (F.string_of_outcome e.outcome)
-    e.cost e.attempts
-
-let render e = render_v1 e ^ "\t" ^ e.model
+    e.cost e.attempts e.model
 
 let render_quarantine (program, tool, reason) =
   Printf.sprintf "Q\t%s\t%s\t%s" program tool (sanitize reason)
@@ -76,37 +74,30 @@ let render_quarantine (program, tool, reason) =
    unknown names; the try-with turns that into a skip, and the caller
    counts skips so the degradation report can surface them.
 
-   A line is accepted only if its entry renders back to exactly that line
-   (its v1 form for a v1 line).  [int_of_string] and [Int64.of_string]
-   also read [1_], [0x5], [+7], [0b11] and [01]; a corrupted byte can
-   produce any of those, and a lenient read would load the wrong sample
-   or cost, which [create]'s canonical rewrite then makes permanent.  [v1]
-   is false in a v2 journal, whose writer never emits the 6-field shape:
-   there a 6-field line is a 7-field line cut short (a model separator
-   corrupted into a newline), and reading it as "reg" would mis-decode a
-   sample of another model. *)
-let parse ~v1 line =
-  let decode program tool sample outcome cost attempts model =
-    {
-      program;
-      tool;
-      (* canonical model name: a corrupt trailing field skips the line
-         instead of resurfacing later as a loader error *)
-      model = F.string_of_model (F.model_of_string model);
-      sample = int_of_string sample;
-      outcome = F.outcome_of_string outcome;
-      cost = Int64.of_string cost;
-      attempts = int_of_string attempts;
-    }
-  in
+   A line is accepted only if its entry renders back to exactly that line.
+   [int_of_string] and [Int64.of_string] also read [1_], [0x5], [+7],
+   [0b11] and [01]; a corrupted byte can produce any of those, and a
+   lenient read would load the wrong sample or cost, which [create]'s
+   canonical rewrite then makes permanent.  A 6-field line is a 7-field
+   line cut short (a model separator corrupted into a newline) and never
+   decodes. *)
+let parse line =
   try
     match String.split_on_char '\t' line with
-    (* v1 shape: no model field — the paper's single-bit register model *)
-    | [ program; tool; sample; outcome; cost; attempts ] when v1 ->
-      let e = decode program tool sample outcome cost attempts "reg" in
-      if render_v1 e = line then Some e else None
     | [ program; tool; sample; outcome; cost; attempts; model ] ->
-      let e = decode program tool sample outcome cost attempts model in
+      let e =
+        {
+          program;
+          tool;
+          (* canonical model name: a corrupt trailing field skips the line
+             instead of resurfacing later as a loader error *)
+          model = F.string_of_model (F.model_of_string model);
+          sample = int_of_string sample;
+          outcome = F.outcome_of_string outcome;
+          cost = Int64.of_string cost;
+          attempts = int_of_string attempts;
+        }
+      in
       if render e = line then Some e else None
     | _ -> None
   with _ -> None
@@ -164,36 +155,34 @@ let load_entries path =
         ("", 1)
   in
   let lines = String.split_on_char '\n' s in
-  let v1 = not (List.mem magic lines) in
-  let foreign =
-    List.find_opt
-      (fun l -> String.starts_with ~prefix:tag_prefix l && not (List.mem l known_tags))
-      lines
-  in
+  let tags = List.filter (String.starts_with ~prefix:tag_prefix) lines in
   let lines =
     List.filter (fun l -> String.trim l <> "" && not (String.length l > 0 && l.[0] = '#')) lines
   in
-  match foreign with
-  | Some tag ->
-    let n = List.length lines in
-    Printf.eprintf
-      "journal %s: skipping all %d record lines: tagged %S, a version this loader does not know\n%!"
-      path n tag;
-    ([], [], torn + n)
-  | None ->
+  if tags = [ magic ] then begin
     let entries = ref [] and quarantines = ref [] and skipped = ref torn in
     List.iter
       (fun l ->
         match parse_quarantine l with
         | Some q -> quarantines := q :: !quarantines
         | None -> (
-          match parse ~v1 l with
+          match parse l with
           | Some e -> entries := e :: !entries
           | None ->
             incr skipped;
             Printf.eprintf "journal %s: skipping undecodable line: %s\n%!" path l))
       lines;
     (List.rev !entries, List.rev !quarantines, !skipped)
+  end
+  else begin
+    let n = List.length lines in
+    if n > 0 then
+      Printf.eprintf "journal %s: skipping all %d record lines: %s\n%!" path n
+        (match List.find_opt (fun t -> t <> magic) tags with
+        | Some tag -> Printf.sprintf "tagged %S, a version this loader does not know" tag
+        | None -> Printf.sprintf "not tagged %S exactly once" magic);
+    ([], [], torn + n)
+  end
 
 let create ?(resume = false) path =
   let entries, quarantines, skipped =

@@ -13,15 +13,24 @@
 type entry = {
   program : string;
   tool : string;  (** {!Refine_core.Tool.kind_name} *)
-  model : string;
-      (** {!Refine_core.Fault.string_of_model}; entries loaded from pre-v2
-          journals default to ["reg"] (the paper's single-bit register
-          model) *)
+  model : string;  (** {!Refine_core.Fault.string_of_model} *)
   sample : int;  (** 0-based sample index within the cell *)
   outcome : Refine_core.Fault.outcome;
   cost : int64;  (** modeled cost of the run (budget burned, for tool errors) *)
   attempts : int;  (** attempts used to resolve the sample *)
 }
+
+val render : entry -> string
+(** The entry's one serialized form: seven TAB-separated fields, no
+    newline.  The journal file holds it one per line under the
+    [# refine-journal v2] tag, and a shard [Outcome] frame carries it
+    ({!Shard}).  [program] and [tool] must hold no TAB or newline. *)
+
+val parse : string -> entry option
+(** Inverse of {!render}, and the only decoder of a sample record: [Some e]
+    only if [render e] is exactly the input.  Any other string — a field
+    the number readers accept in a non-canonical spelling, an unknown
+    outcome or fault model, a missing or extra field — is [None]. *)
 
 type t
 
@@ -30,11 +39,13 @@ val create : ?resume:bool -> string -> t
     entries are loaded (unparseable lines — e.g. an unknown outcome name
     written by a newer version — are skipped with a warning and counted in
     {!skipped}, costing only their re-run); otherwise the journal starts
-    empty.  A journal whose [# refine-journal vN] tag names a version
-    other than 1 or 2 loads no records at all: every record line is
-    counted in {!skipped}, with a warning naming the tag, since a line of
-    an unknown format can have a known record's shape and mean something
-    else.  The file is immediately (re)written in canonical form. *)
+    empty.  A journal that is not tagged [# refine-journal v2] exactly once
+    — untagged, tagged v1 (the pre-model shape no writer has produced
+    since DESIGN.md §18) or tagged with a version this loader does not
+    know — loads no records at all: every record line is counted in
+    {!skipped}, with a warning naming the cause, since a line of another
+    format can have a known record's shape and mean something else.  The
+    file is immediately (re)written in canonical form. *)
 
 val record : t -> entry -> unit
 (** Append one entry and flush the line.  Safe to call from any domain. *)
@@ -44,8 +55,8 @@ val close : t -> unit
 
 val record_quarantine : t -> program:string -> tool:string -> reason:string -> unit
 (** Journal a quarantined cell (DESIGN.md §13).  Idempotent per
-    (program, tool).  Written as a tagged line an older loader's tolerant
-    parse skips silently; [reason] is sanitized to one field. *)
+    (program, tool).  Written as a ["Q"]-tagged line; [reason] is
+    sanitized to one field. *)
 
 val quarantine_reason : t -> program:string -> tool:string -> string option
 (** The journaled quarantine reason of a cell, if any — a resuming
@@ -70,7 +81,7 @@ val completed :
   ?model:string -> t -> program:string -> tool:string -> (int, entry) Hashtbl.t
 (** The resolved samples of one (program, tool, fault model) cell, keyed
     by sample index (latest entry wins on duplicates).  [model] defaults
-    to ["reg"], which also matches every pre-v2 entry. *)
+    to ["reg"]. *)
 
 type sink = {
   resolved : program:string -> tool:string -> model:string -> (int, entry) Hashtbl.t;
@@ -82,8 +93,9 @@ type sink = {
 }
 (** The journal as an interface: {!Experiment.run_cell} records through a
     sink, so checkpoints can go to a local file ({!sink}) or be streamed
-    as wire frames to a shard coordinator ({!Worker}, DESIGN.md §16)
-    without the campaign engine knowing the difference. *)
+    as [Outcome] frames, each carrying the entry's {!render}ed line, to a
+    shard coordinator ({!Worker}, DESIGN.md §16) without the campaign
+    engine knowing the difference. *)
 
 val sink : t -> sink
 (** The file-backed sink over [t] — {!completed} / {!record} /

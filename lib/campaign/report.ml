@@ -5,8 +5,6 @@ module T = Refine_core.Tool
 module Tbl = Refine_support.Table
 module E = Experiment
 
-let pct part total = 100.0 *. float_of_int part /. float_of_int (max 1 total)
-
 let tools = [ T.Llfi; T.Refine; T.Pinfi ]
 
 (* ---- Figure 4: outcome percentages with confidence intervals ---------- *)
@@ -308,7 +306,9 @@ let degradation ?(confidence = 0.95) ?(journal_skipped = 0) (cells : E.cell list
    The paper's instrumentation/compilation/execution time-overhead figures:
    per (program, tool), where the harness actually spent its wall time, and
    the per-tool total normalized to PINFI.  Unlike Figure 5 (modeled cost
-   units) this table reports measured seconds from Experiment.timing. *)
+   units) this table reports measured seconds from Experiment.timing: the
+   simulator's own speed, so its ratios are not graded against the paper's
+   (Figure 5's modeled ratios are the reproduced speed result). *)
 
 let timing_total (t : E.timing) =
   t.E.instrument_s +. t.E.compile_s +. t.E.execute_s +. t.E.harness_s
@@ -320,23 +320,6 @@ let overhead_table (cells : E.cell list) programs =
   let s v = Printf.sprintf "%.3f" v in
   let ratio tool_total pinfi_total =
     if pinfi_total <= 0.0 then "--" else Printf.sprintf "%.2fx" (tool_total /. pinfi_total)
-  in
-  (* The paper's Figure 8/9 headline: REFINE's wall-clock overhead over
-     native execution tracks PINFI's within ≈1.2x.  The delta column
-     grades each tool's measured ratio against its paper target (25%
-     slack, so REFINE holds up to 1.50x) so a campaign summary states
-     directly whether the speed claim holds. *)
-  let paper_target = function T.Refine -> Some 1.2 | T.Pinfi -> Some 1.0 | T.Llfi -> None in
-  let target_delta tool tool_total pinfi_total =
-    match paper_target tool with
-    | None -> "--"
-    | Some tgt ->
-      if pinfi_total <= 0.0 then "--"
-      else begin
-        let r = tool_total /. pinfi_total in
-        Printf.sprintf "%+.2f vs %.1fx (%s)" (r -. tgt) tgt
-          (if r <= tgt *. 1.25 then "holds" else "misses")
-      end
   in
   let per_program =
     List.concat_map
@@ -355,7 +338,6 @@ let overhead_table (cells : E.cell list) programs =
               s t.E.harness_s;
               s (timing_total t);
               ratio (timing_total t) pinfi_total;
-              target_delta tool (timing_total t) pinfi_total;
             ])
           tools)
       programs
@@ -387,22 +369,15 @@ let overhead_table (cells : E.cell list) programs =
           s t.E.harness_s;
           s (timing_total t);
           ratio (timing_total t) pinfi_grand;
-          target_delta tool (timing_total t) pinfi_grand;
         ])
       tools
   in
   Buffer.add_string buf
     (Tbl.render
        ~align:
-         [
-           Tbl.Left; Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-           Tbl.Right;
-         ]
+         [ Tbl.Left; Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
        ~header:
-         [
-           "program"; "tool"; "instrument"; "compile"; "execute"; "harness"; "total"; "vs PINFI";
-           "paper delta";
-         ]
+         [ "program"; "tool"; "instrument"; "compile"; "execute"; "harness"; "total"; "vs PINFI" ]
        (per_program @ totals));
   Buffer.add_char buf '\n';
   Buffer.contents buf
@@ -412,7 +387,8 @@ let overhead_table (cells : E.cell list) programs =
 let figure5 (cells : E.cell list) programs =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    "Figure 5 — campaign execution time normalized to PINFI (measured | paper)\n";
+    "Figure 5 — campaign execution time normalized to PINFI (modeled | paper): the modeled \
+     ratio is the reproduced speed result\n";
   let norm program tool =
     let c = E.find_cell cells ~program ~tool in
     let p = E.find_cell cells ~program ~tool:T.Pinfi in

@@ -2,8 +2,6 @@
     figure series (text form), used by bench/main.exe, the examples and the
     refinec CLI. *)
 
-val pct : int -> int -> float
-
 val tools : Refine_core.Tool.kind list
 (** The comparison set, in the paper's plotting order: LLFI, REFINE,
     PINFI. *)
@@ -47,7 +45,10 @@ val table6 : Experiment.cell list -> string list -> string
     published 1068-sample counts. *)
 
 val figure5 : Experiment.cell list -> string list -> string
-(** Campaign execution time normalized to PINFI, measured | paper. *)
+(** Campaign execution time normalized to PINFI, modeled | paper.  The
+    modeled ratio (summed [injection_cost], deterministic in the seed) is
+    the reproduction's speed result; {!overhead_table}'s wall-clock ratio
+    measures the simulator. *)
 
 val models : Experiment.cell list -> Refine_core.Fault.model list
 (** The distinct fault models present, first-seen order. *)
@@ -68,7 +69,8 @@ val overhead_table : Experiment.cell list -> string list -> string
     split into instrument / compile / execute / harness columns, plus each
     tool's total normalized to PINFI's, with a Total block summed over all
     programs.  Reports measured seconds ({!Experiment.timing}), unlike
-    {!figure5}'s modeled cost units. *)
+    {!figure5}'s modeled cost units: the ratio is the simulator's speed, so
+    it is not graded against the paper's 1.2x. *)
 
 val degradation :
   ?confidence:float -> ?journal_skipped:int -> Experiment.cell list -> string list

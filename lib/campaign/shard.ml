@@ -3,8 +3,9 @@
    The PR-1 journal promoted to a process boundary: a coordinator process
    shards the (program, tool, sample) matrix into chunks and assigns them
    to worker processes over pipes; workers stream each resolved sample
-   back as a length-prefixed journal-entry frame, plus liveness
-   heartbeats, quarantine notices and a per-chunk completion summary.
+   back as its journal line ([Journal.render], decoded by [Journal.parse])
+   inside a length-prefixed [Outcome] frame, plus liveness heartbeats,
+   quarantine notices and a per-chunk completion summary.
    Frames are encoded with the strict [Refine_support.Wire] codec: no
    prefix of a valid frame decodes (a worker SIGKILLed mid-write leaves a
    torn trailing frame that is counted, never mis-decoded), and trailing
@@ -16,7 +17,6 @@
    ready even though this repo exercises it single-host. *)
 
 module W = Refine_support.Wire
-module F = Refine_core.Fault
 module T = Refine_core.Tool
 module M = Refine_obs.Metrics
 module Sp = Refine_obs.Span
@@ -30,8 +30,11 @@ module Sp = Refine_obs.Span
    runs under exactly the in-process sandbox (heap quota and the derived
    output cap included).
    v5: Init drops the MIR-verifier switch (the end-of-MIR verifier always
-   runs) and the heartbeat interval (the constant [heartbeat_s]). *)
-let version = 5
+   runs) and the heartbeat interval (the constant [heartbeat_s]).
+   v6: Init drops the artifact-cache switch (preparation is always
+   cached), and Outcome carries the sample's journal line instead of
+   seven binary fields. *)
+let version = 6
 
 let heartbeat_s = 0.02 (* min seconds between a busy worker's heartbeat frames *)
 
@@ -47,7 +50,6 @@ type config = {
   cost_cap : int64 option;
   quotas : T.quotas;
   verify_each : bool;
-  cache : bool;
   pipeline : string option; (* Pipeline.print form; None = tool default *)
   obs : bool; (* worker enables its metrics registry + delta forwarding *)
   trace : bool; (* worker buffers spans and ships Trace_batch frames *)
@@ -60,7 +62,6 @@ let default_config =
     cost_cap = None;
     quotas = T.default_quotas;
     verify_each = false;
-    cache = true;
     pipeline = None;
     obs = false;
     trace = false;
@@ -205,15 +206,6 @@ let get_event c =
   let parent = W.get_int c in
   { Sp.name; attrs; t_start; dur_s; depth; domain; cost; ok; trace; span_id; parent }
 
-let put_entry b (e : Journal.entry) =
-  W.put_string b e.Journal.program;
-  W.put_string b e.Journal.tool;
-  W.put_string b e.Journal.model;
-  W.put_int b e.Journal.sample;
-  W.put_string b (F.string_of_outcome e.Journal.outcome);
-  W.put_i64 b e.Journal.cost;
-  W.put_int b e.Journal.attempts
-
 let encode f =
   let b = Buffer.create 128 in
   W.put_u8 b (tag f);
@@ -231,7 +223,6 @@ let encode f =
     W.put_option b W.put_int c.quotas.T.livelock_window;
     W.put_bool b c.quotas.T.derive_output;
     W.put_bool b c.verify_each;
-    W.put_bool b c.cache;
     W.put_option b W.put_string c.pipeline;
     W.put_bool b c.obs;
     W.put_bool b c.trace
@@ -247,7 +238,7 @@ let encode f =
     W.put_int b parent_span
   | Outcome { chunk; entry } ->
     W.put_int b chunk;
-    put_entry b entry
+    W.put_string b (Journal.render entry)
   | Quarantine { program; tool; reason } ->
     W.put_string b program;
     W.put_string b tool;
@@ -283,16 +274,6 @@ let encode f =
 
 (* ---- decode ----------------------------------------------------------- *)
 
-let get_entry c : Journal.entry =
-  let program = W.get_string c in
-  let tool = W.get_string c in
-  let model = W.get_string c in
-  let sample = W.get_int c in
-  let outcome = F.outcome_of_string (W.get_string c) in
-  let cost = W.get_i64 c in
-  let attempts = W.get_int c in
-  { Journal.program; tool; model; sample; outcome; cost; attempts }
-
 let decode payload =
   let c = W.cursor payload in
   let f =
@@ -311,7 +292,6 @@ let decode payload =
       let livelock_window = W.get_option c W.get_int in
       let derive_output = W.get_bool c in
       let verify_each = W.get_bool c in
-      let cache = W.get_bool c in
       let pipeline = W.get_option c W.get_string in
       let obs = W.get_bool c in
       let trace = W.get_bool c in
@@ -322,7 +302,6 @@ let decode payload =
           cost_cap;
           quotas = { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output };
           verify_each;
-          cache;
           pipeline;
           obs;
           trace;
@@ -338,10 +317,11 @@ let decode payload =
       let trace = W.get_string c in
       let parent_span = W.get_int c in
       Assign { chunk; program; source; tool; model; samples; todo; trace; parent_span }
-    | 4 ->
+    | 4 -> (
       let chunk = W.get_int c in
-      let entry = get_entry c in
-      Outcome { chunk; entry }
+      match Journal.parse (W.get_string c) with
+      | Some entry -> Outcome { chunk; entry }
+      | None -> invalid_arg "Shard: Outcome carries no journal line")
     | 5 ->
       let program = W.get_string c in
       let tool = W.get_string c in

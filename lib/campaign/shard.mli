@@ -2,8 +2,9 @@
 
     The checkpoint journal promoted to a process boundary: the
     {!Coordinator} shards the cell matrix into chunks, {!Worker} processes
-    resolve them and stream each sample back as a length-prefixed
-    journal-entry frame plus heartbeats, quarantines and chunk summaries.
+    resolve them and stream each sample back as its journal line
+    ({!Journal.render}) inside a length-prefixed [Outcome] frame, plus
+    heartbeats, quarantines and chunk summaries.
     Encoding uses the strict {!Refine_support.Wire} codec: every frame
     round-trips exactly, no strict prefix of a valid frame decodes, and
     trailing bytes are rejected (all three pinned by [test_shard]'s qcheck
@@ -17,8 +18,10 @@ val version : int
     [Outcome] entries echo it back (DESIGN.md §18).
     v4: [Init] carries the whole {!Refine_core.Tool.quotas} record.
     v5: [Init] drops the MIR-verifier switch (the end-of-MIR verifier
-    always runs) and the heartbeat interval ({!heartbeat_s}); a v4 [Init]
-    payload does not decode. *)
+    always runs) and the heartbeat interval ({!heartbeat_s}).
+    v6: [Init] drops the artifact-cache switch, and [Outcome] carries the
+    sample's journal line; v5 [Init] and [Outcome] payloads do not
+    decode. *)
 
 val heartbeat_s : float
 (** Minimum seconds between a busy worker's [Heartbeat] frames (20 ms). *)
@@ -34,7 +37,6 @@ type config = {
   cost_cap : int64 option;
   quotas : Refine_core.Tool.quotas;  (** the sandbox envelope, forwarded whole *)
   verify_each : bool;
-  cache : bool;
   pipeline : string option;  (** [Pipeline.print] form; [None] = tool default *)
   obs : bool;  (** worker enables its registry and forwards deltas *)
   trace : bool;  (** worker buffers spans and ships [Trace_batch] frames *)
@@ -80,7 +82,10 @@ type frame =
       parent_span : int;  (** coordinator's dispatch-span id for this chunk *)
     }
   | Outcome of { chunk : int; entry : Journal.entry }
-      (** one resolved sample — a journal line on the wire *)
+      (** one resolved sample, encoded as its {!Journal.render} line and
+          decoded by {!Journal.parse}: the wire and the journal file share
+          one decoder.  [entry.program] and [entry.tool] must hold no TAB
+          or newline. *)
   | Quarantine of { program : string; tool : string; reason : string }
   | Chunk_done of chunk_summary
   | Chunk_failed of { chunk : int; message : string }
@@ -105,7 +110,8 @@ val encode : frame -> string
 val decode : string -> frame
 (** Inverse of {!encode}.  Raises {!Refine_support.Wire.Truncated} on a
     short buffer, {!Protocol_mismatch} on an unknown frame tag, and
-    [Invalid_argument] on a malformed field or trailing bytes. *)
+    [Invalid_argument] on a malformed field (an [Outcome] whose string
+    {!Journal.parse} rejects included) or trailing bytes. *)
 
 val frame_name : frame -> string
 (** Stable lowercase label, used by the [refine_shard_frames_total{type}]

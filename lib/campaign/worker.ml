@@ -129,8 +129,8 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
   match
     E.run_cell ~domains:1 ~sink ~heartbeat ~retries:config.S.retries
       ?cost_cap:config.S.cost_cap ~quotas:config.S.quotas ~model:fault_model
-      ?pipeline ~verify_each:config.S.verify_each ~cache:config.S.cache ~samples
-      ~seed:config.S.seed tool_kind ~program ~source ()
+      ?pipeline ~verify_each:config.S.verify_each ~samples ~seed:config.S.seed tool_kind
+      ~program ~source ()
   with
   | cell ->
     (* final telemetry for this chunk must precede Chunk_done on the pipe:

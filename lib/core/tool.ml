@@ -335,7 +335,9 @@ let no_chaos = { break_mir = false; flaky_golden = false }
    Prepared entries carry a fingerprint of the image's code array,
    re-checked on every serve, so post-layout code mutation (chaos hooks,
    a test writing into a cached image) invalidates instead of serving a
-   corrupted binary.  Chaos runs bypass every tier. *)
+   corrupted binary.  The tiers have no off switch: only chaos runs
+   bypass the prepared tier, and only an IR stage holding an FI pass
+   bypasses the IR tier. *)
 
 let default_pipeline = Pl.of_level Pl.O2
 
@@ -370,7 +372,7 @@ let m_compile_invocations =
   Obs.Metrics.counter ~help:"front-end + IR-stage compile executions (artifact-cache misses)"
     "refine_compile_invocations_total"
 
-let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = false) ?phases src =
+let build_ir ?(pipeline = default_pipeline) ?(verify_each = false) ?phases src =
   let spec = { pipeline with Pl.isel = false; mir = []; layout = false } in
   let time name f = match phases with None -> f () | Some p -> Obs.Phase.time p name f in
   let rebuild () =
@@ -381,7 +383,7 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
     m
   in
   (* FI passes in the IR stage make the result tool-specific: never share *)
-  if (not cache) || List.exists is_fi_pass spec.Pl.ir then rebuild ()
+  if List.exists is_fi_pass spec.Pl.ir then rebuild ()
   else begin
     (* a miss returns the module it just built; a hit deserializes a fresh
        copy — either way callers may mutate freely *)
@@ -510,8 +512,8 @@ let profile_max_steps = 2_000_000_000L
    [Mverify.check_funcs] for LLFI's recompiled functions); [verify_each]
    additionally interleaves the IR/MIR verifiers after every single pass.
    Either kind of violation quarantines the cell. *)
-let prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~(chaos : chaos)
-    (kind : kind) (src : string) : prepared =
+let build_prepared ?phases ~sel ~opcode ~full ~verify_each ~(chaos : chaos) (kind : kind)
+    (src : string) : prepared =
   let time name f = match phases with None -> f () | Some p -> Obs.Phase.time p name f in
   let quarantine_invalid f =
     try f () with
@@ -522,7 +524,7 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~(chaos : ch
   (* tool-independent IR prefix (shared via the IR cache tier), then the
      rest of the pipeline: IR FI passes, isel, MIR passes, layout *)
   let prefix, ir_rest = split_fi_prefix full.Pl.ir in
-  let m = build_ir ~pipeline:{ full with Pl.ir = prefix } ~cache ~verify_each ?phases src in
+  let m = build_ir ~pipeline:{ full with Pl.ir = prefix } ~verify_each ?phases src in
   let out =
     quarantine_invalid (fun () ->
         Pl.run ~ctx ~verify_each ~verify_fi:true ?phases { full with Pl.ir = ir_rest } m)
@@ -585,17 +587,16 @@ let prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~(chaos : ch
   p
 
 let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
-    ?(verify_each = false) ?(chaos = no_chaos) ?(cache = true) ?(model = Fault.Reg_bit)
-    (kind : kind) (src : string) : prepared =
+    ?(verify_each = false) ?(chaos = no_chaos) ?(model = Fault.Reg_bit) (kind : kind)
+    (src : string) : prepared =
   Option.iter invalid_arg (model_unsupported kind model);
   let opcode = model = Fault.Opcode in
   let full = pipeline_for ~chaos kind pipeline in
-  let build () =
-    prepare_uncached ?phases ~sel ~opcode ~full ~verify_each ~cache ~chaos kind src
-  in
+  let build () = build_prepared ?phases ~sel ~opcode ~full ~verify_each ~chaos kind src in
   (* chaos mutates code after instrumentation: those runs must neither be
-     served from cache nor poison it *)
-  if cache && chaos = no_chaos then
+     served from the prepared tier nor poison it *)
+  if chaos <> no_chaos then build ()
+  else
     let key =
       [
         src;
@@ -607,7 +608,6 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
     in
     (* the other models share one trigger population, and one entry *)
     Artifact_cache.memo prepared_cache (if opcode then key @ [ "population=opcode" ] else key) build
-  else build ()
 
 exception Sample_budget_exceeded of int64
 

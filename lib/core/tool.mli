@@ -147,16 +147,15 @@ val pipeline_for : ?chaos:chaos -> kind -> Refine_passes.Pipeline.spec -> Refine
 
 val build_ir :
   ?pipeline:Refine_passes.Pipeline.spec ->
-  ?cache:bool ->
   ?verify_each:bool ->
   ?phases:Refine_obs.Phase.t ->
   string ->
   Refine_ir.Ir.modul
 (** Front end + the IR stage of [pipeline] (shared by all tools).  Served
     through the content-addressed IR cache tier keyed on (source,
-    IR-prefix pipeline) unless [cache:false] or the IR stage contains an
-    FI pass (tool-specific results are never shared).  Cache hits
-    deserialize a fresh copy, so callers may mutate the module freely. *)
+    IR-prefix pipeline) unless the IR stage contains an FI pass
+    (tool-specific results are never shared).  Cache hits deserialize a
+    fresh copy, so callers may mutate the module freely. *)
 
 val compile_invocations : unit -> int
 (** Front-end + IR-stage compile executions so far (i.e. IR-cache misses). *)
@@ -172,7 +171,6 @@ val prepare :
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
   ?chaos:chaos ->
-  ?cache:bool ->
   ?model:Fault.model ->
   kind ->
   string ->
@@ -193,13 +191,14 @@ val prepare :
     every pipeline pass records a [refine_pass_seconds{pass,layer}]
     histogram sample plus a span.
 
-    Caching (DESIGN.md §15): unless [cache:false] (or chaos is active)
-    the whole [prepared] value, detach target included, is served from
-    the content-addressed prepared tier keyed on (source, pipeline
-    string, tool configuration); the underlying IR-stage compile is
-    shared across tools through the IR tier.  [cache:false] bypasses both
-    tiers.  Only an opcode cell adds its population to the key, so the
-    other models share one prepared value.  Entries carry a fingerprint of
+    Caching (DESIGN.md §15): unless chaos is active, the whole
+    [prepared] value, detach target included, is served from the
+    content-addressed prepared tier keyed on (source, pipeline string,
+    tool configuration); the underlying IR-stage compile is shared across
+    tools through the IR tier.  There is no uncached path: a cold tier
+    ({!reset_artifact_caches}) builds exactly what a warm one serves.
+    Only an opcode cell adds its population to the key, so the other
+    models share one prepared value.  Entries carry a fingerprint of
     the emitted code and of the detach target's code, re-checked on every
     serve, so a binary mutated after caching is invalidated, never
     served.

@@ -1,9 +1,9 @@
 (* Live campaign status endpoint (DESIGN.md §17).
 
    A dependency-free HTTP/1.0 listener over [Unix] sockets, designed to be
-   *polled* rather than threaded: the owner (the coordinator's select
-   loop, or a tiny pump domain on the in-process path) calls [poll] at its
-   own cadence, and every socket is non-blocking, so a slow or stuck
+   *polled*: the owner (the coordinator's select loop, or on the
+   in-process path a systhread asleep in select on [fds]) calls [poll] at
+   its own cadence, and every socket is non-blocking, so a slow or stuck
    client can never stall the campaign.  One GET per connection,
    [Connection: close] — the crudest HTTP that curl and Prometheus both
    speak, which is all a status page needs.

@@ -1,10 +1,10 @@
 (** Live campaign status endpoint (DESIGN.md §17).
 
     A dependency-free HTTP/1.0 listener ([Unix] sockets, hand-rolled
-    request parsing) designed to be *polled* from an existing event loop
-    rather than given a thread: the coordinator calls {!poll} from its
-    select loop; the in-process campaign path drives it from a tiny pump
-    domain.  All sockets are non-blocking — a slow client can never stall
+    request parsing) designed to be *polled* from an existing event loop:
+    the coordinator calls {!poll} from its select loop; the in-process
+    campaign path drives it from a systhread that sleeps in [select] on
+    {!fds}.  All sockets are non-blocking — a slow client can never stall
     the campaign.
 
     Routes: [/metrics] (Prometheus text, byte-identical to

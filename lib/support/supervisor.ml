@@ -3,11 +3,12 @@
    The paper's evaluation is a 44,856-experiment matrix; at that scale one
    runaway or crashing sample must not destroy hours of completed work.
    This module isolates each task: an exception marks that task failed
-   (with its backtrace captured), retryable errors are re-attempted with
-   exponential backoff, and a cooperative cancellation token lets a
-   watchdog or an interrupted campaign stop claiming new work — and, for
-   tasks that poll, abort work already in flight.  All failures are
-   aggregated instead of first-wins. *)
+   (with its backtrace captured), retryable errors are re-attempted at
+   once (a retry reruns deterministic work on a fresh PRNG split, so
+   waiting would change nothing), and a cooperative cancellation token
+   lets a watchdog or an interrupted campaign stop claiming new work —
+   and, for tasks that poll, abort work already in flight.  All failures
+   are aggregated instead of first-wins. *)
 
 module Obs = Refine_obs
 
@@ -65,14 +66,12 @@ type 'a outcome =
 type policy = {
   max_retries : int;  (* extra attempts after the first *)
   retryable : exn -> bool;
-  backoff_base : int;  (* cpu_relax spins before retry 1; doubles each retry *)
 }
 
 let default_policy =
   {
     max_retries = 0;
     retryable = (function Cancelled _ | Non_retryable _ -> false | _ -> true);
-    backoff_base = 64;
   }
 
 (* PR-1 added retries, watchdog kills and cancellation, but they were
@@ -104,15 +103,6 @@ let m_cancel_latency =
 
 let note_cancel_seen token =
   if Obs.Control.enabled () then Obs.Metrics.observe m_cancel_latency (Cancel.latency token)
-
-(* Exponential backoff between retries.  Campaign time is modeled, not
-   wall-clock, so backoff is a bounded busy-wait: it yields the core to
-   sibling domains without adding a dependency on Unix or Thread. *)
-let spin_backoff policy attempt =
-  let spins = policy.backoff_base * (1 lsl min attempt 16) in
-  for _ = 1 to spins do
-    Domain.cpu_relax ()
-  done
 
 (* Deterministic seeded exponential backoff with cap, in seconds — the
    restart schedule of the shard coordinator (DESIGN.md §16) and of any
@@ -162,7 +152,6 @@ let run ?token ?(policy = default_policy) ?watchdog ~domains n
              && not (Cancel.cancelled token)
           then begin
             Obs.Metrics.inc m_retries;
-            spin_backoff policy a;
             attempt (a + 1)
           end
           else begin

@@ -2,8 +2,7 @@
 
     The campaign's one domain pool: each task is isolated so one exception
     marks that task failed (with captured backtrace) instead of aborting
-    the pool, retryable errors are re-attempted with exponential backoff,
-    and a cooperative cancellation token lets a watchdog or a campaign
+    the pool, retryable errors are re-attempted at once, and a cooperative cancellation token lets a watchdog or a campaign
     interrupt stop the pool — including work in flight, for tasks that
     poll {!check}. *)
 
@@ -51,10 +50,9 @@ type 'a outcome =
 type policy = {
   max_retries : int;  (** extra attempts after the first *)
   retryable : exn -> bool;
-  backoff_base : int;
-      (** [Domain.cpu_relax] spins before the first retry; doubled on each
-          subsequent retry (exponential backoff) *)
 }
+(** A retry runs at once: the task reruns deterministic work on a fresh
+    PRNG split ([attempt]), so waiting first would change nothing. *)
 
 val default_policy : policy
 (** No retries; everything except {!Cancelled} and {!Non_retryable} counts

@@ -840,6 +840,14 @@ let test_cell_words () =
         Reg.all)
     [ (T.Refine, 6); (T.Llfi, 15); (T.Pinfi, 16) ]
 
+(* [(first, last)]: the pcs of a splice's fire path — the [Mjmp setup]
+   after the selector's [Mjcc (CEq, post)], then the SetupFI, FI_k and
+   fidone blocks up to [post] — which run only when the selector fires *)
+let fire_path (s : Fm.splice) =
+  let call = s.Fm.sp_start + if s.Fm.sp_flags then 2 else 1 in
+  let post = if s.Fm.sp_flags then s.Fm.sp_end - 1 else s.Fm.sp_end in
+  (call + 3, post - 1)
+
 (* A firing Reg_bit sample runs its fire path through the shared
    interpreter closure.  Cut at every cost budget from just before the
    fire path to just after it, once for a target whose fire path holds no
@@ -851,7 +859,7 @@ let test_fire_path_decoded_equal_step () =
   let image = p.T.image in
   let fire =
     match Fm.splices image with
-    | Some l -> List.map Fm.fire_path l
+    | Some l -> List.map fire_path l
     | None -> Alcotest.fail "EP: the REFINE splices do not parse"
   in
   let on_fire pc = List.exists (fun (a, b) -> a <= pc && pc <= b) fire in

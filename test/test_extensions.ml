@@ -69,8 +69,9 @@ let test_opcode_image_not_shared () =
   let r = Refine_machine.Exec.run eng in
   Alcotest.(check string) "image intact after corruption run" p.F.golden_output
     r.Refine_machine.Exec.output;
+  T.reset_artifact_caches ();
   Alcotest.(check bool) "next run on the domain's engine is clean" true
-    ((T.prepare ~cache:false ~model:F.Opcode T.Pinfi opcode_src).T.profile = p)
+    ((T.prepare ~model:F.Opcode T.Pinfi opcode_src).T.profile = p)
 
 (* EP's opcode cell, 200 samples each on a split of one generator: the
    counts bench/main.exe's extensions section prints at REFINE_SEED=7 *)

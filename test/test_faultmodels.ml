@@ -1,8 +1,8 @@
 (* Tests for the cross-layer fault models (DESIGN.md §18): model string
    forms, multi-bit position draws, snapshot-safe mutation + reset
    restoration, Instr_image decode traps classifying as Crash, per-model
-   campaign determinism across domain counts, legacy CSV/journal
-   compatibility and the per-model injection metric. *)
+   campaign determinism across domain counts, the rejection of pre-model
+   CSV and journal shapes and the per-model injection metric. *)
 
 module F = Refine_core.Fault
 module T = Refine_core.Tool
@@ -176,20 +176,20 @@ let test_cell_seed_model_separation () =
   Alcotest.(check int) "models draw from distinct streams" (List.length all_models)
     (List.length (List.sort_uniq compare seeds))
 
-(* ---- CSV: legacy fixture + per-model round-trip ---- *)
+(* ---- CSV: the pre-model header + per-model round-trip ---- *)
 
-let test_csv_legacy_fixture () =
-  let cells = Csv.load "fixtures/legacy_cells.csv" in
-  Alcotest.(check int) "3 cells" 3 (List.length cells);
-  List.iter
-    (fun (c : E.cell) ->
-      Alcotest.(check bool) "legacy rows load as Reg_bit" true (c.E.model = F.Reg_bit))
-    cells;
-  let ep = List.hd cells in
-  Alcotest.(check int) "crash count survives" 30 ep.E.counts.E.crash;
-  Alcotest.(check int) "benign count survives" 50 ep.E.counts.E.benign;
-  let dc = List.nth cells 2 in
-  Alcotest.(check bool) "quarantine survives" true (dc.E.quarantined <> None)
+(* No writer has produced the 17-column pre-model header since the model
+   columns were added (DESIGN.md §18): such a file raises like any other
+   unknown header, so no row loads under a model it never named *)
+let test_csv_pre_model_rejected () =
+  let pre_model =
+    "program,tool,samples,crash,soc,benign,tool_error,dyn_count,profile_cost,injection_cost,\
+     static_sites,instrument_s,compile_s,execute_s,harness_s,quarantined,quarantine_reason\n\
+     EP,REFINE,100,30,20,50,0,12345,67890,1000000,42,0.010000,0.020000,0.500000,0.100000,0,\n"
+  in
+  match Csv.of_string pre_model with
+  | cells -> Alcotest.failf "a 17-column CSV loaded %d cells" (List.length cells)
+  | exception Csv.Parse_error _ -> ()
 
 let test_csv_model_round_trip () =
   let cells =
@@ -209,34 +209,27 @@ let test_csv_model_round_trip () =
        && a.E.samples = b.E.samples && a.E.injection_cost = b.E.injection_cost))
     cells back
 
-(* ---- journal: legacy fixture + v2 round-trip ---- *)
+(* ---- journal: the pre-model shape + v2 round-trip ---- *)
 
-let with_fixture_copy fixture f =
+let with_tmp f =
   let tmp = Filename.temp_file "refine_fm" ".journal" in
-  let contents = In_channel.with_open_bin fixture In_channel.input_all in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc contents);
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ()) (fun () -> f tmp)
 
-let test_journal_legacy_fixture () =
-  (* [J.create ~resume:true] rewrites the file canonically, so load a copy *)
-  with_fixture_copy "fixtures/legacy.journal" (fun tmp ->
+(* A pre-model journal (no version tag, 6-field records) loads no record:
+   every record line, the quarantine included, counts as skipped *)
+let test_journal_pre_model_rejected () =
+  with_tmp (fun tmp ->
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc
+            "EP\tREFINE\t0\tcrash\t1200\t1\nEP\tREFINE\t1\tbenign\t3400\t1\n\
+             Q\tDC\tLLFI\tverify: golden nondeterminism\nEP\tPINFI\t0\ttool-error\t50\t3\n");
       let j = J.create ~resume:true tmp in
-      Alcotest.(check int) "no skipped lines" 0 (J.skipped j);
-      Alcotest.(check int) "4 entries" 4 (J.length j);
-      List.iter
-        (fun (e : J.entry) ->
-          Alcotest.(check string) "pre-model entries default to reg" "reg" e.J.model)
-        (J.entries j);
-      Alcotest.(check bool) "quarantine survives" true
-        (J.quarantine_reason j ~program:"DC" ~tool:"LLFI" <> None);
-      Alcotest.(check int) "default model finds legacy samples" 3
-        (Hashtbl.length (J.completed j ~program:"EP" ~tool:"REFINE"));
-      Alcotest.(check int) "non-default model finds none" 0
-        (Hashtbl.length (J.completed ~model:"mem" j ~program:"EP" ~tool:"REFINE"));
+      Alcotest.(check (list int)) "entries, quarantines, skipped" [ 0; 0; 4 ]
+        [ J.length j; List.length (J.quarantines j); J.skipped j ];
       J.close j)
 
 let test_journal_model_round_trip () =
-  with_fixture_copy "fixtures/legacy.journal" (fun tmp ->
+  with_tmp (fun tmp ->
       let j = J.create tmp in
       J.record j
         {
@@ -293,10 +286,10 @@ let tests =
     Alcotest.test_case "per-model domains 1 = domains 4" `Slow test_model_domains_deterministic;
     Alcotest.test_case "cell_seed separates models, keeps reg default" `Quick
       test_cell_seed_model_separation;
-    Alcotest.test_case "legacy 17-column CSV loads as Reg_bit" `Quick test_csv_legacy_fixture;
+    Alcotest.test_case "a 17-column CSV raises Parse_error" `Quick test_csv_pre_model_rejected;
     Alcotest.test_case "CSV round-trips every model" `Slow test_csv_model_round_trip;
-    Alcotest.test_case "pre-model journal loads with model=reg" `Quick
-      test_journal_legacy_fixture;
+    Alcotest.test_case "a pre-model journal loads no record" `Quick
+      test_journal_pre_model_rejected;
     Alcotest.test_case "journal v2 round-trips the model column" `Quick
       test_journal_model_round_trip;
     Alcotest.test_case "refine_injections_total carries the model label" `Slow

@@ -341,8 +341,9 @@ let test_journal_skips_bad_lines () =
      malformed row is skipped and counted, never fatal *)
   let path = tmpfile () in
   let oc = open_out path in
-  Printf.fprintf oc "p\tREFINE\t0\t%s\t5\t1\n" (F.string_of_outcome F.Benign);
-  output_string oc "p\tREFINE\t1\ttranscendent\t5\t1\n";
+  Printf.fprintf oc "# refine-journal v2\np\tREFINE\t0\t%s\t5\t1\treg\n"
+    (F.string_of_outcome F.Benign);
+  output_string oc "p\tREFINE\t1\ttranscendent\t5\t1\treg\n";
   output_string oc "garbage that is not a journal line\n";
   close_out oc;
   let j = J.create ~resume:true path in

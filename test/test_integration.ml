@@ -199,15 +199,17 @@ int main() {
     [ T.Refine; T.Llfi; T.Pinfi ];
   Alcotest.(check pass) "no hangs" () ()
 
-(* refinec's exit codes: 2 for a bad flag value, 1 for a quarantined
-   cell, 124 (cmdliner's usage error) for an unknown option *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/refinec.exe"
+
+(* refinec's exit codes: 2 for a bad flag value, an unknown benchmark or
+   an unreadable program, 1 for a quarantined cell, 124 (cmdliner's usage
+   error) for an unknown option *)
 let test_refinec_exit_codes () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/refinec.exe" in
   List.iter
     (fun (args, expected, says) ->
       let err = Filename.temp_file "refinec" ".err" in
@@ -225,7 +227,71 @@ let test_refinec_exit_codes () =
       ("fi EP --fi-tool refine --fault-model opcode", 2, "bad --fault-model");
       ("fi EP --fi-tool pinfi --fi-funcs nosuch --samples 1", 1, "quarantined: empty-population");
       ("campaign --programs EP --samples 1 --no-verify-mir", 124, "no-verify-mir");
+      ("campaign --programs NOSUCH --samples 1", 2, "bad --programs");
+      ("fi nosuch.minc", 2, "cannot read");
+      ("fi EP --samples 1 --no-artifact-cache", 124, "no-artifact-cache");
+      ("campaign --programs EP --samples 1 --no-artifact-cache", 124, "no-artifact-cache");
     ]
+
+(* the body of a plain HTTP/1.0 GET against the loopback status server *)
+let http_get port path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 1024 and b = Bytes.create 4096 in
+      let rec go () =
+        match Unix.read fd b 0 4096 with
+        | 0 -> Buffer.contents buf
+        | n ->
+          Buffer.add_subbytes buf b 0 n;
+          go ()
+      in
+      go ())
+
+(* An in-process campaign (no --workers) answers /status while it runs:
+   the progress JSON has the grid's sample total and no workers array,
+   and the campaign still exits 0 with its report *)
+let test_inprocess_status () =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process refinec
+      [|
+        refinec; "campaign"; "--programs"; "DC,EP"; "--samples"; "150"; "--seed"; "7";
+        "--domains"; "1"; "--status-port"; "0";
+      |]
+      Unix.stdin out_w devnull
+  in
+  Unix.close out_w;
+  Unix.close devnull;
+  let ic = Unix.in_channel_of_descr out_r in
+  let status =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let first = input_line ic in
+        let port =
+          try Scanf.sscanf first "[status: http://127.0.0.1:%d/status]" Fun.id
+          with Scanf.Scan_failure _ | End_of_file -> Alcotest.failf "no status line: %S" first
+        in
+        let body = http_get port "/status" in
+        (* drain the report so the campaign never blocks on a full pipe *)
+        let report = In_channel.input_all ic in
+        if not (contains report "Figure 5") then Alcotest.failf "no report: %S" report;
+        body)
+  in
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "the campaign did not exit 0");
+  List.iter
+    (fun says ->
+      if not (contains status says) then Alcotest.failf "/status lacks %s: %S" says status)
+    [ "HTTP/1.0 200"; "\"finished\":false"; "\"samples_total\":900"; "\"cells_total\":6" ];
+  if contains status "workers" then Alcotest.failf "an in-process /status lists workers: %S" status
 
 let tests =
   [
@@ -240,4 +306,5 @@ let tests =
     Alcotest.test_case "quicksort" `Quick test_mixed_recursion_and_arrays;
     Alcotest.test_case "FI on trap-prone program" `Quick test_fi_on_trap_prone_program;
     Alcotest.test_case "refinec exit codes" `Quick test_refinec_exit_codes;
+    Alcotest.test_case "in-process campaign answers /status" `Quick test_inprocess_status;
   ]

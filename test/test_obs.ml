@@ -374,6 +374,42 @@ let test_tracefile_garbage_line () =
     Alcotest.(check bool) "not torn" false r.Obs.Tracefile.torn
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
 
+(* Version skew: a line written by another version of [Span.to_json] —
+   one with an extra field, one missing a field, one with a renamed key —
+   is skipped and counted, never loaded as an event of this version;
+   the current line between them still loads *)
+let test_tracefile_version_skew () =
+  ignore (Obs.Span.with_ ~attrs:[ ("program", "CG") ] "sample" (fun () -> ()));
+  match Obs.Span.drain () with
+  | [ e ] ->
+    let line = Obs.Span.to_json e in
+    let replace ~sub ~by s =
+      let n = String.length sub in
+      let rec find i =
+        if i + n > String.length s then Alcotest.failf "%S has no %S" s sub
+        else if String.sub s i n = sub then i
+        else find (i + 1)
+      in
+      let i = find 0 in
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    in
+    let depth = Printf.sprintf ",\"depth\":%d" e.Obs.Span.depth in
+    let skewed =
+      [
+        replace ~sub:",\"ok\":" ~by:",\"version\":2,\"ok\":" line;
+        replace ~sub:depth ~by:"" line;
+        replace ~sub:"\"dur_s\":" ~by:"\"duration_s\":" line;
+      ]
+    in
+    let path = Filename.temp_file "refine" ".trace.jsonl" in
+    write_lines path (List.map (fun l -> l ^ "\n") (skewed @ [ line ]));
+    let r = Obs.Tracefile.load path in
+    Sys.remove path;
+    Alcotest.(check int) "each skewed line skipped" 3 r.Obs.Tracefile.skipped;
+    Alcotest.(check (list string)) "the current line loads" [ line ]
+      (List.map Obs.Span.to_json r.Obs.Tracefile.events)
+  | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
+
 (* ---- live status server ---- *)
 
 let http_get port path =
@@ -469,4 +505,6 @@ let tests =
     Alcotest.test_case "tracefile garbage line skipped" `Quick
       (with_obs test_tracefile_garbage_line);
     Alcotest.test_case "status server round-trip" `Quick (with_obs test_serve_roundtrip);
+    Alcotest.test_case "tracefile version skew lines skipped" `Quick
+      (with_obs test_tracefile_version_skew);
   ]

@@ -221,11 +221,11 @@ let test_journal_roundtrip () =
 let test_journal_skips_garbage () =
   let path = tmpfile () in
   let oc = open_out path in
-  output_string oc "# refine-journal v1\np\tREFINE\t0\tcrash\t42\t1\nnot a valid line\n";
+  output_string oc "# refine-journal v2\np\tREFINE\t0\tcrash\t42\t1\treg\nnot a valid line\n";
   close_out oc;
   let j = J.create ~resume:true path in
   Alcotest.(check int) "good line kept, torn line dropped" 1 (J.length j);
-  (* a v2 writer never emits the 6-field v1 shape: under the v2 tag it is
+  (* no writer emits the 6-field pre-model shape: under the v2 tag it is
      a 7-field line whose model separator became a newline *)
   let oc = open_out path in
   output_string oc "# refine-journal v2\np\tREFINE\t0\tcrash\t42\t1\nmem\n";
@@ -288,10 +288,12 @@ let prop_journal_byte_corruption =
       let input_lines = String.split_on_char '\n' input in
       List.for_all (fun l -> l = "" || List.mem l input_lines) kept)
 
-(* A journal tagged with a version this loader does not know loads no
-   records, though its lines have the v1 and v2 shapes: each record line
+(* A journal not tagged v2 loads no records, though its lines have the
+   pre-model and v2 shapes: untagged, tagged v1 (the pre-model format) or
+   tagged with a version this loader does not know, each record line
    (quarantine too) counts as skipped, and the canonical rewrite keeps
-   none of them.  Without the tag the same lines load. *)
+   none of them.  Under the v2 tag the v2 line and the quarantine load
+   and the pre-model line is skipped. *)
 let test_journal_unknown_version () =
   let records =
     [ "p\tREFINE\t0\tcrash\t42\t1"; "p\tREFINE\t1\tbenign\t43\t1\tmem"; "Q\tp\tLLFI\tbad splice" ]
@@ -305,13 +307,17 @@ let test_journal_unknown_version () =
     Sys.remove path;
     (J.length j, List.length (J.quarantines j), J.skipped j, kept)
   in
-  let entries, quarantines, skipped, _ = load [] in
-  Alcotest.(check (list int)) "untagged: both shapes and the quarantine load" [ 2; 1; 0 ]
-    [ entries; quarantines; skipped ];
-  let entries, quarantines, skipped, kept = load [ "# refine-journal v3" ] in
-  Alcotest.(check (list int)) "v3: nothing loads, every record line skipped" [ 0; 0; 3 ]
-    [ entries; quarantines; skipped ];
-  Alcotest.(check (list string)) "v3: the rewrite keeps no record" [ "" ] kept
+  List.iter
+    (fun (what, header) ->
+      let entries, quarantines, skipped, kept = load header in
+      Alcotest.(check (list int))
+        (what ^ ": nothing loads, every record line skipped")
+        [ 0; 0; 3 ] [ entries; quarantines; skipped ];
+      Alcotest.(check (list string)) (what ^ ": the rewrite keeps no record") [ "" ] kept)
+    [ ("untagged", []); ("v1", [ "# refine-journal v1" ]); ("v3", [ "# refine-journal v3" ]) ];
+  let entries, quarantines, skipped, _ = load [ "# refine-journal v2" ] in
+  Alcotest.(check (list int)) "v2: the v2 line and the quarantine load" [ 1; 1; 1 ]
+    [ entries; quarantines; skipped ]
 
 (* The same byte corruption on a rendered CSV file: loading must either
    raise [Csv.Parse_error] or return cells whose render is the corrupted

@@ -28,12 +28,15 @@ let gen_outcome = QCheck.Gen.oneofl [ F.Crash; F.Soc; F.Benign; F.Tool_error ]
 let gen_model_str =
   QCheck.Gen.oneofl [ "reg"; "mem"; "instr"; "multi:3"; "burst:4" ]
 
+(* an entry travels as its journal line, whose names hold no TAB *)
+let gen_name = QCheck.Gen.map (String.map (function '\t' -> ' ' | c -> c)) gen_str
+
 let gen_entry =
   QCheck.Gen.(
     map
       (fun ((program, tool, sample, outcome, cost, attempts), model) ->
         { J.program; tool; model; sample; outcome; cost; attempts })
-      (pair (tup6 gen_str gen_str small_nat gen_outcome gen_i64 small_nat) gen_model_str))
+      (pair (tup6 gen_name gen_name small_nat gen_outcome gen_i64 small_nat) gen_model_str))
 
 let gen_quotas =
   QCheck.Gen.(
@@ -45,11 +48,11 @@ let gen_quotas =
 let gen_config =
   QCheck.Gen.(
     map
-      (fun ((seed, retries, cost_cap, quotas), (verify_each, cache, pipeline), (obs, trace)) ->
-        { S.seed; retries; cost_cap; quotas; verify_each; cache; pipeline; obs; trace })
+      (fun ((seed, retries, cost_cap, quotas), (verify_each, pipeline), (obs, trace)) ->
+        { S.seed; retries; cost_cap; quotas; verify_each; pipeline; obs; trace })
       (tup3
          (tup4 int small_nat (opt gen_i64) gen_quotas)
-         (tup3 bool bool (opt gen_str))
+         (pair bool (opt gen_str))
          (pair bool bool)))
 
 (* ---- observability-plane payloads -------------------------------------- *)
@@ -181,6 +184,52 @@ let prop_corrupt_byte_canonical =
       | g -> S.encode g = corrupted
       | exception (W.Truncated | Invalid_argument _ | S.Protocol_mismatch _) -> true)
 
+(* The same corruption focused on Outcome frames of realistic entries:
+   the one decoder of a sample record ([Journal.parse], behind the frame)
+   must reject the bytes or return the entry they now spell — never
+   another one.  Sample and cost have several digits, and half the masks
+   turn the byte into a character the number readers or the field
+   splitter treat specially. *)
+let prop_outcome_byte_corruption =
+  let specials = [ '0'; '_'; '+'; '-'; 'x'; 'b'; 'o'; 'L'; '\t'; '\n'; ' ' ] in
+  let gen =
+    QCheck.Gen.(
+      let* chunk = int_bound 999 in
+      let* program = oneofl [ "CG"; "HPCCG-1.0"; "lulesh" ] in
+      let* tool = oneofl [ "REFINE"; "LLFI"; "PINFI" ] in
+      let* model = gen_model_str and* outcome = gen_outcome in
+      let* sample = int_range 10 99_999 and* attempts = int_range 1 3 in
+      let* cost = map Int64.of_int (int_range 100 999_999_999) in
+      let* pos = int_bound 1023 in
+      let* mask =
+        oneof [ map (fun m -> `Mask m) (int_range 1 255); map (fun c -> `Into c) (oneofl specials) ]
+      in
+      return
+        ( S.Outcome { chunk; entry = { J.program; tool; model; sample; outcome; cost; attempts } },
+          pos,
+          mask ))
+  in
+  let print (f, pos, mask) =
+    Printf.sprintf "%S, byte %d %s" (S.encode f) pos
+      (match mask with `Mask m -> Printf.sprintf "xor 0x%02x" m | `Into c -> Printf.sprintf "into %C" c)
+  in
+  QCheck.Test.make ~name:"corrupted Outcome byte never misread" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (f, pos, mask) ->
+      let b = Bytes.of_string (S.encode f) in
+      let pos = pos mod Bytes.length b in
+      let orig = Char.code (Bytes.get b pos) in
+      let mask =
+        match mask with
+        | `Mask m -> m
+        | `Into c -> if Char.code c = orig then 0xff else Char.code c lxor orig
+      in
+      Bytes.set b pos (Char.chr (orig lxor mask));
+      let corrupted = Bytes.to_string b in
+      match S.decode corrupted with
+      | g -> S.encode g = corrupted
+      | exception (W.Truncated | Invalid_argument _ | S.Protocol_mismatch _) -> true)
+
 let prop_stream_reassembles =
   QCheck.Test.make ~name:"deframer reassembles frames across arbitrary chunking" ~count:100
     QCheck.(pair (small_list arb_frame) small_nat)
@@ -226,11 +275,17 @@ let test_unknown_tag () =
     Alcotest.(check int) "reports local protocol version" S.version expected_version;
     Alcotest.(check int) "reports offending tag" 254 tag
 
-(* A v4 coordinator's Init (it still carried the MIR-verifier switch and
-   the heartbeat interval) must not decode under v5 as some other config:
-   every combination of its switches and pipeline option is rejected *)
-let test_v4_init_rejected () =
-  let v4_init ~verify ~verify_each ~cache ~pipeline ~obs ~trace =
+(* A v5 peer's frames must not decode under v6 as some other frame.  Its
+   Init still carried the artifact-cache switch: every combination of its
+   switches and pipeline option is rejected.  Its Outcome carried the
+   entry as seven binary fields instead of the journal line. *)
+let test_v5_frames_rejected () =
+  let rejected what payload =
+    match S.decode payload with
+    | _ -> Alcotest.failf "a v5 %s decoded: %S" what payload
+    | exception (W.Truncated | Invalid_argument _) -> ()
+  in
+  let v5_init ~verify_each ~cache ~pipeline ~obs ~trace =
     let b = Buffer.create 64 in
     W.put_u8 b 2;
     W.put_int b 1 (* seed *);
@@ -241,27 +296,49 @@ let test_v4_init_rejected () =
     W.put_option b W.put_f64 None (* wall_clock_s *);
     W.put_option b W.put_int None (* livelock_window *);
     W.put_bool b true (* derive_output *);
-    W.put_bool b verify;
     W.put_bool b verify_each;
     W.put_bool b cache;
     W.put_option b W.put_string pipeline;
-    W.put_f64 b 0.02 (* heartbeat_s *);
     W.put_bool b obs;
     W.put_bool b trace;
     Buffer.contents b
   in
-  for bits = 0 to 63 do
+  for bits = 0 to 31 do
     let bit k = bits land (1 lsl k) <> 0 in
-    let verify_each = bit 1 and cache = bit 2 and obs = bit 3 and trace = bit 4 in
-    let pipeline = if bit 5 then Some "mem2reg,isel,regalloc,frame,layout" else None in
-    let v4 = v4_init ~verify:(bit 0) ~verify_each ~cache ~pipeline ~obs ~trace in
-    let v5 = S.encode (S.Init { S.default_config with S.verify_each; cache; pipeline; obs; trace }) in
-    (* the v4 layout is v5's plus one bool and one float *)
-    Alcotest.(check int) "v4 layout" (String.length v5 + 9) (String.length v4);
-    match S.decode v4 with
-    | _ -> Alcotest.failf "a v4 Init decoded: %S" v4
-    | exception (W.Truncated | Invalid_argument _) -> ()
-  done
+    let verify_each = bit 0 and cache = bit 1 and obs = bit 2 and trace = bit 3 in
+    let pipeline = if bit 4 then Some "mem2reg,isel,regalloc,frame,layout" else None in
+    let v5 = v5_init ~verify_each ~cache ~pipeline ~obs ~trace in
+    let v6 = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
+    (* the v5 layout is v6's plus one bool *)
+    Alcotest.(check int) "v5 Init layout" (String.length v6 + 1) (String.length v5);
+    rejected "Init" v5
+  done;
+  let v5_outcome (e : J.entry) =
+    let b = Buffer.create 64 in
+    W.put_u8 b 4;
+    W.put_int b 3 (* chunk *);
+    W.put_string b e.J.program;
+    W.put_string b e.J.tool;
+    W.put_string b e.J.model;
+    W.put_int b e.J.sample;
+    W.put_string b (F.string_of_outcome e.J.outcome);
+    W.put_i64 b e.J.cost;
+    W.put_int b e.J.attempts;
+    Buffer.contents b
+  in
+  let entry program model outcome =
+    { J.program; tool = "REFINE"; model; sample = 7; outcome; cost = 1234L; attempts = 1 }
+  in
+  List.iter
+    (fun e ->
+      (* the v6 frame of the same entry decodes *)
+      let f = S.Outcome { chunk = 3; entry = e } in
+      Alcotest.(check bool) "v6 Outcome round-trips" true (S.decode (S.encode f) = f);
+      rejected "Outcome" (v5_outcome e))
+    [ entry "DC" "reg" F.Crash; entry "HPCCG-1.0" "multi:3" F.Benign; entry "" "mem" F.Soc ];
+  (* nor when its program field happens to hold a whole journal line *)
+  let line = J.render (entry "EP" "reg" F.Benign) in
+  rejected "Outcome" (v5_outcome (entry line "burst:2" F.Tool_error))
 
 (* ---- sharded = domains = sequential ------------------------------------ *)
 
@@ -350,9 +427,9 @@ let test_models_match_domains () =
 (* The observability-plane headline (DESIGN.md §17): with cell-granular
    chunks, the coordinator's merged fleet counters are the same multiset
    of (name, labels, value) as an in-process domains run — not
-   approximately, exactly.  [~cache:false] on both runs so neither can
-   skip golden-run profiling via a prepared-tier hit from earlier
-   tests. *)
+   approximately, exactly.  The in-process run starts from cold artifact
+   caches, as the fresh worker processes do, so neither can skip
+   golden-run profiling via a prepared-tier hit from earlier tests. *)
 let det_counters =
   [
     "refine_campaign_samples_total";
@@ -382,15 +459,28 @@ let test_fleet_counters_match_domains () =
       (M.snapshot ())
   in
   M.reset ();
-  let _ = E.run_matrix ~domains:2 ~cache:false ~samples ~seed programs Rep.tools in
+  T.reset_artifact_caches ();
+  let _ = E.run_matrix ~domains:2 ~samples ~seed programs Rep.tools in
   let reference = capture () in
   M.reset ();
   let options = { C.default_options with C.workers = 2; chunk_samples = Some samples } in
-  let _ = C.run_matrix ~options ~cache:false ~samples ~seed programs Rep.tools in
+  let _ = C.run_matrix ~options ~samples ~seed programs Rep.tools in
   let fleet = capture () in
   M.reset ();
   Refine_obs.Control.disable ();
   Alcotest.(check (list string)) "fleet-merged counters = domains run" reference fleet
+
+(* A sample crosses the wire as its journal line, which cannot carry a
+   TAB or newline in the program name: the coordinator refuses such a
+   name up front instead of killing every worker whose frames then fail
+   to decode *)
+let test_unjournalable_program_rejected () =
+  List.iter
+    (fun program ->
+      match C.run_matrix ~samples:1 ~seed:1 [ (program, src) ] [ T.Pinfi ] with
+      | _ -> Alcotest.failf "program %S was sharded" program
+      | exception Invalid_argument _ -> ())
+    [ "ti\tny"; "ti\nny" ]
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -403,11 +493,14 @@ let tests =
     qcheck prop_torn_tail_is_residue;
     Alcotest.test_case "tool name mapping" `Quick test_tool_names;
     Alcotest.test_case "unknown tag rejected" `Quick test_unknown_tag;
-    Alcotest.test_case "a v4 Init frame does not decode" `Quick test_v4_init_rejected;
+    Alcotest.test_case "v5 Init and Outcome frames rejected" `Quick test_v5_frames_rejected;
     Alcotest.test_case "workers = domains = sequential" `Quick test_workers_match_domains;
     Alcotest.test_case "workers run under the whole quota record" `Quick
       test_workers_carry_quotas;
     Alcotest.test_case "per-model workers = domains = sequential (with kill)" `Quick
       test_models_match_domains;
     Alcotest.test_case "fleet counters = domains counters" `Quick test_fleet_counters_match_domains;
+    qcheck prop_outcome_byte_corruption;
+    Alcotest.test_case "unjournalable program name rejected" `Quick
+      test_unjournalable_program_rejected;
   ]
