@@ -33,6 +33,20 @@ let read_source path =
       Printf.eprintf "cannot read %s\n" msg;
       exit 2)
 
+(* A numeric flag outside its range is a usage error, rejected before the
+   command creates any domain, process or socket. *)
+let in_range flag ~lo ~hi v =
+  if v < lo || v > hi then begin
+    if hi = max_int then Printf.eprintf "bad --%s: %d is below %d\n" flag v lo
+    else Printf.eprintf "bad --%s: %d is outside [%d, %d]\n" flag v lo hi;
+    exit 2
+  end
+
+(* ceilings for the campaign's parallelism: OCaml 5.1 runs at most 128
+   domains in a process, and every worker is a forked process *)
+let max_domains = 64
+let max_workers = 64
+
 (* common args *)
 let src_arg =
   Arg.(required & pos 0 (some string) None
@@ -167,6 +181,7 @@ let fi_cmd =
                    opcode for the rest of the run, the paper's par. 4.5 extension; PINFI only).")
   in
   let action src tool funcs instrs samples seed fault_model opt passes verify_each =
+    in_range "samples" ~lo:1 ~hi:max_int samples;
     let model =
       try Refine_core.Fault.model_of_string fault_model
       with Invalid_argument msg -> Printf.eprintf "bad --fault-model: %s\n" msg; exit 2
@@ -322,14 +337,18 @@ let campaign_cmd =
   in
   let domains =
     Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"D" ~doc:"Worker domains (default: cores - 1).")
+         & info [ "domains" ] ~docv:"D"
+             ~doc:(Printf.sprintf "Worker domains, 1 to %d (default: cores - 1)." max_domains))
   in
   let workers =
     Arg.(value & opt (some int) None
          & info [ "workers" ] ~docv:"W"
-             ~doc:"Shard the campaign over W worker processes (this executable re-exec'd) with \
-                   heartbeats, crash recovery and work stealing instead of in-process domains.  \
-                   Results are bit-identical to $(b,--domains) for the same seed.")
+             ~doc:(Printf.sprintf
+                     "Shard the campaign over W worker processes, 1 to %d (this executable \
+                      re-exec'd), with heartbeats, crash recovery and work stealing instead of \
+                      in-process domains.  Results are bit-identical to $(b,--domains) for the \
+                      same seed."
+                     max_workers))
   in
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -372,6 +391,27 @@ let campaign_cmd =
   let action programs samples seed fault_models csv journal resume retries sample_timeout
       domains workers metrics_out trace_out status_port output_quota wall_clock livelock opt
       passes verify_each =
+    in_range "samples" ~lo:1 ~hi:max_int samples;
+    in_range "retries" ~lo:0 ~hi:max_int retries;
+    Option.iter
+      (fun c ->
+        if c < 1L then begin
+          Printf.eprintf "bad --sample-timeout: %Ld is below 1\n" c;
+          exit 2
+        end)
+      sample_timeout;
+    Option.iter (in_range "domains" ~lo:1 ~hi:max_domains) domains;
+    Option.iter (in_range "workers" ~lo:1 ~hi:max_workers) workers;
+    Option.iter (in_range "status-port" ~lo:0 ~hi:65535) status_port;
+    Option.iter (in_range "output-quota" ~lo:1 ~hi:max_int) output_quota;
+    Option.iter (in_range "livelock" ~lo:1 ~hi:max_int) livelock;
+    Option.iter
+      (fun s ->
+        if not (Float.is_finite s && s > 0.0) then begin
+          Printf.eprintf "bad --wall-clock: %g is not a positive number of seconds\n" s;
+          exit 2
+        end)
+      wall_clock;
     if metrics_out <> None || trace_out <> None || status_port <> None then
       Refine_obs.Control.enable ();
     let models =
@@ -434,7 +474,7 @@ let campaign_cmd =
     in
     let cells =
       match workers with
-      | Some w when w > 0 ->
+      | Some w ->
         (* the coordinator polls the status server from its select loop *)
         let options =
           { Refine_campaign.Coordinator.default_options with workers = w; status = server }

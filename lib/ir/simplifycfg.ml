@@ -32,12 +32,6 @@ let thread_jumps fn =
       match b with
       | { lbl; phis = []; body = []; term = Br target } when lbl <> entry && target <> lbl ->
         let tblk = find_block fn target in
-        let preds_of_target =
-          List.concat_map
-            (fun p -> List.filter (fun l -> l = lbl) (term_succs p.term) |> List.map (fun _ -> p.lbl))
-            fn.blocks
-        in
-        ignore preds_of_target;
         let rewire_ok pred_lbl =
           (* target phis must not already have a conflicting edge from pred *)
           List.for_all

@@ -74,26 +74,29 @@ type dprogram
     per code slot — a closure specialized to the slot's instruction, with
     operands, flag-word ops, branch targets and extern slots resolved at
     decode time, except on REFINE's splices, whose slots all share one
-    closure that interprets the instruction — where the hot MinC idioms
-    (compare-branch, load-op-store, loop-back-edge) head
-    superinstructions, plus each head's own decode, from which an engine
-    that must dispatch fusion-free (a hooked run, an Instr_image overlay)
+    closure that interprets the instruction — where the head of each
+    REFINE splice and each LLFI call group holds a superinstruction (see
+    {!idioms}), plus each head's own decode, from which an engine that
+    must dispatch fusion-free (a hooked run, an Instr_image overlay)
     builds its own fusion-free table.  A closure takes its pc from the
     engine, so slots holding the same instruction at the same cost weight
     share one closure ([Mcalli] aside, which keeps its slot's return
     address).  Immutable and engine-free: one [dprogram] is decoded per
     snapshot (content-addressed by the campaign layer) and shared
     read-only by every engine and domain executing that image.
-    A superinstruction retires its constituents in one batch only when no
-    poll slot or budget edge falls inside it, and otherwise runs the
-    constituents' single decodes, so decoded execution is bit-identical to
-    the {!step} loop — the invariant the differential qcheck suite
-    asserts. *)
+    A superinstruction retires its group in one batch only inside the FI
+    library's skip window and when no poll slot or budget edge falls
+    inside it, and otherwise runs its head's single decode, so decoded
+    execution is bit-identical to the {!step} loop — the invariant the
+    differential qcheck suite asserts. *)
 
 type priv
-(** Engine-private state: the touched-page map, the snapshot {!reset}
-    restores and the engine's fusion-free dispatch table.  Opaque outside
-    this module. *)
+(** Engine-private state, opaque outside the engine: the live dispatch
+    table and the active run's poll-slot check and budgets, the extern
+    calls' closures with their costs and the memoized libc/libm bindings,
+    the shadow call stack the detach handoff validates, whether a flip
+    struck rsp or rbp, the touched-page map, the snapshot {!reset}
+    restores and the engine's fusion-free dispatch table. *)
 
 type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -132,12 +135,6 @@ type t = {
   mutable heap_quota : int;
       (** sandbox heap quota in bytes above the image's heap base;
           [max_int] = unlimited.  Set by {!run}'s [heap_quota] argument. *)
-  mutable handlers : (t -> unit) array;
-      (** pre-resolved extern dispatch, indexed by the image's
-          [ext_slot_of_pc] slots; rebuilt by {!reset}.  Internal. *)
-  mutable builtins : (t -> unit) option array;
-      (** memoized libc/libm handlers per extern slot, reused across
-          {!reset}s so signatures are parsed once per engine.  Internal. *)
   mutable fi_mask : int64;
       (** pending multi-bit FI mask: when nonzero, the next [Mxorbit] /
           [Mxorbitmem] applies this XOR mask instead of its single-bit
@@ -155,31 +152,10 @@ type t = {
       (** installed decoded program; [None] = the {!step} loop.  Set via
           {!install_decoded}; survives {!reset} (the decode is a property
           of the image, not of a sample). *)
-  mutable d_active : (t -> unit) array;
-      (** live dispatch table: the fused table normally; while an
-          Instr_image overlay is armed, the engine's own fusion-free table
-          whose overlaid slot runs the mutated instruction (a
-          superinstruction spanning the overlaid pc would execute the
-          pristine encoding).  Internal. *)
-  mutable d_check : unit -> unit;
-      (** the active run's poll-slot check, installed for the duration of
-          a decoded {!run} so superinstruction constituents can self-check
-          at 1024-step boundaries.  Internal. *)
-  mutable d_max_steps : int;  (** active decoded-run step budget.  Internal. *)
-  mutable d_max_cost : int;  (** active decoded-run cost budget.  Internal. *)
   mutable detach_req : bool;
       (** raised by the FI control library once the single injection has
           retired; {!run} switches onto the detach plan's target at
           the next poll slot (DESIGN.md §20).  Cleared by {!reset}. *)
-  mutable sp_struck : bool;
-      (** an FI flip ([Mxorbit]) struck rsp or rbp: the rest of the run may
-          pop stack slots outside the live frames the shadow call stack
-          validates, so a map-mode handoff declines.  Cleared by {!reset}.
-          Internal. *)
-  mutable handler_cost : int array;
-      (** declared modeled cost per extern slot, parallel to [handlers]
-          and rebuilt with them — the fi-splice fast path charges a
-          skipped selector call exactly.  Internal. *)
   mutable fi_skip : int;
       (** The FI skip window (DESIGN.md §20): number of upcoming FI
           library visits that are provably non-firing — REFINE
@@ -196,12 +172,6 @@ type t = {
       (** visits the window retired since the library last ran; folded
           back into the control counter on the next real visit or by
           [Runtime.absorb] after the run.  Cleared by {!reset}. *)
-  mutable cs_slots : int array;
-      (** shadow call stack: per live [Mcalli] frame, the stack slot
-          holding the pushed return address — handoff-time validation and
-          translation data.  Internal. *)
-  mutable cs_vals : int64 array;  (** the value pushed into each slot.  Internal. *)
-  mutable cs_len : int;  (** live shadow-stack depth.  Internal. *)
   priv : priv;
 }
 
@@ -263,10 +233,6 @@ type detach_plan = {
     campaign layer when the tool and fault model are eligible (DESIGN.md
     §20): REFINE's golden twin and its correspondence map. *)
 
-exception Detach_signal
-(** Internal: raised by the poll-slot check to unwind the engine loop when
-    [detach_req] is up and a plan is armed.  Never escapes {!run}. *)
-
 val create : ?ext_extra:(string * int * (t -> unit)) list -> Refine_backend.Layout.image -> t
 (** [create_from_snapshot (snapshot image)]: fresh machine state, globals
     initialized, stack holding the sentinel return address, pc at the
@@ -294,22 +260,34 @@ val reset : ?ext_extra:(string * int * (t -> unit)) list -> ?snapshot:snapshot -
     flagged since the last reset, write the snapshot's globals and the
     sentinel back, zero the registers, re-seat sp/pc/heap, clear the
     output buffer, drop hooks/profiling/quotas/overlay, and rebind the
-    extern handlers against [ext_extra].
+    extern calls against [ext_extra].
 
     [snapshot] (default: the engine's own) moves the engine onto another
     snapshot, which it stays bound to.  When that snapshot's image differs
     from the engine's (also after a detach handoff), the image is rebound
     and the installed decode is dropped ({!install_decoded} the new
-    image's); the memoized builtins are rebuilt only for another extern
-    table.
+    image's); the memoized libc/libm bindings are rebuilt only for
+    another extern table.
 
     A reset engine is bit-identical to a fresh {!create_from_snapshot} of
-    the same snapshot (asserted by the differential property tests). *)
+    the same snapshot (asserted by the differential property tests), on
+    every field {!unrestored} compares. *)
+
+val unrestored : t -> t -> string list
+(** The reset contract.  Every field of the engine state, [t]'s and its
+    private record's, is named once as one of two kinds: restored by
+    {!reset} to a fresh engine's value, or kept on purpose (the installed
+    decode, the memoized libc/libm bindings, the fusion-free table, the
+    shadow-stack arrays).  [unrestored a b] names the restored fields on
+    which [a] and [b] differ, and reports a record that has a field the
+    contract does not name.  For an engine [a] reset onto a snapshot and a fresh engine
+    [b] of that snapshot with the same decode installed it is [[]]. *)
 
 val store64 : t -> int -> int64 -> unit
 (** [store64 t addr v]: the machine's checked 64-bit little-endian store,
-    for FI runtime handlers that write simulated memory (nothing outside
-    this module may write {!field:mem} directly).  Flags the touched pages.
+    for FI runtime library functions that write simulated memory
+    (nothing outside this module may write {!field:mem} directly).  Flags
+    the touched pages.
     An address outside [[Memlayout.null_guard, Memlayout.mem_size - 8]]
     ends the running {!run} [Trapped (Mem_fault addr)]; call it only from
     an extern handler during a run. *)
@@ -346,7 +324,8 @@ val enable_profiling : t -> profile
 
 val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
 (** Decode every instruction of [image] into a dispatch closure and fuse
-    superinstructions over the hot idioms.  Pure per image: the campaign
+    a superinstruction at the head of each REFINE splice and each LLFI
+    call group ({!idioms}).  Pure per image: the campaign
     layer decodes each prepared binary once and keeps the result on its
     [Tool.prepared] record, so the engines it hands out never re-decode.
 
@@ -365,15 +344,13 @@ val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
     run would have.  Each weighted slot gets the fast closure of its
     form, which charges the weight only if the slot retires with the run
     still going (a trap or the run's end charges 1), as the {!step}
-    reference does; batched superinstruction retirement scales its
-    budget-edge math by the constituent weights and stays
-    constituent-exact.
+    reference does.  A weighted image has no superinstructions.
 
     On a plain image (no [cost_of]) every splice of
     [Refine_backend.Fimap.splices] is fused into one ["fi-splice"]
     superinstruction, and every slot of the splice, from its [Mpush r0] to
     its [Mpop r0], maps to one interpreter closure that all decodes share
-    and heads no other superinstruction: inside the skip window the
+    and heads no superinstruction: inside the skip window the
     fi-splice retires the whole non-firing splice, so its slots run singly
     only on a sample's first and firing selector visits, where the
     fi-splice's guard declines (near a poll slot or budget edge, when it
@@ -394,11 +371,17 @@ val install_decoded : t -> dprogram option -> unit
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)
 
+val dispatch_table : t -> (t -> unit) array
+(** The engine's live dispatch table, one closure per code slot: the
+    installed decode's fused table, or, while an Instr_image overlay is
+    armed, the engine's own fusion-free table ([[||]] without a decode).
+    For inspection only, such as checking which slots share a closure;
+    the engine owns the array, and a write to it changes what it runs. *)
+
 val idioms : string array
 (** Superinstruction idiom names, in {!superinstr_counts} index order:
-    [[|"cmp-branch"; "load-op-store"; "loop-back"; "fi-splice";
-    "llfi-call"|]].  ["fi-splice"] is a REFINE instrumentation splice, as
-    [Refine_backend.Fimap.splices] parses it, and ["llfi-call"] an LLFI
+    [[|"fi-splice"; "llfi-call"|]].  ["fi-splice"] is a REFINE
+    instrumentation splice, as [Refine_backend.Fimap.splices] parses it, and ["llfi-call"] an LLFI
     call group ([Mmov (r1, #id); Mmov (arg, x); Mcallext name; Mmov (d,
     ret)] for a callee of [Refine_backend.Fimap.llfi_calls]); both are
     fused into one closure on plain (unweighted) images only, so inside

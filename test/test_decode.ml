@@ -39,6 +39,47 @@ let fingerprint (e : X.t) =
     (Digest.string
        (Marshal.to_string (e.X.regs, e.X.mem, e.X.pc, e.X.steps, e.X.cost, e.X.heap) []))
 
+(* Run one protocol on a step-loop and a decoded engine of [image] under
+   each cost budget: [arm] resets the engine and attaches what the case
+   needs (a control library, a hook), returning a reader of what the FI
+   library observed, read after the run.  The poll records the machine at
+   every poll slot, so the slots must fire at the same states too.  Both
+   engines stay live, so their arenas are compared directly rather than
+   digested. *)
+let decoded_equals_step ~what ?livelock ~budgets image arm =
+  let leg = X.create image and dec = X.create image in
+  X.install_decoded dec (Some (X.decode image));
+  let run (e : X.t) max_cost =
+    let observed = arm e in
+    let polls = ref [] in
+    let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls in
+    let r = X.run ~max_cost:(Int64.of_int max_cost) ?livelock ~poll e in
+    (r, e.X.pc, e.X.heap, Test_fastpath.regs_of e, !polls, observed ())
+  in
+  List.iter
+    (fun b ->
+      if run dec b <> run leg b || dec.X.mem <> leg.X.mem then
+        Alcotest.failf "%s, max_cost %d: decoded run diverges from step" what b)
+    budgets
+
+(* The cost budgets on both sides of every retirement at the steps [near]
+   selects (given the run's step count) in [image]'s step-loop run under
+   [arm]; the last retirement's include one past the end.  Each budget
+   compares the whole arena, so a case picks the steps whose shapes
+   differ rather than every step. *)
+let edge_budgets ~near image arm =
+  let e = X.create image in
+  let (_ : unit -> _) = arm e in
+  let ends = ref [] in
+  while e.X.status = X.Running do
+    X.step e;
+    ends := (e.X.steps, e.X.cost) :: !ends
+  done;
+  let total = e.X.steps in
+  List.concat_map (fun (s, c) -> if near ~total s then [ c - 1; c; c + 1 ] else []) !ends
+  |> List.filter (fun c -> c > 0)
+  |> List.sort_uniq compare
+
 (* --- engine-level differential over random programs -------------------- *)
 
 (* One observation protocol applied to a legacy and a decoded engine of
@@ -106,12 +147,12 @@ let prop_decoded_reset_pristine =
         e
       in
       let eng = fresh () in
-      let pristine = eng.X.d_active in
+      let pristine = X.dispatch_table eng in
       let pc = p.T.image.L.entry + (off mod 8) in
       X.set_overlay eng ~pc (if legal then Some p.T.image.L.code.(p.T.image.L.entry) else None);
       eng.X.fi_mask <- 0xF0L;
       (* arming the overlay swaps dispatch to the engine's overlay table *)
-      assert (not (eng.X.d_active == pristine));
+      assert (not (X.dispatch_table eng == pristine));
       ignore (X.run ~max_steps:100_000L eng);
       X.reset eng;
       (* the reset engine is back on the fused table and runs exactly like
@@ -119,7 +160,7 @@ let prop_decoded_reset_pristine =
       let reused = X.run eng and fp_reused = fingerprint eng in
       let e = fresh () in
       let clean = X.run e in
-      eng.X.d_active == pristine && reused = clean && fp_reused = fingerprint e)
+      X.dispatch_table eng == pristine && reused = clean && fp_reused = fingerprint e)
 
 let test_decoded_illegal_overlay () =
   let p = Lazy.force prepared_tiny in
@@ -135,14 +176,17 @@ let test_decoded_illegal_overlay () =
 
 (* An overlay on a superinstruction's interior pc or on a REFINE splice
    head must run exactly as in the step loop: the decoded engine leaves
-   the fused table for its private overlay table.  The image fuses one
-   site of each idiom, all live: a counted self-latch, then a loop of
-   load-op-store, an FI splice in the backend pass's exact shape, an LLFI
-   call group in isel's exact shape and a compare-branch back edge.
-   REFINE's profiling library answers every selector call with 0 and
-   LLFI's returns every value unchanged, both with their skip window open,
-   so the splice and call-group fast paths are live too.  An illegal
-   overlay must trap at its own pc, which proves the slot is reached. *)
+   the fused table for its private overlay table.  The image holds, all
+   live, a counted self-latch, then a loop of load-op-store, an FI splice
+   in the backend pass's exact shape (fused: fi-splice), an LLFI call
+   group in isel's exact shape (fused: llfi-call) and a compare-branch
+   back edge.  REFINE's profiling library answers every selector call with
+   0 and LLFI's returns every value unchanged, both with their skip window
+   open, so the splice and call-group fast paths are live too.  An illegal
+   overlay must trap at its own pc, which proves the slot is reached.  The
+   pristine program must also stop in the step loop's state at every
+   budget edge of its first latch steps, its first two loop iterations
+   (steps 300-335: every slot of both groups), the poll slot and its end. *)
 let test_overlay_in_fused_groups () =
   let image =
     Test_fastpath.image_of
@@ -190,6 +234,16 @@ let test_overlay_in_fused_groups () =
   let ((clean, _, _) as step) = run ~decoded:false None in
   Alcotest.(check bool) "pristine run exits" true (clean.X.status = X.Exited 0);
   Alcotest.(check bool) "pristine decoded = step" true (run ~decoded:true None = step);
+  let profiling e =
+    let ctrl = Rt.create Rt.Profile in
+    X.reset ~ext_extra:(Rt.refine_handlers ctrl @ Rt.llfi_handlers ctrl) e;
+    fun () ->
+      Rt.absorb ctrl e;
+      ctrl.Rt.count
+  in
+  let near ~total s = s <= 12 || (s >= 300 && s <= 335) || abs (s - 1024) <= 8 || s >= total - 8 in
+  decoded_equals_step ~what:"pristine, cut" ~budgets:(edge_budgets ~near image profiling) image
+    profiling;
   List.iter
     (fun (what, pc, instr) ->
       let ((r, _, _) as step) = run ~decoded:false (Some (pc, instr)) in
@@ -234,9 +288,9 @@ let test_install_detach () =
     (fun () -> X.install_decoded eng (Some (X.decode other)))
 
 let test_superinstr_counts () =
-  (* one site of each idiom: a counted self-latch (loop-back), a
-     load-op-store, a forward compare-branch, and — as dead code behind
-     the halt — a REFINE FI splice in the exact shape the backend pass
+  (* a counted self-latch, a load-op-store and a forward compare-branch,
+     which run unfused, then, as dead code behind the halt, one site of
+     each idiom: a REFINE FI splice in the exact shape the backend pass
      emits (fi-splice) and an LLFI call group in the shape isel emits
      around an inserted injectFault call (llfi-call) *)
   let image =
@@ -276,13 +330,28 @@ let test_superinstr_counts () =
     (fun i idiom ->
       Alcotest.(check bool) (idiom ^ " fused at least once") true (counts.(i) >= 1))
     X.idioms;
-  (* and the fused program still runs identically *)
-  let snap = X.snapshot image in
-  let leg = X.create_from_snapshot snap in
-  let dec = X.create_from_snapshot snap in
-  X.install_decoded dec (Some dp);
-  Alcotest.check Test_fastpath.result_t "fused idioms identical"
-    (X.run leg) (X.run dec)
+  (* and the decoded program stops in the step loop's state at every
+     budget edge of its first latch steps and of the last steps, through
+     the load-op-store and the compare-branch to the halt *)
+  let plain e =
+    X.reset e;
+    fun () -> ()
+  in
+  let near ~total s = s <= 12 || s >= total - 16 in
+  decoded_equals_step ~what:"idiom shapes" ~budgets:(edge_budgets ~near image plain) image plain;
+  (* the sites of each idiom in the 14 programs' plain images, all three
+     tools: a superinstruction per REFINE splice and per LLFI call group *)
+  let totals = Array.make (Array.length X.idioms) 0 in
+  List.iter
+    (fun (b : Reg.bench) ->
+      List.iter
+        (fun kind ->
+          Array.iteri
+            (fun i n -> totals.(i) <- totals.(i) + n)
+            (X.superinstr_counts (T.prepare kind b.Reg.source).T.dprog))
+        [ T.Refine; T.Llfi; T.Pinfi ])
+    Reg.all;
+  Alcotest.(check (array int)) "fi-splice and llfi-call sites, 14 programs" [| 4_349; 2_582 |] totals
 
 (* --- fi-splice fusion reads the detach map's splice parser -------------- *)
 
@@ -300,39 +369,15 @@ let test_every_splice_fuses () =
         Alcotest.(check int)
           (b.Reg.name ^ ": one fi-splice per splice")
           (List.length l)
-          (X.superinstr_counts p.T.dprog).(3))
+          (X.superinstr_counts p.T.dprog).(0))
     Reg.all
 
 (* --- poll slots and budget edges inside fused groups and hooked runs ------ *)
 
-(* Run one protocol on a step-loop and a decoded engine of [image] under
-   each cost budget: [arm] resets the engine and attaches what the case
-   needs (a control library, a hook), returning a reader of what the FI
-   library observed, read after the run.  The poll records the machine at
-   every poll slot, so the slots must fire at the same states too.  Both
-   engines stay live, so their arenas are compared directly rather than
-   digested. *)
-let decoded_equals_step ~what ?livelock ~budgets image arm =
-  let leg = X.create image and dec = X.create image in
-  X.install_decoded dec (Some (X.decode image));
-  let run (e : X.t) max_cost =
-    let observed = arm e in
-    let polls = ref [] in
-    let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls in
-    let r = X.run ~max_cost:(Int64.of_int max_cost) ?livelock ~poll e in
-    (r, e.X.pc, e.X.heap, Test_fastpath.regs_of e, !polls, observed ())
-  in
-  List.iter
-    (fun b ->
-      if run dec b <> run leg b || dec.X.mem <> leg.X.mem then
-        Alcotest.failf "%s, max_cost %d: decoded run diverges from step" what b)
-    budgets
-
-(* A counted self-latch and a FLAGS-invariant spin.  Each iteration
-   retires through its fused latch or loop-back superinstruction; cost
-   budgets that end on, just before or just after a poll slot (step
-   1024k) or mid-loop must stop the decoded and the step run in the same
-   state. *)
+(* A counted self-latch and a FLAGS-invariant spin, three instructions an
+   iteration: cost budgets that end on, just before or just after a poll
+   slot (step 1024k) or mid-loop must stop the decoded and the step run in
+   the same state. *)
 let loop_shapes =
   [
     ( "counted self-latch",
@@ -409,19 +454,13 @@ let test_loop_shapes_decoded_equal_step () =
     fun () -> ()
   in
   List.iter
-    (fun (what, code) ->
-      let image = Test_fastpath.image_of code in
-      Alcotest.(check int)
-        (what ^ ": fused as a loop back edge")
-        1
-        (X.superinstr_counts (X.decode image)).(2);
-      decoded_equals_step ~what ~budgets image plain)
+    (fun (what, code) -> decoded_equals_step ~what ~budgets (Test_fastpath.image_of code) plain)
     loop_shapes;
   (* an LLFI group with a poll slot or a budget edge inside it, the
      library profiling (window always open) and injecting (window closing
      at the target, which fires mid-run) *)
   let image = Test_fastpath.image_of llfi_loop in
-  Alcotest.(check int) "LLFI loop: one llfi-call" 1 (X.superinstr_counts (X.decode image)).(4);
+  Alcotest.(check int) "LLFI loop: one llfi-call" 1 (X.superinstr_counts (X.decode image)).(1);
   let llfi mode e =
     let ctrl = Rt.create mode in
     X.reset ~ext_extra:(Rt.llfi_handlers ctrl) e;
@@ -731,7 +770,7 @@ let test_shared_closures_exact () =
   let table =
     let e = X.create image in
     X.install_decoded e (Some (X.decode image));
-    e.X.d_active
+    X.dispatch_table e
   in
   List.iter (fun (what, pcs) -> expect_shared what table pcs) recurring;
   Alcotest.(check bool) "each call of f keeps its own closure" false (table.(3) == table.(9));
@@ -781,7 +820,7 @@ let test_shared_closures_exact () =
       ~near:(fun ~total s -> near s || s >= total - 40)
       image
   in
-  let table = dec.X.d_active in
+  let table = X.dispatch_table dec in
   expect_shared "ALU op at weight 7" table [ 1; 5 ];
   Alcotest.(check bool)
     "the ALU op at weight 3 has its own closure" false

@@ -4,7 +4,8 @@
    unboxed int counters and register file, a lazily committed arena,
    pre-resolved extern dispatch — must be invisible in results: a reset
    engine is bit-identical to a fresh one, also after moving between
-   binaries; both the [step] loop and the decoded dispatch loop allocate
+   binaries, on every field the reset contract names; both the [step]
+   loop and the decoded dispatch loop allocate
    nothing per instruction when profiling is off, and the decoded loop
    nothing either when it computes values; a new engine makes only the
    pages it loads resident. *)
@@ -90,7 +91,11 @@ let run_mem_fault ~target ~addr ~bit eng =
         hook_cost = 0;
         hook_pcs = every_pc eng;
       };
-  E.run ~max_cost:20_000_000L eng
+  let r = E.run ~max_cost:20_000_000L eng in
+  (* the hook is this run's: detached, so that engines that ran alike
+     compare equal after it *)
+  eng.E.post_hook <- None;
+  r
 
 (* the register file and the arena, read through plain accessors *)
 let regs_of (e : E.t) = Array.init R.num_regs (fun r -> e.E.regs.{r})
@@ -113,14 +118,14 @@ let mem_copy (e : E.t) : E.arena =
   Bigarray.Array1.blit e.E.mem m;
   m
 
-(* the architectural state a reset must restore, byte for byte *)
+(* The reset contract: every field of the state record, named once as
+   restored by [reset] or kept on purpose ([Exec.unrestored]).  [a] and
+   [b] must agree on every restored field, and the record must have no
+   field the contract does not name. *)
 let check_state what (a : E.t) (b : E.t) =
-  Alcotest.(check bool) (what ^ ": mem") true (a.E.mem = b.E.mem);
-  Alcotest.(check (array int64)) (what ^ ": regs") (regs_of a) (regs_of b);
-  Alcotest.(check int) (what ^ ": pc") a.E.pc b.E.pc;
-  Alcotest.(check int) (what ^ ": heap") a.E.heap b.E.heap;
-  Alcotest.(check string) (what ^ ": output") (Buffer.contents a.E.env.out)
-    (Buffer.contents b.E.env.out)
+  match E.unrestored a b with
+  | [] -> ()
+  | fields -> Alcotest.failf "%s: %s" what (String.concat "; " fields)
 
 let prop_snapshot_reset_identical =
   QCheck.Test.make ~name:"snapshot/reset engines bit-identical to fresh create" ~count:12
@@ -320,6 +325,93 @@ let test_reset_rebinds_handlers () =
     (Int64.of_int (4 + E.ext_call_cost))
     r2.E.cost
 
+(* --- the reset contract over the whole state record ------------------------ *)
+
+(* A run cut by a cancelled poll inside a call, after a flip struck rbp,
+   with output written, heap allocated and a stack page stored to; the
+   extern handlers bound to a library, a profile, a hook, a heap quota
+   and an Instr_image overlay attached; and every other field a sample
+   can move set by hand.  Each reset, in place and onto another binary
+   and back, must leave the engine equal to a fresh one on every restored
+   field. *)
+let contract_image =
+  let g = R.gpr in
+  image_of
+    [
+      M.Mmov (g 1, M.Imm 42L);
+      M.Mcallext "print_int";
+      M.Mmov (g 1, M.Imm 64L);
+      M.Mcallext "alloc";
+      M.Mmov (g 2, M.Imm 5L);
+      M.Mxorbit (R.rbp, g 2);
+      M.Mcalli 8;
+      M.Mhalt (* never reached *);
+      M.Mstore (g 1, R.rsp, -64) (* pc 8: the callee *);
+      M.Mjmp 9 (* spins until the poll cancels the run *);
+    ]
+
+let dirty_every_field (e : E.t) =
+  E.reset ~ext_extra:[ ("print_int", 2, fun _ -> ()) ] e;
+  ignore (E.enable_profiling e);
+  E.set_overlay e ~pc:7 (Some (M.Mmov (R.ret_gpr, M.Imm 1L)));
+  (try
+     ignore
+       (E.run ~max_steps:1_000_000L ~max_cost:1_000_000L ~heap_quota:4096
+          ~poll:(fun () -> raise Exit)
+          e)
+   with Exit -> ());
+  e.E.post_hook <-
+    Some
+      {
+        E.on_instr = (fun _ _ _ -> ());
+        hook_cost = 1;
+        hook_pcs = Array.make (Array.length e.E.image.L.code) false;
+      };
+  e.E.status <- E.Trapped E.Div_by_zero;
+  e.E.env.exited <- Some 3;
+  e.E.fi_mask <- 0x30L;
+  e.E.detach_req <- true;
+  e.E.fi_skip <- 5;
+  e.E.fi_pending <- 7
+
+let test_reset_contract () =
+  let snap = E.snapshot contract_image in
+  let dp = E.decode contract_image in
+  let other = compile_image 7 in
+  let snap_o = E.snapshot other and dp_o = E.decode other in
+  let fresh s dp =
+    let e = E.create_from_snapshot s in
+    E.install_decoded e (Some dp);
+    e
+  in
+  let e = fresh snap dp in
+  let dirtied what =
+    (* the fields the contract restores, away from a fresh engine's *)
+    let unrestored = E.unrestored e (fresh snap dp) in
+    List.iter
+      (fun field ->
+        if not (List.mem field unrestored) then
+          Alcotest.failf "%s: the run left %s as a fresh engine has it" what field)
+      [
+        "regs"; "mem"; "steps"; "cs_len"; "sp_struck"; "d_check"; "d_max_steps"; "ov_slot";
+        "fi_pending";
+      ]
+  in
+  dirty_every_field e;
+  dirtied "in place";
+  E.reset e;
+  check_state "in place: reset = fresh" e (fresh snap dp);
+  dirty_every_field e;
+  E.reset ~snapshot:snap_o e;
+  E.install_decoded e (Some dp_o);
+  check_state "onto another binary: reset = fresh" e (fresh snap_o dp_o);
+  E.reset ~snapshot:snap e;
+  E.install_decoded e (Some dp);
+  dirty_every_field e;
+  dirtied "back";
+  E.reset e;
+  check_state "back: reset = fresh" e (fresh snap dp)
+
 (* --- shared fixtures for the campaign-level suites ----------------------- *)
 
 let src_int =
@@ -474,4 +566,6 @@ let tests =
       test_zero_alloc_hot_path;
     Alcotest.test_case "decoded value-computing loop allocation-free" `Quick
       test_zero_alloc_computing;
+    Alcotest.test_case "reset restores every field of the state record" `Quick
+      test_reset_contract;
   ]

@@ -206,9 +206,10 @@ let contains s sub =
 
 let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/refinec.exe"
 
-(* refinec's exit codes: 2 for a bad flag value, an unknown benchmark or
-   an unreadable program, 1 for a quarantined cell, 124 (cmdliner's usage
-   error) for an unknown option *)
+(* refinec's exit codes: 2 for a bad flag value (a numeric one outside
+   its range too, rejected before any domain, process or socket exists),
+   an unknown benchmark or an unreadable program, 1 for a quarantined
+   cell, 124 (cmdliner's usage error) for an unknown option *)
 let test_refinec_exit_codes () =
   List.iter
     (fun (args, expected, says) ->
@@ -231,6 +232,23 @@ let test_refinec_exit_codes () =
       ("fi nosuch.minc", 2, "cannot read");
       ("fi EP --samples 1 --no-artifact-cache", 124, "no-artifact-cache");
       ("campaign --programs EP --samples 1 --no-artifact-cache", 124, "no-artifact-cache");
+      ("fi EP --samples=-3", 2, "bad --samples");
+      ("fi EP --samples 0", 2, "bad --samples");
+      ("campaign --programs EP --samples=-2", 2, "bad --samples");
+      ("campaign --programs EP --samples 1 --workers=0", 2, "bad --workers");
+      ("campaign --programs EP --samples 1 --workers=-1", 2, "bad --workers");
+      ("campaign --programs EP --samples 1 --workers 65", 2, "bad --workers");
+      ("campaign --programs EP --samples 1 --domains=0", 2, "bad --domains");
+      ("campaign --programs EP --samples 1 --domains=-1", 2, "bad --domains");
+      ("campaign --programs EP --samples 1 --domains 65", 2, "bad --domains");
+      ("campaign --programs EP --samples 1 --status-port 70000", 2, "bad --status-port");
+      ("campaign --programs EP --samples 1 --status-port=-1", 2, "bad --status-port");
+      ("campaign --programs EP --samples 1 --output-quota=-5", 2, "bad --output-quota");
+      ("campaign --programs EP --samples 1 --wall-clock=-1", 2, "bad --wall-clock");
+      ("campaign --programs EP --samples 1 --wall-clock nan", 2, "bad --wall-clock");
+      ("campaign --programs EP --samples 1 --livelock 0", 2, "bad --livelock");
+      ("campaign --programs EP --samples 1 --retries=-1", 2, "bad --retries");
+      ("campaign --programs EP --samples 1 --sample-timeout 0", 2, "bad --sample-timeout");
     ]
 
 (* the body of a plain HTTP/1.0 GET against the loopback status server *)
