@@ -10,8 +10,10 @@
      refinec fi prog.minc --fi-tool refine \
         --fi-funcs '*' --fi-instrs all \
         --samples 100 --seed 7                      an FI campaign cell
+     refinec campaign --programs all --samples 1068 \
+        --seed 20170712 --retries 1                 the paper's whole evaluation
      refinec passes --list                          dump the pass registry
-     refinec bench --list                           list Table 3 programs *)
+     refinec bench                                  list Table 3 programs *)
 
 open Cmdliner
 module Pl = Refine_passes.Pipeline
@@ -314,14 +316,20 @@ let campaign_cmd =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
              ~doc:"Checkpoint every resolved sample to FILE (atomic tmp-rename flushes), so an \
-                   interrupted campaign can be resumed with $(b,--resume).")
+                   interrupted campaign can be resumed with $(b,--resume).  FILE's header records \
+                   the campaign's identity; a FILE that already holds records is refused \
+                   without $(b,--resume).")
   in
   let resume =
     Arg.(value & flag
          & info [ "resume" ]
              ~doc:"Resume from an existing $(b,--journal) file: samples already recorded are \
                    loaded instead of re-run.  Counts are bit-identical to an uninterrupted run \
-                   with the same seed.")
+                   with the same seed.  The journal must record this campaign's identity: the \
+                   same $(b,--seed), pipeline ($(b,-O)/$(b,--passes)), $(b,--verify-each), \
+                   $(b,--output-quota), $(b,--wall-clock), $(b,--livelock), \
+                   $(b,--sample-timeout) and $(b,--retries).  $(b,--samples), $(b,--programs) \
+                   and $(b,--fault-model) may change.")
   in
   let retries =
     Arg.(value & opt int 0
@@ -391,6 +399,9 @@ let campaign_cmd =
   let action programs samples seed fault_models csv journal resume retries sample_timeout
       domains workers metrics_out trace_out status_port output_quota wall_clock livelock opt
       passes verify_each =
+    let module Rep = Refine_campaign.Report in
+    let module E = Refine_campaign.Experiment in
+    let module J = Refine_campaign.Journal in
     in_range "samples" ~lo:1 ~hi:max_int samples;
     in_range "retries" ~lo:0 ~hi:max_int retries;
     Option.iter
@@ -412,8 +423,17 @@ let campaign_cmd =
           exit 2
         end)
       wall_clock;
-    if metrics_out <> None || trace_out <> None || status_port <> None then
-      Refine_obs.Control.enable ();
+    (* a name listed twice would run its cells twice, and with a journal
+       the copy would resume from the original's records *)
+    let rec no_repeats flag show = function
+      | [] -> ()
+      | x :: rest ->
+        if List.mem x rest then begin
+          Printf.eprintf "bad --%s: %s is listed twice\n" flag (show x);
+          exit 2
+        end;
+        no_repeats flag show rest
+    in
     let models =
       String.split_on_char ',' fault_models |> List.map String.trim
       |> List.filter (fun s -> s <> "")
@@ -424,6 +444,7 @@ let campaign_cmd =
                exit 2)
     in
     let models = if models = [] then [ Refine_core.Fault.Reg_bit ] else models in
+    no_repeats "fault-model" Refine_core.Fault.string_of_model models;
     (* the grid runs every tool under every model *)
     List.iter
       (fun model ->
@@ -435,15 +456,13 @@ let campaign_cmd =
                   reason;
                 exit 2)
               (Refine_core.Tool.model_unsupported kind model))
-          Refine_campaign.Report.tools)
+          Rep.tools)
       models;
-    (match trace_out with
-    | Some path -> Refine_obs.Span.set_file_sink path
-    | None -> ());
     let names =
       if programs = "all" then Refine_bench_progs.Registry.names
       else String.split_on_char ',' programs |> List.map String.trim
     in
+    no_repeats "programs" Fun.id names;
     let srcs =
       List.map
         (fun n ->
@@ -454,8 +473,55 @@ let campaign_cmd =
             exit 2)
         names
     in
-    let journal = Option.map (fun path -> Refine_campaign.Journal.create ~resume path) journal in
-    (match journal with Some j -> Refine_campaign.Journal.note_skipped_metric j | None -> ());
+    let pipeline = spec_of opt passes in
+    (* every setting that changes a recorded sample's outcome or cost: a
+       journal resumes only into the campaign that recorded it *)
+    let identity =
+      let or_none f = function Some v -> f v | None -> "none" in
+      [
+        ("seed", string_of_int seed);
+        ("pipeline", Pl.print pipeline);
+        ("verify-each", string_of_bool verify_each);
+        ("output-quota", or_none string_of_int output_quota);
+        ("wall-clock", or_none (Printf.sprintf "%.17g") wall_clock);
+        ("livelock", or_none string_of_int livelock);
+        ("sample-timeout", or_none Int64.to_string sample_timeout);
+        ("retries", string_of_int retries);
+      ]
+    in
+    let journal =
+      match journal with
+      | None ->
+        if resume then begin
+          prerr_endline "bad --resume: there is no --journal FILE to resume";
+          exit 2
+        end;
+        None
+      | Some path -> (
+        try
+          let held = J.record_lines path in
+          if held > 0 && not resume then begin
+            Printf.eprintf
+              "bad --journal: %s already holds %d record lines; add --resume to continue its \
+               campaign, or remove the file\n"
+              path held;
+            exit 2
+          end;
+          Some (J.create ~identity ~resume path)
+        with
+        | J.Other_campaign msg ->
+          Printf.eprintf "bad --resume: %s\n" msg;
+          exit 2
+        | Sys_error msg ->
+          Printf.eprintf "bad --journal: %s\n" msg;
+          exit 2)
+    in
+    if metrics_out <> None || trace_out <> None || status_port <> None then
+      Refine_obs.Control.enable ();
+    (match trace_out with
+    | Some path -> Refine_obs.Span.set_file_sink path
+    | None -> ());
+    Option.iter J.note_skipped_metric journal;
     let quotas =
       {
         Refine_core.Tool.default_quotas with
@@ -472,6 +538,13 @@ let campaign_cmd =
           s)
         status_port
     in
+    (* each block of the report is followed by a blank line *)
+    let section s =
+      print_string s;
+      print_newline ()
+    in
+    section (Rep.header ~seed ~samples ~programs:(List.length names) ~models:(List.length models));
+    let t0 = Unix.gettimeofday () in
     let cells =
       match workers with
       | Some w ->
@@ -482,8 +555,8 @@ let campaign_cmd =
         List.concat_map
           (fun model ->
             Refine_campaign.Coordinator.run_matrix ~options ?journal ~retries
-              ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-              ~verify_each ~samples ~seed srcs Refine_campaign.Report.tools)
+              ?cost_cap:sample_timeout ~quotas ~model ~pipeline ~verify_each ~samples ~seed srcs
+              Rep.tools)
           models
       | _ ->
         (* in-process path: a systhread of this domain serves the
@@ -494,10 +567,7 @@ let campaign_cmd =
         let serving =
           Option.map
             (fun s ->
-              let total =
-                List.length srcs * List.length Refine_campaign.Report.tools
-                * List.length models
-              in
+              let total = List.length srcs * List.length Rep.tools * List.length models in
               let sum name =
                 List.fold_left
                   (fun acc (n, _, v) ->
@@ -537,37 +607,44 @@ let campaign_cmd =
           (fun () ->
             List.concat_map
               (fun model ->
-                Refine_campaign.Experiment.run_matrix ?domains ?journal ~retries
-                  ?cost_cap:sample_timeout ~quotas ~model ~pipeline:(spec_of opt passes)
-                  ~verify_each ~samples ~seed srcs Refine_campaign.Report.tools)
+                E.run_matrix ?domains ?journal ~retries ?cost_cap:sample_timeout ~quotas ~model
+                  ~pipeline ~verify_each ~samples ~seed srcs Rep.tools)
               models)
     in
-    (* figure 4/5 and the overhead table read the paper's reg-bit shape:
-       render them over the first model's cells; the per-model Table 5/6
-       sections cover every model in the run *)
+    Printf.printf "[campaign: %d experiments in %.1fs]\n\n"
+      (List.length names * List.length Rep.tools * List.length models * samples)
+      (Unix.gettimeofday () -. t0);
+    (* Figures 4 and 5, Table 4 and the overhead table read the paper's
+       reg-bit shape: render them over the first model's cells; the
+       Table 5/6 sections cover every model in the run *)
     let first_cells =
-      match Refine_campaign.Report.models cells with
-      | [] -> cells
-      | m :: _ -> Refine_campaign.Report.cells_of_model m cells
+      match Rep.models cells with [] -> cells | m :: _ -> Rep.cells_of_model m cells
     in
     List.iter
-      (fun p -> print_string (Refine_campaign.Report.figure4_program first_cells p))
+      (fun p -> section (Rep.figure4_program first_cells p ^ Rep.figure4_pmf first_cells p))
       names;
+    (* Table 4: the paper shows AMG2013, the first program of the grid *)
+    (match names with
+    | p :: _ ->
+      section
+        (Printf.sprintf "Table 4 — contingency table, LLFI vs PINFI (%s)\n" p
+        ^ Rep.contingency_table
+            (E.find_cell first_cells ~program:p ~tool:Refine_core.Tool.Llfi)
+            (E.find_cell first_cells ~program:p ~tool:Refine_core.Tool.Pinfi))
+    | [] -> ());
     (match models with
     | [ _ ] ->
-      print_string
-        (Refine_campaign.Report.table5 (Refine_campaign.Report.chi2_rows cells names))
-    | _ -> print_string (Refine_campaign.Report.model_sections cells names));
-    print_string (Refine_campaign.Report.figure5 first_cells names);
-    print_string (Refine_campaign.Report.overhead_table first_cells names);
-    print_string (Refine_campaign.Report.quarantine_report cells);
-    let journal_skipped =
-      match journal with Some j -> Refine_campaign.Journal.skipped j | None -> 0
-    in
-    List.iter print_endline (Refine_campaign.Report.degradation ~journal_skipped cells);
+      section (Rep.table5 (Rep.chi2_rows cells names));
+      section (Rep.table6 cells names)
+    | _ -> print_string (Rep.model_sections cells names));
+    section (Rep.figure5 first_cells names);
+    section (Rep.overhead_table first_cells names);
+    section (Rep.listings ~pipeline srcs);
+    print_string (Rep.quarantine_report cells);
+    let journal_skipped = match journal with Some j -> J.skipped j | None -> 0 in
+    List.iter print_endline (Rep.degradation ~journal_skipped cells);
     (match journal with
-    | Some j ->
-      Printf.printf "[journal: %d samples checkpointed]\n" (Refine_campaign.Journal.length j)
+    | Some j -> Printf.printf "[journal: %d samples checkpointed]\n" (J.length j)
     | None -> ());
     (match csv with
     | Some path ->
@@ -596,8 +673,11 @@ let campaign_cmd =
   in
   Cmd.v
     (Cmd.info "campaign"
-       ~doc:"Run the evaluation matrix on benchmark programs and print Figure 4/Table 5/Figure 5 \
-             plus the Figure 8/9 overhead breakdown. Supports checkpoint/resume \
+       ~doc:"Run the evaluation matrix on benchmark programs and print the paper's evaluation \
+             section: the statistical setting, Figure 4 with its PMFs, Tables 4-6, Figure 5, the \
+             Figure 8/9 overhead breakdown and Listings 1 & 2's static counts \
+             ($(b,--programs all --samples 1068 --seed 20170712 --retries 1) is the paper's \
+             scale). Supports checkpoint/resume \
              ($(b,--journal)/$(b,--resume)), bounded retries, a per-sample watchdog, \
              observability exports ($(b,--metrics-out)/$(b,--trace-out)), a live status \
              endpoint ($(b,--status-port)), and sandbox quotas \

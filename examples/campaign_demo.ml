@@ -2,7 +2,8 @@
    the 14 benchmark programs — outcome distributions per tool (Figure 4),
    the contingency table (Table 4) and the chi-squared verdicts (Table 5).
 
-   The full evaluation over all programs is bench/main.exe.
+   The full evaluation over all programs is
+   refinec campaign --programs all --samples 1068 --seed 20170712 --retries 1.
 
      dune exec examples/campaign_demo.exe *)
 
@@ -38,6 +39,8 @@ let () =
   print_string (Rep.figure5 cells programs);
   Printf.printf
     "\nAt n=%d the margin of error is ±%.1f%%; the paper's n=1068 gives ±3%%\n\
-     (run `REFINE_SAMPLES=1068 dune exec bench/main.exe` for the full setting).\n"
+     (run `dune exec bin/refinec.exe -- campaign --programs all --samples 1068 \
+     --seed 20170712 --retries 1`\n\
+     for the full setting).\n"
     samples
     (100.0 *. Refine_stats.Samplesize.margin_of ~samples ~confidence:0.95 ())

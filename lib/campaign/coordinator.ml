@@ -250,6 +250,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
     ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_each = false) ~samples
     ~seed (programs : (string * string) list) (tools : T.kind list) : E.cell list =
   if options.workers < 1 then invalid_arg "Coordinator.run_matrix: workers < 1";
+  E.check_distinct_programs "Coordinator.run_matrix" programs;
   (* every sample crosses the wire as its journal line *)
   List.iter
     (fun (program, _) ->

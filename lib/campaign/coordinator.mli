@@ -79,7 +79,9 @@ val run_matrix :
     legitimately inflate it relative to a single-process run.  The whole
     [quotas] record travels to workers in the [Init] frame.  Every sample
     comes back as its journal line, so a program name holding a TAB or a
-    newline raises [Invalid_argument].
+    newline raises [Invalid_argument], as does a program listed twice
+    ({!Experiment.check_distinct_programs}); both before any worker
+    exists.
 
     Observability plane (DESIGN.md §17): when {!Refine_obs.Control} is
     enabled, workers forward cumulative registry snapshots that are

@@ -342,6 +342,19 @@ let degraded_cell ?(model = F.Reg_bit) ~program ~tool ~samples exn =
     quarantined = None;
   }
 
+(* Reports, CSV rows and journal records name a cell by its program, so a
+   program listed twice would run its cells twice and its copy would
+   resume from the original's records. *)
+let check_distinct_programs caller (programs : (string * string) list) =
+  let rec go = function
+    | [] -> ()
+    | (p, _) :: rest ->
+      if List.mem_assoc p rest then
+        invalid_arg (Printf.sprintf "%s: program %s is listed twice" caller p);
+      go rest
+  in
+  go programs
+
 (* The full evaluation matrix: every program x every tool.  A cell that
    fails to prepare degrades to all-ToolError instead of aborting the
    remaining cells (a [Tool.Quarantine] already resolved inside
@@ -349,6 +362,7 @@ let degraded_cell ?(model = F.Reg_bit) ~program ~tool ~samples exn =
 let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
     ?verify_each ?chaos ?watchdog ~samples ~seed
     (programs : (string * string) list) (tools : T.kind list) : cell list =
+  check_distinct_programs "Experiment.run_matrix" programs;
   List.concat_map
     (fun (program, source) ->
       List.map

@@ -185,7 +185,15 @@ val run_matrix :
 (** The full evaluation grid: every (program, source) under every tool.  A
     cell whose preparation fails degrades to an all-[tool_error] cell (or a
     quarantined cell for {!Refine_core.Tool.Quarantine}); the remaining
-    cells still run. *)
+    cells still run.  A program name listed twice raises
+    [Invalid_argument] before any cell runs. *)
+
+val check_distinct_programs : string -> (string * string) list -> unit
+(** [check_distinct_programs caller programs] raises [Invalid_argument],
+    naming [caller] and the program, when a program name is listed twice:
+    reports, CSV rows and journal records name a cell by its program, so
+    the copy would run its cells again and resume from the original's
+    records. *)
 
 val find_cell :
   ?model:Refine_core.Fault.model ->

@@ -11,6 +11,12 @@
    Quarantined cells (DESIGN.md §13) are journaled too, as "Q"-tagged
    lines with a different field count.
 
+   A campaign's journal records the campaign's identity in its header:
+   every setting that changes a recorded sample's outcome or cost.  A
+   record is keyed only by (program, tool, model, index), so without it a
+   resume under another seed or pipeline would merge another campaign's
+   samples into this one's tables.
+
    The line is the one serialized form of a sample record: a shard worker
    streams the same line to its coordinator inside an [Outcome] frame
    (Shard, DESIGN.md §16), decoded by the same [parse].
@@ -36,8 +42,13 @@ type entry = {
   attempts : int;
 }
 
+type identity = (string * string) list
+
+exception Other_campaign of string
+
 type t = {
   path : string;
+  identity : identity option;
   mutable entries : entry list; (* newest first *)
   mutable quarantines : (string * string * string) list; (* (program, tool, reason) *)
   mutable skipped : int; (* undecodable lines dropped at load *)
@@ -53,6 +64,26 @@ type t = {
    something else. *)
 let tag_prefix = "# refine-journal v"
 let magic = tag_prefix ^ "2"
+
+(* the identity is a comment line, so the record format and its tag are
+   unchanged: "# refine-campaign<TAB>name=value<TAB>..." *)
+let identity_prefix = "# refine-campaign"
+
+let render_identity id =
+  String.concat "\t" (identity_prefix :: List.map (fun (k, v) -> k ^ "=" ^ v) id)
+
+let parse_identity line =
+  match String.split_on_char '\t' line with
+  | p :: fields when p = identity_prefix -> (
+    try
+      Some
+        (List.map
+           (fun f ->
+             let i = String.index f '=' in
+             (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
+           fields)
+    with Not_found -> None)
+  | _ -> None
 
 (* reasons travel on one journal/CSV line; field and line separators are
    squashed to spaces *)
@@ -117,6 +148,7 @@ let flush t =
   let tmp = t.path ^ ".tmp" in
   let oc = open_out tmp in
   output_string oc (magic ^ "\n");
+  Option.iter (fun id -> output_string oc (render_identity id ^ "\n")) t.identity;
   List.iter (fun q -> output_string oc (render_quarantine q ^ "\n")) (List.rev t.quarantines);
   List.iter (fun e -> output_string oc (render e ^ "\n")) (List.rev t.entries);
   close_out oc;
@@ -134,11 +166,18 @@ let append_line t line =
   output_string oc (line ^ "\n");
   Stdlib.flush oc
 
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let is_record l = String.trim l <> "" && l.[0] <> '#'
+
+let record_lines path =
+  if Sys.file_exists path then
+    List.length (List.filter is_record (String.split_on_char '\n' (read_all path)))
+  else 0
+
 let load_entries path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
+  let s = read_all path in
+  let n = String.length s in
   (* A file that does not end in a newline was torn by a kill mid-append:
      the final partial line is dropped without a parse attempt (a truncated
      numeric field could otherwise decode to a *wrong* record) and counted
@@ -156,9 +195,7 @@ let load_entries path =
   in
   let lines = String.split_on_char '\n' s in
   let tags = List.filter (String.starts_with ~prefix:tag_prefix) lines in
-  let lines =
-    List.filter (fun l -> String.trim l <> "" && not (String.length l > 0 && l.[0] = '#')) lines
-  in
+  let lines = List.filter is_record lines in
   if tags = [ magic ] then begin
     let entries = ref [] and quarantines = ref [] and skipped = ref torn in
     List.iter
@@ -184,13 +221,48 @@ let load_entries path =
     ([], [], torn + n)
   end
 
-let create ?(resume = false) path =
-  let entries, quarantines, skipped =
-    if resume && Sys.file_exists path then load_entries path else ([], [], 0)
+(* The identity the file at [path] records; [Error] names why there is
+   none to compare.  Read before any record, so a refused resume prints no
+   warning about the records it never loads. *)
+let recorded_identity path =
+  match List.filter_map parse_identity (String.split_on_char '\n' (read_all path)) with
+  | [ id ] -> Ok id
+  | [] -> Error "records no campaign identity"
+  | _ -> Error "records more than one campaign identity"
+
+(* the first field, in [requested]'s order and then [recorded]'s, whose
+   values differ *)
+let first_difference ~recorded ~requested =
+  let keys =
+    List.map fst requested
+    @ List.filter (fun k -> not (List.mem_assoc k requested)) (List.map fst recorded)
   in
+  List.find_map
+    (fun k ->
+      let r = List.assoc_opt k recorded and q = List.assoc_opt k requested in
+      if r = q then None else Some (k, r, q))
+    keys
+
+let check_identity path requested =
+  let refuse fmt = Printf.ksprintf (fun m -> raise (Other_campaign (path ^ " " ^ m))) fmt in
+  match recorded_identity path with
+  | Error why -> refuse "%s, so it cannot be checked against this campaign" why
+  | Ok recorded -> (
+    match first_difference ~recorded ~requested with
+    | None -> ()
+    | Some (k, r, q) ->
+      let show = function Some v -> k ^ "=" ^ v | None -> "no " ^ k in
+      refuse "was recorded by a campaign with %s; this one has %s" (show r) (show q))
+
+let create ?identity ?(resume = false) path =
+  (* an empty file (a fresh temp file) records nothing to merge *)
+  let resuming = resume && Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 in
+  if resuming then Option.iter (check_identity path) identity;
+  let entries, quarantines, skipped = if resuming then load_entries path else ([], [], 0) in
   let t =
     {
       path;
+      identity;
       entries = List.rev entries;
       quarantines = List.rev quarantines;
       skipped;

@@ -34,7 +34,21 @@ val parse : string -> entry option
 
 type t
 
-val create : ?resume:bool -> string -> t
+type identity = (string * string) list
+(** A campaign's identity as [(name, value)] pairs: every setting that
+    changes a recorded sample's outcome or cost (for [refinec campaign]:
+    the seed, the pipeline, the per-pass verifier, the sandbox quotas, the
+    watchdog and the retry budget).  A record is keyed only by
+    (program, tool, model, index), so the identity is what keeps a resume
+    from merging another campaign's samples.  Names hold no TAB, newline
+    or ['='], values no TAB or newline. *)
+
+exception Other_campaign of string
+(** Raised by {!create} when a resume would load another campaign's
+    records.  The message starts with the journal's path and names the
+    first identity field that differs. *)
+
+val create : ?identity:identity -> ?resume:bool -> string -> t
 (** [create path] opens a journal at [path].  With [~resume:true] existing
     entries are loaded (unparseable lines — e.g. an unknown outcome name
     written by a newer version — are skipped with a warning and counted in
@@ -45,7 +59,19 @@ val create : ?resume:bool -> string -> t
     know — loads no records at all: every record line is counted in
     {!skipped}, with a warning naming the cause, since a line of another
     format can have a known record's shape and mean something else.  The
-    file is immediately (re)written in canonical form. *)
+    file is immediately (re)written in canonical form.
+
+    [identity] is written into the header.  A resume with [identity] from
+    a non-empty file raises {!Other_campaign}, leaving the file untouched,
+    unless the file records exactly that identity; a file that records
+    none is refused too.  A missing or empty file starts fresh.  Without
+    [identity] (a scratch journal) nothing is recorded or checked. *)
+
+val record_lines : string -> int
+(** The lines of the file at [path] that are neither blank nor [#]
+    comments — sample records, quarantines and undecodable lines alike;
+    [0] when there is no such file.  [create] without [~resume:true]
+    discards them, so a driver checks this first. *)
 
 val record : t -> entry -> unit
 (** Append one entry and flush the line.  Safe to call from any domain. *)

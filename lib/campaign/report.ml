@@ -1,11 +1,26 @@
 (* Rendering of campaign results in the shape of the paper's tables and
-   figure series (text form).  Used by bench/main.exe and the examples. *)
+   figure series (text form).  Used by refinec campaign, which prints the
+   paper's whole evaluation section, and by the examples. *)
 
 module T = Refine_core.Tool
 module Tbl = Refine_support.Table
 module E = Experiment
+module Pl = Refine_passes.Pipeline
 
 let tools = [ T.Llfi; T.Refine; T.Pinfi ]
+
+(* ---- Campaign header: the statistical setting (paper §5.3) ------------ *)
+
+let header ~seed ~samples ~programs ~models =
+  let margin n = 100.0 *. Refine_stats.Samplesize.margin_of ~samples:n ~confidence:0.95 () in
+  let paper = Refine_stats.Samplesize.paper_sample_count in
+  let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s") in
+  Printf.sprintf
+    "Campaign: seed %d; %d samples per cell, margin of error ±%.1f%% at 95%% (the paper's n = \
+     %d: ±%.1f%%); %s x %d tools x %s = %d experiments\n"
+    seed samples (margin samples) paper (margin paper) (plural programs "program")
+    (List.length tools) (plural models "fault model")
+    (programs * List.length tools * models * samples)
 
 (* ---- Figure 4: outcome percentages with confidence intervals ---------- *)
 
@@ -155,6 +170,7 @@ let table5 (rows : chi2_row list) =
        ~header:
          [ "program"; "LLFI p-value"; "signif.diff?"; "REFINE p-value"; "signif.diff?" ]
        trows);
+  Buffer.add_char buf '\n';
   (* footnotes: quarantined cells contribute all-zero rows, so their
      verdicts above are trivial — say why *)
   List.iter
@@ -165,7 +181,17 @@ let table5 (rows : chi2_row list) =
             (Printf.sprintf "  [q] %s/%s quarantined (excluded): %s\n" r.program tool reason))
         r.quarantined_tools)
     rows;
-  Buffer.add_char buf '\n';
+  let significant test =
+    List.length (List.filter (fun r -> (test r).Refine_stats.Chi2.significant) rows)
+  in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "LLFI significantly different from PINFI: %d/%d programs (paper: 14/14)\n\
+        REFINE significantly different from PINFI: %d/%d programs (paper: 0/14)\n"
+       (significant (fun r -> r.llfi_vs_pinfi))
+       (List.length rows)
+       (significant (fun r -> r.refine_vs_pinfi))
+       (List.length rows));
   Buffer.contents buf
 
 (* ---- Quarantine report (DESIGN.md §13) -------------------------------- *)
@@ -246,7 +272,9 @@ let model_sections (cells : E.cell list) programs =
         (Printf.sprintf "==== fault model: %s ====\n\n"
            (Refine_core.Fault.string_of_model model));
       Buffer.add_string buf (table5 (chi2_rows mcells programs));
-      Buffer.add_string buf (table6 mcells programs))
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (table6 mcells programs);
+      Buffer.add_char buf '\n')
     (models cells);
   Buffer.contents buf
 
@@ -426,4 +454,62 @@ let figure5 (cells : E.cell list) programs =
     (Tbl.render ~align:[ Tbl.Left; Tbl.Right; Tbl.Right ]
        ~header:[ "program"; "LLFI"; "REFINE" ] rows);
   Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* ---- Listings 1 & 2: what the IR cannot see, what LLFI adds -------------
+   Listing 1: the stack-class machine instructions (prologue, epilogue,
+   spills) have no IR counterpart, so an IR-level injector never targets
+   them.  Listing 2: LLFI's injectFault calls add machine code and
+   spill slots to the binary they instrument.  Static counts per program,
+   on the campaign's IR pipeline and the fixed backend. *)
+
+let static_counts (funcs : Refine_mir.Mfunc.t list) =
+  let count p =
+    List.fold_left
+      (fun acc (mf : Refine_mir.Mfunc.t) ->
+        List.fold_left
+          (fun acc (b : Refine_mir.Mfunc.mblock) -> acc + List.length (List.filter p b.code))
+          acc mf.blocks)
+      0 funcs
+  in
+  let frame_slots =
+    List.fold_left (fun acc (mf : Refine_mir.Mfunc.t) -> acc + (mf.frame_bytes / 8)) 0 funcs
+  in
+  ( count (fun _ -> true),
+    count (fun i -> Refine_mir.Minstr.classify i = Refine_mir.Minstr.Cstack),
+    frame_slots )
+
+let listings ~pipeline (programs : (string * string) list) =
+  let compile ~llfi source =
+    let m = Refine_minic.Frontend.compile source in
+    ignore (Pl.run_ir pipeline m);
+    let ir_instrs =
+      List.fold_left (fun acc f -> acc + Refine_ir.Printer.count_instrs f) 0 m.Refine_ir.Ir.funcs
+    in
+    if llfi then ignore (Pl.run_ir { Pl.empty with ir = [ "llfi-fi" ] } m);
+    (ir_instrs, static_counts (Pl.to_mir m))
+  in
+  let rows =
+    List.map
+      (fun (program, source) ->
+        let ir_instrs, (total, stack, slots) = compile ~llfi:false source in
+        let _, (llfi_total, llfi_stack, llfi_slots) = compile ~llfi:true source in
+        (program :: List.map string_of_int [ ir_instrs; total; stack; llfi_total; llfi_stack ])
+        @ [ Printf.sprintf "%d -> %d" slots llfi_slots ])
+      programs
+  in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    "Listings 1 & 2 — static counts: machine-only instructions and LLFI's codegen interference\n";
+  Buffer.add_string buf
+    (Tbl.render
+       ~align:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+       ~header:
+         [ "program"; "IR instrs"; "machine"; "stack-class"; "LLFI machine"; "LLFI stack-class";
+           "frame slots" ]
+       rows);
+  Buffer.add_string buf
+    "\nIR instrs: LLFI's entire view.  stack-class: machine instructions invisible at the IR \
+     level.\nframe slots: allocas + spills, clean -> LLFI (the spilling injectFault calls \
+     induce, cf. Listing 2c).\n";
   Buffer.contents buf

@@ -1,10 +1,15 @@
 (** Rendering of campaign results in the shape of the paper's tables and
-    figure series (text form), used by bench/main.exe, the examples and the
-    refinec CLI. *)
+    figure series (text form), used by [refinec campaign] (which prints
+    the paper's whole evaluation section) and the examples. *)
 
 val tools : Refine_core.Tool.kind list
 (** The comparison set, in the paper's plotting order: LLFI, REFINE,
     PINFI. *)
+
+val header : seed:int -> samples:int -> programs:int -> models:int -> string
+(** The campaign's statistical setting (paper §5.3) in one line: the
+    seed, the samples per cell and their margin of error at 95%
+    confidence beside the paper's n = 1068, and the experiment count. *)
 
 val figure4_program : Experiment.cell list -> string -> string
 (** One program's panel of Figure 4: sampled outcome probabilities per tool
@@ -31,7 +36,8 @@ val chi2_rows : Experiment.cell list -> string list -> chi2_row list
 val table5 : chi2_row list -> string
 (** The paper's Table 5: per-program chi-squared verdicts against PINFI.
     Programs with quarantined cells are marked [q] with a footnote giving
-    the reason. *)
+    the reason.  Two lines under the table count the significant verdicts
+    of each tool beside the paper's 14/14 and 0/14. *)
 
 val quarantines : Experiment.cell list -> (string * string * string) list
 (** All quarantined [(program, tool, reason)] cells. *)
@@ -80,3 +86,11 @@ val degradation :
     QUARANTINED line per quarantined cell; and, when [journal_skipped] is
     nonzero, one line for the resume-journal rows that failed to decode.
     Empty when the campaign was healthy. *)
+
+val listings : pipeline:Refine_passes.Pipeline.spec -> (string * string) list -> string
+(** Listings 1 & 2 as static counts per [(program, source)]: IR
+    instructions (LLFI's whole view), machine instructions and the
+    stack-class ones the IR cannot see, the same after LLFI's
+    instrumentation, and frame slots before and after.  The IR stage is
+    [pipeline]'s, the backend the fixed one
+    ({!Refine_passes.Pipeline.to_mir}). *)

@@ -179,23 +179,10 @@ let poll t =
 
 (* ---- /status ----------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let worker_json w =
   Printf.sprintf
     "{\"slot\":%d,\"pid\":%d,\"alive\":%b,\"state\":\"%s\",\"last_seen_s\":%.3f,\"restarts\":%d}"
-    w.w_slot w.w_pid w.w_alive (json_escape w.w_state) w.w_last_seen_s w.w_restarts
+    w.w_slot w.w_pid w.w_alive (Span.json_escape w.w_state) w.w_last_seen_s w.w_restarts
 
 (* Rolling throughput: (t, samples_done) observations over the last few
    seconds, sampled on each /status hit.  Kept per [set_status] install so

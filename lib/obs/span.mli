@@ -25,6 +25,11 @@ type event = {
 val to_json : event -> string
 (** One-line JSON object (the JSONL schema of DESIGN.md §12). *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash,
+    newline, TAB and CR get their short escapes, other control characters
+    [\u00XX].  Shared by the trace lines and {!Serve}'s [/status]. *)
+
 val with_ : ?attrs:(string * string) list -> ?cost:int64 -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span.  Exceptions propagate with their
     original backtrace after the span event is emitted. *)

@@ -73,8 +73,10 @@ let test_opcode_image_not_shared () =
   Alcotest.(check bool) "next run on the domain's engine is clean" true
     ((T.prepare ~model:F.Opcode T.Pinfi opcode_src).T.profile = p)
 
-(* EP's opcode cell, 200 samples each on a split of one generator: the
-   counts bench/main.exe's extensions section prints at REFINE_SEED=7 *)
+(* EP's opcode cell, 200 samples each on a split of one generator seeded
+   7: an engine change must not move these counts.  (`refinec fi EP
+   --fi-tool pinfi --fault-model opcode --samples 200 --seed 7` draws from
+   the cell's derived seed instead, and reads 10/186/4.) *)
 let test_opcode_ep_pinned () =
   let cell = T.prepare ~model:F.Opcode T.Pinfi (Refine_bench_progs.Registry.find "EP").source in
   Alcotest.(check int64) "corruptible dynamic instructions" 69_698L cell.T.profile.F.dyn_count;

@@ -208,9 +208,23 @@ let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ref
 
 (* refinec's exit codes: 2 for a bad flag value (a numeric one outside
    its range too, rejected before any domain, process or socket exists),
-   an unknown benchmark or an unreadable program, 1 for a quarantined
-   cell, 124 (cmdliner's usage error) for an unknown option *)
+   an unknown benchmark or an unreadable program, a name listed twice, a
+   journal that would be overwritten or resumed into another campaign,
+   1 for a quarantined cell, 124 (cmdliner's usage error) for an unknown
+   option *)
 let test_refinec_exit_codes () =
+  (* a journal recorded at seed 1, and one that records no campaign
+     identity *)
+  let journal = Filename.temp_file "refinec" ".journal" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s campaign --programs EP --samples 1 --seed 1 --journal %s >/dev/null"
+         (Filename.quote refinec) (Filename.quote journal))
+  in
+  Alcotest.(check int) "journal recorded" 0 code;
+  let anonymous = Filename.temp_file "refinec" ".journal" in
+  Out_channel.with_open_bin anonymous (fun oc ->
+      output_string oc "# refine-journal v2\nEP\tLLFI\t0\tSOC\t1\t1\treg\n");
   List.iter
     (fun (args, expected, says) ->
       let err = Filename.temp_file "refinec" ".err" in
@@ -249,7 +263,29 @@ let test_refinec_exit_codes () =
       ("campaign --programs EP --samples 1 --livelock 0", 2, "bad --livelock");
       ("campaign --programs EP --samples 1 --retries=-1", 2, "bad --retries");
       ("campaign --programs EP --samples 1 --sample-timeout 0", 2, "bad --sample-timeout");
-    ]
+      ("campaign --programs EP,EP --samples 1", 2, "bad --programs: EP is listed twice");
+      ("campaign --programs EP,DC,EP --samples 1 --workers 2", 2, "bad --programs");
+      ("campaign --programs EP --samples 1 --fault-model reg,mem,reg", 2, "bad --fault-model");
+      ("campaign --programs EP --samples 1 --resume", 2, "bad --resume");
+      ( Printf.sprintf "campaign --programs EP --samples 1 --seed 1 --journal %s" journal,
+        2,
+        "bad --journal" );
+      ( Printf.sprintf "campaign --programs EP --samples 1 --seed 2 --journal %s --resume" journal,
+        2,
+        "seed=1; this one has seed=2" );
+      ( Printf.sprintf
+          "campaign --programs EP --samples 1 --seed 1 --retries 1 --journal %s --resume \
+           --workers 2"
+          journal,
+        2,
+        "retries=0; this one has retries=1" );
+      ( Printf.sprintf "campaign --programs EP --samples 1 --journal %s --resume" anonymous,
+        2,
+        "records no campaign identity" );
+      ("campaign --programs EP --samples 1 --journal /nonexistent/j", 2, "bad --journal");
+    ];
+  Sys.remove journal;
+  Sys.remove anonymous
 
 (* the body of a plain HTTP/1.0 GET against the loopback status server *)
 let http_get port path =
@@ -311,6 +347,77 @@ let test_inprocess_status () =
     [ "HTTP/1.0 200"; "\"finished\":false"; "\"samples_total\":900"; "\"cells_total\":6" ];
   if contains status "workers" then Alcotest.failf "an in-process /status lists workers: %S" status
 
+(* [refinec campaign] prints the paper's whole evaluation section, in the
+   paper's order, and its Table 6 counts are the CSV's *)
+let test_campaign_report () =
+  let csv = Filename.temp_file "refinec" ".csv" and out = Filename.temp_file "refinec" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s campaign --programs DC,EP --samples 8 --seed 7 --csv %s >%s"
+         (Filename.quote refinec) (Filename.quote csv) (Filename.quote out))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  let report = In_channel.with_open_bin out In_channel.input_all in
+  let rec index_from i sub =
+    if i + String.length sub > String.length report then None
+    else if String.sub report i (String.length sub) = sub then Some i
+    else index_from (i + 1) sub
+  in
+  ignore
+    (List.fold_left
+       (fun from says ->
+         match index_from from says with
+         | Some i -> i + String.length says
+         | None -> Alcotest.failf "no %S after byte %d of the report:\n%s" says from report)
+       0
+       [
+         "Campaign: seed 7; 8 samples per cell, margin of error ±34.6% at 95%";
+         "Figure 4 — DC";
+         "PMF (stacked";
+         "Figure 4 — EP";
+         "PMF (stacked";
+         "Table 4 — contingency table, LLFI vs PINFI (DC)";
+         "Table 5";
+         "LLFI significantly different from PINFI: ";
+         "REFINE significantly different from PINFI: ";
+         "Table 6";
+         "Figure 5";
+         "Listings 1 & 2";
+         "\nDC ";
+         "\nEP ";
+       ]);
+  (* Table 6's rows, "program tool crash | paper SOC | paper benign | paper",
+     run from under its header and rule to the next blank line *)
+  let rec after_table6 = function
+    | l :: _header :: _rule :: rows when String.starts_with ~prefix:"Table 6" l -> rows
+    | _ :: rest -> after_table6 rest
+    | [] -> []
+  in
+  let rec until_blank = function "" :: _ | [] -> [] | l :: rest -> l :: until_blank rest in
+  let rows =
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | [ p; t; c; "|"; _; s; "|"; _; b; "|"; _ ] -> (p, t, List.map int_of_string [ c; s; b ])
+        | _ -> Alcotest.failf "not a Table 6 row: %S" l)
+      (until_blank (after_table6 (String.split_on_char '\n' report)))
+  in
+  Alcotest.(check int) "Table 6 rows" 6 (List.length rows);
+  let cells = Refine_campaign.Csv.load csv in
+  List.iter
+    (fun (program, tool, counts) ->
+      let c =
+        Refine_campaign.Experiment.find_cell cells ~program
+          ~tool:(Option.get (T.kind_of_name tool))
+      in
+      let n = c.Refine_campaign.Experiment.counts in
+      Alcotest.(check (list int))
+        (program ^ "/" ^ tool) counts
+        Refine_campaign.Experiment.[ n.crash; n.soc; n.benign ])
+    rows;
+  Sys.remove csv;
+  Sys.remove out
+
 let tests =
   [
     Alcotest.test_case "deep recursion overflows" `Quick test_deep_recursion_overflows;
@@ -325,4 +432,6 @@ let tests =
     Alcotest.test_case "FI on trap-prone program" `Quick test_fi_on_trap_prone_program;
     Alcotest.test_case "refinec exit codes" `Quick test_refinec_exit_codes;
     Alcotest.test_case "in-process campaign answers /status" `Quick test_inprocess_status;
+    Alcotest.test_case "campaign prints the paper's evaluation section" `Quick
+      test_campaign_report;
   ]

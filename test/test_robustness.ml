@@ -535,6 +535,111 @@ let prop_resume_deterministic =
       Sys.remove path_part;
       counts_equal full resumed)
 
+(* ---- a resume loads only its own campaign's records -------------------- *)
+
+let test_journal_identity () =
+  let path = tmpfile () in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let refused what identity =
+    match J.create ~identity ~resume:true path with
+    | _ -> Alcotest.failf "%s: resumed" what
+    | exception J.Other_campaign msg -> msg
+  in
+  (* an empty file records nothing to merge *)
+  J.close (J.create ~identity:[ ("seed", "1") ] ~resume:true path);
+  let j = J.create ~identity:[ ("seed", "1"); ("retries", "0") ] path in
+  J.record j (entry 0 F.Crash 100L);
+  J.close j;
+  let before = read () in
+  let msg = refused "other seed" [ ("seed", "2"); ("retries", "0") ] in
+  Alcotest.(check bool) ("names the field: " ^ msg) true
+    (String.ends_with ~suffix:"seed=1; this one has seed=2" msg);
+  ignore (refused "a field the journal lacks" [ ("seed", "1"); ("retries", "0"); ("x", "1") ]);
+  ignore (refused "a field the run lacks" [ ("seed", "1") ]);
+  Alcotest.(check string) "a refused resume leaves the file as it was" before (read ());
+  let j = J.create ~identity:[ ("seed", "1"); ("retries", "0") ] ~resume:true path in
+  Alcotest.(check int) "the same identity resumes" 1 (J.length j);
+  J.close j;
+  (* a scratch journal records no identity, which no campaign resumes *)
+  let j = J.create path in
+  J.record j (entry 0 F.Crash 100L);
+  J.close j;
+  ignore (refused "no identity" [ ("seed", "1") ]);
+  Alcotest.(check int) "record lines" 1 (J.record_lines path);
+  Sys.remove path;
+  Alcotest.(check int) "no file, no record lines" 0 (J.record_lines path)
+
+let test_matrix_refuses_repeated_program () =
+  let programs = [ ("tiny", src); ("other", src); ("tiny", src) ] in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s ran a repeated program" name
+    | exception Invalid_argument msg ->
+      if not (String.ends_with ~suffix:"program tiny is listed twice" msg) then
+        Alcotest.failf "%s: %s" name msg
+  in
+  raises "Experiment.run_matrix" (fun () ->
+      E.run_matrix ~samples:1 ~seed:1 programs [ T.Pinfi ]);
+  raises "Coordinator.run_matrix" (fun () ->
+      Refine_campaign.Coordinator.run_matrix ~samples:1 ~seed:1 programs [ T.Pinfi ])
+
+(* [refinec campaign] on EP with [args]: exit code, stdout and stderr *)
+let campaign args =
+  let out = tmpfile () and err = tmpfile () in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s campaign --programs EP %s >%s 2>%s"
+         (Filename.quote Test_integration.refinec) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let stdout = read out in
+  (code, stdout, read err)
+
+(* the report without its wall-clock parts: the Figures 8/9 block and the
+   bracketed progress lines *)
+let deterministic_report out =
+  let rec go skipping = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"Figures 8/9" l -> go true rest
+    | l :: rest when skipping -> go (l <> "") rest
+    | l :: rest when String.starts_with ~prefix:"[" l -> go false rest
+    | l :: rest -> l :: go false rest
+  in
+  String.concat "\n" (go false (String.split_on_char '\n' out))
+
+let test_resume_refuses_other_campaign () =
+  let j = tmpfile () in
+  let code, _, _ = campaign (Printf.sprintf "--samples 4 --seed 3 --journal %s" j) in
+  Alcotest.(check int) "recorded" 0 code;
+  List.iter
+    (fun (args, says) ->
+      let code, _, err = campaign (Printf.sprintf "%s --journal %s --resume" args j) in
+      Alcotest.(check int) args 2 code;
+      if not (String.starts_with ~prefix:"bad --resume" err && Test_integration.contains err says)
+      then Alcotest.failf "%s: stderr %S" args err)
+    [ ("--samples 4 --seed 4", "seed=3; this one has seed=4"); ("--samples 4 --seed 3 -O O1", "pipeline=") ];
+  (* more samples only add keys: the resume loads the journal's 12 and
+     prints what a fresh run at 8 prints *)
+  let m = tmpfile () in
+  let code, resumed, _ =
+    campaign (Printf.sprintf "--samples 8 --seed 3 --journal %s --resume --metrics-out %s" j m)
+  in
+  Alcotest.(check int) "more samples resume" 0 code;
+  let metrics = In_channel.with_open_bin m In_channel.input_all in
+  if not (Test_integration.contains metrics "refine_campaign_resumed_samples_total 12") then
+    Alcotest.failf "the resume did not load the journal's samples: %s" metrics;
+  let code, fresh, _ = campaign "--samples 8 --seed 3" in
+  Alcotest.(check int) "fresh run" 0 code;
+  Alcotest.(check string) "tables equal a fresh run's" (deterministic_report fresh)
+    (deterministic_report resumed);
+  Sys.remove j;
+  Sys.remove m
+
 let tests =
   [
     Alcotest.test_case "stable seed pinned" `Quick test_fnv1a_pinned;
@@ -556,4 +661,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_trace_byte_corruption;
     Alcotest.test_case "kill + resume determinism" `Quick test_watchdog_kill_then_resume;
     QCheck_alcotest.to_alcotest prop_resume_deterministic;
+    Alcotest.test_case "journal: a resume needs the campaign's identity" `Quick
+      test_journal_identity;
+    Alcotest.test_case "matrix refuses a repeated program" `Quick
+      test_matrix_refuses_repeated_program;
+    Alcotest.test_case "refinec refuses a resume into another campaign" `Quick
+      test_resume_refuses_other_campaign;
   ]
