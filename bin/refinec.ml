@@ -203,8 +203,14 @@ let fi_cmd =
     in
     let sel = { Sel.funcs = String.split_on_char ',' funcs |> List.map String.trim; instrs } in
     let cell =
-      Refine_campaign.Experiment.run_cell ~sel ~model ~pipeline:(spec_of opt passes)
-        ~verify_each ~samples ~seed kind ~program:src ~source:(read_source src) ()
+      (* a golden run that traps or exits non-zero leaves nothing to
+         classify against *)
+      try
+        Refine_campaign.Experiment.run_cell ~sel ~model ~pipeline:(spec_of opt passes)
+          ~verify_each ~samples ~seed kind ~program:src ~source:(read_source src) ()
+      with Refine_core.Tool.Prepare_error reason ->
+        Printf.eprintf "cannot profile: %s\n" reason;
+        exit 1
     in
     let module E = Refine_campaign.Experiment in
     Option.iter
@@ -327,9 +333,8 @@ let campaign_cmd =
                    loaded instead of re-run.  Counts are bit-identical to an uninterrupted run \
                    with the same seed.  The journal must record this campaign's identity: the \
                    same $(b,--seed), pipeline ($(b,-O)/$(b,--passes)), $(b,--verify-each), \
-                   $(b,--output-quota), $(b,--wall-clock), $(b,--livelock), \
-                   $(b,--sample-timeout) and $(b,--retries).  $(b,--samples), $(b,--programs) \
-                   and $(b,--fault-model) may change.")
+                   $(b,--output-quota), $(b,--sample-timeout) and $(b,--retries).  \
+                   $(b,--samples), $(b,--programs) and $(b,--fault-model) may change.")
   in
   let retries =
     Arg.(value & opt int 0
@@ -376,18 +381,6 @@ let campaign_cmd =
              ~doc:"Sandbox: absolute per-sample output cap in bytes (default: 16x the golden \
                    output, 4 KiB floor).  A tripped quota classifies as a crash.")
   in
-  let wall_clock =
-    Arg.(value & opt (some float) None
-         & info [ "wall-clock" ] ~docv:"SECONDS"
-             ~doc:"Sandbox: real-time deadline per sample in seconds.  A tripped deadline \
-                   classifies as a crash.")
-  in
-  let livelock =
-    Arg.(value & opt (some int) None
-         & info [ "livelock" ] ~docv:"STEPS"
-             ~doc:"Sandbox: fingerprint the architectural state every STEPS simulated \
-                   instructions and classify an exact repeat (a livelock orbit) as a crash.")
-  in
   let status_port =
     Arg.(value & opt (some int) None
          & info [ "status-port" ] ~docv:"PORT"
@@ -397,8 +390,7 @@ let campaign_cmd =
                    text) and $(b,/healthz).  Implies observability.")
   in
   let action programs samples seed fault_models csv journal resume retries sample_timeout
-      domains workers metrics_out trace_out status_port output_quota wall_clock livelock opt
-      passes verify_each =
+      domains workers metrics_out trace_out status_port output_quota opt passes verify_each =
     let module Rep = Refine_campaign.Report in
     let module E = Refine_campaign.Experiment in
     let module J = Refine_campaign.Journal in
@@ -415,14 +407,6 @@ let campaign_cmd =
     Option.iter (in_range "workers" ~lo:1 ~hi:max_workers) workers;
     Option.iter (in_range "status-port" ~lo:0 ~hi:65535) status_port;
     Option.iter (in_range "output-quota" ~lo:1 ~hi:max_int) output_quota;
-    Option.iter (in_range "livelock" ~lo:1 ~hi:max_int) livelock;
-    Option.iter
-      (fun s ->
-        if not (Float.is_finite s && s > 0.0) then begin
-          Printf.eprintf "bad --wall-clock: %g is not a positive number of seconds\n" s;
-          exit 2
-        end)
-      wall_clock;
     (* a name listed twice would run its cells twice, and with a journal
        the copy would resume from the original's records *)
     let rec no_repeats flag show = function
@@ -483,38 +467,57 @@ let campaign_cmd =
         ("pipeline", Pl.print pipeline);
         ("verify-each", string_of_bool verify_each);
         ("output-quota", or_none string_of_int output_quota);
-        ("wall-clock", or_none (Printf.sprintf "%.17g") wall_clock);
-        ("livelock", or_none string_of_int livelock);
         ("sample-timeout", or_none Int64.to_string sample_timeout);
         ("retries", string_of_int retries);
       ]
     in
+    if resume && journal = None then begin
+      prerr_endline "bad --resume: there is no --journal FILE to resume";
+      exit 2
+    end;
+    (* every output destination is checked before the header prints or the
+       journal opens, so a path that cannot be written or a port in use
+       fails at once rather than after the campaign has run *)
+    List.iter
+      (fun (flag, path) ->
+        Option.iter
+          (fun path ->
+            try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path)
+            with Sys_error msg ->
+              Printf.eprintf "bad --%s: %s\n" flag msg;
+              exit 2)
+          path)
+      [ ("csv", csv); ("metrics-out", metrics_out); ("trace-out", trace_out) ];
+    let server =
+      Option.map
+        (fun port ->
+          try Refine_obs.Serve.create ~port ()
+          with Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "bad --status-port: %d: %s\n" port (Unix.error_message e);
+            exit 2)
+        status_port
+    in
     let journal =
-      match journal with
-      | None ->
-        if resume then begin
-          prerr_endline "bad --resume: there is no --journal FILE to resume";
-          exit 2
-        end;
-        None
-      | Some path -> (
-        try
-          let held = J.record_lines path in
-          if held > 0 && not resume then begin
-            Printf.eprintf
-              "bad --journal: %s already holds %d record lines; add --resume to continue its \
-               campaign, or remove the file\n"
-              path held;
+      Option.map
+        (fun path ->
+          try
+            let held = J.record_lines path in
+            if held > 0 && not resume then begin
+              Printf.eprintf
+                "bad --journal: %s already holds %d record lines; add --resume to continue its \
+                 campaign, or remove the file\n"
+                path held;
+              exit 2
+            end;
+            J.create ~identity ~resume path
+          with
+          | J.Other_campaign msg ->
+            Printf.eprintf "bad --resume: %s\n" msg;
             exit 2
-          end;
-          Some (J.create ~identity ~resume path)
-        with
-        | J.Other_campaign msg ->
-          Printf.eprintf "bad --resume: %s\n" msg;
-          exit 2
-        | Sys_error msg ->
-          Printf.eprintf "bad --journal: %s\n" msg;
-          exit 2)
+          | Sys_error msg ->
+            Printf.eprintf "bad --journal: %s\n" msg;
+            exit 2)
+        journal
     in
     if metrics_out <> None || trace_out <> None || status_port <> None then
       Refine_obs.Control.enable ();
@@ -523,21 +526,11 @@ let campaign_cmd =
     | None -> ());
     Option.iter J.note_skipped_metric journal;
     let quotas =
-      {
-        Refine_core.Tool.default_quotas with
-        Refine_core.Tool.output_bytes = output_quota;
-        wall_clock_s = wall_clock;
-        livelock_window = livelock;
-      }
+      { Refine_core.Tool.default_quotas with Refine_core.Tool.output_bytes = output_quota }
     in
-    let server =
-      Option.map
-        (fun port ->
-          let s = Refine_obs.Serve.create ~port () in
-          Printf.printf "[status: http://127.0.0.1:%d/status]\n%!" (Refine_obs.Serve.port s);
-          s)
-        status_port
-    in
+    Option.iter
+      (fun s -> Printf.printf "[status: http://127.0.0.1:%d/status]\n%!" (Refine_obs.Serve.port s))
+      server;
     (* each block of the report is followed by a blank line *)
     let section s =
       print_string s;
@@ -680,12 +673,10 @@ let campaign_cmd =
              scale). Supports checkpoint/resume \
              ($(b,--journal)/$(b,--resume)), bounded retries, a per-sample watchdog, \
              observability exports ($(b,--metrics-out)/$(b,--trace-out)), a live status \
-             endpoint ($(b,--status-port)), and sandbox quotas \
-             ($(b,--output-quota)/$(b,--wall-clock)/$(b,--livelock)).")
+             endpoint ($(b,--status-port)), and a sandbox output cap ($(b,--output-quota)).")
     Term.(const action $ programs $ samples $ seed $ fault_models $ csv $ journal $ resume
           $ retries $ sample_timeout $ domains $ workers $ metrics_out $ trace_out
-          $ status_port $ output_quota $ wall_clock $ livelock $ opt_arg $ passes_arg
-          $ verify_each_arg)
+          $ status_port $ output_quota $ opt_arg $ passes_arg $ verify_each_arg)
 
 let main =
   let doc = "REFINE: realistic fault injection via compiler-based instrumentation (SC'17 reproduction)" in

@@ -37,7 +37,7 @@ type t
 type identity = (string * string) list
 (** A campaign's identity as [(name, value)] pairs: every setting that
     changes a recorded sample's outcome or cost (for [refinec campaign]:
-    the seed, the pipeline, the per-pass verifier, the sandbox quotas, the
+    the seed, the pipeline, the per-pass verifier, the output cap, the
     watchdog and the retry budget).  A record is keyed only by
     (program, tool, model, index), so the identity is what keeps a resume
     from merging another campaign's samples.  Names hold no TAB, newline

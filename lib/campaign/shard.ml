@@ -27,14 +27,16 @@ module Sp = Refine_obs.Span
    v3: fault models — Assign carries the cell's fault model and Outcome
    entries echo it back (DESIGN.md §18).
    v4: Init carries the whole Tool.quotas record, so a sharded campaign
-   runs under exactly the in-process sandbox (heap quota and the derived
-   output cap included).
+   runs under exactly the in-process sandbox (the derived output cap
+   included).
    v5: Init drops the MIR-verifier switch (the end-of-MIR verifier always
    runs) and the heartbeat interval (the constant [heartbeat_s]).
    v6: Init drops the artifact-cache switch (preparation is always
    cached), and Outcome carries the sample's journal line instead of
-   seven binary fields. *)
-let version = 6
+   seven binary fields.
+   v7: Init's quota record is the output cap alone; v6 carried three more
+   quota fields, for bounds a run no longer has. *)
+let version = 7
 
 let heartbeat_s = 0.02 (* min seconds between a busy worker's heartbeat frames *)
 
@@ -218,9 +220,6 @@ let encode f =
     W.put_int b c.retries;
     W.put_option b W.put_i64 c.cost_cap;
     W.put_option b W.put_int c.quotas.T.output_bytes;
-    W.put_option b W.put_int c.quotas.T.heap_bytes;
-    W.put_option b W.put_f64 c.quotas.T.wall_clock_s;
-    W.put_option b W.put_int c.quotas.T.livelock_window;
     W.put_bool b c.quotas.T.derive_output;
     W.put_bool b c.verify_each;
     W.put_option b W.put_string c.pipeline;
@@ -287,9 +286,6 @@ let decode payload =
       let retries = W.get_int c in
       let cost_cap = W.get_option c W.get_i64 in
       let output_bytes = W.get_option c W.get_int in
-      let heap_bytes = W.get_option c W.get_int in
-      let wall_clock_s = W.get_option c W.get_f64 in
-      let livelock_window = W.get_option c W.get_int in
       let derive_output = W.get_bool c in
       let verify_each = W.get_bool c in
       let pipeline = W.get_option c W.get_string in
@@ -300,7 +296,7 @@ let decode payload =
           seed;
           retries;
           cost_cap;
-          quotas = { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output };
+          quotas = { T.output_bytes; derive_output };
           verify_each;
           pipeline;
           obs;

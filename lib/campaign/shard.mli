@@ -21,7 +21,9 @@ val version : int
     always runs) and the heartbeat interval ({!heartbeat_s}).
     v6: [Init] drops the artifact-cache switch, and [Outcome] carries the
     sample's journal line; v5 [Init] and [Outcome] payloads do not
-    decode. *)
+    decode.
+    v7: [Init]'s quota record is the output cap alone (v6 carried three
+    more quota fields); a v6 [Init] payload does not decode. *)
 
 val heartbeat_s : float
 (** Minimum seconds between a busy worker's [Heartbeat] frames (20 ms). *)

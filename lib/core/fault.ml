@@ -91,11 +91,11 @@ type experiment = {
   fault : record option; (* None when the target was never reached *)
 }
 
-(* Quota traps (Output_quota/Heap_quota/Wall_clock/Livelock) fall under
-   Trapped and classify as Crash deterministically, like the paper's own
-   10x timeout.  A truncated output can never certify a golden match:
-   even if the run somehow exits cleanly after the cut, the sample is a
-   Crash (the sandbox, not the program, ended its output). *)
+(* The output-quota trap falls under Trapped and classifies as Crash
+   deterministically, like the paper's own 10x timeout.  A truncated
+   output can never certify a golden match: even if the run somehow exits
+   cleanly after the cut, the sample is a Crash (the sandbox, not the
+   program, ended its output). *)
 let classify (p : profile) (r : Refine_machine.Exec.result) : outcome =
   if r.truncated then Crash
   else

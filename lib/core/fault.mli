@@ -82,7 +82,7 @@ type experiment = {
 }
 
 val classify : profile -> Refine_machine.Exec.result -> outcome
-(** Outcome classification of §4.3.2 against the golden profile.  Sandbox
-    quota traps ({!Refine_machine.Exec.trap}) and truncated output both
-    classify as {!Crash}, deterministically — a cut output prefix is never
+(** Outcome classification of §4.3.2 against the golden profile.  The
+    output-quota trap ({!Refine_machine.Exec.trap}) and truncated output
+    both classify as {!Crash}, deterministically — a cut output prefix is never
     matched against the golden run. *)

@@ -91,27 +91,17 @@ let flush_obs kind (eng : E.t) ~fi_hits ~run_cost =
 
 (* ---- sandbox quotas (DESIGN.md §13) -----------------------------------
 
-   Per-run resource envelopes forwarded to [Exec.run].  A tripped quota is
-   an experimental outcome — the run ends [Trapped (Output_quota _)] etc.
-   and classifies as Crash — never a harness exception, so the supervisor
+   The per-run output cap forwarded to [Exec.run].  A tripped cap is an
+   experimental outcome — the run ends [Trapped (Output_quota _)] and
+   classifies as Crash — never a harness exception, so the supervisor
    burns no retries on adversarial samples. *)
 
 type quotas = {
   output_bytes : int option; (* absolute cap; overrides derivation *)
-  heap_bytes : int option; (* heap growth above the image's heap base *)
-  wall_clock_s : float option; (* real-time deadline per run *)
-  livelock_window : int option; (* fingerprint cadence in steps *)
   derive_output : bool; (* derive the output cap from the golden run *)
 }
 
-let no_quotas =
-  {
-    output_bytes = None;
-    heap_bytes = None;
-    wall_clock_s = None;
-    livelock_window = None;
-    derive_output = false;
-  }
+let no_quotas = { output_bytes = None; derive_output = false }
 
 let default_quotas = { no_quotas with derive_output = true }
 
@@ -127,14 +117,9 @@ let effective_output_quota q (profile : Fault.profile) =
   | Some _ as c -> c
   | None -> if q.derive_output then Some (derived_output_quota profile) else None
 
-let quota_kind_names = [| "output"; "heap"; "wall-clock"; "livelock" |]
-
 let m_quota_trips =
-  Array.map
-    (fun k ->
-      Obs.Metrics.counter ~help:"sandbox quota trips by kind" ~labels:[ ("kind", k) ]
-        "refine_quota_trips_total")
-    quota_kind_names
+  Obs.Metrics.counter ~help:"sandbox quota trips by kind" ~labels:[ ("kind", "output") ]
+    "refine_quota_trips_total"
 
 (* Injection tally by (tool, fault model).  Created lazily on first use per
    label pair — [Metrics.counter] is mutex-protected and idempotent, so the
@@ -150,10 +135,7 @@ let note_injection kind (model : Fault.model) =
 let note_quota_trip (r : E.result) =
   if Obs.Control.enabled () then
     match r.E.status with
-    | E.Trapped (E.Output_quota _) -> Obs.Metrics.inc m_quota_trips.(0)
-    | E.Trapped (E.Heap_quota _) -> Obs.Metrics.inc m_quota_trips.(1)
-    | E.Trapped (E.Wall_clock _) -> Obs.Metrics.inc m_quota_trips.(2)
-    | E.Trapped E.Livelock -> Obs.Metrics.inc m_quota_trips.(3)
+    | E.Trapped (E.Output_quota _) -> Obs.Metrics.inc m_quota_trips
     | _ -> ()
 
 (* ---- engine cells (DESIGN.md §14, §19) --------------------------------
@@ -415,14 +397,11 @@ let build_detach (kind : kind) image : detach_target option =
    handoff itself can still decline at run time (drain cap, shadow-stack
    mismatch, budget edge); everything here is knowable before the run.
    A REFINE Instr_image overlay lands in instrumented coordinates
-   (possibly on a spliced pc), meaningless on the golden twin; the twin
-   retires fewer steps after the handoff, which would shift an armed
-   livelock detector's fingerprint cadence. *)
-let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
-    E.detach_plan option =
-  match (p.detach, model, quotas.livelock_window) with
-  | None, _, _ | _, Fault.Instr_image, _ | _, _, Some _ -> None
-  | Some dt, _, None -> Some { E.plan_prog = dt.dt_dprog; plan_map = dt.dt_map }
+   (possibly on a spliced pc), meaningless on the golden twin. *)
+let detach_plan_for (p : prepared) (model : Fault.model) : E.detach_plan option =
+  match (p.detach, model) with
+  | None, _ | _, Fault.Instr_image -> None
+  | Some dt, _ -> Some { E.plan_prog = dt.dt_dprog; plan_map = dt.dt_map }
 
 (* ---- the run driver ----------------------------------------------------
 
@@ -622,10 +601,10 @@ exception Sample_budget_exceeded of int64
    simulator (called every 1024 instructions) so a cancellation token can
    abort in-flight samples.
 
-   [quotas] (default [no_quotas]) is the adversarial-input sandbox
-   (DESIGN.md §13): tripped quotas end the run [Trapped] and classify as
-   Crash — an outcome, never an exception, so the supervisor burns no
-   retries on them. *)
+   [quotas] (default [no_quotas]) is the output cap (DESIGN.md §13): a
+   tripped cap ends the run [Trapped] and classifies as Crash — an
+   outcome, never an exception, so the supervisor burns no retries on
+   it. *)
 let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     (p : prepared) (rng : P.t) : Fault.experiment =
   if (model = Fault.Opcode) <> p.opcode then
@@ -641,15 +620,12 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     | _ -> (timeout, false)
   in
   note_injection p.kind model;
-  (* post-injection handoff plan (DESIGN.md §20), when tool/model/quota
+  (* post-injection handoff plan (DESIGN.md §20), when tool/model
      eligibility allows; [None] simply runs attached *)
   let r, ctrl =
-    drive ?plan:(detach_plan_for ~quotas p model) p (Runtime.Inject { target; rng; model })
+    drive ?plan:(detach_plan_for p model) p (Runtime.Inject { target; rng; model })
       (fun ?detach eng ->
-        E.run ~max_cost
-          ?output_quota:(effective_output_quota quotas p.profile)
-          ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s ~clock:Obs.Control.now
-          ?livelock:quotas.livelock_window ?poll ?detach eng)
+        E.run ~max_cost ?output_quota:(effective_output_quota quotas p.profile) ?poll ?detach eng)
   in
   note_quota_trip r;
   if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);

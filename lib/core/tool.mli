@@ -17,22 +17,19 @@ val kind_of_name : string -> kind option
 type quotas = {
   output_bytes : int option;
       (** absolute output cap in bytes; overrides [derive_output] *)
-  heap_bytes : int option;  (** cap on heap growth above the image's heap base *)
-  wall_clock_s : float option;  (** real-time deadline per run, in seconds *)
-  livelock_window : int option;
-      (** architectural-state fingerprint cadence in simulated steps *)
   derive_output : bool;
       (** derive the output cap from the golden run (16x, 4 KiB floor) *)
 }
-(** Per-run sandbox resource envelope (DESIGN.md §13), forwarded to
-    {!Refine_machine.Exec.run}.  A tripped quota ends the run [Trapped] and
-    classifies as {!Fault.Crash} — an experimental outcome, never a harness
-    exception, so the supervisor burns no retries on adversarial samples.
-    Trips are counted in the [refine_quota_trips_total{kind}] metric when
-    observability is enabled. *)
+(** The per-run output cap (DESIGN.md §13), forwarded to
+    {!Refine_machine.Exec.run}.  A tripped cap ends the run [Trapped
+    (Output_quota _)] and classifies as {!Fault.Crash} — an experimental
+    outcome, never a harness exception, so the supervisor burns no retries
+    on adversarial samples.  Trips are counted in the
+    [refine_quota_trips_total{kind="output"}] metric when observability is
+    enabled. *)
 
 val no_quotas : quotas
-(** Everything unlimited (the pre-sandbox behavior). *)
+(** No output cap (the pre-sandbox behavior). *)
 
 val default_quotas : quotas
 (** Paper-faithful default: only the golden-run-derived output cap; cost
@@ -97,15 +94,13 @@ val model_unsupported : kind -> Fault.model -> string option
     operand sites.  {!prepare} raises [Invalid_argument] with this
     reason. *)
 
-val detach_plan_for :
-  quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
+val detach_plan_for : prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
 (** Per-sample eligibility (the decline matrix of DESIGN.md §20): [None]
-    when the binary has no target (every PINFI and LLFI binary), under
-    Instr_image (the overlay lands in instrumented coordinates) or with
-    the livelock detector armed (the twin retires fewer steps, which would
-    shift the fingerprint cadence).  The returned plan can still decline
-    at run time (drain cap, shadow-stack mismatch, budget edge) — every
-    declined path runs attached with identical semantics. *)
+    when the binary has no target (every PINFI and LLFI binary) or under
+    Instr_image (the overlay lands in instrumented coordinates).  The
+    returned plan can still decline at run time (drain cap, shadow-stack
+    mismatch, budget edge) — every declined path runs attached with
+    identical semantics. *)
 
 exception Prepare_error of string
 (** Raised when the profiling run fails (the program itself is broken). *)
@@ -240,6 +235,6 @@ val run_injection :
     {!Sample_budget_exceeded} if it burns that much modeled cost before the
     paper's own 10x timeout fires (caps at or above the 10x timeout are
     inert: hitting the 10x timeout stays a Crash, the paper's semantics).
-    [quotas] (default {!no_quotas}) is the sandbox envelope; tripped quotas
-    classify as Crash.  [poll] is invoked every 1024 simulated
+    [quotas] (default {!no_quotas}) is the output cap; a tripped cap
+    classifies as Crash.  [poll] is invoked every 1024 simulated
     instructions, letting a cancellation token abort in-flight samples. *)

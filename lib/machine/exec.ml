@@ -10,8 +10,8 @@
    The facade over three units, one job each: [State], the machine record
    with construction, snapshots and reset; [Semantics], what one
    instruction does, on the step loop and as a decoded closure; [Runner],
-   the run loops with their quotas, livelock detection and the detach
-   handoff.  The interface keeps the engine's private record opaque. *)
+   the run loops with their budgets, output cap and the detach handoff.
+   The interface keeps the engine's private record opaque. *)
 
 include State
 include Semantics

@@ -46,9 +46,6 @@ type trap =
   | Out_of_memory
   | Extern_fault of string
   | Output_quota of int  (** sandbox: output exceeded the byte quota *)
-  | Heap_quota of int  (** sandbox: heap grew past the byte quota *)
-  | Wall_clock of float  (** sandbox: real-time deadline (seconds) expired *)
-  | Livelock  (** sandbox: architectural state fingerprint repeated *)
   | Illegal_instr of int
       (** the Instr_image fault model corrupted the code slot at this pc
           into an encoding that no longer decodes; fetching it traps *)
@@ -92,10 +89,10 @@ type dprogram
 
 type priv
 (** Engine-private state, opaque outside the engine: the live dispatch
-    table and the active run's poll-slot check and budgets, the extern
-    calls' closures with their costs and the memoized libc/libm bindings,
-    the shadow call stack the detach handoff validates, whether a flip
-    struck rsp or rbp, the touched-page map, the snapshot {!reset}
+    table and the active run's poll-slot check, budgets and output cap,
+    the extern calls' closures with their costs and the memoized libc/libm
+    bindings, the shadow call stack the detach handoff validates, whether
+    a flip struck rsp or rbp, the touched-page map, the snapshot {!reset}
     restores and the engine's fusion-free dispatch table. *)
 
 type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -132,9 +129,6 @@ type t = {
           ({!field:fi_skip}) retires the visit.  Setting [None] detaches
           hook, cost and declaration together. *)
   mutable prof : profile option;  (** executor profiling; [None] = zero-cost path *)
-  mutable heap_quota : int;
-      (** sandbox heap quota in bytes above the image's heap base;
-          [max_int] = unlimited.  Set by {!run}'s [heap_quota] argument. *)
   mutable fi_mask : int64;
       (** pending multi-bit FI mask: when nonzero, the next [Mxorbit] /
           [Mxorbitmem] applies this XOR mask instead of its single-bit
@@ -397,10 +391,6 @@ val run :
   ?max_steps:int64 ->
   ?max_cost:int64 ->
   ?output_quota:int ->
-  ?heap_quota:int ->
-  ?wall_clock:float ->
-  ?clock:(unit -> float) ->
-  ?livelock:int ->
   ?poll:(unit -> unit) ->
   ?detach:detach_plan ->
   t ->
@@ -412,17 +402,13 @@ val run :
     propagates to the caller, aborting the run — the cooperative kill
     mechanism used by campaign watchdogs.
 
-    Sandbox quotas (DESIGN.md §13), all unlimited by default:
-    [output_quota] caps output bytes (the returned output is truncated to
-    the quota and [truncated] set, and the run ends [Trapped (Output_quota
-    _)]); [heap_quota] caps heap growth above the image's heap base
-    ([Trapped (Heap_quota _)]); [wall_clock] is a real-time deadline in
-    seconds measured with [clock] (default [Sys.time]) from the start of
-    the call ([Trapped (Wall_clock _)]); [livelock] fingerprints the
-    architectural state every that many steps (rounded up to a multiple of
-    1024) and traps [Livelock] on an exact repeat within the last 256
-    fingerprints — the fingerprint ring is only allocated when the
-    detector is armed.
+    [output_quota] (DESIGN.md §13, unlimited by default) caps output
+    bytes: the builtin whose write crosses it ends the run [Trapped
+    (Output_quota _)] (a program point, so a detached run trips where the
+    attached run would), and the returned output is truncated to the
+    quota with [truncated] set.  Every bound is deterministic — steps,
+    modeled cost, output bytes and the arena (an allocation past the
+    stack floor traps) — so a run's outcome never depends on the host.
 
     [detach] (DESIGN.md §20): when the FI control library raises
     [detach_req] (the injection has retired), the next poll slot switches

@@ -1,6 +1,6 @@
 (* The run loops (DESIGN.md §13, §19, §20): the step loop and the decoded
-   dispatch loop, the budgets and sandbox quotas checked at every poll
-   slot, livelock detection, and the post-injection detach handoff. *)
+   dispatch loop, the budgets, the output cap, the 1024-step poll slot
+   and the post-injection detach handoff. *)
 
 open State
 open Semantics
@@ -71,8 +71,7 @@ let step_loop (t : t) ~max_steps ~max_cost ~check =
    that changes state at a poll slot is seen by that slot.
 
    One try frame wraps the whole loop instead of one per instruction; the
-   handler replicates [step_loop]'s post-trap poll-slot check (which can
-   overwrite a trap with [Output_quota] at a boundary). *)
+   handler replicates [step_loop]'s post-trap poll-slot check. *)
 let decoded_loop (t : t) ~max_steps ~max_cost ~check =
   let p = t.priv in
   p.d_max_steps <- max_steps;
@@ -133,45 +132,6 @@ let decoded_loop (t : t) ~max_steps ~max_cost ~check =
   p.d_max_steps <- max_int;
   p.d_max_cost <- max_int
 
-(* --- livelock detection -------------------------------------------------
-
-   A fault that lands in a loop counter or a branch decision can leave the
-   machine cycling through the same architectural states forever, burning
-   the whole modeled-cost budget before the timeout classifies it.  The
-   detector fingerprints the register-visible state (pc, register file,
-   heap cursor, output length) every [window] steps and keeps a bounded
-   ring of recent snapshots: an exact repeat proves the machine is in a
-   cycle whose period is invisible to the step/cost counters, and traps
-   [Livelock] immediately.  Memory-only progress with an identical
-   register file is not observable by the fingerprint — the cost budget
-   remains the backstop for that (rare) shape. *)
-
-type fingerprint = { fp_hash : int; fp_pc : int; fp_heap : int; fp_out : int; fp_regs : int64 array }
-
-let fp_ring_size = 256
-
-let fingerprint (t : t) =
-  let h = ref 0x811c9dc5 in
-  let mix v =
-    h := (!h lxor v) * 0x01000193 land max_int
-  in
-  mix t.pc;
-  mix t.heap;
-  for r = 0 to R.num_regs - 1 do
-    mix (Int64.to_int (A1.unsafe_get t.regs r) land max_int)
-  done;
-  {
-    fp_hash = !h;
-    fp_pc = t.pc;
-    fp_heap = t.heap;
-    fp_out = Buffer.length t.env.out;
-    fp_regs = Array.init R.num_regs (fun r -> A1.unsafe_get t.regs r);
-  }
-
-let fp_equal a b =
-  a.fp_hash = b.fp_hash && a.fp_pc = b.fp_pc && a.fp_heap = b.fp_heap && a.fp_out = b.fp_out
-  && a.fp_regs = b.fp_regs
-
 (* Budgets arrive as int64 (the paper's cost model is 64-bit) but the hot
    loop compares native ints; anything at or above [max_int] means
    "unlimited". *)
@@ -180,20 +140,14 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
 (* [max_cost]: modeled-time budget (the 10x-profiling timeout of the
    paper's classification); [max_steps]: hard safety bound.
 
-   Sandbox quotas (DESIGN.md §13) bound what an injected run can consume
-   beyond its modeled budget:
-   - [output_quota]: max output bytes; the returned output is truncated to
-     the quota and flagged so classification can never match a truncated
-     prefix against the golden run;
-   - [heap_quota]: max heap bytes above the image's heap base;
-   - [wall_clock]: real-time deadline in seconds, measured with [clock]
-     (default [Sys.time]; campaign callers pass a gettimeofday-backed
-     clock) from the start of this [run] call;
-   - [livelock]: fingerprint the architectural state every that many steps
-     (rounded up to a multiple of the 1024-step check interval) and trap
-     on an exact repeat.
-   All quota trips surface as [Trapped] with their own constructor, so
-   outcome classification maps them to Crash deterministically.
+   [output_quota] (DESIGN.md §13): max output bytes.  The builtin whose
+   write crosses it traps [Output_quota], which classification maps to
+   Crash; the returned output is truncated to the quota and flagged so
+   classification can never match a truncated prefix against the golden
+   run.  The trip point is a program point, not a poll slot, so a
+   detached run trips where the attached run would.  Every bound of a
+   run is deterministic: steps, modeled cost, output bytes, and the arena
+   (the allocator traps past the stack floor).
 
    [detach] (DESIGN.md §20): a post-injection handoff plan.  When the FI
    control library raises [t.detach_req] (the single injection has
@@ -206,44 +160,22 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
    through the plan's correspondence map.  Any validation failure
    declines the handoff and the run simply continues attached — detach is
    an optimization, never a semantics change. *)
-let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota
-    ?wall_clock ?(clock = Sys.time) ?livelock ?poll ?detach (t : t) : result =
+let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?poll ?detach
+    (t : t) : result =
   (match detach with
   | Some p ->
     let g = p.plan_prog.d_image in
     if g.L.heap_base <> t.image.L.heap_base || g.L.ext_names <> t.image.L.ext_names then
       invalid_arg "Exec.run: detach target must share the engine's extern table and heap base"
   | None -> ());
-  (match heap_quota with Some q -> t.heap_quota <- q | None -> ());
   let max_steps = int_budget max_steps and max_cost = int_budget max_cost in
   let oq = match output_quota with Some q -> max 0 q | None -> max_int in
-  let deadline, wall_s =
-    match wall_clock with Some s -> (clock () +. s, s) | None -> (infinity, 0.0)
-  in
-  let ll_window =
-    match livelock with Some n when n > 0 -> ((n + 1023) / 1024) * 1024 | _ -> 0
-  in
-  (* the 256-slot fingerprint ring exists only while the livelock detector
-     is armed — a plain sample must not pay for it *)
-  let ll_state = if ll_window > 0 then Some (Array.make fp_ring_size None, ref 0) else None in
+  t.priv.out_cap <- oq;
   let plan = ref detach in
   let detached = ref false in
   let drained = ref 0 in
-  let check_quotas () =
+  let check_slot () =
     (match poll with Some p -> p () | None -> ());
-    if oq <> max_int && Buffer.length t.env.out > oq then t.status <- Trapped (Output_quota oq);
-    if deadline < infinity && t.status = Running && clock () > deadline then
-      t.status <- Trapped (Wall_clock wall_s);
-    (match ll_state with
-    | Some (ring, ring_next) when t.status = Running && t.steps mod ll_window = 0 ->
-      let fp = fingerprint t in
-      let repeat = Array.exists (function Some p -> fp_equal p fp | None -> false) ring in
-      if repeat then t.status <- Trapped Livelock
-      else begin
-        ring.(!ring_next) <- Some fp;
-        ring_next := (!ring_next + 1) mod fp_ring_size
-      end
-    | _ -> ());
     match !plan with
     | Some _ when t.detach_req && t.status = Running -> raise Detach_signal
     | _ -> ()
@@ -274,7 +206,7 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
         step t;
         incr drained;
         decr cap;
-        if t.steps land 1023 = 0 then check_quotas ()
+        if t.steps land 1023 = 0 then check_slot ()
       end
     done;
     if t.status <> Running || rank t.pc < 0 then ok := false;
@@ -315,8 +247,8 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
   let rec drive () =
     match
       match t.dprog with
-      | Some _ -> decoded_loop t ~max_steps ~max_cost ~check:check_quotas
-      | None -> step_loop t ~max_steps ~max_cost ~check:check_quotas
+      | Some _ -> decoded_loop t ~max_steps ~max_cost ~check:check_slot
+      | None -> step_loop t ~max_steps ~max_cost ~check:check_slot
     with
     | () -> ()
     | exception Detach_signal ->
@@ -328,17 +260,14 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
       drive ()
   in
   drive ();
+  t.priv.out_cap <- max_int;
   let status = if t.status = Running then Timed_out else t.status in
+  t.status <- status;
+  (* the write that crossed the cap trapped, so only a tripped run holds
+     more output than the cap *)
   let output = Buffer.contents t.env.out in
   let truncated = String.length output > oq in
   let output = if truncated then String.sub output 0 oq else output in
-  (* overflow noticed only at the end (quota crossed between checks, or on
-     the run's last instruction) is still a quota trap, not a clean exit *)
-  let status =
-    if truncated then match status with Trapped _ -> status | _ -> Trapped (Output_quota oq)
-    else status
-  in
-  t.status <- status;
   (* A timed-out run stops with a cost overshooting the budget by at most
      the last slot's weight — per instruction attached, per modeled
      instrumentation bundle on a detach target.  Reporting the burned

@@ -292,8 +292,8 @@ let step (t : t) =
 
    - every single-instruction decode retires its own step / cost / profile
      counts and ends with the legacy loop's 1024-step poll-slot test, so FI
-     triggers (the word-compare on the target step), heartbeats, livelock
-     fingerprints and quota trips fire at bit-identical points;
+     triggers (the word-compare on the target step) and heartbeats fire at
+     bit-identical points;
    - a superinstruction retires its group in one batch only inside the FI
      library's skip window and when no poll slot, budget edge or stack
      trap falls inside the group; the batch enters no library, so nothing

@@ -38,9 +38,6 @@ type trap =
   | Out_of_memory
   | Extern_fault of string
   | Output_quota of int
-  | Heap_quota of int
-  | Wall_clock of float
-  | Livelock
   | Illegal_instr of int
 
 let string_of_trap = function
@@ -51,9 +48,6 @@ let string_of_trap = function
   | Out_of_memory -> "out of heap memory"
   | Extern_fault m -> "extern fault: " ^ m
   | Output_quota q -> Printf.sprintf "output quota exceeded (%d bytes)" q
-  | Heap_quota q -> Printf.sprintf "heap quota exceeded (%d bytes)" q
-  | Wall_clock s -> Printf.sprintf "wall-clock deadline exceeded (%.3fs)" s
-  | Livelock -> "livelock: architectural state repeated"
   | Illegal_instr a -> Printf.sprintf "illegal instruction encoding at pc %d" a
 
 type status = Running | Exited of int | Trapped of trap | Timed_out
@@ -91,7 +85,6 @@ type t = {
       (* PINFI-style DBI; charged and called by [step] and the decoded
          loop's hooked path only *)
   mutable prof : profile option; (* executor profiling; None = zero-cost path *)
-  mutable heap_quota : int; (* max heap bytes above heap_base; max_int = off *)
   mutable fi_mask : int64;
       (* pending multi-bit FI mask: when nonzero, the next Mxorbit /
          Mxorbitmem applies this XOR mask instead of its single-bit flip,
@@ -144,6 +137,10 @@ and priv = {
          closures after every retired instruction *)
   mutable d_max_steps : int; (* the current decoded run's budgets, re-tested *)
   mutable d_max_cost : int; (*  by the superinstructions' guards *)
+  mutable out_cap : int;
+      (* the current run's output cap in bytes (max_int = none), tested by
+         every builtin after it writes: the cap trips at the write that
+         crosses it, the same point on attached and detached code *)
   mutable handlers : (t -> unit) array;
       (* pre-resolved extern dispatch, indexed by image.ext_slot_of_pc *)
   mutable handler_cost : int array;
@@ -265,6 +262,8 @@ let builtin_handler name : (t -> unit) option =
              try Refine_ir.Externs.call t.env name args
              with Refine_ir.Externs.Extern_trap m -> raise (Halt_trap (Extern_fault m))
            in
+           if Buffer.length t.env.out > t.priv.out_cap then
+             raise (Halt_trap (Output_quota t.priv.out_cap));
            match t.env.exited with
            | Some code -> t.status <- Exited code
            | None -> (
@@ -371,10 +370,6 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
             t.heap <- t.heap + Mem.align8 n;
             if t.heap > Mem.mem_size - Mem.stack_limit then
               raise (Refine_ir.Externs.Extern_trap "out of heap memory")
-            else if t.heap - t.image.L.heap_base > t.heap_quota then
-              (* sandbox quota, tighter than physical memory: Halt_trap skips
-                 the Extern_fault wrapper so the trap keeps its own kind *)
-              raise (Halt_trap (Heap_quota t.heap_quota))
             else addr);
       exited = None;
     }
@@ -393,7 +388,6 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
       ext_extra = Hashtbl.create 8;
       post_hook = None;
       prof = None;
-      heap_quota = max_int;
       fi_mask = 0L;
       overlay_pc = -1;
       overlay_instr = None;
@@ -407,6 +401,7 @@ let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
           d_check = no_check;
           d_max_steps = max_int;
           d_max_cost = max_int;
+          out_cap = max_int;
           handlers = [||];
           handler_cost = [||];
           builtins = Array.map builtin_handler image.L.ext_names;
@@ -470,7 +465,6 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   t.env.exited <- None;
   t.post_hook <- None;
   t.prof <- None;
-  t.heap_quota <- max_int;
   t.fi_mask <- 0L;
   t.overlay_pc <- -1;
   t.overlay_instr <- None;
@@ -481,6 +475,7 @@ let reset ?(ext_extra = []) ?snapshot (t : t) : unit =
   p.d_check <- no_check;
   p.d_max_steps <- max_int;
   p.d_max_cost <- max_int;
+  p.out_cap <- max_int;
   t.detach_req <- false;
   p.sp_struck <- false;
   t.fi_skip <- 0;
@@ -536,7 +531,6 @@ let t_fields =
     ("ext_extra", Restored same_ext_extra);
     ("post_hook", Restored (fun a b -> Option.equal ( == ) a.post_hook b.post_hook));
     ("prof", Restored (fun a b -> a.prof = b.prof));
-    ("heap_quota", Restored (fun a b -> a.heap_quota = b.heap_quota));
     ("fi_mask", Restored (fun a b -> a.fi_mask = b.fi_mask));
     ("overlay_pc", Restored (fun a b -> a.overlay_pc = b.overlay_pc));
     ("overlay_instr", Restored (fun a b -> a.overlay_instr = b.overlay_instr));
@@ -556,6 +550,7 @@ let priv_fields =
     ("d_check", Restored (fun a b -> a.priv.d_check == b.priv.d_check));
     ("d_max_steps", Restored (fun a b -> a.priv.d_max_steps = b.priv.d_max_steps));
     ("d_max_cost", Restored (fun a b -> a.priv.d_max_cost = b.priv.d_max_cost));
+    ("out_cap", Restored (fun a b -> a.priv.out_cap = b.priv.out_cap));
     (* closures built afresh by every bind; what they charge is [handler_cost] *)
     ( "handlers",
       Restored (fun a b -> Array.length a.priv.handlers = Array.length b.priv.handlers) );

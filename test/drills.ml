@@ -7,7 +7,7 @@
 
    campaign  in-process kill + journal resume, bit-identical to a fresh run
    obs       metrics + JSONL trace + overhead attribution on a 2x2 campaign
-   quota     sandbox quotas, chaos quarantine, kill + resume, identical CSV
+   quota     output cap, chaos quarantine, kill + resume, identical CSV
    pass      verify-each campaign with the artifact cache: hits, no trips
    shard     worker SIGKILL / SIGSTOP and coordinator crash + resume
    live      live /status + /metrics over a crash-recovering sharded run
@@ -282,7 +282,7 @@ let obs () =
     cells;
   say "PASS: metrics + trace + overhead attribution all live"
 
-(* ---- quota: sandbox quotas, chaos quarantine, kill + resume ------------- *)
+(* ---- quota: output cap, chaos quarantine, kill + resume ----------------- *)
 
 (* output amplification: a flipped bit in the loop bound or counter makes
    the program print orders of magnitude more than its golden run *)
@@ -300,9 +300,8 @@ int main() {
 let quota () =
   let programs = [ ("AMP", amp_src) ] and tools = [ T.Llfi; T.Refine; T.Pinfi ] in
   let samples = 24 and seed = 3 in
-  (* deterministic quotas only: absolute output cap (a few x golden) and a
-     livelock window in simulated steps — no wall clock *)
-  let quotas = { T.no_quotas with T.output_bytes = Some 512; livelock_window = Some 65536 } in
+  (* an absolute output cap, a few x golden *)
+  let quotas = { T.no_quotas with T.output_bytes = Some 512 } in
   let break_mir = { T.break_mir = true; flaky_golden = false } in
   (* a second program whose REFINE cell is chaos-quarantined *)
   let run_adv ?journal ?chaos () =

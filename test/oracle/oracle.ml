@@ -1,6 +1,6 @@
 (* The named oracle: one fault-injection sample, or one profiling run,
    exactly as [Tool] defines it — the same target draw, control library,
-   10x cost timeout and sandbox quotas — but on a fresh engine with no
+   10x cost timeout and output cap — but on a fresh engine with no
    decode and no detach plan, so [Exec.run] drives the [Exec.step] loop
    from the image entry to the end and every dynamic target enters the
    library: the step loop never reads the skip window.  Every production
@@ -37,11 +37,7 @@ let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment
       | Some _ as q -> q
       | None -> if quotas.T.derive_output then Some (T.derived_output_quota p.T.profile) else None
     in
-    let r =
-      X.run ~max_cost ?output_quota ?heap_quota:quotas.T.heap_bytes
-        ?wall_clock:quotas.T.wall_clock_s ~clock:Refine_obs.Control.now
-        ?livelock:quotas.T.livelock_window eng
-    in
+    let r = X.run ~max_cost ?output_quota eng in
     { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = ctrl.Rt.record }
   end
 

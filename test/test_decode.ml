@@ -46,14 +46,14 @@ let fingerprint (e : X.t) =
    every poll slot, so the slots must fire at the same states too.  Both
    engines stay live, so their arenas are compared directly rather than
    digested. *)
-let decoded_equals_step ~what ?livelock ~budgets image arm =
+let decoded_equals_step ~what ~budgets image arm =
   let leg = X.create image and dec = X.create image in
   X.install_decoded dec (Some (X.decode image));
   let run (e : X.t) max_cost =
     let observed = arm e in
     let polls = ref [] in
     let poll () = polls := (e.X.steps, e.X.cost, e.X.pc, Test_fastpath.regs_of e) :: !polls in
-    let r = X.run ~max_cost:(Int64.of_int max_cost) ?livelock ~poll e in
+    let r = X.run ~max_cost:(Int64.of_int max_cost) ~poll e in
     (r, e.X.pc, e.X.heap, Test_fastpath.regs_of e, !polls, observed ())
   in
   List.iter
@@ -418,10 +418,9 @@ let llfi_loop =
   ]
 
 (* Every instruction but the back edge writes a register, so PINFI's hook
-   is declared at two pcs per iteration; FLAGS and registers repeat, so
-   the livelock detector traps once a fingerprint recurs.  The add at step
-   2 + 3k is the (2 + 2k)-th selected visit: target 1366 fires on step
-   2048, a poll slot. *)
+   is declared at two pcs per iteration.  The add at step 2 + 3k is the
+   (2 + 2k)-th selected visit: target 1366 fires on step 2048, a poll
+   slot. *)
 let pinfi_spin =
   [
     M.Mmov (R.gpr 1, M.Imm 0L);
@@ -477,14 +476,14 @@ let test_loop_shapes_decoded_equal_step () =
     image (fun e ->
       (* a fresh generator per run: the fire consumes it *)
       llfi (Rt.Inject { target = 3_000; rng = P.create 5; model = F.Reg_bit }) e);
-  (* a PINFI flip on a poll-slot step, livelock detector armed: the slot's
-     fingerprint and poll must see the flipped state *)
+  (* a PINFI flip on a poll-slot step: the slot's poll must see the
+     flipped state *)
   let image = Test_fastpath.image_of pinfi_spin in
   List.iter
     (fun target ->
       decoded_equals_step
         ~what:(Printf.sprintf "PINFI flip, target %d" target)
-        ~livelock:1024 ~budgets:[ 26_600; 26_626; 26_627; 1_000_000 ] image (fun e ->
+        ~budgets:[ 26_600; 26_626; 26_627; 1_000_000 ] image (fun e ->
           X.reset e;
           let ctrl = Rt.create (Rt.Inject { target; rng = P.create 11; model = F.Reg_bit }) in
           Refine_core.Pinfi.attach ctrl e;

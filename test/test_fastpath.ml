@@ -356,7 +356,7 @@ let dirty_every_field (e : E.t) =
   E.set_overlay e ~pc:7 (Some (M.Mmov (R.ret_gpr, M.Imm 1L)));
   (try
      ignore
-       (E.run ~max_steps:1_000_000L ~max_cost:1_000_000L ~heap_quota:4096
+       (E.run ~max_steps:1_000_000L ~max_cost:1_000_000L ~output_quota:4096
           ~poll:(fun () -> raise Exit)
           e)
    with Exit -> ());

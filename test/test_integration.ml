@@ -209,12 +209,13 @@ let refinec = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ref
 (* refinec's exit codes: 2 for a bad flag value (a numeric one outside
    its range too, rejected before any domain, process or socket exists),
    an unknown benchmark or an unreadable program, a name listed twice, a
-   journal that would be overwritten or resumed into another campaign,
-   1 for a quarantined cell, 124 (cmdliner's usage error) for an unknown
-   option *)
+   journal that would be overwritten or resumed into another campaign, an
+   output destination that cannot be written or a status port in use,
+   1 for a quarantined cell or a program whose golden run fails, 124
+   (cmdliner's usage error) for an unknown option *)
 let test_refinec_exit_codes () =
-  (* a journal recorded at seed 1, and one that records no campaign
-     identity *)
+  (* a journal recorded at seed 1, one that records no campaign identity,
+     and one whose identity still names the deleted wall-clock quota *)
   let journal = Filename.temp_file "refinec" ".journal" in
   let code =
     Sys.command
@@ -225,6 +226,33 @@ let test_refinec_exit_codes () =
   let anonymous = Filename.temp_file "refinec" ".journal" in
   Out_channel.with_open_bin anonymous (fun oc ->
       output_string oc "# refine-journal v2\nEP\tLLFI\t0\tSOC\t1\t1\treg\n");
+  let older = Filename.temp_file "refinec" ".journal" in
+  let with_old_quotas line =
+    String.split_on_char '\t' line
+    |> List.concat_map (function
+         | "output-quota=none" as f -> [ f; "wall-clock=none" ]
+         | f -> [ f ])
+    |> String.concat "\t"
+  in
+  let recorded = In_channel.with_open_bin journal In_channel.input_all in
+  Out_channel.with_open_bin older (fun oc ->
+      String.split_on_char '\n' recorded
+      |> List.map with_old_quotas |> String.concat "\n" |> output_string oc);
+  (* golden runs that exit non-zero and that trap *)
+  let program src =
+    let path = Filename.temp_file "refinec" ".minc" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc src);
+    path
+  in
+  let exit3 = program "int main() { print_int(1); return 3; }\n" in
+  let div0 =
+    program "int main() { int a; int b; a = 1; b = a - 1; print_int(a / b); return 0; }\n"
+  in
+  (* a port already bound and listening *)
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let busy = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
   List.iter
     (fun (args, expected, says) ->
       let err = Filename.temp_file "refinec" ".err" in
@@ -258,9 +286,8 @@ let test_refinec_exit_codes () =
       ("campaign --programs EP --samples 1 --status-port 70000", 2, "bad --status-port");
       ("campaign --programs EP --samples 1 --status-port=-1", 2, "bad --status-port");
       ("campaign --programs EP --samples 1 --output-quota=-5", 2, "bad --output-quota");
-      ("campaign --programs EP --samples 1 --wall-clock=-1", 2, "bad --wall-clock");
-      ("campaign --programs EP --samples 1 --wall-clock nan", 2, "bad --wall-clock");
-      ("campaign --programs EP --samples 1 --livelock 0", 2, "bad --livelock");
+      ("campaign --programs EP --samples 1 --wall-clock 1", 124, "wall-clock");
+      ("campaign --programs EP --samples 1 --livelock 1024", 124, "livelock");
       ("campaign --programs EP --samples 1 --retries=-1", 2, "bad --retries");
       ("campaign --programs EP --samples 1 --sample-timeout 0", 2, "bad --sample-timeout");
       ("campaign --programs EP,EP --samples 1", 2, "bad --programs: EP is listed twice");
@@ -283,9 +310,24 @@ let test_refinec_exit_codes () =
         2,
         "records no campaign identity" );
       ("campaign --programs EP --samples 1 --journal /nonexistent/j", 2, "bad --journal");
+      ( Printf.sprintf "campaign --programs EP --samples 1 --seed 1 --journal %s --resume" older,
+        2,
+        "wall-clock=none; this one has no wall-clock" );
+      ("campaign --programs EP --samples 1 --csv /nonexistent/c.csv", 2, "bad --csv");
+      ( "campaign --programs EP --samples 1 --metrics-out /nonexistent/m.prom",
+        2,
+        "bad --metrics-out" );
+      ("campaign --programs EP --samples 1 --trace-out /nonexistent/t.jsonl", 2, "bad --trace-out");
+      ( Printf.sprintf "campaign --programs EP --samples 1 --status-port %d" busy,
+        2,
+        "bad --status-port" );
+      ( Printf.sprintf "fi %s --samples 1" exit3,
+        1,
+        "cannot profile: profiling run exited with code 3" );
+      (Printf.sprintf "fi %s --samples 1" div0, 1, "cannot profile: profiling run trapped");
     ];
-  Sys.remove journal;
-  Sys.remove anonymous
+  Unix.close sock;
+  List.iter Sys.remove [ journal; anonymous; older; exit3; div0 ]
 
 (* the body of a plain HTTP/1.0 GET against the loopback status server *)
 let http_get port path =

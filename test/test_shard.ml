@@ -41,9 +41,8 @@ let gen_entry =
 let gen_quotas =
   QCheck.Gen.(
     map
-      (fun (output_bytes, heap_bytes, wall_clock_s, livelock_window, derive_output) ->
-        { T.output_bytes; heap_bytes; wall_clock_s; livelock_window; derive_output })
-      (tup5 (opt small_nat) (opt small_nat) (opt gen_f) (opt small_nat) bool))
+      (fun (output_bytes, derive_output) -> { T.output_bytes; derive_output })
+      (pair (opt small_nat) bool))
 
 let gen_config =
   QCheck.Gen.(
@@ -275,42 +274,49 @@ let test_unknown_tag () =
     Alcotest.(check int) "reports local protocol version" S.version expected_version;
     Alcotest.(check int) "reports offending tag" 254 tag
 
-(* A v5 peer's frames must not decode under v6 as some other frame.  Its
-   Init still carried the artifact-cache switch: every combination of its
-   switches and pipeline option is rejected.  Its Outcome carried the
-   entry as seven binary fields instead of the journal line. *)
+(* An Init payload in an older layout: v6 carried three more quota
+   fields after the output cap (an int, a float and an int option), and
+   v5 also the artifact-cache switch after [verify_each]. *)
+let old_init ?cache ?q1 ?q2 ?q3 ~verify_each ~pipeline ~obs ~trace () =
+  let b = Buffer.create 64 in
+  W.put_u8 b 2;
+  W.put_int b 1 (* seed *);
+  W.put_int b 0 (* retries *);
+  W.put_option b W.put_i64 None (* cost_cap *);
+  W.put_option b W.put_int None (* output_bytes *);
+  W.put_option b W.put_int q1;
+  W.put_option b W.put_f64 q2;
+  W.put_option b W.put_int q3;
+  W.put_bool b true (* derive_output *);
+  W.put_bool b verify_each;
+  Option.iter (W.put_bool b) cache;
+  W.put_option b W.put_string pipeline;
+  W.put_bool b obs;
+  W.put_bool b trace;
+  Buffer.contents b
+
+let rejected what payload =
+  match S.decode payload with
+  | _ -> Alcotest.failf "%s decoded: %S" what payload
+  | exception (W.Truncated | Invalid_argument _) -> ()
+
+let test_pipeline = "mem2reg,isel,regalloc,frame,layout"
+
+(* A v5 peer's frames must not decode under the current version as some
+   other frame.  Its Init still carried the artifact-cache switch: every
+   combination of its switches and pipeline option is rejected.  Its
+   Outcome carried the entry as seven binary fields instead of the
+   journal line. *)
 let test_v5_frames_rejected () =
-  let rejected what payload =
-    match S.decode payload with
-    | _ -> Alcotest.failf "a v5 %s decoded: %S" what payload
-    | exception (W.Truncated | Invalid_argument _) -> ()
-  in
-  let v5_init ~verify_each ~cache ~pipeline ~obs ~trace =
-    let b = Buffer.create 64 in
-    W.put_u8 b 2;
-    W.put_int b 1 (* seed *);
-    W.put_int b 0 (* retries *);
-    W.put_option b W.put_i64 None (* cost_cap *);
-    W.put_option b W.put_int None (* output_bytes *);
-    W.put_option b W.put_int None (* heap_bytes *);
-    W.put_option b W.put_f64 None (* wall_clock_s *);
-    W.put_option b W.put_int None (* livelock_window *);
-    W.put_bool b true (* derive_output *);
-    W.put_bool b verify_each;
-    W.put_bool b cache;
-    W.put_option b W.put_string pipeline;
-    W.put_bool b obs;
-    W.put_bool b trace;
-    Buffer.contents b
-  in
+  let rejected what = rejected ("a v5 " ^ what) in
   for bits = 0 to 31 do
     let bit k = bits land (1 lsl k) <> 0 in
     let verify_each = bit 0 and cache = bit 1 and obs = bit 2 and trace = bit 3 in
-    let pipeline = if bit 4 then Some "mem2reg,isel,regalloc,frame,layout" else None in
-    let v5 = v5_init ~verify_each ~cache ~pipeline ~obs ~trace in
-    let v6 = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
-    (* the v5 layout is v6's plus one bool *)
-    Alcotest.(check int) "v5 Init layout" (String.length v6 + 1) (String.length v5);
+    let pipeline = if bit 4 then Some test_pipeline else None in
+    let v5 = old_init ~cache ~verify_each ~pipeline ~obs ~trace () in
+    let now = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
+    (* the v5 layout is the current one plus three option tags and a bool *)
+    Alcotest.(check int) "v5 Init layout" (String.length now + 4) (String.length v5);
     rejected "Init" v5
   done;
   let v5_outcome (e : J.entry) =
@@ -331,14 +337,35 @@ let test_v5_frames_rejected () =
   in
   List.iter
     (fun e ->
-      (* the v6 frame of the same entry decodes *)
+      (* the current frame of the same entry decodes *)
       let f = S.Outcome { chunk = 3; entry = e } in
-      Alcotest.(check bool) "v6 Outcome round-trips" true (S.decode (S.encode f) = f);
+      Alcotest.(check bool) "Outcome round-trips" true (S.decode (S.encode f) = f);
       rejected "Outcome" (v5_outcome e))
     [ entry "DC" "reg" F.Crash; entry "HPCCG-1.0" "multi:3" F.Benign; entry "" "mem" F.Soc ];
   (* nor when its program field happens to hold a whole journal line *)
   let line = J.render (entry "EP" "reg" F.Benign) in
   rejected "Outcome" (v5_outcome (entry line "burst:2" F.Tool_error))
+
+(* A v6 peer's Init still carried the three retired quota fields: under
+   every combination of them, its switches and its pipeline option, it is
+   rejected rather than read as some other config. *)
+let test_v6_init_rejected () =
+  for bits = 0 to 127 do
+    let bit k = bits land (1 lsl k) <> 0 in
+    let verify_each = bit 0 and obs = bit 1 and trace = bit 2 in
+    let pipeline = if bit 3 then Some test_pipeline else None in
+    let q1 = if bit 4 then Some 65536 else None in
+    let q2 = if bit 5 then Some 5.0 else None in
+    let q3 = if bit 6 then Some 1_000_000 else None in
+    let v6 = old_init ?q1 ?q2 ?q3 ~verify_each ~pipeline ~obs ~trace () in
+    if bits land 0x70 = 0 then begin
+      let now = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
+      (* with no quota set, the v6 layout is the current one plus three
+         option tags *)
+      Alcotest.(check int) "v6 Init layout" (String.length now + 3) (String.length v6)
+    end;
+    rejected "a v6 Init" v6
+  done
 
 (* ---- sharded = domains = sequential ------------------------------------ *)
 
@@ -369,29 +396,19 @@ let test_workers_match_domains () =
   let t5 cells = Rep.table5 (Rep.chi2_rows cells [ "tiny" ]) in
   Alcotest.(check string) "table5 identical" (t5 sequential) (t5 sharded)
 
-(* The whole sandbox envelope crosses the process boundary: the 128-byte
-   allocation trips a 64-byte heap quota in every sample that reaches it,
-   in-process and in the workers alike, and the derived output cap
-   travels too. *)
-let alloc_src =
-  {|
-int main() {
-  int i; int s = 0;
-  int[] a = alloc_int(16);
-  for (i = 0; i < 16; i = i + 1) { a[i] = i * i; s = s + a[i]; }
-  print_int(s);
-  return 0;
-}
-|}
-
+(* The whole quota record crosses the process boundary: a 4-byte output
+   cap, shorter than the golden output, leaves no sample benign,
+   in-process and in the workers alike. *)
 let test_workers_carry_quotas () =
   let samples = 6 and seed = 19 in
-  let programs = [ ("alloc", alloc_src) ] in
-  let quotas = { T.default_quotas with T.heap_bytes = Some 64 } in
+  let programs = [ ("tiny", src) ] in
+  let quotas = { T.default_quotas with T.output_bytes = Some 4 } in
   let in_process = E.run_matrix ~domains:2 ~quotas ~samples ~seed programs Rep.tools in
+  Alcotest.(check bool) "no sample is benign under the cap" true
+    (List.for_all (fun (c : E.cell) -> c.E.counts.E.benign = 0) in_process);
   let options = { C.default_options with C.workers = 2 } in
   let sharded = C.run_matrix ~options ~quotas ~samples ~seed programs Rep.tools in
-  Alcotest.(check bool) "workers = in-process under a heap quota" true
+  Alcotest.(check bool) "workers = in-process under an output cap" true
     (List.map key sharded = List.map key in_process)
 
 (* The fault-model plane (DESIGN.md §18): the sharded-equals-in-process
@@ -494,6 +511,7 @@ let tests =
     Alcotest.test_case "tool name mapping" `Quick test_tool_names;
     Alcotest.test_case "unknown tag rejected" `Quick test_unknown_tag;
     Alcotest.test_case "v5 Init and Outcome frames rejected" `Quick test_v5_frames_rejected;
+    Alcotest.test_case "a v6 Init frame does not decode" `Quick test_v6_init_rejected;
     Alcotest.test_case "workers = domains = sequential" `Quick test_workers_match_domains;
     Alcotest.test_case "workers run under the whole quota record" `Quick
       test_workers_carry_quotas;
