@@ -525,9 +525,6 @@ let campaign_cmd =
     | Some path -> Refine_obs.Span.set_file_sink path
     | None -> ());
     Option.iter J.note_skipped_metric journal;
-    let quotas =
-      { Refine_core.Tool.default_quotas with Refine_core.Tool.output_bytes = output_quota }
-    in
     Option.iter
       (fun s -> Printf.printf "[status: http://127.0.0.1:%d/status]\n%!" (Refine_obs.Serve.port s))
       server;
@@ -548,8 +545,8 @@ let campaign_cmd =
         List.concat_map
           (fun model ->
             Refine_campaign.Coordinator.run_matrix ~options ?journal ~retries
-              ?cost_cap:sample_timeout ~quotas ~model ~pipeline ~verify_each ~samples ~seed srcs
-              Rep.tools)
+              ?cost_cap:sample_timeout ?output_quota ~model ~pipeline ~verify_each ~samples
+              ~seed srcs Rep.tools)
           models
       | _ ->
         (* in-process path: a systhread of this domain serves the
@@ -600,8 +597,8 @@ let campaign_cmd =
           (fun () ->
             List.concat_map
               (fun model ->
-                E.run_matrix ?domains ?journal ~retries ?cost_cap:sample_timeout ~quotas ~model
-                  ~pipeline ~verify_each ~samples ~seed srcs Rep.tools)
+                E.run_matrix ?domains ?journal ~retries ?cost_cap:sample_timeout ?output_quota
+                  ~model ~pipeline ~verify_each ~samples ~seed srcs Rep.tools)
               models)
     in
     Printf.printf "[campaign: %d experiments in %.1fs]\n\n"

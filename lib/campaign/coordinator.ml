@@ -246,9 +246,9 @@ let reap w =
 
 (* ---- the campaign ----------------------------------------------------- *)
 
-let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?(verify_each = false) ~samples
-    ~seed (programs : (string * string) list) (tools : T.kind list) : E.cell list =
+let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap ?output_quota
+    ?(model = F.Reg_bit) ?pipeline ?(verify_each = false) ~samples ~seed
+    (programs : (string * string) list) (tools : T.kind list) : E.cell list =
   if options.workers < 1 then invalid_arg "Coordinator.run_matrix: workers < 1";
   E.check_distinct_programs "Coordinator.run_matrix" programs;
   (* every sample crosses the wire as its journal line *)
@@ -267,7 +267,7 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
       S.seed;
       retries;
       cost_cap;
-      quotas;
+      output_quota;
       verify_each;
       pipeline = Option.map Refine_passes.Pipeline.print pipeline;
       obs = Obs.Control.enabled ();
@@ -280,40 +280,27 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
     if config.S.trace then Printf.sprintf "c%d-%x" (Unix.getpid ()) (seed land 0xffffff) else ""
   in
   if trace_id <> "" then Obs.Span.set_context ~trace:trace_id ();
-  (* cells, prefilled from the resume journal (same semantics as
-     Experiment.run_cell: resolved samples load instead of re-running, a
-     journaled quarantine short-circuits the cell) *)
+  (* cells, prefilled by Experiment.run_cell's own resume: resolved samples
+     load instead of re-running, a journaled quarantine short-circuits the
+     cell *)
   let cells =
     List.concat_map
       (fun (program, source) ->
         List.map
           (fun tool ->
-            let tool_name = T.kind_name tool in
-            let resolved = Hashtbl.create 64 in
-            let quarantined = ref None in
-            (match journal with
-            | None -> ()
-            | Some j -> (
-              match J.quarantine_reason j ~program ~tool:tool_name with
-              | Some reason ->
-                quarantined := Some reason;
-                E.note_quarantined reason
-              | None ->
-                Hashtbl.iter
-                  (fun i e ->
-                    if i >= 0 && i < samples then begin
-                      E.note_resumed ();
-                      Hashtbl.replace resolved i e
-                    end)
-                  (J.completed ~model:model_name j ~program ~tool:tool_name)));
+            let resolved, quarantined =
+              match E.resume ?journal ~model ~samples ~program tool with
+              | E.Quarantined reason -> (Hashtbl.create 1, Some reason)
+              | E.Resolved resolved -> (resolved, None)
+            in
             {
               program;
               source;
               tool;
-              tool_name;
+              tool_name = T.kind_name tool;
               samples;
               resolved;
-              quarantined = !quarantined;
+              quarantined;
               degraded = None;
               summary = None;
               timing = E.zero_timing;
@@ -717,42 +704,20 @@ let run_matrix ?(options = default_options) ?journal ?(retries = 0) ?cost_cap
         E.degraded_cell ~model ~program:c.program ~tool:c.tool ~samples:c.samples
           (Failure message)
       | None, None ->
-        let counts, injection_cost =
-          Hashtbl.fold
-            (fun _ (e : J.entry) (acc, cost) ->
-              (E.add_outcome acc e.J.outcome, Int64.add cost e.J.cost))
-            c.resolved (E.zero, 0L)
-        in
         (* like CSV-loaded cells, the golden output itself stays with the
-           worker — only its length crossed the wire *)
-        let profile =
+           worker; a prepared golden run always exited 0 *)
+        let dyn_count, profile_cost, static_instrumented =
           match c.summary with
-          | Some s ->
-            {
-              F.golden_output = "";
-              golden_exit = s.S.golden_exit;
-              dyn_count = s.S.dyn_count;
-              profile_cost = s.S.profile_cost;
-            }
-          | None -> { F.golden_output = ""; golden_exit = 0; dyn_count = 0L; profile_cost = 0L }
+          | Some s -> (s.S.dyn_count, s.S.profile_cost, s.S.static_instrumented)
+          | None -> (0L, 0L, 0)
         in
-        E.note_cell ();
-        {
-          E.program = c.program;
-          tool = c.tool;
-          model;
-          samples = c.samples;
-          counts;
-          injection_cost;
-          profile;
-          static_instrumented =
-            (match c.summary with Some s -> s.S.static_instrumented | None -> 0);
-          failures =
-            List.map
-              (fun (index, attempts, msg) ->
-                { Sup.index; attempts; exn = Failure msg; backtrace = "" })
-              c.failures;
-          timing = c.timing;
-          quarantined = None;
-        })
+        E.fold_cell ~program:c.program ~tool:c.tool ~model ~samples:c.samples
+          ~profile:{ F.golden_output = ""; golden_exit = 0; dyn_count; profile_cost }
+          ~static_instrumented
+          ~failures:
+            (List.map
+               (fun (index, attempts, msg) ->
+                 { Sup.index; attempts; exn = Failure msg; backtrace = "" })
+               c.failures)
+          ~timing:c.timing c.resolved)
     cells

@@ -58,7 +58,7 @@ val run_matrix :
   ?journal:Journal.t ->
   ?retries:int ->
   ?cost_cap:int64 ->
-  ?quotas:Refine_core.Tool.quotas ->
+  ?output_quota:int ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
@@ -67,17 +67,21 @@ val run_matrix :
   (string * string) list ->
   Refine_core.Tool.kind list ->
   Experiment.cell list
-(** The sharded twin of {!Experiment.run_matrix}: same matrix, same
-    journal resume semantics (resolved samples load instead of re-running;
-    journaled quarantines short-circuit), same bit-identical counts and
+(** The sharded twin of {!Experiment.run_matrix}: same matrix, the same
+    journal resume ({!Experiment.resume}: resolved samples load instead of
+    re-running; journaled quarantines short-circuit) and the same fold
+    ({!Experiment.fold_cell}), so the same bit-identical counts and
     injection costs for a given [seed] — pinned by the workers-vs-domains
-    equality test.  [model] (default {!Refine_core.Fault.Reg_bit}) travels
+    equality test.  Each worker runs its chunk through
+    {!Experiment.run_cell} and streams every sample as it settles; the
+    coordinator journals it on arrival.  [model] (default {!Refine_core.Fault.Reg_bit}) travels
     to workers in every [Assign] frame and stamps resolved entries, so
-    per-model campaigns shard exactly like register-bit ones.  Differences: cells carry an empty [golden_output]
-    (like CSV-loaded cells, only its length crosses the wire) and
-    [timing] sums per-chunk attributions, so repeated chunk preparations
-    legitimately inflate it relative to a single-process run.  The whole
-    [quotas] record travels to workers in the [Init] frame.  Every sample
+    per-model campaigns shard exactly like register-bit ones.
+    Differences: cells carry an empty [golden_output] (like CSV-loaded
+    cells, the golden output stays with the workers) and [timing] sums
+    per-chunk attributions, so repeated chunk preparations legitimately
+    inflate it relative to a single-process run.  [output_quota] travels
+    to workers in the [Init] frame.  Every sample
     comes back as its journal line, so a program name holding a TAB or a
     newline raises [Invalid_argument], as does a program listed twice
     ({!Experiment.check_distinct_programs}); both before any worker

@@ -160,40 +160,76 @@ let quarantined_cell ~program ~tool ~model ~samples reason =
     quarantined = Some reason;
   }
 
-(* One (program, tool) cell: prepare (compile + profile) once, then run
-   [samples] supervised injections, skipping samples already resolved in
-   [journal] and recording each newly resolved one.  A [Tool.Quarantine]
-   during preparation resolves the whole cell as quarantined — journaled
-   so a resume never re-prepares it. *)
-let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0) ?cost_cap
-    ?(quotas = T.default_quotas) ?(model = F.Reg_bit) ?pipeline ?verify_each ?chaos ?watchdog
-    ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source () : cell =
-  let domains = match domains with Some d -> d | None -> S.default_domains () in
-  let model_name = F.string_of_model model in
-  (* all checkpoint traffic goes through one sink: a local journal file, a
-     shard worker's frame stream, or nothing *)
-  let sink =
-    match (sink, journal) with
-    | Some s, _ -> Some s
-    | None, Some j -> Some (Journal.sink j)
-    | None, None -> None
-  in
+(* What a resume journal already holds for one cell: its journaled
+   quarantine (deterministic, so the cell is not re-prepared), or its
+   resolved samples by index, each counted as it loads. *)
+type resumed = Quarantined of string | Resolved of (int, Journal.entry) Hashtbl.t
+
+let resume ?journal ~model ~samples ~program tool =
   let tool_name = T.kind_name tool in
-  let quarantine reason =
-    note_quarantined reason;
-    (match sink with
-    | Some s -> s.Journal.push_quarantine ~program ~tool:tool_name ~reason
-    | None -> ());
-    quarantined_cell ~program ~tool ~model ~samples reason
-  in
-  match
-    Option.bind sink (fun s -> s.Journal.find_quarantine ~program ~tool:tool_name)
-  with
+  match Option.bind journal (fun j -> Journal.quarantine_reason j ~program ~tool:tool_name) with
   | Some reason ->
-    (* journaled quarantine: deterministic, so don't re-prepare on resume *)
     note_quarantined reason;
-    quarantined_cell ~program ~tool ~model ~samples reason
-  | None -> (
+    Quarantined reason
+  | None ->
+    let resolved = Hashtbl.create 64 in
+    Option.iter
+      (fun j ->
+        Hashtbl.iter
+          (fun i e ->
+            if i >= 0 && i < samples then begin
+              note_resumed ();
+              Hashtbl.replace resolved i e
+            end)
+          (Journal.completed ~model:(F.string_of_model model) j ~program ~tool:tool_name))
+      journal;
+    Resolved resolved
+
+(* A cell from its resolved samples: the counts and the summed injection
+   cost are folded from [resolved], the failures put in index order;
+   counted as one completed cell. *)
+let fold_cell ~program ~tool ~model ~samples ~profile ~static_instrumented ~failures ~timing
+    resolved =
+  let counts, injection_cost =
+    Hashtbl.fold
+      (fun _ (e : Journal.entry) (c, cost) ->
+        (add_outcome c e.Journal.outcome, Int64.add cost e.Journal.cost))
+      resolved (zero, 0L)
+  in
+  note_cell ();
+  {
+    program;
+    tool;
+    model;
+    samples;
+    counts;
+    injection_cost;
+    profile;
+    static_instrumented;
+    failures = List.sort (fun (a : S.failure) b -> compare a.S.index b.S.index) failures;
+    timing;
+    quarantined = None;
+  }
+
+(* One (program, tool) cell: prepare (compile + profile) once, then run
+   the [todo] samples (default: every sample [journal] has not resolved)
+   supervised, recording each one in [journal] and through [record] as it
+   settles.  A [Tool.Quarantine] during preparation resolves the whole
+   cell as quarantined — journaled so a resume never re-prepares it. *)
+let run_cell ?domains ?(sel = T.Selection.default) ?journal ?todo ?record ?(retries = 0)
+    ?cost_cap ?output_quota ?(model = F.Reg_bit) ?pipeline ?verify_each ?chaos ?watchdog
+    ?heartbeat ~samples ~seed (tool : T.kind) ~program ~source () : cell =
+  Option.iter
+    (List.iter (fun i ->
+         if i < 0 || i >= samples then
+           invalid_arg
+             (Printf.sprintf "Experiment.run_cell: sample %d is outside [0, %d)" i samples)))
+    todo;
+  let domains = match domains with Some d -> d | None -> S.default_domains () in
+  let tool_name = T.kind_name tool and model_name = F.string_of_model model in
+  match resume ?journal ~model ~samples ~program tool with
+  | Quarantined reason -> quarantined_cell ~program ~tool ~model ~samples reason
+  | Resolved resolved -> (
   let span_attrs = [ ("program", program); ("tool", tool_name) ] in
   let phases = Obs.Phase.create () in
   let cell_t0 = Obs.Control.now () in
@@ -201,28 +237,22 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
     Obs.Span.with_ ~attrs:span_attrs "prepare" (fun () ->
         T.prepare ~phases ~sel ?pipeline ?verify_each ?chaos ~model tool source)
   with
-  | exception T.Quarantine (category, detail) -> quarantine (category ^ ": " ^ detail)
+  | exception T.Quarantine (category, detail) ->
+    let reason = category ^ ": " ^ detail in
+    note_quarantined reason;
+    Option.iter (fun j -> Journal.record_quarantine j ~program ~tool:tool_name ~reason) journal;
+    quarantined_cell ~program ~tool ~model ~samples reason
   | prepared ->
+  (* every index takes its split, run or not: sample i draws from the
+     same generator whichever process, domain or resume runs it *)
   let master = P.create (cell_seed ~model ~seed ~program tool) in
   let bases = Array.init samples (fun _ -> P.split master) in
-  let results : F.experiment option array = Array.make samples None in
-  (match sink with
-  | Some s ->
-    let resolved = s.Journal.resolved ~program ~tool:tool_name ~model:model_name in
-    Hashtbl.iter
-      (fun i (e : Journal.entry) ->
-        if i >= 0 && i < samples then begin
-          note_resumed ();
-          results.(i) <-
-            Some { F.outcome = e.Journal.outcome; run_cost = e.Journal.cost; fault = None }
-        end)
-      resolved
-  | None -> ());
-  let todo = ref [] in
-  for i = samples - 1 downto 0 do
-    if results.(i) = None then todo := i :: !todo
-  done;
-  let todo = Array.of_list !todo in
+  let todo =
+    Array.of_list
+      (match todo with
+      | Some l -> List.sort_uniq compare l
+      | None -> List.filter (fun i -> not (Hashtbl.mem resolved i)) (List.init samples Fun.id))
+  in
   (* cancelled by the watchdog; in-flight samples notice it at their poll *)
   let token = S.Cancel.create () in
   let poll () =
@@ -243,7 +273,7 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
      when it ends in a watchdog kill or cancellation *)
   let timed_injection rng =
     let t0 = Obs.Control.now () in
-    match T.run_injection ?cost_cap ~quotas ~model ~poll prepared rng with
+    match T.run_injection ?cost_cap ?output_quota ~model ~poll prepared rng with
     | e ->
       let dt = Obs.Control.now () -. t0 in
       Obs.Phase.add phases "execute" dt;
@@ -254,50 +284,45 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
       Obs.Phase.add phases "execute" (Obs.Control.now () -. t0);
       Printexc.raise_with_backtrace ex bt
   in
-  let outcomes =
-    Obs.Span.with_ ~attrs:span_attrs "inject" (fun () ->
-        S.run ~token ~policy ?watchdog ~domains (Array.length todo) (fun ~attempt k ->
-            timed_injection (rng_for_attempt bases.(todo.(k)) attempt)))
-  in
+  (* a sample is recorded the moment it settles, from the domain that ran
+     it, so a kill loses only the samples still in flight *)
+  let lock = Mutex.create () in
   let failures = ref [] in
-  let checkpoint i (e : F.experiment) attempts =
-    note_sample e.F.outcome;
-    results.(i) <- Some e;
-    match sink with
-    | Some s ->
-      s.Journal.push
+  let settle k out =
+    let i = todo.(k) in
+    let resolve outcome cost attempts =
+      let entry =
         {
           Journal.program;
           tool = tool_name;
           model = model_name;
           sample = i;
-          outcome = e.F.outcome;
-          cost = e.F.run_cost;
+          outcome;
+          cost;
           attempts;
         }
-    | None -> ()
+      in
+      Mutex.protect lock (fun () ->
+          note_sample outcome;
+          Hashtbl.replace resolved i entry;
+          Option.iter (fun j -> Journal.record j entry) journal;
+          Option.iter (fun r -> r entry) record)
+    in
+    match out with
+    | S.Done (e, attempts) -> resolve e.F.outcome e.F.run_cost attempts
+    | S.Failed f ->
+      (* graceful degradation: the sample becomes a ToolError tally
+         entry; the budget burned by a watchdog kill still counts toward
+         campaign time *)
+      let cost = match f.S.exn with T.Sample_budget_exceeded c -> c | _ -> 0L in
+      Mutex.protect lock (fun () -> failures := { f with S.index = i } :: !failures);
+      resolve F.Tool_error cost f.S.attempts
+    | S.Skipped -> ()
   in
-  Array.iteri
-    (fun k out ->
-      let i = todo.(k) in
-      match out with
-      | S.Done (e, attempts) -> checkpoint i e attempts
-      | S.Failed f ->
-        (* graceful degradation: the sample becomes a ToolError tally
-           entry; the budget burned by a watchdog kill still counts
-           toward campaign time *)
-        let cost = match f.S.exn with T.Sample_budget_exceeded c -> c | _ -> 0L in
-        checkpoint i { F.outcome = F.Tool_error; run_cost = cost; fault = None } f.S.attempts;
-        failures := { f with S.index = i } :: !failures
-      | S.Skipped -> ())
-    outcomes;
-  let counts, injection_cost =
-    Array.fold_left
-      (fun (c, cost) -> function
-        | Some (e : F.experiment) -> (add_outcome c e.F.outcome, Int64.add cost e.F.run_cost)
-        | None -> (c, cost))
-      (zero, 0L) results
-  in
+  Obs.Span.with_ ~attrs:span_attrs "inject" (fun () ->
+      S.run ~token ~policy ?watchdog ~domains (Array.length todo)
+        (fun ~attempt k -> timed_injection (rng_for_attempt bases.(todo.(k)) attempt))
+        ~settle);
   let timing =
     let wall = Obs.Control.now () -. cell_t0 in
     let instrument_s = Obs.Phase.get phases "instrument" in
@@ -310,20 +335,9 @@ let run_cell ?domains ?(sel = T.Selection.default) ?journal ?sink ?(retries = 0)
       harness_s = Float.max 0.0 (wall -. instrument_s -. compile_s -. execute_s);
     }
   in
-  note_cell ();
-  {
-    program;
-    tool;
-    model;
-    samples;
-    counts;
-    injection_cost;
-    profile = prepared.T.profile;
-    static_instrumented = prepared.T.static_instrumented;
-    failures = List.rev !failures;
-    timing;
-    quarantined = None;
-  })
+  fold_cell ~program ~tool ~model ~samples ~profile:prepared.T.profile
+    ~static_instrumented:prepared.T.static_instrumented
+    ~failures:!failures ~timing resolved)
 
 (* A cell whose preparation (compile/profile) failed outright: every
    sample is a ToolError, the campaign continues. *)
@@ -359,7 +373,7 @@ let check_distinct_programs caller (programs : (string * string) list) =
    fails to prepare degrades to all-ToolError instead of aborting the
    remaining cells (a [Tool.Quarantine] already resolved inside
    [run_cell] as a quarantined cell). *)
-let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
+let run_matrix ?domains ?sel ?journal ?retries ?cost_cap ?output_quota ?model ?pipeline
     ?verify_each ?chaos ?watchdog ~samples ~seed
     (programs : (string * string) list) (tools : T.kind list) : cell list =
   check_distinct_programs "Experiment.run_matrix" programs;
@@ -368,7 +382,7 @@ let run_matrix ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?p
       List.map
         (fun tool ->
           try
-            run_cell ?domains ?sel ?journal ?sink ?retries ?cost_cap ?quotas ?model ?pipeline
+            run_cell ?domains ?sel ?journal ?retries ?cost_cap ?output_quota ?model ?pipeline
               ?verify_each ?chaos ?watchdog ~samples ~seed tool ~program ~source ()
           with e -> degraded_cell ?model ~program ~tool ~samples e)
         tools)

@@ -93,29 +93,60 @@ val degraded_cell :
 (** {1 Campaign counters}
 
     The [refine_campaign_*] and [refine_quarantined_cells_total] series,
-    shared by {!run_cell} and the sharded {!Coordinator}. *)
+    shared by {!run_cell} and the sharded {!Coordinator}: {!resume}
+    counts resumed samples and journaled quarantines, {!fold_cell}
+    completed cells, and these two the rest. *)
 
 val note_sample : Refine_core.Fault.outcome -> unit
 (** One resolved sample, by outcome. *)
-
-val note_resumed : unit -> unit
-(** One sample loaded from a resume journal instead of run. *)
-
-val note_cell : unit -> unit
-(** One completed cell. *)
 
 val note_quarantined : string -> unit
 (** One quarantined cell, labeled with the category of its ["category:
     detail"] reason (unknown categories count as ["mir-verifier"]). *)
 
+type resumed =
+  | Quarantined of string  (** the cell's journaled ["category: detail"] reason *)
+  | Resolved of (int, Journal.entry) Hashtbl.t
+      (** the cell's journaled samples by index (empty without a journal) *)
+
+val resume :
+  ?journal:Journal.t ->
+  model:Refine_core.Fault.model ->
+  samples:int ->
+  program:string ->
+  Refine_core.Tool.kind ->
+  resumed
+(** What [journal] already holds for one (program, tool, model) cell: its
+    quarantine, counted by {!note_quarantined}, or else its resolved
+    samples with an index in [\[0, samples)], each counted in
+    [refine_campaign_resumed_samples_total].  The one journal resume of
+    both runners: {!run_cell} and the sharded {!Coordinator.run_matrix}. *)
+
+val fold_cell :
+  program:string ->
+  tool:Refine_core.Tool.kind ->
+  model:Refine_core.Fault.model ->
+  samples:int ->
+  profile:Refine_core.Fault.profile ->
+  static_instrumented:int ->
+  failures:Refine_support.Supervisor.failure list ->
+  timing:timing ->
+  (int, Journal.entry) Hashtbl.t ->
+  cell
+(** The cell whose resolved samples are the table's: counts and summed
+    injection cost folded from the entries, [failures] sorted by index,
+    counted in [refine_campaign_cells_total].  The one fold of both
+    runners. *)
+
 val run_cell :
   ?domains:int ->
   ?sel:Refine_core.Tool.Selection.t ->
   ?journal:Journal.t ->
-  ?sink:Journal.sink ->
+  ?todo:int list ->
+  ?record:(Journal.entry -> unit) ->
   ?retries:int ->
   ?cost_cap:int64 ->
-  ?quotas:Refine_core.Tool.quotas ->
+  ?output_quota:int ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->
@@ -129,24 +160,30 @@ val run_cell :
   source:string ->
   unit ->
   cell
-(** Compile + profile once, then run [samples] supervised injections.  Each
-    sample owns a deterministic split of the master PRNG — results are
-    bit-identical in [seed] regardless of domain count, retries, or
-    journal-based resumption.  Samples already resolved in [journal] are
-    loaded instead of re-run; newly resolved samples are checkpointed.
+(** Compile + profile once, then run the [todo] samples supervised.  Each
+    of the cell's [samples] indices owns a deterministic split of the
+    master PRNG, taken whether or not the index runs here — results are
+    bit-identical in [seed] regardless of domain count, worker process,
+    retries, or journal-based resumption.  Samples already resolved in
+    [journal] ({!resume}) are loaded instead of re-run and [todo]
+    defaults to every other index; an explicit [todo] runs exactly those
+    indices, each once and claimed in index order, and raises
+    [Invalid_argument] before any work if one lies outside
+    [\[0, samples)].  Each sample is recorded the moment it settles, from
+    the domain that ran it: appended to [journal] and passed to [record]
+    (one call at a time), so a kill loses only the samples in flight; a
+    shard worker's [record] writes the [Outcome] frame (DESIGN.md §16).
+    The returned cell folds every resolved sample, loaded or run
+    ({!fold_cell}).
     A sample that keeps failing after [retries] extra attempts (each with a
     fresh deterministic split) resolves as {!Refine_core.Fault.Tool_error}.
     [cost_cap] is the per-sample modeled-cost watchdog
     ({!Refine_core.Tool.run_injection}); [watchdog] cancels the remaining
     work cooperatively — cancelled samples stay unresolved so a resume
-    completes them.
-
-    Sharding (DESIGN.md §16): [sink] overrides [journal] as the checkpoint
-    destination — a shard worker streams resolved samples over a pipe
-    through it — and [heartbeat] is invoked from the in-flight poll slot
-    (every 1024 simulated instructions) so a worker can emit liveness
-    frames; a hung sample therefore stops heartbeating instead of
-    heartbeating through the hang.
+    completes them.  [heartbeat] is invoked from the in-flight poll slot
+    (every 1024 simulated instructions) so a shard worker can emit
+    liveness frames; a hung sample therefore stops heartbeating instead
+    of heartbeating through the hang.
 
     Pipelines (DESIGN.md §15): [pipeline] selects the compile pipeline
     (default {!Refine_core.Tool.default_pipeline}) and [verify_each]
@@ -155,9 +192,9 @@ val run_cell :
     campaign results are bit-identical in [seed] whether preparation hit a
     cold or a warm cache, and whether it was verified per pass.
 
-    Hardening (DESIGN.md §13): every injection runs inside the [quotas]
-    sandbox (default {!Refine_core.Tool.default_quotas}, the golden-derived
-    output cap) — tripped quotas classify as Crash.  A
+    Hardening (DESIGN.md §13): every injection runs under an output cap,
+    [output_quota] bytes (default {!Refine_core.Tool.derived_output_quota})
+    — a tripped cap classifies as Crash.  A
     {!Refine_core.Tool.Quarantine} during preparation (the end-of-MIR
     verifier, the double golden run, or a profiling run that counts no
     target, e.g. a [sel] naming no function of the program) resolves the
@@ -168,10 +205,9 @@ val run_matrix :
   ?domains:int ->
   ?sel:Refine_core.Tool.Selection.t ->
   ?journal:Journal.t ->
-  ?sink:Journal.sink ->
   ?retries:int ->
   ?cost_cap:int64 ->
-  ?quotas:Refine_core.Tool.quotas ->
+  ?output_quota:int ->
   ?model:Refine_core.Fault.model ->
   ?pipeline:Refine_passes.Pipeline.spec ->
   ?verify_each:bool ->

@@ -344,25 +344,3 @@ let completed ?(model = "reg") t ~program ~tool =
         Hashtbl.replace tbl e.sample e)
     (entries t);
   tbl
-
-(* ---- sinks: the journal as an interface -------------------------------
-   The campaign engine records resolved samples through this record, not
-   through [t] directly, so the same engine can checkpoint to a local file
-   (this module) or stream length-prefixed journal lines over a pipe to a
-   shard coordinator (Shard/Worker, DESIGN.md §16) without knowing the
-   difference. *)
-
-type sink = {
-  resolved : program:string -> tool:string -> model:string -> (int, entry) Hashtbl.t;
-  push : entry -> unit;
-  push_quarantine : program:string -> tool:string -> reason:string -> unit;
-  find_quarantine : program:string -> tool:string -> string option;
-}
-
-let sink t =
-  {
-    resolved = (fun ~program ~tool ~model -> completed ~model t ~program ~tool);
-    push = (fun e -> record t e);
-    push_quarantine = (fun ~program ~tool ~reason -> record_quarantine t ~program ~tool ~reason);
-    find_quarantine = (fun ~program ~tool -> quarantine_reason t ~program ~tool);
-  }

@@ -1,9 +1,10 @@
 (** Checkpoint/resume journal for fault-injection campaigns.
 
     Append-only, line-oriented log of every resolved
-    (program, tool, sample-index) experiment.  {!create} writes the
-    canonical file through an atomic tmp-rename; each {!record} then
-    appends one flushed line.  A kill mid-append leaves at most one torn
+    (program, tool, sample-index) experiment, recorded as the sample
+    settles ({!Experiment.run_cell}).  {!create} writes the canonical file
+    through an atomic tmp-rename; each {!record} then appends one flushed
+    line.  A kill mid-append leaves at most one torn
     final line, which the loader drops (detected by the missing trailing
     newline, never parsed) and counts in {!skipped} — resume continues
     from the previous record.  Combined with per-sample deterministic PRNG
@@ -108,21 +109,3 @@ val completed :
 (** The resolved samples of one (program, tool, fault model) cell, keyed
     by sample index (latest entry wins on duplicates).  [model] defaults
     to ["reg"]. *)
-
-type sink = {
-  resolved : program:string -> tool:string -> model:string -> (int, entry) Hashtbl.t;
-      (** samples already resolved elsewhere, to load instead of re-run *)
-  push : entry -> unit;  (** checkpoint one newly resolved sample *)
-  push_quarantine : program:string -> tool:string -> reason:string -> unit;
-  find_quarantine : program:string -> tool:string -> string option;
-      (** a known quarantine lets the campaign skip re-preparing the cell *)
-}
-(** The journal as an interface: {!Experiment.run_cell} records through a
-    sink, so checkpoints can go to a local file ({!sink}) or be streamed
-    as [Outcome] frames, each carrying the entry's {!render}ed line, to a
-    shard coordinator ({!Worker}, DESIGN.md §16) without the campaign
-    engine knowing the difference. *)
-
-val sink : t -> sink
-(** The file-backed sink over [t] — {!completed} / {!record} /
-    {!record_quarantine} / {!quarantine_reason}. *)

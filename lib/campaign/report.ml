@@ -34,7 +34,7 @@ let figure4_program (cells : E.cell list) program =
         let n = E.total c.E.counts in
         let ci count =
           (* a fully degraded cell (every sample a tool error) has no
-             statistical n; render a placeholder instead of aborting *)
+             statistical n; render "--" instead of aborting *)
           if n = 0 then "--"
           else
             let iv = Refine_stats.Ci.wald ~count ~total:n () in

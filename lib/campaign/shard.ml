@@ -26,8 +26,8 @@ module Sp = Refine_obs.Span
    Trace_batch frames (DESIGN.md §17).
    v3: fault models — Assign carries the cell's fault model and Outcome
    entries echo it back (DESIGN.md §18).
-   v4: Init carries the whole Tool.quotas record, so a sharded campaign
-   runs under exactly the in-process sandbox (the derived output cap
+   v4: Init carries the whole quota record, so a sharded campaign runs
+   under exactly the in-process sandbox (the derived output cap
    included).
    v5: Init drops the MIR-verifier switch (the end-of-MIR verifier always
    runs) and the heartbeat interval (the constant [heartbeat_s]).
@@ -35,8 +35,12 @@ module Sp = Refine_obs.Span
    cached), and Outcome carries the sample's journal line instead of
    seven binary fields.
    v7: Init's quota record is the output cap alone; v6 carried three more
-   quota fields, for bounds a run no longer has. *)
-let version = 7
+   quota fields, for bounds a run no longer has.
+   v8: Init carries the output cap as one optional absolute cap (v7 also
+   carried the switch that derived it), and Chunk_done drops the golden
+   exit code (always 0: a golden run that exits otherwise is refused at
+   preparation) and the golden output length (never read). *)
+let version = 8
 
 let heartbeat_s = 0.02 (* min seconds between a busy worker's heartbeat frames *)
 
@@ -50,7 +54,7 @@ type config = {
   seed : int;
   retries : int;
   cost_cap : int64 option;
-  quotas : T.quotas;
+  output_quota : int option; (* absolute output cap; None = derived from the golden run *)
   verify_each : bool;
   pipeline : string option; (* Pipeline.print form; None = tool default *)
   obs : bool; (* worker enables its metrics registry + delta forwarding *)
@@ -62,7 +66,7 @@ let default_config =
     seed = 1;
     retries = 0;
     cost_cap = None;
-    quotas = T.default_quotas;
+    output_quota = None;
     verify_each = false;
     pipeline = None;
     obs = false;
@@ -74,10 +78,8 @@ type chunk_summary = {
   program : string;
   tool : string;
   quarantined : bool; (* preparation quarantined the cell; profile fields are zero *)
-  golden_exit : int;
   dyn_count : int64;
   profile_cost : int64;
-  golden_output_len : int; (* the output itself stays in the worker *)
   static_instrumented : int;
   instrument_s : float;
   compile_s : float;
@@ -219,8 +221,7 @@ let encode f =
     W.put_int b c.seed;
     W.put_int b c.retries;
     W.put_option b W.put_i64 c.cost_cap;
-    W.put_option b W.put_int c.quotas.T.output_bytes;
-    W.put_bool b c.quotas.T.derive_output;
+    W.put_option b W.put_int c.output_quota;
     W.put_bool b c.verify_each;
     W.put_option b W.put_string c.pipeline;
     W.put_bool b c.obs;
@@ -247,10 +248,8 @@ let encode f =
     W.put_string b s.program;
     W.put_string b s.tool;
     W.put_bool b s.quarantined;
-    W.put_int b s.golden_exit;
     W.put_i64 b s.dyn_count;
     W.put_i64 b s.profile_cost;
-    W.put_int b s.golden_output_len;
     W.put_int b s.static_instrumented;
     W.put_f64 b s.instrument_s;
     W.put_f64 b s.compile_s;
@@ -285,23 +284,12 @@ let decode payload =
       let seed = W.get_int c in
       let retries = W.get_int c in
       let cost_cap = W.get_option c W.get_i64 in
-      let output_bytes = W.get_option c W.get_int in
-      let derive_output = W.get_bool c in
+      let output_quota = W.get_option c W.get_int in
       let verify_each = W.get_bool c in
       let pipeline = W.get_option c W.get_string in
       let obs = W.get_bool c in
       let trace = W.get_bool c in
-      Init
-        {
-          seed;
-          retries;
-          cost_cap;
-          quotas = { T.output_bytes; derive_output };
-          verify_each;
-          pipeline;
-          obs;
-          trace;
-        }
+      Init { seed; retries; cost_cap; output_quota; verify_each; pipeline; obs; trace }
     | 3 ->
       let chunk = W.get_int c in
       let program = W.get_string c in
@@ -328,10 +316,8 @@ let decode payload =
       let program = W.get_string c in
       let tool = W.get_string c in
       let quarantined = W.get_bool c in
-      let golden_exit = W.get_int c in
       let dyn_count = W.get_i64 c in
       let profile_cost = W.get_i64 c in
-      let golden_output_len = W.get_int c in
       let static_instrumented = W.get_int c in
       let instrument_s = W.get_f64 c in
       let compile_s = W.get_f64 c in
@@ -350,10 +336,8 @@ let decode payload =
           program;
           tool;
           quarantined;
-          golden_exit;
           dyn_count;
           profile_cost;
-          golden_output_len;
           static_instrumented;
           instrument_s;
           compile_s;

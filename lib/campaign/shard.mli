@@ -16,14 +16,18 @@ val version : int
     [Trace_batch] frames (DESIGN.md §17).
     v3: fault models — [Assign] carries the cell's fault model and
     [Outcome] entries echo it back (DESIGN.md §18).
-    v4: [Init] carries the whole {!Refine_core.Tool.quotas} record.
+    v4: [Init] carries the whole quota record.
     v5: [Init] drops the MIR-verifier switch (the end-of-MIR verifier
     always runs) and the heartbeat interval ({!heartbeat_s}).
     v6: [Init] drops the artifact-cache switch, and [Outcome] carries the
     sample's journal line; v5 [Init] and [Outcome] payloads do not
     decode.
     v7: [Init]'s quota record is the output cap alone (v6 carried three
-    more quota fields); a v6 [Init] payload does not decode. *)
+    more quota fields); a v6 [Init] payload does not decode.
+    v8: [Init] carries the output cap as one optional absolute cap (v7
+    also carried the switch that derived it), and [Chunk_done] drops the
+    golden exit code and the golden output length; v7 [Init] and
+    [Chunk_done] payloads do not decode. *)
 
 val heartbeat_s : float
 (** Minimum seconds between a busy worker's [Heartbeat] frames (20 ms). *)
@@ -37,7 +41,8 @@ type config = {
   seed : int;
   retries : int;
   cost_cap : int64 option;
-  quotas : Refine_core.Tool.quotas;  (** the sandbox envelope, forwarded whole *)
+  output_quota : int option;
+      (** absolute output cap; [None] = {!Refine_core.Tool.derived_output_quota} *)
   verify_each : bool;
   pipeline : string option;  (** [Pipeline.print] form; [None] = tool default *)
   obs : bool;  (** worker enables its registry and forwards deltas *)
@@ -53,10 +58,8 @@ type chunk_summary = {
   program : string;
   tool : string;
   quarantined : bool;
-  golden_exit : int;
   dyn_count : int64;
   profile_cost : int64;
-  golden_output_len : int;
   static_instrumented : int;
   instrument_s : float;
   compile_s : float;

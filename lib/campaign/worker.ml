@@ -11,25 +11,24 @@
    The worker resolves an assigned chunk with the ordinary
    [Experiment.run_cell], wired up for streaming:
 
-   - a [Journal.sink] whose [push] writes an [Outcome] frame — the
-     checkpoint journal, promoted to the pipe;
-   - [resolved] pre-marks every sample index *outside* the chunk's [todo]
-     list as already done (with a placeholder entry the coordinator never
-     sees), so run_cell executes exactly the todo set while still building
-     the full [samples]-sized PRNG split array — the alignment that keeps
-     sharded campaigns bit-identical to single-process ones;
+   - [todo] is the chunk's sample indices: run_cell runs exactly those,
+     while still splitting the master PRNG for every index of the cell —
+     the alignment that keeps sharded campaigns bit-identical to
+     single-process ones;
+   - [record] writes each sample's [Outcome] frame the moment it settles
+     — the checkpoint journal, promoted to the pipe;
    - [heartbeat] (invoked from the in-flight poll slot, every 1024
      simulated instructions) emits time-gated [Heartbeat] frames; a hung
      sample therefore goes silent instead of heartbeating through the
      hang, which is exactly what the coordinator's deadline wants to see.
 
-   Chunks run with [~domains:1]: process-level sharding replaces domain
-   parallelism, and a single-threaded worker needs no write lock on its
-   pipe. *)
+   The [Quarantine] and [Chunk_done] frames are built from the cell
+   run_cell returns.  Chunks run with [~domains:1]: process-level sharding
+   replaces domain parallelism, and a single-threaded worker needs no
+   write lock on its pipe. *)
 
 module S = Shard
 module E = Experiment
-module J = Journal
 module F = Refine_core.Fault
 module T = Refine_core.Tool
 module M = Refine_obs.Metrics
@@ -46,23 +45,15 @@ let fds_var = "REFINE_SHARD_FDS"
 let fd_of_int : int -> Unix.file_descr = Obj.magic
 let int_of_fd : Unix.file_descr -> int = Obj.magic
 
-(* placeholder for samples outside this chunk: run_cell treats them as
-   resolved (skipping execution) but the worker discards its own counts —
-   the coordinator aggregates from Outcome frames, so the values here are
-   never observed *)
-let placeholder ~program ~tool ~model sample =
-  { J.program; tool; model; sample; outcome = F.Benign; cost = 0L; attempts = 0 }
-
 (* Campaign-level counters the worker must never forward: the coordinator
-   counts these itself from Outcome/Quarantine frames (which stays exact
-   across worker crashes), and the worker-side values double-count anyway
-   (placeholder pre-resolution inflates resumed-samples, per-chunk
-   run_cell calls inflate cells). *)
+   counts these itself, from Outcome and Quarantine frames and its own
+   fold (which stays exact across worker crashes), and the worker's values
+   would double count them (a cell split into chunks is one run_cell call
+   per chunk). *)
 let campaign_level =
   [
     "refine_campaign_samples_total";
     "refine_campaign_cells_total";
-    "refine_campaign_resumed_samples_total";
     "refine_quarantined_cells_total";
   ]
 
@@ -72,10 +63,8 @@ let summary_of_cell ~chunk (cell : E.cell) : S.chunk_summary =
     program = cell.E.program;
     tool = T.kind_name cell.E.tool;
     quarantined = cell.E.quarantined <> None;
-    golden_exit = cell.E.profile.F.golden_exit;
     dyn_count = cell.E.profile.F.dyn_count;
     profile_cost = cell.E.profile.F.profile_cost;
-    golden_output_len = String.length cell.E.profile.F.golden_output;
     static_instrumented = cell.E.static_instrumented;
     instrument_s = cell.E.timing.E.instrument_s;
     compile_s = cell.E.timing.E.compile_s;
@@ -90,29 +79,9 @@ let summary_of_cell ~chunk (cell : E.cell) : S.chunk_summary =
 
 let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~source ~tool
     ~model ~samples ~todo =
-  let tool_kind = S.tool_of_name tool in
-  let fault_model = F.model_of_string model in
-  let in_todo = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace in_todo i ()) todo;
-  let resolved ~program ~tool ~model =
-    let tbl = Hashtbl.create 64 in
-    for i = 0 to samples - 1 do
-      if not (Hashtbl.mem in_todo i) then
-        Hashtbl.replace tbl i (placeholder ~program ~tool ~model i)
-    done;
-    tbl
-  in
-  let sink =
-    {
-      J.resolved;
-      push =
-        (fun e ->
-          incr completed;
-          send (S.Outcome { chunk; entry = e }));
-      push_quarantine =
-        (fun ~program ~tool ~reason -> send (S.Quarantine { program; tool; reason }));
-      find_quarantine = (fun ~program:_ ~tool:_ -> None);
-    }
+  let record entry =
+    incr completed;
+    send (S.Outcome { chunk; entry })
   in
   let last_hb = ref (Unix.gettimeofday ()) in
   let heartbeat () =
@@ -127,12 +96,15 @@ let run_assign ~(config : S.config) ~send ~ship ~completed ~chunk ~program ~sour
   in
   let pipeline = Option.map Refine_passes.Pipeline.parse config.S.pipeline in
   match
-    E.run_cell ~domains:1 ~sink ~heartbeat ~retries:config.S.retries
-      ?cost_cap:config.S.cost_cap ~quotas:config.S.quotas ~model:fault_model
-      ?pipeline ~verify_each:config.S.verify_each ~samples ~seed:config.S.seed tool_kind
-      ~program ~source ()
+    E.run_cell ~domains:1 ~todo ~record ~heartbeat ~retries:config.S.retries
+      ?cost_cap:config.S.cost_cap ?output_quota:config.S.output_quota
+      ~model:(F.model_of_string model) ?pipeline ~verify_each:config.S.verify_each ~samples
+      ~seed:config.S.seed (S.tool_of_name tool) ~program ~source ()
   with
   | cell ->
+    Option.iter
+      (fun reason -> send (S.Quarantine { program; tool = T.kind_name cell.E.tool; reason }))
+      cell.E.quarantined;
     (* final telemetry for this chunk must precede Chunk_done on the pipe:
        the coordinator may stop reading once every chunk is summarized, so
        ordering here is what makes fleet-merged counters exact *)

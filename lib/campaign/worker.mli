@@ -1,10 +1,12 @@
 (** Shard worker process (DESIGN.md §16): the executable re-exec'd by
     {!Coordinator} with [REFINE_SHARD_WORKER=1], speaking {!Shard} frames
-    over the two pipes named in [REFINE_SHARD_FDS].  Chunks run through the
-    ordinary {!Experiment.run_cell} with a streaming {!Journal.sink} (each
-    resolved sample becomes an [Outcome] frame) and a time-gated heartbeat
-    invoked from the in-flight poll slot — a hung sample stops
-    heartbeating.
+    over the two pipes named in [REFINE_SHARD_FDS].  A chunk runs through
+    the ordinary {!Experiment.run_cell}, given the chunk's sample indices
+    as its [todo], a [record] callback that writes each sample's [Outcome]
+    frame as it settles, and a time-gated heartbeat invoked from the
+    in-flight poll slot — a hung sample stops heartbeating.  The
+    [Quarantine] and [Chunk_done] frames are built from the returned
+    cell.
 
     When [Init] enables the observability plane (DESIGN.md §17), the
     heartbeat slot also forwards telemetry: cumulative [Metrics_delta]

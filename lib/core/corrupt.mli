@@ -20,17 +20,13 @@ val draw_mask :
     bit-identity of reg campaigns; [Multi_bit] draws k distinct (or burst)
     positions via {!Refine_support.Bitops.draw_bits}. *)
 
-val data_extent : Refine_backend.Layout.image -> (int * int) list
-(** [(base address, byte length)] of every initialized global of the
-    image — the Mem_cell target population.  Falls back to the 8-byte
-    top-of-stack sentinel cell for programs with no initialized data, so
-    the population is never empty. *)
-
 val mem_fault :
   Refine_support.Prng.t -> Refine_machine.Exec.t -> dyn_index:int64 -> Fault.record
-(** Flip one uniform bit of one byte drawn uniformly over
-    {!data_extent} — the Mem_cell model's mutation, applied to the
-    engine's (snapshot-restored) memory. *)
+(** Flip one uniform bit of one byte drawn uniformly over the image's
+    initialized globals — the Mem_cell model's mutation, applied to the
+    engine's (snapshot-restored) memory.  A program with no initialized
+    data falls back to the 8-byte top-of-stack sentinel cell, so the
+    population is never empty. *)
 
 val mutate :
   Refine_support.Prng.t -> Refine_mir.Minstr.t -> Refine_mir.Minstr.t option

@@ -4,7 +4,7 @@
 type record = {
   dyn_index : int64;  (** 1-based dynamic index of the faulted instruction *)
   op_index : int;  (** which output operand was flipped *)
-  reg_name : string;  (** register name, or a placeholder for IR values *)
+  reg_name : string;  (** register name, or a stand-in name for IR values *)
   bit : int;  (** flipped bit, 0 = least significant *)
 }
 (** One line of the fault log of Figure 3b: which dynamic instruction,

@@ -89,33 +89,20 @@ let flush_obs kind (eng : E.t) ~fi_hits ~run_cost =
     Obs.Span.add_cost run_cost
   end
 
-(* ---- sandbox quotas (DESIGN.md §13) -----------------------------------
+(* ---- the output cap (DESIGN.md §13) -----------------------------------
 
    The per-run output cap forwarded to [Exec.run].  A tripped cap is an
    experimental outcome — the run ends [Trapped (Output_quota _)] and
    classifies as Crash — never a harness exception, so the supervisor
-   burns no retries on adversarial samples. *)
+   burns no retries on adversarial samples.
 
-type quotas = {
-  output_bytes : int option; (* absolute cap; overrides derivation *)
-  derive_output : bool; (* derive the output cap from the golden run *)
-}
-
-let no_quotas = { output_bytes = None; derive_output = false }
-
-let default_quotas = { no_quotas with derive_output = true }
-
-(* 16x the golden output with a 4 KiB floor: generous enough that any
-   legitimate corruption (SOC) fits, tight enough that a fault turning the
-   program into an output firehose trips long before the 10x cost
-   timeout's worth of bytes accumulate. *)
+   Unless a caller sets an absolute cap, it is 16x the golden output with
+   a 4 KiB floor: generous enough that any legitimate corruption (SOC)
+   fits, tight enough that a fault turning the program into an output
+   firehose trips long before the 10x cost timeout's worth of bytes
+   accumulate. *)
 let derived_output_quota (profile : Fault.profile) =
   max 4096 (16 * String.length profile.Fault.golden_output)
-
-let effective_output_quota q (profile : Fault.profile) =
-  match q.output_bytes with
-  | Some _ as c -> c
-  | None -> if q.derive_output then Some (derived_output_quota profile) else None
 
 let m_quota_trips =
   Obs.Metrics.counter ~help:"sandbox quota trips by kind" ~labels:[ ("kind", "output") ]
@@ -601,11 +588,11 @@ exception Sample_budget_exceeded of int64
    simulator (called every 1024 instructions) so a cancellation token can
    abort in-flight samples.
 
-   [quotas] (default [no_quotas]) is the output cap (DESIGN.md §13): a
-   tripped cap ends the run [Trapped] and classifies as Crash — an
-   outcome, never an exception, so the supervisor burns no retries on
-   it. *)
-let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
+   [output_quota] (default [derived_output_quota]) is the output cap
+   (DESIGN.md §13): a tripped cap ends the run [Trapped] and classifies
+   as Crash — an outcome, never an exception, so the supervisor burns no
+   retries on it. *)
+let run_injection ?cost_cap ?output_quota ?(model = Fault.Reg_bit) ?poll
     (p : prepared) (rng : P.t) : Fault.experiment =
   if (model = Fault.Opcode) <> p.opcode then
     invalid_arg
@@ -619,13 +606,15 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
     | Some c when Int64.compare c timeout < 0 -> (c, true)
     | _ -> (timeout, false)
   in
+  let output_quota =
+    match output_quota with Some q -> q | None -> derived_output_quota p.profile
+  in
   note_injection p.kind model;
   (* post-injection handoff plan (DESIGN.md §20), when tool/model
      eligibility allows; [None] simply runs attached *)
   let r, ctrl =
     drive ?plan:(detach_plan_for p model) p (Runtime.Inject { target; rng; model })
-      (fun ?detach eng ->
-        E.run ~max_cost ?output_quota:(effective_output_quota quotas p.profile) ?poll ?detach eng)
+      (fun ?detach eng -> E.run ~max_cost ~output_quota ?poll ?detach eng)
   in
   note_quota_trip r;
   if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);

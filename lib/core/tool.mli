@@ -14,31 +14,15 @@ val kind_name : kind -> string
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name}, ignoring case; [None] for any other name. *)
 
-type quotas = {
-  output_bytes : int option;
-      (** absolute output cap in bytes; overrides [derive_output] *)
-  derive_output : bool;
-      (** derive the output cap from the golden run (16x, 4 KiB floor) *)
-}
-(** The per-run output cap (DESIGN.md §13), forwarded to
-    {!Refine_machine.Exec.run}.  A tripped cap ends the run [Trapped
+val derived_output_quota : Fault.profile -> int
+(** [max 4096 (16 * length golden_output)]: the output cap
+    {!run_injection} applies to a prepared program unless the caller sets
+    an absolute one (DESIGN.md §13).  A tripped cap ends the run [Trapped
     (Output_quota _)] and classifies as {!Fault.Crash} — an experimental
     outcome, never a harness exception, so the supervisor burns no retries
     on adversarial samples.  Trips are counted in the
     [refine_quota_trips_total{kind="output"}] metric when observability is
     enabled. *)
-
-val no_quotas : quotas
-(** No output cap (the pre-sandbox behavior). *)
-
-val default_quotas : quotas
-(** Paper-faithful default: only the golden-run-derived output cap; cost
-    (the 10x timeout) already bounds runtime, and heap is bounded by the
-    image's memory size. *)
-
-val derived_output_quota : Fault.profile -> int
-(** [max 4096 (16 * length golden_output)] — the cap [derive_output]
-    computes for a prepared program. *)
 
 (** {1 Post-injection detach (DESIGN.md §20)}
 
@@ -140,18 +124,6 @@ val pipeline_for : ?chaos:chaos -> kind -> Refine_passes.Pipeline.spec -> Refine
     [chaos.break_mir] additionally appends the test-only
     [chaos-break-mir] corruption pass after the splice. *)
 
-val build_ir :
-  ?pipeline:Refine_passes.Pipeline.spec ->
-  ?verify_each:bool ->
-  ?phases:Refine_obs.Phase.t ->
-  string ->
-  Refine_ir.Ir.modul
-(** Front end + the IR stage of [pipeline] (shared by all tools).  Served
-    through the content-addressed IR cache tier keyed on (source,
-    IR-prefix pipeline) unless the IR stage contains an FI pass
-    (tool-specific results are never shared).  Cache hits deserialize a
-    fresh copy, so callers may mutate the module freely. *)
-
 val compile_invocations : unit -> int
 (** Front-end + IR-stage compile executions so far (i.e. IR-cache misses). *)
 
@@ -215,7 +187,7 @@ exception Sample_budget_exceeded of int64
 
 val run_injection :
   ?cost_cap:int64 ->
-  ?quotas:quotas ->
+  ?output_quota:int ->
   ?model:Fault.model ->
   ?poll:(unit -> unit) ->
   prepared ->
@@ -235,6 +207,7 @@ val run_injection :
     {!Sample_budget_exceeded} if it burns that much modeled cost before the
     paper's own 10x timeout fires (caps at or above the 10x timeout are
     inert: hitting the 10x timeout stays a Crash, the paper's semantics).
-    [quotas] (default {!no_quotas}) is the output cap; a tripped cap
-    classifies as Crash.  [poll] is invoked every 1024 simulated
-    instructions, letting a cancellation token abort in-flight samples. *)
+    [output_quota] is an absolute output cap in bytes (default
+    {!derived_output_quota}); a tripped cap classifies as Crash.  [poll]
+    is invoked every 1024 simulated instructions, letting a cancellation
+    token abort in-flight samples. *)

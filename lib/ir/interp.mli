@@ -11,8 +11,6 @@ exception Trap of string
 
 type outcome = { output : string; exit_code : int; steps : int }
 
-val default_fuel : int
-
 (* shared arithmetic semantics *)
 val eval_ibinop : Ir.ibinop -> int64 -> int64 -> int64
 (** Wrapping 64-bit arithmetic; shifts mask the count to 6 bits; division
@@ -30,4 +28,5 @@ val fptosi : float -> int64
     so interpreter and machine agree on every input. *)
 
 val run : ?fuel:int -> Ir.modul -> outcome
-(** Executes [main].  Raises {!Trap} on runtime faults. *)
+(** Executes [main] for at most [fuel] steps (default 200 million).
+    Raises {!Trap} on runtime faults. *)

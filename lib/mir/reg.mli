@@ -10,8 +10,6 @@ type t = int
 
 type rclass = GPR | FPR
 
-val num_gpr : int
-val num_fpr : int
 val gpr : int -> t
 val fpr : int -> t
 val flags : t
@@ -39,11 +37,9 @@ val is_virtual : t -> bool
 val is_physical : t -> bool
 val class_of_phys : t -> rclass
 
-val flags_bits : int
-(** Architecturally meaningful FLAGS width (4: ZF, LT, UNORD, CF) — the
-    operand size the fault model uses for FLAGS flips. *)
-
 val width_bits : t -> int
-(** 64 for GPR/FPR, {!flags_bits} for FLAGS. *)
+(** 64 for GPR/FPR; for FLAGS its architecturally meaningful width (4:
+    ZF, LT, UNORD, CF) — the operand size the fault model uses for FLAGS
+    flips. *)
 
 val name : t -> string

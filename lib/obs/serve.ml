@@ -25,7 +25,7 @@ type t = {
   listen_fd : Unix.file_descr;
   port : int;
   mutable conns : conn list;
-  mutable handler : string -> response option;
+  mutable status_page : (unit -> string) option; (* /status JSON, once [set_status] ran *)
   mutable closed : bool;
 }
 
@@ -69,12 +69,6 @@ let serialize r =
 
 let text status body = { status; content_type = "text/plain; charset=utf-8"; body }
 
-let default_handler path =
-  match path with
-  | "/healthz" -> Some (text 200 "ok\n")
-  | "/metrics" -> Some { status = 200; content_type = "text/plain; version=0.0.4"; body = Metrics.dump () }
-  | _ -> None
-
 let create ?(port = 0) () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -84,10 +78,9 @@ let create ?(port = 0) () =
   let port =
     match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> port
   in
-  { listen_fd = fd; port; conns = []; handler = default_handler; closed = false }
+  { listen_fd = fd; port; conns = []; status_page = None; closed = false }
 
 let port t = t.port
-let set_handler t h = t.handler <- h
 
 let close_conn c = try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 
@@ -107,10 +100,12 @@ let route_response t head =
   match String.split_on_char ' ' head with
   | meth :: path :: _ when meth = "GET" ->
     let path = match String.index_opt path '?' with Some i -> String.sub path 0 i | None -> path in
-    (match t.handler path with
-    | Some r -> r
-    | None -> (
-      match default_handler path with Some r -> r | None -> text 404 "not found\n"))
+    (match (path, t.status_page) with
+    | "/healthz", _ -> text 200 "ok\n"
+    | "/metrics", _ ->
+      { status = 200; content_type = "text/plain; version=0.0.4"; body = Metrics.dump () }
+    | "/status", Some json -> { status = 200; content_type = "application/json"; body = json () }
+    | _ -> text 404 "not found\n")
   | _ :: _ :: _ -> text 405 "only GET\n"
   | _ -> text 400 "bad request\n"
 
@@ -225,7 +220,4 @@ let status_json window get =
 
 let set_status t get =
   let window = Queue.create () in
-  set_handler t (fun path ->
-      match path with
-      | "/status" -> Some { status = 200; content_type = "application/json"; body = status_json window get }
-      | _ -> default_handler path)
+  t.status_page <- Some (fun () -> status_json window get)

@@ -13,8 +13,6 @@
 
 type t
 
-type response = { status : int; content_type : string; body : string }
-
 val create : ?port:int -> unit -> t
 (** Bind and listen on 127.0.0.1:[port] (default 0 = kernel-assigned; read
     it back with {!port}).  Raises [Unix.Unix_error] if the bind fails. *)
@@ -31,10 +29,6 @@ val fds : t -> Unix.file_descr list
     finishes partially-written responses). *)
 
 val close : t -> unit
-
-val set_handler : t -> (string -> response option) -> unit
-(** Override routing: receives the path (query string stripped); [None]
-    falls back to the built-in [/metrics] + [/healthz] routes, then 404. *)
 
 (** {1 Campaign progress ([/status])} *)
 
@@ -58,6 +52,6 @@ type progress = {
 }
 
 val set_status : t -> (unit -> progress) -> unit
-(** Install the [/status] route: each hit calls the provider and renders
-    progress JSON with a rolling samples/s rate and an ETA (eta_s is -1
-    while the rate is still unknown). *)
+(** Install the [/status] route (404 until installed): each hit calls the
+    provider and renders progress JSON with a rolling samples/s rate and
+    an ETA (eta_s is -1 while the rate is still unknown). *)

@@ -83,7 +83,7 @@ let to_json (e : event) =
 
 (* ---- sink ------------------------------------------------------------- *)
 
-type sink = Null | File of out_channel | Memory of event list ref
+type destination = Null | File of out_channel | Memory of event list ref
 
 let sink = ref Null
 let sink_mutex = Mutex.create ()

@@ -16,7 +16,3 @@ type result = {
 val load : string -> result
 (** Every event of the file; only empty lines are passed over silently. *)
 
-val parse_event : string -> Span.event option
-(** Decode one JSONL line: [Some e] only when {!Span.to_json} renders [e]
-    to exactly [line], so a corrupted line never loads as another event
-    (exposed for tests). *)

@@ -43,14 +43,11 @@ type level = O0 | O1 | O2
 val level_of_string : string -> level
 val string_of_level : level -> string
 
-val ir_of_level : level -> string list
-(** The IR-stage pass names of an alias ([O0] = none, [O1] = mem2reg +
-    clean-up, [O2] additionally SCCP, LICM, inlining and a second round —
-    the analogue of the paper's -O3 application builds). *)
-
 val of_level : level -> spec
-(** Full compile pipeline: [ir_of_level] + isel + regalloc, frame,
-    peephole + layout. *)
+(** Full compile pipeline: the alias's IR stage ([O0] = none, [O1] =
+    mem2reg + clean-up, [O2] additionally SCCP, LICM, inlining and a
+    second round — the analogue of the paper's -O3 application builds) +
+    isel + regalloc, frame, peephole + layout. *)
 
 (** {1 Running} *)
 

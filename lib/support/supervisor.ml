@@ -7,8 +7,9 @@
    once (a retry reruns deterministic work on a fresh PRNG split, so
    waiting would change nothing), and a cooperative cancellation token
    lets a watchdog or an interrupted campaign stop claiming new work —
-   and, for tasks that poll, abort work already in flight.  All failures
-   are aggregated instead of first-wins. *)
+   and, for tasks that poll, abort work already in flight.  Each task's
+   outcome is reported as it settles, so a caller can checkpoint a task
+   before the pool has finished the rest. *)
 
 module Obs = Refine_obs
 
@@ -61,7 +62,7 @@ let string_of_failure f =
 type 'a outcome =
   | Done of 'a * int  (* result, attempts used *)
   | Failed of failure
-  | Skipped  (* cancelled before completion *)
+  | Skipped  (* cancelled while in flight *)
 
 type policy = {
   max_retries : int;  (* extra attempts after the first *)
@@ -121,12 +122,10 @@ let backoff ?(base = 0.05) ?(cap = 2.0) ~seed attempt =
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 let run ?token ?(policy = default_policy) ?watchdog ~domains n
-    (f : attempt:int -> int -> 'a) : 'a outcome array =
-  if n = 0 then [||]
-  else begin
+    (f : attempt:int -> int -> 'a) ~(settle : int -> 'a outcome -> unit) =
+  if n > 0 then begin
     let token = match token with Some t -> t | None -> Cancel.create () in
     let domains = max 1 (min domains n) in
-    let results = Array.make n Skipped in
     let next = Atomic.make 0 in
     let poll_watchdog () =
       match watchdog with
@@ -140,12 +139,12 @@ let run ?token ?(policy = default_policy) ?watchdog ~domains n
         match f ~attempt:a i with
         | v ->
           Obs.Metrics.inc m_tasks_done;
-          results.(i) <- Done (v, a + 1)
+          settle i (Done (v, a + 1))
         | exception Cancelled _ ->
           (* in-flight abort: the poll noticed the token *)
           Obs.Metrics.inc m_tasks_cancelled;
           note_cancel_seen token;
-          results.(i) <- Skipped
+          settle i Skipped
         | exception e ->
           let bt = Printexc.get_raw_backtrace () in
           if a < policy.max_retries && policy.retryable e
@@ -157,14 +156,14 @@ let run ?token ?(policy = default_policy) ?watchdog ~domains n
           else begin
             Obs.Metrics.inc m_tasks_failed;
             let e = match e with Non_retryable e -> e | e -> e in
-            results.(i) <-
-              Failed
-                {
-                  index = i;
-                  attempts = a + 1;
-                  exn = e;
-                  backtrace = Printexc.raw_backtrace_to_string bt;
-                }
+            settle i
+              (Failed
+                 {
+                   index = i;
+                   attempts = a + 1;
+                   exn = e;
+                   backtrace = Printexc.raw_backtrace_to_string bt;
+                 })
           end
       in
       attempt 0
@@ -184,17 +183,20 @@ let run ?token ?(policy = default_policy) ?watchdog ~domains n
              this worker stop claiming work *)
           note_cancel_seen token
       in
-      loop ()
+      (* a raising [settle] stops the pool: the siblings claim no more
+         work, and the exception is re-raised once every domain joined *)
+      try loop ()
+      with e ->
+        Cancel.cancel ~reason:"settle raised" token;
+        raise e
     in
     if domains = 1 then worker ()
     else begin
       let handles = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join handles
-    end;
-    results
+      let first = ref None in
+      let guard f = try f () with e -> if !first = None then first := Some e in
+      guard worker;
+      Array.iter (fun h -> guard (fun () -> Domain.join h)) handles;
+      Option.iter raise !first
+    end
   end
-
-let failures outcomes =
-  Array.to_list outcomes
-  |> List.filter_map (function Failed f -> Some f | Done _ | Skipped -> None)

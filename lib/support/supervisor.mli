@@ -45,7 +45,7 @@ val string_of_failure : failure -> string
 type 'a outcome =
   | Done of 'a * int  (** result and the number of attempts used *)
   | Failed of failure  (** retry budget exhausted (or not retryable) *)
-  | Skipped  (** cancelled before completion *)
+  | Skipped  (** cancelled while in flight *)
 
 type policy = {
   max_retries : int;  (** extra attempts after the first *)
@@ -80,14 +80,18 @@ val run :
   domains:int ->
   int ->
   (attempt:int -> int -> 'a) ->
-  'a outcome array
-(** [run ~domains n f] evaluates [f ~attempt i] for [i] in [0..n-1] over
-    [domains] workers with dynamic load balancing, supervising each task
-    per [policy].  [attempt] starts at 0 and increments on each retry, so
-    the task can derive a fresh deterministic PRNG split per attempt.
-    [watchdog] is polled between tasks; when it returns [true] the token is
-    cancelled and remaining tasks are [Skipped].  Never raises for task
-    failures: the result array holds every task's individual outcome. *)
-
-val failures : 'a outcome array -> failure list
-(** All [Failed] entries, in index order. *)
+  settle:(int -> 'a outcome -> unit) ->
+  unit
+(** [run ~domains n f ~settle] evaluates [f ~attempt i] for [i] in
+    [0..n-1] over [domains] workers with dynamic load balancing,
+    supervising each task per [policy].  [attempt] starts at 0 and
+    increments on each retry, so the task can derive a fresh deterministic
+    PRNG split per attempt.  [settle i o] reports task [i]'s final outcome
+    as soon as it is known, from the domain that ran it: [Done], [Failed]
+    once the retry budget is spent, or [Skipped] when the token fired while
+    the task was in flight.  Tasks are claimed in index order, so with one
+    domain they settle in index order.  [watchdog] is polled before each
+    claim; when it returns [true] the token is cancelled and unclaimed
+    tasks are never run nor reported.  Never raises for task failures; an
+    exception raised by [settle] cancels the token and is re-raised once
+    every domain has stopped. *)

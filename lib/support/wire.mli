@@ -17,7 +17,6 @@ exception Truncated
 (** {1 Encoding} *)
 
 val put_u8 : Buffer.t -> int -> unit
-val put_u32 : Buffer.t -> int -> unit
 val put_i64 : Buffer.t -> int64 -> unit
 
 val put_int : Buffer.t -> int -> unit
@@ -40,7 +39,6 @@ type cursor
 
 val cursor : string -> cursor
 val get_u8 : cursor -> int
-val get_u32 : cursor -> int
 val get_i64 : cursor -> int64
 val get_int : cursor -> int
 val get_bool : cursor -> bool

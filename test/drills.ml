@@ -5,7 +5,8 @@
 
      dune build @NAME-smoke          (runs: drills.exe NAME)
 
-   campaign  in-process kill + journal resume, bit-identical to a fresh run
+   campaign  SIGKILLed child and in-process interrupt + journal resume,
+             bit-identical to a fresh run
    obs       metrics + JSONL trace + overhead attribution on a 2x2 campaign
    quota     output cap, chaos quarantine, kill + resume, identical CSV
    pass      verify-each campaign with the artifact cache: hits, no trips
@@ -92,11 +93,11 @@ let prom_dump_and_lint needles =
 let temp_journal () = Filename.temp_file "refine_drill" ".journal"
 
 (* A matrix over a fresh journal at [path] (after [before] ran on it),
-   interrupted by a watchdog after [polls] supervisor polls — the
-   in-process stand-in for kill -9: only the journal survives.  Returns
+   interrupted by a watchdog after [polls] supervisor polls: the cells
+   stop claiming samples and end, and only the journal is kept.  Returns
    the journal reopened for resume and the thunk that resumes the matrix
    from it. *)
-let kill_and_resume ?quotas ?(before = ignore) ~polls ~samples ~seed srcs tools path =
+let kill_and_resume ?output_quota ?(before = ignore) ~polls ~samples ~seed srcs tools path =
   let j = J.create path in
   before j;
   let n = ref 0 in
@@ -104,27 +105,59 @@ let kill_and_resume ?quotas ?(before = ignore) ~polls ~samples ~seed srcs tools 
     incr n;
     !n > polls
   in
-  ignore (E.run_matrix ~journal:j ~watchdog ?quotas ~samples ~seed srcs tools);
+  ignore (E.run_matrix ~journal:j ~watchdog ?output_quota ~samples ~seed srcs tools);
   let total = List.length srcs * List.length tools * samples in
   say "interrupted: %d/%d samples checkpointed" (J.length j) total;
   check "watchdog fired, something was interrupted" (J.length j < total);
   let j2 = J.create ~resume:true path in
   check "clean journal has no skipped lines" (J.skipped j2 = 0);
-  (j2, fun () -> E.run_matrix ~journal:j2 ?quotas ~samples ~seed srcs tools)
+  (j2, fun () -> E.run_matrix ~journal:j2 ?output_quota ~samples ~seed srcs tools)
 
-(* ---- campaign: in-process kill + resume --------------------------------- *)
+(* kill -9 mid-cell: a forked child runs a journaled single-domain matrix
+   and SIGKILLs itself once [settled] samples of its first cell have
+   settled (the supervisor polls the watchdog before it claims each
+   sample, so the kill lands between two samples, with no cell end to
+   flush anything).  Every settled sample must already be in the journal,
+   and a resume from it must equal an uninterrupted run. *)
+let sigkill_and_resume ~settled ~samples ~seed srcs tools path =
+  match Unix.fork () with
+  | 0 ->
+    let j = J.create path in
+    let polls = ref 0 in
+    let watchdog () =
+      incr polls;
+      if !polls > settled then Unix.kill (Unix.getpid ()) Sys.sigkill;
+      false
+    in
+    ignore (E.run_matrix ~domains:1 ~journal:j ~watchdog ~samples ~seed srcs tools);
+    Unix._exit 0
+  | pid ->
+    let _, status = Unix.waitpid [] pid in
+    check "the child died of SIGKILL" (status = Unix.WSIGNALED Sys.sigkill);
+    let held = J.record_lines path in
+    say "SIGKILLed after %d of the first cell's %d samples settled: %d journaled" settled
+      samples held;
+    check "every sample that settled before the kill is in the journal"
+      (held = settled && held < samples);
+    E.run_matrix ~domains:1 ~journal:(J.create ~resume:true path) ~samples ~seed srcs tools
+
+(* ---- campaign: kill + resume -------------------------------------------- *)
 
 let campaign () =
   let srcs = sources [ "DC"; "EP" ] and tools = [ T.Refine; T.Pinfi ] in
   let samples = 20 and seed = 11 in
   let path = temp_journal () in
+  (* first, while this process has one domain and may fork *)
+  let killed = sigkill_and_resume ~settled:7 ~samples ~seed srcs tools path in
+  let fresh = E.run_matrix ~samples ~seed srcs tools in
+  check "fresh run healthy" (fully_resolved samples fresh && Rep.degradation fresh = []);
+  check "SIGKILLed and resumed campaign bit-identical to uninterrupted run"
+    (summary killed = summary fresh);
   let _, resume = kill_and_resume ~polls:8 ~samples ~seed srcs tools path in
   let resumed = resume () in
-  let fresh = E.run_matrix ~samples ~seed srcs tools in
   Sys.remove path;
   check "resumed campaign bit-identical to uninterrupted run" (summary resumed = summary fresh);
-  check "fresh run healthy" (fully_resolved samples fresh && Rep.degradation fresh = []);
-  say "PASS: resumed campaign bit-identical to uninterrupted run"
+  say "PASS: SIGKILLed and interrupted campaigns resume bit-identical to an uninterrupted run"
 
 (* ---- obs: metrics + trace + overhead attribution ------------------------ *)
 
@@ -301,14 +334,15 @@ let quota () =
   let programs = [ ("AMP", amp_src) ] and tools = [ T.Llfi; T.Refine; T.Pinfi ] in
   let samples = 24 and seed = 3 in
   (* an absolute output cap, a few x golden *)
-  let quotas = { T.no_quotas with T.output_bytes = Some 512 } in
+  let output_quota = 512 in
   let break_mir = { T.break_mir = true; flaky_golden = false } in
   (* a second program whose REFINE cell is chaos-quarantined *)
   let run_adv ?journal ?chaos () =
     List.map
       (fun tool ->
         let chaos = if tool = T.Refine then chaos else None in
-        E.run_cell ?journal ?chaos ~quotas ~samples ~seed tool ~program:"ADV" ~source:amp_src ())
+        E.run_cell ?journal ?chaos ~output_quota ~samples ~seed tool ~program:"ADV"
+          ~source:amp_src ())
       [ T.Refine; T.Llfi; T.Pinfi ]
   in
   Obs.Control.enable ();
@@ -323,7 +357,7 @@ let quota () =
     | _ -> fail "chaos cell was not quarantined"
   in
   let j2, resume =
-    kill_and_resume ~quotas ~before:quarantine ~polls:6 ~samples ~seed programs tools path
+    kill_and_resume ~output_quota ~before:quarantine ~polls:6 ~samples ~seed programs tools path
   in
   let adv_resumed = run_adv ~journal:j2 () in
   check "journaled quarantine short-circuits the resume"
@@ -333,7 +367,7 @@ let quota () =
 
   (* phase 3: uninterrupted reference; CSVs must match byte-for-byte once
      the wall-clock timing attribution columns are zeroed *)
-  let fresh = E.run_matrix ~quotas ~samples ~seed programs tools in
+  let fresh = E.run_matrix ~output_quota ~samples ~seed programs tools in
   let adv_fresh = run_adv ~chaos:break_mir () in
   let csv cells = Csv.to_string (List.map (fun c -> { c with E.timing = E.zero_timing }) cells) in
   check "resumed CSV identical to uninterrupted run"
@@ -626,7 +660,7 @@ let detach () =
   (* one leg per fault model: the campaign's table against the named
      oracle's, every sample re-run on a fresh step-loop engine with no
      detach, drawn from the campaign's own per-sample generators and
-     under its default quotas *)
+     under its default output cap *)
   let leg model =
     let cells = E.run_matrix ~model ~samples ~seed srcs tools in
     let oracle_cell (c : E.cell) =
@@ -636,9 +670,7 @@ let detach () =
       in
       let counts = ref E.zero and cost = ref 0L in
       for _ = 1 to samples do
-        let e =
-          Oracle.injection ~quotas:T.default_quotas ~model p (Refine_support.Prng.split master)
-        in
+        let e = Oracle.injection ~model p (Refine_support.Prng.split master) in
         counts := E.add_outcome !counts e.F.outcome;
         cost := Int64.add !cost e.F.run_cost
       done;

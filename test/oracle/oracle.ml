@@ -25,7 +25,7 @@ let engine (p : T.prepared) ctrl =
     Refine_core.Pinfi.attach ~sel:p.T.sel ~opcode:p.T.opcode ctrl eng;
     eng
 
-let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment =
+let injection ?output_quota ~model (p : T.prepared) rng : F.experiment =
   if p.T.profile.F.dyn_count = 0L then { F.outcome = F.Benign; run_cost = 0L; fault = None }
   else begin
     let target = Int64.to_int (Int64.add 1L (P.int64 rng p.T.profile.F.dyn_count)) in
@@ -33,11 +33,9 @@ let injection ?(quotas = T.no_quotas) ~model (p : T.prepared) rng : F.experiment
     let ctrl = Rt.create (Rt.Inject { target; rng; model }) in
     let eng = engine p ctrl in
     let output_quota =
-      match quotas.T.output_bytes with
-      | Some _ as q -> q
-      | None -> if quotas.T.derive_output then Some (T.derived_output_quota p.T.profile) else None
+      match output_quota with Some q -> q | None -> T.derived_output_quota p.T.profile
     in
-    let r = X.run ~max_cost ?output_quota eng in
+    let r = X.run ~max_cost ~output_quota eng in
     { F.outcome = F.classify p.T.profile r; run_cost = r.X.cost; fault = ctrl.Rt.record }
   end
 

@@ -1,14 +1,15 @@
 (** The named oracle for fault-injection samples and profiling runs. *)
 
 val injection :
-  ?quotas:Refine_core.Tool.quotas ->
+  ?output_quota:int ->
   model:Refine_core.Fault.model ->
   Refine_core.Tool.prepared ->
   Refine_support.Prng.t ->
   Refine_core.Fault.experiment
 (** One sample as {!Refine_core.Tool.run_injection} defines it — same
-    target draw, control library, 10x cost timeout and [quotas] (default
-    {!Refine_core.Tool.no_quotas}) — run on a fresh engine of the
+    target draw, control library, 10x cost timeout and output cap
+    ([output_quota], default {!Refine_core.Tool.derived_output_quota}) —
+    run on a fresh engine of the
     prepared image with no decoded program and no detach plan, so the
     {!Refine_machine.Exec.step} loop executes it from the entry to the
     end.  A production sample drawn from an equal generator must return

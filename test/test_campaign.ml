@@ -125,6 +125,47 @@ let test_parallel_matches_sequential () =
   let b = E.run_cell ~domains:4 ~samples:30 ~seed:3 T.Refine ~program:"tiny" ~source:src () in
   Alcotest.(check bool) "domain count does not change results" true (a.E.counts = b.E.counts)
 
+(* A shard worker's chunk: [~todo] runs exactly those samples, each equal
+   to the same index of a full run (every index keeps its PRNG split),
+   records each through the callback, and loads nothing as resumed. *)
+let test_todo_runs_exactly_its_samples () =
+  let module J = Refine_campaign.Journal in
+  let module M = Refine_obs.Metrics in
+  let resumed () =
+    List.fold_left
+      (fun acc (n, _, v) ->
+        match v with
+        | M.Counter c when n = "refine_campaign_resumed_samples_total" -> Int64.add acc c
+        | _ -> acc)
+      0L (M.snapshot ())
+  in
+  let cell ?todo record =
+    E.run_cell ~domains:1 ?todo ~record ~samples:8 ~seed:5 T.Llfi ~program:"tiny" ~source:src ()
+  in
+  let full = Hashtbl.create 8 in
+  ignore (cell (fun (e : J.entry) -> Hashtbl.replace full e.J.sample e));
+  Alcotest.(check int) "a full run records every sample" 8 (Hashtbl.length full);
+  Refine_obs.Control.enable ();
+  Fun.protect ~finally:Refine_obs.Control.disable (fun () ->
+      let before = resumed () in
+      let seen = ref [] in
+      let c = cell ~todo:[ 2; 5 ] (fun e -> seen := e :: !seen) in
+      Alcotest.(check (list int)) "the callback sees exactly the todo" [ 2; 5 ]
+        (List.rev_map (fun (e : J.entry) -> e.J.sample) !seen);
+      Alcotest.(check int) "the counts total the todo" 2 (E.attempted c.E.counts);
+      Alcotest.(check int64) "nothing counted as resumed" before (resumed ());
+      List.iter
+        (fun (e : J.entry) ->
+          let f = Hashtbl.find full e.J.sample in
+          Alcotest.(check bool)
+            (Printf.sprintf "sample %d equals the full run's (outcome and cost)" e.J.sample)
+            true
+            (e.J.outcome = f.J.outcome && e.J.cost = f.J.cost))
+        !seen);
+  Alcotest.check_raises "an index outside [0, samples)"
+    (Invalid_argument "Experiment.run_cell: sample 8 is outside [0, 8)") (fun () ->
+      ignore (cell ~todo:[ 8 ] ignore))
+
 let tests =
   [
     Alcotest.test_case "counts sum" `Quick test_counts_sum;
@@ -135,4 +176,6 @@ let tests =
     Alcotest.test_case "PMF stacked bars" `Quick test_pmf_bars;
     Alcotest.test_case "torn final journal line" `Quick test_torn_final_line;
     Alcotest.test_case "parallel = sequential" `Quick test_parallel_matches_sequential;
+    Alcotest.test_case "run_cell ~todo runs exactly its samples" `Quick
+      test_todo_runs_exactly_its_samples;
   ]

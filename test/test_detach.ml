@@ -409,9 +409,9 @@ let detach_total () =
 (* One production sample (detach armed) against the named oracle: the
    same generator drives both, and outcome, modeled cost and fault record
    must agree. *)
-let matches_oracle ?quotas ~model p seed =
-  let prod = T.run_injection ?quotas ~model p (P.create seed) in
-  prod = Oracle.injection ?quotas ~model p (P.create seed)
+let matches_oracle ?output_quota ~model p seed =
+  let prod = T.run_injection ?output_quota ~model p (P.create seed) in
+  prod = Oracle.injection ?output_quota ~model p (P.create seed)
 
 (* A call-site candidate's splice runs on the return edge; the twin pays
    it at the collapsed jump.  Samples that end inside a callee, or hand
@@ -454,20 +454,19 @@ let prop_detach_invisible =
     (fun seed ->
       let src = Test_semantics.gen_program seed in
       let model = List.nth all_models (seed mod List.length all_models) in
-      let tight = { T.default_quotas with T.output_bytes = Some 16 } in
       List.for_all
         (fun kind ->
           let p = T.prepare kind src in
           List.for_all
-            (fun quotas ->
+            (fun output_quota ->
               List.iter
                 (fun i ->
-                  if not (matches_oracle ~quotas ~model p (4000 + (7 * i))) then
+                  if not (matches_oracle ?output_quota ~model p (4000 + (7 * i))) then
                     QCheck.Test.fail_reportf "oracle divergence (seed %d, %s, %s, sample %d)" seed
                       (T.kind_name kind) (F.string_of_model model) i)
                 [ 0; 1; 2; 3; 4; 5 ];
               true)
-            [ T.default_quotas; tight ])
+            [ None; Some 16 ])
         [ T.Refine; T.Llfi ])
 
 let qcheck = QCheck_alcotest.to_alcotest

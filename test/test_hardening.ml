@@ -338,9 +338,7 @@ let test_quota_campaign_completes () =
      resources, it never perturbs the outcome of runs that stay within it *)
   let base = Ex.run_cell ~samples:8 ~seed:5 T.Refine ~program:"adv" ~source:fi_src () in
   let sandboxed =
-    Ex.run_cell
-      ~quotas:{ T.default_quotas with T.output_bytes = Some 1024 }
-      ~samples:8 ~seed:5 T.Refine ~program:"adv" ~source:fi_src ()
+    Ex.run_cell ~output_quota:1024 ~samples:8 ~seed:5 T.Refine ~program:"adv" ~source:fi_src ()
   in
   Alcotest.(check bool) "not quarantined" true (sandboxed.Ex.quarantined = None);
   Alcotest.(check int) "crash count unchanged" base.Ex.counts.Ex.crash sandboxed.Ex.counts.Ex.crash;
@@ -352,7 +350,8 @@ let test_quota_campaign_completes () =
 let test_non_retryable_single_attempt () =
   let policy = { S.default_policy with S.max_retries = 3 } in
   let out =
-    S.run ~policy ~domains:1 1 (fun ~attempt:_ _ -> raise (S.Non_retryable (Failure "bad input")))
+    Test_robustness.run_all ~policy ~domains:1 1 (fun ~attempt:_ _ ->
+        raise (S.Non_retryable (Failure "bad input")))
   in
   match out.(0) with
   | S.Failed f ->
@@ -364,7 +363,7 @@ let test_non_retryable_single_attempt () =
 let test_retryable_still_retries () =
   let policy = { S.default_policy with S.max_retries = 3 } in
   let out =
-    S.run ~policy ~domains:1 1 (fun ~attempt i ->
+    Test_robustness.run_all ~policy ~domains:1 1 (fun ~attempt i ->
         if attempt < 2 then failwith "flaky" else i)
   in
   match out.(0) with

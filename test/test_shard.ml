@@ -38,19 +38,13 @@ let gen_entry =
         { J.program; tool; model; sample; outcome; cost; attempts })
       (pair (tup6 gen_name gen_name small_nat gen_outcome gen_i64 small_nat) gen_model_str))
 
-let gen_quotas =
-  QCheck.Gen.(
-    map
-      (fun (output_bytes, derive_output) -> { T.output_bytes; derive_output })
-      (pair (opt small_nat) bool))
-
 let gen_config =
   QCheck.Gen.(
     map
-      (fun ((seed, retries, cost_cap, quotas), (verify_each, pipeline), (obs, trace)) ->
-        { S.seed; retries; cost_cap; quotas; verify_each; pipeline; obs; trace })
+      (fun ((seed, retries, cost_cap, output_quota), (verify_each, pipeline), (obs, trace)) ->
+        { S.seed; retries; cost_cap; output_quota; verify_each; pipeline; obs; trace })
       (tup3
-         (tup4 int small_nat (opt gen_i64) gen_quotas)
+         (tup4 int small_nat (opt gen_i64) (opt small_nat))
          (pair bool (opt gen_str))
          (pair bool bool)))
 
@@ -98,18 +92,16 @@ let gen_event =
 let gen_summary =
   QCheck.Gen.(
     map
-      (fun ((chunk, program, tool, quarantined, golden_exit, dyn_count),
-            (profile_cost, golden_output_len, static_instrumented, instrument_s),
+      (fun ((chunk, program, tool, quarantined, dyn_count),
+            (profile_cost, static_instrumented, instrument_s),
             (compile_s, execute_s, harness_s, failures)) ->
         {
           S.chunk;
           program;
           tool;
           quarantined;
-          golden_exit;
           dyn_count;
           profile_cost;
-          golden_output_len;
           static_instrumented;
           instrument_s;
           compile_s;
@@ -118,8 +110,8 @@ let gen_summary =
           failures;
         })
       (tup3
-         (tup6 small_nat gen_str gen_str bool small_nat gen_i64)
-         (tup4 gen_i64 small_nat small_nat gen_f)
+         (tup5 small_nat gen_str gen_str bool gen_i64)
+         (tup3 gen_i64 small_nat gen_f)
          (tup4 gen_f gen_f gen_f (small_list (tup3 small_nat small_nat gen_str)))))
 
 let gen_frame =
@@ -274,20 +266,25 @@ let test_unknown_tag () =
     Alcotest.(check int) "reports local protocol version" S.version expected_version;
     Alcotest.(check int) "reports offending tag" 254 tag
 
-(* An Init payload in an older layout: v6 carried three more quota
-   fields after the output cap (an int, a float and an int option), and
-   v5 also the artifact-cache switch after [verify_each]. *)
-let old_init ?cache ?q1 ?q2 ?q3 ~verify_each ~pipeline ~obs ~trace () =
+(* An Init payload in an older layout: v7 carried the switch that derived
+   the output cap after the cap itself, v6 also three more quota fields
+   between the two ([retired]: an int, a float and an int option), and v5
+   also the artifact-cache switch after [verify_each]. *)
+let old_init ?cache ?retired ?output_quota ?(derive = true) ~verify_each ~pipeline ~obs ~trace ()
+    =
   let b = Buffer.create 64 in
   W.put_u8 b 2;
   W.put_int b 1 (* seed *);
   W.put_int b 0 (* retries *);
   W.put_option b W.put_i64 None (* cost_cap *);
-  W.put_option b W.put_int None (* output_bytes *);
-  W.put_option b W.put_int q1;
-  W.put_option b W.put_f64 q2;
-  W.put_option b W.put_int q3;
-  W.put_bool b true (* derive_output *);
+  W.put_option b W.put_int output_quota;
+  Option.iter
+    (fun (q1, q2, q3) ->
+      W.put_option b W.put_int q1;
+      W.put_option b W.put_f64 q2;
+      W.put_option b W.put_int q3)
+    retired;
+  W.put_bool b derive;
   W.put_bool b verify_each;
   Option.iter (W.put_bool b) cache;
   W.put_option b W.put_string pipeline;
@@ -313,10 +310,11 @@ let test_v5_frames_rejected () =
     let bit k = bits land (1 lsl k) <> 0 in
     let verify_each = bit 0 and cache = bit 1 and obs = bit 2 and trace = bit 3 in
     let pipeline = if bit 4 then Some test_pipeline else None in
-    let v5 = old_init ~cache ~verify_each ~pipeline ~obs ~trace () in
+    let v5 = old_init ~cache ~retired:(None, None, None) ~verify_each ~pipeline ~obs ~trace () in
     let now = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
-    (* the v5 layout is the current one plus three option tags and a bool *)
-    Alcotest.(check int) "v5 Init layout" (String.length now + 4) (String.length v5);
+    (* the v5 layout is the current one plus three option tags and two
+       bools *)
+    Alcotest.(check int) "v5 Init layout" (String.length now + 5) (String.length v5);
     rejected "Init" v5
   done;
   let v5_outcome (e : J.entry) =
@@ -348,7 +346,11 @@ let test_v5_frames_rejected () =
 
 (* A v6 peer's Init still carried the three retired quota fields: under
    every combination of them, its switches and its pipeline option, it is
-   rejected rather than read as some other config. *)
+   rejected rather than read as some other config.  So is a v7 peer's
+   Init, which carried the switch deriving the output cap, under every
+   combination of that switch, the cap and the rest; and its Chunk_done,
+   which carried the golden exit code and output length, whether the
+   cell was quarantined or sampled, with or without failures. *)
 let test_v6_init_rejected () =
   for bits = 0 to 127 do
     let bit k = bits land (1 lsl k) <> 0 in
@@ -357,15 +359,85 @@ let test_v6_init_rejected () =
     let q1 = if bit 4 then Some 65536 else None in
     let q2 = if bit 5 then Some 5.0 else None in
     let q3 = if bit 6 then Some 1_000_000 else None in
-    let v6 = old_init ?q1 ?q2 ?q3 ~verify_each ~pipeline ~obs ~trace () in
-    if bits land 0x70 = 0 then begin
-      let now = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
+    let v6 = old_init ~retired:(q1, q2, q3) ~verify_each ~pipeline ~obs ~trace () in
+    let now = S.encode (S.Init { S.default_config with S.verify_each; pipeline; obs; trace }) in
+    if bits land 0x70 = 0 then
       (* with no quota set, the v6 layout is the current one plus three
-         option tags *)
-      Alcotest.(check int) "v6 Init layout" (String.length now + 3) (String.length v6)
-    end;
-    rejected "a v6 Init" v6
-  done
+         option tags and a bool *)
+      Alcotest.(check int) "v6 Init layout" (String.length now + 4) (String.length v6);
+    rejected "a v6 Init" v6;
+    let derive = bit 4 and output_quota = if bit 5 then Some 4096 else None in
+    let v7 = old_init ~derive ?output_quota ~verify_each ~pipeline ~obs ~trace () in
+    let now =
+      S.encode (S.Init { S.default_config with S.output_quota; verify_each; pipeline; obs; trace })
+    in
+    (* the v7 layout is the current one plus a bool *)
+    Alcotest.(check int) "v7 Init layout" (String.length now + 1) (String.length v7);
+    rejected "a v7 Init" v7
+  done;
+  let v7_chunk_done (s : S.chunk_summary) =
+    let b = Buffer.create 128 in
+    W.put_u8 b 6;
+    W.put_int b s.S.chunk;
+    W.put_string b s.S.program;
+    W.put_string b s.S.tool;
+    W.put_bool b s.S.quarantined;
+    W.put_int b 0 (* golden_exit *);
+    W.put_i64 b s.S.dyn_count;
+    W.put_i64 b s.S.profile_cost;
+    W.put_int b 1234 (* golden output length *);
+    W.put_int b s.S.static_instrumented;
+    List.iter (W.put_f64 b) [ s.S.instrument_s; s.S.compile_s; s.S.execute_s; s.S.harness_s ];
+    W.put_list b
+      (fun b (sample, attempts, msg) ->
+        W.put_int b sample;
+        W.put_int b attempts;
+        W.put_string b msg)
+      s.S.failures;
+    Buffer.contents b
+  in
+  let sampled =
+    {
+      S.chunk = 5;
+      program = "HPCCG-1.0";
+      tool = "REFINE";
+      quarantined = false;
+      dyn_count = 123_456L;
+      profile_cost = 9_876_543L;
+      static_instrumented = 321;
+      instrument_s = 0.004;
+      compile_s = 0.031;
+      execute_s = 0.25;
+      harness_s = 0.0;
+      failures = [];
+    }
+  in
+  let quarantined =
+    {
+      sampled with
+      S.quarantined = true;
+      dyn_count = 0L;
+      profile_cost = 0L;
+      static_instrumented = 0;
+      instrument_s = 0.0;
+      compile_s = 0.0;
+      execute_s = 0.0;
+    }
+  in
+  List.iter
+    (fun s ->
+      let now = S.encode (S.Chunk_done s) in
+      Alcotest.(check bool) "Chunk_done round-trips" true (S.decode now = S.Chunk_done s);
+      let v7 = v7_chunk_done s in
+      (* the v7 layout is the current one plus two ints *)
+      Alcotest.(check int) "v7 Chunk_done layout" (String.length now + 16) (String.length v7);
+      rejected "a v7 Chunk_done" v7)
+    [
+      sampled;
+      quarantined;
+      { sampled with S.failures = [ (7, 2, "Failure(\"flaky\")") ] };
+      { sampled with S.execute_s = 0.0; harness_s = 1.5 };
+    ]
 
 (* ---- sharded = domains = sequential ------------------------------------ *)
 
@@ -396,18 +468,17 @@ let test_workers_match_domains () =
   let t5 cells = Rep.table5 (Rep.chi2_rows cells [ "tiny" ]) in
   Alcotest.(check string) "table5 identical" (t5 sequential) (t5 sharded)
 
-(* The whole quota record crosses the process boundary: a 4-byte output
-   cap, shorter than the golden output, leaves no sample benign,
-   in-process and in the workers alike. *)
+(* The output cap crosses the process boundary: a 4-byte cap, shorter
+   than the golden output, leaves no sample benign, in-process and in the
+   workers alike. *)
 let test_workers_carry_quotas () =
   let samples = 6 and seed = 19 in
   let programs = [ ("tiny", src) ] in
-  let quotas = { T.default_quotas with T.output_bytes = Some 4 } in
-  let in_process = E.run_matrix ~domains:2 ~quotas ~samples ~seed programs Rep.tools in
+  let in_process = E.run_matrix ~domains:2 ~output_quota:4 ~samples ~seed programs Rep.tools in
   Alcotest.(check bool) "no sample is benign under the cap" true
     (List.for_all (fun (c : E.cell) -> c.E.counts.E.benign = 0) in_process);
   let options = { C.default_options with C.workers = 2 } in
-  let sharded = C.run_matrix ~options ~quotas ~samples ~seed programs Rep.tools in
+  let sharded = C.run_matrix ~options ~output_quota:4 ~samples ~seed programs Rep.tools in
   Alcotest.(check bool) "workers = in-process under an output cap" true
     (List.map key sharded = List.map key in_process)
 
